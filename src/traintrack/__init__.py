@@ -87,7 +87,6 @@ from .errors import (
     MalformedPath,
     EndpointMismatch,
     NotCompletelySplit,
-    CatalogIncomplete,
     LViolation,
     InconsistentFiltration,
     AdmissibilityError,
@@ -182,7 +181,6 @@ __all__ = [
     "MalformedPath",
     "EndpointMismatch",
     "NotCompletelySplit",
-    "CatalogIncomplete",
     "LViolation",
     "InconsistentFiltration",
     "AdmissibilityError",

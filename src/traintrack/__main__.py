@@ -1,0 +1,8 @@
+"""``python -m traintrack``: the command line of :mod:`traintrack.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

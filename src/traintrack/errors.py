@@ -24,10 +24,6 @@ class NotCompletelySplit(TrainTrackError):
         self.position = position
 
 
-class CatalogIncomplete(TrainTrackError):
-    """A computation needed a Nielsen path outside the certified search bound."""
-
-
 class LViolation(TrainTrackError):
     """Two linear edges share an axis in a forbidden way (same exponent or twisted word)."""
 

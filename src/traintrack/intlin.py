@@ -2,7 +2,7 @@
 
 Everything here works over Python ints and fractions.Fraction; floats appear
 only in the numeric Perron-Frobenius estimate, which is always certified by
-exact sign evaluations of the characteristic polynomial.
+exact Sturm root counts of the characteristic polynomial.
 """
 
 from fractions import Fraction
@@ -110,10 +110,6 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def mat_mul_vec(rows, vec):
-    return [sum(a * b for a, b in zip(row, vec)) for row in rows]
-
-
 def charpoly(block):
     """Monic characteristic polynomial coefficients, highest degree first.
 
@@ -162,82 +158,85 @@ def is_permutation_matrix(block):
     return True
 
 
+def _poly_divmod(a, b):
+    """Quotient and remainder of Fraction polynomials (highest degree first).
+
+    The remainder has its leading zeros stripped; the zero polynomial is
+    the empty list.
+    """
+    a = list(a)
+    quot = []
+    while len(a) >= len(b):
+        q = a[0] / b[0]
+        quot.append(q)
+        for i in range(len(b)):
+            a[i] -= q * b[i]
+        a.pop(0)
+    while a and a[0] == 0:
+        a.pop(0)
+    return quot, a
+
+
+def _derivative(p):
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def _sturm_chain(coeffs):
+    """Sturm sequence of the square-free part of a polynomial.
+
+    For any x, the sign variations V(x) of the chain evaluated at x, zeros
+    dropped, minus the variations of its leading coefficients count the
+    distinct real roots of the polynomial greater than x.  Exact, over
+    Fractions.
+    """
+    p = [Fraction(c) for c in coeffs]
+    a, b = p, _derivative(p)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    q = _poly_divmod(p, a)[0]
+    chain = [q, _derivative(q)]
+    while True:
+        r = _poly_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            return chain
+        chain.append([-c for c in r])
+
+
+def _sign_variations(values):
+    signs = [v > 0 for v in values if v != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
 def pf_eigenvalue(block, tol=Fraction(1, 10**12)):
     """Largest real eigenvalue of an irreducible nonnegative integer matrix.
 
     Returns (float value, (lo, hi) Fractions bracketing it within tol).  The
-    bracket is certified by exact sign changes of the characteristic
-    polynomial; the float is only a convenient rounding of the bracket.
+    bracket is certified by exact Sturm counts of the characteristic
+    polynomial's roots; the float is only a convenient rounding of the
+    bracket.
 
-    For an irreducible nonnegative matrix the Perron root is the largest
-    real root of the characteristic polynomial and is simple, and no real
-    root exceeds it, so sign(p) is +1 strictly above it and -1 just below.
+    The Perron root lies between the least and the greatest row sum
+    (Collatz-Wielandt), and for an irreducible nonnegative matrix it is
+    the largest real root of the characteristic polynomial and simple.
+    Bisection on exact Sturm counts narrows (lo, hi] until it is at most
+    ``tol`` wide and holds that root and no other.
     """
     coeffs = charpoly(block)
+    chain = _sturm_chain(coeffs)
+    at_infinity = _sign_variations([c[0] for c in chain])
+
+    def roots_above(x):
+        return _sign_variations([poly_eval(c, x) for c in chain]) - at_infinity
+
+    lo = Fraction(min(sum(row) for row in block) - 1)
     hi = Fraction(max(sum(row) for row in block) + 1)
-    # p is monic, so p(hi) > 0; walk down in exact steps to find a sign change
-    lo = hi
-    step = Fraction(1)
-    while poly_eval(coeffs, lo) > 0:
-        lo -= step
-        if lo < 0:
-            # permutation-like block: largest root is 1 or below
-            lo = Fraction(0)
-            break
-    if poly_eval(coeffs, lo) == 0:
-        return float(lo), (lo, lo)
-    while hi - lo > tol:
+    while hi - lo > tol or roots_above(lo) > 1:
         mid = (lo + hi) / 2
-        v = poly_eval(coeffs, mid)
-        if v == 0:
-            return float(mid), (mid, mid)
-        if v > 0:
+        if roots_above(mid) == 0:
+            if poly_eval(coeffs, mid) == 0:
+                return float(mid), (mid, mid)
             hi = mid
         else:
             lo = mid
     return float((lo + hi) / 2), (lo, hi)
-
-
-def hnf_solve_membership(rows, vec):
-    """Does the integer row span of ``rows`` contain ``vec``?  (Used in tests.)"""
-    if not rows:
-        return all(x == 0 for x in vec)
-    # solve over Q then check integrality of the unique reduced solution via
-    # exhaustive elimination; adequate for the small matrices in this package
-    from fractions import Fraction as F
-
-    m = [list(map(F, r)) + [F(0)] for r in rows]
-    n = len(vec)
-    aug = [[m[i][j] for j in range(n)] for i in range(len(rows))]
-    # reduce [rows | I] style: find integer combo; do a simple HNF of rows
-    work = [list(map(int, r)) for r in rows]
-    combo = [[1 if i == j else 0 for j in range(len(rows))] for i in range(len(rows))]
-    colp = 0
-    rowp = 0
-    pivots = []
-    while rowp < len(work) and colp < n:
-        nz = [i for i in range(rowp, len(work)) if work[i][colp] != 0]
-        while len(nz) > 1:
-            nz.sort(key=lambda i: abs(work[i][colp]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = work[i][colp] // work[i0][colp]
-                work[i] = [a - q * b for a, b in zip(work[i], work[i0])]
-                combo[i] = [a - q * b for a, b in zip(combo[i], combo[i0])]
-            nz = [i for i in range(rowp, len(work)) if work[i][colp] != 0]
-        if nz:
-            i0 = nz[0]
-            work[rowp], work[i0] = work[i0], work[rowp]
-            combo[rowp], combo[i0] = combo[i0], combo[rowp]
-            pivots.append((rowp, colp))
-            rowp += 1
-        colp += 1
-    target = list(map(int, vec))
-    for r, c in pivots:
-        if work[r][c] == 0:
-            continue
-        if target[c] % work[r][c] != 0:
-            return False
-        q = target[c] // work[r][c]
-        target = [a - q * b for a, b in zip(target, work[r])]
-    return all(x == 0 for x in target)

@@ -6,7 +6,9 @@ map on paths substitutes edge images and tightens; this is the # operation
 on paths and the only way images of paths are ever computed here.
 """
 
-from .paths import Path, inverse, base_name, is_positive, word_root
+from itertools import chain
+
+from .paths import Path, inverse, base_name
 from .errors import EndpointMismatch, MalformedPath, InconsistentFiltration
 from . import intlin
 
@@ -17,6 +19,8 @@ class GraphMap:
     ``edge_images`` maps positive edge names to Paths (or oriented-edge
     sequences).  Vertex images are derived from the edge images and checked
     for consistency; an explicit ``vertex_map`` is verified against them.
+    ``image_of`` maps both orientations of every edge to the edge tuple of
+    its image; f_# reads it instead of reversing images per call.
     """
 
     def __init__(self, graph, edge_images, vertex_map=None, name=None):
@@ -54,15 +58,19 @@ class GraphMap:
                         "declared vertex image %r -> %r contradicts edge images" % (v, w)
                     )
         self.vertex_map = vmap
+        self.image_of = {}
+        for e, im in imgs.items():
+            self.image_of[e] = im.edges
+            self.image_of[graph.inverse_of[e]] = im.reverse().edges
         self._cache = {}
 
     # -- basic action ------------------------------------------------------
 
     def image(self, edge):
         """Image path of an oriented edge."""
-        if is_positive(edge):
+        if edge in self.edge_images:
             return self.edge_images[edge]
-        return self.edge_images[base_name(edge)].reverse()
+        return Path(self.graph, self.image_of[edge])
 
     def apply(self, path):
         """f_#: substitute edge images and tighten."""
@@ -70,9 +78,7 @@ class GraphMap:
             raise EndpointMismatch("path lives in the wrong graph")
         if path.is_trivial():
             return self.graph.trivial_path(self.vertex_map[path.base])
-        out = []
-        for e in path.edges:
-            out.extend(self.image(e).edges)
+        out = list(chain.from_iterable(map(self.image_of.__getitem__, path.edges)))
         return self.graph.tighten(out, base=self.vertex_map[path.start])
 
     def iterate(self, path, k):
@@ -187,7 +193,7 @@ class Filtration:
         self._level = {}
         for i, s in enumerate(self.strata):
             for e in s.edges:
-                self._level[e] = i
+                self._level[e] = self._level[graph.inverse_of[e]] = i
 
     def __len__(self):
         return len(self.strata)
@@ -200,7 +206,7 @@ class Filtration:
 
     def level(self, edge):
         """0-based stratum index of an edge."""
-        return self._level[base_name(edge)]
+        return self._level[edge]
 
     def prefix_edges(self, r):
         """Edge set of G_r = union of the first r strata (r from 0 to N)."""

@@ -35,7 +35,7 @@ def default_length_bound(m):
 
 
 def _path_key(g, p):
-    return [(g.edge_index(e), e.endswith("'")) for e in p.edges]
+    return list(map(g.order_key.__getitem__, p.edges))
 
 
 def _canonical_orientation(g, p):
@@ -56,6 +56,8 @@ def _stable_prefixes(m, bound, iter_cap=None):
     if iter_cap is None:
         iter_cap = bound + 16
     g = m.graph
+    inverse_of = g.inverse_of
+    image_of = m.image_of
     dm = direction_map(m)
     found = {}
 
@@ -70,8 +72,8 @@ def _stable_prefixes(m, bound, iter_cap=None):
             if i >= bound:
                 break
             pref.append(e)
-            for x in m.image(e).edges:
-                if img and img[-1] == inverse(x):
+            for x in image_of[e]:
+                if img and img[-1] == inverse_of[x]:
                     img.pop()
                 else:
                     img.append(x)
@@ -139,8 +141,7 @@ def _splits_into_nielsen(sigma, trie):
     """
     n = len(sigma)
     lefts = _trie_depths(trie, sigma.edges)
-    rev = tuple(inverse(e) for e in reversed(sigma.edges))
-    rights = {n - k for k in _trie_depths(trie, rev)}
+    rights = {n - k for k in _trie_depths(trie, sigma.reverse().edges)}
     return any(1 <= i <= n - 1 for i in lefts & rights)
 
 
@@ -166,7 +167,6 @@ class NielsenCatalog:
     * ``entries``: period-one Nielsen paths of length >= 2, each flagged
       indivisible or composite, with its filtration height.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
-    * ``closed_paths``: the closed ones among the above plus fixed loops.
 
     Completeness is certified only within ``bound`` (and ``period_bound``
     for the periodic list); consumers must treat absence as
@@ -183,9 +183,6 @@ class NielsenCatalog:
         ]
         self.entries = entries
         self.periodic = periodic
-        self.closed_paths = [g.path([e]) for e in self.fixed_edges if g.is_loop(e)]
-        self.closed_paths += [x.path for x in entries if x.path.is_closed()]
-        self.complete_within_bound = True
 
     def inps(self, height=None):
         out = [x for x in self.entries if x.indivisible]
@@ -222,7 +219,7 @@ def _search_fixed_paths(m, bound):
         groups.setdefault((p.end, s), {}).setdefault(p.edges[-1], []).append(p)
     found = {}
     for buckets in groups.values():
-        lasts = sorted(buckets, key=lambda e: (g.edge_index(e), e.endswith("'")))
+        lasts = sorted(buckets, key=g.order_key.__getitem__)
         for a in range(len(lasts)):
             for b in range(len(lasts)):
                 if a == b:
@@ -518,7 +515,8 @@ def _juncture_ok(m, left, right, k_max):
     all k), "depth" when only the explicit iterate check up to k_max
     passes, None on failure.
     """
-    d1 = inverse(left.path.edges[-1])
+    inverse_of = m.graph.inverse_of
+    d1 = inverse_of[left.path.edges[-1]]
     d2 = right.path.edges[0]
     if d1 != d2 and frozenset((d1, d2)) not in illegal_turns(m):
         return "legal"
@@ -527,7 +525,7 @@ def _juncture_ok(m, left, right, k_max):
         a, b = m.apply(a), m.apply(b)
         if a.is_trivial() or b.is_trivial():
             return None
-        if a.edges[-1] == inverse(b.edges[0]):
+        if a.edges[-1] == inverse_of[b.edges[0]]:
             return None
     return "depth"
 
@@ -595,39 +593,45 @@ def complete_split(m, path, catalog=None, k_max=4, node_cap=100000):
     for lst in inps_by_first.values():
         lst.sort(key=lambda sh: -len(sh[0]))
 
-    best_fail = [0]
-    nodes = [0]
-
-    def extend(i, acc, worst_cert):
-        nodes[0] += 1
-        if nodes[0] > node_cap:
+    # Depth-first search with an explicit stack, so the depth is not
+    # limited by the number of terms.  ``terms`` is the parse so far and
+    # ``frames`` holds one entry per open node: its offset, the candidates
+    # not yet tried there and the worst juncture certificate on its way.
+    terms = []
+    frames = []
+    best_fail = 0
+    nodes = 0
+    i, worst = 0, "legal"
+    while True:
+        nodes += 1
+        if nodes > node_cap:
             raise NotCompletelySplit(
-                "splitting search budget exhausted", position=best_fail[0]
+                "splitting search budget exhausted", position=best_fail
             )
         if i == len(path):
-            return acc, worst_cert
-        best_fail[0] = max(best_fail[0], i)
-        for term in _candidates(m, path, i, filt, fams, inps_by_first):
-            cert = "legal"
-            if acc:
-                cert = _juncture_ok(m, acc[-1], term, k_max)
-                if cert is None:
-                    continue
-            got = extend(
-                i + len(term.path),
-                acc + [term],
-                cert if cert == "depth" else worst_cert,
+            break
+        best_fail = max(best_fail, i)
+        frames.append((i, iter(_candidates(m, path, i, filt, fams, inps_by_first)), worst))
+        while frames:
+            i, todo, worst = frames[-1]
+            for term in todo:
+                cert = _juncture_ok(m, terms[-1], term, k_max) if terms else "legal"
+                if cert is not None:
+                    break
+            else:
+                frames.pop()
+                if terms:
+                    terms.pop()
+                continue
+            terms.append(term)
+            i += len(term.path)
+            if cert == "depth":
+                worst = cert
+            break
+        else:
+            raise NotCompletelySplit(
+                "path %r is not completely split" % path, position=best_fail
             )
-            if got is not None:
-                return got
-        return None
-
-    got = extend(0, [], "legal")
-    if got is None:
-        raise NotCompletelySplit(
-            "path %r is not completely split" % path, position=best_fail[0]
-        )
-    terms, worst = got
     certificate = (
         "legal-turns" if worst == "legal" else "verified-to-depth-%d" % k_max
     )
@@ -691,7 +695,7 @@ def _is_nielsen_term(m, t):
         return True
     if t.kind == TERM_EDGE:
         e = t.path.edges[0]
-        return m.image(e).edges == (e,)
+        return m.image_of[e] == (e,)
     return False
 
 

@@ -11,6 +11,18 @@ Conventions used throughout the package:
   ``X'`` (or vice versa).  A trivial path carries its basepoint so that
   endpoint bookkeeping stays exact.
 * Values are immutable; every operation returns fresh objects.
+
+Oriented-edge tables: a :class:`MarkedGraph` builds, once in its
+constructor, four dicts keyed by every oriented-edge token of the graph:
+``inverse_of`` (the reversed token), ``init_of`` and ``term_of`` (its end
+vertices) and ``order_key`` (``(edge index, is_inverse)``, the package's
+total order on oriented edges).  The path kernel -- ``path``, ``tighten``,
+``Path.reverse``/``start``/``end`` and the circuit rotation -- and the
+hot loops of the other modules read these tables and never take a token
+apart.  A token that is not a key is not an edge of the graph, so the same
+lookups also validate.  The string helpers :func:`inverse` and
+:func:`base_name` remain for parsing, for code that has no graph at hand
+and for cold bookkeeping.
 """
 
 from .errors import MalformedPath, EndpointMismatch
@@ -28,10 +40,6 @@ def inverse(edge):
 def base_name(edge):
     """Unoriented name of an oriented edge."""
     return edge[:-1] if edge.endswith("'") else edge
-
-
-def is_positive(edge):
-    return not edge.endswith("'")
 
 
 class MarkedGraph:
@@ -64,7 +72,19 @@ class MarkedGraph:
             self.edge_names.append(name)
             self._ends[name] = (init, term)
         self.edge_names = tuple(self.edge_names)
-        self._index = {n: i for i, n in enumerate(self.edge_names)}
+        self.inverse_of = {}
+        self.init_of = {}
+        self.term_of = {}
+        self.order_key = {}
+        self._directions = []
+        for i, name in enumerate(self.edge_names):
+            init, term = self._ends[name]
+            bar = name + "'"
+            self.inverse_of[name], self.inverse_of[bar] = bar, name
+            self.init_of[name], self.init_of[bar] = init, term
+            self.term_of[name], self.term_of[bar] = term, init
+            self.order_key[name], self.order_key[bar] = (i, False), (i, True)
+            self._directions += (name, bar)
         self.intermediate = intermediate
         if not intermediate:
             for v in self.vertices:
@@ -76,25 +96,22 @@ class MarkedGraph:
     # -- edge bookkeeping ------------------------------------------------
 
     def has_edge(self, edge):
-        return base_name(edge) in self._ends
+        return edge in self.inverse_of
 
     def edge_index(self, edge):
         """Position of the underlying unoriented edge in construction order."""
-        return self._index[base_name(edge)]
+        return self.order_key[edge][0]
 
     def init(self, edge):
         """Initial vertex of an oriented edge."""
-        init, term = self._ends[base_name(edge)]
-        return term if edge.endswith("'") else init
+        return self.init_of[edge]
 
     def term(self, edge):
         """Terminal vertex of an oriented edge."""
-        init, term = self._ends[base_name(edge)]
-        return init if edge.endswith("'") else term
+        return self.term_of[edge]
 
     def is_loop(self, edge):
-        i, t = self._ends[base_name(edge)]
-        return i == t
+        return self.init_of[edge] == self.term_of[edge]
 
     def directions(self, v=None):
         """Oriented edges, optionally only those based (initial) at ``v``.
@@ -102,12 +119,9 @@ class MarkedGraph:
         Ordered by (edge construction order, orientation), which fixes the
         deterministic order used for tie-breaking.
         """
-        out = []
-        for name in self.edge_names:
-            for e in (name, name + "'"):
-                if v is None or self.init(e) == v:
-                    out.append(e)
-        return out
+        if v is None:
+            return list(self._directions)
+        return [e for e in self._directions if self.init_of[e] == v]
 
     def valence(self, v):
         return len(self.directions(v))
@@ -131,15 +145,20 @@ class MarkedGraph:
             if base is None:
                 raise MalformedPath("a trivial path needs a basepoint")
             return self.trivial_path(base)
-        for e in edges:
-            if not self.has_edge(e):
-                raise MalformedPath("unknown edge %r" % e)
-        for a, b in zip(edges, edges[1:]):
-            if self.term(a) != self.init(b):
-                raise MalformedPath("edges %r and %r are not incident" % (a, b))
-            if b == inverse(a):
-                raise MalformedPath("path contains backtracking %r %r" % (a, b))
-        return Path(self, edges)
+        init_of, term_of, inverse_of = self.init_of, self.term_of, self.inverse_of
+        try:
+            at = init_of[edges[0]]
+            back = None
+            for e in edges:
+                if init_of[e] != at or e == back:
+                    break
+                at = term_of[e]
+                back = inverse_of[e]
+            else:
+                return Path(self, edges)
+        except KeyError:
+            pass
+        raise self._fault(edges, backtracking=True)
 
     def tighten(self, edges, base=None):
         """Free reduction: cancel adjacent inverse pairs until none remain.
@@ -148,24 +167,49 @@ class MarkedGraph:
         edge path); ``base`` is required only when everything cancels and
         the sequence is empty to begin with.  Idempotent.
         """
-        edges = list(edges)
-        for e in edges:
-            if not self.has_edge(e):
-                raise MalformedPath("unknown edge %r" % e)
-        for a, b in zip(edges, edges[1:]):
-            if self.term(a) != self.init(b):
-                raise MalformedPath("edges %r and %r are not incident" % (a, b))
-        if edges and base is None:
-            base = self.init(edges[0])
+        edges = tuple(edges)
+        init_of, term_of, inverse_of = self.init_of, self.term_of, self.inverse_of
         stack = []
-        for e in edges:
-            if stack and stack[-1] == inverse(e):
-                stack.pop()
+        push, pop = stack.append, stack.pop
+        top = None
+        try:
+            at = init_of[edges[0]] if edges else None
+            for e in edges:
+                if init_of[e] != at:
+                    break
+                at = term_of[e]
+                if top == inverse_of[e]:
+                    pop()
+                    top = stack[-1] if stack else None
+                else:
+                    push(e)
+                    top = e
             else:
-                stack.append(e)
-        if not stack:
-            return self.trivial_path(base)
-        return Path(self, tuple(stack))
+                if stack:
+                    return Path(self, stack)
+                if edges and base is None:
+                    base = init_of[edges[0]]
+                return self.trivial_path(base)
+        except KeyError:
+            pass
+        raise self._fault(edges, backtracking=False)
+
+    def _fault(self, edges, backtracking):
+        """The MalformedPath for the first fault of a rejected sequence.
+
+        Unknown edges are reported before bad neighbour pairs, and pairs in
+        path order, so the message does not depend on where the single
+        pass of :meth:`path` or :meth:`tighten` stopped.
+        """
+        for e in edges:
+            if e not in self.inverse_of:
+                return MalformedPath("unknown edge %r" % e)
+        for a, b in zip(edges, edges[1:]):
+            if self.term_of[a] != self.init_of[b]:
+                return MalformedPath("edges %r and %r are not incident" % (a, b))
+            if backtracking and b == self.inverse_of[a]:
+                return MalformedPath("path contains backtracking %r %r" % (a, b))
+        raise AssertionError("no fault in %r" % (edges,))
 
     # -- subgraphs and invariants -----------------------------------------
 
@@ -217,12 +261,12 @@ class MarkedGraph:
             parent.setdefault(t, t)
             union(i, t)
         groups = {}
-        for name in sorted(edge_subset, key=self._index.get):
+        for name in sorted(edge_subset, key=self.order_key.get):
             root = find(self._ends[name][0])
             groups.setdefault(root, ([], set()))[0].append(name)
             groups[root][1].update(self._ends[name])
         comps = [(frozenset(vs), frozenset(es)) for es, vs in groups.values()]
-        comps.sort(key=lambda c: min(self._index[e] for e in c[1]))
+        comps.sort(key=lambda c: min(self.order_key[e] for e in c[1]))
         return comps
 
     def is_forest(self, edge_subset):
@@ -265,11 +309,11 @@ class Path:
 
     @property
     def start(self):
-        return self.base if not self.edges else self.graph.init(self.edges[0])
+        return self.base if not self.edges else self.graph.init_of[self.edges[0]]
 
     @property
     def end(self):
-        return self.base if not self.edges else self.graph.term(self.edges[-1])
+        return self.base if not self.edges else self.graph.term_of[self.edges[-1]]
 
     def is_trivial(self):
         return not self.edges
@@ -280,7 +324,7 @@ class Path:
     def reverse(self):
         if not self.edges:
             return self
-        return Path(self.graph, tuple(inverse(e) for e in reversed(self.edges)))
+        return Path(self.graph, map(self.graph.inverse_of.__getitem__, reversed(self.edges)))
 
     def concat(self, other):
         """Concatenate and tighten.  Endpoints must match."""
@@ -364,10 +408,6 @@ class Circuit:
         self.graph = graph
         self.edges = tuple(edges)
 
-    @staticmethod
-    def _key(graph, edge):
-        return (graph.edge_index(edge), not is_positive(edge))
-
     @classmethod
     def from_path(cls, path):
         """Normalize a closed path: cyclically reduce, then rotate canonically.
@@ -377,17 +417,17 @@ class Circuit:
         """
         if not path.is_closed():
             raise EndpointMismatch("circuits come from closed paths")
+        g = path.graph
         edges = list(path.edges)
         # cyclic reduction: first tighten (paths are already tight), then
         # peel matching first/last edges
-        while len(edges) >= 2 and edges[-1] == inverse(edges[0]):
+        while len(edges) >= 2 and edges[-1] == g.inverse_of[edges[0]]:
             edges = edges[1:-1]
         if not edges:
             return TRIVIAL_CIRCUIT
-        g = path.graph
-        rots = [tuple(edges[i:] + edges[:i]) for i in range(len(edges))]
-        best = min(rots, key=lambda r: [cls._key(g, e) for e in r])
-        return cls(g, best)
+        keys = [g.order_key[e] for e in edges]
+        best = min(range(len(edges)), key=lambda i: keys[i:] + keys[:i])
+        return cls(g, edges[best:] + edges[:best])
 
     def is_trivial(self):
         return not self.edges
@@ -395,7 +435,7 @@ class Circuit:
     def reverse(self):
         if not self.edges:
             return self
-        rev = [inverse(e) for e in reversed(self.edges)]
+        rev = map(self.graph.inverse_of.__getitem__, reversed(self.edges))
         return Circuit.from_path(Path(self.graph, rev))
 
     def same_unoriented(self, other):

@@ -1,10 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import traintrack
 from traintrack import samples
 from traintrack.cli import (
     document_from_map,
@@ -390,3 +393,19 @@ def test_jobs_matches_serial_output(tmp_path):
     serial = run_cli(["rank"] + files)
     parallel = run_cli(["rank"] + files + ["--jobs", "2"])
     assert serial == parallel
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    path = sample_file(tmp_path, "qe_rose")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(traintrack.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "traintrack", "check-ct", "--json", path],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert payload["command"] == "check-ct" and payload["passed"] is True
+    assert proc.stdout == run_cli(["check-ct", "--json", path])[1]

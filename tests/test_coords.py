@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,6 +161,37 @@ def test_expansion_matches_numpy():
             sorted(np.roots(exp.polynomial).real),
             sorted(np.linalg.eigvals(np.array(block, dtype=float)).real),
         )
+
+
+def test_pf_eigenvalue_returns_largest_root_not_a_lower_one():
+    # Characteristic polynomial x^4 - 3x^3 - 3x^2 + 9x + 2: the root 2 lies
+    # below the Perron root 2.866..., so stepping down from the row-sum
+    # bound by whole units stops at the wrong root.
+    block = [[0, 1, 0, 2], [0, 2, 1, 0], [0, 1, 0, 1], [2, 0, 0, 1]]
+    val, (lo, hi) = intlin.pf_eigenvalue(block)
+    oracle = max(abs(np.linalg.eigvals(np.array(block, dtype=float))))
+    assert abs(val - oracle) < 1e-9
+    assert abs(val - 2.866198) < 1e-6
+    assert lo <= oracle <= hi
+
+
+@st.composite
+def irreducible_blocks(draw):
+    n = draw(st.integers(1, 5))
+    rows = [[draw(st.integers(0, 3)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        # a Hamiltonian cycle of positive entries makes the matrix irreducible
+        rows[i][(i + 1) % n] = max(rows[i][(i + 1) % n], 1)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_blocks())
+def test_pf_eigenvalue_matches_numpy_spectral_radius(block):
+    val, (lo, hi) = intlin.pf_eigenvalue(block)
+    oracle = max(abs(np.linalg.eigvals(np.array(block, dtype=float))))
+    assert abs(val - oracle) <= 1e-7 * max(1.0, oracle)
+    assert lo <= hi and hi - lo <= Fraction(1, 10**12)
 
 
 def test_expansion_scales_as_power_of_lambda():

@@ -1,0 +1,148 @@
+"""Golden outputs of the command line on a fixed corpus.
+
+Every case feeds one document from ``tests/golden/docs`` through stdin to
+``traintrack.cli.main`` and compares the exit code and the exact stdout,
+in text and in ``--json`` form, against ``tests/golden/expected``.  The
+corpus covers each command the benchmark runs: ``check-ct``, ``nielsen``
+and ``disintegrate`` on the ladder A -> A, B -> B A^k; ``disintegrate``,
+``audit`` and ``classify`` on the type E and type C twist families;
+``check-ct``, ``coords``, ``fps`` and ``verify-commute`` on the sample
+maps.  Any change to a report, however small, fails here.
+
+The expected files were written once by running this module as a script::
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+which rewrites the documents and the expected outputs from the program as
+it stands.  Do that only for a deliberate change of output.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from traintrack import samples
+from traintrack.cli import document_from_map, document_text, main
+from traintrack.maxrank import gen_type_c, gen_type_e
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DOCS = os.path.join(GOLDEN, "docs")
+EXPECTED = os.path.join(GOLDEN, "expected")
+MANIFEST = os.path.join(GOLDEN, "exit_codes.json")
+
+
+def _ladder(k):
+    return {
+        "name": "ladder_%d" % k,
+        "vertices": ["v"],
+        "edges": [{"name": e, "from": "v", "to": "v"} for e in ("A", "B")],
+        "images": {"A": "A", "B": " ".join(["B"] + ["A"] * k)},
+    }
+
+
+def _documents():
+    docs = {"ladder_%d" % k: _ladder(k) for k in (25, 50)}
+    for n in (3, 4, 5):
+        docs["type_e_%d" % n] = document_from_map(gen_type_e(n).generic, "type_e_%d" % n)
+    docs["type_c_4"] = document_from_map(gen_type_c(4).generic, "type_c_4")
+    for name, factory in samples.SAMPLES.items():
+        docs[name] = document_from_map(factory())
+    return docs
+
+
+# Fixed lattice points: qe_rose needs a1 = a2 and exceptional_rose
+# 2 a1 + 3 a3 = 5 a2; suffix_rose has no disintegration, so coords refuses.
+COORDS_TUPLES = {
+    "rose_cascade": "3",
+    "qe_rose": "4,4",
+    "swap_rose": "2",
+    "suffix_rose": "1",
+    "exceptional_rose": "11,8,6",
+    "partial_fps_map": "2,3,4",
+    "full_fps_map": "1,2,3,4,5",
+    "zero_stratum_map": "3",
+}
+COMMUTE_TUPLES = {
+    "rose_cascade": ("6", "9"),
+    "qe_rose": ("5,5", "7,7"),
+    "exceptional_rose": ("11,8,6", "7,7,7"),
+}
+
+
+def _cases():
+    cases = []
+    for k in (25, 50):
+        for cmd in ("check-ct", "nielsen", "disintegrate"):
+            cases.append(("ladder_%d" % k, cmd, ()))
+    for doc, mode in [("type_e_%d" % n, "general") for n in (3, 4, 5)] + [("type_c_4", "ia")]:
+        cases.append((doc, "disintegrate", ()))
+        cases.append((doc, "audit", ()))
+        cases.append((doc, "classify", ("--mode", mode)))
+    for name in samples.SAMPLES:
+        cases.append((name, "check-ct", ()))
+        cases.append((name, "coords", ("--tuple", COORDS_TUPLES[name])))
+        cases.append((name, "fps", ()))
+    for name, (a, b) in COMMUTE_TUPLES.items():
+        cases.append((name, "verify-commute", ("--a", a, "--b", b)))
+    out = []
+    for doc, cmd, args in cases:
+        for fmt in ("text", "json"):
+            case_id = "%s.%s.%s" % (doc, cmd, fmt)
+            argv = [cmd] + (["--json"] if fmt == "json" else []) + list(args)
+            out.append((case_id, doc, argv))
+    return out
+
+
+CASES = _cases()
+
+
+def run(doc, argv):
+    with open(os.path.join(DOCS, doc + ".json"), encoding="utf-8") as fh:
+        text = fh.read()
+    out = io.StringIO()
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return code, out.getvalue()
+
+
+def _expected_path(case_id):
+    return os.path.join(EXPECTED, case_id + ".out")
+
+
+@pytest.mark.parametrize("case_id,doc,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(case_id, doc, argv):
+    with open(MANIFEST, encoding="utf-8") as fh:
+        codes = json.load(fh)
+    with open(_expected_path(case_id), encoding="utf-8") as fh:
+        want = fh.read()
+    code, got = run(doc, argv)
+    assert got == want
+    assert code == codes[case_id]
+
+
+def write():
+    os.makedirs(DOCS, exist_ok=True)
+    os.makedirs(EXPECTED, exist_ok=True)
+    for name, doc in _documents().items():
+        with open(os.path.join(DOCS, name + ".json"), "w", encoding="utf-8") as fh:
+            fh.write(document_text(doc))
+    codes = {}
+    for case_id, doc, argv in CASES:
+        codes[case_id], out = run(doc, argv)
+        with open(_expected_path(case_id), "w", encoding="utf-8") as fh:
+            fh.write(out)
+    with open(MANIFEST, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write()

@@ -345,6 +345,20 @@ def test_verify_splitting_rejects_cancellation():
     assert not ok and "concatenate" in why
 
 
+def test_complete_split_of_a_long_path_needs_no_deep_recursion():
+    # B -> B A^1500 splits into 1,501 single-edge terms; a search that
+    # recursed once per term overflowed Python's stack here.
+    g = MarkedGraph(["v"], [("A", "v", "v"), ("B", "v", "v")])
+    m = GraphMap(g, {"A": ["A"], "B": ["B"] + ["A"] * 1500})
+    cs = complete_split(m, m.edge_images["B"], build_catalog(m, bound=6))
+    assert len(cs.terms) == 1501
+    assert [t.kind for t in cs.terms] == [TERM_EDGE] * 1501
+    assert cs.certificate == "legal-turns"
+    with pytest.raises(NotCompletelySplit, match="budget") as ei:
+        complete_split(m, m.edge_images["B"], build_catalog(m, bound=6), node_cap=1000)
+    assert ei.value.position == 999
+
+
 def test_trivial_split():
     m = qe_rose()
     cs = complete_split(m, m.graph.trivial_path("v"))

@@ -97,6 +97,23 @@ def test_path_validation_errors():
     assert p.start == "u" and p.end == "u" and len(p) == 2
 
 
+@pytest.mark.parametrize("method,edges,message", [
+    # an unknown edge anywhere is reported before a bad neighbour pair
+    ("path", ["P", "Q", "X"], "unknown edge 'X'"),
+    ("tighten", ["P", "Q", "X"], "unknown edge 'X'"),
+    ("path", ["P''"], "unknown edge \"P''\""),
+    ("tighten", ["X"], "unknown edge 'X'"),
+    # otherwise the first bad pair in path order
+    ("path", ["P", "P'", "Q"], "path contains backtracking 'P' \"P'\""),
+    ("path", ["P", "Q'", "P", "Q"], "edges 'P' and 'Q' are not incident"),
+    ("tighten", ["P", "P'", "P", "Q"], "edges 'P' and 'Q' are not incident"),
+])
+def test_path_validation_messages(method, edges, message):
+    with pytest.raises(MalformedPath) as exc:
+        getattr(theta(), method)(edges)
+    assert str(exc.value) == message
+
+
 def test_valence_one_rejected_unless_intermediate():
     with pytest.raises(MalformedPath):
         MarkedGraph(["a", "b"], [("E", "a", "b"), ("L", "a", "a")])
