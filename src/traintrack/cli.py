@@ -286,6 +286,8 @@ def _cmd_nielsen(m, doc, args):
         )
     if not axs:
         lines.append("  none")
+    caveats = ["search budget hit: %s" % note for note in cat.budgets_hit]
+    lines.extend("note: " + note for note in caveats)
     data = {
         "bound": cat.bound,
         "fixed_edges": list(cat.fixed_edges),
@@ -304,6 +306,8 @@ def _cmd_nielsen(m, doc, args):
             for ax in axs
         ],
     }
+    if caveats:
+        data["caveats"] = caveats
     return True, lines, data
 
 

@@ -630,4 +630,5 @@ def check_ct(m, catalog=None, bound=None, split_depth=4):
         % (cat.bound, cat.period_bound),
         "endpoints of periodic Nielsen paths are vertices by construction",
     ]
+    caveats.extend("search budget hit: %s" % note for note in cat.budgets_hit)
     return CTReport(m, clauses, caveats)

@@ -20,7 +20,7 @@ f-fixed edge, and edge-image-wise f_a f_b = f_b f_a = f_{a+b}.
 import itertools
 
 from .ct import check_ct, connecting_paths, principal_vertices
-from .errors import AdmissibilityError, InconsistentFiltration
+from .errors import AdmissibilityError, InconsistentFiltration, TrainTrackError
 from .freegroup import map_is_pi1_surjective
 from .intlin import kernel_basis
 from .maps import GraphMap, filtration
@@ -31,7 +31,6 @@ from .nielsen import (
     axes,
     build_catalog,
     default_length_bound,
-    qe_split,
 )
 
 
@@ -112,10 +111,7 @@ def almost_invariant_subgraphs(m, catalog=None):
 
     for i in nodes:
         for piece in _pieces(m, filt, i):
-            image = m.apply(piece)
-            if image.is_trivial():
-                continue
-            for t in qe_split(m, image, catalog).terms:
+            for t in catalog.image_qe_split(m, piece).terms:
                 if t.kind not in (TERM_EDGE, TERM_CONN):
                     continue
                 j = filt.level(t.path.edges[0])
@@ -166,7 +162,7 @@ def admissibility_relations(m, part=None, catalog=None):
             continue
         for e in sorted(stratum.edges, key=m.graph.edge_index):
             r = part.class_of_edge(e)
-            for t in qe_split(m, m.image(e), catalog).terms:
+            for t in catalog.image_qe_split(m, m.graph.path([e])).terms:
                 if t.kind != TERM_QE:
                     continue
                 fam = t.family
@@ -356,7 +352,7 @@ def verify_nielsen_preserved(m, a, dis=None, qe_powers=(-2, -1, 0, 1, 2)):
             continue
         for e in sorted(rel_stratum.edges, key=m.graph.edge_index):
             k = dis.partition.class_of_edge(e)
-            for t in qe_split(m, m.image(e), dis.catalog).terms:
+            for t in dis.catalog.image_qe_split(m, m.graph.path([e])).terms:
                 if t.kind == TERM_QE:
                     incidences.setdefault((t.family.key(), k), t.family)
     q_checked = 0
@@ -429,27 +425,37 @@ def nearest_admissible(latt, a):
     return tuple(x + k for x in a)
 
 
-def _edge_image_candidates(m, edge, target_path, cap=64):
+COMBINATION_BUDGET = 10000
+
+
+def _edge_image_candidates(m, edge, target_path):
     """Exponents k with f^k(edge) equal to the target path, by iteration.
 
-    Iteration stops once the image outgrows the target or revisits a path.
+    Iteration stops once the image outgrows the target or revisits a path;
+    one of the two happens, since there are finitely many paths no longer
+    than the target.
     """
     g = m.graph
     path = g.path([edge])
     seen = set()
     found = set()
-    for k in range(cap + 1):
+    k = 0
+    while True:
         if path.edges == target_path.edges:
             found.add(k)
         if path.edges in seen or len(path) > len(target_path):
-            break
+            return found
         seen.add(path.edges)
         path = m.apply(path)
-    return found
+        k += 1
 
 
-def find_tuple_representing(m, target, dis=None, cap=64):
-    """An admissible tuple a with f_a edge-image-equal to target, or None."""
+def find_tuple_representing(m, target, dis=None):
+    """An admissible tuple a with f_a edge-image-equal to target, or None.
+
+    Raises TrainTrackError when more than COMBINATION_BUDGET combinations
+    of per-class exponents would have to be tried.
+    """
     if dis is None:
         dis = disintegrate(m)
     g = m.graph
@@ -463,12 +469,17 @@ def find_tuple_representing(m, target, dis=None, cap=64):
     for sub in dis.partition.subgraphs:
         cands = None
         for e in sorted(sub, key=g.edge_index):
-            ks = _edge_image_candidates(m, e, target.image(e), cap)
+            ks = _edge_image_candidates(m, e, target.image(e))
             cands = ks if cands is None else cands & ks
             if not cands:
                 return None
         per_class.append(sorted(cands))
-    for combo in itertools.islice(itertools.product(*per_class), 10000):
+    for n, combo in enumerate(itertools.product(*per_class)):
+        if n == COMBINATION_BUDGET:
+            raise TrainTrackError(
+                "find_tuple_representing: budget of %d exponent combinations "
+                "exhausted without a match" % COMBINATION_BUDGET
+            )
         if not dis.lattice.contains(combo):
             continue
         fa = build_fa(m, combo, dis)

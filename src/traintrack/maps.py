@@ -95,22 +95,6 @@ class GraphMap:
     def fixed_vertices(self):
         return [v for v in self.graph.vertices if self.is_fixed_vertex(v)]
 
-    def periodic_vertices(self):
-        """Vertices on vertex-map cycles, with their periods."""
-        out = {}
-        for v in self.graph.vertices:
-            seen = {v: 0}
-            w = v
-            for k in range(1, len(self.graph.vertices) + 1):
-                w = self.vertex_map[w]
-                if w == v:
-                    out[v] = k
-                    break
-                if w in seen:
-                    break
-                seen[w] = k
-        return out
-
     def edges_equal(self, other):
         """Same edge images (the meaning of equality-up-to-homotopy-rel-vertices)."""
         return (

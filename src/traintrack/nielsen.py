@@ -9,6 +9,11 @@ therefore enumerates stable prefixes along the rays developed by iterating
 f on fixed directions and pairs them up.  The search is exhaustive up to
 the length bound; the catalog records the bound and makes no claim beyond
 it ("certified within bound").
+
+Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
+are found by the same search run on f^k, among the paths that are not
+already fixed: a candidate that is a period-one Nielsen path of the catalog
+is dropped before any f^k_# work.
 """
 
 from .paths import Path, inverse, word_root, circuit_normalize
@@ -44,14 +49,18 @@ def _canonical_orientation(g, p):
 
 
 def _stable_prefixes(m, bound, iter_cap=None):
-    """All (prefix, suffix) with f_#(prefix) = prefix.suffix, |prefix| <= bound.
+    """(prefix, suffix) pairs with f_#(prefix) = prefix.suffix, |prefix| <= bound,
+    and (direction, iter_cap) for each fixed direction whose ray ran out of
+    iterates.
 
     Prefixes start with a fixed direction.  The limit ray of a fixed
     direction is developed incrementally -- once the reduced image extends
     the current prefix, the next ray edge is read off the image -- so the
     whole sweep costs O(bound * max edge image).  Rays whose images shrink
     or oscillate are additionally chased by direct iteration (capped), with
-    every iterate swept the same way.
+    every iterate swept the same way.  A ray that is still neither
+    repeating nor longer than the bound after ``iter_cap`` iterates is cut
+    there; its direction is returned so the catalog can say so.
     """
     if iter_cap is None:
         iter_cap = bound + 16
@@ -60,6 +69,7 @@ def _stable_prefixes(m, bound, iter_cap=None):
     image_of = m.image_of
     dm = direction_map(m)
     found = {}
+    capped = []
 
     def sweep(edge_seq):
         # img carries the reduced f-image of the growing prefix; ``agree``
@@ -83,7 +93,8 @@ def _stable_prefixes(m, bound, iter_cap=None):
             if agree == len(pref) and len(img) >= len(pref):
                 key = tuple(pref)
                 if key not in found:
-                    found[key] = (g.path(key), tuple(img[len(pref):]))
+                    # a prefix of a validated ray: tight and incident already
+                    found[key] = (Path(g, key), tuple(img[len(pref):]))
 
     for d in g.directions():
         if dm.map[d] != d:
@@ -108,8 +119,10 @@ def _stable_prefixes(m, bound, iter_cap=None):
                 break
             seen.add(nxt.edges)
             ray = nxt
+        else:
+            capped.append((d, iter_cap))
         sweep(pending.edges)
-    return list(found.values())
+    return list(found.values()), capped
 
 
 def _trie_add(trie, edges):
@@ -167,13 +180,17 @@ class NielsenCatalog:
     * ``entries``: period-one Nielsen paths of length >= 2, each flagged
       indivisible or composite, with its filtration height.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
+    * ``budgets_hit``: one note per search ray cut at its iterate cap;
+      empty when no cap shaped the search.
+    * ``inps_by_first``: the iNps in both orientations, grouped by first
+      edge, longest first (with their heights), for complete splitting.
 
     Completeness is certified only within ``bound`` (and ``period_bound``
     for the periodic list); consumers must treat absence as
     "not found within bound".
     """
 
-    def __init__(self, m, bound, period_bound, entries, periodic):
+    def __init__(self, m, bound, period_bound, entries, periodic, budgets_hit):
         g = m.graph
         self.map = m
         self.bound = bound
@@ -183,6 +200,16 @@ class NielsenCatalog:
         ]
         self.entries = entries
         self.periodic = periodic
+        self.budgets_hit = tuple(budgets_hit)
+        self.inps_by_first = {}
+        for entry in self.inps():
+            for sigma in (entry.path, entry.path.reverse()):
+                self.inps_by_first.setdefault(sigma.edges[0], []).append(
+                    (sigma, entry.height)
+                )
+        for lst in self.inps_by_first.values():
+            lst.sort(key=lambda sh: -len(sh[0]))
+        self._image_qe = {}
 
     def inps(self, height=None):
         out = [x for x in self.entries if x.indivisible]
@@ -194,6 +221,14 @@ class NielsenCatalog:
         """All period-one entries, indivisible or not."""
         return [x.path for x in self.entries]
 
+    def image_qe_split(self, m, piece):
+        """qe_split of f_#(piece) under this catalog, computed once per
+        (map, piece) and shared by every later caller."""
+        key = (m, piece.edges)
+        if key not in self._image_qe:
+            self._image_qe[key] = qe_split(m, m.apply(piece), self)
+        return self._image_qe[key]
+
     def __repr__(self):
         return "<NielsenCatalog %d fixed edges, %d entries, %d periodic, bound %d>" % (
             len(self.fixed_edges),
@@ -203,17 +238,22 @@ class NielsenCatalog:
         )
 
 
-def _search_fixed_paths(m, bound):
+def _search_fixed_paths(m, bound, known=frozenset()):
     """Nielsen paths of length 2..bound via the stable prefix pairing.
 
     Prefixes are grouped by (end vertex, growth suffix) and, within a
     group, bucketed by last edge: sigma = p . reverse(q) is tight only for
-    p, q from different buckets.
+    p, q from different buckets.  The pair (q, p) gives only
+    reverse(p . reverse(q)), so each unordered pair of buckets is paired
+    once.  Candidates whose edge tuple is in ``known`` are skipped
+    unchecked.  Returns the paths, the Nielsen prefixes and the rays cut at
+    their iterate cap.
     """
     g = m.graph
     groups = {}
     nielsen_words = []
-    for p, s in _stable_prefixes(m, bound):
+    prefixes, capped = _stable_prefixes(m, bound)
+    for p, s in prefixes:
         if not s:
             nielsen_words.append(p)
         groups.setdefault((p.end, s), {}).setdefault(p.edges[-1], []).append(p)
@@ -221,28 +261,33 @@ def _search_fixed_paths(m, bound):
     for buckets in groups.values():
         lasts = sorted(buckets, key=g.order_key.__getitem__)
         for a in range(len(lasts)):
-            for b in range(len(lasts)):
-                if a == b:
-                    continue
+            for b in range(a + 1, len(lasts)):
                 for p in buckets[lasts[a]]:
                     for q in buckets[lasts[b]]:
                         if len(p) + len(q) > bound:
                             continue
-                        sigma = Path(g, p.edges + q.reverse().edges)
-                        sigma = _canonical_orientation(g, sigma)
+                        edges = p.edges + q.reverse().edges
+                        if edges in known:
+                            continue
+                        sigma = _canonical_orientation(g, Path(g, edges))
                         if sigma.edges in found:
                             continue
                         if is_nielsen_path(m, sigma):
                             found[sigma.edges] = sigma
     sigmas = sorted(found.values(), key=lambda s: (len(s), _path_key(g, s)))
-    return sigmas, nielsen_words
+    return sigmas, nielsen_words, capped
 
 
 def build_catalog(m, bound=None, period_bound=3):
     """Search for Nielsen and periodic Nielsen paths up to a length bound.
 
     The default bound is four times the longest edge image plus slack.
-    Results are cached on the map per (bound, period_bound).
+    The periodic list comes from the same search on f^k, k = 2..period_bound,
+    run only among paths not already fixed: the period-one paths found
+    first, in both orientations, are skipped there, since f^k fixes them
+    with period one.  Every other candidate gets the full f^k_# check and
+    the exact period probe.  Results are cached on the map per
+    (bound, period_bound).
     """
     if bound is None:
         bound = default_length_bound(m)
@@ -250,7 +295,8 @@ def build_catalog(m, bound=None, period_bound=3):
     if key in m._cache:
         return m._cache[key]
     filt = filtration(m)
-    sigmas, nielsen_words = _search_fixed_paths(m, bound)
+    sigmas, nielsen_words, capped = _search_fixed_paths(m, bound)
+    budgets_hit = [_cap_note(1, d, cap) for d, cap in capped]
     trie = {}
     for e in m.graph.edge_names:
         if m.edge_images[e].edges == (e,):
@@ -269,11 +315,16 @@ def build_catalog(m, bound=None, period_bound=3):
                 sigma, 1, not _splits_into_nielsen(sigma, trie), filt.height(sigma)
             )
         )
+    known = frozenset(
+        edges for sigma in sigmas for edges in (sigma.edges, sigma.reverse().edges)
+    )
     periodic = []
     mk = m
     for k in range(2, period_bound + 1):
         mk = compose(m, mk)
-        for sigma in _search_fixed_paths(mk, bound)[0]:
+        sigmas_k, _, capped = _search_fixed_paths(mk, bound, known)
+        budgets_hit.extend(_cap_note(k, d, cap) for d, cap in capped)
+        for sigma in sigmas_k:
             period = None
             probe = sigma
             for j in range(1, k + 1):
@@ -283,9 +334,16 @@ def build_catalog(m, bound=None, period_bound=3):
                     break
             if period == k:
                 periodic.append(NielsenEntry(sigma, k, None, filt.height(sigma)))
-    cat = NielsenCatalog(m, bound, period_bound, entries, periodic)
+    cat = NielsenCatalog(m, bound, period_bound, entries, periodic, budgets_hit)
     m._cache[key] = cat
     return cat
+
+
+def _cap_note(k, direction, cap):
+    power = "f" if k == 1 else "f^%d" % k
+    return "stable-prefix ray of %s from direction %s cut at its iterate cap %d" % (
+        power, direction, cap,
+    )
 
 
 # -- linear edges and axes ------------------------------------------------------
@@ -311,7 +369,10 @@ def detect_linear_edges(m, catalog=None):
     form E.u requires it) is tested exactly for being Nielsen and factored
     as w^d by its literal word root; the root of a Nielsen path is Nielsen
     (roots are unique in free groups), so no catalog lookup is needed.
+    Depends on the map alone: computed once and cached on it.
     """
+    if "linear_edges" in m._cache:
+        return m._cache["linear_edges"]
     out = []
     for s in filtration(m):
         if s.kind != "NEG" or s.neg_edge is None:
@@ -323,6 +384,8 @@ def detect_linear_edges(m, catalog=None):
         w = m.graph.path(root_edges)
         assert is_nielsen_path(m, w), "root of a Nielsen suffix must be Nielsen"
         out.append(LinearEdge(s.neg_edge, w, d))
+    out = tuple(out)
+    m._cache["linear_edges"] = out
     return out
 
 
@@ -454,7 +517,12 @@ class QEFamily:
 
 
 def qe_families(m, catalog=None):
-    """All quasi-exceptional families, deterministically ordered."""
+    """All quasi-exceptional families, deterministically ordered.
+
+    Depends on the map alone: computed once and cached on it.
+    """
+    if "qe_families" in m._cache:
+        return m._cache["qe_families"]
     g = m.graph
     out = []
     for ax in axes(m, catalog):
@@ -464,6 +532,8 @@ def qe_families(m, catalog=None):
                 if g.edge_index(ei) > g.edge_index(ej):
                     (ei, di), (ej, dj) = (ej, dj), (ei, di)
                 out.append(QEFamily(ax, ei, di, ej, dj))
+    out = tuple(out)
+    m._cache["qe_families"] = out
     return out
 
 
@@ -586,12 +656,7 @@ def complete_split(m, path, catalog=None, k_max=4, node_cap=100000):
     if path.is_trivial():
         return CompleteSplitting(path, [], "trivial")
     fams = qe_families(m, catalog)
-    inps_by_first = {}
-    for entry in catalog.inps():
-        for sigma in (entry.path, entry.path.reverse()):
-            inps_by_first.setdefault(sigma.edges[0], []).append((sigma, entry.height))
-    for lst in inps_by_first.values():
-        lst.sort(key=lambda sh: -len(sh[0]))
+    inps_by_first = catalog.inps_by_first
 
     # Depth-first search with an explicit stack, so the depth is not
     # limited by the number of terms.  ``terms`` is the parse so far and

@@ -254,6 +254,22 @@ def test_nielsen_groups_twist_families(tmp_path):
     assert "(E1): E2 exponent 2, E3 exponent 1" in out
 
 
+def test_nielsen_reports_a_search_cap_only_when_hit(tmp_path, monkeypatch):
+    path = sample_file(tmp_path, "rose_cascade")
+    code, out, _ = run_cli(["nielsen", "--json", path])
+    assert code == 0 and "caveats" not in json.loads(out)
+    stable_prefixes = traintrack.nielsen._stable_prefixes
+    monkeypatch.setattr(
+        traintrack.nielsen, "_stable_prefixes",
+        lambda m, bound, iter_cap=None: stable_prefixes(m, bound, iter_cap=1),
+    )
+    code, out, _ = run_cli(["nielsen", "--json", path])
+    caveats = json.loads(out)["caveats"]
+    assert caveats and all(c.startswith("search budget hit: ") for c in caveats)
+    code, out, _ = run_cli(["nielsen", path])
+    assert "note: " + caveats[0] in out
+
+
 def test_disintegrate_prints_partition_and_basis(tmp_path):
     code, out, _ = run_cli(["disintegrate", sample_file(tmp_path, "qe_rose")])
     assert code == 0

@@ -1,5 +1,7 @@
 """Tests for almost invariant subgraphs, the lattice, and the maps f_a."""
 
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from traintrack.disintegrate import (
     verify_homotopy_equivalence,
     verify_nielsen_preserved,
 )
-from traintrack.errors import AdmissibilityError
+from traintrack.errors import AdmissibilityError, TrainTrackError
 from traintrack.maps import GraphMap, compose, identity_map
 from traintrack.nielsen import TERM_CONN, TERM_EDGE, qe_split
 from traintrack.paths import MarkedGraph
@@ -27,6 +29,9 @@ from traintrack.samples import (
     rose_cascade,
     zero_stratum_map,
 )
+
+# the package exports the function ``disintegrate`` under the module's name
+disintegrate_mod = importlib.import_module("traintrack.disintegrate")
 
 
 def _subgraphs(m):
@@ -246,6 +251,42 @@ def test_find_tuple_representing_iterate():
     assert find_tuple_representing(m, compose(m, m), d) == (2, 2)
     assert find_tuple_representing(m, identity_map(m.graph), d) == (0, 0)
     assert find_tuple_representing(m, build_fa(m, (3, 3), d), d) == (3, 3)
+
+
+@pytest.mark.parametrize("k", [64, 65, 100])
+def test_find_tuple_representing_long_iterates(k):
+    # f^k(B) = B A^k: the search once gave up after 64 iterates and
+    # answered None from k = 65 on.
+    g = MarkedGraph(["v"], [("A", "v", "v"), ("B", "v", "v")])
+    m = GraphMap(g, {"A": g.path(["A"]), "B": g.path(["B", "A"])})
+    d = disintegrate(m)
+    assert find_tuple_representing(m, build_fa(m, (k,), d), d) == (k,)
+
+
+def test_find_tuple_representing_names_its_budget(monkeypatch):
+    monkeypatch.setattr(disintegrate_mod, "COMBINATION_BUDGET", 0)
+    m = qe_rose()
+    d = disintegrate(m)
+    with pytest.raises(TrainTrackError, match="budget of 0 exponent combinations"):
+        find_tuple_representing(m, compose(m, m), d)
+
+
+def test_edge_image_splittings_are_computed_once(monkeypatch):
+    # partition, relations and the preservation check all read the
+    # QE-splittings of the same edge images
+    nielsen_mod = importlib.import_module("traintrack.nielsen")
+    qe_split_once = nielsen_mod.qe_split
+    split = []
+
+    def counting(m, path, catalog=None, splitting=None):
+        split.append(path.edges)
+        return qe_split_once(m, path, catalog, splitting)
+
+    monkeypatch.setattr(nielsen_mod, "qe_split", counting)
+    m = exceptional_rose()
+    d = disintegrate(m)
+    assert verify_nielsen_preserved(m, (1, 1, 1), d).passed
+    assert split and len(split) == len(set(split))
 
 
 def test_partition_soundness():

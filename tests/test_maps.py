@@ -17,6 +17,7 @@ from traintrack.maps import (
     turns_crossed,
 )
 from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltration
+from traintrack.ct import vertex_period
 from traintrack import samples
 
 
@@ -288,5 +289,6 @@ def test_illegal_turn_of_zero_stratum_map_is_hidden():
 
 def test_periodic_vertices():
     m = samples.zero_stratum_map()
-    assert m.periodic_vertices() == {"a": 1}
+    periods = {v: vertex_period(m, v) for v in m.graph.vertices}
+    assert {v: k for v, k in periods.items() if k >= 1} == {"a": 1}
     assert m.fixed_vertices() == ["a"]

@@ -8,9 +8,10 @@ indivisibility by trying every split point.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traintrack import MarkedGraph
+from traintrack import MarkedGraph, nielsen
+from traintrack.ct import check_ct
 from traintrack.errors import LViolation, NotCompletelySplit
-from traintrack.maps import GraphMap
+from traintrack.maps import GraphMap, compose, filtration
 from traintrack.paths import inverse
 from traintrack.nielsen import (
     TERM_CONN,
@@ -19,6 +20,8 @@ from traintrack.nielsen import (
     TERM_INP,
     TERM_QE,
     Term,
+    _search_fixed_paths,
+    _stable_prefixes,
     axes,
     build_catalog,
     complete_split,
@@ -161,6 +164,107 @@ def test_periodic_entries_orientation_flip():
 def test_no_periodic_entries_qe_rose():
     cat = build_catalog(qe_rose(), bound=6, period_bound=3)
     assert cat.periodic == []
+
+
+# -- periodic list against the from-scratch search ----------------------------------
+
+
+def _exact_period(m, sigma, k_max):
+    probe = sigma
+    for j in range(1, k_max + 1):
+        probe = m.apply(probe)
+        if probe == sigma:
+            return j
+    return None
+
+
+def reference_catalog(m, bound, period_bound):
+    """(path, period, height) of the entries and of the periodic list, by
+    running the whole fixed-path search from scratch on every f^k and
+    keeping what has exact period k -- no knowledge carried between k."""
+    filt = filtration(m)
+    entries = [(s.edges, 1, filt.height(s)) for s in _search_fixed_paths(m, bound)[0]]
+    periodic = []
+    mk = m
+    for k in range(2, period_bound + 1):
+        mk = compose(m, mk)
+        for sigma in _search_fixed_paths(mk, bound)[0]:
+            if _exact_period(m, sigma, k) == k:
+                periodic.append((sigma.edges, k, filt.height(sigma)))
+    return entries, periodic
+
+
+def assert_catalog_matches_reference(m, bound, period_bound=3):
+    cat = build_catalog(m, bound, period_bound)
+    entries, periodic = reference_catalog(m, bound, period_bound)
+    assert [(e.path.edges, e.period, e.height) for e in cat.entries] == entries
+    assert [(e.path.edges, e.period, e.height) for e in cat.periodic] == periodic
+    for e in cat.periodic:
+        assert _exact_period(m, e.path, e.period) == e.period
+    return cat
+
+
+def test_periodic_list_matches_reference_flip_rose():
+    g = _rose(["A", "B"])
+    cat = assert_catalog_matches_reference(_map(g, {"A": "A", "B": "B'"}), 5)
+    assert [e.path.edges for e in cat.periodic] == [
+        ("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'"), ("B", "B"),
+    ]
+
+
+def test_periodic_list_matches_reference_flipped_twist():
+    g = _rose(["A", "B"])
+    cat = assert_catalog_matches_reference(_map(g, {"A": "A'", "B": "B A"}), 6)
+    assert cat.periodic and all(e.period == 2 for e in cat.periodic)
+
+
+def test_stable_prefix_rays_report_their_iterate_cap():
+    # The ray of B under B -> B A grows by one edge per iterate, so one
+    # iterate cuts it short; A is fixed and stops on its own.
+    g = _rose(["A", "B"])
+    m = _map(g, {"A": "A", "B": "B A"})
+    assert _stable_prefixes(m, 4, iter_cap=1)[1] == [("B", 1)]
+    assert _stable_prefixes(m, 4)[1] == []
+    assert build_catalog(m, 4).budgets_hit == ()
+
+
+def test_iterate_cap_hit_becomes_a_caveat(monkeypatch):
+    stable_prefixes = nielsen._stable_prefixes
+    monkeypatch.setattr(
+        nielsen, "_stable_prefixes",
+        lambda m, bound, iter_cap=None: stable_prefixes(m, bound, iter_cap=1),
+    )
+    g = _rose(["A", "B"])
+    m = _map(g, {"A": "A", "B": "B A"})
+    cat = build_catalog(m, 4, 2)
+    assert cat.budgets_hit == (
+        "stable-prefix ray of f from direction B cut at its iterate cap 1",
+        "stable-prefix ray of f^2 from direction B cut at its iterate cap 1",
+    )
+    report = check_ct(m, catalog=cat)
+    assert "note: search budget hit: " + cat.budgets_hit[0] in report.lines()
+
+
+@st.composite
+def triangular_roses(draw):
+    """Roses whose i-th edge maps to u . E_i^(+-1) . v, with u, v words in
+    the lower edges: automorphisms, with random orientation flips."""
+    n = draw(st.integers(2, 3))
+    names = ["E%d" % (i + 1) for i in range(n)]
+    g = _rose(names)
+    images = {}
+    for i, e in enumerate(names):
+        lower = names[:i] + [inverse(x) for x in names[:i]]
+        word = st.lists(st.sampled_from(lower), max_size=2) if lower else st.just([])
+        core = e if draw(st.booleans()) else inverse(e)
+        images[e] = g.tighten(draw(word) + [core] + draw(word))
+    return GraphMap(g, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_roses(), st.integers(4, 6))
+def test_periodic_list_matches_reference_random_roses(m, bound):
+    assert_catalog_matches_reference(m, bound)
 
 
 # -- linear edges and axes -------------------------------------------------------
