@@ -34,7 +34,7 @@ from . import coords as coords_mod
 from .ct import check_ct
 from .disintegrate import build_fa, disintegrate, verify_commute
 from .errors import InputError, TrainTrackError
-from .maps import GraphMap, classify_strata, filtration
+from .maps import GraphMap, filtration
 from .maxrank import classify_max_rank, detect_fps, gen_type_c, gen_type_e, rank_audit
 from .nielsen import axes, build_catalog, detect_linear_edges, is_nielsen_path
 from .paths import MarkedGraph, inverse
@@ -240,7 +240,7 @@ def _cmd_nielsen(m, doc, args):
     cat = _catalog(m, args, doc)
     patterns = [
         (le.edge, (le.word.edges, le.word.reverse().edges))
-        for le in detect_linear_edges(m, cat)
+        for le in detect_linear_edges(m)
     ]
     families = {}
     singles = []
@@ -277,7 +277,7 @@ def _cmd_nielsen(m, doc, args):
             "periodic: %s  [period %d]" % (" ".join(entry.path.edges), entry.period)
         )
     lines.append("axes:")
-    axs = axes(m, cat)
+    axs = axes(m)
     for ax in axs:
         lines.append(
             "  (%s): %s"
@@ -312,7 +312,7 @@ def _cmd_nielsen(m, doc, args):
 
 
 def _strata_entries(m):
-    filt = classify_strata(m)
+    filt = filtration(m)
     out = []
     for i, s in enumerate(filt):
         entry = {"index": i + 1, "kind": s.kind, "edges": list(s.edges)}
@@ -498,7 +498,7 @@ _KIND_COLOR = {
 
 def export_dot(m, name=None):
     """DOT digraph with edges colored by stratum classification."""
-    filt = classify_strata(m)
+    filt = filtration(m)
     g = m.graph
     out = ["digraph \"%s\" {" % (name or m.name or "map")]
     out.append("  node [shape=circle fontsize=10];")

@@ -199,7 +199,7 @@ def coordinate_system(m, dis=None):
         dis = disintegrate(m)
     filt = filtration(m)
     coords = []
-    for axis in axes(m, dis.catalog):
+    for axis in axes(m):
         for edge, d in axis.members:
             coords.append(Comparison(axis.word, edge, d, filt.level(edge)))
     for i, s in enumerate(filt):

@@ -24,10 +24,10 @@ is exhaustive only up to its length and period bounds; every report carries
 a caveat line recording this.  Direction and vertex periodicity are exact.
 """
 
-from .maps import classify_strata, direction_map, filtration
+from .maps import direction_map, filtration
 from .nielsen import axes, build_catalog, complete_split
 from .errors import LViolation, NotCompletelySplit
-from .paths import base_name, inverse, word_root
+from .paths import UnionFind, base_name, inverse, word_root
 
 
 class Clause:
@@ -141,33 +141,18 @@ def nielsen_classes(m, catalog=None):
     """
     cat = catalog if catalog is not None else build_catalog(m)
     g = m.graph
-    order = {v: i for i, v in enumerate(g.vertices)}
-    parent = {v: v for v in periodic_vertices(m)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if order[rb] < order[ra]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    periodic = set(periodic_vertices(m))
+    uf = UnionFind(g.vertex_index.__getitem__)
     for e in periodic_subgraph(m):
-        union(g.init(e), g.term(e))
+        uf.union(g.init(e), g.term(e))
     for entry in list(cat.entries) + list(cat.periodic):
         p = entry.path
-        if p.start in parent and p.end in parent:
-            union(p.start, p.end)
+        if p.start in periodic and p.end in periodic:
+            uf.union(p.start, p.end)
     classes = {}
-    for v in parent:
-        classes.setdefault(find(v), set()).add(v)
-    return [frozenset(c) for _, c in sorted(
-        (order[root], members) for root, members in classes.items())]
+    for v in periodic:
+        classes.setdefault(uf.find(v), set()).add(v)
+    return [frozenset(classes[root]) for root in sorted(classes, key=g.vertex_index.__getitem__)]
 
 
 def principal_vertices(m, catalog=None):
@@ -365,9 +350,9 @@ def _clause_neg(m, filt, principal):
     return Clause("NEG", failures, ["%d NEG strata" % count])
 
 
-def _clause_l(m, cat):
+def _clause_l(m):
     try:
-        axs = axes(m, cat)
+        axs = axes(m)
     except LViolation as exc:
         return Clause("L", [str(exc)])
     witnesses = []
@@ -612,14 +597,14 @@ def check_ct(m, catalog=None, bound=None, split_depth=4):
     """Full structural report; raises InconsistentFiltration when the map
     does not respect any maximal filtration at all."""
     cat = catalog if catalog is not None else build_catalog(m, bound)
-    filt = classify_strata(m, cat)
+    filt = filtration(m)
     principal = set(principal_vertices(m, cat))
     rot_ok, rot_lines = check_forward_rotationless(m, cat)
     clauses = {
         "R": Clause("R", [] if rot_ok else rot_lines[:-1], [rot_lines[-1]]),
         "V": _clause_v(m, filt, principal),
         "NEG": _clause_neg(m, filt, principal),
-        "L": _clause_l(m, cat),
+        "L": _clause_l(m),
         "N": _clause_n(m, filt, cat),
         "Per": _clause_per(m, filt, principal),
         "Z": _clause_z(m, filt),

@@ -24,6 +24,7 @@ from .errors import AdmissibilityError, InconsistentFiltration, TrainTrackError
 from .freegroup import map_is_pi1_surjective
 from .intlin import kernel_basis
 from .maps import GraphMap, filtration
+from .paths import UnionFind
 from .nielsen import (
     TERM_CONN,
     TERM_EDGE,
@@ -81,18 +82,7 @@ def almost_invariant_subgraphs(m, catalog=None):
         catalog = build_catalog(m)
     filt = filtration(m)
     nodes = [i for i, s in enumerate(filt) if s.kind != "fixed"]
-    parent = {i: i for i in nodes}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    uf = UnionFind()
 
     # A zero stratum shares its class with the first irreducible stratum
     # above it (every edge of the zero stratum sits inside a connecting
@@ -107,7 +97,7 @@ def almost_invariant_subgraphs(m, catalog=None):
                     "zero stratum {%s} is not below any irreducible stratum"
                     % " ".join(filt[i].edges)
                 )
-            union(i, j)
+            uf.union(i, j)
 
     for i in nodes:
         for piece in _pieces(m, filt, i):
@@ -116,11 +106,11 @@ def almost_invariant_subgraphs(m, catalog=None):
                     continue
                 j = filt.level(t.path.edges[0])
                 if filt[j].kind != "fixed":
-                    union(i, j)
+                    uf.union(i, j)
 
     roots = {}
     for i in nodes:
-        roots.setdefault(find(i), []).append(i)
+        roots.setdefault(uf.find(i), []).append(i)
     classes = [roots[r] for r in sorted(roots)]
     return AlmostInvariantPartition(m, filt, classes)
 
@@ -285,7 +275,7 @@ def is_generic(m, a, dis=None, catalog=None):
         dis = disintegrate(m, catalog)
     if len(a) != dis.M or any(x <= 0 for x in a):
         return False
-    for axis in axes(m, dis.catalog):
+    for axis in axes(m):
         for (e_i, d_i), (e_j, d_j) in itertools.combinations(axis.members, 2):
             r = dis.partition.class_of_edge(e_i)
             s = dis.partition.class_of_edge(e_j)

@@ -12,7 +12,7 @@ whole homotopy-equivalence test.
 """
 
 from .errors import MalformedPath
-from .paths import base_name, inverse
+from .paths import UnionFind, base_name, inverse
 
 
 def reduce_word(letters):
@@ -140,14 +140,8 @@ class SubgroupGraph:
         """Identify targets of same-label same-direction edge pairs until
         none remain.  The result is independent of the processing order;
         ``rng`` (random.Random) shuffles it to let tests exercise that."""
-        parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
+        classes = UnionFind()
+        find = classes.find
         changed = True
         while changed:
             changed = False
@@ -161,11 +155,7 @@ class SubgroupGraph:
                     seen = pairs.get(key)
                     if seen is None:
                         pairs[key] = other
-                    elif find(seen) != find(other):
-                        ra, rb = find(seen), find(other)
-                        if rb == 0 or (ra != 0 and rb < ra):
-                            ra, rb = rb, ra
-                        parent[rb] = ra
+                    elif classes.union(seen, other):
                         changed = True
             self.edges = sorted(
                 {(find(u), letter, find(v)) for u, letter, v in self.edges}

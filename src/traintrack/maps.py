@@ -6,9 +6,10 @@ map on paths substitutes edge images and tightens; this is the # operation
 on paths and the only way images of paths are ever computed here.
 """
 
+from collections import namedtuple
 from itertools import chain
 
-from .paths import Path, inverse, base_name
+from .paths import Path, inverse, base_name, word_root
 from .errors import EndpointMismatch, MalformedPath, InconsistentFiltration
 from . import intlin
 
@@ -140,26 +141,24 @@ def transition_matrix(m, order=None):
 # -- filtration ---------------------------------------------------------------
 
 
-class Stratum:
+class Stratum(namedtuple(
+    "Stratum", "edges kind neg_edge neg_suffix linear axis exponent", defaults=(None,) * 5
+)):
     """One filtration stratum: an edge set plus its combinatorial kind.
 
-    kind is one of "fixed", "zero", "NEG", "EG".  NEG strata are refined to
-    linear / non-linear by the Nielsen machinery, which fills in ``linear``,
-    ``axis`` and ``exponent``; until then ``linear`` is None.
+    kind is one of "fixed", "zero", "NEG", "EG".  Strata are classified by
+    :func:`classify_strata` while the filtration is built and are read-only
+    from then on.
 
     For non-fixed NEG single edges, ``neg_edge`` is the oriented edge E with
     f(E) = E.u when such an orientation exists and ``neg_suffix`` is the
     closed path u; some NEG edges have no such normal form and keep None.
+    ``linear`` is True for a NEG stratum whose u is a Nielsen path w^d, w
+    the word root of u (``axis`` = w, ``exponent`` = d), False for every
+    other NEG stratum and None for strata of the other kinds.
     """
 
-    def __init__(self, edges, kind):
-        self.edges = tuple(edges)
-        self.kind = kind
-        self.neg_edge = None
-        self.neg_suffix = None
-        self.linear = None
-        self.axis = None
-        self.exponent = None
+    __slots__ = ()
 
     def __contains__(self, edge):
         return base_name(edge) in self.edges
@@ -192,11 +191,12 @@ class Filtration:
         """0-based stratum index of an edge."""
         return self._level[edge]
 
-    def prefix_edges(self, r):
-        """Edge set of G_r = union of the first r strata (r from 0 to N)."""
+    def prefix_edges(self, r, order=None):
+        """Edge set of G_r = union of the first r strata (r from 0 to N);
+        with a stratum ``order``, of the strata order[0..r-1]."""
         out = []
-        for s in self.strata[:r]:
-            out.extend(s.edges)
+        for i in range(r) if order is None else order[:r]:
+            out.extend(self.strata[i].edges)
         return out
 
     def height(self, path):
@@ -264,8 +264,8 @@ def compute_filtration(m):
     digraph (E depends on the edges its image crosses), condensed and
     ordered topologically lowest first; among incomparable components the
     one containing the least edge (construction order) comes first.
-    Contiguous zero components (image entirely below, no self-crossing)
-    are merged into a single zero stratum.
+    :func:`classify_strata` turns the ordered components into finished
+    strata, linear classification included.
     """
     g = m.graph
     edges = list(g.edge_names)
@@ -298,53 +298,66 @@ def compute_filtration(m):
         placed.append(c)
         placed_set.add(c)
         remaining.remove(c)
+    return Filtration(g, classify_strata(m, placed))
 
-    def kind_of(c):
-        sub = sorted(c, key=g.edge_index)
-        block = [[0] * len(sub) for _ in sub]
-        pos = {e: i for i, e in enumerate(sub)}
-        for e in sub:
+
+def classify_strata(m, components):
+    """Finished strata of the maximal filtration, lowest first.
+
+    ``components`` are the edge sets of the condensed dependency digraph in
+    filtration order.  A component is zero when no image of its edges
+    crosses it, fixed or NEG when its transition block is a permutation
+    (fixed when every edge is its own image) and EG otherwise; contiguous
+    zero components merge into one zero stratum.  A NEG stratum is a single
+    edge; its normal form f(E) = E.u is looked for in both orientations,
+    and it is linear when u is a Nielsen path: then u = w^d for the word
+    root w, which is Nielsen too (roots are unique in free groups).
+    """
+    g = m.graph
+    strata = []
+    for comp in components:
+        edges = tuple(sorted(comp, key=g.edge_index))
+        pos = {e: i for i, e in enumerate(edges)}
+        block = [[0] * len(edges) for _ in edges]
+        for e in edges:
             for x in m.edge_images[e].edges:
                 if base_name(x) in pos:
                     block[pos[base_name(x)]][pos[e]] += 1
         if all(all(v == 0 for v in row) for row in block):
-            return "zero", block
-        if intlin.is_permutation_matrix(block):
-            if all(m.edge_images[e].edges == (e,) for e in sub):
-                return "fixed", block
-            return "NEG", block
-        return "EG", block
-
-    raw = []
-    for c in placed:
-        kind, block = kind_of(c)
-        raw.append((sorted(c, key=g.edge_index), kind))
-    # merge contiguous zero components into one stratum
-    strata = []
-    for edges_sorted, kind in raw:
-        if kind == "zero" and strata and strata[-1].kind == "zero":
-            merged = sorted(strata[-1].edges + tuple(edges_sorted), key=g.edge_index)
-            strata[-1] = Stratum(merged, "zero")
+            if strata and strata[-1].kind == "zero":
+                edges = tuple(sorted(strata.pop().edges + edges, key=g.edge_index))
+            strata.append(Stratum(edges, "zero"))
+        elif not intlin.is_permutation_matrix(block):
+            strata.append(Stratum(edges, "EG"))
+        elif all(m.edge_images[e].edges == (e,) for e in edges):
+            strata.append(Stratum(edges, "fixed"))
+        elif len(edges) > 1:
+            raise InconsistentFiltration(
+                "NEG stratum {%s} has more than one edge after maximal filtration"
+                % " ".join(edges)
+            )
         else:
-            strata.append(Stratum(edges_sorted, kind))
-    # NEG annotations
-    for s in strata:
-        if s.kind == "NEG":
-            if len(s.edges) > 1:
-                raise InconsistentFiltration(
-                    "NEG stratum {%s} has more than one edge after maximal filtration"
-                    % " ".join(s.edges)
-                )
-            e = s.edges[0]
-            for oriented in (e, inverse(e)):
-                im = m.image(oriented)
-                if len(im) >= 2 and im.edges[0] == oriented:
-                    u = im.subpath(1, len(im))
-                    if u.is_closed():
-                        s.neg_edge = oriented
-                        s.neg_suffix = u
-                        break
-    return Filtration(g, strata)
+            strata.append(_neg_stratum(m, edges[0]))
+    return strata
+
+
+def _neg_stratum(m, e):
+    """The NEG stratum {e} with its normal form and linear classification."""
+    g = m.graph
+    for oriented in (e, g.inverse_of[e]):
+        im = m.image(oriented)
+        if len(im) >= 2 and im.edges[0] == oriented:
+            u = im.subpath(1, len(im))
+            if u.is_closed():
+                break
+    else:
+        return Stratum((e,), "NEG", linear=False)
+    if m.apply(u) != u:
+        return Stratum((e,), "NEG", oriented, u, linear=False)
+    root_edges, d = word_root(u.edges)
+    w = g.path(root_edges)
+    assert m.apply(w) == w, "root of a Nielsen suffix must be Nielsen"
+    return Stratum((e,), "NEG", oriented, u, True, w, d)
 
 
 def filtration(m):
@@ -485,29 +498,3 @@ def turns_crossed(graph, path):
 def is_legal_path(m, path):
     ill = illegal_turns(m)
     return all(t not in ill for t in turns_crossed(m.graph, path))
-
-
-def classify_strata(m, catalog=None):
-    """Filtration with NEG strata refined into linear / non-linear.
-
-    A NEG stratum is linear when its suffix u is a Nielsen path equal to
-    w^d for a primitive closed Nielsen path w (d nonzero; both orientations
-    of the edge are tried when looking for the E.u normal form).  The axis
-    word and exponent are recorded on the stratum.  Needs the Nielsen
-    machinery; ``catalog`` is built on demand when omitted.
-    """
-    from . import nielsen
-
-    filt = filtration(m)
-    linear = {le.edge: le for le in nielsen.detect_linear_edges(m, catalog)}
-    for s in filt:
-        if s.kind != "NEG":
-            continue
-        if s.neg_edge is not None and s.neg_edge in linear:
-            le = linear[s.neg_edge]
-            s.linear = True
-            s.axis = le.word
-            s.exponent = le.exponent
-        else:
-            s.linear = False
-    return filt

@@ -28,7 +28,7 @@ the vertex-split surgery used to renormalize twisting exponents.
 from .disintegrate import disintegrate
 from .errors import InputError, InvariantForestError
 from .freegroup import homology_class, is_IA
-from .maps import GraphMap, classify_strata, direction_map, filtration, restrict
+from .maps import GraphMap, direction_map, filtration, restrict
 from .nielsen import is_nielsen_path
 from .paths import MarkedGraph, base_name, inverse
 
@@ -103,13 +103,6 @@ def valid_orders(m, cap=10000):
     yield from rec([], set())
 
 
-def _prefix_edges(filt, order, j):
-    out = []
-    for p in range(j):
-        out.extend(filt[order[p]].edges)
-    return out
-
-
 def _has_valence_one(g, edges):
     deg = {}
     for e in edges:
@@ -166,7 +159,7 @@ def stage_ranks(m, order=None):
         elif jj < j:
             ranks.append(ranks[jj])
         else:
-            sub = restrict(m, _prefix_edges(filt, order, j))
+            sub = restrict(m, filt.prefix_edges(j, order))
             ranks.append(disintegrate(sub).lattice.rank)
     return ranks
 
@@ -195,7 +188,7 @@ def default_stage_grouping(m, order=None):
     for j in range(k + 1, n + 1):
         if filt[order[j - 1]].kind == "zero":
             continue
-        if not _has_valence_one(g, _prefix_edges(filt, order, j)):
+        if not _has_valence_one(g, filt.prefix_edges(j, order)):
             bounds.append(j)
     if bounds[-1] != n:
         bounds.append(n)
@@ -208,11 +201,11 @@ def _grouping_is_proper(m, order, grouping):
     filt = filtration(m)
     g = m.graph
     for lo, hi in zip(grouping, grouping[1:]):
-        floor = _prefix_edges(filt, order, lo)
+        floor = filt.prefix_edges(lo, order)
         for j in range(lo + 1, hi):
             if filt[order[j - 1]].kind == "zero":
                 continue
-            if not _retracts_to(g, _prefix_edges(filt, order, j), floor):
+            if not _retracts_to(g, filt.prefix_edges(j, order), floor):
                 return False
     return True
 
@@ -328,7 +321,7 @@ def _match_window(m, filt, order, s_pos, count):
     if any(s.kind != "NEG" or not s.linear for s in lin):
         return None
     l_pos = s_pos - count
-    gl = _prefix_edges(filt, order, l_pos)
+    gl = filt.prefix_edges(l_pos, order)
     gl_verts = g.incident_vertices(gl)
     hang = []
     for s in lin:
@@ -341,7 +334,7 @@ def _match_window(m, filt, order, s_pos, count):
         hang.append(v)
     if len(set(hang)) != count:
         return None
-    below = _prefix_edges(filt, order, s_pos)
+    below = filt.prefix_edges(s_pos, order)
     if not _retracts_to(g, below, gl):
         return None
     eg = filt[order[s_pos]]
@@ -362,7 +355,7 @@ def _match_window(m, filt, order, s_pos, count):
         if not _grammar_ok(m, m.edge_images[e], set(eg.edges), lin, count == 2, low_pred):
             return None
     chi_drop = g.euler_characteristic(gl) - g.euler_characteristic(
-        _prefix_edges(filt, order, s_pos + 1)
+        filt.prefix_edges(s_pos + 1, order)
     )
     return FPSWitness(
         kind="full" if count == 3 else "partial",
@@ -386,7 +379,7 @@ def detect_fps(m, order=None):
     window the attachment set is read against the graph below the EG
     stratum, which includes the third hanging vertex.
     """
-    filt = classify_strata(m)
+    filt = filtration(m)
     order = tuple(order if order is not None else range(len(filt)))
     out = []
     for p in range(len(order)):
@@ -472,7 +465,7 @@ def rank_audit(m, grouping=None, order=None):
     breaking the bound, fails the audit: for a verified train track map
     that indicates an invalid input.
     """
-    filt = classify_strata(m)
+    filt = filtration(m)
     g = m.graph
     order = tuple(order if order is not None else range(len(filt)))
     grouping = list(grouping) if grouping is not None else default_stage_grouping(m, order)
@@ -483,11 +476,11 @@ def rank_audit(m, grouping=None, order=None):
     for lo, hi in zip(grouping, grouping[1:]):
         window = [filt[order[p]] for p in range(lo, hi)]
         wedges = [e for s in window for e in s.edges]
-        floor_edges = _prefix_edges(filt, order, lo)
+        floor_edges = filt.prefix_edges(lo, order)
         floor_verts = g.incident_vertices(floor_edges)
         delta = _stage_delta(m, dmap, floor_verts, wedges)
         delta_chi = g.euler_characteristic(floor_edges) - g.euler_characteristic(
-            _prefix_edges(filt, order, hi)
+            filt.prefix_edges(hi, order)
         )
         delta_r = ranks[hi] - ranks[lo]
         shape = None
@@ -571,7 +564,7 @@ def _base_match(m, filt, order, grouping, mode, witnesses):
         if len(grouping) < 2 or grouping[0] != 1 or grouping[1] != 2:
             return None
         s0, s1 = filt[order[0]], filt[order[1]]
-        edges = _prefix_edges(filt, order, 2)
+        edges = filt.prefix_edges(2, order)
         if (
             s0.kind == "fixed"
             and s1.kind == "fixed"
@@ -580,7 +573,7 @@ def _base_match(m, filt, order, grouping, mode, witnesses):
         ):
             return ("A", "rank-two fixed subgraph"), 1
         return None
-    if l0 == 1 and filt[order[0]].kind == "EG" and g.rank(_prefix_edges(filt, order, 1)) == 2:
+    if l0 == 1 and filt[order[0]].kind == "EG" and g.rank(filt.prefix_edges(1, order)) == 2:
         return ("A", 1), 0
     if len(grouping) >= 2 and l0 == 1 and grouping[1] == 2:
         s0, s1 = filt[order[0]], filt[order[1]]
@@ -602,7 +595,7 @@ def _base_match(m, filt, order, grouping, mode, witnesses):
             and g.is_loop(s0.edges[0])
             and w is not None
             and w.kind == "partial"
-            and g.rank(_prefix_edges(filt, order, grouping[1])) == 3
+            and g.rank(filt.prefix_edges(grouping[1], order)) == 3
         ):
             return ("A", 3), 1
     return None
@@ -613,7 +606,7 @@ def _axes_homologically_trivial(paths):
 
 
 def _match_structure(m, mode, order):
-    filt = classify_strata(m)
+    filt = filtration(m)
     g = m.graph
     grouping = default_stage_grouping(m, order)
     if not _grouping_is_proper(m, order, grouping):
@@ -626,7 +619,7 @@ def _match_structure(m, mode, order):
     stages = []
     for lo, hi in zip(grouping[consumed:], grouping[consumed + 1:]):
         window = [filt[order[p]] for p in range(lo, hi)]
-        floor_verts = g.incident_vertices(_prefix_edges(filt, order, lo))
+        floor_verts = g.incident_vertices(filt.prefix_edges(lo, order))
         if (
             len(window) == 2
             and all(s.kind == "NEG" and s.linear for s in window)
@@ -819,7 +812,7 @@ def split_twist_vertex(m, pivot, new_edge="E0", new_vertex="vsplit"):
     configuration the classifier refuses; callers collapse it or use the
     surgery to move a fixed direction onto the bottom stage.
     """
-    filt = classify_strata(m)
+    filt = filtration(m)
     g = m.graph
     lin = {}
     pivot_st = None

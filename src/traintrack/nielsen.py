@@ -16,7 +16,7 @@ already fixed: a candidate that is a period-one Nielsen path of the catalog
 is dropped before any f^k_# work.
 """
 
-from .paths import Path, inverse, word_root, circuit_normalize
+from .paths import Circuit, Path, inverse
 from .maps import filtration, direction_map, illegal_turns, compose
 from .errors import LViolation, NotCompletelySplit
 
@@ -362,31 +362,12 @@ class LinearEdge:
         return "<linear %s over %r ^ %d>" % (self.edge, self.word, self.exponent)
 
 
-def detect_linear_edges(m, catalog=None):
-    """Find the linear NEG edges of the maximal filtration.
-
-    The suffix u of a NEG edge (tried in both orientations when the normal
-    form E.u requires it) is tested exactly for being Nielsen and factored
-    as w^d by its literal word root; the root of a Nielsen path is Nielsen
-    (roots are unique in free groups), so no catalog lookup is needed.
-    Depends on the map alone: computed once and cached on it.
-    """
-    if "linear_edges" in m._cache:
-        return m._cache["linear_edges"]
-    out = []
-    for s in filtration(m):
-        if s.kind != "NEG" or s.neg_edge is None:
-            continue
-        u = s.neg_suffix
-        if not is_nielsen_path(m, u):
-            continue
-        root_edges, d = word_root(u.edges)
-        w = m.graph.path(root_edges)
-        assert is_nielsen_path(m, w), "root of a Nielsen suffix must be Nielsen"
-        out.append(LinearEdge(s.neg_edge, w, d))
-    out = tuple(out)
-    m._cache["linear_edges"] = out
-    return out
+def detect_linear_edges(m):
+    """The linear NEG edges of the maximal filtration, lowest first, as
+    classified on its strata (see :func:`maps.classify_strata`)."""
+    return tuple(
+        LinearEdge(s.neg_edge, s.axis, s.exponent) for s in filtration(m) if s.linear
+    )
 
 
 class Axis:
@@ -404,28 +385,22 @@ class Axis:
         self.members = members  # list of (oriented edge, signed exponent)
         self.multiplicity = len(members) + 1
 
-    def exponent_of(self, edge):
-        for e, d in self.members:
-            if e == edge:
-                return d
-        raise KeyError(edge)
-
     def __repr__(self):
         ms = ", ".join("%s^%d" % (e, d) for e, d in self.members)
         return "<axis %r [%s]>" % (self.word, ms)
 
 
-def axes(m, catalog=None):
+def axes(m):
     """Group linear edges by unoriented axis and enforce the linear clauses.
 
     Raises LViolation when two linear edges on one unoriented axis have
     based words that differ by more than orientation, or equal exponents.
     """
     g = m.graph
-    linear = sorted(detect_linear_edges(m, catalog), key=lambda le: g.edge_index(le.edge))
+    linear = sorted(detect_linear_edges(m), key=lambda le: g.edge_index(le.edge))
     groups = {}
     for le in linear:
-        c = circuit_normalize(le.word)
+        c = Circuit.from_path(le.word)
         cr = c.reverse()
         key = min(c.edges, cr.edges, key=lambda es: _path_key(g, Path(g, es)))
         groups.setdefault(key, []).append(le)
@@ -516,7 +491,7 @@ class QEFamily:
         return "<%s family %s w^* %s' over %r>" % (kind, self.e_i, self.e_j, self.word)
 
 
-def qe_families(m, catalog=None):
+def qe_families(m):
     """All quasi-exceptional families, deterministically ordered.
 
     Depends on the map alone: computed once and cached on it.
@@ -525,7 +500,7 @@ def qe_families(m, catalog=None):
         return m._cache["qe_families"]
     g = m.graph
     out = []
-    for ax in axes(m, catalog):
+    for ax in axes(m):
         for i in range(len(ax.members)):
             for j in range(i + 1, len(ax.members)):
                 (ei, di), (ej, dj) = ax.members[i], ax.members[j]
@@ -537,9 +512,9 @@ def qe_families(m, catalog=None):
     return out
 
 
-def is_exceptional_path(m, path, catalog=None):
+def is_exceptional_path(m, path):
     """Does the path belong to an exceptional (same-sign) family?"""
-    for fam in qe_families(m, catalog):
+    for fam in qe_families(m):
         if fam.is_exceptional() and fam.matches(path) is not None:
             return fam
     return None
@@ -655,7 +630,7 @@ def complete_split(m, path, catalog=None, k_max=4, node_cap=100000):
     filt = filtration(m)
     if path.is_trivial():
         return CompleteSplitting(path, [], "trivial")
-    fams = qe_families(m, catalog)
+    fams = qe_families(m)
     inps_by_first = catalog.inps_by_first
 
     # Depth-first search with an explicit stack, so the depth is not
@@ -771,7 +746,7 @@ def qe_split(m, path, catalog=None, splitting=None):
     is left to right."""
     if splitting is None:
         splitting = complete_split(m, path, catalog)
-    fams = qe_families(m, catalog)
+    fams = qe_families(m)
     by_end = {}
     for fam in fams:
         for e in fam.ends():

@@ -50,6 +50,9 @@ class MarkedGraph:
     edges everywhere in the package, so all downstream computations are
     deterministic.
 
+    ``vertex_index`` maps each vertex to its position in ``vertices``, the
+    order in which vertices are compared.
+
     Valence-one vertices are rejected unless ``intermediate=True`` (used for
     restrictions of a map to a filtration prefix, where dangling vertices
     are legitimate).
@@ -57,9 +60,9 @@ class MarkedGraph:
 
     def __init__(self, vertices, edges, intermediate=False):
         self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self.vertex_index) != len(self.vertices):
             raise MalformedPath("duplicate vertex names")
-        vset = set(self.vertices)
         self.edge_names = []
         self._ends = {}
         for name, init, term in edges:
@@ -67,7 +70,7 @@ class MarkedGraph:
                 raise MalformedPath("edge name %r may not end with an apostrophe" % name)
             if name in self._ends:
                 raise MalformedPath("duplicate edge name %r" % name)
-            if init not in vset or term not in vset:
+            if init not in self.vertex_index or term not in self.vertex_index:
                 raise MalformedPath("edge %r has an unknown endpoint" % name)
             self.edge_names.append(name)
             self._ends[name] = (init, term)
@@ -129,7 +132,7 @@ class MarkedGraph:
     # -- paths -----------------------------------------------------------
 
     def trivial_path(self, v):
-        if v not in set(self.vertices):
+        if v not in self.vertex_index:
             raise MalformedPath("unknown basepoint %r" % v)
         return Path(self, (), base=v)
 
@@ -242,27 +245,12 @@ class MarkedGraph:
         if edge_subset is None:
             edge_subset = set(self.edge_names)
         edge_subset = {base_name(e) for e in edge_subset}
-        parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
+        classes = UnionFind(self.vertex_index.__getitem__)
         for name in edge_subset:
-            i, t = self._ends[name]
-            parent.setdefault(i, i)
-            parent.setdefault(t, t)
-            union(i, t)
+            classes.union(*self._ends[name])
         groups = {}
         for name in sorted(edge_subset, key=self.order_key.get):
-            root = find(self._ends[name][0])
+            root = classes.find(self._ends[name][0])
             groups.setdefault(root, ([], set()))[0].append(name)
             groups[root][1].update(self._ends[name])
         comps = [(frozenset(vs), frozenset(es)) for es, vs in groups.values()]
@@ -358,10 +346,6 @@ class Path:
 
     def starts_with(self, other):
         return self.edges[: len(other.edges)] == other.edges
-
-    def ends_with(self, other):
-        n = len(other.edges)
-        return n == 0 or self.edges[-n:] == other.edges
 
     def __len__(self):
         return len(self.edges)
@@ -487,11 +471,6 @@ class _TrivialCircuit(Circuit):
 TRIVIAL_CIRCUIT = _TrivialCircuit()
 
 
-def circuit_normalize(path):
-    """Module-level alias for Circuit.from_path."""
-    return Circuit.from_path(path)
-
-
 def word_root(seq):
     """Smallest period decomposition of a tuple: return (root, k), seq = root^k.
 
@@ -504,3 +483,35 @@ def word_root(seq):
         if n % p == 0 and seq == seq[:p] * (n // p):
             return seq[:p], n // p
     return seq, 1
+
+
+class UnionFind:
+    """Disjoint sets of hashable items; an item never seen is a singleton.
+
+    The representative of a class is always its least member under ``key``
+    (the items themselves when no key is given), so representatives, and
+    any order derived from them, do not depend on the order of the unions.
+    """
+
+    def __init__(self, key=None):
+        self._parent = {}
+        self._key = key if key is not None else (lambda x: x)
+
+    def find(self, x):
+        parent = self._parent
+        root = x
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a, b):
+        """Merge the classes of a and b; False when they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self._key(rb) < self._key(ra):
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        return True

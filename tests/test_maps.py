@@ -10,6 +10,7 @@ from traintrack.maps import (
     identity_map,
     transition_matrix,
     compute_filtration,
+    filtration,
     restrict,
     direction_map,
     illegal_turns,
@@ -17,7 +18,8 @@ from traintrack.maps import (
     turns_crossed,
 )
 from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltration
-from traintrack.ct import vertex_period
+from traintrack.ct import check_ct, vertex_period
+from traintrack.maxrank import rank_audit
 from traintrack import samples
 
 
@@ -198,6 +200,7 @@ def test_filtration_qe_rose():
     assert filt[1].neg_suffix.edges == ("E1", "E1")
     assert filt.level("E4'") == 3
     assert filt.prefix_edges(2) == ["E1", "E2"]
+    assert filt.prefix_edges(2, (0, 2, 1, 3)) == ["E1", "E3"]
     assert filt.height(m.graph.path(["E2", "E1"])) == 1
 
 
@@ -226,6 +229,23 @@ def test_orientation_flip_is_neg_without_normal_form():
     filt = compute_filtration(m)
     s = filt[1]
     assert s.kind == "NEG" and s.neg_edge is None and s.neg_suffix is None
+    assert s.linear is False
+
+
+def test_strata_are_classified_once_and_never_change():
+    m = samples.qe_rose()
+    filt = filtration(m)
+    classes = [(s.linear, s.axis, s.exponent) for s in filt]
+    e1 = m.graph.path(["E1"])
+    assert classes == [
+        (None, None, None), (True, e1, 2), (True, e1, 1), (False, None, None)
+    ]
+    check_ct(m)
+    rank_audit(m)
+    assert filtration(m) is filt
+    assert [(s.linear, s.axis, s.exponent) for s in filt] == classes
+    with pytest.raises(AttributeError):
+        filt[1].linear = False
 
 
 def test_multi_edge_neg_stratum_rejected():

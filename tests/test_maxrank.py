@@ -14,7 +14,7 @@ from traintrack.freegroup import (
     pi1_images,
     spanning_tree,
 )
-from traintrack.maps import GraphMap, classify_strata, compose
+from traintrack.maps import GraphMap, compose, filtration
 from traintrack.maxrank import (
     classify_max_rank,
     default_stage_grouping,
@@ -130,7 +130,7 @@ def test_default_grouping_of_samples():
 def test_grouping_boundaries_have_no_valence_one_vertices():
     for make in (qe_rose, partial_fps_map, full_fps_map):
         m = make()
-        filt = classify_strata(m)
+        filt = filtration(m)
         for b in default_stage_grouping(m)[:-1]:
             edges = filt.prefix_edges(b)
             verts = m.graph.incident_vertices(edges)
@@ -476,7 +476,7 @@ def test_split_shifts_exponents_and_fixes_pivot():
     # E3 had exponent 1, the pivot 2; the shifted twist is one negative
     # power of the conjugated axis loop
     assert sp.edge_images["E3"].edges == ("E3", "E0", "E1'", "E0'")
-    filt = classify_strata(sp)
+    filt = filtration(sp)
     (e3,) = [s for s in filt if s.edges == ("E3",)]
     assert e3.linear and e3.axis.edges == ("E0", "E1'", "E0'") and e3.exponent == 1
 

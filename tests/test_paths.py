@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +7,7 @@ from traintrack.paths import (
     MarkedGraph,
     Circuit,
     TRIVIAL_CIRCUIT,
-    circuit_normalize,
+    UnionFind,
     inverse,
     word_root,
 )
@@ -133,7 +135,7 @@ def brute_canonical_rotation(g, edges):
 def test_circuit_canonical_rotation_oracle(word):
     g = rose()
     p = g.tighten(word, base="v")
-    c = circuit_normalize(p)
+    c = Circuit.from_path(p)
     # oracle: cyclically reduce naively, then brute-force the least rotation
     edges = list(p.edges)
     while len(edges) >= 2 and edges[-1] == inverse(edges[0]):
@@ -146,11 +148,11 @@ def test_circuit_canonical_rotation_oracle(word):
 
 def test_circuit_orientation():
     g = rose()
-    c1 = circuit_normalize(g.path(["A", "B"]))
-    c2 = circuit_normalize(g.path(["B'", "A'"]))
+    c1 = Circuit.from_path(g.path(["A", "B"]))
+    c2 = Circuit.from_path(g.path(["B'", "A'"]))
     assert c1 != c2
     assert c1.same_unoriented(c2)
-    assert not c1.same_unoriented(circuit_normalize(g.path(["A", "B'"])))
+    assert not c1.same_unoriented(Circuit.from_path(g.path(["A", "B'"])))
 
 
 def brute_is_primitive(edges):
@@ -164,16 +166,16 @@ def brute_is_primitive(edges):
 @given(rose_words(max_size=12))
 def test_primitivity_matches_brute_force(word):
     g = rose()
-    c = circuit_normalize(g.tighten(word, base="v"))
+    c = Circuit.from_path(g.tighten(word, base="v"))
     if c is not TRIVIAL_CIRCUIT:
         assert c.is_primitive() == brute_is_primitive(list(c.edges))
 
 
 def test_power_circuit_not_primitive():
     g = rose()
-    c = circuit_normalize(g.path(["A", "B", "A", "B"]))
+    c = Circuit.from_path(g.path(["A", "B", "A", "B"]))
     assert not c.is_primitive()
-    assert circuit_normalize(g.path(["A", "B"])).is_primitive()
+    assert Circuit.from_path(g.path(["A", "B"])).is_primitive()
 
 
 def test_word_root():
@@ -207,6 +209,18 @@ def test_components_deterministic_order():
     assert [sorted(es) for _, es in comps] == [["L"], ["M"]]
     assert g.rank(["L", "M"]) == 2
     assert g.components(["M"])[0][0] == frozenset({"b"})
+
+
+def test_union_find_root_is_least_member_whatever_the_union_order():
+    for unions in itertools.permutations([(0, 1), (3, 2), (1, 2), (5, 4)]):
+        uf = UnionFind()
+        assert all(uf.union(a, b) for a, b in unions)
+        assert not uf.union(2, 0)
+        assert [uf.find(x) for x in range(7)] == [0, 0, 0, 0, 4, 4, 6]
+    uf = UnionFind(key=lambda x: -x)
+    uf.union(1, 2)
+    uf.union(0, 1)
+    assert uf.find(0) == uf.find(1) == 2
 
 
 def test_subpath_and_power():
