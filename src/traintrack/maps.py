@@ -83,12 +83,47 @@ class GraphMap:
         return self.graph.tighten(out, base=self.vertex_map[path.start])
 
     def iterate(self, path, k):
-        """k-fold application of f_#; k=0 is the identity."""
+        """k-fold application of f_#; k=0 is the identity.
+
+        Each step extends the last one where it can.  For any split of a
+        path P = x.y, f_#(P) = [f_#(x) . f_#(y)].  So when the previous
+        iterate Q is a prefix of P = f_#(Q), say P = Q.t, then
+        f_#(P) = [P . f_#(t)]: both halves are tight, and only the seam
+        cancels.  The suffix case P = t.Q is the mirror image.  This is the
+        NEG orbit f^k(E) = E.u.f_#(u)...f^{k-1}_#(u), with no CT assumed,
+        and such a step costs |f_#(t)| instead of |P|.  Any other step is a
+        plain f_#.
+        """
         if k < 0:
             raise ValueError("iterate needs k >= 0")
+        prev = None
         for _ in range(k):
-            path = self.apply(path)
+            nxt = None
+            if prev is not None and prev.edges:
+                n, edges = len(prev), path.edges
+                if edges[:n] == prev.edges:
+                    nxt = self._extend(path, edges[n:], True)
+                elif edges[-n:] == prev.edges:
+                    nxt = self._extend(path, edges[:-n], False)
+            prev, path = path, self.apply(path) if nxt is None else nxt
         return path
+
+    def _extend(self, path, piece, after):
+        """f_#(path) for path = Q.piece (``after``) or piece.Q, where
+        f_#(Q) = path: the seam of path and f_#(piece) tightened."""
+        if not piece:
+            return path
+        g = self.graph
+        image = self.apply(Path(g, piece)).edges
+        left, right = (path.edges, image) if after else (image, path.edges)
+        inverse_of = g.inverse_of
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1] == inverse_of[right[j]]:
+            i -= 1
+            j += 1
+        if i == 0 and j == len(right):
+            return g.trivial_path(self.vertex_map[path.start])
+        return Path(g, left[:i] + right[j:])
 
     def is_fixed_vertex(self, v):
         return self.vertex_map[v] == v
@@ -203,7 +238,7 @@ class Filtration:
         """Largest stratum index met by a path; -1 for trivial paths."""
         if not len(path):
             return -1
-        return max(self.level(e) for e in path.edges)
+        return max(map(self._level.__getitem__, path.edges))
 
 
 def _sccs(adj, nodes):

@@ -13,7 +13,9 @@ it ("certified within bound").
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
 already fixed: a candidate that is a period-one Nielsen path of the catalog
-is dropped before any f^k_# work.
+is dropped before any f^k_# work.  Only the CT check reads them, so that
+search runs the first time a catalog's ``periodic`` list or its
+``budgets_hit`` notes are read, not when the catalog is built.
 """
 
 from .paths import Circuit, Path, inverse
@@ -180,17 +182,22 @@ class NielsenCatalog:
     * ``entries``: period-one Nielsen paths of length >= 2, each flagged
       indivisible or composite, with its filtration height.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
-    * ``budgets_hit``: one note per search ray cut at its iterate cap;
-      empty when no cap shaped the search.
+    * ``budgets_hit``: one note per search ray cut at its iterate cap, those
+      of f first, then of f^2, f^3, ...; empty when no cap shaped the
+      search.
     * ``inps_by_first``: the iNps in both orientations, grouped by first
       edge, longest first (with their heights), for complete splitting.
+
+    The period-one search runs when the catalog is built.  The f^k searches
+    behind ``periodic`` and the f^k notes of ``budgets_hit`` run once, on
+    the first read of either, and their result is kept.
 
     Completeness is certified only within ``bound`` (and ``period_bound``
     for the periodic list); consumers must treat absence as
     "not found within bound".
     """
 
-    def __init__(self, m, bound, period_bound, entries, periodic, budgets_hit):
+    def __init__(self, m, bound, period_bound, entries, notes):
         g = m.graph
         self.map = m
         self.bound = bound
@@ -199,8 +206,8 @@ class NielsenCatalog:
             e for e in g.edge_names if m.edge_images[e].edges == (e,)
         ]
         self.entries = entries
-        self.periodic = periodic
-        self.budgets_hit = tuple(budgets_hit)
+        self._fixed_notes = tuple(notes)
+        self._periodic = None
         self.inps_by_first = {}
         for entry in self.inps():
             for sigma in (entry.path, entry.path.reverse()):
@@ -210,6 +217,19 @@ class NielsenCatalog:
         for lst in self.inps_by_first.values():
             lst.sort(key=lambda sh: -len(sh[0]))
         self._image_qe = {}
+
+    def _periodic_part(self):
+        if self._periodic is None:
+            self._periodic = _search_periodic(self)
+        return self._periodic
+
+    @property
+    def periodic(self):
+        return self._periodic_part()[0]
+
+    @property
+    def budgets_hit(self):
+        return self._periodic_part()[1]
 
     def inps(self, height=None):
         out = [x for x in self.entries if x.indivisible]
@@ -282,12 +302,10 @@ def build_catalog(m, bound=None, period_bound=3):
     """Search for Nielsen and periodic Nielsen paths up to a length bound.
 
     The default bound is four times the longest edge image plus slack.
-    The periodic list comes from the same search on f^k, k = 2..period_bound,
-    run only among paths not already fixed: the period-one paths found
-    first, in both orientations, are skipped there, since f^k fixes them
-    with period one.  Every other candidate gets the full f^k_# check and
-    the exact period probe.  Results are cached on the map per
-    (bound, period_bound).
+    Only the period-one search runs here; the periodic list (the same
+    search on f^k, k = 2..period_bound) runs on the first read of the
+    catalog's ``periodic`` or ``budgets_hit``.  Results are cached on the
+    map per (bound, period_bound).
     """
     if bound is None:
         bound = default_length_bound(m)
@@ -315,15 +333,35 @@ def build_catalog(m, bound=None, period_bound=3):
                 sigma, 1, not _splits_into_nielsen(sigma, trie), filt.height(sigma)
             )
         )
+    cat = NielsenCatalog(m, bound, period_bound, entries, budgets_hit)
+    m._cache[key] = cat
+    return cat
+
+
+def _search_periodic(cat):
+    """The periodic entries of a catalog and all its budget notes: those
+    of the period-one search, then those of the f^k searches.
+
+    The search for fixed paths runs on f^k, k = 2..period_bound, among
+    paths not already fixed: the period-one paths of the catalog, in both
+    orientations, are skipped there, since f^k fixes them with period one.
+    Every other candidate gets the full f^k_# check and the exact period
+    probe.
+    """
+    m, bound = cat.map, cat.bound
+    filt = filtration(m)
     known = frozenset(
-        edges for sigma in sigmas for edges in (sigma.edges, sigma.reverse().edges)
+        edges
+        for entry in cat.entries
+        for edges in (entry.path.edges, entry.path.reverse().edges)
     )
     periodic = []
+    notes = list(cat._fixed_notes)
     mk = m
-    for k in range(2, period_bound + 1):
+    for k in range(2, cat.period_bound + 1):
         mk = compose(m, mk)
         sigmas_k, _, capped = _search_fixed_paths(mk, bound, known)
-        budgets_hit.extend(_cap_note(k, d, cap) for d, cap in capped)
+        notes.extend(_cap_note(k, d, cap) for d, cap in capped)
         for sigma in sigmas_k:
             period = None
             probe = sigma
@@ -334,9 +372,7 @@ def build_catalog(m, bound=None, period_bound=3):
                     break
             if period == k:
                 periodic.append(NielsenEntry(sigma, k, None, filt.height(sigma)))
-    cat = NielsenCatalog(m, bound, period_bound, entries, periodic, budgets_hit)
-    m._cache[key] = cat
-    return cat
+    return periodic, tuple(notes)
 
 
 def _cap_note(k, direction, cap):

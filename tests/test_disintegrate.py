@@ -118,6 +118,19 @@ def test_build_fa_rejects_bad_tuples():
         build_fa(m, (1,), d)
 
 
+def test_long_orbits_of_rose_cascade():
+    # f^k(C) = C B^k A^(k(k-1)/2) grows by one f_#(t) per step; f_a at
+    # a = 200 must equal 200 plain applications of f_#.
+    m = rose_cascade()
+    d = disintegrate(m)
+    assert verify_commute(m, (200,), (200,), d)
+    plain = m.graph.path(["C"])
+    for _ in range(200):
+        plain = m.apply(plain)
+    assert build_fa(m, (200,), d).image("C") == plain
+    assert len(plain) == 1 + 200 + 200 * 199 // 2
+
+
 def test_build_fa_mixed_classes():
     m = partial_fps_map()
     d = disintegrate(m)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from traintrack.paths import MarkedGraph, inverse, base_name
 from traintrack.maps import (
@@ -21,6 +21,7 @@ from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltr
 from traintrack.ct import check_ct, vertex_period
 from traintrack.maxrank import rank_audit
 from traintrack import samples
+from test_nielsen import triangular_roses
 
 
 # --- oracle: apply by naive substitution + naive reduction ------------------
@@ -90,6 +91,60 @@ def test_graphmap_validation():
         # P's image sends u to w but L's image fixes u
         GraphMap(h, {"P": h.path(["Q'"]), "Q": h.path(["P'"]), "L": h.path(["L"])})
     GraphMap(h, {"P": h.path(["Q"]), "Q": h.path(["P"]), "L": h.path(["L"])})
+
+
+# --- iterate: the orbit extends the last iterate -------------------------------
+
+
+def assert_iterates_match(m, starts, k_max=8, max_len=3000):
+    """iterate(p, k) equals k plain applications of f_#, k = 0..k_max; an
+    exponentially growing orbit stops once an iterate is longer than
+    ``max_len`` (f^8 of swap_rose's C has about 6 million edges)."""
+    for p in starts:
+        plain = p
+        for k in range(k_max + 1):
+            assert m.iterate(p, k) == plain, (p, k)
+            if len(plain) > max_len:
+                break
+            plain = m.apply(plain)
+
+
+def _edge_starts(m):
+    # both orientations, so the orbit grows at the end and at the start
+    return [m.graph.path([d]) for d in m.graph.directions()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_roses())
+def test_iterate_matches_plain_apply_random_roses(m):
+    assert_iterates_match(m, _edge_starts(m))
+
+
+@pytest.mark.parametrize("name", sorted(samples.SAMPLES))
+def test_iterate_matches_plain_apply_samples(name):
+    m = samples.SAMPLES[name]()
+    assert_iterates_match(m, _edge_starts(m))
+
+
+def test_iterate_seam_cancels():
+    # f(C) = C.t with t = B' A and f_#(t) = A' B' A: the A of C B' A cancels
+    # against the A' that starts f_#(t).
+    g = MarkedGraph(["v"], [(n, "v", "v") for n in "ABC"])
+    m = GraphMap(g, {"A": g.path(["A"]), "B": g.path(["B", "A"]),
+                     "C": g.path(["C", "B'", "A"])})
+    assert m.iterate(g.path(["C"]), 2).edges == ("C", "B'", "B'", "A")
+    assert m.iterate(g.path(["C'"]), 2).edges == ("A'", "B", "B", "C'")
+    assert_iterates_match(m, _edge_starts(m))
+
+
+def test_iterate_to_trivial_path():
+    # f(B) = B A and f_#(A) = A' B' cancel completely: f^2_#(B) is trivial.
+    g = MarkedGraph(["v"], [("A", "v", "v"), ("B", "v", "v")])
+    m = GraphMap(g, {"A": g.path(["A'", "B'"]), "B": g.path(["B", "A"])})
+    for d in ("B", "B'"):
+        for k in (2, 3):
+            assert m.iterate(g.path([d]), k) == g.trivial_path("v")
+    assert_iterates_match(m, _edge_starts(m))
 
 
 def test_compose_and_iterate_agree():

@@ -33,7 +33,11 @@ from traintrack.nielsen import (
     qe_split,
     verify_splitting,
 )
+from traintrack.coords import coordinate_system
+from traintrack.disintegrate import build_fa, disintegrate, verify_commute
+from traintrack.maxrank import classify_max_rank, gen_type_c, gen_type_e, rank_audit
 from traintrack.samples import (
+    SAMPLES,
     exceptional_rose,
     full_fps_map,
     inner_twist_pair,
@@ -41,6 +45,7 @@ from traintrack.samples import (
     qe_rose,
     rose_cascade,
     suffix_rose,
+    swap_rose,
     zero_stratum_map,
 )
 
@@ -265,6 +270,97 @@ def triangular_roses(draw):
 @given(triangular_roses(), st.integers(4, 6))
 def test_periodic_list_matches_reference_random_roses(m, bound):
     assert_catalog_matches_reference(m, bound)
+
+
+def _corpus_map(name):
+    if name == "ladder_25":
+        g = _rose(["A", "B"])
+        return _map(g, {"A": "A", "B": " ".join(["B"] + ["A"] * 25)})
+    if name.startswith("type_"):
+        gen = gen_type_e if name.startswith("type_e") else gen_type_c
+        return gen(int(name.rsplit("_", 1)[1])).generic
+    return SAMPLES[name]()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(SAMPLES) + ["ladder_25", "type_e_3", "type_e_4", "type_c_4"]
+)
+def test_periodic_list_matches_reference_corpus_maps(name):
+    # the deferred periodic list equals the eager from-scratch search
+    m = _corpus_map(name)
+    assert_catalog_matches_reference(m, default_length_bound(m))
+
+
+# -- the periodic list is searched on first read --------------------------------
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts the fixed-path searches and the f^k composites of the catalog."""
+    log = {"searches": 0, "composites": 0}
+    search, compose_ = nielsen._search_fixed_paths, nielsen.compose
+
+    def counted_search(*args, **kwargs):
+        log["searches"] += 1
+        return search(*args, **kwargs)
+
+    def counted_compose(*args):
+        log["composites"] += 1
+        return compose_(*args)
+
+    monkeypatch.setattr(nielsen, "_search_fixed_paths", counted_search)
+    monkeypatch.setattr(nielsen, "compose", counted_compose)
+    return log
+
+
+LAZY_MAPS = {
+    "swap_rose": swap_rose,
+    "qe_rose": qe_rose,
+    "type_e_4": lambda: gen_type_e(4).generic,
+}
+
+
+def _tuple(m, value):
+    return (value,) * disintegrate(m).M
+
+
+LAZY_OPS = {
+    "disintegrate": disintegrate,
+    "build_fa": lambda m: build_fa(m, _tuple(m, 1)),
+    "coordinate_system": coordinate_system,
+    "rank_audit": rank_audit,
+    "classify_max_rank": classify_max_rank,
+    "verify_commute": lambda m: verify_commute(m, _tuple(m, 1), _tuple(m, 2)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(LAZY_OPS))
+@pytest.mark.parametrize("name", sorted(LAZY_MAPS))
+def test_answers_without_periodic_list_search_period_one_only(searches, name, op):
+    LAZY_OPS[op](LAZY_MAPS[name]())
+    assert searches["searches"] >= 1
+    assert searches["composites"] == 0
+
+
+def test_periodic_list_is_searched_once_on_first_read(searches):
+    g = _rose(["A", "B"])
+    cat = build_catalog(_map(g, {"A": "A", "B": "B'"}), 5)
+    assert searches == {"searches": 1, "composites": 0}
+    assert len(cat.periodic) == 5
+    assert searches == {"searches": 3, "composites": 2}
+    assert cat.periodic is cat.periodic
+    assert cat.budgets_hit == ()
+    assert searches == {"searches": 3, "composites": 2}
+
+
+def test_budget_notes_read_first_run_the_periodic_search(searches):
+    build_catalog(qe_rose()).budgets_hit
+    assert searches == {"searches": 3, "composites": 2}
+
+
+def test_check_ct_runs_the_periodic_search(searches):
+    check_ct(qe_rose())
+    assert searches == {"searches": 3, "composites": 2}
 
 
 # -- linear edges and axes -------------------------------------------------------
