@@ -12,7 +12,7 @@ whole homotopy-equivalence test.
 """
 
 from .errors import MalformedPath
-from .paths import UnionFind, base_name, inverse
+from .paths import Path, UnionFind, base_name, cyclic_decompose, inverse, word_root
 
 
 def reduce_word(letters):
@@ -52,8 +52,6 @@ def spanning_tree(g, base=None):
     base to every vertex, and the set of tree edge names.  Raises on
     disconnected graphs.
     """
-    from .paths import Path
-
     base = g.vertices[0] if base is None else base
     paths = {base: g.trivial_path(base)}
     tree_edges = set()
@@ -285,18 +283,7 @@ def homology_class(path, tree=None):
 # -- outer-class comparison ------------------------------------------------------
 
 
-def _cyclic_decompose(word):
-    """word = p . core . p^-1 with core cyclically reduced."""
-    i, j = 0, len(word)
-    while j - i >= 2 and word[i] == inverse(word[j - 1]):
-        i += 1
-        j -= 1
-    return word[:i], word[i:j]
-
-
 def _primitive_root(word):
-    from .paths import word_root
-
     root, _ = word_root(word)
     return tuple(root)
 
@@ -326,8 +313,8 @@ def differ_by_inner(m1, m2, power_bound=8):
     if pair is None:
         return None
     u, v = pair
-    p, ucore = _cyclic_decompose(u)
-    q, vcore = _cyclic_decompose(v)
+    p, ucore = cyclic_decompose(u)
+    q, vcore = cyclic_decompose(v)
     if len(ucore) != len(vcore) or not ucore:
         return None
     z = _primitive_root(ucore)

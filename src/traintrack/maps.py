@@ -2,12 +2,12 @@
 
 A GraphMap sends vertices to vertices and each edge to a tightened
 nontrivial edge path, with f(inverse edge) the reversed image.  The induced
-map on paths substitutes edge images and tightens; this is the # operation
-on paths and the only way images of paths are ever computed here.
+map on paths substitutes edge images and cancels where they meet; this is
+the # operation on paths and the only way images of paths are ever
+computed here.
 """
 
 from collections import namedtuple
-from itertools import chain
 
 from .paths import Path, inverse, base_name, word_root
 from .errors import EndpointMismatch, MalformedPath, InconsistentFiltration
@@ -74,56 +74,39 @@ class GraphMap:
         return Path(self.graph, self.image_of[edge])
 
     def apply(self, path):
-        """f_#: substitute edge images and tighten."""
+        """f_#: substitute edge images and tighten.  Trusts its input: the
+        path and the edge images (checked when the map is built) are tight,
+        so edges cancel only where one image meets the next, and the seam
+        rule joins them unchecked."""
         if path.graph is not self.graph:
             raise EndpointMismatch("path lives in the wrong graph")
-        if path.is_trivial():
-            return self.graph.trivial_path(self.vertex_map[path.base])
-        out = list(chain.from_iterable(map(self.image_of.__getitem__, path.edges)))
-        return self.graph.tighten(out, base=self.vertex_map[path.start])
+        g = self.graph
+        out = []
+        g.seam_extend(out, map(self.image_of.__getitem__, path.edges))
+        return Path(g, out) if out else g.trivial_path(self.vertex_map[path.start])
 
     def iterate(self, path, k):
         """k-fold application of f_#; k=0 is the identity.
 
-        Each step extends the last one where it can.  For any split of a
-        path P = x.y, f_#(P) = [f_#(x) . f_#(y)].  So when the previous
-        iterate Q is a prefix of P = f_#(Q), say P = Q.t, then
-        f_#(P) = [P . f_#(t)]: both halves are tight, and only the seam
-        cancels.  The suffix case P = t.Q is the mirror image.  This is the
-        NEG orbit f^k(E) = E.u.f_#(u)...f^{k-1}_#(u), with no CT assumed,
-        and such a step costs |f_#(t)| instead of |P|.  Any other step is a
-        plain f_#.
+        Each step extends the last one where it can: f_#(x.y) = [f_#(x).f_#(y)],
+        so when the previous iterate Q is a prefix of P = f_#(Q), say P = Q.t,
+        f_#(P) = [P.f_#(t)] and only the seam cancels (suffix P = t.Q mirrored).
+        On a NEG orbit f^k(E) = E.u.f_#(u)...f^{k-1}_#(u), with no CT assumed,
+        a step costs |f_#(t)| instead of |P|.  Any other step is a plain f_#.
         """
         if k < 0:
             raise ValueError("iterate needs k >= 0")
         prev = None
         for _ in range(k):
-            nxt = None
-            if prev is not None and prev.edges:
-                n, edges = len(prev), path.edges
-                if edges[:n] == prev.edges:
-                    nxt = self._extend(path, edges[n:], True)
-                elif edges[-n:] == prev.edges:
-                    nxt = self._extend(path, edges[:-n], False)
-            prev, path = path, self.apply(path) if nxt is None else nxt
+            edges, n = path.edges, len(prev) if prev else 0
+            if n and edges[:n] == prev.edges:
+                nxt = path.concat(self.apply(path.subpath(n, len(edges))))
+            elif n and edges[-n:] == prev.edges:
+                nxt = self.apply(path.subpath(0, len(edges) - n)).concat(path)
+            else:
+                nxt = self.apply(path)
+            prev, path = path, nxt
         return path
-
-    def _extend(self, path, piece, after):
-        """f_#(path) for path = Q.piece (``after``) or piece.Q, where
-        f_#(Q) = path: the seam of path and f_#(piece) tightened."""
-        if not piece:
-            return path
-        g = self.graph
-        image = self.apply(Path(g, piece)).edges
-        left, right = (path.edges, image) if after else (image, path.edges)
-        inverse_of = g.inverse_of
-        i, j = len(left), 0
-        while i and j < len(right) and left[i - 1] == inverse_of[right[j]]:
-            i -= 1
-            j += 1
-        if i == 0 and j == len(right):
-            return g.trivial_path(self.vertex_map[path.start])
-        return Path(g, left[:i] + right[j:])
 
     def is_fixed_vertex(self, v):
         return self.vertex_map[v] == v

@@ -67,7 +67,6 @@ def _stable_prefixes(m, bound, iter_cap=None):
     if iter_cap is None:
         iter_cap = bound + 16
     g = m.graph
-    inverse_of = g.inverse_of
     image_of = m.image_of
     dm = direction_map(m)
     found = {}
@@ -79,24 +78,15 @@ def _stable_prefixes(m, bound, iter_cap=None):
         # pops below it, so the whole sweep is linear in the work f does.
         img = []
         agree = 0
-        pref = []
-        for i, e in enumerate(edge_seq):
-            if i >= bound:
-                break
-            pref.append(e)
-            for x in image_of[e]:
-                if img and img[-1] == inverse_of[x]:
-                    img.pop()
-                else:
-                    img.append(x)
-            agree = min(agree, len(img))
-            while agree < len(pref) and agree < len(img) and img[agree] == pref[agree]:
+        for n, e in enumerate(edge_seq[:bound], 1):
+            agree = min(agree, g.seam_extend(img, (image_of[e],)))
+            while agree < n and agree < len(img) and img[agree] == edge_seq[agree]:
                 agree += 1
-            if agree == len(pref) and len(img) >= len(pref):
-                key = tuple(pref)
+            if agree == n and len(img) >= n:
+                key = edge_seq[:n]
                 if key not in found:
                     # a prefix of a validated ray: tight and incident already
-                    found[key] = (Path(g, key), tuple(img[len(pref):]))
+                    found[key] = (Path(g, key), tuple(img[n:]))
 
     for d in g.directions():
         if dm.map[d] != d:

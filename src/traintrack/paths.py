@@ -10,7 +10,7 @@ Conventions used throughout the package:
   edges are incident.  Tightened means no ``X`` immediately followed by
   ``X'`` (or vice versa).  A trivial path carries its basepoint so that
   endpoint bookkeeping stays exact.
-* Values are immutable; every operation returns fresh objects.
+* Values are immutable, so an operation may return an argument unchanged.
 
 Oriented-edge tables: a :class:`MarkedGraph` builds, once in its
 constructor, four dicts keyed by every oriented-edge token of the graph:
@@ -23,6 +23,12 @@ apart.  A token that is not a key is not an edge of the graph, so the same
 lookups also validate.  The string helpers :func:`inverse` and
 :func:`base_name` remain for parsing, for code that has no graph at hand
 and for cold bookkeeping.
+
+Validating and trusting code: ``path`` and ``tighten`` check every edge;
+they are the boundary for documents and public constructors.  A
+:class:`Path` is tight, so ``GraphMap.apply``, ``concat``, ``power`` and the
+catalog sweep join Paths and edge images by the unchecked seam rule of
+:meth:`MarkedGraph.seam_extend`.
 """
 
 from .errors import MalformedPath, EndpointMismatch
@@ -197,6 +203,28 @@ class MarkedGraph:
             pass
         raise self._fault(edges, backtracking=False)
 
+    def seam_extend(self, out, pieces):
+        """Append nonempty tight pieces to the tight edge list ``out`` by the
+        seam rule: [out . piece] cancels only where the two meet, so pop
+        while out's last edge inverts the piece's next one, then extend by
+        the rest.  Unchecked: callers know their pieces are tight and meet.
+        Returns the least length ``out`` had on the way."""
+        inverse_of = self.inverse_of
+        extend, pop = out.extend, out.pop
+        low = len(out)
+        for piece in pieces:
+            if out and out[-1] == inverse_of[piece[0]]:
+                pop()
+                i, n = 1, len(piece)
+                while i < n and out and out[-1] == inverse_of[piece[i]]:
+                    pop()
+                    i += 1
+                low = min(low, len(out))
+                extend(piece[i:])
+            else:
+                extend(piece)
+        return low
+
     def _fault(self, edges, backtracking):
         """The MalformedPath for the first fault of a rejected sequence.
 
@@ -315,7 +343,7 @@ class Path:
         return Path(self.graph, map(self.graph.inverse_of.__getitem__, reversed(self.edges)))
 
     def concat(self, other):
-        """Concatenate and tighten.  Endpoints must match."""
+        """Concatenate and tighten at the seam.  Endpoints must match."""
         if other.graph is not self.graph:
             raise EndpointMismatch("paths live in different graphs")
         if self.end != other.start:
@@ -323,17 +351,22 @@ class Path:
                 "cannot concatenate: %r ends at %r, %r starts at %r"
                 % (self, self.end, other, other.start)
             )
-        return self.graph.tighten(self.edges + other.edges, base=self.start)
+        if not other.edges:
+            return self
+        out = list(self.edges)
+        self.graph.seam_extend(out, (other.edges,))
+        return Path(self.graph, out) if out else self.graph.trivial_path(self.start)
 
     def power(self, k):
-        """k-th power of a closed path (k may be negative)."""
+        """k-th power of a closed path w = p.c.p^-1 (k may be negative):
+        p.c^k.p^-1 is tight as written when c is cyclically reduced."""
         if not self.is_closed():
             raise EndpointMismatch("only closed paths have powers")
-        core = self if k >= 0 else self.reverse()
-        out = self.graph.trivial_path(self.start)
-        for _ in range(abs(k)):
-            out = out.concat(core)
-        return out
+        if k == 0 or not self.edges:
+            return self.graph.trivial_path(self.start)
+        edges = (self if k > 0 else self.reverse()).edges
+        p, core = cyclic_decompose(edges)
+        return Path(self.graph, p + core * abs(k) + edges[len(p) + len(core):])
 
     def subpath(self, i, j):
         """Edges i..j-1 as a path (trivial subpaths keep the right basepoint)."""
@@ -402,11 +435,7 @@ class Circuit:
         if not path.is_closed():
             raise EndpointMismatch("circuits come from closed paths")
         g = path.graph
-        edges = list(path.edges)
-        # cyclic reduction: first tighten (paths are already tight), then
-        # peel matching first/last edges
-        while len(edges) >= 2 and edges[-1] == g.inverse_of[edges[0]]:
-            edges = edges[1:-1]
+        edges = cyclic_decompose(path.edges)[1]
         if not edges:
             return TRIVIAL_CIRCUIT
         keys = [g.order_key[e] for e in edges]
@@ -419,8 +448,7 @@ class Circuit:
     def reverse(self):
         if not self.edges:
             return self
-        rev = map(self.graph.inverse_of.__getitem__, reversed(self.edges))
-        return Circuit.from_path(Path(self.graph, rev))
+        return Circuit.from_path(Path(self.graph, self.edges).reverse())
 
     def same_unoriented(self, other):
         """Orientation-insensitive comparison."""
@@ -469,6 +497,15 @@ class _TrivialCircuit(Circuit):
 
 
 TRIVIAL_CIRCUIT = _TrivialCircuit()
+
+
+def cyclic_decompose(word):
+    """word = p . core . p^-1 with core cyclically reduced; returns (p, core)."""
+    i, j = 0, len(word)
+    while j - i >= 2 and word[i] == inverse(word[j - 1]):
+        i += 1
+        j -= 1
+    return word[:i], word[i:j]
 
 
 def word_root(seq):

@@ -411,17 +411,34 @@ def test_jobs_matches_serial_output(tmp_path):
     assert serial == parallel
 
 
-def test_python_dash_m_runs_the_command_line(tmp_path):
-    path = sample_file(tmp_path, "qe_rose")
+def src_env():
+    """The environment with the tested package's source dir on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(traintrack.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    path = sample_file(tmp_path, "qe_rose")
     proc = subprocess.run(
         [sys.executable, "-m", "traintrack", "check-ct", "--json", path],
-        capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120,
+        capture_output=True, text=True, env=src_env(), cwd=str(tmp_path), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     payload = json.loads(proc.stdout)
     assert payload["command"] == "check-ct" and payload["passed"] is True
     assert proc.stdout == run_cli(["check-ct", "--json", path])[1]
+
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+@pytest.mark.parametrize("demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs(tmp_path, demo):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(DEMOS, demo)],
+        capture_output=True, text=True, env=src_env(), cwd=str(tmp_path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

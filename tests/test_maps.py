@@ -158,6 +158,94 @@ def test_compose_and_iterate_agree():
     assert compose(ident, m).edges_equal(m)
 
 
+# --- seam oracle: f_# against tightening the concatenated images ---------------
+
+
+def tighten_images(m, p):
+    """f_# by the validating kernel: every edge image concatenated, then
+    tightened as one raw sequence."""
+    word = [x for e in p.edges for x in m.image(e).edges]
+    return m.graph.tighten(word, base=m.vertex_map[p.start])
+
+
+@st.composite
+def tight_walks(draw, g, start=None, max_size=12):
+    """A random tight path: a walk that never turns back, possibly trivial
+    when ``start`` is given."""
+    if start is None:
+        edges = [draw(st.sampled_from(g.directions()))]
+    else:
+        edges = []
+    for _ in range(draw(st.integers(0, max_size))):
+        at = g.term(edges[-1]) if edges else start
+        nxt = [d for d in g.directions(at) if not edges or d != g.inverse_of[edges[-1]]]
+        edges.append(draw(st.sampled_from(nxt)))
+    return g.path(edges, base=start)
+
+
+def assert_seam_matches_tighten(m, paths, composite=True):
+    g = m.graph
+    mm = compose(m, m) if composite else None
+    for p in paths:
+        fp = m.apply(p)
+        assert fp == tighten_images(m, p), p
+        if composite:
+            assert mm.apply(p) == m.apply(fp), p
+        for q in (fp, p.reverse(), p.reverse().subpath(0, len(p) // 2)):
+            if q.start == p.end:
+                assert p.concat(q) == g.tighten(p.edges + q.edges, base=p.start), (p, q)
+
+
+def _seam_cases(data, m, n=6):
+    g = m.graph
+    walks = [data.draw(tight_walks(g)) for _ in range(n)]
+    return _edge_starts(m) + walks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_tightened_images_random_roses(data):
+    m = data.draw(triangular_roses())
+    assert_seam_matches_tighten(m, _seam_cases(data, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(sorted(samples.SAMPLES)))
+def test_apply_matches_tightened_images_samples(data, name):
+    m = samples.SAMPLES[name]()
+    assert_seam_matches_tighten(m, _seam_cases(data, m))
+    p = data.draw(tight_walks(m.graph))
+    q = data.draw(tight_walks(m.graph, start=p.end))
+    assert p.concat(q) == m.graph.tighten(p.edges + q.edges, base=p.start)
+
+
+def test_apply_image_cancels_completely_into_the_previous_one():
+    # f(C) = B' A' C swallows f(B) = B whole, then the A of f(A) = A.
+    g = MarkedGraph(["v"], [(n, "v", "v") for n in "ABC"])
+    m = GraphMap(g, {"A": g.path(["A"]), "B": g.path(["B"]),
+                     "C": g.path(["B'", "A'", "C"])})
+    assert m.apply(g.path(["A", "B", "C"])).edges == ("C",)
+    assert m.apply(g.path(["C'", "B'", "A'"])).edges == ("C'",)
+    assert m.apply(g.path(["A", "A", "B", "C"])).edges == ("A", "C")
+    assert_seam_matches_tighten(m, _edge_starts(m) + [g.path(["A", "B", "C", "B"])])
+
+
+def test_apply_to_trivial_path():
+    # f(B) f(A) = B A . A' B' cancels to nothing: the result is the trivial
+    # path at the image of the start vertex.
+    g = MarkedGraph(["v"], [("A", "v", "v"), ("B", "v", "v")])
+    m = GraphMap(g, {"A": g.path(["A'", "B'"]), "B": g.path(["B", "A"])})
+    assert m.apply(g.path(["B", "A"])) == g.trivial_path("v")
+    assert m.apply(g.path(["A'", "B'"])) == g.trivial_path("v")
+    # f^2 sends A to the trivial path, so there is no composite to check
+    assert_seam_matches_tighten(m, _edge_starts(m) + [g.path(["B", "A"])], composite=False)
+    # on a two-vertex graph the trivial result sits at the image vertex
+    h = MarkedGraph(["u", "w"], [("P", "u", "w"), ("Q", "u", "w"), ("L", "w", "w")])
+    n = GraphMap(h, {"P": h.path(["L"]), "Q": h.path(["L"]), "L": h.path(["L"])})
+    assert n.apply(h.path(["P", "Q'"])) == h.trivial_path("w")
+    assert_seam_matches_tighten(n, _edge_starts(n) + [h.path(["P", "Q'", "P"])])
+
+
 # --- transition matrices -----------------------------------------------------
 
 

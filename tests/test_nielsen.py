@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from traintrack import MarkedGraph, nielsen
 from traintrack.ct import check_ct
 from traintrack.errors import LViolation, NotCompletelySplit
-from traintrack.maps import GraphMap, compose, filtration
-from traintrack.paths import inverse
+from traintrack.maps import GraphMap, compose, filtration, restrict
+from traintrack.paths import base_name, inverse
 from traintrack.nielsen import (
     TERM_CONN,
     TERM_EDGE,
@@ -289,6 +289,36 @@ def test_periodic_list_matches_reference_corpus_maps(name):
     # the deferred periodic list equals the eager from-scratch search
     m = _corpus_map(name)
     assert_catalog_matches_reference(m, default_length_bound(m))
+
+
+# -- prefix catalogs are views of the full catalog -------------------------------
+
+
+PREFIX_MAPS = (
+    sorted(SAMPLES)
+    + ["type_e_%d" % n for n in range(3, 9)]
+    + ["type_c_%d" % n for n in range(4, 8)]
+)
+
+
+@pytest.mark.parametrize("name", PREFIX_MAPS)
+def test_prefix_catalog_is_the_full_catalog_filtered(name):
+    # G_r is invariant, so f_# of a path in G_r stays in G_r and the Nielsen
+    # paths of f|G_r are those of f that lie in G_r, split the same way.
+    m = _corpus_map(name)
+    full = build_catalog(m)
+    filt = filtration(m)
+    for r in range(1, len(filt) + 1):
+        keep = set(filt.prefix_edges(r))
+        sub = restrict(m, keep)
+        bound = default_length_bound(sub)
+        expected = [
+            (x.path.edges, x.indivisible)
+            for x in full.entries
+            if len(x.path) <= bound and {base_name(e) for e in x.path.edges} <= keep
+        ]
+        got = [(x.path.edges, x.indivisible) for x in build_catalog(sub).entries]
+        assert got == expected, (name, r)
 
 
 # -- the periodic list is searched on first read --------------------------------

@@ -232,3 +232,52 @@ def test_subpath_and_power():
     assert w.power(2).edges == ("A", "B", "A", "B")
     assert w.power(-1).edges == ("B'", "A'")
     assert w.power(0).is_trivial()
+
+
+def repeated_concat(w, k):
+    """w^k as |k| plain concatenations: the reference for Path.power."""
+    core = w if k >= 0 else w.reverse()
+    out = w.graph.trivial_path(w.start)
+    for _ in range(abs(k)):
+        out = out.concat(core)
+    return out
+
+
+@pytest.mark.parametrize(
+    "graph, edges",
+    [
+        (rose(), ["A"]),
+        (rose(), ["A", "B"]),
+        (rose(), ["A", "B", "A'"]),  # p.c.p^-1 with p = A, c = B
+        (rose(), ["A", "B", "C", "B", "A'"]),  # p = A, c = B C B
+        (rose(), ["A", "B'", "C", "C", "B", "A'"]),  # p = A B', c = C C
+        (theta(), ["P", "Q'"]),
+        (theta(), ["P", "Q'", "R", "P'"]),  # based at u, not cyclically reduced
+        (theta(), []),
+    ],
+)
+def test_power_matches_repeated_concat(graph, edges):
+    w = graph.path(edges, base=graph.vertices[0])
+    for k in range(-6, 7):
+        got = w.power(k)
+        assert got == repeated_concat(w, k), k
+        assert got.start == w.start and got.end == w.start
+
+
+def test_power_of_open_path_is_refused():
+    with pytest.raises(EndpointMismatch):
+        theta().path(["P"]).power(2)
+
+
+@given(rose_words(), rose_words(), st.integers(-5, 5))
+def test_power_of_conjugate_matches_repeated_concat(w1, w2, k):
+    g = rose()
+    p, c = g.tighten(w1, base="v"), g.tighten(w2, base="v")
+    w = p.concat(c).concat(p.reverse())
+    assert w.power(k) == repeated_concat(w, k)
+
+    def bar(word):
+        return tuple(inverse(x) for x in reversed(word))
+
+    middle = w2 * k if k >= 0 else bar(w2) * -k
+    assert w.power(k).edges == naive_reduce(w1 + middle + bar(w1))
