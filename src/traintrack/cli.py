@@ -27,6 +27,7 @@ and ignored.
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import sys
 
@@ -56,6 +57,13 @@ class MapDocument:
 def _require(cond, msg, position):
     if not cond:
         raise InputError(msg, position=position)
+
+
+def _require_positive(key, val, position):
+    """The one rule for ``nielsen_bound`` and ``split_depth``, from a
+    document's options or from the command line."""
+    _require(isinstance(val, int) and val > 0,
+             "option %r must be a positive integer" % key, position)
 
 
 def _parse_word(g, text, position):
@@ -152,8 +160,7 @@ def parse_document(text, source="<input>"):
         for key, val in raw["options"].items():
             _require(key in ("nielsen_bound", "split_depth"),
                      "unknown option %r" % key, "options")
-            _require(isinstance(val, int) and val > 0,
-                     "option %r must be a positive integer" % key, "options")
+            _require_positive(key, val, "options")
             options[key] = val
 
     name = raw.get("name") or source
@@ -192,6 +199,7 @@ def _parse_tuple(text, position):
 def _opt(args, doc, key, default):
     cli = getattr(args, key, None)
     if cli is not None:
+        _require_positive(key, cli, "--" + key.replace("_", "-"))
         return cli
     return doc.options.get(key, default)
 
@@ -547,7 +555,9 @@ _DISPATCH = {
 # -- argument parsing -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("files", nargs="*", metavar="FILE",
                         help="map document files (default: stdin)")

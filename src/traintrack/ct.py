@@ -268,8 +268,7 @@ def connecting_paths(m, stratum_index, filt=None):
         if t.kind == "EG":
             eg_edges.update(t.edges)
     anchors = g.incident_vertices(eg_edges) & g.incident_vertices(s.edges)
-    order = {v: i for i, v in enumerate(g.vertices)}
-    anchors = sorted(anchors, key=order.get)
+    anchors = sorted(anchors, key=g.vertex_index.__getitem__)
     out = []
     for i in range(len(anchors)):
         for j in range(i + 1, len(anchors)):
@@ -305,7 +304,7 @@ def _clause_v(m, filt, principal):
     g = m.graph
     failures = []
     attach = _attaching_vertices(g, filt)
-    for v in sorted(attach, key=list(g.vertices).index):
+    for v in sorted(attach, key=g.vertex_index.__getitem__):
         r, s = attach[v]
         if v not in principal:
             failures.append(
@@ -420,12 +419,11 @@ def _clause_n(m, filt, cat):
 
 def _clause_per(m, filt, principal):
     g = m.graph
-    order = {v: i for i, v in enumerate(g.vertices)}
     failures = []
     comps = g.components(periodic_subgraph(m))
     for vs, es in comps:
         label = " ".join(sorted(es))
-        for v in sorted(vs, key=order.get):
+        for v in sorted(vs, key=g.vertex_index.__getitem__):
             if v not in principal:
                 failures.append(
                     "vertex %s of periodic component {%s} is not principal"

@@ -10,6 +10,13 @@ f on fixed directions and pairs them up.  The search is exhaustive up to
 the length bound; the catalog records the bound and makes no claim beyond
 it ("certified within bound").
 
+Composite test: if sigma = alpha.beta and f_#(alpha) = alpha, then
+f_#(beta) = [reverse(alpha).f_#(sigma)] = beta.  So sigma = p.reverse(q) is
+composite exactly when a prefix of p or a proper prefix of q is Nielsen (q
+is Nielsen only when p is).  The sweep that finds the stable prefixes marks
+each one that has a Nielsen prefix, so the test is exact and does not need
+the catalog to be complete.
+
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
 already fixed: a candidate that is a period-one Nielsen path of the catalog
@@ -51,9 +58,9 @@ def _canonical_orientation(g, p):
 
 
 def _stable_prefixes(m, bound, iter_cap=None):
-    """(prefix, suffix) pairs with f_#(prefix) = prefix.suffix, |prefix| <= bound,
-    and (direction, iter_cap) for each fixed direction whose ray ran out of
-    iterates.
+    """(prefix, suffix, split) with f_#(prefix) = prefix.suffix, |prefix| <=
+    bound and split true when a prefix of prefix is Nielsen, and (direction,
+    iter_cap) for each fixed direction whose ray ran out of iterates.
 
     Prefixes start with a fixed direction.  The limit ray of a fixed
     direction is developed incrementally -- once the reduced image extends
@@ -78,15 +85,17 @@ def _stable_prefixes(m, bound, iter_cap=None):
         # pops below it, so the whole sweep is linear in the work f does.
         img = []
         agree = 0
+        split = False
         for n, e in enumerate(edge_seq[:bound], 1):
             agree = min(agree, g.seam_extend(img, (image_of[e],)))
             while agree < n and agree < len(img) and img[agree] == edge_seq[agree]:
                 agree += 1
             if agree == n and len(img) >= n:
+                split = split or len(img) == n  # edge_seq[:n] is Nielsen
                 key = edge_seq[:n]
                 if key not in found:
                     # a prefix of a validated ray: tight and incident already
-                    found[key] = (Path(g, key), tuple(img[n:]))
+                    found[key] = (Path(g, key), tuple(img[n:]), split)
 
     for d in g.directions():
         if dm.map[d] != d:
@@ -115,39 +124,6 @@ def _stable_prefixes(m, bound, iter_cap=None):
             capped.append((d, iter_cap))
         sweep(pending.edges)
     return list(found.values()), capped
-
-
-def _trie_add(trie, edges):
-    node = trie
-    for e in edges:
-        node = node.setdefault(e, {})
-    node[None] = True
-
-
-def _trie_depths(trie, edges):
-    """Depths at which a prefix of ``edges`` is a member."""
-    out = set()
-    node = trie
-    for i, e in enumerate(edges):
-        node = node.get(e)
-        if node is None:
-            break
-        if None in node:
-            out.add(i + 1)
-    return out
-
-
-def _splits_into_nielsen(sigma, trie):
-    """Can sigma be cut into two paths both in the Nielsen-word trie?
-
-    The trie holds every Nielsen word the search produced, in both
-    orientations, so one forward walk gives the valid left halves and one
-    backward walk the valid right halves.
-    """
-    n = len(sigma)
-    lefts = _trie_depths(trie, sigma.edges)
-    rights = {n - k for k in _trie_depths(trie, sigma.reverse().edges)}
-    return any(1 <= i <= n - 1 for i in lefts & rights)
 
 
 class NielsenEntry:
@@ -256,24 +232,22 @@ def _search_fixed_paths(m, bound, known=frozenset()):
     p, q from different buckets.  The pair (q, p) gives only
     reverse(p . reverse(q)), so each unordered pair of buckets is paired
     once.  Candidates whose edge tuple is in ``known`` are skipped
-    unchecked.  Returns the paths, the Nielsen prefixes and the rays cut at
-    their iterate cap.
+    unchecked.  Returns the paths, their composite flags by edge tuple (p
+    or q has a Nielsen prefix) and the rays cut at their iterate cap.
     """
     g = m.graph
     groups = {}
-    nielsen_words = []
     prefixes, capped = _stable_prefixes(m, bound)
-    for p, s in prefixes:
-        if not s:
-            nielsen_words.append(p)
-        groups.setdefault((p.end, s), {}).setdefault(p.edges[-1], []).append(p)
+    for p, s, split in prefixes:
+        groups.setdefault((p.end, s), {}).setdefault(p.edges[-1], []).append((p, split))
     found = {}
+    composite = {}
     for buckets in groups.values():
         lasts = sorted(buckets, key=g.order_key.__getitem__)
         for a in range(len(lasts)):
             for b in range(a + 1, len(lasts)):
-                for p in buckets[lasts[a]]:
-                    for q in buckets[lasts[b]]:
+                for p, p_split in buckets[lasts[a]]:
+                    for q, q_split in buckets[lasts[b]]:
                         if len(p) + len(q) > bound:
                             continue
                         edges = p.edges + q.reverse().edges
@@ -284,8 +258,9 @@ def _search_fixed_paths(m, bound, known=frozenset()):
                             continue
                         if is_nielsen_path(m, sigma):
                             found[sigma.edges] = sigma
+                            composite[sigma.edges] = p_split or q_split
     sigmas = sorted(found.values(), key=lambda s: (len(s), _path_key(g, s)))
-    return sigmas, nielsen_words, capped
+    return sigmas, composite, capped
 
 
 def build_catalog(m, bound=None, period_bound=3):
@@ -303,26 +278,12 @@ def build_catalog(m, bound=None, period_bound=3):
     if key in m._cache:
         return m._cache[key]
     filt = filtration(m)
-    sigmas, nielsen_words, capped = _search_fixed_paths(m, bound)
+    sigmas, composite, capped = _search_fixed_paths(m, bound)
     budgets_hit = [_cap_note(1, d, cap) for d, cap in capped]
-    trie = {}
-    for e in m.graph.edge_names:
-        if m.edge_images[e].edges == (e,):
-            _trie_add(trie, (e,))
-            _trie_add(trie, (inverse(e),))
-    for w in nielsen_words:
-        _trie_add(trie, w.edges)
-        _trie_add(trie, w.reverse().edges)
-    for sigma in sigmas:
-        _trie_add(trie, sigma.edges)
-        _trie_add(trie, sigma.reverse().edges)
-    entries = []
-    for sigma in sigmas:
-        entries.append(
-            NielsenEntry(
-                sigma, 1, not _splits_into_nielsen(sigma, trie), filt.height(sigma)
-            )
-        )
+    entries = [
+        NielsenEntry(sigma, 1, not composite[sigma.edges], filt.height(sigma))
+        for sigma in sigmas
+    ]
     cat = NielsenCatalog(m, bound, period_bound, entries, budgets_hit)
     m._cache[key] = cat
     return cat
@@ -733,19 +694,8 @@ def verify_splitting(m, path, terms, k_max=4):
     return True, ("legal-turns" if worst == "legal" else "verified-to-depth-%d" % k_max)
 
 
-class QESplitting:
+class QESplitting(CompleteSplitting):
     """Complete splitting coarsened by merging maximal quasi-exceptional runs."""
-
-    def __init__(self, path, terms, certificate):
-        self.path = path
-        self.terms = terms
-        self.certificate = certificate
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
 
     def qe_terms(self):
         return [t for t in self.terms if t.kind == TERM_QE]

@@ -10,6 +10,7 @@ import pytest
 import traintrack
 from traintrack import samples
 from traintrack.cli import (
+    _build_parser,
     document_from_map,
     document_text,
     export_dot,
@@ -394,6 +395,33 @@ def test_option_precedence_document_then_flag():
     assert "catalog bound 6" in out
     code, out, _ = run_cli(["nielsen", "--nielsen-bound", "10"], stdin=json.dumps(doc))
     assert "catalog bound 10" in out
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("nielsen", "--nielsen-bound", "-3"),
+        ("nielsen", "--nielsen-bound", "0"),
+        ("check-ct", "--nielsen-bound", "-1"),
+        ("check-ct", "--split-depth", "0"),
+        ("check-ct", "--split-depth", "-2"),
+    ],
+)
+def test_bound_flags_obey_the_document_option_rule(tmp_path, command, flag, value):
+    # A negative bound used to slice the ray from its end and a zero split
+    # depth let every illegal-turn juncture through unchecked.
+    key = flag[2:].replace("-", "_")
+    code, out, err = run_cli([command, flag, value, sample_file(tmp_path, "qe_rose")])
+    assert (code, out) == (1, "")
+    assert err == "error: option %r must be a positive integer (at %s)\n" % (key, flag)
+    doc = json.loads(sample_text("qe_rose"))
+    doc["options"] = {key: 5}
+    code, _, err = run_cli([command, flag, value], stdin=json.dumps(doc))
+    assert code == 1 and ("(at %s)" % flag) in err
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -291,6 +291,56 @@ def test_periodic_list_matches_reference_corpus_maps(name):
     assert_catalog_matches_reference(m, default_length_bound(m))
 
 
+# -- indivisible flags against every cut -----------------------------------------
+
+
+def assert_flags_match_brute_force(m, bound):
+    cat = build_catalog(m, bound)
+    for e in cat.entries:
+        assert e.indivisible == brute_indivisible(m, e.path), e.path
+    return cat
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_roses(), st.integers(4, 7))
+def test_indivisible_flags_match_brute_force_random_roses(m, bound):
+    assert_flags_match_brute_force(m, bound)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES) + ["ladder_25"])
+def test_indivisible_flags_match_brute_force_corpus_maps(name):
+    # the ladder at its default bound 112 lists B A^j B' for j up to 110
+    m = _corpus_map(name)
+    bound = default_length_bound(m) if name == "ladder_25" else 8
+    assert_flags_match_brute_force(m, bound)
+
+
+@pytest.mark.parametrize(
+    "images, composites",
+    [
+        # p = E1 E2' E1' E2 E1 is not Nielsen, its prefix E1 E2' E1' E2 is
+        (
+            {"E1": "E1 E2'", "E2": "E1", "E3": "E3 E2'"},
+            [("E1", "E2'", "E1'", "E2", "E1", "E3'"),
+             ("E3", "E1'", "E2'", "E1", "E2", "E3'")],
+        ),
+        # p = E1 and q = E1 E2 E3' E2' E3 (or E3 E2 E3' E2' E3): the
+        # Nielsen piece is a proper prefix of q
+        (
+            {"E1": "E1 E2", "E2": "E3'", "E3": "E3 E2"},
+            [("E1", "E2", "E3'", "E2'", "E3", "E1'"),
+             ("E1", "E3'", "E2", "E3", "E2'", "E3'")],
+        ),
+    ],
+)
+def test_composite_flag_reads_nielsen_prefixes_inside_p_and_q(images, composites):
+    m = _map(_rose(["E1", "E2", "E3"]), images)
+    cat = assert_flags_match_brute_force(m, 6)
+    assert [(e.path.edges, e.indivisible) for e in cat.entries] == (
+        [(("E1", "E3'"), True)] + [(c, False) for c in composites]
+    )
+
+
 # -- prefix catalogs are views of the full catalog -------------------------------
 
 
