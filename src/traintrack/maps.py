@@ -476,13 +476,15 @@ def turns(graph, v=None):
 def is_illegal_turn(m, d1, d2):
     """A turn is illegal when some Df iterate makes it degenerate.
 
-    Orbits of direction pairs stabilize within (number of directions)^2
-    steps, so the check is exact.
+    Once two merge they stay merged.  Each Df-orbit is periodic after its
+    pre-period, which is below the number |D| of directions, and Df is a
+    bijection on its periodic directions, so two distinct periodic
+    directions never merge.  A merge therefore happens within the longer
+    pre-period, and |D| iterates make the check exact.
     """
     dm = direction_map(m)
     a, b = d1, d2
-    bound = len(m.graph.directions()) ** 2 + 1
-    for _ in range(bound):
+    for _ in range(len(m.graph.directions())):
         if a == b:
             return True
         a, b = dm.map[a], dm.map[b]

@@ -29,7 +29,7 @@ from .disintegrate import disintegrate
 from .errors import InputError, InvariantForestError
 from .freegroup import homology_class, is_IA
 from .maps import GraphMap, direction_map, filtration, restrict
-from .nielsen import is_nielsen_path
+from .nielsen import build_catalog, is_nielsen_path
 from .paths import MarkedGraph, base_name, inverse
 
 
@@ -146,8 +146,11 @@ def stage_ranks(m, order=None):
     Zero strata on top of a prefix are stripped before disintegrating (they
     carry neither fundamental group nor twisting, and the subgraph decompo-
     sition is only defined once an irreducible stratum sits above them).
+    Every prefix is invariant, so its catalog is a view of the map's one
+    catalog (:meth:`NielsenCatalog.view`), not a search of its own.
     """
     filt = filtration(m)
+    cat = build_catalog(m)
     order = tuple(order if order is not None else range(len(filt)))
     ranks = [0]
     for j in range(1, len(order) + 1):
@@ -160,7 +163,7 @@ def stage_ranks(m, order=None):
             ranks.append(ranks[jj])
         else:
             sub = restrict(m, filt.prefix_edges(j, order))
-            ranks.append(disintegrate(sub).lattice.rank)
+            ranks.append(disintegrate(sub, cat.view(sub)).lattice.rank)
     return ranks
 
 

@@ -1,21 +1,27 @@
 """Nielsen paths, linear edges, axes, quasi-exceptional families, splittings.
 
-A Nielsen path is a nontrivial path sigma with f_#(sigma) = sigma.  Every
-Nielsen path has the shape p . reverse(q) where p and q are "stable
-prefixes": paths starting with a fixed direction such that f_#(p) = p.s and
-f_#(q) = q.s with one common suffix s (the cancellation at the unique
-folding point removes s.reverse(s) and nothing else).  The catalog search
-therefore enumerates stable prefixes along the rays developed by iterating
-f on fixed directions and pairs them up.  The search is exhaustive up to
-the length bound; the catalog records the bound and makes no claim beyond
-it ("certified within bound").
+A Nielsen path is a nontrivial path sigma with f_#(sigma) = sigma.  The
+catalog search develops the rays of f from its fixed directions and lists
+their "stable prefixes": paths p starting with a fixed direction such that
+f_#(p) = p.s for some suffix s.  Two stable prefixes p, q with one common
+suffix s pair into sigma = p.reverse(q), and
+
+    f_#(sigma) = [p.s.reverse(s).reverse(q)] = sigma,
+
+so every pair is Nielsen.  The catalog lists these pairs up to the length
+bound and makes no claim beyond it.  It does not list every Nielsen path
+within the bound: a ray that starts with a fixed edge stops at length one,
+so concatenations such as ``E1 E1 E1`` over a fixed edge E1 are never
+paired (on ``qe_rose`` at bound 6 the catalog holds 9 of the 97 Nielsen
+paths of length >= 2 that brute force over tight paths finds), and on maps
+that are not train tracks indivisible Nielsen paths can be missed as well.
 
 Composite test: if sigma = alpha.beta and f_#(alpha) = alpha, then
 f_#(beta) = [reverse(alpha).f_#(sigma)] = beta.  So sigma = p.reverse(q) is
 composite exactly when a prefix of p or a proper prefix of q is Nielsen (q
 is Nielsen only when p is).  The sweep that finds the stable prefixes marks
-each one that has a Nielsen prefix, so the test is exact and does not need
-the catalog to be complete.
+each one that has a Nielsen prefix, so the indivisible flag of every listed
+path is exact and does not need the catalog to be complete.
 
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
@@ -23,6 +29,11 @@ already fixed: a candidate that is a period-one Nielsen path of the catalog
 is dropped before any f^k_# work.  Only the CT check reads them, so that
 search runs the first time a catalog's ``periodic`` list or its
 ``budgets_hit`` notes are read, not when the catalog is built.
+
+The restriction of f to an invariant subgraph (a filtration prefix) has as
+Nielsen paths exactly those of f that lie in the subgraph, since f_# of a
+path there is computed there; :meth:`NielsenCatalog.view` reads the
+subgraph's catalog off the full one instead of searching again.
 """
 
 from .paths import Circuit, Path, inverse
@@ -52,9 +63,14 @@ def _path_key(g, p):
     return list(map(g.order_key.__getitem__, p.edges))
 
 
-def _canonical_orientation(g, p):
-    r = p.reverse()
-    return p if _path_key(g, p) <= _path_key(g, r) else r
+def _lesser_orientation(order_key, fwd, bwd):
+    """Of an edge tuple and its reverse, the one with the smaller order key
+    list (``fwd`` on a tie), compared up to the first edge where they
+    differ."""
+    for x, y in zip(fwd, bwd):
+        if x != y:
+            return fwd if order_key[x] < order_key[y] else bwd
+    return fwd
 
 
 def _stable_prefixes(m, bound, iter_cap=None):
@@ -145,8 +161,10 @@ class NielsenCatalog:
 
     * ``fixed_edges``: edges with f(E) = E (length-one Nielsen paths; kept
       apart from iNps, which have length at least two).
-    * ``entries``: period-one Nielsen paths of length >= 2, each flagged
-      indivisible or composite, with its filtration height.
+    * ``entries``: the period-one Nielsen paths p.reverse(q) of length 2..
+      ``bound`` paired from stable prefixes (not every Nielsen path within
+      the bound; see the module docstring), each flagged indivisible or
+      composite, exactly, with its filtration height.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
     * ``budgets_hit``: one note per search ray cut at its iterate cap, those
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
@@ -215,11 +233,47 @@ class NielsenCatalog:
             self._image_qe[key] = qe_split(m, m.apply(piece), self)
         return self._image_qe[key]
 
+    def view(self, sub):
+        """The catalog of ``sub``, the restriction of this catalog's map to
+        an invariant subgraph, read off this one without a new search.
+
+        f_# of a path in an invariant subgraph is computed inside it, so
+        the Nielsen paths of f|sub are those of f that lie in sub, and they
+        split the same way.  The view keeps the entries whose edges lie in
+        sub and whose length is at most sub's default bound, rebuilt on
+        sub's graph with their heights in sub's filtration.  It carries this
+        catalog's period-one budget notes; its periodic list is searched on
+        sub when first read.  It is kept in sub's cache where
+        :func:`build_catalog` looks for it.
+        """
+        bound = default_length_bound(sub)
+        if bound > self.bound:
+            raise ValueError("view bound %d exceeds the catalog bound %d" % (bound, self.bound))
+        key = ("catalog", bound, self.period_bound)
+        if key in sub._cache:
+            return sub._cache[key]
+        g = sub.graph
+        filt = filtration(sub)
+        entries = []
+        for entry in self.entries:
+            edges = entry.path.edges
+            if len(edges) <= bound and all(e in g.inverse_of for e in edges):
+                path = Path(g, edges)
+                entries.append(NielsenEntry(path, 1, entry.indivisible, filt.height(path)))
+        cat = NielsenCatalog(sub, bound, self.period_bound, entries, self._fixed_notes)
+        sub._cache[key] = cat
+        return cat
+
     def __repr__(self):
-        return "<NielsenCatalog %d fixed edges, %d entries, %d periodic, bound %d>" % (
+        periodic = (
+            "periodic not searched"
+            if self._periodic is None
+            else "%d periodic" % len(self.periodic)
+        )
+        return "<NielsenCatalog %d fixed edges, %d entries, %s, bound %d>" % (
             len(self.fixed_edges),
             len(self.entries),
-            len(self.periodic),
+            periodic,
             self.bound,
         )
 
@@ -234,31 +288,49 @@ def _search_fixed_paths(m, bound, known=frozenset()):
     once.  Candidates whose edge tuple is in ``known`` are skipped
     unchecked.  Returns the paths, their composite flags by edge tuple (p
     or q has a Nielsen prefix) and the rays cut at their iterate cap.
+
+    Each pair is Nielsen by construction: f_#(p.reverse(q)) =
+    [p.s.reverse(s).reverse(q)] = p.reverse(q).  The ``is_nielsen_path``
+    check on each new candidate therefore never fails; it stays as a guard.
+    A candidate is kept in its orientation with the smaller order key, and
+    a ``Path`` is built only for a candidate not seen before.
     """
     g = m.graph
+    order_key, inverse_of = g.order_key, g.inverse_of
     groups = {}
     prefixes, capped = _stable_prefixes(m, bound)
     for p, s, split in prefixes:
-        groups.setdefault((p.end, s), {}).setdefault(p.edges[-1], []).append((p, split))
+        groups.setdefault((p.end, s), {}).setdefault(p.edges[-1], []).append(
+            (p.edges, split)
+        )
+    reversals = {}
+
+    def rev(edges):
+        r = reversals.get(edges)
+        if r is None:
+            r = reversals[edges] = tuple(map(inverse_of.__getitem__, reversed(edges)))
+        return r
+
     found = {}
     composite = {}
     for buckets in groups.values():
-        lasts = sorted(buckets, key=g.order_key.__getitem__)
+        lasts = sorted(buckets, key=order_key.__getitem__)
         for a in range(len(lasts)):
             for b in range(a + 1, len(lasts)):
                 for p, p_split in buckets[lasts[a]]:
                     for q, q_split in buckets[lasts[b]]:
                         if len(p) + len(q) > bound:
                             continue
-                        edges = p.edges + q.reverse().edges
+                        edges = p + rev(q)
                         if edges in known:
                             continue
-                        sigma = _canonical_orientation(g, Path(g, edges))
-                        if sigma.edges in found:
+                        edges = _lesser_orientation(order_key, edges, q + rev(p))
+                        if edges in found:
                             continue
+                        sigma = Path(g, edges)
                         if is_nielsen_path(m, sigma):
-                            found[sigma.edges] = sigma
-                            composite[sigma.edges] = p_split or q_split
+                            found[edges] = sigma
+                            composite[edges] = p_split or q_split
     sigmas = sorted(found.values(), key=lambda s: (len(s), _path_key(g, s)))
     return sigmas, composite, capped
 

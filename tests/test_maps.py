@@ -14,12 +14,14 @@ from traintrack.maps import (
     restrict,
     direction_map,
     illegal_turns,
+    is_illegal_turn,
     is_legal_path,
+    turns,
     turns_crossed,
 )
 from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltration
 from traintrack.ct import check_ct, vertex_period
-from traintrack.maxrank import rank_audit
+from traintrack.maxrank import gen_type_c, gen_type_e, rank_audit
 from traintrack import samples
 from test_nielsen import triangular_roses
 
@@ -438,6 +440,56 @@ def test_illegal_turns_qe_rose():
     assert turns_crossed(m.graph, m.graph.path(["E3", "E2'"])) == [
         frozenset(("E3'", "E2'"))
     ]
+
+
+def _illegal_by_square_rule(m, d1, d2):
+    # the earlier bound: |D|^2 + 1 Df-steps on the pair
+    dm = direction_map(m)
+    a, b = d1, d2
+    for _ in range(len(m.graph.directions()) ** 2 + 1):
+        if a == b:
+            return True
+        a, b = dm.map[a], dm.map[b]
+    return False
+
+
+def assert_illegal_turns_match_square_rule(m):
+    for t in turns(m.graph):
+        pair = tuple(t)
+        if len(pair) == 2:
+            assert is_illegal_turn(m, *pair) == _illegal_by_square_rule(m, *pair), pair
+
+
+@settings(max_examples=80, deadline=None)
+@given(triangular_roses())
+def test_illegal_turn_bound_random_roses(m):
+    assert_illegal_turns_match_square_rule(m)
+
+
+TURN_MAPS = dict(
+    list(samples.SAMPLES.items())
+    + [("type_e_%d" % n, lambda n=n: gen_type_e(n).generic) for n in range(3, 7)]
+    + [("type_c_%d" % n, lambda n=n: gen_type_c(n).generic) for n in range(4, 7)]
+)
+
+
+@pytest.mark.parametrize("name", sorted(TURN_MAPS))
+def test_illegal_turn_bound_corpus_maps(name):
+    assert_illegal_turns_match_square_rule(TURN_MAPS[name]())
+
+
+def test_illegal_turn_merging_at_the_longest_pre_period():
+    # Df: A' -> B -> B' -> A -> A, so A' and B' merge after |D| - 1 = 3
+    # steps, the most the bound allows
+    g = MarkedGraph(["v"], [("A", "v", "v"), ("B", "v", "v")])
+    m = GraphMap(g, {"A": g.path(["A", "B'"]), "B": g.path(["B'", "A'"])})
+    dm = direction_map(m)
+    assert [dm.map[d] for d in ("A'", "B", "B'", "A")] == ["B", "B'", "A", "A"]
+    a, b, steps = "A'", "B'", 0
+    while a != b:
+        a, b, steps = dm.map[a], dm.map[b], steps + 1
+    assert steps == len(g.directions()) - 1
+    assert is_illegal_turn(m, "A'", "B'")
 
 
 def test_illegal_turn_of_zero_stratum_map_is_hidden():

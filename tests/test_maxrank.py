@@ -1,6 +1,8 @@
 """Tests for the rank audit, FPS detection, maximal-rank classification,
 the two standard twist families and the vertex-split surgery."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,8 @@ from traintrack.freegroup import (
     pi1_images,
     spanning_tree,
 )
-from traintrack.maps import GraphMap, compose, filtration
+from traintrack import nielsen
+from traintrack.maps import GraphMap, compose, filtration, restrict
 from traintrack.maxrank import (
     classify_max_rank,
     default_stage_grouping,
@@ -29,6 +32,7 @@ from traintrack.maxrank import (
 )
 from traintrack.paths import MarkedGraph
 from traintrack.samples import (
+    SAMPLES,
     exceptional_rose,
     full_fps_map,
     inner_twist_pair,
@@ -112,6 +116,54 @@ def test_stage_ranks_of_samples():
     assert stage_ranks(exceptional_rose()) == [0, 0, 1, 2, 2]
     assert stage_ranks(partial_fps_map()) == [0, 0, 1, 2, 3]
     assert stage_ranks(full_fps_map()) == [0, 0, 1, 2, 3, 4, 5]
+
+
+def _stage_ranks_by_own_catalogs(m, order):
+    # the per-prefix rule before prefix catalogs became views: every
+    # prefix restricted afresh and disintegrated with its own catalog
+    filt = filtration(m)
+    ranks = [0]
+    for j in range(1, len(order) + 1):
+        jj = j
+        while jj > 0 and filt[order[jj - 1]].kind == "zero":
+            jj -= 1
+        if jj == 0:
+            ranks.append(0)
+        elif jj < j:
+            ranks.append(ranks[jj])
+        else:
+            sub = restrict(m, filt.prefix_edges(j, order))
+            ranks.append(disintegrate(sub).lattice.rank)
+    return ranks
+
+
+RANK_MAPS = dict(
+    list(SAMPLES.items())
+    + [("type_e_%d" % n, lambda n=n: gen_type_e(n).generic) for n in range(3, 7)]
+    + [("type_c_%d" % n, lambda n=n: gen_type_c(n).generic) for n in range(4, 7)]
+)
+
+
+@pytest.mark.parametrize("name", sorted(RANK_MAPS))
+def test_stage_ranks_equal_the_per_prefix_rule(name):
+    for order in itertools.islice(valid_orders(RANK_MAPS[name]()), 4):
+        expected = _stage_ranks_by_own_catalogs(RANK_MAPS[name](), order)
+        assert stage_ranks(RANK_MAPS[name](), order) == expected, order
+
+
+def test_rank_audit_searches_one_catalog(monkeypatch):
+    calls = []
+    search = nielsen._search_fixed_paths
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(nielsen, "_search_fixed_paths", counted)
+    m = gen_type_e(5).generic
+    audit = rank_audit(m)
+    assert len(audit.ranks) == len(filtration(m)) + 1
+    assert calls == [m]
 
 
 def test_stage_ranks_skip_zero_topped_prefixes():

@@ -5,12 +5,14 @@ every tight path up to the bound is checked for f_#(p) = p directly, and
 indivisibility by trying every split point.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from traintrack import MarkedGraph, nielsen
 from traintrack.ct import check_ct
-from traintrack.errors import LViolation, NotCompletelySplit
+from traintrack.errors import LViolation, MalformedPath, NotCompletelySplit
 from traintrack.maps import GraphMap, compose, filtration, restrict
 from traintrack.paths import base_name, inverse
 from traintrack.nielsen import (
@@ -35,7 +37,13 @@ from traintrack.nielsen import (
 )
 from traintrack.coords import coordinate_system
 from traintrack.disintegrate import build_fa, disintegrate, verify_commute
-from traintrack.maxrank import classify_max_rank, gen_type_c, gen_type_e, rank_audit
+from traintrack.maxrank import (
+    classify_max_rank,
+    gen_type_c,
+    gen_type_e,
+    rank_audit,
+    valid_orders,
+)
 from traintrack.samples import (
     SAMPLES,
     exceptional_rose,
@@ -369,6 +377,148 @@ def test_prefix_catalog_is_the_full_catalog_filtered(name):
         ]
         got = [(x.path.edges, x.indivisible) for x in build_catalog(sub).entries]
         assert got == expected, (name, r)
+
+
+def _catalog_record(cat):
+    return (
+        cat.fixed_edges,
+        [(x.path.edges, x.indivisible, x.height) for x in cat.entries],
+        [(x.path.edges, x.period, x.height) for x in cat.periodic],
+    )
+
+
+VIEW_MAPS = (
+    sorted(SAMPLES)
+    + ["type_e_%d" % n for n in range(3, 7)]
+    + ["type_c_%d" % n for n in range(4, 7)]
+)
+
+
+@pytest.mark.parametrize("name", VIEW_MAPS)
+def test_view_equals_the_prefix_search(name):
+    # along up to 4 valid orders, the view of every prefix equals a fresh
+    # search on a separately restricted map, heights and periodic list too
+    m = _corpus_map(name)
+    full = build_catalog(m)
+    filt = filtration(m)
+    for order in itertools.islice(valid_orders(m), 4):
+        for r in range(1, len(filt) + 1):
+            keep = filt.prefix_edges(r, order)
+            sub = restrict(m, keep)
+            view = full.view(sub)
+            assert view.map is sub and view.bound == default_length_bound(sub)
+            assert all(x.path.graph is sub.graph for x in view.entries)
+            assert build_catalog(sub) is view
+            own = build_catalog(restrict(m, keep))
+            assert _catalog_record(view) == _catalog_record(own), (name, order, r)
+
+
+def test_view_carries_the_period_one_notes_and_searches_periodic_lazily(
+    searches, monkeypatch
+):
+    m = _corpus_map("type_e_4")
+    stable_prefixes = nielsen._stable_prefixes
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            nielsen, "_stable_prefixes",
+            lambda m, bound, iter_cap=None: stable_prefixes(m, bound, iter_cap=1),
+        )
+        full = build_catalog(m)
+    notes = full._fixed_notes
+    assert notes
+    view = full.view(restrict(m, filtration(m).prefix_edges(2)))
+    assert searches == {"searches": 1, "composites": 0}
+    assert view._periodic is None
+    assert view.budgets_hit[: len(notes)] == notes
+    assert searches == {"searches": 3, "composites": 2}
+
+
+def test_view_rejects_a_catalog_searched_below_its_bound():
+    m = qe_rose()
+    sub = restrict(m, ["E1", "E2"])
+    with pytest.raises(ValueError):
+        build_catalog(m, bound=default_length_bound(sub) - 1).view(sub)
+
+
+def test_repr_does_not_run_the_periodic_search(searches):
+    cat = build_catalog(swap_rose())
+    text = repr(cat)
+    assert "periodic not searched" in text
+    assert cat._periodic is None
+    assert searches == {"searches": 1, "composites": 0}
+    n = len(cat.periodic)
+    assert "%d periodic" % n in repr(cat)
+
+
+# -- the stable-prefix pairing is Nielsen by construction -------------------------
+
+
+@st.composite
+def arbitrary_roses(draw):
+    """Roses with 2-4 edges and arbitrary nontrivial tight edge images, not
+    necessarily homotopy equivalences."""
+    n = draw(st.integers(2, 4))
+    names = ["E%d" % (i + 1) for i in range(n)]
+    g = _rose(names)
+    letters = names + [inverse(x) for x in names]
+    images = {}
+    for e in names:
+        word = g.tighten(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=4)))
+        images[e] = word if len(word) else g.path([e])
+    return GraphMap(g, images)
+
+
+def assert_pairs_are_nielsen(m, bound):
+    # f_#(p.reverse(q)) = [p.s.reverse(s).reverse(q)] = p.reverse(q): the
+    # in-search check never fails, on f and on the f^2, f^3 that the
+    # periodic list searches (run directly: a filtration is not needed;
+    # an f^k that collapses an edge is not a graph map and is left out)
+    powers = [m]
+    for _ in range(2):
+        try:
+            powers.append(compose(m, powers[-1]))
+        except MalformedPath:
+            break
+    verdicts = []
+
+    def recorded(mk, p):
+        verdicts.append(is_nielsen_path(mk, p))
+        return verdicts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nielsen, "is_nielsen_path", recorded)
+        for mk in powers:
+            _search_fixed_paths(mk, bound)
+    assert all(verdicts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_roses(), st.integers(4, 7))
+def test_pairing_lemma_triangular_roses(m, bound):
+    assert_pairs_are_nielsen(m, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_roses(), st.integers(4, 7))
+def test_pairing_lemma_arbitrary_roses(m, bound):
+    assert_pairs_are_nielsen(m, bound)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_pairing_lemma_samples(name):
+    m = SAMPLES[name]()
+    assert_pairs_are_nielsen(m, default_length_bound(m))
+
+
+def test_catalog_lists_pairs_not_every_nielsen_path():
+    # the module docstring's count: at bound 6, qe_rose has 97 Nielsen
+    # paths of length >= 2 up to orientation, and the catalog lists 9
+    m = qe_rose()
+    brute = {norm(p) for p in brute_nielsen(m, 6) if len(p) >= 2}
+    listed = {norm(x.path) for x in build_catalog(m, 6).entries}
+    assert listed < brute
+    assert (len(listed), len(brute)) == (9, 97)
+    assert ("E1", "E1", "E1") in brute and ("E1", "E1", "E1") not in listed
 
 
 # -- the periodic list is searched on first read --------------------------------
