@@ -23,12 +23,20 @@ is Nielsen only when p is).  The sweep that finds the stable prefixes marks
 each one that has a Nielsen prefix, so the indivisible flag of every listed
 path is exact and does not need the catalog to be complete.
 
+Linear families: for a linear edge E, f(E) = E.w^d with w a closed Nielsen
+path, every E w^k Ebar is Nielsen.  The search recognises the pairs that give
+these paths as one family per E, checks one member exactly (that decides the
+whole family) and writes the members out in closed form, without building,
+checking or hashing them one by one.  The catalog still lists every member
+within the bound, marked with its family.
+
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
 already fixed: a candidate that is a period-one Nielsen path of the catalog
-is dropped before any f^k_# work.  Only the CT check reads them, so that
-search runs the first time a catalog's ``periodic`` list or its
-``budgets_hit`` notes are read, not when the catalog is built.
+is dropped before any f^k_# work, and so is a pair that gives a member of a
+linear family.  Only the CT check reads them, so that search runs the first
+time a catalog's ``periodic`` list or its ``budgets_hit`` notes are read, not
+when the catalog is built.
 
 The restriction of f to an invariant subgraph (a filtration prefix) has as
 Nielsen paths exactly those of f that lie in the subgraph, since f_# of a
@@ -74,9 +82,13 @@ def _lesser_orientation(order_key, fwd, bwd):
 
 
 def _stable_prefixes(m, bound, iter_cap=None):
-    """(prefix, suffix, split) with f_#(prefix) = prefix.suffix, |prefix| <=
-    bound and split true when a prefix of prefix is Nielsen, and (direction,
+    """(prefix, end, suffix id, split, direction) with f_#(prefix) =
+    prefix.suffix, |prefix| <= bound, ``end`` the prefix's terminal vertex,
+    the suffix given by a small integer (equal ids for equal suffixes),
+    split true when a prefix of prefix is Nielsen and ``direction`` the
+    fixed direction whose ray the prefix was read off; and (direction,
     iter_cap) for each fixed direction whose ray ran out of iterates.
+    Prefixes are edge tuples.
 
     Prefixes start with a fixed direction.  The limit ray of a fixed
     direction is developed incrementally -- once the reduced image extends
@@ -86,32 +98,48 @@ def _stable_prefixes(m, bound, iter_cap=None):
     every iterate swept the same way.  A ray that is still neither
     repeating nor longer than the bound after ``iter_cap`` iterates is cut
     there; its direction is returned so the catalog can say so.
+
+    Whether a prefix is stable, its suffix and its split flag depend on the
+    prefix alone, so a sequence's first edges that an earlier swept
+    sequence shares were recorded with it and are not recorded again.
     """
     if iter_cap is None:
         iter_cap = bound + 16
     g = m.graph
-    image_of = m.image_of
+    image_of, term_of, inverse_of = m.image_of, g.term_of, g.inverse_of
     dm = direction_map(m)
-    found = {}
+    found = []
+    suffix_ids = {}
+    swept = []
     capped = []
 
-    def sweep(edge_seq):
+    def sweep(edge_seq, d):
         # img carries the reduced f-image of the growing prefix; ``agree``
         # is the verified common-prefix length, rewound when cancellation
         # pops below it, so the whole sweep is linear in the work f does.
+        edge_seq = edge_seq[:bound]
+        done = max((_common_prefix_length(prev, edge_seq) for prev in swept), default=0)
+        swept.append(edge_seq)
         img = []
         agree = 0
         split = False
-        for n, e in enumerate(edge_seq[:bound], 1):
-            agree = min(agree, g.seam_extend(img, (image_of[e],)))
+        tail = None
+        for n, e in enumerate(edge_seq, 1):
+            im = image_of[e]
+            if img and img[-1] == inverse_of[im[0]]:
+                agree = min(agree, g.seam_extend(img, (im,)))
+            else:
+                img.extend(im)  # no seam: agree <= len(img) stays valid
             while agree < n and agree < len(img) and img[agree] == edge_seq[agree]:
                 agree += 1
             if agree == n and len(img) >= n:
                 split = split or len(img) == n  # edge_seq[:n] is Nielsen
-                key = edge_seq[:n]
-                if key not in found:
-                    # a prefix of a validated ray: tight and incident already
-                    found[key] = (Path(g, key), tuple(img[n:]), split)
+                if n > done:
+                    rest = img[n:]
+                    if rest != tail:  # a ray's suffix repeats from prefix to prefix
+                        tail = rest
+                        sid = suffix_ids.setdefault(tuple(rest), len(suffix_ids))
+                    found.append((edge_seq[:n], term_of[e], sid, split, d))
 
     for d in g.directions():
         if dm.map[d] != d:
@@ -128,7 +156,7 @@ def _stable_prefixes(m, bound, iter_cap=None):
                 or len(ray) > bound + 2
             )
             if not nxt.is_trivial() and not nxt.starts_with(pending):
-                sweep(pending.edges)
+                sweep(pending.edges, d)
                 pending = nxt
             else:
                 pending = nxt if not nxt.is_trivial() else pending
@@ -138,18 +166,28 @@ def _stable_prefixes(m, bound, iter_cap=None):
             ray = nxt
         else:
             capped.append((d, iter_cap))
-        sweep(pending.edges)
-    return list(found.values()), capped
+        sweep(pending.edges, d)
+    return found, capped
+
+
+def _common_prefix_length(a, b):
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 class NielsenEntry:
-    """One catalog item: a Nielsen path of some period with flags."""
+    """One catalog item: a Nielsen path of some period with flags.
 
-    def __init__(self, path, period, indivisible, height):
+    ``family`` is the linear edge E when the path is a member E w^k Ebar of
+    E's linear family (built in closed form, see :func:`build_catalog`),
+    None otherwise.
+    """
+
+    def __init__(self, path, period, indivisible, height, family=None):
         self.path = path
         self.period = period
         self.indivisible = indivisible
         self.height = height
+        self.family = family
 
     def __repr__(self):
         tag = "iNp" if self.indivisible else "composite"
@@ -164,7 +202,10 @@ class NielsenCatalog:
     * ``entries``: the period-one Nielsen paths p.reverse(q) of length 2..
       ``bound`` paired from stable prefixes (not every Nielsen path within
       the bound; see the module docstring), each flagged indivisible or
-      composite, exactly, with its filtration height.
+      composite, exactly, with its filtration height.  The members
+      E w^k Ebar of a linear edge's family are found as one family by the
+      search, checked once and written out in closed form; the list holds
+      every member, marked with ``family``.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
     * ``budgets_hit``: one note per search ray cut at its iterate cap, those
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
@@ -193,8 +234,19 @@ class NielsenCatalog:
         self._fixed_notes = tuple(notes)
         self._periodic = None
         self.inps_by_first = {}
+        back_bodies = {}  # E -> reverse(b), for the family members E b^i Ebar
         for entry in self.inps():
-            for sigma in (entry.path, entry.path.reverse()):
+            edges, e = entry.path.edges, entry.family
+            if e is None:
+                back = entry.path.reverse()
+            else:  # E b^i Ebar read backwards is E reverse(b)^i Ebar
+                if e not in back_bodies:
+                    filt = filtration(m)
+                    b = edges[1 : 1 + len(filt[filt.level(e)].axis)]
+                    back_bodies[e] = tuple(map(g.inverse_of.__getitem__, reversed(b)))
+                body = back_bodies[e]
+                back = Path(g, edges[:1] + body * ((len(edges) - 2) // len(body)) + edges[-1:])
+            for sigma in (entry.path, back):
                 self.inps_by_first.setdefault(sigma.edges[0], []).append(
                     (sigma, entry.height)
                 )
@@ -259,7 +311,9 @@ class NielsenCatalog:
             edges = entry.path.edges
             if len(edges) <= bound and all(e in g.inverse_of for e in edges):
                 path = Path(g, edges)
-                entries.append(NielsenEntry(path, 1, entry.indivisible, filt.height(path)))
+                entries.append(
+                    NielsenEntry(path, 1, entry.indivisible, filt.height(path), entry.family)
+                )
         cat = NielsenCatalog(sub, bound, self.period_bound, entries, self._fixed_notes)
         sub._cache[key] = cat
         return cat
@@ -278,7 +332,28 @@ class NielsenCatalog:
         )
 
 
-def _search_fixed_paths(m, bound, known=frozenset()):
+def _in_order(order_key, items, edges_of):
+    """``items`` sorted by the (length, order key list) of their edge
+    tuples; key lists are built only for items of equal length."""
+    by_len = {}
+    for x in items:
+        by_len.setdefault(len(edges_of(x)), []).append(x)
+    out = []
+    for n in sorted(by_len):
+        tied = by_len[n]
+        if len(tied) > 1:
+            tied.sort(key=lambda x: list(map(order_key.__getitem__, edges_of(x))))
+        out.extend(tied)
+    return out
+
+
+def _linear_axes(filt):
+    """{E: w} over the linear strata, E the oriented edge with f(E) = E.w^d
+    (d >= 1) and w the axis edge tuple."""
+    return {s.neg_edge: s.axis.edges for s in filt if s.linear}
+
+
+def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
     """Nielsen paths of length 2..bound via the stable prefix pairing.
 
     Prefixes are grouped by (end vertex, growth suffix) and, within a
@@ -286,23 +361,41 @@ def _search_fixed_paths(m, bound, known=frozenset()):
     p, q from different buckets.  The pair (q, p) gives only
     reverse(p . reverse(q)), so each unordered pair of buckets is paired
     once.  Candidates whose edge tuple is in ``known`` are skipped
-    unchecked.  Returns the paths, their composite flags by edge tuple (p
-    or q has a Nielsen prefix) and the rays cut at their iterate cap.
+    unchecked.
 
     Each pair is Nielsen by construction: f_#(p.reverse(q)) =
     [p.s.reverse(s).reverse(q)] = p.reverse(q).  The ``is_nielsen_path``
     check on each new candidate therefore never fails; it stays as a guard.
     A candidate is kept in its orientation with the smaller order key, and
     a ``Path`` is built only for a candidate not seen before.
+
+    ``linear`` maps linear edges E of m to their axis edge tuples w (see
+    :func:`_linear_axes`; on f^k, f's linear edges are linear with exponent
+    k.d).  Every iterate of E's ray is E w^j, since f(E) = E.w^d and
+    f_#(w) = w, so the prefixes read off it of length 1 + i|w| are E w^i,
+    each with growth suffix w^d, and the pair of E w^i with the bare prefix
+    E is the family member E w^i Ebar.  Such a pair is only recorded, as
+    (i, composite flag) under E: nothing is built or checked for it.  Every
+    other pair, exceptional pairs E1 w^j E2bar included, goes through the
+    loop as above.
+
+    Returns (sigmas, composite, families, capped): the other pairs as
+    paths in (length, order key) order, their composite flags by edge
+    tuple (p or q has a Nielsen prefix), the family records
+    {E: [(i, flag), ...]} and the rays cut at their iterate cap.
     """
     g = m.graph
     order_key, inverse_of = g.order_key, g.inverse_of
+    linear = linear or {}
     groups = {}
     prefixes, capped = _stable_prefixes(m, bound)
-    for p, s, split in prefixes:
-        groups.setdefault((p.end, s), {}).setdefault(p.edges[-1], []).append(
-            (p.edges, split)
-        )
+    for p, end, s, split, d in prefixes:
+        power = None
+        if d in linear:
+            i, rest = divmod(len(p) - 1, len(linear[d]))
+            if not rest:
+                power = (d, i)  # p = E w^i
+        groups.setdefault((end, s), {}).setdefault(p[-1], []).append((p, split, power))
     reversals = {}
 
     def rev(edges):
@@ -313,13 +406,21 @@ def _search_fixed_paths(m, bound, known=frozenset()):
 
     found = {}
     composite = {}
+    families = {}
     for buckets in groups.values():
         lasts = sorted(buckets, key=order_key.__getitem__)
         for a in range(len(lasts)):
             for b in range(a + 1, len(lasts)):
-                for p, p_split in buckets[lasts[a]]:
-                    for q, q_split in buckets[lasts[b]]:
+                for p, p_split, p_power in buckets[lasts[a]]:
+                    for q, q_split, q_power in buckets[lasts[b]]:
                         if len(p) + len(q) > bound:
+                            continue
+                        if p_power and q_power and p_power[0] == q_power[0]:
+                            # two prefixes of E's ray in different buckets:
+                            # one is E itself, the other E w^i
+                            families.setdefault(p_power[0], []).append(
+                                (p_power[1] + q_power[1], p_split or q_split)
+                            )
                             continue
                         edges = p + rev(q)
                         if edges in known:
@@ -331,8 +432,37 @@ def _search_fixed_paths(m, bound, known=frozenset()):
                         if is_nielsen_path(m, sigma):
                             found[edges] = sigma
                             composite[edges] = p_split or q_split
-    sigmas = sorted(found.values(), key=lambda s: (len(s), _path_key(g, s)))
-    return sigmas, composite, capped
+    sigmas = _in_order(order_key, found.values(), lambda s: s.edges)
+    return sigmas, composite, families, capped
+
+
+def _family_entries(m, filt, e, w, records):
+    """Catalog entries of the linear family E b^i Ebar, in closed form, for
+    the recorded (i, composite flag) pairs; b is w or reverse(w), the
+    orientation the search keeps.
+
+    Each member's reverse is E reverse(b)^i Ebar; the two first differ where
+    b and reverse(b) do, so one comparison orients every member.  One
+    member decides them all: with f(E) = E.u, f_#(E w^i Ebar) = E w^i Ebar
+    iff (u.f(w).ubar)^i = w^i in the fundamental group, iff u.f(w).ubar = w
+    (roots are unique in a free group), whatever i is.  So the shortest
+    member gets the exact ``is_nielsen_path`` check and stands for the
+    family.  Every member has E's level as its height: w lies below E.
+    """
+    g = m.graph
+    inverse_of = g.inverse_of
+    body = _lesser_orientation(
+        g.order_key, w, tuple(map(inverse_of.__getitem__, reversed(w)))
+    )
+    tail = (inverse_of[e],)
+    ray = (e,) + body * max(records)[0]
+    if not is_nielsen_path(m, Path(g, ray[: 1 + len(body) * min(records)[0]] + tail)):
+        return []
+    height = filt.level(e)
+    return [
+        NielsenEntry(Path(g, ray[: 1 + len(body) * i] + tail), 1, not split, height, e)
+        for i, split in records
+    ]
 
 
 def build_catalog(m, bound=None, period_bound=3):
@@ -343,6 +473,10 @@ def build_catalog(m, bound=None, period_bound=3):
     search on f^k, k = 2..period_bound) runs on the first read of the
     catalog's ``periodic`` or ``budgets_hit``.  Results are cached on the
     map per (bound, period_bound).
+
+    The search recognises each linear edge's family E w^k Ebar once, and
+    its members are written out in closed form after one exact check (see
+    :func:`_family_entries`); the entries are the same as member by member.
     """
     if bound is None:
         bound = default_length_bound(m)
@@ -350,12 +484,22 @@ def build_catalog(m, bound=None, period_bound=3):
     if key in m._cache:
         return m._cache[key]
     filt = filtration(m)
-    sigmas, composite, capped = _search_fixed_paths(m, bound)
+    linear = _linear_axes(filt)
+    sigmas, composite, families, capped = _search_fixed_paths(m, bound, linear=linear)
     budgets_hit = [_cap_note(1, d, cap) for d, cap in capped]
     entries = [
         NielsenEntry(sigma, 1, not composite[sigma.edges], filt.height(sigma))
         for sigma in sigmas
     ]
+    # on some map another pair might give a member too: list it once
+    taken = {x.path.edges for x in entries if x.path.edges[0] in families}
+    for e, records in families.items():
+        members = _family_entries(m, filt, e, linear[e], records)
+        if taken:
+            members = [x for x in members if x.path.edges not in taken]
+        entries.extend(members)
+    if families:
+        entries = _in_order(m.graph.order_key, entries, lambda x: x.path.edges)
     cat = NielsenCatalog(m, bound, period_bound, entries, budgets_hit)
     m._cache[key] = cat
     return cat
@@ -368,14 +512,18 @@ def _search_periodic(cat):
     The search for fixed paths runs on f^k, k = 2..period_bound, among
     paths not already fixed: the period-one paths of the catalog, in both
     orientations, are skipped there, since f^k fixes them with period one.
-    Every other candidate gets the full f^k_# check and the exact period
-    probe.
+    The members of linear families are fixed by f too (f(E) = E.w^d with
+    w Nielsen), so the f^k searches drop their pairs on sight and
+    ``known`` holds only the other entries.  Every other candidate gets the
+    full f^k_# check and the exact period probe.
     """
     m, bound = cat.map, cat.bound
     filt = filtration(m)
+    linear = _linear_axes(filt)
     known = frozenset(
         edges
         for entry in cat.entries
+        if entry.family is None
         for edges in (entry.path.edges, entry.path.reverse().edges)
     )
     periodic = []
@@ -383,7 +531,7 @@ def _search_periodic(cat):
     mk = m
     for k in range(2, cat.period_bound + 1):
         mk = compose(m, mk)
-        sigmas_k, _, capped = _search_fixed_paths(mk, bound, known)
+        sigmas_k, _, _, capped = _search_fixed_paths(mk, bound, known, linear)
         notes.extend(_cap_note(k, d, cap) for d, cap in capped)
         for sigma in sigmas_k:
             period = None

@@ -1,6 +1,9 @@
 """Tests for the structural train track checks."""
 
+from traintrack import ct
 from traintrack.ct import (
+    _clause_n,
+    _linear_inp_shape,
     check_ct,
     check_forward_rotationless,
     connecting_paths,
@@ -10,8 +13,9 @@ from traintrack.ct import (
     principal_vertices,
     vertex_period,
 )
-from traintrack.maps import GraphMap
-from traintrack.paths import MarkedGraph
+from traintrack.maps import GraphMap, filtration
+from traintrack.nielsen import NielsenCatalog, NielsenEntry
+from traintrack.paths import MarkedGraph, Path
 from traintrack.samples import (
     exceptional_rose,
     full_fps_map,
@@ -201,3 +205,63 @@ def test_report_rendering():
 def test_attaching_vertex_count_witness():
     report = check_ct(partial_fps_map())
     assert report.clause("V").witnesses == ["3 attaching vertices"]
+
+
+# -- clause N on linear families ---------------------------------------------------
+
+
+def _ladder(k):
+    g = _rose(["A", "B"])
+    return _map(g, {"A": "A", "B": " ".join(["B"] + ["A"] * k)})
+
+
+def _clause_n_on(m, paths):
+    """Clause N of m against a catalog that lists ``paths`` as its iNps."""
+    filt = filtration(m)
+    g = m.graph
+    entries = [
+        NielsenEntry(g.path(p.split()), 1, True, filt.height(g.path(p.split())))
+        for p in paths
+    ]
+    return _clause_n(m, filt, NielsenCatalog(m, 12, 3, entries, ()))
+
+
+def test_clause_n_skips_the_shape_check_for_family_members(monkeypatch):
+    calls = []
+    shape = ct._linear_inp_shape
+    monkeypatch.setattr(
+        ct, "_linear_inp_shape", lambda s, sigma: calls.append(sigma) or shape(s, sigma)
+    )
+    report = check_ct(_ladder(6))
+    assert report.clause("N").passed
+    assert calls == []
+
+
+def test_clause_n_fails_an_inp_of_non_linear_height():
+    # A is a fixed stratum: an iNp A A there breaks clause N
+    clause = _clause_n_on(_ladder(2), ["A A"])
+    assert clause.failures == [
+        "indivisible Nielsen path A A has height 0 in a non-linear fixed stratum"
+    ]
+
+
+def test_clause_n_fails_a_non_family_path_of_the_wrong_shape():
+    clause = _clause_n_on(_ladder(2), ["B A B' A B'", "B A A B'"])
+    assert clause.failures == [
+        "indivisible Nielsen path B A B' A B' of linear height 1 does not read E w^k Ebar"
+    ]
+
+
+def test_linear_inp_shape_reverses_only_when_the_forward_reading_fails(monkeypatch):
+    m = _ladder(2)
+    s = filtration(m)[1]
+    g = m.graph
+    reversed_ = []
+    reverse = Path.reverse
+    monkeypatch.setattr(Path, "reverse", lambda p: reversed_.append(p.edges) or reverse(p))
+    assert _linear_inp_shape(s, g.path(["B", "A", "A", "B'"]))
+    assert _linear_inp_shape(s, g.path(["B", "A'", "B'"]))
+    assert [r for r in reversed_ if len(r) > 1] == []  # the axis A is reversed
+    # neither B' A B nor its reverse B' A' B starts with B: rejected both ways
+    assert not _linear_inp_shape(s, g.path(["B'", "A", "B"]))
+    assert [r for r in reversed_ if len(r) > 1] == [("B'", "A", "B")]

@@ -5,16 +5,19 @@ Every case feeds one document from ``tests/golden/docs`` through stdin to
 in text and in ``--json`` form, against ``tests/golden/expected``.  The
 corpus covers each command the benchmark runs: ``check-ct``, ``nielsen``
 and ``disintegrate`` on the ladder A -> A, B -> B A^k; ``disintegrate``,
-``audit`` and ``classify`` on the type E and type C twist families;
-``check-ct``, ``coords``, ``fps`` and ``verify-commute`` on the sample
-maps.  Any change to a report, however small, fails here.
+``audit``, ``classify``, ``check-ct`` and ``nielsen`` on the type E and
+type C twist families; ``check-ct``, ``nielsen``, ``coords``, ``fps`` and
+``verify-commute`` on the sample maps.  Any change to a report, however
+small, fails here.
 
-The expected files were written once by running this module as a script::
+The expected files are written by running this module as a script::
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-which rewrites the documents and the expected outputs from the program as
-it stands.  Do that only for a deliberate change of output.
+which writes the documents, the expected outputs and the exit codes of the
+cases that have no expected file yet, from the program as it stands, and
+leaves every existing file alone.  To change an output on purpose, delete
+its expected file first.
 """
 
 import contextlib
@@ -82,8 +85,11 @@ def _cases():
         cases.append((doc, "disintegrate", ()))
         cases.append((doc, "audit", ()))
         cases.append((doc, "classify", ("--mode", mode)))
+        cases.append((doc, "check-ct", ()))
+        cases.append((doc, "nielsen", ()))
     for name in samples.SAMPLES:
         cases.append((name, "check-ct", ()))
+        cases.append((name, "nielsen", ()))
         cases.append((name, "coords", ("--tuple", COORDS_TUPLES[name])))
         cases.append((name, "fps", ()))
     for name, (a, b) in COMMUTE_TUPLES.items():
@@ -129,16 +135,50 @@ def test_golden_output(case_id, doc, argv):
     assert code == codes[case_id]
 
 
+def test_write_adds_only_missing_files(tmp_path, monkeypatch):
+    module = sys.modules[__name__]
+    for name in ("DOCS", "EXPECTED"):
+        monkeypatch.setattr(module, name, str(tmp_path / name.lower()))
+    monkeypatch.setattr(module, "MANIFEST", str(tmp_path / "exit_codes.json"))
+    monkeypatch.setattr(module, "CASES", CASES[:2])
+    with open(module.MANIFEST, "w", encoding="utf-8") as fh:
+        json.dump({"kept.case": 3}, fh)
+    write()
+    first, second = (_expected_path(case_id) for case_id, _, _ in CASES[:2])
+    with open(first, encoding="utf-8") as fh:
+        fresh = fh.read()
+    with open(first, "w", encoding="utf-8") as fh:
+        fh.write("stale")
+    os.remove(second)
+    write()
+    with open(first, encoding="utf-8") as fh:
+        assert fh.read() == "stale"
+    assert os.path.exists(second)
+    with open(module.MANIFEST, encoding="utf-8") as fh:
+        assert json.load(fh) == {"kept.case": 3, CASES[0][0]: 0, CASES[1][0]: 0}
+    assert fresh.startswith("(R) pass")
+
+
 def write():
+    """Write the documents, expected outputs and exit codes that are
+    missing; existing files are never rewritten."""
     os.makedirs(DOCS, exist_ok=True)
     os.makedirs(EXPECTED, exist_ok=True)
     for name, doc in _documents().items():
-        with open(os.path.join(DOCS, name + ".json"), "w", encoding="utf-8") as fh:
-            fh.write(document_text(doc))
+        path = os.path.join(DOCS, name + ".json")
+        if not os.path.exists(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(document_text(doc))
     codes = {}
+    if os.path.exists(MANIFEST):
+        with open(MANIFEST, encoding="utf-8") as fh:
+            codes = json.load(fh)
     for case_id, doc, argv in CASES:
+        path = _expected_path(case_id)
+        if os.path.exists(path):
+            continue
         codes[case_id], out = run(doc, argv)
-        with open(_expected_path(case_id), "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(out)
     with open(MANIFEST, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(codes, indent=1, sort_keys=True) + "\n")

@@ -593,6 +593,277 @@ def test_check_ct_runs_the_periodic_search(searches):
     assert searches == {"searches": 3, "composites": 2}
 
 
+# -- linear families in closed form -----------------------------------------------
+
+
+def generic_catalog(m, bound, period_bound=3):
+    """(entries, periodic, notes) by the member-by-member search: the pairing
+    loop without linear edges, and f^k searches that skip every period-one
+    entry in both orientations."""
+    filt = filtration(m)
+    sigmas, composite, families, capped = _search_fixed_paths(m, bound)
+    assert families == {}
+    entries = [(s.edges, not composite[s.edges], filt.height(s)) for s in sigmas]
+    known = frozenset(e for s in sigmas for e in (s.edges, s.reverse().edges))
+    notes = [nielsen._cap_note(1, d, cap) for d, cap in capped]
+    periodic = []
+    mk = m
+    for k in range(2, period_bound + 1):
+        mk = compose(m, mk)
+        sigmas_k, _, _, capped_k = _search_fixed_paths(mk, bound, known)
+        notes.extend(nielsen._cap_note(k, d, cap) for d, cap in capped_k)
+        for sigma in sigmas_k:
+            if _exact_period(m, sigma, k) == k:
+                periodic.append((sigma.edges, k, filt.height(sigma)))
+    return entries, periodic, tuple(notes)
+
+
+def assert_closed_form_matches_generic(m, bound=None):
+    bound = bound or default_length_bound(m)
+    cat = build_catalog(m, bound)
+    entries, periodic, notes = generic_catalog(m, bound)
+    assert [(x.path.edges, x.indivisible, x.height) for x in cat.entries] == entries
+    assert [(x.path.edges, x.period, x.height) for x in cat.periodic] == periodic
+    assert cat.budgets_hit == notes
+    filt = filtration(m)
+    for x in cat.entries:
+        if x.family is not None:
+            e = x.family
+            w = filt[filt.level(e)].axis.edges
+            mid = x.path.edges[1:-1]
+            k = len(mid) // len(w)
+            assert x.path.edges[0] == e and x.path.edges[-1] == inverse(e)
+            assert mid in (w * k, tuple(inverse(a) for a in reversed(w)) * k)
+    return cat
+
+
+def _family_members(cat):
+    return [x for x in cat.entries if x.family is not None]
+
+
+def _ladder(k):
+    return _map(_rose(["A", "B"]), {"A": "A", "B": " ".join(["B"] + ["A"] * k)})
+
+
+FAMILY_MAPS = {
+    "same_exponent_pair": lambda: _map(
+        _rose(["A", "B", "C"]), {"A": "A", "B": "B A A", "C": "C A A"}
+    ),
+    "opposite_exponents": lambda: _map(
+        _rose(["A", "B", "C"]), {"A": "A", "B": "B A", "C": "C A' A'"}
+    ),
+    "normal_form_on_the_inverse": lambda: _map(
+        _rose(["A", "B", "C"]), {"A": "A", "B": "B", "C": "B' A' C"}
+    ),
+    "axis_of_length_two": lambda: _map(
+        _rose(["A", "B", "C"]), {"A": "A", "B": "B", "C": "C A B A B"}
+    ),
+    "two_axes": lambda: _map(
+        _rose(["A", "B", "C", "D"]), {"A": "A", "B": "B", "C": "C A", "D": "D B' A B'"}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(SAMPLES)
+    + ["type_e_%d" % n for n in range(3, 9)]
+    + ["type_c_%d" % n for n in range(4, 8)],
+)
+def test_closed_form_matches_generic_corpus(name):
+    assert_closed_form_matches_generic(_corpus_map(name))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 25, 100])
+def test_closed_form_matches_generic_ladder(k):
+    m = _ladder(k)
+    cat = assert_closed_form_matches_generic(m)
+    # every iNp B A^j B' is a member of B's family, one per j within bound
+    assert cat.inps() == _family_members(cat)
+    assert [len(x.path) - 2 for x in cat.inps()] == list(range(1, cat.bound - 1))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_MAPS))
+def test_closed_form_matches_generic_family_maps(name):
+    m = FAMILY_MAPS[name]()
+    for bound in (5, 9, None):
+        cat = assert_closed_form_matches_generic(m, bound)
+        assert _family_members(cat)
+
+
+def test_exceptional_pair_stays_a_generic_pair():
+    # B A^j C' pairs B A^j with the bare C: not a family member
+    m = FAMILY_MAPS["same_exponent_pair"]()
+    cat = build_catalog(m, 7)
+    exceptional = [x for x in cat.entries if x.path.edges[0] != inverse(x.path.edges[-1])]
+    assert ("B", "A", "C'") in [x.path.edges for x in exceptional]
+    assert all(x.family is None for x in exceptional)
+    assert {x.family for x in _family_members(cat)} == {"B", "C"}
+
+
+def test_family_on_the_inverse_edge():
+    # f(C) = B' A' C, so f(C') = C' A B: the family is C' (A B)^k C
+    cat = build_catalog(FAMILY_MAPS["normal_form_on_the_inverse"](), 8)
+    members = _family_members(cat)
+    assert {x.family for x in members} == {"C'"}
+    assert [x.path.edges for x in members][:2] == [
+        ("C'", "A", "B", "C"), ("C'", "A", "B", "A", "B", "C"),
+    ]
+
+
+@st.composite
+def linear_roses(draw):
+    """Roses with one or two fixed edges under linear edges E -> E w^d or
+    E -> reverse(w)^d E (normal form on E') over cyclically reduced words w
+    in the fixed edges, some sharing w and d, and possibly a top edge with
+    an arbitrary image around itself."""
+    fixed = ["A", "B"][: draw(st.integers(1, 2))]
+    linear = ["L%d" % i for i in range(draw(st.integers(1, 3)))]
+    top = ["T"] if draw(st.booleans()) else []
+    g = _rose(fixed + linear + top)
+    letters = fixed + [inverse(x) for x in fixed]
+    images = {a: a for a in fixed}
+    w = None
+    for e in linear:
+        if w is None or draw(st.booleans()):
+            w = g.tighten(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3))).edges
+            while len(w) > 1 and w[0] == inverse(w[-1]):
+                w = w[1:-1]  # cyclically reduce
+            w = w or (fixed[0],)
+        d = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            images[e] = " ".join((e,) + w * d)
+        else:
+            images[e] = " ".join(tuple(inverse(x) for x in reversed(w)) * d + (e,))
+    below = letters + linear + [inverse(x) for x in linear]
+    for e in top:
+        u = draw(st.lists(st.sampled_from(below), max_size=2))
+        v = draw(st.lists(st.sampled_from(below), max_size=2))
+        images[e] = " ".join(g.tighten(u + [e] + v).edges)
+    return _map(g, images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_roses(), st.sampled_from([4, 6, 9, None]))
+def test_closed_form_matches_generic_linear_roses(m, bound):
+    assert_closed_form_matches_generic(m, bound)
+
+
+@pytest.fixture
+def guard_counts(monkeypatch):
+    """Records the paths given to the exact Nielsen check and counts f_#."""
+    log = {"checked": [], "apply": 0}
+    check, apply_ = nielsen.is_nielsen_path, GraphMap.apply
+
+    def counted_check(m, p):
+        log["checked"].append(p.edges)
+        return check(m, p)
+
+    def counted_apply(*args):
+        log["apply"] += 1
+        return apply_(*args)
+
+    monkeypatch.setattr(nielsen, "is_nielsen_path", counted_check)
+    monkeypatch.setattr(GraphMap, "apply", counted_apply)
+    return log
+
+
+def test_ladder_family_is_checked_once(guard_counts):
+    counts = []
+    for k in (25, 50, 100):
+        m = _ladder(k)
+        filtration(m)
+        guard_counts.update(checked=[], apply=0)
+        cat = build_catalog(m)
+        assert len(cat.inps()) == cat.bound - 2
+        # B's family: one check, on its shortest member; A A is the other pair
+        assert guard_counts["checked"] == [("A", "A"), ("B", "A", "B'")]
+        counts.append(guard_counts["apply"])
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_periodic_search_checks_neither_members_nor_known_entries(guard_counts):
+    # on f^2, f^3 the members of B's family are dropped on sight and A A is
+    # a known period-one entry: nothing is left to check
+    for k in (3, 25):
+        cat = build_catalog(_ladder(k))
+        guard_counts.update(checked=[])
+        assert cat.periodic == []
+        assert guard_counts["checked"] == []
+
+
+def test_a_generic_pair_giving_a_member_is_listed_once(monkeypatch):
+    # Pathological maps could pair two other prefixes into a member E w^i
+    # Ebar; the catalog keeps one copy.  Simulated on B -> B A by a stable
+    # prefix B A' read off another direction, which pairs with B A into the
+    # member B A A B'.
+    stable_prefixes = nielsen._stable_prefixes
+
+    def with_extra_prefix(m, bound, iter_cap=None):
+        found, capped = stable_prefixes(m, bound, iter_cap)
+        (_, end, sid, _, _), = [r for r in found if r[0] == ("B",)]
+        return found + [(("B", "A'"), end, sid, False, "A'")], capped
+
+    monkeypatch.setattr(nielsen, "_stable_prefixes", with_extra_prefix)
+    cat = build_catalog(_ladder(1), 6)
+    paths = [x.path.edges for x in cat.entries]
+    assert paths.count(("B", "A", "A", "B'")) == 1
+    assert len(paths) == len(set(paths))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_stable_prefixes_are_listed_once(name):
+    m = SAMPLES[name]()
+    for mk in (m, compose(m, m)):
+        prefixes = [r[0] for r in _stable_prefixes(mk, default_length_bound(m))[0]]
+        assert len(prefixes) == len(set(prefixes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_roses(), st.integers(4, 8))
+def test_stable_prefixes_are_listed_once_arbitrary_roses(m, bound):
+    prefixes = [r[0] for r in _stable_prefixes(m, bound)[0]]
+    assert len(prefixes) == len(set(prefixes))
+
+
+def test_a_failed_family_check_drops_the_family(monkeypatch):
+    # one member decides the whole family, so a False verdict drops them all
+    m = _ladder(3)
+    monkeypatch.setattr(
+        nielsen, "is_nielsen_path", lambda mk, p: p.edges[0] != "B" and mk.apply(p) == p
+    )
+    cat = build_catalog(m)
+    assert _family_members(cat) == [] and cat.inps() == []
+
+
+def test_view_keeps_the_family_marks():
+    m = FAMILY_MAPS["two_axes"]()
+    full = build_catalog(m)
+    filt = filtration(m)
+    for r in range(1, len(filt) + 1):
+        sub = restrict(m, filt.prefix_edges(r))
+        view = full.view(sub)
+        own = build_catalog(restrict(m, filt.prefix_edges(r)))
+        assert [(x.path.edges, x.family, x.height) for x in view.entries] == [
+            (x.path.edges, x.family, x.height) for x in own.entries
+        ]
+
+
+def test_inps_by_first_holds_both_orientations_of_each_member():
+    for m in (_ladder(7), FAMILY_MAPS["axis_of_length_two"](), gen_type_c(4).generic):
+        cat = build_catalog(m)
+        expected = {}
+        for x in cat.inps():
+            for sigma in (x.path, x.path.reverse()):
+                expected.setdefault(sigma.edges[0], []).append((sigma.edges, x.height))
+        got = {
+            e: [(sigma.edges, h) for sigma, h in lst] for e, lst in cat.inps_by_first.items()
+        }
+        for lst in expected.values():
+            lst.sort(key=lambda sh: -len(sh[0]))
+        assert got == expected
+
+
 # -- linear edges and axes -------------------------------------------------------
 
 
