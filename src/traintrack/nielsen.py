@@ -26,9 +26,10 @@ path is exact and does not need the catalog to be complete.
 Linear families: for a linear edge E, f(E) = E.w^d with w a closed Nielsen
 path, every E w^k Ebar is Nielsen.  The search recognises the pairs that give
 these paths as one family per E, checks one member exactly (that decides the
-whole family) and writes the members out in closed form, without building,
-checking or hashing them one by one.  The catalog still lists every member
-within the bound, marked with its family.
+whole family) and keeps it compact: E, the body b (w or reverse(w)) and one
+(k, composite flag) record per member within the bound.  Views, complete
+splitting and the CT check read the records; the members are written out as
+paths only when a catalog's ``entries`` list is first read.
 
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
@@ -43,6 +44,8 @@ Nielsen paths exactly those of f that lie in the subgraph, since f_# of a
 path there is computed there; :meth:`NielsenCatalog.view` reads the
 subgraph's catalog off the full one instead of searching again.
 """
+
+from functools import cached_property
 
 from .paths import Circuit, Path, inverse
 from .maps import filtration, direction_map, illegal_turns, compose
@@ -199,19 +202,25 @@ class NielsenCatalog:
 
     * ``fixed_edges``: edges with f(E) = E (length-one Nielsen paths; kept
       apart from iNps, which have length at least two).
+    * ``families``: the linear families, ``{E: (b, records, height)}``: the
+      members are E b^i Ebar, one per record (i, composite flag), i
+      ascending, b the body in the orientation the catalog lists, height
+      E's level.  No member is kept as a path.
+    * ``generic``: the other period-one entries, each its own path.
     * ``entries``: the period-one Nielsen paths p.reverse(q) of length 2..
       ``bound`` paired from stable prefixes (not every Nielsen path within
       the bound; see the module docstring), each flagged indivisible or
-      composite, exactly, with its filtration height.  The members
-      E w^k Ebar of a linear edge's family are found as one family by the
-      search, checked once and written out in closed form; the list holds
-      every member, marked with ``family``.
+      composite, exactly, with its filtration height, in (length, order
+      key) order: ``generic`` and the family members, written out in
+      closed form on the first read and marked with ``family``.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
     * ``budgets_hit``: one note per search ray cut at its iterate cap, those
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
       search.
-    * ``inps_by_first``: the iNps in both orientations, grouped by first
-      edge, longest first (with their heights), for complete splitting.
+    * ``inps_by_first``: the generic iNps in both orientations, grouped by
+      first edge, longest first (with their heights), for complete
+      splitting, which matches family members from their records instead.
+      Built on first read.
 
     The period-one search runs when the catalog is built.  The f^k searches
     behind ``periodic`` and the f^k notes of ``budgets_hit`` run once, on
@@ -222,7 +231,7 @@ class NielsenCatalog:
     "not found within bound".
     """
 
-    def __init__(self, m, bound, period_bound, entries, notes):
+    def __init__(self, m, bound, period_bound, entries, notes, families=None):
         g = m.graph
         self.map = m
         self.bound = bound
@@ -230,29 +239,34 @@ class NielsenCatalog:
         self.fixed_edges = [
             e for e in g.edge_names if m.edge_images[e].edges == (e,)
         ]
-        self.entries = entries
+        self.generic = entries
+        self.families = families or {}
         self._fixed_notes = tuple(notes)
         self._periodic = None
-        self.inps_by_first = {}
-        back_bodies = {}  # E -> reverse(b), for the family members E b^i Ebar
-        for entry in self.inps():
-            edges, e = entry.path.edges, entry.family
-            if e is None:
-                back = entry.path.reverse()
-            else:  # E b^i Ebar read backwards is E reverse(b)^i Ebar
-                if e not in back_bodies:
-                    filt = filtration(m)
-                    b = edges[1 : 1 + len(filt[filt.level(e)].axis)]
-                    back_bodies[e] = tuple(map(g.inverse_of.__getitem__, reversed(b)))
-                body = back_bodies[e]
-                back = Path(g, edges[:1] + body * ((len(edges) - 2) // len(body)) + edges[-1:])
-            for sigma in (entry.path, back):
-                self.inps_by_first.setdefault(sigma.edges[0], []).append(
-                    (sigma, entry.height)
-                )
-        for lst in self.inps_by_first.values():
-            lst.sort(key=lambda sh: -len(sh[0]))
         self._image_qe = {}
+
+    @cached_property
+    def entries(self):
+        if not self.families:
+            return self.generic
+        g = self.map.graph
+        members = [
+            NielsenEntry(path, 1, not split, height, e)
+            for e, (b, records, height) in self.families.items()
+            for path, split in _family_members(g, e, b, records)
+        ]
+        return _in_order(g.order_key, self.generic + members, lambda x: x.path.edges)
+
+    @cached_property
+    def inps_by_first(self):
+        out = {}
+        for entry in self.generic:
+            if entry.indivisible:
+                for sigma in (entry.path, entry.path.reverse()):
+                    out.setdefault(sigma.edges[0], []).append((sigma, entry.height))
+        for lst in out.values():
+            lst.sort(key=lambda sh: -len(sh[0]))
+        return out
 
     def _periodic_part(self):
         if self._periodic is None:
@@ -291,12 +305,15 @@ class NielsenCatalog:
 
         f_# of a path in an invariant subgraph is computed inside it, so
         the Nielsen paths of f|sub are those of f that lie in sub, and they
-        split the same way.  The view keeps the entries whose edges lie in
-        sub and whose length is at most sub's default bound, rebuilt on
-        sub's graph with their heights in sub's filtration.  It carries this
-        catalog's period-one budget notes; its periodic list is searched on
-        sub when first read.  It is kept in sub's cache where
-        :func:`build_catalog` looks for it.
+        split the same way.  The view keeps the generic entries whose edges
+        lie in sub and whose length is at most sub's default bound, rebuilt
+        on sub's graph with their heights in sub's filtration.  It keeps
+        the family of each linear edge E in sub (its body lies below E, so
+        in sub too) with the records of the members within the bound and
+        E's level in sub's filtration as height, and builds no member.  It
+        carries this catalog's period-one budget notes; its periodic list
+        is searched on sub when first read.  It is kept in sub's cache
+        where :func:`build_catalog` looks for it.
         """
         bound = default_length_bound(sub)
         if bound > self.bound:
@@ -307,14 +324,20 @@ class NielsenCatalog:
         g = sub.graph
         filt = filtration(sub)
         entries = []
-        for entry in self.entries:
+        for entry in self.generic:
             edges = entry.path.edges
             if len(edges) <= bound and all(e in g.inverse_of for e in edges):
                 path = Path(g, edges)
-                entries.append(
-                    NielsenEntry(path, 1, entry.indivisible, filt.height(path), entry.family)
-                )
-        cat = NielsenCatalog(sub, bound, self.period_bound, entries, self._fixed_notes)
+                entries.append(NielsenEntry(path, 1, entry.indivisible, filt.height(path)))
+        families = {}
+        for e, (b, records, _) in self.families.items():
+            if e in g.inverse_of:
+                kept = [r for r in records if 2 + r[0] * len(b) <= bound]
+                if kept:
+                    families[e] = (b, kept, filt.level(e))
+        cat = NielsenCatalog(
+            sub, bound, self.period_bound, entries, self._fixed_notes, families
+        )
         sub._cache[key] = cat
         return cat
 
@@ -324,9 +347,10 @@ class NielsenCatalog:
             if self._periodic is None
             else "%d periodic" % len(self.periodic)
         )
+        n_entries = len(self.generic) + sum(len(f[1]) for f in self.families.values())
         return "<NielsenCatalog %d fixed edges, %d entries, %s, bound %d>" % (
             len(self.fixed_edges),
-            len(self.entries),
+            n_entries,
             periodic,
             self.bound,
         )
@@ -436,10 +460,10 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
     return sigmas, composite, families, capped
 
 
-def _family_entries(m, filt, e, w, records):
-    """Catalog entries of the linear family E b^i Ebar, in closed form, for
-    the recorded (i, composite flag) pairs; b is w or reverse(w), the
-    orientation the search keeps.
+def _checked_family(m, filt, e, w, records):
+    """E's linear family (b, records, height) from the recorded (i,
+    composite flag) pairs, or None when its members are not Nielsen; b is w
+    or reverse(w), the orientation the search keeps.
 
     Each member's reverse is E reverse(b)^i Ebar; the two first differ where
     b and reverse(b) do, so one comparison orients every member.  One
@@ -454,15 +478,36 @@ def _family_entries(m, filt, e, w, records):
     body = _lesser_orientation(
         g.order_key, w, tuple(map(inverse_of.__getitem__, reversed(w)))
     )
-    tail = (inverse_of[e],)
-    ray = (e,) + body * max(records)[0]
-    if not is_nielsen_path(m, Path(g, ray[: 1 + len(body) * min(records)[0]] + tail)):
-        return []
-    height = filt.level(e)
-    return [
-        NielsenEntry(Path(g, ray[: 1 + len(body) * i] + tail), 1, not split, height, e)
-        for i, split in records
-    ]
+    records = sorted(records)
+    shortest = (e,) + body * records[0][0] + (inverse_of[e],)
+    if not is_nielsen_path(m, Path(g, shortest)):
+        return None
+    return body, records, filt.level(e)
+
+
+def _family_members(g, e, b, records):
+    """(path, composite flag) of each member E b^i Ebar of a family."""
+    tail = (g.inverse_of[e],)
+    ray = (e,) + b * records[-1][0]
+    return [(Path(g, ray[: 1 + len(b) * i] + tail), split) for i, split in records]
+
+
+def _drop_listed_members(families, generic, inverse_of):
+    """Remove from ``families`` the records of members that a generic entry
+    already lists (on some map another pair might give a member too: list
+    it once), and the families left without records."""
+    for x in generic:
+        edges = x.path.edges
+        fam = families.get(edges[0])
+        if fam is None or edges[-1] != inverse_of[edges[0]]:
+            continue
+        b, records, height = fam
+        i, rest = divmod(len(edges) - 2, len(b))
+        if not rest and edges[1:-1] == b * i:
+            records = [r for r in records if r[0] != i]
+            families[edges[0]] = (b, records, height)
+            if not records:
+                del families[edges[0]]
 
 
 def build_catalog(m, bound=None, period_bound=3):
@@ -475,8 +520,9 @@ def build_catalog(m, bound=None, period_bound=3):
     map per (bound, period_bound).
 
     The search recognises each linear edge's family E w^k Ebar once, and
-    its members are written out in closed form after one exact check (see
-    :func:`_family_entries`); the entries are the same as member by member.
+    the catalog keeps it as a family after one exact check (see
+    :func:`_checked_family`); its ``entries`` are the same as member by
+    member.
     """
     if bound is None:
         bound = default_length_bound(m)
@@ -485,22 +531,19 @@ def build_catalog(m, bound=None, period_bound=3):
         return m._cache[key]
     filt = filtration(m)
     linear = _linear_axes(filt)
-    sigmas, composite, families, capped = _search_fixed_paths(m, bound, linear=linear)
+    sigmas, composite, records, capped = _search_fixed_paths(m, bound, linear=linear)
     budgets_hit = [_cap_note(1, d, cap) for d, cap in capped]
-    entries = [
+    generic = [
         NielsenEntry(sigma, 1, not composite[sigma.edges], filt.height(sigma))
         for sigma in sigmas
     ]
-    # on some map another pair might give a member too: list it once
-    taken = {x.path.edges for x in entries if x.path.edges[0] in families}
-    for e, records in families.items():
-        members = _family_entries(m, filt, e, linear[e], records)
-        if taken:
-            members = [x for x in members if x.path.edges not in taken]
-        entries.extend(members)
-    if families:
-        entries = _in_order(m.graph.order_key, entries, lambda x: x.path.edges)
-    cat = NielsenCatalog(m, bound, period_bound, entries, budgets_hit)
+    families = {}
+    for e, recs in records.items():
+        fam = _checked_family(m, filt, e, linear[e], recs)
+        if fam is not None:
+            families[e] = fam
+    _drop_listed_members(families, generic, m.graph.inverse_of)
+    cat = NielsenCatalog(m, bound, period_bound, generic, budgets_hit, families)
     m._cache[key] = cat
     return cat
 
@@ -514,7 +557,7 @@ def _search_periodic(cat):
     orientations, are skipped there, since f^k fixes them with period one.
     The members of linear families are fixed by f too (f(E) = E.w^d with
     w Nielsen), so the f^k searches drop their pairs on sight and
-    ``known`` holds only the other entries.  Every other candidate gets the
+    ``known`` holds only the generic entries.  Every other candidate gets the
     full f^k_# check and the exact period probe.
     """
     m, bound = cat.map, cat.bound
@@ -522,8 +565,7 @@ def _search_periodic(cat):
     linear = _linear_axes(filt)
     known = frozenset(
         edges
-        for entry in cat.entries
-        if entry.family is None
+        for entry in cat.generic
         for edges in (entry.path.edges, entry.path.reverse().edges)
     )
     periodic = []
@@ -782,8 +824,17 @@ def _juncture_ok(m, left, right, k_max):
     return "depth"
 
 
-def _candidates(m, path, i, filt, fams, inps_by_first):
-    """Candidate terms starting at offset i, in search priority order."""
+def _candidates(m, path, i, filt, fams, inps_by_first, families):
+    """Candidate terms starting at offset i, in search priority order:
+    longest first, an exceptional path before an iNp of the same length,
+    a single edge last.
+
+    Generic iNps come from ``inps_by_first``.  Where the edge at i is a
+    family's E, its members are matched from the records, none built as a
+    path: the repeats of b, and of reverse(b) (a member read backwards),
+    are counted once, and each indivisible record k whose Ebar follows the
+    k-th repeat gives a candidate.
+    """
     e = path.edges[i]
     lvl = filt.level(e)
     if filt[lvl].kind == "zero":
@@ -815,6 +866,21 @@ def _candidates(m, path, i, filt, fams, inps_by_first):
         n = len(sigma)
         if path.edges[i : i + n] == sigma.edges:
             cands.append((i + n, Term(TERM_INP, path.subpath(i, i + n), height=height)))
+    # members of E's linear family, read off the records
+    if e in families:
+        b, records, height = families[e]
+        edges, inverse_of = path.edges, m.graph.inverse_of
+        tail, n = inverse_of[e], len(b)
+        for body in (b, tuple(map(inverse_of.__getitem__, reversed(b)))):
+            pos, reps = i + 1, 0
+            for k, split in records:
+                while reps < k and edges[pos : pos + n] == body:
+                    pos, reps = pos + n, reps + 1
+                if reps < k:
+                    break
+                if not split and pos < len(edges) and edges[pos] == tail:
+                    term = Term(TERM_INP, path.subpath(i, pos + 1), height=height)
+                    cands.append((pos + 1, term))
     # a single edge of an irreducible stratum
     single = Term(TERM_EDGE, path.subpath(i, i + 1), height=lvl)
     cands.sort(key=lambda et: (-et[0], et[1].kind != TERM_EXC))
@@ -838,7 +904,7 @@ def complete_split(m, path, catalog=None, k_max=4, node_cap=100000):
     if path.is_trivial():
         return CompleteSplitting(path, [], "trivial")
     fams = qe_families(m)
-    inps_by_first = catalog.inps_by_first
+    inps_by_first, families = catalog.inps_by_first, catalog.families
 
     # Depth-first search with an explicit stack, so the depth is not
     # limited by the number of terms.  ``terms`` is the parse so far and
@@ -858,7 +924,8 @@ def complete_split(m, path, catalog=None, k_max=4, node_cap=100000):
         if i == len(path):
             break
         best_fail = max(best_fail, i)
-        frames.append((i, iter(_candidates(m, path, i, filt, fams, inps_by_first)), worst))
+        cands = _candidates(m, path, i, filt, fams, inps_by_first, families)
+        frames.append((i, iter(cands), worst))
         while frames:
             i, todo, worst = frames[-1]
             for term in todo:

@@ -4,9 +4,10 @@ Every case feeds one document from ``tests/golden/docs`` through stdin to
 ``traintrack.cli.main`` and compares the exit code and the exact stdout,
 in text and in ``--json`` form, against ``tests/golden/expected``.  The
 corpus covers each command the benchmark runs: ``check-ct``, ``nielsen``
-and ``disintegrate`` on the ladder A -> A, B -> B A^k; ``disintegrate``,
-``audit``, ``classify``, ``check-ct`` and ``nielsen`` on the type E and
-type C twist families; ``check-ct``, ``nielsen``, ``coords``, ``fps`` and
+and ``disintegrate`` on the ladder A -> A, B -> B A^k (``check-ct`` also at
+k = 100); ``disintegrate``, ``audit``, ``classify``, ``check-ct`` and
+``nielsen`` on the type E and type C twist families (all but ``nielsen``
+on the largest, type E n=6 and type C n=5); ``check-ct``, ``nielsen``, ``coords``, ``fps`` and
 ``verify-commute`` on the sample maps.  Any change to a report, however
 small, fails here.
 
@@ -48,10 +49,11 @@ def _ladder(k):
 
 
 def _documents():
-    docs = {"ladder_%d" % k: _ladder(k) for k in (25, 50)}
-    for n in (3, 4, 5):
+    docs = {"ladder_%d" % k: _ladder(k) for k in (25, 50, 100)}
+    for n in (3, 4, 5, 6):
         docs["type_e_%d" % n] = document_from_map(gen_type_e(n).generic, "type_e_%d" % n)
-    docs["type_c_4"] = document_from_map(gen_type_c(4).generic, "type_c_4")
+    for n in (4, 5):
+        docs["type_c_%d" % n] = document_from_map(gen_type_c(n).generic, "type_c_%d" % n)
     for name, factory in samples.SAMPLES.items():
         docs[name] = document_from_map(factory())
     return docs
@@ -81,12 +83,19 @@ def _cases():
     for k in (25, 50):
         for cmd in ("check-ct", "nielsen", "disintegrate"):
             cases.append(("ladder_%d" % k, cmd, ()))
+    cases.append(("ladder_100", "check-ct", ()))
     for doc, mode in [("type_e_%d" % n, "general") for n in (3, 4, 5)] + [("type_c_4", "ia")]:
         cases.append((doc, "disintegrate", ()))
         cases.append((doc, "audit", ()))
         cases.append((doc, "classify", ("--mode", mode)))
         cases.append((doc, "check-ct", ()))
         cases.append((doc, "nielsen", ()))
+    # the largest maps of the benchmark's twist families
+    for doc, mode in (("type_e_6", "general"), ("type_c_5", "ia")):
+        cases.append((doc, "disintegrate", ()))
+        cases.append((doc, "audit", ()))
+        cases.append((doc, "classify", ("--mode", mode)))
+        cases.append((doc, "check-ct", ()))
     for name in samples.SAMPLES:
         cases.append((name, "check-ct", ()))
         cases.append((name, "nielsen", ()))

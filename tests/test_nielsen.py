@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traintrack import MarkedGraph, nielsen
+from traintrack import ct as ct_module
 from traintrack.ct import check_ct
-from traintrack.errors import LViolation, MalformedPath, NotCompletelySplit
+from traintrack.errors import LViolation, MalformedPath, NotCompletelySplit, TrainTrackError
 from traintrack.maps import GraphMap, compose, filtration, restrict
 from traintrack.paths import base_name, inverse
 from traintrack.nielsen import (
@@ -21,6 +22,7 @@ from traintrack.nielsen import (
     TERM_EXC,
     TERM_INP,
     TERM_QE,
+    NielsenCatalog,
     Term,
     _search_fixed_paths,
     _stable_prefixes,
@@ -42,6 +44,7 @@ from traintrack.maxrank import (
     gen_type_c,
     gen_type_e,
     rank_audit,
+    stage_ranks,
     valid_orders,
 )
 from traintrack.samples import (
@@ -410,6 +413,7 @@ def test_view_equals_the_prefix_search(name):
             assert all(x.path.graph is sub.graph for x in view.entries)
             assert build_catalog(sub) is view
             own = build_catalog(restrict(m, keep))
+            assert view.families == own.families, (name, order, r)
             assert _catalog_record(view) == _catalog_record(own), (name, order, r)
 
 
@@ -849,19 +853,145 @@ def test_view_keeps_the_family_marks():
         ]
 
 
-def test_inps_by_first_holds_both_orientations_of_each_member():
-    for m in (_ladder(7), FAMILY_MAPS["axis_of_length_two"](), gen_type_c(4).generic):
-        cat = build_catalog(m)
-        expected = {}
-        for x in cat.inps():
-            for sigma in (x.path, x.path.reverse()):
-                expected.setdefault(sigma.edges[0], []).append((sigma.edges, x.height))
-        got = {
-            e: [(sigma.edges, h) for sigma, h in lst] for e, lst in cat.inps_by_first.items()
-        }
-        for lst in expected.values():
-            lst.sort(key=lambda sh: -len(sh[0]))
-        assert got == expected
+def _member_by_member(cat):
+    """The iNp index of a catalog built as if every family member were a
+    generic entry: both orientations of every ``inps()`` entry, grouped by
+    first edge, longest first."""
+    out = {}
+    for x in cat.inps():
+        for sigma in (x.path, x.path.reverse()):
+            out.setdefault(sigma.edges[0], []).append((sigma, x.height))
+    for lst in out.values():
+        lst.sort(key=lambda sh: -len(sh[0]))
+    return out
+
+
+def _split_requests(m, monkeypatch, audit=False):
+    """(map, path, catalog) of every ``complete_split`` call made by
+    ``check_ct`` and ``disintegrate`` on m (and ``stage_ranks`` when
+    ``audit``), once per (catalog, path)."""
+    calls = {}
+    split = nielsen.complete_split
+
+    def recording(mk, path, catalog=None, **kwargs):
+        cat = catalog if catalog is not None else build_catalog(mk)
+        calls.setdefault((id(cat), path.edges), (mk, path, cat))
+        return split(mk, path, catalog, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(nielsen, "complete_split", recording)
+        mp.setattr(ct_module, "complete_split", recording)
+        check_ct(m)
+        for run in (disintegrate, stage_ranks) if audit else (disintegrate,):
+            try:
+                run(m)
+            except TrainTrackError:
+                pass
+    return list(calls.values())
+
+
+def _terms(splitting):
+    return [
+        (t.kind, t.path.edges, t.height, t.power, t.family and t.family.key())
+        for t in splitting.terms
+    ]
+
+
+def _split_or_position(split, *args):
+    try:
+        return _terms(split(*args))
+    except NotCompletelySplit as exc:
+        return exc.position
+
+
+def assert_candidates_match_member_by_member(m, monkeypatch, audit=False):
+    # families matched from their records offer the candidates, in the
+    # order, that every member listed in both orientations would offer
+    requests = _split_requests(m, monkeypatch, audit)
+    assert requests
+    for mk, path, cat in requests:
+        try:
+            fams = qe_families(mk)
+        except LViolation:
+            continue  # complete_split refuses the map before any candidate
+        filt = filtration(mk)
+        flat = NielsenCatalog(mk, cat.bound, cat.period_bound, cat.entries, ())
+        flat.__dict__["inps_by_first"] = _member_by_member(cat)
+        for i in range(len(path)):
+            got, want = (
+                [(t.kind, t.path.edges, t.height) for t in nielsen._candidates(
+                    mk, path, i, filt, fams, c.inps_by_first, c.families
+                )]
+                for c in (cat, flat)
+            )
+            assert got == want, (path.edges, i)
+        for split in (complete_split, qe_split):
+            assert _split_or_position(split, mk, path, cat) == _split_or_position(
+                split, mk, path, flat
+            )
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(SAMPLES)
+    + ["type_e_%d" % n for n in range(3, 9)]
+    + ["type_c_%d" % n for n in range(4, 8)],
+)
+def test_candidates_match_member_by_member_corpus(name, monkeypatch):
+    m = _corpus_map(name)
+    assert_candidates_match_member_by_member(m, monkeypatch, audit=name.startswith("type_"))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 25, 100])
+def test_candidates_match_member_by_member_ladder(k, monkeypatch):
+    assert_candidates_match_member_by_member(_ladder(k), monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_MAPS))
+def test_candidates_match_member_by_member_family_maps(name, monkeypatch):
+    assert_candidates_match_member_by_member(FAMILY_MAPS[name](), monkeypatch, audit=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_roses())
+def test_candidates_match_member_by_member_linear_roses(m):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_candidates_match_member_by_member(m, monkeypatch)
+
+
+@pytest.fixture
+def members_written(monkeypatch):
+    """Counts the family members written out as paths."""
+    log = {"members": 0}
+    write = nielsen._family_members
+
+    def counted(g, e, b, records):
+        log["members"] += len(records)
+        return write(g, e, b, records)
+
+    monkeypatch.setattr(nielsen, "_family_members", counted)
+    return log
+
+
+@pytest.mark.parametrize("name", ["type_e_6", "type_c_5"])
+def test_stage_ranks_writes_no_member_out(name, members_written):
+    m = _corpus_map(name)
+    stage_ranks(m)
+    assert build_catalog(m).families
+    assert members_written["members"] == 0
+
+
+def test_check_ct_on_the_ladder_writes_no_member_out(members_written):
+    m = _ladder(100)
+    report = check_ct(m)
+    assert report.passed
+    assert members_written["members"] == 0
+    # the first read of the entries writes every member out, once; clause N
+    # counted them from the records
+    cat = build_catalog(m)
+    assert len(cat.inps()) == len(cat.entries) - 1 == cat.bound - 2
+    assert members_written["members"] == cat.bound - 2
+    assert report.clauses["N"].witnesses == ["%d indivisible Nielsen paths" % (cat.bound - 2)]
 
 
 # -- linear edges and axes -------------------------------------------------------
