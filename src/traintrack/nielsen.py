@@ -8,13 +8,17 @@ suffix s pair into sigma = p.reverse(q), and
 
     f_#(sigma) = [p.s.reverse(s).reverse(q)] = sigma,
 
-so every pair is Nielsen.  The catalog lists these pairs up to the length
-bound and makes no claim beyond it.  It does not list every Nielsen path
-within the bound: a ray that starts with a fixed edge stops at length one,
-so concatenations such as ``E1 E1 E1`` over a fixed edge E1 are never
-paired (on ``qe_rose`` at bound 6 the catalog holds 9 of the 97 Nielsen
-paths of length >= 2 that brute force over tight paths finds), and on maps
-that are not train tracks indivisible Nielsen paths can be missed as well.
+so every pair is Nielsen; conversely, for stable p, q with one end,
+[p.s_p.reverse(s_q).reverse(q)] = p.reverse(q) forces the tight s_p, s_q to
+be equal: s_p = s_q iff p.reverse(q) is Nielsen.  The search keys suffixes
+by (length, first edge, last edge) and compares them only where keys meet.
+The catalog lists these pairs up to the length bound and makes no claim
+beyond it.  It does not list every Nielsen path within the bound: a ray
+that starts with a fixed edge stops at length one, so concatenations such
+as ``E1 E1 E1`` over a fixed edge E1 are never paired (on ``qe_rose`` at
+bound 6 the catalog holds 9 of the 97 Nielsen paths of length >= 2 that
+brute force over tight paths finds), and on maps that are not train
+tracks indivisible Nielsen paths can be missed as well.
 
 Composite test: if sigma = alpha.beta and f_#(alpha) = alpha, then
 f_#(beta) = [reverse(alpha).f_#(sigma)] = beta.  So sigma = p.reverse(q) is
@@ -45,7 +49,7 @@ path there is computed there; :meth:`NielsenCatalog.view` reads the
 subgraph's catalog off the full one instead of searching again.
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from .paths import Circuit, Path, inverse
 from .maps import filtration, direction_map, illegal_turns, compose
@@ -85,13 +89,13 @@ def _lesser_orientation(order_key, fwd, bwd):
 
 
 def _stable_prefixes(m, bound, iter_cap=None):
-    """(prefix, end, suffix id, split, direction) with f_#(prefix) =
+    """(prefix, end, suffix key, split, direction) with f_#(prefix) =
     prefix.suffix, |prefix| <= bound, ``end`` the prefix's terminal vertex,
-    the suffix given by a small integer (equal ids for equal suffixes),
-    split true when a prefix of prefix is Nielsen and ``direction`` the
-    fixed direction whose ray the prefix was read off; and (direction,
-    iter_cap) for each fixed direction whose ray ran out of iterates.
-    Prefixes are edge tuples.
+    the suffix keyed, uncopied, by (length, first edge, last edge) or (0,)
+    when empty (equal suffixes, equal keys), split true when a prefix of
+    prefix is Nielsen and ``direction`` the fixed direction whose ray the
+    prefix was read off; and (direction, iter_cap) for each fixed direction
+    whose ray ran out of iterates.  Prefixes are edge tuples.
 
     Prefixes start with a fixed direction.  The limit ray of a fixed
     direction is developed incrementally -- once the reduced image extends
@@ -112,7 +116,6 @@ def _stable_prefixes(m, bound, iter_cap=None):
     image_of, term_of, inverse_of = m.image_of, g.term_of, g.inverse_of
     dm = direction_map(m)
     found = []
-    suffix_ids = {}
     swept = []
     capped = []
 
@@ -126,7 +129,6 @@ def _stable_prefixes(m, bound, iter_cap=None):
         img = []
         agree = 0
         split = False
-        tail = None
         for n, e in enumerate(edge_seq, 1):
             im = image_of[e]
             if img and img[-1] == inverse_of[im[0]]:
@@ -138,24 +140,22 @@ def _stable_prefixes(m, bound, iter_cap=None):
             if agree == n and len(img) >= n:
                 split = split or len(img) == n  # edge_seq[:n] is Nielsen
                 if n > done:
-                    rest = img[n:]
-                    if rest != tail:  # a ray's suffix repeats from prefix to prefix
-                        tail = rest
-                        sid = suffix_ids.setdefault(tuple(rest), len(suffix_ids))
-                    found.append((edge_seq[:n], term_of[e], sid, split, d))
+                    rest = len(img) - n
+                    key = (rest, img[n], img[-1]) if rest else (0,)
+                    found.append((edge_seq[:n], term_of[e], key, split, d))
 
     for d in g.directions():
         if dm.map[d] != d:
             continue
         ray = g.path([d])
-        seen = set()
+        seen = {}  # earlier iterates by length: compared, never hashed
         pending = ray
         for _ in range(iter_cap):
             nxt = m.apply(ray)
             stop = (
                 nxt.is_trivial()
                 or nxt.edges == ray.edges
-                or nxt.edges in seen
+                or nxt.edges in seen.get(len(nxt), ())
                 or len(ray) > bound + 2
             )
             if not nxt.is_trivial() and not nxt.starts_with(pending):
@@ -165,12 +165,19 @@ def _stable_prefixes(m, bound, iter_cap=None):
                 pending = nxt if not nxt.is_trivial() else pending
             if stop:
                 break
-            seen.add(nxt.edges)
+            seen.setdefault(len(nxt), []).append(nxt.edges)
             ray = nxt
         else:
             capped.append((d, iter_cap))
         sweep(pending.edges, d)
     return found, capped
+
+
+def _growth_suffix(m, p):
+    """The list s with f_#(p) = p.s, for a stable prefix p (edge tuple)."""
+    img = []
+    m.graph.seam_extend(img, map(m.image_of.__getitem__, p))
+    return img[len(p):]
 
 
 def _common_prefix_length(a, b):
@@ -380,16 +387,18 @@ def _linear_axes(filt):
 def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
     """Nielsen paths of length 2..bound via the stable prefix pairing.
 
-    Prefixes are grouped by (end vertex, growth suffix) and, within a
-    group, bucketed by last edge: sigma = p . reverse(q) is tight only for
-    p, q from different buckets.  The pair (q, p) gives only
+    Prefixes are grouped by (end vertex, suffix key) and, within a group,
+    bucketed by last edge: sigma = p . reverse(q) is tight only for p, q
+    from different buckets.  The pair (q, p) gives only
     reverse(p . reverse(q)), so each unordered pair of buckets is paired
-    once.  Candidates whose edge tuple is in ``known`` are skipped
+    once.  Equal keys do not make equal suffixes, so p and q pair only if
+    f_#(p) minus p equals f_#(q) minus q (each computed once, on its first
+    such pair).  Candidates whose edge tuple is in ``known`` are skipped
     unchecked.
 
-    Each pair is Nielsen by construction: f_#(p.reverse(q)) =
-    [p.s.reverse(s).reverse(q)] = p.reverse(q).  The ``is_nielsen_path``
-    check on each new candidate therefore never fails; it stays as a guard.
+    A pair is Nielsen iff its suffixes are equal (module docstring), so the
+    ``is_nielsen_path`` check on each new candidate never fails; it stays
+    as a guard.
     A candidate is kept in its orientation with the smaller order key, and
     a ``Path`` is built only for a candidate not seen before.
 
@@ -428,6 +437,7 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
             r = reversals[edges] = tuple(map(inverse_of.__getitem__, reversed(edges)))
         return r
 
+    suffix = cache(lambda p: _growth_suffix(m, p))
     found = {}
     composite = {}
     families = {}
@@ -445,6 +455,8 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
                             families.setdefault(p_power[0], []).append(
                                 (p_power[1] + q_power[1], p_split or q_split)
                             )
+                            continue
+                        if suffix(p) != suffix(q):
                             continue
                         edges = p + rev(q)
                         if edges in known:
@@ -761,6 +773,19 @@ def qe_families(m):
     return out
 
 
+def _exceptional_by_end(m):
+    """{E: the exceptional families with end E, in :func:`qe_families`
+    order}, cached on the map beside them."""
+    if "exceptional_by_end" not in m._cache:
+        out = {}
+        for fam in qe_families(m):
+            if fam.is_exceptional():
+                for e in (fam.e_i, fam.e_j):
+                    out.setdefault(e, []).append(fam)
+        m._cache["exceptional_by_end"] = out
+    return m._cache["exceptional_by_end"]
+
+
 def is_exceptional_path(m, path):
     """Does the path belong to an exceptional (same-sign) family?"""
     for fam in qe_families(m):
@@ -824,16 +849,17 @@ def _juncture_ok(m, left, right, k_max):
     return "depth"
 
 
-def _candidates(m, path, i, filt, fams, inps_by_first, families):
+def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
     """Candidate terms starting at offset i, in search priority order:
     longest first, an exceptional path before an iNp of the same length,
     a single edge last.
 
-    Generic iNps come from ``inps_by_first``.  Where the edge at i is a
-    family's E, its members are matched from the records, none built as a
-    path: the repeats of b, and of reverse(b) (a member read backwards),
-    are counted once, and each indivisible record k whose Ebar follows the
-    k-th repeat gives a candidate.
+    Exceptional families come from :func:`_exceptional_by_end`, generic
+    iNps from ``inps_by_first``.  Where the edge at i is a family's E, its
+    members are matched from the records, none built as a path: the repeats
+    of b, and of reverse(b) (a member read backwards), are counted once,
+    and each indivisible record k whose Ebar follows the k-th repeat gives
+    a candidate.
     """
     e = path.edges[i]
     lvl = filt.level(e)
@@ -844,9 +870,7 @@ def _candidates(m, path, i, filt, fams, inps_by_first, families):
         return [Term(TERM_CONN, path.subpath(i, j), height=lvl)]
     cands = []
     # exceptional paths from a same-sign family, longest first
-    for fam in fams:
-        if not fam.is_exceptional() or e not in fam.ends():
-            continue
+    for fam in exceptional.get(e, ()):
         other_inv = inverse(fam.other(e))
         ends = set()
         for wdir in (fam.word, fam.word.reverse()):
@@ -903,7 +927,7 @@ def complete_split(m, path, catalog=None, k_max=4, node_cap=100000):
     filt = filtration(m)
     if path.is_trivial():
         return CompleteSplitting(path, [], "trivial")
-    fams = qe_families(m)
+    exceptional = _exceptional_by_end(m)
     inps_by_first, families = catalog.inps_by_first, catalog.families
 
     # Depth-first search with an explicit stack, so the depth is not
@@ -924,7 +948,7 @@ def complete_split(m, path, catalog=None, k_max=4, node_cap=100000):
         if i == len(path):
             break
         best_fail = max(best_fail, i)
-        cands = _candidates(m, path, i, filt, fams, inps_by_first, families)
+        cands = _candidates(m, path, i, filt, exceptional, inps_by_first, families)
         frames.append((i, iter(cands), worst))
         while frames:
             i, todo, worst = frames[-1]

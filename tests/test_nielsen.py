@@ -799,17 +799,29 @@ def test_periodic_search_checks_neither_members_nor_known_entries(guard_counts):
 def test_a_generic_pair_giving_a_member_is_listed_once(monkeypatch):
     # Pathological maps could pair two other prefixes into a member E w^i
     # Ebar; the catalog keeps one copy.  Simulated on B -> B A by a stable
-    # prefix B A' read off another direction, which pairs with B A into the
-    # member B A A B'.
-    stable_prefixes = nielsen._stable_prefixes
+    # prefix B A' read off another direction, with B's suffix key and
+    # suffix A, which pairs with B A into the member B A A B'.
+    stable_prefixes, growth_suffix = nielsen._stable_prefixes, nielsen._growth_suffix
+    drop_listed_members = nielsen._drop_listed_members
+    generic = []
 
     def with_extra_prefix(m, bound, iter_cap=None):
         found, capped = stable_prefixes(m, bound, iter_cap)
-        (_, end, sid, _, _), = [r for r in found if r[0] == ("B",)]
-        return found + [(("B", "A'"), end, sid, False, "A'")], capped
+        (_, end, key, _, _), = [r for r in found if r[0] == ("B",)]
+        return found + [(("B", "A'"), end, key, False, "A'")], capped
+
+    def suffix_of_b(m, p):
+        return growth_suffix(m, ("B",) if p == ("B", "A'") else p)
+
+    def spy(families, entries, inverse_of):
+        generic.extend(x.path.edges for x in entries)
+        return drop_listed_members(families, entries, inverse_of)
 
     monkeypatch.setattr(nielsen, "_stable_prefixes", with_extra_prefix)
+    monkeypatch.setattr(nielsen, "_growth_suffix", suffix_of_b)
+    monkeypatch.setattr(nielsen, "_drop_listed_members", spy)
     cat = build_catalog(_ladder(1), 6)
+    assert ("B", "A", "A", "B'") in generic  # the pair survived to the drop
     paths = [x.path.edges for x in cat.entries]
     assert paths.count(("B", "A", "A", "B'")) == 1
     assert len(paths) == len(set(paths))
@@ -828,6 +840,120 @@ def test_stable_prefixes_are_listed_once(name):
 def test_stable_prefixes_are_listed_once_arbitrary_roses(m, bound):
     prefixes = [r[0] for r in _stable_prefixes(m, bound)[0]]
     assert len(prefixes) == len(set(prefixes))
+
+
+# -- the pairing against exact suffixes ---------------------------------------------
+
+
+def reference_pairing(m, bound, linear=None):
+    """What ``_search_fixed_paths`` returns, from the records of
+    ``_stable_prefixes`` grouped by (end vertex, exact suffix), the suffix
+    f_#(p) minus p computed here, and paired as the search's loop pairs
+    them; every pair is asserted Nielsen."""
+    g = m.graph
+    linear = linear or {}
+    records, capped = _stable_prefixes(m, bound)
+    groups = {}
+    for p, end, _, split, d in records:
+        image = m.apply(g.path(p)).edges
+        assert image[: len(p)] == p
+        power = None
+        if d in linear and (len(p) - 1) % len(linear[d]) == 0:
+            power = (d, (len(p) - 1) // len(linear[d]))
+        bucket = groups.setdefault((end, image[len(p):]), {}).setdefault(p[-1], [])
+        bucket.append((p, split, power))
+    found, composite, families = {}, {}, {}
+    for buckets in groups.values():
+        lasts = sorted(buckets, key=g.order_key.__getitem__)
+        for a, b in itertools.combinations(lasts, 2):
+            for (p, p_split, p_power), (q, q_split, q_power) in itertools.product(
+                buckets[a], buckets[b]
+            ):
+                if len(p) + len(q) > bound:
+                    continue
+                if p_power and q_power and p_power[0] == q_power[0]:
+                    families.setdefault(p_power[0], []).append(
+                        (p_power[1] + q_power[1], p_split or q_split)
+                    )
+                    continue
+                sigma = g.path(p + tuple(inverse(x) for x in reversed(q)))
+                assert m.apply(sigma) == sigma
+                edges = min(sigma.edges, sigma.reverse().edges, key=lambda es: _path_key(g, es))
+                if edges not in found:
+                    found[edges] = (len(edges), _path_key(g, edges))
+                    composite[edges] = p_split or q_split
+    return sorted(found, key=found.get), composite, families, capped
+
+
+def _path_key(g, edges):
+    return [g.order_key[x] for x in edges]
+
+
+def assert_pairing_matches_exact_suffixes(m, bound, linear=None):
+    powers = [m]
+    for _ in range(2):
+        try:
+            powers.append(compose(m, powers[-1]))
+        except MalformedPath:
+            break  # an f^k that collapses an edge is not a graph map
+    for mk in powers:
+        sigmas, composite, families, capped = _search_fixed_paths(mk, bound, linear=linear)
+        assert ([s.edges for s in sigmas], composite, families, capped) == reference_pairing(
+            mk, bound, linear
+        )
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_pairing_matches_exact_suffixes_samples(name):
+    m = SAMPLES[name]()
+    assert_pairing_matches_exact_suffixes(
+        m, default_length_bound(m), nielsen._linear_axes(filtration(m))
+    )
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_pairing_matches_exact_suffixes_ladder(k):
+    m = _ladder(k)
+    assert_pairing_matches_exact_suffixes(
+        m, default_length_bound(m), nielsen._linear_axes(filtration(m))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_MAPS))
+def test_pairing_matches_exact_suffixes_family_maps(name):
+    m = FAMILY_MAPS[name]()
+    for bound in (5, 9, default_length_bound(m)):
+        assert_pairing_matches_exact_suffixes(m, bound, nielsen._linear_axes(filtration(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_roses(), st.integers(4, 7))
+def test_pairing_matches_exact_suffixes_arbitrary_roses(m, bound):
+    assert_pairing_matches_exact_suffixes(m, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_roses(), st.integers(4, 7))
+def test_pairing_matches_exact_suffixes_triangular_roses(m, bound):
+    assert_pairing_matches_exact_suffixes(m, bound)
+
+
+def test_few_exact_suffixes_are_computed(monkeypatch):
+    # swap_rose's f^3 lists 180 stable prefixes; their suffix keys leave
+    # next to no pair to compare exactly
+    growth_suffix, computed = nielsen._growth_suffix, []
+
+    def counted(mk, p):
+        computed.append(p)
+        return growth_suffix(mk, p)
+
+    monkeypatch.setattr(nielsen, "_growth_suffix", counted)
+    m = swap_rose()
+    f3, bound = compose(m, compose(m, m)), default_length_bound(m)
+    records = _stable_prefixes(f3, bound)[0]
+    _search_fixed_paths(f3, bound)
+    assert len(records) == 180
+    assert len(computed) <= 2
 
 
 def test_a_failed_family_check_drops_the_family(monkeypatch):
@@ -911,7 +1037,7 @@ def assert_candidates_match_member_by_member(m, monkeypatch, audit=False):
     assert requests
     for mk, path, cat in requests:
         try:
-            fams = qe_families(mk)
+            exceptional = nielsen._exceptional_by_end(mk)
         except LViolation:
             continue  # complete_split refuses the map before any candidate
         filt = filtration(mk)
@@ -920,7 +1046,7 @@ def assert_candidates_match_member_by_member(m, monkeypatch, audit=False):
         for i in range(len(path)):
             got, want = (
                 [(t.kind, t.path.edges, t.height) for t in nielsen._candidates(
-                    mk, path, i, filt, fams, c.inps_by_first, c.families
+                    mk, path, i, filt, exceptional, c.inps_by_first, c.families
                 )]
                 for c in (cat, flat)
             )
@@ -957,6 +1083,36 @@ def test_candidates_match_member_by_member_family_maps(name, monkeypatch):
 def test_candidates_match_member_by_member_linear_roses(m):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_candidates_match_member_by_member(m, monkeypatch)
+
+
+def _walked_exceptional(m):
+    """{E: the exceptional families with end E}, by walking every family."""
+    fams = qe_families(m)
+    return {
+        e: [f for f in fams if f.is_exceptional() and e in f.ends()]
+        for e in m.graph.inverse_of
+    }
+
+
+@pytest.mark.parametrize("name", ["type_c_%d" % n for n in range(4, 8)] + sorted(FAMILY_MAPS))
+def test_exceptional_index_offers_the_walked_candidates(name, monkeypatch):
+    m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _corpus_map(name)
+    for mk, path, cat in _split_requests(m, monkeypatch, audit=True):
+        try:
+            index = nielsen._exceptional_by_end(mk)
+        except LViolation:
+            continue
+        walked = _walked_exceptional(mk)
+        assert index == {e: fams for e, fams in walked.items() if fams}
+        filt = filtration(mk)
+        for i in range(len(path)):
+            got, want = (
+                [(t.kind, t.path.edges, t.family and t.family.key()) for t in nielsen._candidates(
+                    mk, path, i, filt, exceptional, cat.inps_by_first, cat.families
+                )]
+                for exceptional in (index, walked)
+            )
+            assert got == want, (path.edges, i)
 
 
 @pytest.fixture
