@@ -37,7 +37,7 @@ from .disintegrate import build_fa, disintegrate, verify_commute
 from .errors import InputError, TrainTrackError
 from .maps import GraphMap, filtration
 from .maxrank import classify_max_rank, detect_fps, gen_type_c, gen_type_e, rank_audit
-from .nielsen import axes, build_catalog, detect_linear_edges, is_nielsen_path
+from .nielsen import axes, build_catalog, is_nielsen_path
 from .paths import MarkedGraph, inverse
 
 
@@ -228,49 +228,27 @@ def _cmd_check_ct(m, doc, args):
     return report.passed, report.lines(), data
 
 
-def _twist_family_of(entry, patterns):
-    """(edge, body) when the entry is e . body^k . e' for a linear edge e."""
-    seq = entry.path.edges
-    if len(seq) < 3:
-        return None
-    for e, bodies in patterns:
-        if seq[0] != e or seq[-1] != inverse(e):
-            continue
-        mid = seq[1:-1]
-        for body in bodies:
-            k, r = divmod(len(mid), len(body))
-            if r == 0 and mid == body * k:
-                return (e, body, k)
-    return None
-
-
 def _cmd_nielsen(m, doc, args):
     cat = _catalog(m, args, doc)
-    patterns = [
-        (le.edge, (le.word.edges, le.word.reverse().edges))
-        for le in detect_linear_edges(m)
-    ]
     families = {}
     singles = []
     composites = 0
     for entry in cat.entries:
         if not entry.indivisible:
             composites += 1
-            continue
-        hit = _twist_family_of(entry, patterns)
-        if hit is None:
+        elif entry.family is None:
             singles.append(entry)
         else:
-            families.setdefault(hit[:2], []).append(hit[2])
+            families.setdefault(entry.family, []).append(len(entry.path) - 2)
 
     lines = ["catalog bound %d (period bound %d)" % (cat.bound, cat.period_bound)]
     lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
     lines.append("indivisible Nielsen paths:")
-    for (e, body), ks in families.items():
-        ks.sort()
+    for e, sizes in families.items():
+        body = cat.families[e][0]
         lines.append(
             "  %s (%s)^k %s  for k = %d..%d within bound"
-            % (e, " ".join(body), inverse(e), ks[0], ks[-1])
+            % (e, " ".join(body), inverse(e), min(sizes) // len(body), max(sizes) // len(body))
         )
     for entry in singles:
         lines.append(

@@ -28,10 +28,13 @@ each one that has a Nielsen prefix, so the indivisible flag of every listed
 path is exact and does not need the catalog to be complete.
 
 Linear families: for a linear edge E, f(E) = E.w^d with w a closed Nielsen
-path, every E w^k Ebar is Nielsen.  The search recognises the pairs that give
-these paths as one family per E, checks one member exactly (that decides the
+path, every E w^k Ebar is Nielsen.  E's ray is read off f(E) without
+applying f; one period of it is swept and the rest kept as runs (lemma in
+:func:`_stable_prefixes`).  The search recognises the pairs that give these
+paths as one family per E, checks one member exactly (that decides the
 whole family) and keeps it compact: E, the body b (w or reverse(w)) and one
-(k, composite flag) record per member within the bound.  Views, complete
+(k, composite flag) record per member within the bound, a member that
+another pair gives included.  Views, complete
 splitting and the CT check read the records; the members are written out as
 paths only when a catalog's ``entries`` list is first read.
 
@@ -50,6 +53,7 @@ subgraph's catalog off the full one instead of searching again.
 """
 
 from functools import cache, cached_property
+from itertools import combinations, product
 
 from .paths import Circuit, Path, inverse
 from .maps import filtration, direction_map, illegal_turns, compose
@@ -88,20 +92,22 @@ def _lesser_orientation(order_key, fwd, bwd):
     return fwd
 
 
-def _stable_prefixes(m, bound, iter_cap=None):
-    """(prefix, end, suffix key, split, direction) with f_#(prefix) =
-    prefix.suffix, |prefix| <= bound, ``end`` the prefix's terminal vertex,
-    the suffix keyed, uncopied, by (length, first edge, last edge) or (0,)
-    when empty (equal suffixes, equal keys), split true when a prefix of
-    prefix is Nielsen and ``direction`` the fixed direction whose ray the
-    prefix was read off; and (direction, iter_cap) for each fixed direction
-    whose ray ran out of iterates.  Prefixes are edge tuples.
+def _stable_prefixes(m, bound, iter_cap=None, linear=None):
+    """(ray, n, step, end, suffix key, split, direction) for the stable
+    prefixes p = ray[:n], and ray[:n + step], ray[:n + 2 step], ... up to
+    the bound when step > 0: f_#(p) = p.suffix, ``end`` p's terminal
+    vertex, the suffix keyed, uncopied, by (length, first edge, last edge)
+    or (0,) when empty (equal suffixes, equal keys), split true when a
+    prefix of p is Nielsen and ``direction`` the fixed direction whose ray
+    p was read off; and (direction, iter_cap) for each fixed direction
+    whose ray ran out of iterates.  Rays are edge tuples, never copied per
+    prefix.
 
     Prefixes start with a fixed direction.  The limit ray of a fixed
     direction is developed incrementally -- once the reduced image extends
-    the current prefix, the next ray edge is read off the image -- so the
-    whole sweep costs O(bound * max edge image).  Rays whose images shrink
-    or oscillate are additionally chased by direct iteration (capped), with
+    the current prefix, the next ray edge is read off the image -- so one
+    sweep costs O(bound * max edge image).  Rays whose images shrink or
+    oscillate are additionally chased by direct iteration (capped), with
     every iterate swept the same way.  A ray that is still neither
     repeating nor longer than the bound after ``iter_cap`` iterates is cut
     there; its direction is returned so the catalog can say so.
@@ -109,27 +115,56 @@ def _stable_prefixes(m, bound, iter_cap=None):
     Whether a prefix is stable, its suffix and its split flag depend on the
     prefix alone, so a sequence's first edges that an earlier swept
     sequence shares were recorded with it and are not recorded again.
+
+    ``linear`` maps linear edges E to their axes w, f(E) = E.v, v = [w^D]
+    (on f^k, D is k times f's exponent).  As f_#(w) = w, the j-th iterate
+    of E's ray is E.[w^(jD)]: no f is applied and no cap cuts it.  When w
+    is cyclically reduced the iterates nest into E w w w ..., and
+
+    *Lemma.*  Let p = E w^i x, x a nonempty prefix of w, L >= |w| and L >=
+    |f_#(x)| for all such x.  For i >= i0 = max(0, ceil(L/|w|) - D), p's
+    stability, suffix key, end and last edge do not depend on i, nor, for
+    i > i0, its split flag.  *Proof.*  f_#(p) = [E w^(D+i) y], y =
+    f_#(x).  As (D+i)|w| >= |y|, the c <= |y| edges of w^(D+i) cancelled
+    against y are read off its last |y| edges, so c does not depend on i
+    (if all of w^(D+i) cancels, p is stable for no i).  So f_#(p) = E
+    W[:a] y[c:] and p = E W[:i|w| + |x|], W = w w ..., a = (D+i)|w| - c:
+    where they differ, the length difference D|w| - 2c + |y| - |x|, the
+    edge of f_#(p) at |p| and its last edge sit at offsets that move with
+    i by multiples of |w|, so they read the same letters.  The split flag
+    ORs the Nielsen flags of shorter prefixes, and from period i0 on each
+    period adds the same ones.  []
+
+    So E and periods 0..i0+1 are swept (L: the larger of |w| and the image
+    length of w's first |w| - 1 edges), or on to one period past what an
+    earlier sequence shares, and each record of the last period swept is a
+    run with step |w|.  For w = u.c.ubar not cyclically reduced the
+    iterates E u c^(jD) ubar do not nest, each adding prefixes through its
+    ubar tail: they are swept one by one, as far as the iteration runs (to
+    the iterate after the first one longer than bound + 2).
     """
     if iter_cap is None:
         iter_cap = bound + 16
     g = m.graph
     image_of, term_of, inverse_of = m.image_of, g.term_of, g.inverse_of
+    linear = linear or {}
     dm = direction_map(m)
     found = []
     swept = []
     capped = []
 
-    def sweep(edge_seq, d):
+    def sweep(edge_seq, d, stop=bound, period=0):
         # img carries the reduced f-image of the growing prefix; ``agree``
         # is the verified common-prefix length, rewound when cancellation
         # pops below it, so the whole sweep is linear in the work f does.
         edge_seq = edge_seq[:bound]
         done = max((_common_prefix_length(prev, edge_seq) for prev in swept), default=0)
+        stop = max(stop, done + period)  # runs start past the shared prefix
         swept.append(edge_seq)
         img = []
         agree = 0
         split = False
-        for n, e in enumerate(edge_seq, 1):
+        for n, e in enumerate(edge_seq[:stop], 1):
             im = image_of[e]
             if img and img[-1] == inverse_of[im[0]]:
                 agree = min(agree, g.seam_extend(img, (im,)))
@@ -142,10 +177,26 @@ def _stable_prefixes(m, bound, iter_cap=None):
                 if n > done:
                     rest = len(img) - n
                     key = (rest, img[n], img[-1]) if rest else (0,)
-                    found.append((edge_seq[:n], term_of[e], key, split, d))
+                    step = period if n + period > stop else 0
+                    found.append((edge_seq, n, step, term_of[e], key, split, d))
 
     for d in g.directions():
         if dm.map[d] != d:
+            continue
+        w = linear.get(d)
+        if w is not None:
+            v = image_of[d][1:]
+            h = _common_prefix_length(v, _reverse(inverse_of, v))  # v = u c^D ubar
+            if h:
+                core, j = v[h : len(v) - h], 0
+                while j < 2 or len(v) + (j - 2) * len(core) <= bound + 1:
+                    j += 1
+                    sweep((d,) + v[:h] + core * j + v[len(v) - h :], d)
+                continue
+            lw = len(w)
+            bulk = max(lw, sum(len(image_of[e]) for e in w[:-1]))  # L of the lemma
+            i0 = max(0, -(-bulk // lw) - len(v) // lw)
+            sweep((d,) + w * (bound // lw + 1), d, 1 + (i0 + 2) * lw, lw)
             continue
         ray = g.path([d])
         seen = {}  # earlier iterates by length: compared, never hashed
@@ -400,17 +451,21 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
     ``is_nielsen_path`` check on each new candidate never fails; it stays
     as a guard.
     A candidate is kept in its orientation with the smaller order key, and
-    a ``Path`` is built only for a candidate not seen before.
+    a ``Path`` is built only for a candidate not seen before.  A run of
+    prefixes (see :func:`_stable_prefixes`) sits in its bucket as one item
+    and is written out, prefix by prefix, only against an item of another
+    bucket in its group.
 
     ``linear`` maps linear edges E of m to their axis edge tuples w (see
     :func:`_linear_axes`; on f^k, f's linear edges are linear with exponent
-    k.d).  Every iterate of E's ray is E w^j, since f(E) = E.w^d and
-    f_#(w) = w, so the prefixes read off it of length 1 + i|w| are E w^i,
-    each with growth suffix w^d, and the pair of E w^i with the bare prefix
-    E is the family member E w^i Ebar.  Such a pair is only recorded, as
-    (i, composite flag) under E: nothing is built or checked for it.  Every
-    other pair, exceptional pairs E1 w^j E2bar included, goes through the
-    loop as above.
+    k.d); their rays are developed in closed form (see
+    :func:`_stable_prefixes`).  The prefixes of E's ray of length 1 + i|w|
+    are E w^i when w is cyclically reduced, each with growth suffix w^d,
+    and the pair of E w^i with the bare prefix E is the family member E
+    w^i Ebar.  Such pairs, read off the bare E and a run of E w^i at once,
+    are only recorded, as (i, composite flag) under E: nothing is built or
+    checked for them.  Every other pair, exceptional pairs E1 w^j E2bar
+    included, goes through the loop as above.
 
     Returns (sigmas, composite, families, capped): the other pairs as
     paths in (length, order key) order, their composite flags by edge
@@ -421,55 +476,49 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
     order_key, inverse_of = g.order_key, g.inverse_of
     linear = linear or {}
     groups = {}
-    prefixes, capped = _stable_prefixes(m, bound)
-    for p, end, s, split, d in prefixes:
-        power = None
-        if d in linear:
-            i, rest = divmod(len(p) - 1, len(linear[d]))
-            if not rest:
-                power = (d, i)  # p = E w^i
-        groups.setdefault((end, s), {}).setdefault(p[-1], []).append((p, split, power))
-    reversals = {}
-
-    def rev(edges):
-        r = reversals.get(edges)
-        if r is None:
-            r = reversals[edges] = tuple(map(inverse_of.__getitem__, reversed(edges)))
-        return r
-
+    prefixes, capped = _stable_prefixes(m, bound, linear=linear)
+    for ray, n, step, end, s, split, d in prefixes:
+        groups.setdefault((end, s), {}).setdefault(ray[n - 1], []).append((ray, n, step, split, d))
     suffix = cache(lambda p: _growth_suffix(m, p))
     found = {}
     composite = {}
     families = {}
     for buckets in groups.values():
         lasts = sorted(buckets, key=order_key.__getitem__)
-        for a in range(len(lasts)):
-            for b in range(a + 1, len(lasts)):
-                for p, p_split, p_power in buckets[lasts[a]]:
-                    for q, q_split, q_power in buckets[lasts[b]]:
-                        if len(p) + len(q) > bound:
-                            continue
-                        if p_power and q_power and p_power[0] == q_power[0]:
-                            # two prefixes of E's ray in different buckets:
-                            # one is E itself, the other E w^i
-                            families.setdefault(p_power[0], []).append(
-                                (p_power[1] + q_power[1], p_split or q_split)
-                            )
-                            continue
-                        if suffix(p) != suffix(q):
-                            continue
-                        edges = p + rev(q)
-                        if edges in known:
-                            continue
-                        edges = _lesser_orientation(order_key, edges, q + rev(p))
-                        if edges in found:
-                            continue
-                        sigma = Path(g, edges)
-                        if is_nielsen_path(m, sigma):
-                            found[edges] = sigma
-                            composite[edges] = p_split or q_split
+        for a, b in combinations(lasts, 2):
+            for (p_ray, p_n, p_step, p_split, d), (q_ray, q_n, q_step, q_split, e) in product(
+                buckets[a], buckets[b]
+            ):
+                split = p_split or q_split
+                lengths = [(i, j) for i in range(p_n, bound + 1 - q_n, p_step or bound)
+                           for j in range(q_n, bound + 1 - i, q_step or bound)]
+                lw = len(linear[d]) if d == e and d in linear else 0
+                if lengths and lw and (p_n - 1) % lw == (q_n - 1) % lw == 0:
+                    # prefixes E w^i, E w^j of E's ray in different buckets
+                    # (runs step by |w|): one is E itself, the other E w^k
+                    recs = families.setdefault(d, [])
+                    recs.extend(((i + j - 2) // lw, split) for i, j in lengths)
+                    continue
+                for i, j in lengths:
+                    p, q = p_ray[:i], q_ray[:j]
+                    if suffix(p) != suffix(q):
+                        continue
+                    edges = p + _reverse(inverse_of, q)
+                    if edges in known:
+                        continue
+                    edges = _lesser_orientation(order_key, edges, q + _reverse(inverse_of, p))
+                    if edges in found:
+                        continue
+                    sigma = Path(g, edges)
+                    if is_nielsen_path(m, sigma):
+                        found[edges] = sigma
+                        composite[edges] = split
     sigmas = _in_order(order_key, found.values(), lambda s: s.edges)
     return sigmas, composite, families, capped
+
+
+def _reverse(inverse_of, edges):
+    return tuple(map(inverse_of.__getitem__, reversed(edges)))
 
 
 def _checked_family(m, filt, e, w, records):
@@ -487,9 +536,7 @@ def _checked_family(m, filt, e, w, records):
     """
     g = m.graph
     inverse_of = g.inverse_of
-    body = _lesser_orientation(
-        g.order_key, w, tuple(map(inverse_of.__getitem__, reversed(w)))
-    )
+    body = _lesser_orientation(g.order_key, w, _reverse(inverse_of, w))
     records = sorted(records)
     shortest = (e,) + body * records[0][0] + (inverse_of[e],)
     if not is_nielsen_path(m, Path(g, shortest)):
@@ -504,22 +551,26 @@ def _family_members(g, e, b, records):
     return [(Path(g, ray[: 1 + len(b) * i] + tail), split) for i, split in records]
 
 
-def _drop_listed_members(families, generic, inverse_of):
-    """Remove from ``families`` the records of members that a generic entry
-    already lists (on some map another pair might give a member too: list
-    it once), and the families left without records."""
+def _fold_listed_members(families, generic, linear, g, filt):
+    """The generic entries that are not members E b^i Ebar of a linear
+    family.  A member among them (on some map another pair might give one
+    too, and when w is not cyclically reduced the family's own pairs give
+    none) is listed once, as its family's record, with the family made
+    for it if needed: b is the orientation of w that the entry reads."""
+    kept = []
     for x in generic:
-        edges = x.path.edges
-        fam = families.get(edges[0])
-        if fam is None or edges[-1] != inverse_of[edges[0]]:
-            continue
-        b, records, height = fam
-        i, rest = divmod(len(edges) - 2, len(b))
-        if not rest and edges[1:-1] == b * i:
-            records = [r for r in records if r[0] != i]
-            families[edges[0]] = (b, records, height)
-            if not records:
-                del families[edges[0]]
+        edges, e = x.path.edges, x.path.edges[0]
+        if e in linear and edges[-1] == g.inverse_of[e]:
+            b = _lesser_orientation(g.order_key, linear[e], _reverse(g.inverse_of, linear[e]))
+            i, rest = divmod(len(edges) - 2, len(b))
+            if not rest and edges[1:-1] == b * i:
+                _, records, height = families.get(e, (b, [], filt.level(e)))
+                if all(r[0] != i for r in records):
+                    records = sorted(records + [(i, not x.indivisible)])
+                families[e] = (b, records, height)
+                continue
+        kept.append(x)
+    return kept
 
 
 def build_catalog(m, bound=None, period_bound=3):
@@ -554,7 +605,7 @@ def build_catalog(m, bound=None, period_bound=3):
         fam = _checked_family(m, filt, e, linear[e], recs)
         if fam is not None:
             families[e] = fam
-    _drop_listed_members(families, generic, m.graph.inverse_of)
+    generic = _fold_listed_members(families, generic, linear, m.graph, filt)
     cat = NielsenCatalog(m, bound, period_bound, generic, budgets_hit, families)
     m._cache[key] = cat
     return cat
@@ -568,9 +619,9 @@ def _search_periodic(cat):
     paths not already fixed: the period-one paths of the catalog, in both
     orientations, are skipped there, since f^k fixes them with period one.
     The members of linear families are fixed by f too (f(E) = E.w^d with
-    w Nielsen), so the f^k searches drop their pairs on sight and
-    ``known`` holds only the generic entries.  Every other candidate gets the
-    full f^k_# check and the exact period probe.
+    w Nielsen), so the f^k searches drop their family pairs on sight and
+    ``known`` holds only the generic entries.  Every other candidate (a
+    member another pair gives too) gets the f^k_# check and period probe.
     """
     m, bound = cat.map, cat.bound
     filt = filtration(m)
@@ -895,7 +946,7 @@ def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
         b, records, height = families[e]
         edges, inverse_of = path.edges, m.graph.inverse_of
         tail, n = inverse_of[e], len(b)
-        for body in (b, tuple(map(inverse_of.__getitem__, reversed(b)))):
+        for body in (b, _reverse(inverse_of, b)):
             pos, reps = i + 1, 0
             for k, split in records:
                 while reps < k and edges[pos : pos + n] == body:

@@ -279,11 +279,13 @@ def test_nielsen_reports_a_search_cap_only_when_hit(tmp_path, monkeypatch):
     stable_prefixes = traintrack.nielsen._stable_prefixes
     monkeypatch.setattr(
         traintrack.nielsen, "_stable_prefixes",
-        lambda m, bound, iter_cap=None: stable_prefixes(m, bound, iter_cap=1),
+        lambda m, bound, iter_cap=None, linear=None: stable_prefixes(m, bound, 1, linear),
     )
     code, out, _ = run_cli(["nielsen", "--json", path])
+    # C -> C B is quadratic: its ray is still iterated, and one iterate cuts it
     caveats = json.loads(out)["caveats"]
     assert caveats and all(c.startswith("search budget hit: ") for c in caveats)
+    assert "stable-prefix ray of f from direction C cut at its iterate cap 1" in caveats[0]
     code, out, _ = run_cli(["nielsen", path])
     assert "note: " + caveats[0] in out
 

@@ -8,7 +8,9 @@ and ``disintegrate`` on the ladder A -> A, B -> B A^k (``check-ct`` also at
 k = 100); ``disintegrate``, ``audit``, ``classify``, ``check-ct`` and
 ``nielsen`` on the type E and type C twist families (all but ``nielsen``
 on the largest, type E n=6 and type C n=5); ``check-ct``, ``nielsen``, ``coords``, ``fps`` and
-``verify-commute`` on the sample maps.  Any change to a report, however
+``verify-commute`` on the sample maps; ``check-ct`` and ``nielsen`` on
+``unreduced_axis``, E3 -> E3 E2 E1 E2' over the axis E2 E1 E2', which is
+not cyclically reduced.  Any change to a report, however
 small, fails here.
 
 The expected files are written by running this module as a script::
@@ -50,6 +52,14 @@ def _ladder(k):
 
 def _documents():
     docs = {"ladder_%d" % k: _ladder(k) for k in (25, 50, 100)}
+    # the iterates E3 E2 E1^j E2' of E3's ray do not nest: each adds its own
+    # stable prefixes through its E2' tail
+    docs["unreduced_axis"] = {
+        "name": "unreduced_axis",
+        "vertices": ["v"],
+        "edges": [{"name": e, "from": "v", "to": "v"} for e in ("E1", "E2", "E3")],
+        "images": {"E1": "E1", "E2": "E2", "E3": "E3 E2 E1 E2'"},
+    }
     for n in (3, 4, 5, 6):
         docs["type_e_%d" % n] = document_from_map(gen_type_e(n).generic, "type_e_%d" % n)
     for n in (4, 5):
@@ -96,6 +106,8 @@ def _cases():
         cases.append((doc, "audit", ()))
         cases.append((doc, "classify", ("--mode", mode)))
         cases.append((doc, "check-ct", ()))
+    cases.append(("unreduced_axis", "check-ct", ()))
+    cases.append(("unreduced_axis", "nielsen", ()))
     for name in samples.SAMPLES:
         cases.append((name, "check-ct", ()))
         cases.append((name, "nielsen", ()))

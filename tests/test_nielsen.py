@@ -235,27 +235,27 @@ def test_periodic_list_matches_reference_flipped_twist():
 
 
 def test_stable_prefix_rays_report_their_iterate_cap():
-    # The ray of B under B -> B A grows by one edge per iterate, so one
-    # iterate cuts it short; A is fixed and stops on its own.
-    g = _rose(["A", "B"])
-    m = _map(g, {"A": "A", "B": "B A"})
-    assert _stable_prefixes(m, 4, iter_cap=1)[1] == [("B", 1)]
-    assert _stable_prefixes(m, 4)[1] == []
+    # The ray of C under C -> C B (B -> B A) grows by one edge per iterate,
+    # so one iterate cuts it short; A is fixed and stops on its own, and
+    # B's ray is linear, known in closed form without iterating.
+    m = rose_cascade()
+    linear = nielsen._linear_axes(filtration(m))
+    assert _stable_prefixes(m, 4, iter_cap=1, linear=linear)[1] == [("C", 1)]
+    assert _stable_prefixes(m, 4, linear=linear)[1] == []
     assert build_catalog(m, 4).budgets_hit == ()
 
 
+def _capped_at_one(stable_prefixes):
+    return lambda m, bound, iter_cap=None, linear=None: stable_prefixes(m, bound, 1, linear)
+
+
 def test_iterate_cap_hit_becomes_a_caveat(monkeypatch):
-    stable_prefixes = nielsen._stable_prefixes
-    monkeypatch.setattr(
-        nielsen, "_stable_prefixes",
-        lambda m, bound, iter_cap=None: stable_prefixes(m, bound, iter_cap=1),
-    )
-    g = _rose(["A", "B"])
-    m = _map(g, {"A": "A", "B": "B A"})
+    monkeypatch.setattr(nielsen, "_stable_prefixes", _capped_at_one(nielsen._stable_prefixes))
+    m = rose_cascade()
     cat = build_catalog(m, 4, 2)
     assert cat.budgets_hit == (
-        "stable-prefix ray of f from direction B cut at its iterate cap 1",
-        "stable-prefix ray of f^2 from direction B cut at its iterate cap 1",
+        "stable-prefix ray of f from direction C cut at its iterate cap 1",
+        "stable-prefix ray of f^2 from direction C cut at its iterate cap 1",
     )
     report = check_ct(m, catalog=cat)
     assert "note: search budget hit: " + cat.budgets_hit[0] in report.lines()
@@ -420,13 +420,9 @@ def test_view_equals_the_prefix_search(name):
 def test_view_carries_the_period_one_notes_and_searches_periodic_lazily(
     searches, monkeypatch
 ):
-    m = _corpus_map("type_e_4")
-    stable_prefixes = nielsen._stable_prefixes
+    m = rose_cascade()
     with monkeypatch.context() as mp:
-        mp.setattr(
-            nielsen, "_stable_prefixes",
-            lambda m, bound, iter_cap=None: stable_prefixes(m, bound, iter_cap=1),
-        )
+        mp.setattr(nielsen, "_stable_prefixes", _capped_at_one(nielsen._stable_prefixes))
         full = build_catalog(m)
     notes = full._fixed_notes
     assert notes
@@ -472,17 +468,23 @@ def arbitrary_roses(draw):
     return GraphMap(g, images)
 
 
-def assert_pairs_are_nielsen(m, bound):
-    # f_#(p.reverse(q)) = [p.s.reverse(s).reverse(q)] = p.reverse(q): the
-    # in-search check never fails, on f and on the f^2, f^3 that the
-    # periodic list searches (run directly: a filtration is not needed;
-    # an f^k that collapses an edge is not a graph map and is left out)
+def _powers(m):
+    """f, f^2, f^3, short of the first f^k that collapses an edge, which is
+    not a graph map."""
     powers = [m]
     for _ in range(2):
         try:
             powers.append(compose(m, powers[-1]))
         except MalformedPath:
             break
+    return powers
+
+
+def assert_pairs_are_nielsen(m, bound):
+    # f_#(p.reverse(q)) = [p.s.reverse(s).reverse(q)] = p.reverse(q): the
+    # in-search check never fails, on f and on the f^2, f^3 that the
+    # periodic list searches (run directly: a filtration is not needed)
+    powers = _powers(m)
     verdicts = []
 
     def recorded(mk, p):
@@ -802,44 +804,217 @@ def test_a_generic_pair_giving_a_member_is_listed_once(monkeypatch):
     # prefix B A' read off another direction, with B's suffix key and
     # suffix A, which pairs with B A into the member B A A B'.
     stable_prefixes, growth_suffix = nielsen._stable_prefixes, nielsen._growth_suffix
-    drop_listed_members = nielsen._drop_listed_members
+    fold_listed_members = nielsen._fold_listed_members
     generic = []
 
-    def with_extra_prefix(m, bound, iter_cap=None):
-        found, capped = stable_prefixes(m, bound, iter_cap)
-        (_, end, key, _, _), = [r for r in found if r[0] == ("B",)]
-        return found + [(("B", "A'"), end, key, False, "A'")], capped
+    def with_extra_prefix(m, bound, iter_cap=None, linear=None):
+        found, capped = stable_prefixes(m, bound, iter_cap, linear)
+        (_, _, _, end, key, _, _), = [r for r in found if r[0][: r[1]] == ("B",)]
+        return found + [(("B", "A'"), 2, 0, end, key, False, "A'")], capped
 
     def suffix_of_b(m, p):
         return growth_suffix(m, ("B",) if p == ("B", "A'") else p)
 
-    def spy(families, entries, inverse_of):
+    def spy(families, entries, *args):
         generic.extend(x.path.edges for x in entries)
-        return drop_listed_members(families, entries, inverse_of)
+        return fold_listed_members(families, entries, *args)
 
     monkeypatch.setattr(nielsen, "_stable_prefixes", with_extra_prefix)
     monkeypatch.setattr(nielsen, "_growth_suffix", suffix_of_b)
-    monkeypatch.setattr(nielsen, "_drop_listed_members", spy)
+    monkeypatch.setattr(nielsen, "_fold_listed_members", spy)
     cat = build_catalog(_ladder(1), 6)
-    assert ("B", "A", "A", "B'") in generic  # the pair survived to the drop
+    assert ("B", "A", "A", "B'") in generic  # the pair survived to the fold
     paths = [x.path.edges for x in cat.entries]
     assert paths.count(("B", "A", "A", "B'")) == 1
     assert len(paths) == len(set(paths))
+    # listed as a member of B's family, as the nielsen command groups it
+    assert [x.family for x in cat.entries if x.path.edges == ("B", "A", "A", "B'")] == ["B"]
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_stable_prefixes_are_listed_once(name):
     m = SAMPLES[name]()
+    linear, bound = nielsen._linear_axes(filtration(m)), default_length_bound(m)
     for mk in (m, compose(m, m)):
-        prefixes = [r[0] for r in _stable_prefixes(mk, default_length_bound(m))[0]]
+        records = _stable_prefixes(mk, bound, linear=linear)[0]
+        prefixes = [r[0] for r in written_out(records, bound)]
         assert len(prefixes) == len(set(prefixes))
 
 
 @settings(max_examples=60, deadline=None)
 @given(arbitrary_roses(), st.integers(4, 8))
 def test_stable_prefixes_are_listed_once_arbitrary_roses(m, bound):
-    prefixes = [r[0] for r in _stable_prefixes(m, bound)[0]]
+    prefixes = [r[0] for r in written_out(_stable_prefixes(m, bound)[0], bound)]
     assert len(prefixes) == len(set(prefixes))
+
+
+# -- linear rays in closed form against the iterated rays ---------------------------
+
+
+def reference_stable_prefixes(m, bound, iter_cap=None):
+    """The stable prefixes as found by iterating f along every ray, linear
+    ones included: (prefix edge tuple, end, suffix key, split, direction)
+    and the capped rays, with the same conventions as ``_stable_prefixes``,
+    which develops linear rays in closed form instead."""
+    if iter_cap is None:
+        iter_cap = bound + 16
+    g = m.graph
+    image_of, term_of, inverse_of = m.image_of, g.term_of, g.inverse_of
+    dm = nielsen.direction_map(m)
+    found, swept, capped = [], [], []
+
+    def sweep(edge_seq, d):
+        edge_seq = edge_seq[:bound]
+        done = max(
+            (nielsen._common_prefix_length(prev, edge_seq) for prev in swept), default=0
+        )
+        swept.append(edge_seq)
+        img, agree, split = [], 0, False
+        for n, e in enumerate(edge_seq, 1):
+            im = image_of[e]
+            if img and img[-1] == inverse_of[im[0]]:
+                agree = min(agree, g.seam_extend(img, (im,)))
+            else:
+                img.extend(im)
+            while agree < n and agree < len(img) and img[agree] == edge_seq[agree]:
+                agree += 1
+            if agree == n and len(img) >= n:
+                split = split or len(img) == n
+                if n > done:
+                    rest = len(img) - n
+                    key = (rest, img[n], img[-1]) if rest else (0,)
+                    found.append((edge_seq[:n], term_of[e], key, split, d))
+
+    for d in g.directions():
+        if dm.map[d] != d:
+            continue
+        ray = g.path([d])
+        seen = {}
+        pending = ray
+        for _ in range(iter_cap):
+            nxt = m.apply(ray)
+            stop = (
+                nxt.is_trivial()
+                or nxt.edges == ray.edges
+                or nxt.edges in seen.get(len(nxt), ())
+                or len(ray) > bound + 2
+            )
+            if not nxt.is_trivial() and not nxt.starts_with(pending):
+                sweep(pending.edges, d)
+                pending = nxt
+            else:
+                pending = nxt if not nxt.is_trivial() else pending
+            if stop:
+                break
+            seen.setdefault(len(nxt), []).append(nxt.edges)
+            ray = nxt
+        else:
+            capped.append((d, iter_cap))
+        sweep(pending.edges, d)
+    return found, capped
+
+
+def written_out(records, bound):
+    """The records of ``_stable_prefixes`` one per prefix, the prefix as an
+    edge tuple, in ``reference_stable_prefixes`` form: a record with step
+    s > 0 stands for the prefixes of lengths n, n + s, ... up to bound."""
+    return [
+        (ray[:k], end, key, split, d)
+        for ray, n, step, end, key, split, d in records
+        for k in range(n, bound + 1, step or bound)
+    ]
+
+
+def _linear_or_none(m):
+    try:
+        return nielsen._linear_axes(filtration(m))
+    except TrainTrackError:
+        return None
+
+
+def assert_closed_form_rays_match_iteration(m, bound=None, linear=None):
+    # at f, f^2 and f^3, with f's linear axes passed as the search passes them
+    bound = bound or default_length_bound(m)
+    linear = linear or _linear_or_none(m)
+    for mk in _powers(m):
+        records, capped = _stable_prefixes(mk, bound, linear=linear)
+        want, want_capped = reference_stable_prefixes(mk, bound)
+        assert sorted(written_out(records, bound)) == sorted(want)
+        assert capped == want_capped
+
+
+def test_closed_form_rays_match_iteration_unreduced_axis():
+    # E3's iterates E3 E2 E1^j E2' do not nest; each adds its own prefixes
+    m = _map(_rose(["E1", "E2", "E3"]), {"E1": "E1", "E2": "E2", "E3": "E3 E2 E1 E2'"})
+    assert_closed_form_rays_match_iteration(m)
+    cat = build_catalog(m)
+    assert len(cat.entries) == 26
+    # the one member E3 w E3' that reads w = E2 E1 E2' is listed in its family
+    assert cat.families == {"E3": (("E2", "E1", "E2'"), [(1, False)], 2)}
+    assert [x.path.edges for x in cat.entries if x.family] == [("E3", "E2", "E1", "E2'", "E3'")]
+
+
+def test_closed_form_rays_match_iteration_long_unreduced_axis():
+    # u = (E2 E3)^3 is long enough that the iteration stops before the
+    # bound on E4's spine E4 u E1 E1 ...; the closed form stops where it does
+    u = "E2 E3 E2 E3 E2 E3"
+    m = _map(
+        _rose(["E1", "E2", "E3", "E4"]),
+        {"E1": "E1", "E2": "E2", "E3": "E3", "E4": "E4 %s E1 E3' E2' E3' E2' E3' E2'" % u},
+    )
+    assert_closed_form_rays_match_iteration(m)
+
+
+def test_closed_form_ray_after_a_shared_prefix():
+    # C's iterates C D, L A A L' (fixed) come first and share L A A with L's
+    # ray, whose records start after them; its runs must start there too
+    m = _map(
+        _rose(["A", "C", "D", "L"]), {"A": "A", "L": "L A", "C": "C D", "D": "D' C' L A A L'"}
+    )
+    for bound in (6, 9):
+        assert_closed_form_rays_match_iteration(m, bound, {"L": ("A",)})
+
+
+@pytest.mark.parametrize("k", range(1, 101))
+def test_closed_form_rays_match_iteration_ladder(k):
+    assert_closed_form_rays_match_iteration(_ladder(k))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_MAPS) + sorted(SAMPLES))
+def test_closed_form_rays_match_iteration_corpus(name):
+    m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else SAMPLES[name]()
+    for bound in (5, 9, None):
+        assert_closed_form_rays_match_iteration(m, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_roses(), st.integers(4, 8))
+def test_closed_form_rays_match_iteration_arbitrary_roses(m, bound):
+    assert_closed_form_rays_match_iteration(m, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_roses(), st.integers(4, 8))
+def test_closed_form_rays_match_iteration_triangular_roses(m, bound):
+    assert_closed_form_rays_match_iteration(m, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_roses(), st.sampled_from([4, 6, 9, None]))
+def test_closed_form_rays_match_iteration_linear_roses(m, bound):
+    assert_closed_form_rays_match_iteration(m, bound)
+
+
+def test_a_linear_ray_is_never_cut():
+    # B's ray under B -> B A is known in closed form: no iterate to cap
+    m = _ladder(1)
+    linear = nielsen._linear_axes(filtration(m))
+    records, capped = _stable_prefixes(m, 6, iter_cap=1, linear=linear)
+    assert capped == []
+    assert [r[0] for r in written_out(records, 6) if r[-1] == "B"] == [
+        ("B",) + ("A",) * i for i in range(6)
+    ]
+    assert reference_stable_prefixes(m, 6, iter_cap=1)[1] == [("B", 1)]
 
 
 # -- the pairing against exact suffixes ---------------------------------------------
@@ -847,12 +1022,13 @@ def test_stable_prefixes_are_listed_once_arbitrary_roses(m, bound):
 
 def reference_pairing(m, bound, linear=None):
     """What ``_search_fixed_paths`` returns, from the records of
-    ``_stable_prefixes`` grouped by (end vertex, exact suffix), the suffix
-    f_#(p) minus p computed here, and paired as the search's loop pairs
-    them; every pair is asserted Nielsen."""
+    ``reference_stable_prefixes`` (every ray iterated) grouped by (end
+    vertex, exact suffix), the suffix f_#(p) minus p computed here, and
+    paired as the search's loop pairs them; every pair is asserted
+    Nielsen."""
     g = m.graph
     linear = linear or {}
-    records, capped = _stable_prefixes(m, bound)
+    records, capped = reference_stable_prefixes(m, bound)
     groups = {}
     for p, end, _, split, d in records:
         image = m.apply(g.path(p)).edges
@@ -890,13 +1066,7 @@ def _path_key(g, edges):
 
 
 def assert_pairing_matches_exact_suffixes(m, bound, linear=None):
-    powers = [m]
-    for _ in range(2):
-        try:
-            powers.append(compose(m, powers[-1]))
-        except MalformedPath:
-            break  # an f^k that collapses an edge is not a graph map
-    for mk in powers:
+    for mk in _powers(m):
         sigmas, composite, families, capped = _search_fixed_paths(mk, bound, linear=linear)
         assert ([s.edges for s in sigmas], composite, families, capped) == reference_pairing(
             mk, bound, linear
@@ -929,13 +1099,13 @@ def test_pairing_matches_exact_suffixes_family_maps(name):
 @settings(max_examples=60, deadline=None)
 @given(arbitrary_roses(), st.integers(4, 7))
 def test_pairing_matches_exact_suffixes_arbitrary_roses(m, bound):
-    assert_pairing_matches_exact_suffixes(m, bound)
+    assert_pairing_matches_exact_suffixes(m, bound, _linear_or_none(m))
 
 
 @settings(max_examples=60, deadline=None)
 @given(triangular_roses(), st.integers(4, 7))
 def test_pairing_matches_exact_suffixes_triangular_roses(m, bound):
-    assert_pairing_matches_exact_suffixes(m, bound)
+    assert_pairing_matches_exact_suffixes(m, bound, _linear_or_none(m))
 
 
 def test_few_exact_suffixes_are_computed(monkeypatch):
