@@ -15,6 +15,10 @@ tuples satisfying every such relation form a sublattice L of Z^M; the
 nonnegative members are the admissible tuples.  Each admissible a yields
 the homotopy equivalence f_a acting as f^{a_i} on X_i and fixing every
 f-fixed edge, and edge-image-wise f_a f_b = f_b f_a = f_{a+b}.
+
+The QE-splittings of the images f(A) are the catalog's, made on its own
+map: a restriction of f to an invariant subgraph is disintegrated with f's
+catalog and reads f's splittings (:meth:`NielsenCatalog.image_qe_split`).
 """
 
 import itertools
@@ -101,7 +105,7 @@ def almost_invariant_subgraphs(m, catalog=None):
 
     for i in nodes:
         for piece in _pieces(m, filt, i):
-            for t in catalog.image_qe_split(m, piece).terms:
+            for t in catalog.image_qe_split(piece).terms:
                 if t.kind not in (TERM_EDGE, TERM_CONN):
                     continue
                 j = filt.level(t.path.edges[0])
@@ -152,7 +156,7 @@ def admissibility_relations(m, part=None, catalog=None):
             continue
         for e in sorted(stratum.edges, key=m.graph.edge_index):
             r = part.class_of_edge(e)
-            for t in catalog.image_qe_split(m, m.graph.path([e])).terms:
+            for t in catalog.image_qe_split(m.graph.path([e])).terms:
                 if t.kind != TERM_QE:
                     continue
                 fam = t.family
@@ -342,7 +346,7 @@ def verify_nielsen_preserved(m, a, dis=None, qe_powers=(-2, -1, 0, 1, 2)):
             continue
         for e in sorted(rel_stratum.edges, key=m.graph.edge_index):
             k = dis.partition.class_of_edge(e)
-            for t in dis.catalog.image_qe_split(m, m.graph.path([e])).terms:
+            for t in dis.catalog.image_qe_split(m.graph.path([e])).terms:
                 if t.kind == TERM_QE:
                     incidences.setdefault((t.family.key(), k), t.family)
     q_checked = 0

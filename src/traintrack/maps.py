@@ -389,7 +389,16 @@ def restrict(m, edge_subset, vertices=None):
     """Restriction of the map to an invariant subgraph (filtration prefix).
 
     The subgraph is rebuilt as an intermediate MarkedGraph (valence-one
-    vertices allowed).  Raises if the edge set is not actually invariant.
+    vertices allowed), edges in m's order.  Raises if the edge set is not
+    actually invariant.  Such a set S is a down-set of m's condensed
+    dependency digraph, and f|S inherits m's filtration.  Lemma: the greedy
+    least-edge order of :func:`compute_filtration`, restricted to a
+    down-set, is the down-set's greedy order.  (At the first difference the
+    down-set's pick has the smaller key and was ready when m picked.)  A
+    stratum's kind, normal form and axis depend only on its edge images, so
+    the strata of f|S are m's met with S, in m's order, zero strata that
+    become adjacent merged, NEG paths rebuilt on the subgraph (paths
+    compare their graphs).
     """
     from .paths import MarkedGraph
 
@@ -407,7 +416,19 @@ def restrict(m, edge_subset, vertices=None):
                     "edge set is not invariant: image of %r leaves it" % e
                 )
         imgs[e] = sub.path(im.edges)
-    return GraphMap(sub, imgs)
+    out = GraphMap(sub, imgs)
+    strata = []
+    for s in filtration(m):
+        edges = tuple(e for e in s.edges if e in keep)
+        if edges and s.kind == "zero":
+            if strata and strata[-1].kind == "zero":
+                edges = tuple(sorted(strata.pop().edges + edges, key=sub.edge_index))
+            strata.append(Stratum(edges, "zero"))
+        elif edges:
+            strata.append(s._replace(neg_suffix=s.neg_suffix and Path(sub, s.neg_suffix.edges),
+                                     axis=s.axis and Path(sub, s.axis.edges)))
+    out._cache["filtration"] = Filtration(sub, strata)
+    return out
 
 
 # -- directions and turns -------------------------------------------------------

@@ -146,8 +146,9 @@ def stage_ranks(m, order=None):
     Zero strata on top of a prefix are stripped before disintegrating (they
     carry neither fundamental group nor twisting, and the subgraph decompo-
     sition is only defined once an irreducible stratum sits above them).
-    Every prefix is invariant, so its catalog is a view of the map's one
-    catalog (:meth:`NielsenCatalog.view`), not a search of its own.
+    Every prefix is invariant: its restriction inherits the filtration
+    (:func:`restrict`) and reads the map's one catalog and edge-image
+    splittings (:meth:`NielsenCatalog.image_qe_split`).
     """
     filt = filtration(m)
     cat = build_catalog(m)
@@ -163,7 +164,7 @@ def stage_ranks(m, order=None):
             ranks.append(ranks[jj])
         else:
             sub = restrict(m, filt.prefix_edges(j, order))
-            ranks.append(disintegrate(sub, cat.view(sub)).lattice.rank)
+            ranks.append(disintegrate(sub, cat).lattice.rank)
     return ranks
 
 

@@ -34,9 +34,9 @@ applying f; one period of it is swept and the rest kept as runs (lemma in
 paths as one family per E, checks one member exactly (that decides the
 whole family) and keeps it compact: E, the body b (w or reverse(w)) and one
 (k, composite flag) record per member within the bound, a member that
-another pair gives included.  Views, complete
-splitting and the CT check read the records; the members are written out as
-paths only when a catalog's ``entries`` list is first read.
+another pair gives included.  Complete splitting and the CT check read
+the records; the members are written out as paths only when a catalog's
+``entries`` list is first read.
 
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
@@ -48,8 +48,9 @@ when the catalog is built.
 
 The restriction of f to an invariant subgraph (a filtration prefix) has as
 Nielsen paths exactly those of f that lie in the subgraph, since f_# of a
-path there is computed there; :meth:`NielsenCatalog.view` reads the
-subgraph's catalog off the full one instead of searching again.
+path there is computed there, and its edge images split as under f
+(:meth:`NielsenCatalog.image_qe_split`): f's catalog serves the subgraph
+without a search of its own.
 """
 
 from functools import cache, cached_property
@@ -349,55 +350,28 @@ class NielsenCatalog:
         """All period-one entries, indivisible or not."""
         return [x.path for x in self.entries]
 
-    def image_qe_split(self, m, piece):
-        """qe_split of f_#(piece) under this catalog, computed once per
-        (map, piece) and shared by every later caller."""
-        key = (m, piece.edges)
-        if key not in self._image_qe:
-            self._image_qe[key] = qe_split(m, m.apply(piece), self)
-        return self._image_qe[key]
+    def image_qe_split(self, piece):
+        """qe_split of f_#(piece) under this catalog and its map f, computed
+        once per edge tuple and shared by every later caller.
 
-    def view(self, sub):
-        """The catalog of ``sub``, the restriction of this catalog's map to
-        an invariant subgraph, read off this one without a new search.
-
-        f_# of a path in an invariant subgraph is computed inside it, so
-        the Nielsen paths of f|sub are those of f that lie in sub, and they
-        split the same way.  The view keeps the generic entries whose edges
-        lie in sub and whose length is at most sub's default bound, rebuilt
-        on sub's graph with their heights in sub's filtration.  It keeps
-        the family of each linear edge E in sub (its body lies below E, so
-        in sub too) with the records of the members within the bound and
-        E's level in sub's filtration as height, and builds no member.  It
-        carries this catalog's period-one budget notes; its periodic list
-        is searched on sub when first read.  It is kept in sub's cache
-        where :func:`build_catalog` looks for it.
+        ``piece`` may lie in f|S, f restricted to an invariant subgraph S.
+        Lemma: f|S(A) = f(A) splits under f|S as under f.  The terms are
+        read from S's edges; the QE families met are f's with ends in S; the
+        illegal turns in S are those of Df; an iNp term of f(E) is no longer
+        than f(E), so within f|S's bound 4 max|f(E)| + 8.  Zero strata are
+        the exception: two of f that meet in S are one stratum of f|S, and
+        where f|S runs one connecting term over both, f ends a term at their
+        border and checks the turn there.  Disintegration reads a connecting
+        term only by its first edge's f|S-stratum, so the classes agree, but
+        an illegal border turn makes f refuse what f|S splits.  And f(A) for
+        a connecting path A may outgrow f|S's bound, where f's catalog,
+        searched further, decides.  Term heights are f's levels.
         """
-        bound = default_length_bound(sub)
-        if bound > self.bound:
-            raise ValueError("view bound %d exceeds the catalog bound %d" % (bound, self.bound))
-        key = ("catalog", bound, self.period_bound)
-        if key in sub._cache:
-            return sub._cache[key]
-        g = sub.graph
-        filt = filtration(sub)
-        entries = []
-        for entry in self.generic:
-            edges = entry.path.edges
-            if len(edges) <= bound and all(e in g.inverse_of for e in edges):
-                path = Path(g, edges)
-                entries.append(NielsenEntry(path, 1, entry.indivisible, filt.height(path)))
-        families = {}
-        for e, (b, records, _) in self.families.items():
-            if e in g.inverse_of:
-                kept = [r for r in records if 2 + r[0] * len(b) <= bound]
-                if kept:
-                    families[e] = (b, kept, filt.level(e))
-        cat = NielsenCatalog(
-            sub, bound, self.period_bound, entries, self._fixed_notes, families
-        )
-        sub._cache[key] = cat
-        return cat
+        key = piece.edges
+        if key not in self._image_qe:
+            m = self.map
+            self._image_qe[key] = qe_split(m, m.apply(Path(m.graph, key)), self)
+        return self._image_qe[key]
 
     def __repr__(self):
         periodic = (
@@ -824,17 +798,18 @@ def qe_families(m):
     return out
 
 
-def _exceptional_by_end(m):
-    """{E: the exceptional families with end E, in :func:`qe_families`
-    order}, cached on the map beside them."""
-    if "exceptional_by_end" not in m._cache:
-        out = {}
+def _families_by_end(m):
+    """({E: the QE families with end E}, {E: the exceptional ones}), each
+    list in :func:`qe_families` order, cached on the map beside them."""
+    if "families_by_end" not in m._cache:
+        every, exceptional = {}, {}
         for fam in qe_families(m):
-            if fam.is_exceptional():
-                for e in (fam.e_i, fam.e_j):
-                    out.setdefault(e, []).append(fam)
-        m._cache["exceptional_by_end"] = out
-    return m._cache["exceptional_by_end"]
+            for e in (fam.e_i, fam.e_j):
+                every.setdefault(e, []).append(fam)
+                if fam.is_exceptional():
+                    exceptional.setdefault(e, []).append(fam)
+        m._cache["families_by_end"] = every, exceptional
+    return m._cache["families_by_end"]
 
 
 def is_exceptional_path(m, path):
@@ -905,7 +880,7 @@ def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
     longest first, an exceptional path before an iNp of the same length,
     a single edge last.
 
-    Exceptional families come from :func:`_exceptional_by_end`, generic
+    Exceptional families come from :func:`_families_by_end`, generic
     iNps from ``inps_by_first``.  Where the edge at i is a family's E, its
     members are matched from the records, none built as a path: the repeats
     of b, and of reverse(b) (a member read backwards), are counted once,
@@ -978,7 +953,7 @@ def complete_split(m, path, catalog=None, k_max=4, node_cap=100000):
     filt = filtration(m)
     if path.is_trivial():
         return CompleteSplitting(path, [], "trivial")
-    exceptional = _exceptional_by_end(m)
+    exceptional = _families_by_end(m)[1]
     inps_by_first, families = catalog.inps_by_first, catalog.families
 
     # Depth-first search with an explicit stack, so the depth is not
@@ -1084,11 +1059,7 @@ def qe_split(m, path, catalog=None, splitting=None):
     is left to right."""
     if splitting is None:
         splitting = complete_split(m, path, catalog)
-    fams = qe_families(m)
-    by_end = {}
-    for fam in fams:
-        for e in fam.ends():
-            by_end.setdefault(e, []).append(fam)
+    by_end = _families_by_end(m)[0]
     terms = list(splitting.terms)
     out = []
     i = 0

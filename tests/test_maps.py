@@ -23,7 +23,15 @@ from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltr
 from traintrack.ct import check_ct, vertex_period
 from traintrack.maxrank import gen_type_c, gen_type_e, rank_audit
 from traintrack import samples
-from test_nielsen import triangular_roses
+from test_nielsen import (
+    _corpus_map,
+    arbitrary_roses,
+    invariant_closure,
+    linear_roses,
+    reached_down_sets,
+    triangular_roses,
+    zero_strata_maps,
+)
 
 
 # --- oracle: apply by naive substitution + naive reduction ------------------
@@ -408,6 +416,50 @@ def test_restrict_to_prefix():
     assert sub.edge_images["E2"].edges == ("E2", "E1", "E1")
     with pytest.raises(InconsistentFiltration):
         restrict(m, ["E1", "E4"])  # image of E4 leaves the subset
+
+
+def assert_restrict_inherits_the_filtration(m, down_sets):
+    # the filtration f|S inherits is the one computed on f|S: strata, kinds,
+    # NEG normal forms, axes and exponents, paths on f|S's own graph
+    for keep in down_sets:
+        sub = restrict(m, keep)
+        inherited = list(filtration(sub))
+        assert inherited == list(compute_filtration(sub)), sorted(keep)
+        for s in inherited:
+            for p in (s.neg_suffix, s.axis):
+                assert p is None or p.graph is sub.graph
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(samples.SAMPLES)
+    + ["type_e_%d" % n for n in range(3, 9)]
+    + ["type_c_%d" % n for n in range(4, 8)],
+)
+def test_restrict_inherits_the_filtration(name):
+    # prefixes along valid orders, and the invariant closure of every edge
+    # pair, which reaches down-sets the depth-first orders come to late
+    m = _corpus_map(name)
+    pairs = itertools.combinations_with_replacement(m.graph.edge_names, 2)
+    closures = sorted({invariant_closure(m, pair) for pair in pairs}, key=sorted)
+    assert_restrict_inherits_the_filtration(m, reached_down_sets(m, 300) + closures)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(zero_strata_maps(), arbitrary_roses(), linear_roses(), triangular_roses()),
+    st.data(),
+)
+def test_restrict_inherits_the_filtration_random_maps(m, data):
+    # prefixes along valid orders, and invariant closures of drawn edge
+    # sets, which may cut a zero stratum of f
+    try:
+        filtration(m)
+    except InconsistentFiltration:
+        return
+    drawn = data.draw(st.lists(st.sets(st.sampled_from(m.graph.edge_names)), max_size=6))
+    down_sets = reached_down_sets(m, 50) + [invariant_closure(m, es) for es in drawn if es]
+    assert_restrict_inherits_the_filtration(m, down_sets)
 
 
 # --- directions and turns ------------------------------------------------------
