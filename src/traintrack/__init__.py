@@ -23,12 +23,10 @@ from .maps import (
 from .nielsen import (
     NielsenCatalog,
     NielsenEntry,
-    LinearEdge,
     Axis,
     QEFamily,
     build_catalog,
     is_nielsen_path,
-    detect_linear_edges,
     axes,
     qe_families,
     complete_split,
@@ -116,12 +114,10 @@ __all__ = [
     # Nielsen paths, axes, splittings
     "NielsenCatalog",
     "NielsenEntry",
-    "LinearEdge",
     "Axis",
     "QEFamily",
     "build_catalog",
     "is_nielsen_path",
-    "detect_linear_edges",
     "axes",
     "qe_families",
     "complete_split",

@@ -17,8 +17,11 @@ the homotopy equivalence f_a acting as f^{a_i} on X_i and fixing every
 f-fixed edge, and edge-image-wise f_a f_b = f_b f_a = f_{a+b}.
 
 The QE-splittings of the images f(A) are the catalog's, made on its own
-map: a restriction of f to an invariant subgraph is disintegrated with f's
-catalog and reads f's splittings (:meth:`NielsenCatalog.image_qe_split`).
+map.  A restriction f|S of f to an invariant edge set S (a filtration
+prefix) is disintegrated on f's own graph: its filtration is f's met with
+S (:func:`maps.restrict`), its pieces are paths of f's graph, and it reads
+f's catalog and splittings (:meth:`NielsenCatalog.image_qe_split`).  The
+whole map is the case S = every edge.
 """
 
 import itertools
@@ -27,7 +30,7 @@ from .ct import check_ct, connecting_paths, principal_vertices
 from .errors import AdmissibilityError, InconsistentFiltration, TrainTrackError
 from .freegroup import map_is_pi1_surjective
 from .intlin import kernel_basis
-from .maps import GraphMap, filtration
+from .maps import GraphMap, filtration, restrict
 from .paths import UnionFind
 from .nielsen import (
     TERM_CONN,
@@ -80,11 +83,13 @@ def _pieces(m, filt, i):
     return [g.path([e]) for e in sorted(filt[i].edges, key=g.edge_index)]
 
 
-def almost_invariant_subgraphs(m, catalog=None):
-    """Union-find closure of "A_j is a term in the QE-splitting of f(A_i)"."""
+def almost_invariant_subgraphs(m, catalog=None, filt=None):
+    """Union-find closure of "A_j is a term in the QE-splitting of f(A_i)",
+    over the strata of ``filt`` (default: m's filtration)."""
     if catalog is None:
         catalog = build_catalog(m)
-    filt = filtration(m)
+    if filt is None:
+        filt = filtration(m)
     nodes = [i for i, s in enumerate(filt) if s.kind != "fixed"]
     uf = UnionFind()
 
@@ -217,12 +222,17 @@ def lattice(rels, M):
 
 
 class Disintegration:
-    """Partition, relations and lattice of one map, computed together."""
+    """Partition, relations and lattice of one map, computed together.
 
-    def __init__(self, m, catalog=None):
+    With ``edges``, of f|S for the invariant edge set S they name, on m's
+    graph and with m's catalog; without, of m itself.
+    """
+
+    def __init__(self, m, catalog=None, edges=None):
         self.map = m
         self.catalog = catalog if catalog is not None else build_catalog(m)
-        self.partition = almost_invariant_subgraphs(m, self.catalog)
+        filt = filtration(m) if edges is None else restrict(m, edges)
+        self.partition = almost_invariant_subgraphs(m, self.catalog, filt)
         self.relations = admissibility_relations(m, self.partition, self.catalog)
         self.lattice = lattice(self.relations, self.partition.M)
 
@@ -240,8 +250,8 @@ class Disintegration:
         )
 
 
-def disintegrate(m, catalog=None):
-    return Disintegration(m, catalog)
+def disintegrate(m, catalog=None, edges=None):
+    return Disintegration(m, catalog, edges)
 
 
 def build_fa(m, a, dis=None):

@@ -385,50 +385,36 @@ def filtration(m):
     return m._cache["filtration"]
 
 
-def restrict(m, edge_subset, vertices=None):
-    """Restriction of the map to an invariant subgraph (filtration prefix).
+def restrict(m, edge_subset):
+    """The filtration of f|S, f restricted to an invariant edge set S (a
+    filtration prefix), on m's own graph.
 
-    The subgraph is rebuilt as an intermediate MarkedGraph (valence-one
-    vertices allowed), edges in m's order.  Raises if the edge set is not
-    actually invariant.  Such a set S is a down-set of m's condensed
-    dependency digraph, and f|S inherits m's filtration.  Lemma: the greedy
-    least-edge order of :func:`compute_filtration`, restricted to a
-    down-set, is the down-set's greedy order.  (At the first difference the
-    down-set's pick has the smaller key and was ready when m picked.)  A
-    stratum's kind, normal form and axis depend only on its edge images, so
-    the strata of f|S are m's met with S, in m's order, zero strata that
-    become adjacent merged, NEG paths rebuilt on the subgraph (paths
-    compare their graphs).
+    Raises if S is not actually invariant.  Such a set S is a down-set of
+    m's condensed dependency digraph, and f|S inherits m's filtration.
+    Lemma: the greedy least-edge order of :func:`compute_filtration`,
+    restricted to a down-set, is the down-set's greedy order.  (At the
+    first difference the down-set's pick has the smaller key and was ready
+    when m picked.)  A stratum's kind, normal form and axis depend only on
+    its edge images, which f|S shares with f, so the strata of f|S are m's
+    met with S, in m's order, zero strata that become adjacent merged, each
+    other stratum m's own.  The filtration lives on m's graph: f|S is f
+    read on the edges of S.
     """
-    from .paths import MarkedGraph
-
     g = m.graph
     keep = {base_name(e) for e in edge_subset}
-    vs = vertices or sorted(g.incident_vertices(keep))
-    sub = MarkedGraph(vs, [(e, g.init(e), g.term(e)) for e in g.edge_names if e in keep],
-                      intermediate=True)
-    imgs = {}
-    for e in sub.edge_names:
-        im = m.edge_images[e]
-        for x in im.edges:
-            if base_name(x) not in keep:
-                raise InconsistentFiltration(
-                    "edge set is not invariant: image of %r leaves it" % e
-                )
-        imgs[e] = sub.path(im.edges)
-    out = GraphMap(sub, imgs)
+    for e in g.edge_names:
+        if e in keep and any(base_name(x) not in keep for x in m.edge_images[e].edges):
+            raise InconsistentFiltration("edge set is not invariant: image of %r leaves it" % e)
     strata = []
     for s in filtration(m):
         edges = tuple(e for e in s.edges if e in keep)
         if edges and s.kind == "zero":
             if strata and strata[-1].kind == "zero":
-                edges = tuple(sorted(strata.pop().edges + edges, key=sub.edge_index))
+                edges = tuple(sorted(strata.pop().edges + edges, key=g.edge_index))
             strata.append(Stratum(edges, "zero"))
         elif edges:
-            strata.append(s._replace(neg_suffix=s.neg_suffix and Path(sub, s.neg_suffix.edges),
-                                     axis=s.axis and Path(sub, s.axis.edges)))
-    out._cache["filtration"] = Filtration(sub, strata)
-    return out
+            strata.append(s)
+    return Filtration(g, strata)
 
 
 # -- directions and turns -------------------------------------------------------

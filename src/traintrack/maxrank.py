@@ -1,7 +1,7 @@
 """Rank growth along the filtration and the shape of maximal configurations.
 
-Restricting a map to each filtration prefix and disintegrating the
-restriction gives a sequence of lattice ranks R_0, R_1, ..., R_N.  The
+Disintegrating the restriction of a map to each filtration prefix, on the
+map's own graph, gives a sequence of lattice ranks R_0, R_1, ..., R_N.  The
 sequence is not monotone: a new stratum can add a class (rank up) or add a
 relation tying old classes together (rank down).  Grouping the strata into
 stages whose boundary prefixes have no valence-one vertices, each stage
@@ -28,7 +28,7 @@ the vertex-split surgery used to renormalize twisting exponents.
 from .disintegrate import disintegrate
 from .errors import InputError, InvariantForestError
 from .freegroup import homology_class, is_IA
-from .maps import GraphMap, direction_map, filtration, restrict
+from .maps import GraphMap, direction_map, filtration
 from .nielsen import build_catalog, is_nielsen_path
 from .paths import MarkedGraph, base_name, inverse
 
@@ -146,9 +146,11 @@ def stage_ranks(m, order=None):
     Zero strata on top of a prefix are stripped before disintegrating (they
     carry neither fundamental group nor twisting, and the subgraph decompo-
     sition is only defined once an irreducible stratum sits above them).
-    Every prefix is invariant: its restriction inherits the filtration
-    (:func:`restrict`) and reads the map's one catalog and edge-image
-    splittings (:meth:`NielsenCatalog.image_qe_split`).
+    Every prefix is invariant, so it is disintegrated on the map's own
+    graph: its filtration is the map's met with the prefix
+    (:func:`maps.restrict`), and it reads the map's one catalog and
+    edge-image splittings (:meth:`NielsenCatalog.image_qe_split`).  No
+    graph or map is built.
     """
     filt = filtration(m)
     cat = build_catalog(m)
@@ -163,8 +165,7 @@ def stage_ranks(m, order=None):
         elif jj < j:
             ranks.append(ranks[jj])
         else:
-            sub = restrict(m, filt.prefix_edges(j, order))
-            ranks.append(disintegrate(sub, cat).lattice.rank)
+            ranks.append(disintegrate(m, cat, filt.prefix_edges(j, order)).lattice.rank)
     return ranks
 
 

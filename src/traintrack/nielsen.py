@@ -46,11 +46,13 @@ linear family.  Only the CT check reads them, so that search runs the first
 time a catalog's ``periodic`` list or its ``budgets_hit`` notes are read, not
 when the catalog is built.
 
-The restriction of f to an invariant subgraph (a filtration prefix) has as
-Nielsen paths exactly those of f that lie in the subgraph, since f_# of a
-path there is computed there, and its edge images split as under f
-(:meth:`NielsenCatalog.image_qe_split`): f's catalog serves the subgraph
-without a search of its own.
+The restriction f|S of f to an invariant edge set S (a filtration prefix)
+has as Nielsen paths exactly those of f that lie in S, since f_# of a path
+there is computed there, and its edge images split as under f
+(:meth:`NielsenCatalog.image_qe_split`): f's catalog serves the prefix
+without a search of its own, and the prefix is disintegrated on f's own
+graph, through its filtration (:func:`maps.restrict`), not as a map of its
+own.
 """
 
 from functools import cache, cached_property
@@ -354,23 +356,25 @@ class NielsenCatalog:
         """qe_split of f_#(piece) under this catalog and its map f, computed
         once per edge tuple and shared by every later caller.
 
-        ``piece`` may lie in f|S, f restricted to an invariant subgraph S.
-        Lemma: f|S(A) = f(A) splits under f|S as under f.  The terms are
-        read from S's edges; the QE families met are f's with ends in S; the
-        illegal turns in S are those of Df; an iNp term of f(E) is no longer
-        than f(E), so within f|S's bound 4 max|f(E)| + 8.  Zero strata are
-        the exception: two of f that meet in S are one stratum of f|S, and
-        where f|S runs one connecting term over both, f ends a term at their
-        border and checks the turn there.  Disintegration reads a connecting
-        term only by its first edge's f|S-stratum, so the classes agree, but
-        an illegal border turn makes f refuse what f|S splits.  And f(A) for
-        a connecting path A may outgrow f|S's bound, where f's catalog,
-        searched further, decides.  Term heights are f's levels.
+        ``piece`` is a path of f's graph; it may be a piece of f|S, f
+        restricted to an invariant edge set S and disintegrated on f's
+        graph.  Lemma: f|S(A) = f(A) splits under f|S as under f.  The
+        terms are read from S's edges; the QE families met are f's with
+        ends in S; the illegal turns in S are those of Df; an iNp term of
+        f(E) is no longer than f(E), so within f|S's bound 4 max|f(E)| + 8.
+        Zero strata are the exception: two of f that meet in S are one
+        stratum of f|S, and where f|S runs one connecting term over both, f
+        ends a term at their border and checks the turn there.
+        Disintegration reads a connecting term only by its first edge's
+        f|S-stratum, so the classes agree, but an illegal border turn makes
+        f refuse what f|S splits.  And f(A) for a connecting path A may
+        outgrow f|S's bound, where f's catalog, searched further, decides.
+        Term heights are f's levels.
         """
         key = piece.edges
         if key not in self._image_qe:
             m = self.map
-            self._image_qe[key] = qe_split(m, m.apply(Path(m.graph, key)), self)
+            self._image_qe[key] = qe_split(m, m.apply(piece), self)
         return self._image_qe[key]
 
     def __repr__(self):
@@ -421,9 +425,8 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
     such pair).  Candidates whose edge tuple is in ``known`` are skipped
     unchecked.
 
-    A pair is Nielsen iff its suffixes are equal (module docstring), so the
-    ``is_nielsen_path`` check on each new candidate never fails; it stays
-    as a guard.
+    A pair is Nielsen iff its suffixes are equal (module docstring), so a
+    new candidate is kept unchecked.
     A candidate is kept in its orientation with the smaller order key, and
     a ``Path`` is built only for a candidate not seen before.  A run of
     prefixes (see :func:`_stable_prefixes`) sits in its bucket as one item
@@ -483,10 +486,8 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
                     edges = _lesser_orientation(order_key, edges, q + _reverse(inverse_of, p))
                     if edges in found:
                         continue
-                    sigma = Path(g, edges)
-                    if is_nielsen_path(m, sigma):
-                        found[edges] = sigma
-                        composite[edges] = split
+                    found[edges] = Path(g, edges)
+                    composite[edges] = split
     sigmas = _in_order(order_key, found.values(), lambda s: s.edges)
     return sigmas, composite, families, capped
 
@@ -635,27 +636,6 @@ def _cap_note(k, direction, cap):
 # -- linear edges and axes ------------------------------------------------------
 
 
-class LinearEdge:
-    """An NEG edge E (in the orientation with f(E) = E.w^d), w primitive
-    closed Nielsen, d nonzero."""
-
-    def __init__(self, edge, word, exponent):
-        self.edge = edge
-        self.word = word
-        self.exponent = exponent
-
-    def __repr__(self):
-        return "<linear %s over %r ^ %d>" % (self.edge, self.word, self.exponent)
-
-
-def detect_linear_edges(m):
-    """The linear NEG edges of the maximal filtration, lowest first, as
-    classified on its strata (see :func:`maps.classify_strata`)."""
-    return tuple(
-        LinearEdge(s.neg_edge, s.axis, s.exponent) for s in filtration(m) if s.linear
-    )
-
-
 class Axis:
     """An unoriented axis circuit with the linear edges twisting over it.
 
@@ -679,32 +659,35 @@ class Axis:
 def axes(m):
     """Group linear edges by unoriented axis and enforce the linear clauses.
 
+    The linear edges are the linear strata of m's filtration, each read as
+    its ``neg_edge`` E, ``axis`` w and ``exponent`` d with f(E) = E.w^d.
     Raises LViolation when two linear edges on one unoriented axis have
     based words that differ by more than orientation, or equal exponents.
     """
     g = m.graph
-    linear = sorted(detect_linear_edges(m), key=lambda le: g.edge_index(le.edge))
+    linear = sorted((s for s in filtration(m) if s.linear),
+                    key=lambda s: g.edge_index(s.neg_edge))
     groups = {}
-    for le in linear:
-        c = Circuit.from_path(le.word)
+    for s in linear:
+        c = Circuit.from_path(s.axis)
         cr = c.reverse()
         key = min(c.edges, cr.edges, key=lambda es: _path_key(g, Path(g, es)))
-        groups.setdefault(key, []).append(le)
+        groups.setdefault(key, []).append(s)
     out = []
     for key in sorted(groups, key=lambda es: _path_key(g, Path(g, es))):
-        les = groups[key]
-        word = les[0].word
+        strata = groups[key]
+        word = strata[0].axis
         members = []
-        for le in les:
-            if le.word == word:
-                members.append((le.edge, le.exponent))
-            elif le.word == word.reverse():
-                members.append((le.edge, -le.exponent))
+        for s in strata:
+            if s.axis == word:
+                members.append((s.neg_edge, s.exponent))
+            elif s.axis == word.reverse():
+                members.append((s.neg_edge, -s.exponent))
             else:
                 raise LViolation(
                     "linear edges %s and %s share the axis circuit but their "
                     "twisting words differ by more than orientation"
-                    % (les[0].edge, le.edge)
+                    % (strata[0].neg_edge, s.neg_edge)
                 )
         exps = [d for _, d in members]
         if len(set(exps)) != len(exps):

@@ -59,9 +59,11 @@ class MarkedGraph:
     ``vertex_index`` maps each vertex to its position in ``vertices``, the
     order in which vertices are compared.
 
-    Valence-one vertices are rejected unless ``intermediate=True`` (used for
-    restrictions of a map to a filtration prefix, where dangling vertices
-    are legitimate).
+    Valence-one vertices are rejected unless ``intermediate=True``.  Only
+    reference implementations in the tests build such graphs, rebuilding a
+    map's restriction to a filtration prefix as a map of its own, where
+    dangling vertices are legitimate; the package reads a prefix on the
+    map's own graph (:func:`maps.restrict`).
     """
 
     def __init__(self, vertices, edges, intermediate=False):

@@ -29,6 +29,7 @@ from test_nielsen import (
     invariant_closure,
     linear_roses,
     reached_down_sets,
+    restricted_afresh,
     triangular_roses,
     zero_strata_maps,
 )
@@ -412,22 +413,42 @@ def test_restrict_to_prefix():
     m = samples.qe_rose()
     filt = compute_filtration(m)
     sub = restrict(m, filt.prefix_edges(2))
-    assert sub.graph.edge_names == ("E1", "E2")
-    assert sub.edge_images["E2"].edges == ("E2", "E1", "E1")
+    assert sub.graph is m.graph
+    assert list(sub) == list(filt)[:2]
+    assert sub.prefix_edges(2) == ["E1", "E2"]
     with pytest.raises(InconsistentFiltration):
         restrict(m, ["E1", "E4"])  # image of E4 leaves the subset
 
 
+def _edge_tuples(strata):
+    return [s._replace(neg_suffix=s.neg_suffix and s.neg_suffix.edges,
+                       axis=s.axis and s.axis.edges) for s in strata]
+
+
 def assert_restrict_inherits_the_filtration(m, down_sets):
-    # the filtration f|S inherits is the one computed on f|S: strata, kinds,
-    # NEG normal forms, axes and exponents, paths on f|S's own graph
+    # the filtration restrict gives f|S, on f's graph, is the one computed
+    # on f|S rebuilt as a map of its own: strata, kinds, NEG normal forms,
+    # axes and exponents, paths compared as edge tuples
     for keep in down_sets:
-        sub = restrict(m, keep)
-        inherited = list(filtration(sub))
-        assert inherited == list(compute_filtration(sub)), sorted(keep)
+        inherited = restrict(m, keep)
+        assert inherited.graph is m.graph
+        fresh = compute_filtration(restricted_afresh(m, keep))
+        assert _edge_tuples(inherited) == _edge_tuples(fresh), sorted(keep)
         for s in inherited:
             for p in (s.neg_suffix, s.axis):
-                assert p is None or p.graph is sub.graph
+                assert p is None or p.graph is m.graph
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(samples.SAMPLES)
+    + ["type_e_%d" % n for n in range(3, 9)]
+    + ["type_c_%d" % n for n in range(4, 8)],
+)
+def test_restrict_to_every_edge_is_the_filtration(name):
+    # the restriction lemma at S = G: f|G is f, stratum for stratum
+    m = _corpus_map(name)
+    assert list(restrict(m, m.graph.edge_names)) == list(filtration(m))
 
 
 @pytest.mark.parametrize(

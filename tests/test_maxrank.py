@@ -1,11 +1,14 @@
 """Tests for the rank audit, FPS detection, maximal-rank classification,
 the two standard twist families and the vertex-split surgery."""
 
+import importlib
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from traintrack.cli import parse_document
 from traintrack.ct import check_ct
 from traintrack.disintegrate import disintegrate
 from traintrack.errors import (
@@ -50,6 +53,10 @@ from traintrack.samples import (
     zero_stratum_map,
 )
 from test_nielsen import restricted_afresh, zero_strata_maps
+
+GOLDEN_DOCS = os.path.join(os.path.dirname(__file__), "golden", "docs")
+# the package exports a function of the same name
+disintegrate_module = importlib.import_module("traintrack.disintegrate")
 
 
 def _forest_map():
@@ -241,6 +248,37 @@ def test_rank_audit_splits_each_edge_image_once(monkeypatch):
     assert all(mk is m for mk, _ in splits)
     moved = [e for e in m.graph.edge_names if m.image(e).edges != (e,)]
     assert sorted(p for _, p in splits) == sorted(m.image(e).edges for e in moved)
+
+
+@pytest.mark.parametrize("doc", ["type_e_6", "type_c_5"])
+def test_rank_audit_builds_no_graph_and_restricts_once_per_prefix(doc, monkeypatch):
+    # every prefix is disintegrated on the parsed map's own graph: no
+    # MarkedGraph or GraphMap is built, and restrict runs once per prefix
+    with open(os.path.join(GOLDEN_DOCS, doc + ".json")) as fh:
+        m = parse_document(fh.read()).graph_map
+    built, restricted = [], []
+    for cls in (MarkedGraph, GraphMap):
+        def counted_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built.append(_cls.__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    restrict = disintegrate_module.restrict
+
+    def counted_restrict(mk, edges):
+        restricted.append(frozenset(edges))
+        return restrict(mk, edges)
+
+    monkeypatch.setattr(disintegrate_module, "restrict", counted_restrict)
+    audit = rank_audit(m)
+    assert built == []
+    filt = filtration(m)
+    prefixes = [
+        frozenset(filt.prefix_edges(j, audit.order))
+        for j in range(1, len(filt) + 1)
+        if filt[audit.order[j - 1]].kind != "zero"
+    ]
+    assert restricted == prefixes
 
 
 def test_stage_ranks_skip_zero_topped_prefixes():

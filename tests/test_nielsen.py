@@ -36,7 +36,6 @@ from traintrack.nielsen import (
     build_catalog,
     complete_split,
     default_length_bound,
-    detect_linear_edges,
     is_exceptional_path,
     is_nielsen_path,
     qe_families,
@@ -377,7 +376,7 @@ def test_prefix_catalog_is_the_full_catalog_filtered(name):
     filt = filtration(m)
     for r in range(1, len(filt) + 1):
         keep = set(filt.prefix_edges(r))
-        sub = restrict(m, keep)
+        sub = restricted_afresh(m, keep)
         bound = default_length_bound(sub)
         expected = [
             (x.path.edges, x.indivisible)
@@ -470,6 +469,10 @@ def _split_or_error(split, *args):
         return type(exc)
 
 
+def _unoriented(path):
+    return frozenset((path.edges, path.reverse().edges))
+
+
 def assert_prefix_splittings_are_the_full_maps(m, down_sets, zero_runs=False):
     # every piece A of f|S splits under f's catalog as f|S, restricted and
     # filtered afresh, splits it under its own catalog, term by term; with
@@ -481,27 +484,32 @@ def assert_prefix_splittings_are_the_full_maps(m, down_sets, zero_runs=False):
     except LViolation:
         # f's families are undefined: every splitting under f refuses
         for keep in down_sets:
-            sub = restrict(m, keep)
-            for i in range(len(filtration(sub))):
-                for piece in _pieces(sub, filtration(sub), i):
+            filt = restrict(m, keep)
+            for i in range(len(filt)):
+                for piece in _pieces(m, filt, i):
                     assert _split_or_error(cat.image_qe_split, piece) is LViolation
         return
     level = filtration(m).level
     for keep in down_sets:
-        sub = restrict(m, keep)
         own = restricted_afresh(m, keep)
         own_cat = build_catalog(own)
         filt = filtration(own)
+        on_f = restrict(m, keep)
         for i, s in enumerate(filt):
             if s.kind == "fixed":
                 continue
+            # the pieces disintegration reads on f's graph are f|S's own,
+            # up to orientation
+            assert {_unoriented(p) for p in _pieces(m, on_f, i)} == {
+                _unoriented(p) for p in _pieces(own, filt, i)
+            }, (sorted(keep), i)
             for piece in _pieces(own, filt, i):
                 try:
                     split = qe_split(own, own.apply(piece), own_cat)
                     want = _split_record(split)
                 except TrainTrackError as exc:
                     split, want = None, type(exc)
-                got = _split_or_error(cat.image_qe_split, Path(sub.graph, piece.edges))
+                got = _split_or_error(cat.image_qe_split, m.graph.path(piece.edges))
                 if got != want:
                     assert zero_runs and split is not None and any(
                         t.kind == TERM_CONN and len({level(e) for e in t.path.edges}) > 1
@@ -537,8 +545,7 @@ def test_a_connecting_run_over_two_zero_strata_splits_as_in_the_prefix():
         (TERM_EDGE, ("T2",), None, None),
         (TERM_CONN, ("Z2'", "Z1", "T1", "Z1'"), None, None),
     ]
-    sub = restrict(m, keep)
-    assert _split_or_error(build_catalog(m).image_qe_split, sub.graph.path(["T2"])) == want
+    assert _split_or_error(build_catalog(m).image_qe_split, m.graph.path(["T2"])) == want
 
 
 def test_the_full_map_refuses_a_connecting_run_over_two_of_its_zero_strata():
@@ -546,9 +553,9 @@ def test_the_full_map_refuses_a_connecting_run_over_two_of_its_zero_strata():
     m = _zero_run_map()
     sub = restrict(m, ["A", "Z1", "Z2", "T1", "T2"])
     assert [s.kind for s in filtration(m)] == ["fixed", "zero", "fixed", "zero", "NEG"]
-    assert [s.edges for s in filtration(sub)][1] == ("Z1", "Z2", "T1")
+    assert [s.edges for s in sub][1] == ("Z1", "Z2", "T1")
     cat = build_catalog(m)
-    assert _split_or_error(cat.image_qe_split, sub.graph.path(["T2"])) is NotCompletelySplit
+    assert _split_or_error(cat.image_qe_split, m.graph.path(["T2"])) is NotCompletelySplit
     with pytest.raises(NotCompletelySplit):
         disintegrate(m)
     with pytest.raises(NotCompletelySplit):
@@ -628,21 +635,13 @@ def _powers(m):
 
 
 def assert_pairs_are_nielsen(m, bound):
-    # f_#(p.reverse(q)) = [p.s.reverse(s).reverse(q)] = p.reverse(q): the
-    # in-search check never fails, on f and on the f^2, f^3 that the
-    # periodic list searches (run directly: a filtration is not needed)
-    powers = _powers(m)
-    verdicts = []
-
-    def recorded(mk, p):
-        verdicts.append(is_nielsen_path(mk, p))
-        return verdicts[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nielsen, "is_nielsen_path", recorded)
-        for mk in powers:
-            _search_fixed_paths(mk, bound)
-    assert all(verdicts)
+    # f_#(p.reverse(q)) = [p.s.reverse(s).reverse(q)] = p.reverse(q): every
+    # pair the search keeps unchecked is Nielsen, on f and on the f^2, f^3
+    # that the periodic list searches (run directly: a filtration is not
+    # needed)
+    for mk in _powers(m):
+        sigmas = _search_fixed_paths(mk, bound)[0]
+        assert all(is_nielsen_path(mk, sigma) for sigma in sigmas)
 
 
 @settings(max_examples=60, deadline=None)
@@ -943,20 +942,30 @@ def test_ladder_family_is_checked_once(guard_counts):
         guard_counts.update(checked=[], apply=0)
         cat = build_catalog(m)
         assert len(cat.inps()) == cat.bound - 2
-        # B's family: one check, on its shortest member; A A is the other pair
-        assert guard_counts["checked"] == [("A", "A"), ("B", "A", "B'")]
+        # B's family: one check, on its shortest member; A A, the other
+        # pair, is kept unchecked (the pairing lemma)
+        assert guard_counts["checked"] == [("B", "A", "B'")]
         counts.append(guard_counts["apply"])
     assert counts[0] == counts[1] == counts[2]
 
 
-def test_periodic_search_checks_neither_members_nor_known_entries(guard_counts):
+def test_periodic_search_checks_neither_members_nor_known_entries(monkeypatch):
     # on f^2, f^3 the members of B's family are dropped on sight and A A is
-    # a known period-one entry: nothing is left to check
+    # a known period-one entry: no candidate is left for the period probe
+    search = nielsen._search_fixed_paths
     for k in (3, 25):
         cat = build_catalog(_ladder(k))
-        guard_counts.update(checked=[])
+        found = []
+
+        def recorded(*args):
+            out = search(*args)
+            found.append(out[0])
+            return out
+
+        monkeypatch.setattr(nielsen, "_search_fixed_paths", recorded)
         assert cat.periodic == []
-        assert guard_counts["checked"] == []
+        assert found == [[], []]
+        monkeypatch.undo()
 
 
 def test_a_generic_pair_giving_a_member_is_listed_once(monkeypatch):
@@ -1118,12 +1127,59 @@ def test_closed_form_rays_match_iteration_unreduced_axis():
 def test_closed_form_rays_match_iteration_long_unreduced_axis():
     # u = (E2 E3)^3 is long enough that the iteration stops before the
     # bound on E4's spine E4 u E1 E1 ...; the closed form stops where it does
+    assert_closed_form_rays_match_iteration(_long_unreduced_axis_map())
+
+
+def _long_unreduced_axis_map():
     u = "E2 E3 E2 E3 E2 E3"
-    m = _map(
+    return _map(
         _rose(["E1", "E2", "E3", "E4"]),
         {"E1": "E1", "E2": "E2", "E3": "E3", "E4": "E4 %s E1 E3' E2' E3' E2' E3' E2'" % u},
     )
-    assert_closed_form_rays_match_iteration(m)
+
+
+def direct_stable_pairs(m, bound):
+    """The catalog's pairs from first principles: every prefix p of every
+    iterate f^j(d), j <= bound, of every fixed direction d (E4 u E1^j ubar
+    for E4 on the map above, d itself for a fixed edge) with f_#(p) = p.s,
+    checked with ``m.apply``; p.reverse(q) for p, q with one end and one
+    s, tight and within the bound, with its indivisible flag by brute
+    force."""
+    g = m.graph
+    prefixes = {}
+    for d in g.directions():
+        if m.image(d).edges[0] != d:
+            continue
+        ray = g.path([d])
+        for _ in range(bound + 1):
+            for n in range(1, min(len(ray), bound) + 1):
+                p = ray.subpath(0, n)
+                image = m.apply(p).edges
+                if image[:n] == p.edges:
+                    prefixes[p.edges] = (p.end, image[n:])
+            ray = m.apply(ray)
+    out = {}
+    for (p, key), (q, other) in itertools.product(prefixes.items(), repeat=2):
+        if key != other or p[-1] == q[-1] or len(p) + len(q) > bound:
+            continue
+        sigma = g.path(p + Path(g, q).reverse().edges)
+        assert m.apply(sigma) == sigma
+        indivisible = not any(
+            is_nielsen_path(m, sigma.subpath(0, i)) for i in range(1, len(sigma))
+        )
+        out[norm(sigma)] = indivisible
+    return out
+
+
+def test_the_catalog_of_a_long_unreduced_axis_loses_no_pair():
+    # the spine E4 u E1 E1 ... stops short of the bound (E4 u E1^56 and
+    # E4 u E1^57 are never recorded), but no pair within the bound needs
+    # them: every pair of stable prefixes is in the catalog, and no more
+    m = _long_unreduced_axis_map()
+    want = direct_stable_pairs(m, 64)
+    got = {norm(x.path): x.indivisible for x in build_catalog(m, 64).entries}
+    assert got == want
+    assert (("E4",) + ("E2", "E3") * 3 + ("E1",) * 50) + ("E3'", "E2'") * 3 + ("E4'",) in got
 
 
 def test_closed_form_ray_after_a_shared_prefix():
@@ -1471,14 +1527,18 @@ def test_check_ct_on_the_ladder_writes_no_member_out(members_written):
 # -- linear edges and axes -------------------------------------------------------
 
 
+def _linear_strata(m):
+    return {s.neg_edge: (s.axis.edges, s.exponent) for s in filtration(m) if s.linear}
+
+
 def test_linear_edges_qe_rose():
-    got = {le.edge: (le.word.edges, le.exponent) for le in detect_linear_edges(qe_rose())}
+    got = _linear_strata(qe_rose())
     assert got == {"E2": (("E1",), 2), "E3": (("E1",), 1)}
 
 
 def test_linear_edges_suffix_rose():
     m = suffix_rose()
-    got = {le.edge: (le.word.edges, le.exponent) for le in detect_linear_edges(m)}
+    got = _linear_strata(m)
     # C's suffix is B, which is not Nielsen, so C is NEG but not linear
     assert got == {"B": (("A",), 2), "D": (("A",), 5)}
     ax = axes(m)
@@ -1490,7 +1550,7 @@ def test_linear_edges_suffix_rose():
 
 def test_linear_edge_reversed_orientation():
     f1, _ = inner_twist_pair()
-    got = {le.edge: (le.word.edges, le.exponent) for le in detect_linear_edges(f1)}
+    got = _linear_strata(f1)
     assert got["E2'"] == (("E1'",), 1)
 
 
