@@ -350,17 +350,9 @@ def verify_nielsen_preserved(m, a, dis=None, qe_powers=(-2, -1, 0, 1, 2)):
         if fa.apply(sigma) != sigma:
             failures.append("f_a moves the Nielsen path %r" % (sigma.edges,))
 
-    incidences = {}
-    for rel_stratum in dis.partition.filtration:
-        if rel_stratum.kind in ("fixed", "zero"):
-            continue
-        for e in sorted(rel_stratum.edges, key=m.graph.edge_index):
-            k = dis.partition.class_of_edge(e)
-            for t in dis.catalog.image_qe_split(m.graph.path([e])).terms:
-                if t.kind == TERM_QE:
-                    incidences.setdefault((t.family.key(), k), t.family)
     q_checked = 0
-    for (key, k), fam in sorted(incidences.items()):
+    for rel in sorted(dis.relations, key=lambda r: (r.family.key(), r.r)):
+        fam, k = rel.family, rel.r
         for p in qe_powers:
             sigma = fam.member_path(p)
             q_checked += 1

@@ -9,26 +9,9 @@ from fractions import Fraction
 
 
 def matrix_rank(rows):
-    """Rank over the rationals, by fraction-free style Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    """Rank over the rationals: the number of columns less the kernel's."""
+    ncols = len(rows[0]) if rows else 0
+    return ncols - len(kernel_basis(rows, ncols))
 
 
 def det(rows):

@@ -186,7 +186,13 @@ class Stratum(namedtuple(
 
 
 class Filtration:
-    """Maximal invariant filtration: ordered strata, lowest first."""
+    """Invariant filtration: ordered strata, lowest first.
+
+    :func:`filtration` gives m's maximal one.  Any valid stratum order of m
+    (every stratum after the strata its images cross) lists a filtration
+    of m too, ``Filtration(m.graph, [filt[i] for i in order])``; ``level``
+    and ``prefix_edges`` then give positions and prefixes in that order.
+    """
 
     def __init__(self, graph, strata):
         self.graph = graph
@@ -209,13 +215,9 @@ class Filtration:
         """0-based stratum index of an edge."""
         return self._level[edge]
 
-    def prefix_edges(self, r, order=None):
-        """Edge set of G_r = union of the first r strata (r from 0 to N);
-        with a stratum ``order``, of the strata order[0..r-1]."""
-        out = []
-        for i in range(r) if order is None else order[:r]:
-            out.extend(self.strata[i].edges)
-        return out
+    def prefix_edges(self, r):
+        """Edge set of G_r = union of the first r strata (r from 0 to N)."""
+        return [e for s in self.strata[:r] for e in s.edges]
 
     def height(self, path):
         """Largest stratum index met by a path; -1 for trivial paths."""
@@ -335,12 +337,7 @@ def classify_strata(m, components):
     strata = []
     for comp in components:
         edges = tuple(sorted(comp, key=g.edge_index))
-        pos = {e: i for i, e in enumerate(edges)}
-        block = [[0] * len(edges) for _ in edges]
-        for e in edges:
-            for x in m.edge_images[e].edges:
-                if base_name(x) in pos:
-                    block[pos[base_name(x)]][pos[e]] += 1
+        block = transition_matrix(m, edges)
         if all(all(v == 0 for v in row) for row in block):
             if strata and strata[-1].kind == "zero":
                 edges = tuple(sorted(strata.pop().edges + edges, key=g.edge_index))

@@ -20,7 +20,11 @@ the model case.)
 This module computes the rank sequence, audits the bound stage by stage,
 detects FPS subgraphs clause by clause, and classifies maps whose lattice
 attains the maximal rank 2n-3 (or 2n-4 inside the kernel of the homology
-action) as a base piece plus a tower of equality stages.  It also builds
+action) as a base piece plus a tower of equality stages.  Everything the
+audit and the classifier read is a property of a chain of filtration
+prefixes, so the stage helpers take a filtration: the audit m's own, the
+classifier the filtration each valid stratum order lists, built once per
+order.  It also builds
 the two standard families realizing those maxima on a subdivided rose, and
 the vertex-split surgery used to renormalize twisting exponents.
 """
@@ -28,9 +32,9 @@ the vertex-split surgery used to renormalize twisting exponents.
 from .disintegrate import disintegrate
 from .errors import InputError, InvariantForestError
 from .freegroup import homology_class, is_IA
-from .maps import GraphMap, direction_map, filtration
+from .maps import Filtration, GraphMap, direction_map, filtration
 from .nielsen import build_catalog, is_nielsen_path
-from .paths import MarkedGraph, base_name, inverse
+from .paths import MarkedGraph, UnionFind, base_name, inverse
 
 
 # -- invariant forests ---------------------------------------------------------
@@ -77,8 +81,10 @@ def valid_orders(m, cap=10000):
     """Generate topologically valid stratum orders, construction order first.
 
     An order is valid when every stratum comes after all strata its images
-    cross.  Enumeration is depth-first in index order, so the original
-    order (always valid) is yielded first; at most ``cap`` orders come out.
+    cross, so it lists a filtration of m; :func:`classify_max_rank` builds
+    that filtration once per order and hands it to the stage helpers.
+    Enumeration is depth-first in index order, so the original order
+    (always valid) is yielded first; at most ``cap`` orders come out.
     """
     filt = filtration(m)
     n = len(filt)
@@ -103,45 +109,41 @@ def valid_orders(m, cap=10000):
     yield from rec([], set())
 
 
-def _has_valence_one(g, edges):
+def _degrees(g, edges):
+    """Vertex valences in the subgraph spanned by an edge set."""
     deg = {}
     for e in edges:
-        deg[g.init(e)] = deg.get(g.init(e), 0) + 1
-        deg[g.term(e)] = deg.get(g.term(e), 0) + 1
-    return any(d == 1 for d in deg.values())
+        for v in (g.init_of[e], g.term_of[e]):
+            deg[v] = deg.get(v, 0) + 1
+    return deg
 
 
 def _retracts_to(g, sub_edges, base_edges):
     """Does the subgraph deformation retract to the base by pruning hanging
-    edges (valence-one vertices outside the base)?"""
-    cur = {base_name(e) for e in sub_edges}
+    edges (valence-one vertices outside the base)?
+
+    Exactly when the base lies in the subgraph and the edges outside the
+    base form trees, each meeting the base's vertices at most once: such a
+    tree always has a leaf off the base to prune, while no edge of a cycle,
+    or of a path between two base vertices, ever hangs.  With the base's
+    vertices identified to one point, those edges must form a forest.
+    """
+    sub = {base_name(e) for e in sub_edges}
     base = {base_name(e) for e in base_edges}
-    base_verts = g.incident_vertices(base)
-    changed = True
-    while changed:
-        changed = False
-        deg = {}
-        for e in cur:
-            deg[g.init(e)] = deg.get(g.init(e), 0) + 1
-            deg[g.term(e)] = deg.get(g.term(e), 0) + 1
-        for e in sorted(cur, key=g.edge_index):
-            if e in base:
-                continue
-            if (deg[g.init(e)] == 1 and g.init(e) not in base_verts) or (
-                deg[g.term(e)] == 1 and g.term(e) not in base_verts
-            ):
-                cur.discard(e)
-                changed = True
-                break
-    return cur == base
+    classes = UnionFind()
+    base_verts = list(g.incident_vertices(base))
+    for v in base_verts[1:]:
+        classes.union(base_verts[0], v)
+    return base <= sub and all(classes.union(g.init(e), g.term(e)) for e in sub - base)
 
 
 # -- rank sequence and stage grouping ------------------------------------------
 
 
-def stage_ranks(m, order=None):
-    """Lattice ranks [R_0, ..., R_N] of the restrictions to filtration
-    prefixes; R_j belongs to the union of the first j strata.
+def stage_ranks(m, filt=None):
+    """Lattice ranks [R_0, ..., R_N] of the restrictions to the prefixes of
+    ``filt``, a filtration of m (default m's own, or one a valid stratum
+    order lists); R_j belongs to the union of the first j strata.
 
     Zero strata on top of a prefix are stripped before disintegrating (they
     carry neither fundamental group nor twisting, and the subgraph decompo-
@@ -152,38 +154,39 @@ def stage_ranks(m, order=None):
     edge-image splittings (:meth:`NielsenCatalog.image_qe_split`).  No
     graph or map is built.
     """
-    filt = filtration(m)
+    if filt is None:
+        filt = filtration(m)
     cat = build_catalog(m)
-    order = tuple(order if order is not None else range(len(filt)))
     ranks = [0]
-    for j in range(1, len(order) + 1):
+    for j in range(1, len(filt) + 1):
         jj = j
-        while jj > 0 and filt[order[jj - 1]].kind == "zero":
+        while jj > 0 and filt[jj - 1].kind == "zero":
             jj -= 1
         if jj == 0:
             ranks.append(0)
         elif jj < j:
             ranks.append(ranks[jj])
         else:
-            ranks.append(disintegrate(m, cat, filt.prefix_edges(j, order)).lattice.rank)
+            ranks.append(disintegrate(m, cat, filt.prefix_edges(j)).lattice.rank)
     return ranks
 
 
-def default_stage_grouping(m, order=None):
-    """Stage boundaries [l_0, l_1, ..., l_K = N] as prefix counts.
+def default_stage_grouping(m, filt=None):
+    """Stage boundaries [l_0, l_1, ..., l_K = N] as prefix counts of
+    ``filt`` (default m's filtration).
 
     l_0 is the block of bottom strata that are components of their own
     prefix; later boundaries are the prefixes with no valence-one vertices
     whose top stratum is irreducible.
     """
-    filt = filtration(m)
+    if filt is None:
+        filt = filtration(m)
     g = m.graph
-    order = tuple(order if order is not None else range(len(filt)))
-    n = len(order)
+    n = len(filt)
     k = 1
-    verts = set(g.incident_vertices(filt[order[0]].edges))
+    verts = set(g.incident_vertices(filt[0].edges))
     for j in range(1, n):
-        edges = filt[order[j]].edges
+        edges = filt[j].edges
         vs = g.incident_vertices(edges)
         if vs & verts or g.is_forest(edges):
             break
@@ -191,28 +194,35 @@ def default_stage_grouping(m, order=None):
         k = j + 1
     bounds = [k]
     for j in range(k + 1, n + 1):
-        if filt[order[j - 1]].kind == "zero":
+        if filt[j - 1].kind == "zero":
             continue
-        if not _has_valence_one(g, filt.prefix_edges(j, order)):
+        if 1 not in _degrees(g, filt.prefix_edges(j)).values():
             bounds.append(j)
     if bounds[-1] != n:
         bounds.append(n)
     return bounds
 
 
-def _grouping_is_proper(m, order, grouping):
+def _grouping_is_proper(g, filt, grouping):
     """Between boundaries every irreducible prefix must retract to the
     stage floor; a prefix that closes a loop mid-stage invalidates it."""
-    filt = filtration(m)
-    g = m.graph
     for lo, hi in zip(grouping, grouping[1:]):
-        floor = filt.prefix_edges(lo, order)
+        floor = filt.prefix_edges(lo)
         for j in range(lo + 1, hi):
-            if filt[order[j - 1]].kind == "zero":
+            if filt[j - 1].kind == "zero":
                 continue
-            if not _retracts_to(g, filt.prefix_edges(j, order), floor):
+            if not _retracts_to(g, filt.prefix_edges(j), floor):
                 return False
     return True
+
+
+def _linear_pair(g, window, floor_verts):
+    """Is the stage window a pair of linear edges hanging from a common
+    vertex off the stage floor?"""
+    if len(window) != 2 or not all(s.kind == "NEG" and s.linear for s in window):
+        return False
+    v0, v1 = (g.init(s.neg_edge) for s in window)
+    return v0 == v1 and v0 not in floor_verts
 
 
 # -- FPS witnesses ---------------------------------------------------------------
@@ -260,10 +270,7 @@ def _window_shape(g, eg_edges, attach, forbidden_center_verts):
     if len(comps) != 1 or not g.is_forest(eg_edges):
         return None
     vs, _ = comps[0]
-    deg = {}
-    for e in eg_edges:
-        deg[g.init(e)] = deg.get(g.init(e), 0) + 1
-        deg[g.term(e)] = deg.get(g.term(e), 0) + 1
+    deg = _degrees(g, eg_edges)
     leaves = {v for v in vs if deg[v] == 1}
     branch = {v for v in vs if deg[v] >= 3}
     if not branch:
@@ -317,21 +324,20 @@ def _grammar_ok(m, path, eg_names, lin_strata, allow_low, low_pred):
     return True
 
 
-def _match_window(m, filt, order, s_pos, count):
+def _match_window(m, filt, s_pos, count):
     g = m.graph
     if s_pos < count + 1:
         return None
-    pos_of = {order[p]: p for p in range(len(order))}
-    lin = [filt[order[p]] for p in range(s_pos - count, s_pos)]
+    l_pos = s_pos - count
+    lin = filt.strata[l_pos:s_pos]
     if any(s.kind != "NEG" or not s.linear for s in lin):
         return None
-    l_pos = s_pos - count
-    gl = filt.prefix_edges(l_pos, order)
+    gl = filt.prefix_edges(l_pos)
     gl_verts = g.incident_vertices(gl)
     hang = []
     for s in lin:
         for x in s.axis.edges:
-            if pos_of[filt.level(x)] >= l_pos:
+            if filt.level(x) >= l_pos:
                 return None
         v = g.init(s.neg_edge)
         if v in gl_verts:
@@ -339,10 +345,10 @@ def _match_window(m, filt, order, s_pos, count):
         hang.append(v)
     if len(set(hang)) != count:
         return None
-    below = filt.prefix_edges(s_pos, order)
+    below = filt.prefix_edges(s_pos)
     if not _retracts_to(g, below, gl):
         return None
-    eg = filt[order[s_pos]]
+    eg = filt[s_pos]
     below_verts = g.incident_vertices(below)
     attach = g.incident_vertices(eg.edges) & below_verts
     if count == 3:
@@ -355,12 +361,12 @@ def _match_window(m, filt, order, s_pos, count):
     shape = _window_shape(g, set(eg.edges), attach, below_verts)
     if shape is None:
         return None
-    low_pred = lambda e: pos_of[filt.level(e)] < l_pos
+    low_pred = lambda e: filt.level(e) < l_pos
     for e in eg.edges:
         if not _grammar_ok(m, m.edge_images[e], set(eg.edges), lin, count == 2, low_pred):
             return None
     chi_drop = g.euler_characteristic(gl) - g.euler_characteristic(
-        filt.prefix_edges(s_pos + 1, order)
+        filt.prefix_edges(s_pos + 1)
     )
     return FPSWitness(
         kind="full" if count == 3 else "partial",
@@ -374,8 +380,9 @@ def _match_window(m, filt, order, s_pos, count):
     )
 
 
-def detect_fps(m, order=None):
-    """All partial and full FPS subgraph windows, one witness per EG stratum.
+def detect_fps(m, filt=None):
+    """All partial and full FPS subgraph windows of ``filt`` (default m's
+    filtration), one witness per EG stratum.
 
     A window is an EG stratum together with the run of linear edges just
     below it; every clause (linear normal forms over lower Nielsen words,
@@ -384,13 +391,13 @@ def detect_fps(m, order=None):
     window the attachment set is read against the graph below the EG
     stratum, which includes the third hanging vertex.
     """
-    filt = filtration(m)
-    order = tuple(order if order is not None else range(len(filt)))
+    if filt is None:
+        filt = filtration(m)
     out = []
-    for p in range(len(order)):
-        if filt[order[p]].kind != "EG":
+    for p, s in enumerate(filt):
+        if s.kind != "EG":
             continue
-        w = _match_window(m, filt, order, p, 3) or _match_window(m, filt, order, p, 2)
+        w = _match_window(m, filt, p, 3) or _match_window(m, filt, p, 2)
         if w is not None:
             out.append(w)
     return out
@@ -402,10 +409,9 @@ def detect_fps(m, order=None):
 class StageRecord:
     """One stage of the audit: prefix interval, rank jump and its bound."""
 
-    def __init__(self, lo, hi, strata, delta_r, delta_chi, delta, case, witness, ok):
+    def __init__(self, lo, hi, delta_r, delta_chi, delta, case, witness, ok):
         self.lo = lo
         self.hi = hi
-        self.strata = tuple(strata)
         self.delta_r = delta_r
         self.delta_chi = delta_chi
         self.delta = delta
@@ -433,9 +439,8 @@ class StageRecord:
 class RankAudit:
     """Stage-by-stage audit of the Euler rank bound."""
 
-    def __init__(self, m, order, grouping, ranks, stages):
+    def __init__(self, m, grouping, ranks, stages):
         self.map = m
-        self.order = order
         self.grouping = list(grouping)
         self.ranks = list(ranks)
         self.stages = list(stages)
@@ -460,7 +465,7 @@ def _stage_delta(m, dmap, floor_verts, window_edges):
     return 0
 
 
-def rank_audit(m, grouping=None, order=None):
+def rank_audit(m):
     """Audit delta R <= 2 delta chi - delta over the stage grouping.
 
     Equality stages are tagged with the shape that explains them: (a) full
@@ -472,20 +477,19 @@ def rank_audit(m, grouping=None, order=None):
     """
     filt = filtration(m)
     g = m.graph
-    order = tuple(order if order is not None else range(len(filt)))
-    grouping = list(grouping) if grouping is not None else default_stage_grouping(m, order)
-    ranks = stage_ranks(m, order)
+    grouping = default_stage_grouping(m)
+    ranks = stage_ranks(m)
     dmap = direction_map(m)
-    witnesses = {(w.l, w.strata[-1]): w for w in detect_fps(m, order)}
+    witnesses = {(w.l, w.strata[-1]): w for w in detect_fps(m)}
     stages = []
     for lo, hi in zip(grouping, grouping[1:]):
-        window = [filt[order[p]] for p in range(lo, hi)]
+        window = filt.strata[lo:hi]
         wedges = [e for s in window for e in s.edges]
-        floor_edges = filt.prefix_edges(lo, order)
+        floor_edges = filt.prefix_edges(lo)
         floor_verts = g.incident_vertices(floor_edges)
         delta = _stage_delta(m, dmap, floor_verts, wedges)
         delta_chi = g.euler_characteristic(floor_edges) - g.euler_characteristic(
-            filt.prefix_edges(hi, order)
+            filt.prefix_edges(hi)
         )
         delta_r = ranks[hi] - ranks[lo]
         shape = None
@@ -496,25 +500,14 @@ def rank_audit(m, grouping=None, order=None):
             shape = "b"
         elif len(window) == 1 and window[0].kind == "NEG" and window[0].linear and delta == 1:
             shape = "c"
-        elif (
-            len(window) == 2
-            and all(s.kind == "NEG" and s.linear for s in window)
-            and delta == 0
-        ):
-            v0, v1 = (g.init(s.neg_edge) for s in window)
-            if v0 == v1 and v0 not in floor_verts:
-                shape = "d"
+        elif delta == 0 and _linear_pair(g, window, floor_verts):
+            shape = "d"
         bound = 2 * delta_chi - delta
         equality = delta_r == bound
         case = shape if equality else None
         ok = delta_r <= bound and (not equality or case is not None)
-        stages.append(
-            StageRecord(
-                lo, hi, [order[p] for p in range(lo, hi)],
-                delta_r, delta_chi, delta, case, witness, ok,
-            )
-        )
-    return RankAudit(m, order, grouping, ranks, stages)
+        stages.append(StageRecord(lo, hi, delta_r, delta_chi, delta, case, witness, ok))
+    return RankAudit(m, grouping, ranks, stages)
 
 
 # -- classification of maximal rank ----------------------------------------------
@@ -561,15 +554,14 @@ class MaxRankReport:
         return out
 
 
-def _base_match(m, filt, order, grouping, mode, witnesses):
+def _base_match(g, filt, grouping, mode, witnesses):
     """Match the bottom of the decomposition; returns (desc, stages_from) or None."""
-    g = m.graph
     l0 = grouping[0]
     if mode == "ia":
         if len(grouping) < 2 or grouping[0] != 1 or grouping[1] != 2:
             return None
-        s0, s1 = filt[order[0]], filt[order[1]]
-        edges = filt.prefix_edges(2, order)
+        s0, s1 = filt[0], filt[1]
+        edges = filt.prefix_edges(2)
         if (
             s0.kind == "fixed"
             and s1.kind == "fixed"
@@ -578,10 +570,10 @@ def _base_match(m, filt, order, grouping, mode, witnesses):
         ):
             return ("A", "rank-two fixed subgraph"), 1
         return None
-    if l0 == 1 and filt[order[0]].kind == "EG" and g.rank(filt.prefix_edges(1, order)) == 2:
+    if l0 == 1 and filt[0].kind == "EG" and g.rank(filt.prefix_edges(1)) == 2:
         return ("A", 1), 0
     if len(grouping) >= 2 and l0 == 1 and grouping[1] == 2:
-        s0, s1 = filt[order[0]], filt[order[1]]
+        s0, s1 = filt[0], filt[1]
         if (
             s0.kind == "fixed"
             and len(s0.edges) == 1
@@ -592,7 +584,7 @@ def _base_match(m, filt, order, grouping, mode, witnesses):
         ):
             return ("A", 2), 1
     if len(grouping) >= 2 and l0 == 1:
-        s0 = filt[order[0]]
+        s0 = filt[0]
         w = witnesses.get((1, grouping[1]))
         if (
             s0.kind == "fixed"
@@ -600,7 +592,7 @@ def _base_match(m, filt, order, grouping, mode, witnesses):
             and g.is_loop(s0.edges[0])
             and w is not None
             and w.kind == "partial"
-            and g.rank(filt.prefix_edges(grouping[1], order)) == 3
+            and g.rank(filt.prefix_edges(grouping[1])) == 3
         ):
             return ("A", 3), 1
     return None
@@ -610,27 +602,20 @@ def _axes_homologically_trivial(paths):
     return all(all(c == 0 for c in homology_class(p)) for p in paths)
 
 
-def _match_structure(m, mode, order):
-    filt = filtration(m)
+def _match_structure(m, mode, filt):
     g = m.graph
-    grouping = default_stage_grouping(m, order)
-    if not _grouping_is_proper(m, order, grouping):
+    grouping = default_stage_grouping(m, filt)
+    if not _grouping_is_proper(g, filt, grouping):
         return "no proper stage grouping for this stratum order"
-    witnesses = {(w.l, w.strata[-1]): w for w in detect_fps(m, order)}
-    base = _base_match(m, filt, order, grouping, mode, witnesses)
+    witnesses = {(w.l, w.strata[-1]): w for w in detect_fps(m, filt)}
+    base = _base_match(g, filt, grouping, mode, witnesses)
     if base is None:
         return "bottom of the filtration matches no base case"
     desc, consumed = base
     stages = []
     for lo, hi in zip(grouping[consumed:], grouping[consumed + 1:]):
-        window = [filt[order[p]] for p in range(lo, hi)]
-        floor_verts = g.incident_vertices(filt.prefix_edges(lo, order))
-        if (
-            len(window) == 2
-            and all(s.kind == "NEG" and s.linear for s in window)
-            and g.init(window[0].neg_edge) == g.init(window[1].neg_edge)
-            and g.init(window[0].neg_edge) not in floor_verts
-        ):
+        window = filt.strata[lo:hi]
+        if _linear_pair(g, window, g.incident_vertices(filt.prefix_edges(lo))):
             if mode == "ia" and not _axes_homologically_trivial([s.axis for s in window]):
                 return "stage G_%d..G_%d: linear pair with homologically nontrivial axis" % (lo, hi)
             stages.append(("B", 1, tuple(s.neg_edge for s in window)))
@@ -652,8 +637,8 @@ def classify_max_rank(m, mode="general"):
     requires the homology action to be trivial.  The map must carry no
     nontrivial invariant forest (collapse those first).  When the default
     stratum order does not exhibit the decomposition, valid reorderings are
-    searched (up to 10**4); running out is reported as inconclusive rather
-    than as a refusal.
+    searched (up to 10**4), each as the filtration it lists; running out is
+    reported as inconclusive rather than as a refusal.
     """
     mode = mode.lower()
     if mode not in ("general", "ia"):
@@ -681,12 +666,13 @@ def classify_max_rank(m, mode="general"):
     if mode == "ia" and not ia:
         return report(False, obstruction="the map acts nontrivially on homology")
 
+    filt = filtration(m)
     first_fail = None
     tried = 0
     cap = 10**4
     for order in valid_orders(m, cap=cap):
         tried += 1
-        res = _match_structure(m, mode, order)
+        res = _match_structure(m, mode, Filtration(g, [filt[i] for i in order]))
         if isinstance(res, str):
             if first_fail is None:
                 first_fail = res

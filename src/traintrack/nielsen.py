@@ -141,10 +141,9 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None):
     So E and periods 0..i0+1 are swept (L: the larger of |w| and the image
     length of w's first |w| - 1 edges), or on to one period past what an
     earlier sequence shares, and each record of the last period swept is a
-    run with step |w|.  For w = u.c.ubar not cyclically reduced the
-    iterates E u c^(jD) ubar do not nest, each adding prefixes through its
-    ubar tail: they are swept one by one, as far as the iteration runs (to
-    the iterate after the first one longer than bound + 2).
+    run with step |w|.  An axis that is not cyclically reduced makes f(E) =
+    E.u fail to split, so only maps that are not CTs have one; its
+    direction takes the direct iteration.
     """
     if iter_cap is None:
         iter_cap = bound + 16
@@ -187,15 +186,8 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None):
         if dm.map[d] != d:
             continue
         w = linear.get(d)
-        if w is not None:
+        if w is not None and w[0] != inverse_of[w[-1]]:
             v = image_of[d][1:]
-            h = _common_prefix_length(v, _reverse(inverse_of, v))  # v = u c^D ubar
-            if h:
-                core, j = v[h : len(v) - h], 0
-                while j < 2 or len(v) + (j - 2) * len(core) <= bound + 1:
-                    j += 1
-                    sweep((d,) + v[:h] + core * j + v[len(v) - h :], d)
-                continue
             lw = len(w)
             bulk = max(lw, sum(len(image_of[e]) for e in w[:-1]))  # L of the lemma
             i0 = max(0, -(-bulk // lw) - len(v) // lw)

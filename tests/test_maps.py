@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from traintrack.paths import MarkedGraph, inverse, base_name
 from traintrack.maps import (
+    Filtration,
     GraphMap,
     compose,
     identity_map,
@@ -354,7 +355,10 @@ def test_filtration_qe_rose():
     assert filt[1].neg_suffix.edges == ("E1", "E1")
     assert filt.level("E4'") == 3
     assert filt.prefix_edges(2) == ["E1", "E2"]
-    assert filt.prefix_edges(2, (0, 2, 1, 3)) == ["E1", "E3"]
+    # a valid stratum order lists a filtration; positions are in that order
+    reordered = Filtration(m.graph, [filt[i] for i in (0, 2, 1, 3)])
+    assert reordered.prefix_edges(2) == ["E1", "E3"]
+    assert reordered.level("E2'") == 2
     assert filt.height(m.graph.path(["E2", "E1"])) == 1
 
 

@@ -26,8 +26,11 @@ from traintrack.freegroup import (
 )
 from traintrack import nielsen
 import traintrack.maps as maps_module
-from traintrack.maps import GraphMap, compose, filtration
+from traintrack.maps import Filtration, GraphMap, compose, filtration
+import traintrack.maxrank as maxrank_module
 from traintrack.maxrank import (
+    _linear_pair,
+    _retracts_to,
     classify_max_rank,
     default_stage_grouping,
     detect_fps,
@@ -39,7 +42,7 @@ from traintrack.maxrank import (
     stage_ranks,
     valid_orders,
 )
-from traintrack.paths import MarkedGraph
+from traintrack.paths import MarkedGraph, base_name
 from traintrack.samples import (
     SAMPLES,
     exceptional_rose,
@@ -121,6 +124,70 @@ def test_valid_orders_cap():
     assert len(list(valid_orders(qe_rose(), cap=1))) == 1
 
 
+def pruned_to(g, sub_edges, base_edges):
+    # the reference: prune hanging edges (a valence-one vertex off the
+    # base) one at a time, restarting after each, and compare with the base
+    cur = {base_name(e) for e in sub_edges}
+    base = {base_name(e) for e in base_edges}
+    base_verts = g.incident_vertices(base)
+    changed = True
+    while changed:
+        changed = False
+        deg = {}
+        for e in cur:
+            deg[g.init(e)] = deg.get(g.init(e), 0) + 1
+            deg[g.term(e)] = deg.get(g.term(e), 0) + 1
+        for e in sorted(cur, key=g.edge_index):
+            if e in base:
+                continue
+            if (deg[g.init(e)] == 1 and g.init(e) not in base_verts) or (
+                deg[g.term(e)] == 1 and g.term(e) not in base_verts
+            ):
+                cur.discard(e)
+                changed = True
+                break
+    return cur == base
+
+
+@st.composite
+def graphs_with_two_edge_sets(draw):
+    # loops and multi-edges allowed; the base may be empty or leave the subgraph
+    nv = draw(st.integers(min_value=1, max_value=4))
+    ends = draw(st.lists(
+        st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), min_size=1, max_size=8
+    ))
+    used = sorted({v for pair in ends for v in pair})
+    g = MarkedGraph(["v%d" % i for i in used],
+                    [("E%d" % k, "v%d" % a, "v%d" % b) for k, (a, b) in enumerate(ends)],
+                    intermediate=True)
+    names = list(g.edge_names)
+    sub = draw(st.sets(st.sampled_from(names)))
+    inside = draw(st.integers(0, 3)) > 0  # mostly a base inside the subgraph
+    base = draw(st.sets(st.sampled_from(sorted(sub) if inside and sub else names)))
+    return g, sorted(sub), sorted(base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_two_edge_sets())
+def test_retraction_tree_criterion_is_the_pruning_loop(case):
+    g, sub, base = case
+    assert _retracts_to(g, sub, base) == pruned_to(g, sub, base)
+
+
+def test_retraction_tree_criterion_on_every_pair_of_edge_sets():
+    # a loop, a multi-edge and a pendant edge; all 4,096 (subgraph, base) pairs
+    g = MarkedGraph(["a", "b", "c", "d"], [("L", "a", "a"), ("X", "a", "b"), ("Y", "b", "c"),
+                                           ("W", "b", "c"), ("Z", "c", "a"), ("T", "c", "d")],
+                    intermediate=True)
+    subsets = [
+        [e for e, keep in zip(g.edge_names, bits) if keep]
+        for bits in itertools.product((0, 1), repeat=len(g.edge_names))
+    ]
+    for sub in subsets:
+        for base in subsets:
+            assert _retracts_to(g, sub, base) == pruned_to(g, sub, base), (sub, base)
+
+
 # -- rank sequences --------------------------------------------------------------
 
 
@@ -130,6 +197,12 @@ def test_stage_ranks_of_samples():
     assert stage_ranks(exceptional_rose()) == [0, 0, 1, 2, 2]
     assert stage_ranks(partial_fps_map()) == [0, 0, 1, 2, 3]
     assert stage_ranks(full_fps_map()) == [0, 0, 1, 2, 3, 4, 5]
+
+
+def ordered_filtration(m, order):
+    # the filtration a valid stratum order of m lists
+    filt = filtration(m)
+    return Filtration(m.graph, [filt[i] for i in order])
 
 
 def _stage_ranks_by_own_catalogs(m, order):
@@ -146,7 +219,7 @@ def _stage_ranks_by_own_catalogs(m, order):
         elif jj < j:
             ranks.append(ranks[jj])
         else:
-            sub = restricted_afresh(m, filt.prefix_edges(j, order))
+            sub = restricted_afresh(m, [e for i in order[:j] for e in filt[i].edges])
             ranks.append(disintegrate(sub).lattice.rank)
     return ranks
 
@@ -162,7 +235,8 @@ RANK_MAPS = dict(
 def test_stage_ranks_equal_the_per_prefix_rule(name):
     for order in itertools.islice(valid_orders(RANK_MAPS[name]()), 4):
         expected = _stage_ranks_by_own_catalogs(RANK_MAPS[name](), order)
-        assert stage_ranks(RANK_MAPS[name](), order) == expected, order
+        m = RANK_MAPS[name]()
+        assert stage_ranks(m, ordered_filtration(m, order)) == expected, order
 
 
 def _ranks_or_error(rule, m, order):
@@ -170,6 +244,10 @@ def _ranks_or_error(rule, m, order):
         return rule(m, order)
     except TrainTrackError as exc:
         return type(exc)
+
+
+def _stage_ranks_in_order(m, order):
+    return stage_ranks(m, ordered_filtration(m, order))
 
 
 @settings(max_examples=80, deadline=None)
@@ -184,7 +262,7 @@ def test_stage_ranks_equal_the_per_prefix_rule_zero_strata(m):
         return
     for order in orders:
         expected = _ranks_or_error(_stage_ranks_by_own_catalogs, m, order)
-        got = _ranks_or_error(stage_ranks, m, order)
+        got = _ranks_or_error(_stage_ranks_in_order, m, order)
         assert got == expected or isinstance(got, type) and isinstance(expected, type), order
 
 
@@ -208,7 +286,7 @@ def test_a_map_not_completely_split_fails_the_audit_the_same_way():
     order = (0, 1, 3, 4, 5, 2)
     expected = _ranks_or_error(_stage_ranks_by_own_catalogs, m, order)
     assert expected is InconsistentFiltration
-    assert _ranks_or_error(stage_ranks, m, order) is expected
+    assert _ranks_or_error(_stage_ranks_in_order, m, order) is expected
 
 
 def test_rank_audit_searches_one_catalog(monkeypatch):
@@ -270,13 +348,13 @@ def test_rank_audit_builds_no_graph_and_restricts_once_per_prefix(doc, monkeypat
         return restrict(mk, edges)
 
     monkeypatch.setattr(disintegrate_module, "restrict", counted_restrict)
-    audit = rank_audit(m)
+    rank_audit(m)
     assert built == []
     filt = filtration(m)
     prefixes = [
-        frozenset(filt.prefix_edges(j, audit.order))
+        frozenset(filt.prefix_edges(j))
         for j in range(1, len(filt) + 1)
-        if filt[audit.order[j - 1]].kind != "zero"
+        if filt[j - 1].kind != "zero"
     ]
     assert restricted == prefixes
 
@@ -306,6 +384,18 @@ def test_grouping_boundaries_have_no_valence_one_vertices():
                 deg[m.graph.init(e)] += 1
                 deg[m.graph.term(e)] += 1
             assert all(d != 1 for d in deg.values())
+
+
+def test_linear_pair_hangs_from_a_new_common_vertex():
+    # type E n=3: E3 and E4 hang from v2, off the floor {E1, E2} at v1
+    m = gen_type_e(3).generic
+    g, filt = m.graph, filtration(m)
+    floor_verts = g.incident_vertices(filt.prefix_edges(2))
+    assert _linear_pair(g, filt.strata[2:4], floor_verts)
+    assert not _linear_pair(g, filt.strata[2:4], floor_verts | {"v2"})
+    assert not _linear_pair(g, filt.strata[1:3], floor_verts)  # E2 and E3 part
+    assert not _linear_pair(g, filt.strata[3:4], floor_verts)
+    assert not _linear_pair(g, filt.strata[0:2], set())  # E1 is fixed
 
 
 # -- the audit -------------------------------------------------------------------
@@ -523,6 +613,33 @@ def test_classify_searches_stratum_reorderings():
     assert r.order == (0, 1, 2, 4, 3, 5)
     assert [s[2] for s in r.stages] == [("E3", "E4"), ("E5", "E6")]
     assert any("reordered" in ln for ln in r.lines())
+
+
+@pytest.mark.parametrize(
+    "make", [_interleaved_pairs, lambda: gen_type_e(5).generic], ids=["interleaved", "type_e_5"]
+)
+def test_classify_builds_one_filtration_per_order_tried(make, monkeypatch):
+    # each order from valid_orders becomes one filtration, lowest first in
+    # that order, and the stage helpers read nothing else
+    m = make()
+    filt = filtration(m)
+    yielded, built = [], []
+    orders, init = maxrank_module.valid_orders, Filtration.__init__
+
+    def counted_orders(*args, **kwargs):
+        for order in orders(*args, **kwargs):
+            yielded.append(order)
+            yield order
+
+    def counted_init(self, graph, strata):
+        built.append(list(strata))
+        init(self, graph, strata)
+
+    monkeypatch.setattr(maxrank_module, "valid_orders", counted_orders)
+    monkeypatch.setattr(Filtration, "__init__", counted_init)
+    r = classify_max_rank(m)
+    assert r.ok and yielded[-1] == r.order
+    assert built == [[filt[i] for i in order] for order in yielded]
 
 
 # -- the twist families ----------------------------------------------------------

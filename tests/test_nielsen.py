@@ -20,7 +20,7 @@ from traintrack.errors import (
     NotCompletelySplit,
     TrainTrackError,
 )
-from traintrack.maps import GraphMap, compose, filtration, restrict
+from traintrack.maps import Filtration, GraphMap, compose, filtration, restrict
 from traintrack.paths import Path, base_name, inverse
 from traintrack.nielsen import (
     TERM_CONN,
@@ -406,8 +406,9 @@ def reached_down_sets(m, n_orders):
     filt = filtration(m)
     out = {}
     for order in itertools.islice(valid_orders(m), n_orders):
+        ordered = Filtration(m.graph, [filt[i] for i in order])
         for r in range(1, len(filt) + 1):
-            out.setdefault(frozenset(filt.prefix_edges(r, order)), None)
+            out.setdefault(frozenset(ordered.prefix_edges(r)), None)
     return list(out)
 
 
