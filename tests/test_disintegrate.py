@@ -276,6 +276,15 @@ def test_find_tuple_representing_long_iterates(k):
     assert find_tuple_representing(m, build_fa(m, (k,), d), d) == (k,)
 
 
+@pytest.mark.xfail(strict=True, reason="_edge_image_candidates stops at the first "
+                   "repeated iterate: f^k(Z) = A for every k >= 1, yet Z gets {1, 2}")
+def test_find_tuple_representing_zero_stratum_map():
+    # the class {S, T, Z} meets S's and T's {3} with Z's exponents
+    m = zero_stratum_map()
+    d = disintegrate(m)
+    assert find_tuple_representing(m, build_fa(m, (3,), d), d) == (3,)
+
+
 def test_find_tuple_representing_names_its_budget(monkeypatch):
     monkeypatch.setattr(disintegrate_mod, "COMBINATION_BUDGET", 0)
     m = qe_rose()
