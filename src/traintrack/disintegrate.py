@@ -25,6 +25,7 @@ whole map is the case S = every edge.
 """
 
 import itertools
+import math
 
 from .ct import check_ct, connecting_paths, principal_vertices
 from .errors import AdmissibilityError, InconsistentFiltration, TrainTrackError
@@ -427,30 +428,58 @@ COMBINATION_BUDGET = 10000
 def _edge_image_candidates(m, edge, target_path):
     """Exponents k with f^k(edge) equal to the target path, by iteration.
 
-    Iteration stops once the image outgrows the target or revisits a path;
-    one of the two happens, since there are finitely many paths no longer
-    than the target.
+    Returned as an eventually periodic set ``(before, cycle)``: ``before``
+    holds the matches ahead of the orbit's cycle, and ``cycle`` is None or
+    (start, period) for the matches start, start + period, ...  Iteration
+    stops once the image outgrows the target, taken as the end of its
+    matches, or once it revisits a path; one of the two happens, since
+    there are finitely many paths no longer than the target.  The paths
+    seen are distinct, so at most one of them matches.
     """
     g = m.graph
     path = g.path([edge])
-    seen = set()
-    found = set()
+    seen = {}
     k = 0
-    while True:
-        if path.edges == target_path.edges:
-            found.add(k)
-        if path.edges in seen or len(path) > len(target_path):
-            return found
-        seen.add(path.edges)
+    while path.edges not in seen and len(path) <= len(target_path):
+        seen[path.edges] = k
         path = m.apply(path)
         k += 1
+    hit, first = seen.get(target_path.edges), seen.get(path.edges)
+    if hit is None:
+        return frozenset(), None
+    if first is None or hit < first:
+        return frozenset({hit}), None
+    return frozenset(), (hit, k - first)
+
+
+def _meet(x, y):
+    """Intersection of two eventually periodic sets (before, cycle)."""
+    (xs, xc), (ys, yc) = x, y
+    before = {k for k in xs if _holds(k, ys, yc)} | {k for k in ys if _holds(k, xs, xc)}
+    if xc is None or yc is None:
+        return frozenset(before), None
+    (r, p), (t, q) = xc, yc
+    period = p * q // math.gcd(p, q)
+    k = max(r, t)
+    k += (r - k) % p
+    for k in range(k, k + period, p):
+        if (k - t) % q == 0:
+            return frozenset(before), (k, period)
+    return frozenset(before), None
+
+
+def _holds(k, before, cycle):
+    return k in before or (cycle is not None and k >= cycle[0] and (k - cycle[0]) % cycle[1] == 0)
 
 
 def find_tuple_representing(m, target, dis=None):
     """An admissible tuple a with f_a edge-image-equal to target, or None.
 
-    Raises TrainTrackError when more than COMBINATION_BUDGET combinations
-    of per-class exponents would have to be tried.
+    Each edge offers its exponents as an eventually periodic set, and a
+    class takes the intersection over its edges.  Raises TrainTrackError
+    when that is infinite, since the class's exponent is then not
+    determined, and when more than COMBINATION_BUDGET combinations of
+    per-class exponents would have to be tried.
     """
     if dis is None:
         dis = disintegrate(m)
@@ -462,14 +491,19 @@ def find_tuple_representing(m, target, dis=None):
             if target.image(e).edges != (e,):
                 return None
     per_class = []
-    for sub in dis.partition.subgraphs:
+    for i, sub in enumerate(dis.partition.subgraphs):
         cands = None
         for e in sorted(sub, key=g.edge_index):
             ks = _edge_image_candidates(m, e, target.image(e))
-            cands = ks if cands is None else cands & ks
-            if not cands:
+            cands = ks if cands is None else _meet(cands, ks)
+            if cands == (frozenset(), None):
                 return None
-        per_class.append(sorted(cands))
+        if cands[1] is not None:
+            raise TrainTrackError(
+                "find_tuple_representing: every exponent %d + %dj fits class X_%d {%s}"
+                % (cands[1] + (i + 1, " ".join(sorted(sub, key=g.edge_index))))
+            )
+        per_class.append(sorted(cands[0]))
     for n, combo in enumerate(itertools.product(*per_class)):
         if n == COMBINATION_BUDGET:
             raise TrainTrackError(

@@ -5,6 +5,7 @@ only in the numeric Perron-Frobenius estimate, which is always certified by
 exact Sturm root counts of the characteristic polynomial.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -96,37 +97,27 @@ def kernel_basis(rows, ncols):
 def charpoly(block):
     """Monic characteristic polynomial coefficients, highest degree first.
 
-    Faddeev-LeVerrier over Fractions; coefficients of an integer matrix are
-    integers and are returned as ints.
+    Faddeev-LeVerrier in integers: M_1 = I, c_k = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_k I.  Each c_k is an integer for an integer
+    matrix, so the division is exact; the product A M_k serves both c_k
+    and the next M.
 
     >>> charpoly([[2, 1], [1, 2]])
     [1, -4, 3]
     """
     n = len(block)
-    a = [[Fraction(x) for x in row] for row in block]
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(0)] * n for _ in range(n)]
+    a = [[int(x) for x in row] for row in block]
+    coeffs = [1]
+    am = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        prev = mk
-        mk = [[sum(a[i][t] * prev[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        mk = am
         for i in range(n):
             mk[i][i] += coeffs[-1]
-        am = [[sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        c = -sum(am[i][i] for i in range(n)) / k
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*mk)] for row in a]
+        c, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        assert r == 0, "characteristic polynomial of an integer matrix"
         coeffs.append(c)
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1, "characteristic polynomial of an integer matrix"
-        out.append(int(c))
-    return out
-
-
-def poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+    return coeffs
 
 
 def is_permutation_matrix(block):
@@ -170,8 +161,9 @@ def _sturm_chain(coeffs):
 
     For any x, the sign variations V(x) of the chain evaluated at x, zeros
     dropped, minus the variations of its leading coefficients count the
-    distinct real roots of the polynomial greater than x.  Exact, over
-    Fractions.
+    distinct real roots of the polynomial greater than x.  Built over
+    Fractions; each member is then scaled by the positive lcm of its
+    denominators, which keeps its signs, so it is returned in integers.
     """
     p = [Fraction(c) for c in coeffs]
     a, b = p, _derivative(p)
@@ -182,8 +174,22 @@ def _sturm_chain(coeffs):
     while True:
         r = _poly_divmod(chain[-2], chain[-1])[1]
         if not r:
-            return chain
+            break
         chain.append([-c for c in r])
+    out = []
+    for poly in chain:
+        scale = math.lcm(*(c.denominator for c in poly))
+        out.append([int(c * scale) for c in poly])
+    return out
+
+
+def _scaled_eval(coeffs, num, s):
+    """p(num / 2^s) * 2^(s deg p) by integer Horner: the sign of p there."""
+    acc, shift = 0, 0
+    for c in coeffs:
+        acc = acc * num + (c << shift)
+        shift += s
+    return acc
 
 
 def _sign_variations(values):
@@ -203,23 +209,34 @@ def pf_eigenvalue(block, tol=Fraction(1, 10**12)):
     (Collatz-Wielandt), and for an irreducible nonnegative matrix it is
     the largest real root of the characteristic polynomial and simple.
     Bisection on exact Sturm counts narrows (lo, hi] until it is at most
-    ``tol`` wide and holds that root and no other.
+    ``tol`` wide and holds that root and no other.  The ends are dyadic,
+    lo / 2^s and hi / 2^s for integers lo and hi, and every polynomial is
+    evaluated there in integers (:func:`_scaled_eval`).
+
+    The Perron root of [[3, 2], [2, 1]] is 2 + sqrt(5):
+
+    >>> value, (lo, hi) = pf_eigenvalue([[3, 2], [2, 1]])
+    >>> "%.9f" % value, (lo - 2) ** 2 < 5 < (hi - 2) ** 2, hi - lo <= Fraction(1, 10**12)
+    ('4.236067977', True, True)
     """
     coeffs = charpoly(block)
     chain = _sturm_chain(coeffs)
     at_infinity = _sign_variations([c[0] for c in chain])
 
-    def roots_above(x):
-        return _sign_variations([poly_eval(c, x) for c in chain]) - at_infinity
+    def roots_above(num, s):
+        return _sign_variations([_scaled_eval(c, num, s) for c in chain]) - at_infinity
 
-    lo = Fraction(min(sum(row) for row in block) - 1)
-    hi = Fraction(max(sum(row) for row in block) + 1)
-    while hi - lo > tol or roots_above(lo) > 1:
-        mid = (lo + hi) / 2
-        if roots_above(mid) == 0:
-            if poly_eval(coeffs, mid) == 0:
-                return float(mid), (mid, mid)
+    lo = min(sum(row) for row in block) - 1
+    hi = max(sum(row) for row in block) + 1
+    s = 0
+    while (hi - lo) * tol.denominator > tol.numerator << s or roots_above(lo, s) > 1:
+        lo, hi, s = lo << 1, hi << 1, s + 1
+        mid = (lo + hi) >> 1
+        if roots_above(mid, s) == 0:
+            if _scaled_eval(coeffs, mid, s) == 0:
+                root = Fraction(mid, 1 << s)
+                return float(root), (root, root)
             hi = mid
         else:
             lo = mid
-    return float((lo + hi) / 2), (lo, hi)
+    return float(Fraction(lo + hi, 2 << s)), (Fraction(lo, 1 << s), Fraction(hi, 1 << s))

@@ -32,13 +32,16 @@ class GraphMap:
             if e not in edge_images:
                 raise MalformedPath("no image given for edge %r" % e)
             im = edge_images[e]
-            if not isinstance(im, Path):
+            raw = not isinstance(im, Path)
+            if raw:
                 im = graph.path(im)
             if im.graph is not graph:
                 raise EndpointMismatch("image of %r lives in the wrong graph" % e)
             if im.is_trivial():
                 raise MalformedPath("image of %r is trivial" % e)
-            if graph.tighten(im.edges) != im:
+            # graph.path checked a raw sequence; a Path gets one tightening
+            # pass, which shortens it exactly when it is not tight
+            if not raw and len(graph.tighten(im.edges)) != len(im):
                 raise MalformedPath("image of %r is not tight" % e)
             imgs[e] = im
         self.edge_images = imgs
@@ -88,25 +91,45 @@ class GraphMap:
     def iterate(self, path, k):
         """k-fold application of f_#; k=0 is the identity.
 
-        Each step extends the last one where it can: f_#(x.y) = [f_#(x).f_#(y)],
-        so when the previous iterate Q is a prefix of P = f_#(Q), say P = Q.t,
-        f_#(P) = [P.f_#(t)] and only the seam cancels (suffix P = t.Q mirrored).
-        On a NEG orbit f^k(E) = E.u.f_#(u)...f^{k-1}_#(u), with no CT assumed,
-        a step costs |f_#(t)| instead of |P|.  Any other step is a plain f_#.
+        The orbit grows in place.  Invariant: the list ``edges`` is the
+        current iterate Q, and when the last step is known to have extended
+        the iterate P before it, ``edges[n:]`` is the tail t that step
+        appended, Q = P.t.  Then f_#(Q) = [f_#(P).f_#(t)] = [Q.f_#(t)], so
+        the next step appends f_#(t) by the seam rule.  That step cancels
+        nothing exactly when Q is a prefix of f_#(Q), since f_#(t) is tight
+        and so never puts a cancelled edge back; then f_#(t) is the new
+        tail.  After a cancellation, or before the first relation is seen,
+        a step is a plain f_# compared once against Q.  An orbit that grows
+        at the start runs reversed, as f_#(reverse p) = reverse f_#(p).
+
+        Cost: while the orbit extends, f_# is fed only the tails, which
+        partition f^(k-1)_#(p) past p, and O(|f^k_#(p)|) edges are written
+        in all (about three per output edge), not O(k |f^k_#(p)|).
         """
         if k < 0:
             raise ValueError("iterate needs k >= 0")
-        prev = None
+        g, vmap = self.graph, self.vertex_map
+        inverse_of = g.inverse_of
+        edges, n, flipped, v = list(path.edges), None, False, path.start
         for _ in range(k):
-            edges, n = path.edges, len(prev) if prev else 0
-            if n and edges[:n] == prev.edges:
-                nxt = path.concat(self.apply(path.subpath(n, len(edges))))
-            elif n and edges[-n:] == prev.edges:
-                nxt = self.apply(path.subpath(0, len(edges) - n)).concat(path)
+            q = len(edges)
+            if n is None:
+                nxt = list(self.apply(Path(g, edges, v)).edges)
+                if q and nxt[:q] == edges:
+                    n = q
+                elif q and nxt[-q:] == edges:
+                    nxt = [inverse_of[e] for e in reversed(nxt)]
+                    n, flipped = q, not flipped
+                edges = nxt
+            elif n == q:
+                break  # f_#(Q) = Q: the orbit is fixed from here on
             else:
-                nxt = self.apply(path)
-            prev, path = path, nxt
-        return path
+                tail = self.apply(Path(g, edges[n:])).edges
+                n = q if not tail or g.seam_extend(edges, (tail,)) == q else None
+            v = vmap[v]
+        if not edges:
+            return Path(g, (), v)
+        return Path(g, map(inverse_of.__getitem__, reversed(edges)) if flipped else edges)
 
     def is_fixed_vertex(self, v):
         return self.vertex_map[v] == v

@@ -17,6 +17,7 @@ from traintrack.coords import (
 from traintrack.disintegrate import disintegrate, build_fa
 from traintrack.errors import AdmissibilityError
 from traintrack.maps import transition_matrix
+from test_intlin import poly_eval
 
 LAMBDA = 2 + math.sqrt(5)
 
@@ -56,7 +57,7 @@ def test_system_partial_fps():
     assert top.polynomial == [1, -4, -1]
     assert abs(top.eigenvalue - LAMBDA) < 1e-9
     lo, hi = top.bracket
-    assert intlin.poly_eval(top.polynomial, lo) < 0 < intlin.poly_eval(top.polynomial, hi)
+    assert poly_eval(top.polynomial, lo) < 0 < poly_eval(top.polynomial, hi)
     assert float(hi - lo) < 1e-11
     assert abs(top.log_value - math.log(LAMBDA)) < 1e-9
 

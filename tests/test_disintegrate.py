@@ -20,6 +20,7 @@ from traintrack.errors import AdmissibilityError, TrainTrackError
 from traintrack.maps import GraphMap, compose, identity_map
 from traintrack.nielsen import TERM_CONN, TERM_EDGE, qe_split
 from traintrack.paths import MarkedGraph
+from traintrack import samples
 from traintrack.samples import (
     exceptional_rose,
     full_fps_map,
@@ -276,13 +277,76 @@ def test_find_tuple_representing_long_iterates(k):
     assert find_tuple_representing(m, build_fa(m, (k,), d), d) == (k,)
 
 
-@pytest.mark.xfail(strict=True, reason="_edge_image_candidates stops at the first "
-                   "repeated iterate: f^k(Z) = A for every k >= 1, yet Z gets {1, 2}")
 def test_find_tuple_representing_zero_stratum_map():
-    # the class {S, T, Z} meets S's and T's {3} with Z's exponents
+    # f^k(Z) = A for every k >= 1, an eventually periodic set of exponents
+    # that the class {S, T, Z} meets with S's and T's {3}
     m = zero_stratum_map()
     d = disintegrate(m)
     assert find_tuple_representing(m, build_fa(m, (3,), d), d) == (3,)
+
+
+ROUND_TRIP_TUPLES = {
+    "rose_cascade": [(0,), (1,), (5,), (12,)],
+    "qe_rose": [(0, 0), (1, 1), (4, 4)],
+    "exceptional_rose": [(0, 0, 0), (1, 1, 1), (5, 2, 0), (6, 3, 1), (10, 4, 0)],
+    "swap_rose": [(0,), (1,), (2,)],
+    "partial_fps_map": [(0, 0, 0), (1, 1, 1), (2, 0, 1), (0, 3, 2), (1, 2, 2)],
+    "full_fps_map": [(1, 1, 1, 1, 1), (2, 0, 1, 3, 1), (0, 0, 0, 0, 2)],
+    "zero_stratum_map": [(0,), (1,), (2,), (3,)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_TUPLES))
+def test_find_tuple_representing_round_trip(name):
+    # every sample that disintegrates (suffix_rose does not)
+    m = samples.SAMPLES[name]()
+    d = disintegrate(m)
+    for a in ROUND_TRIP_TUPLES[name]:
+        assert d.lattice.is_admissible(a), a
+        assert find_tuple_representing(m, build_fa(m, a, d), d) == a
+
+
+def test_find_tuple_representing_names_an_undetermined_class():
+    # f(B) = B' flips B, so f^k(B) = B for every even k: no exponent is
+    # singled out, and the class is named instead of answering None
+    g = MarkedGraph(["v"], [("A", "v", "v"), ("B", "v", "v")])
+    m = GraphMap(g, {"A": ["A"], "B": ["B'"]})
+    d = disintegrate(m)
+    with pytest.raises(TrainTrackError, match=r"every exponent 0 \+ 2j fits class X_1 \{B\}"):
+        find_tuple_representing(m, build_fa(m, (2,), d), d)
+
+
+def _in_eventually_periodic(k, s):
+    before, cycle = s
+    return k in before or (cycle is not None and k >= cycle[0] and (k - cycle[0]) % cycle[1] == 0)
+
+
+@st.composite
+def eventually_periodic_sets(draw):
+    start = draw(st.integers(0, 12))
+    before = frozenset(draw(st.sets(st.integers(0, start), max_size=3)))
+    if draw(st.booleans()):
+        return frozenset(k for k in before if k < start), (start, draw(st.integers(1, 6)))
+    return before, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(eventually_periodic_sets(), eventually_periodic_sets())
+def test_meet_of_eventually_periodic_sets(x, y):
+    before, cycle = disintegrate_mod._meet(x, y)
+    for k in range(120):
+        both = _in_eventually_periodic(k, x) and _in_eventually_periodic(k, y)
+        assert _in_eventually_periodic(k, (before, cycle)) == both, k
+
+
+def test_edge_image_candidates_of_the_zero_stratum_edge():
+    # f(Z) = A and f(A) = A: Z itself at k = 0, then A from k = 1 on
+    m = zero_stratum_map()
+    g = m.graph
+    cands = disintegrate_mod._edge_image_candidates
+    assert cands(m, "Z", g.path(["A"])) == (frozenset(), (1, 1))
+    assert cands(m, "Z", g.path(["Z"])) == (frozenset({0}), None)
+    assert cands(m, "Z", g.path(["A", "A"])) == (frozenset(), None)
 
 
 def test_find_tuple_representing_names_its_budget(monkeypatch):

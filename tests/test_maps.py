@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traintrack.paths import MarkedGraph, inverse, base_name
+from traintrack.paths import MarkedGraph, Path, inverse, base_name
 from traintrack.maps import (
     Filtration,
     GraphMap,
@@ -105,6 +105,23 @@ def test_graphmap_validation():
     GraphMap(h, {"P": h.path(["Q"]), "Q": h.path(["P"]), "L": h.path(["L"])})
 
 
+def test_graphmap_checks_each_image_once():
+    # a raw sequence is checked by graph.path alone; a Path built around
+    # the validating constructors gets one tightening pass
+    g = MarkedGraph(["v"], [("A", "v", "v"), ("B", "v", "v")])
+    with pytest.raises(MalformedPath, match="backtracking"):
+        GraphMap(g, {"A": ["A"], "B": ["B", "A", "A'"]})
+    with pytest.raises(MalformedPath, match="image of 'B' is not tight"):
+        GraphMap(g, {"A": ["A"], "B": Path(g, ("B", "A", "A'"))})
+    with pytest.raises(MalformedPath, match="image of 'B' is trivial"):
+        GraphMap(g, {"A": ["A"], "B": Path(g, (), base="v")})
+    other = MarkedGraph(["v"], [("A", "v", "v"), ("B", "v", "v")])
+    with pytest.raises(EndpointMismatch, match="wrong graph"):
+        GraphMap(g, {"A": ["A"], "B": Path(other, ("B", "A", "A'"))})
+    m = GraphMap(g, {"A": ["A"], "B": Path(g, ("B", "A"))})
+    assert m.image("B'").edges == ("A'", "B'")
+
+
 # --- iterate: the orbit extends the last iterate -------------------------------
 
 
@@ -157,6 +174,52 @@ def test_iterate_to_trivial_path():
         for k in (2, 3):
             assert m.iterate(g.path([d]), k) == g.trivial_path("v")
     assert_iterates_match(m, _edge_starts(m))
+
+
+def test_iterate_grows_again_after_a_seam_cancellation():
+    # f(C) = C.t, t = B B A'; f_#(t) = A B A A B starts with the inverse of
+    # t's last edge, so f^2(C) = C B B B A A B does not extend f(C).  The
+    # plain step after it finds f^2(C) a prefix of f^3(C), and the orbit
+    # grows in place again.  Starting at C' runs the same orbit reversed.
+    g = MarkedGraph(["v"], [(n, "v", "v") for n in "ABC"])
+    m = GraphMap(g, {"A": ["A"], "B": ["A", "B", "A"], "C": ["C", "B", "B", "A'"]})
+    orbit = [m.iterate(g.path(["C"]), k).edges for k in range(5)]
+    assert orbit[2] == ("C", "B", "B", "B", "A", "A", "B")
+    assert orbit[2][:4] != orbit[1]
+    assert all(orbit[k + 1][: len(orbit[k])] == orbit[k] for k in (0, 2, 3))
+    assert m.iterate(g.path(["C'"]), 2).edges == ("B'", "A'", "A'", "B'", "B'", "B'", "C'")
+    assert_iterates_match(m, _edge_starts(m), k_max=12)
+
+
+class _PathWrites:
+    """Counts the edges written into Path objects while it is active."""
+
+    def __init__(self, monkeypatch):
+        self.edges = 0
+        init = Path.__init__
+
+        def counting_init(path, graph, edges, base=None):
+            init(path, graph, edges, base)
+            self.edges += len(path.edges)
+
+        monkeypatch.setattr(Path, "__init__", counting_init)
+
+
+@pytest.mark.parametrize("name, edge", [
+    ("exceptional_rose", "D"), ("qe_rose", "E4"), ("rose_cascade", "C"),
+])
+@pytest.mark.parametrize("k", [90, 180])
+def test_iterate_writes_each_edge_a_bounded_number_of_times(monkeypatch, name, edge, k):
+    # the orbit grows in place: at most 4 edges written per edge of f^k(p),
+    # whichever end it grows at (an iterate copied per step writes O(k) each)
+    m = samples.SAMPLES[name]()
+    for d in (edge, edge + "'"):
+        p = m.graph.path([d])
+        with monkeypatch.context() as patch:
+            writes = _PathWrites(patch)
+            out = m.iterate(p, k)
+        assert writes.edges <= 4 * len(out), (d, writes.edges, len(out))
+        assert len(out) > k
 
 
 def test_compose_and_iterate_agree():
