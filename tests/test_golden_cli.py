@@ -4,11 +4,11 @@ Every case feeds one document from ``tests/golden/docs`` through stdin to
 ``traintrack.cli.main`` and compares the exit code and the exact stdout,
 in text and in ``--json`` form, against ``tests/golden/expected``.  The
 corpus covers each command the benchmark runs: ``check-ct``, ``nielsen``
-and ``disintegrate`` on the ladder A -> A, B -> B A^k (``check-ct`` also at
-k = 100); ``disintegrate``, ``audit``, ``classify``, ``check-ct`` and
-``nielsen`` on the type E and type C twist families (all but ``nielsen``
-on the largest, type E n=6 and type C n=5); ``check-ct``, ``nielsen``, ``coords``, ``fps`` and
-``verify-commute`` on the sample maps; ``check-ct`` and ``nielsen`` on
+and ``disintegrate`` on the ladder A -> A, B -> B A^k (``check-ct`` and
+``nielsen`` also at k = 100); ``disintegrate``, ``audit``, ``classify``,
+``check-ct`` and ``nielsen`` on the type E and type C twist families, up
+to the largest, type E n=6 and type C n=5; ``check-ct``, ``nielsen``,
+``coords``, ``fps`` and ``verify-commute`` on the sample maps; ``check-ct`` and ``nielsen`` on
 ``unreduced_axis``, E3 -> E3 E2 E1 E2' over the axis E2 E1 E2', which is
 not cyclically reduced.  Any change to a report, however
 small, fails here.
@@ -94,6 +94,7 @@ def _cases():
         for cmd in ("check-ct", "nielsen", "disintegrate"):
             cases.append(("ladder_%d" % k, cmd, ()))
     cases.append(("ladder_100", "check-ct", ()))
+    cases.append(("ladder_100", "nielsen", ()))
     for doc, mode in [("type_e_%d" % n, "general") for n in (3, 4, 5)] + [("type_c_4", "ia")]:
         cases.append((doc, "disintegrate", ()))
         cases.append((doc, "audit", ()))
@@ -106,6 +107,7 @@ def _cases():
         cases.append((doc, "audit", ()))
         cases.append((doc, "classify", ("--mode", mode)))
         cases.append((doc, "check-ct", ()))
+        cases.append((doc, "nielsen", ()))
     cases.append(("unreduced_axis", "check-ct", ()))
     cases.append(("unreduced_axis", "nielsen", ()))
     for name in samples.SAMPLES:
