@@ -37,7 +37,7 @@ from .disintegrate import build_fa, disintegrate, verify_commute
 from .errors import InputError, TrainTrackError
 from .maps import GraphMap, filtration
 from .maxrank import classify_max_rank, detect_fps, gen_type_c, gen_type_e, rank_audit
-from .nielsen import axes, build_catalog, is_nielsen_path
+from .nielsen import NielsenEntry, axes, build_catalog, is_nielsen_path
 from .paths import MarkedGraph, inverse
 
 
@@ -229,26 +229,38 @@ def _cmd_check_ct(m, doc, args):
 
 
 def _cmd_nielsen(m, doc, args):
+    # family members are read as their records (E, b, i, composite flag)
+    # and never written out as paths
     cat = _catalog(m, args, doc)
+    words = {
+        e: (e + " ", " ".join(b) + " ", inverse(e), height)
+        for e, (b, _, height) in cat.families.items()
+    }
     families = {}
     singles = []
     composites = 0
-    for entry in cat.entries:
-        if not entry.indivisible:
-            composites += 1
-        elif entry.family is None:
-            singles.append(entry)
+    paths = []
+    for x in cat.listing:
+        if isinstance(x, NielsenEntry):
+            word, indivisible, height = " ".join(x.path.edges), x.indivisible, x.height
+            if indivisible:
+                singles.append(x)
         else:
-            families.setdefault(entry.family, []).append(len(entry.path) - 2)
+            e, _, i, split = x
+            head, body, tail, height = words[e]
+            word, indivisible = head + body * i + tail, not split
+            if indivisible:
+                families.setdefault(e, []).append(i)
+        composites += not indivisible
+        paths.append({"word": word, "period": 1, "indivisible": indivisible, "height": height})
 
     lines = ["catalog bound %d (period bound %d)" % (cat.bound, cat.period_bound)]
     lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
     lines.append("indivisible Nielsen paths:")
-    for e, sizes in families.items():
-        body = cat.families[e][0]
+    for e, powers in families.items():
         lines.append(
             "  %s (%s)^k %s  for k = %d..%d within bound"
-            % (e, " ".join(body), inverse(e), min(sizes) // len(body), max(sizes) // len(body))
+            % (e, " ".join(cat.families[e][0]), inverse(e), min(powers), max(powers))
         )
     for entry in singles:
         lines.append(
@@ -277,14 +289,14 @@ def _cmd_nielsen(m, doc, args):
     data = {
         "bound": cat.bound,
         "fixed_edges": list(cat.fixed_edges),
-        "paths": [
+        "paths": paths + [
             {
                 "word": " ".join(x.path.edges),
                 "period": x.period,
                 "indivisible": x.indivisible,
                 "height": x.height,
             }
-            for x in list(cat.entries) + list(cat.periodic)
+            for x in cat.periodic
         ],
         "axes": [
             {"word": " ".join(ax.word.edges),

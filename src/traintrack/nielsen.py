@@ -34,17 +34,22 @@ applying f; one period of it is swept and the rest kept as runs (lemma in
 paths as one family per E, checks one member exactly (that decides the
 whole family) and keeps it compact: E, the body b (w or reverse(w)) and one
 (k, composite flag) record per member within the bound, a member that
-another pair gives included.  Complete splitting and the CT check read
-the records; the members are written out as paths only when a catalog's
-``entries`` list is first read.
+another pair gives included.  The search itself keeps each family pair
+as a descriptor of its two runs of prefixes, and only
+:func:`build_catalog` expands those into records.  Complete splitting,
+the CT check and the ``nielsen`` report read the records (the report
+through :attr:`NielsenCatalog.listing`); the members are written out as
+paths only when a catalog's ``entries`` list is first read, which only
+the tests, the test-only ``inps``/``nielsen_paths`` and their callers in
+:mod:`disintegrate` do.
 
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
 already fixed: a candidate that is a period-one Nielsen path of the catalog
-is dropped before any f^k_# work, and so is a pair that gives a member of a
-linear family.  Only the CT check reads them, so that search runs the first
-time a catalog's ``periodic`` list or its ``budgets_hit`` notes are read, not
-when the catalog is built.
+is dropped before any f^k_# work, and a family pair of a linear edge stays
+an unexpanded descriptor.  Only the CT check and the ``nielsen`` report
+read them, so that search runs the first time a catalog's ``periodic``
+list or its ``budgets_hit`` notes are read, not when the catalog is built.
 
 The restriction f|S of f to an invariant edge set S (a filtration prefix)
 has as Nielsen paths exactly those of f that lie in S, since f_# of a path
@@ -260,12 +265,19 @@ class NielsenCatalog:
       ascending, b the body in the orientation the catalog lists, height
       E's level.  No member is kept as a path.
     * ``generic``: the other period-one entries, each its own path.
-    * ``entries``: the period-one Nielsen paths p.reverse(q) of length 2..
+    * ``listing``: the period-one Nielsen paths p.reverse(q) of length 2..
       ``bound`` paired from stable prefixes (not every Nielsen path within
-      the bound; see the module docstring), each flagged indivisible or
-      composite, exactly, with its filtration height, in (length, order
-      key) order: ``generic`` and the family members, written out in
-      closed form on the first read and marked with ``family``.
+      the bound; see the module docstring), in (length, order key) order:
+      each generic entry as its :class:`NielsenEntry`, each family member
+      as its record (E, b, i, composite flag), its edge tuple built only
+      to order it among items of its length.  The ``nielsen`` report
+      reads this.
+    * ``entries``: the same paths as ``NielsenEntry`` objects, each
+      flagged indivisible or composite, exactly, with its filtration
+      height: the family members written out in closed form on the first
+      read and marked with ``family``.  Only the tests, ``inps`` and
+      ``nielsen_paths`` (themselves read by tests and by the test-only
+      checks of :mod:`disintegrate`) read it.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
     * ``budgets_hit``: one note per search ray cut at its iterate cap, those
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
@@ -299,16 +311,41 @@ class NielsenCatalog:
         self._image_qe = {}
 
     @cached_property
+    def listing(self):
+        if not self.families:
+            return self.generic
+        inverse_of = self.map.graph.inverse_of
+        members = [
+            (e, b, i, split)
+            for e, (b, records, _) in self.families.items()
+            for i, split in records
+        ]
+
+        def edges_of(x):
+            if isinstance(x, NielsenEntry):
+                return x.path.edges
+            e, b, i, _ = x
+            return (e,) + b * i + (inverse_of[e],)
+
+        def length_of(x):
+            return len(x.path) if isinstance(x, NielsenEntry) else 2 + len(x[1]) * x[2]
+
+        return _in_order(self.map.graph.order_key, self.generic + members, edges_of, length_of)
+
+    @cached_property
     def entries(self):
         if not self.families:
             return self.generic
         g = self.map.graph
-        members = [
-            NielsenEntry(path, 1, not split, height, e)
-            for e, (b, records, height) in self.families.items()
-            for path, split in _family_members(g, e, b, records)
+        paths = {
+            e: dict(zip((i for i, _ in records), _family_members(g, e, b, records)))
+            for e, (b, records, _) in self.families.items()
+        }
+        return [
+            x if isinstance(x, NielsenEntry)
+            else NielsenEntry(paths[x[0]][x[2]], 1, not x[3], self.families[x[0]][2], x[0])
+            for x in self.listing
         ]
-        return _in_order(g.order_key, self.generic + members, lambda x: x.path.edges)
 
     @cached_property
     def inps_by_first(self):
@@ -384,12 +421,14 @@ class NielsenCatalog:
         )
 
 
-def _in_order(order_key, items, edges_of):
+def _in_order(order_key, items, edges_of, length_of=None):
     """``items`` sorted by the (length, order key list) of their edge
-    tuples; key lists are built only for items of equal length."""
+    tuples; key lists, and the edge tuples when ``length_of`` gives the
+    lengths, are built only for items of equal length."""
+    length_of = length_of or (lambda x: len(edges_of(x)))
     by_len = {}
     for x in items:
-        by_len.setdefault(len(edges_of(x)), []).append(x)
+        by_len.setdefault(length_of(x), []).append(x)
     out = []
     for n in sorted(by_len):
         tied = by_len[n]
@@ -432,14 +471,19 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
     are E w^i when w is cyclically reduced, each with growth suffix w^d,
     and the pair of E w^i with the bare prefix E is the family member E
     w^i Ebar.  Such pairs, read off the bare E and a run of E w^i at once,
-    are only recorded, as (i, composite flag) under E: nothing is built or
-    checked for them.  Every other pair, exceptional pairs E1 w^j E2bar
-    included, goes through the loop as above.
+    are only described, as (p_n, p_step, q_n, q_step, composite flag)
+    under E, the two runs of prefixes as the loop reads them: nothing is
+    built, checked or enumerated for them.  :func:`build_catalog` expands
+    the descriptors into member records (:func:`_family_records`); the f^k
+    searches of :func:`_search_periodic` drop them.  Every other pair,
+    exceptional pairs E1 w^j E2bar included, goes through the loop as
+    above.
 
     Returns (sigmas, composite, families, capped): the other pairs as
     paths in (length, order key) order, their composite flags by edge
-    tuple (p or q has a Nielsen prefix), the family records
-    {E: [(i, flag), ...]} and the rays cut at their iterate cap.
+    tuple (p or q has a Nielsen prefix), the family descriptors
+    {E: [(p_n, p_step, q_n, q_step, flag), ...]} and the rays cut at
+    their iterate cap.
     """
     g = m.graph
     order_key, inverse_of = g.order_key, g.inverse_of
@@ -459,16 +503,15 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
                 buckets[a], buckets[b]
             ):
                 split = p_split or q_split
-                lengths = [(i, j) for i in range(p_n, bound + 1 - q_n, p_step or bound)
-                           for j in range(q_n, bound + 1 - i, q_step or bound)]
+                if p_n + q_n > bound:
+                    continue
                 lw = len(linear[d]) if d == e and d in linear else 0
-                if lengths and lw and (p_n - 1) % lw == (q_n - 1) % lw == 0:
+                if lw and (p_n - 1) % lw == (q_n - 1) % lw == 0:
                     # prefixes E w^i, E w^j of E's ray in different buckets
                     # (runs step by |w|): one is E itself, the other E w^k
-                    recs = families.setdefault(d, [])
-                    recs.extend(((i + j - 2) // lw, split) for i, j in lengths)
+                    families.setdefault(d, []).append((p_n, p_step, q_n, q_step, split))
                     continue
-                for i, j in lengths:
+                for i, j in _pair_lengths(p_n, p_step, q_n, q_step, bound):
                     p, q = p_ray[:i], q_ray[:j]
                     if suffix(p) != suffix(q):
                         continue
@@ -486,6 +529,26 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
 
 def _reverse(inverse_of, edges):
     return tuple(map(inverse_of.__getitem__, reversed(edges)))
+
+
+def _pair_lengths(p_n, p_step, q_n, q_step, bound):
+    """The (|p|, |q|) of the pairs of two runs of prefixes, p_n, p_n +
+    p_step, ... against q_n, q_n + q_step, ... (one prefix when the step
+    is 0), with |p| + |q| <= bound."""
+    for i in range(p_n, bound + 1 - q_n, p_step or bound):
+        for j in range(q_n, bound + 1 - i, q_step or bound):
+            yield i, j
+
+
+def _family_records(descriptors, lw, bound):
+    """The (i, composite flag) records of the members E w^i Ebar that a
+    linear edge's family descriptors (see :func:`_search_fixed_paths`)
+    give, |w| = lw, in the order the pairing loop meets them."""
+    return [
+        ((i + j - 2) // lw, split)
+        for p_n, p_step, q_n, q_step, split in descriptors
+        for i, j in _pair_lengths(p_n, p_step, q_n, q_step, bound)
+    ]
 
 
 def _checked_family(m, filt, e, w, records):
@@ -512,10 +575,10 @@ def _checked_family(m, filt, e, w, records):
 
 
 def _family_members(g, e, b, records):
-    """(path, composite flag) of each member E b^i Ebar of a family."""
+    """The path of each member E b^i Ebar of a family, one per record."""
     tail = (g.inverse_of[e],)
     ray = (e,) + b * records[-1][0]
-    return [(Path(g, ray[: 1 + len(b) * i] + tail), split) for i, split in records]
+    return [Path(g, ray[: 1 + len(b) * i] + tail) for i, _ in records]
 
 
 def _fold_listed_members(families, generic, linear, g, filt):
@@ -549,10 +612,12 @@ def build_catalog(m, bound=None, period_bound=3):
     catalog's ``periodic`` or ``budgets_hit``.  Results are cached on the
     map per (bound, period_bound).
 
-    The search recognises each linear edge's family E w^k Ebar once, and
-    the catalog keeps it as a family after one exact check (see
-    :func:`_checked_family`); its ``entries`` are the same as member by
-    member.
+    The search recognises each linear edge's family E w^k Ebar once, as
+    descriptors of pairs of prefix runs; this is the one place they are
+    expanded into records (:func:`_family_records`), and the catalog keeps
+    the family after one exact check (see :func:`_checked_family`).  The
+    catalog's ``listing`` keeps its members as records; its ``entries``
+    write them out and are the same as member by member.
     """
     if bound is None:
         bound = default_length_bound(m)
@@ -561,14 +626,15 @@ def build_catalog(m, bound=None, period_bound=3):
         return m._cache[key]
     filt = filtration(m)
     linear = _linear_axes(filt)
-    sigmas, composite, records, capped = _search_fixed_paths(m, bound, linear=linear)
+    sigmas, composite, descriptors, capped = _search_fixed_paths(m, bound, linear=linear)
     budgets_hit = [_cap_note(1, d, cap) for d, cap in capped]
     generic = [
         NielsenEntry(sigma, 1, not composite[sigma.edges], filt.height(sigma))
         for sigma in sigmas
     ]
     families = {}
-    for e, recs in records.items():
+    for e, descs in descriptors.items():
+        recs = _family_records(descs, len(linear[e]), bound)
         fam = _checked_family(m, filt, e, linear[e], recs)
         if fam is not None:
             families[e] = fam
@@ -586,9 +652,10 @@ def _search_periodic(cat):
     paths not already fixed: the period-one paths of the catalog, in both
     orientations, are skipped there, since f^k fixes them with period one.
     The members of linear families are fixed by f too (f(E) = E.w^d with
-    w Nielsen), so the f^k searches drop their family pairs on sight and
-    ``known`` holds only the generic entries.  Every other candidate (a
-    member another pair gives too) gets the f^k_# check and period probe.
+    w Nielsen), so the f^k searches drop their family descriptors
+    unexpanded and ``known`` holds only the generic entries.  Every other
+    candidate (a member another pair gives too) gets the f^k_# check and
+    period probe.
     """
     m, bound = cat.map, cat.bound
     filt = filtration(m)

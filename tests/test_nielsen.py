@@ -5,12 +5,18 @@ every tight path up to the bound is checked for f_#(p) = p directly, and
 indivisibility by trying every split point.
 """
 
+import contextlib
+import io
 import itertools
+import json
+import os
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traintrack import MarkedGraph, nielsen
+from traintrack import MarkedGraph, cli, nielsen
 from traintrack import ct as ct_module
 from traintrack.ct import check_ct
 from traintrack.errors import (
@@ -29,6 +35,7 @@ from traintrack.nielsen import (
     TERM_INP,
     TERM_QE,
     NielsenCatalog,
+    NielsenEntry,
     Term,
     _search_fixed_paths,
     _stable_prefixes,
@@ -1284,8 +1291,14 @@ def _path_key(g, edges):
 
 
 def assert_pairing_matches_exact_suffixes(m, bound, linear=None):
+    # the search describes family pairs; build_catalog's helper expands the
+    # descriptors into the records the reference pairs one by one
     for mk in _powers(m):
-        sigmas, composite, families, capped = _search_fixed_paths(mk, bound, linear=linear)
+        sigmas, composite, descriptors, capped = _search_fixed_paths(mk, bound, linear=linear)
+        families = {
+            e: nielsen._family_records(descs, len(linear[e]), bound)
+            for e, descs in descriptors.items()
+        }
         assert ([s.edges for s in sigmas], composite, families, capped) == reference_pairing(
             mk, bound, linear
         )
@@ -1523,6 +1536,213 @@ def test_check_ct_on_the_ladder_writes_no_member_out(members_written):
     assert len(cat.inps()) == len(cat.entries) - 1 == cat.bound - 2
     assert members_written["members"] == cat.bound - 2
     assert report.clauses["N"].witnesses == ["%d indivisible Nielsen paths" % (cat.bound - 2)]
+
+
+# -- the nielsen report from the records --------------------------------------------
+
+
+def _entries_member_by_member(cat):
+    """The catalog's period-one entries with every family member written out
+    as a path first, then all sorted by (length, order key list)."""
+    g = cat.map.graph
+    members = [
+        NielsenEntry(Path(g, (e,) + b * i + (inverse(e),)), 1, not split, height, e)
+        for e, (b, records, height) in cat.families.items()
+        for i, split in records
+    ]
+    return sorted(
+        cat.generic + members, key=lambda x: (len(x.path), _path_key(g, x.path.edges))
+    )
+
+
+def reference_nielsen_report(m, bound):
+    """The ``nielsen`` command's (ok, lines, data) as it was built member by
+    member: from the written-out entries, then ``cat.periodic``."""
+    cat = build_catalog(m, bound)
+    entries = _entries_member_by_member(cat)
+    families = {}
+    singles = []
+    composites = 0
+    for entry in entries:
+        if not entry.indivisible:
+            composites += 1
+        elif entry.family is None:
+            singles.append(entry)
+        else:
+            families.setdefault(entry.family, []).append(len(entry.path) - 2)
+
+    lines = ["catalog bound %d (period bound %d)" % (cat.bound, cat.period_bound)]
+    lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
+    lines.append("indivisible Nielsen paths:")
+    for e, sizes in families.items():
+        body = cat.families[e][0]
+        lines.append(
+            "  %s (%s)^k %s  for k = %d..%d within bound"
+            % (e, " ".join(body), inverse(e), min(sizes) // len(body), max(sizes) // len(body))
+        )
+    for entry in singles:
+        lines.append("  %s  [height %d]" % (" ".join(entry.path.edges), entry.height))
+    if not families and not singles:
+        lines.append("  none within bound")
+    if composites:
+        lines.append("composite Nielsen paths within bound: %d" % composites)
+    for entry in cat.periodic:
+        lines.append("periodic: %s  [period %d]" % (" ".join(entry.path.edges), entry.period))
+    lines.append("axes:")
+    axs = axes(m)
+    for ax in axs:
+        lines.append(
+            "  (%s): %s"
+            % (" ".join(ax.word.edges),
+               ", ".join("%s exponent %d" % (e, d) for e, d in ax.members))
+        )
+    if not axs:
+        lines.append("  none")
+    caveats = ["search budget hit: %s" % note for note in cat.budgets_hit]
+    lines.extend("note: " + note for note in caveats)
+    data = {
+        "bound": cat.bound,
+        "fixed_edges": list(cat.fixed_edges),
+        "paths": [
+            {
+                "word": " ".join(x.path.edges),
+                "period": x.period,
+                "indivisible": x.indivisible,
+                "height": x.height,
+            }
+            for x in entries + list(cat.periodic)
+        ],
+        "axes": [
+            {"word": " ".join(ax.word.edges),
+             "members": [{"edge": e, "exponent": d} for e, d in ax.members]}
+            for ax in axs
+        ],
+    }
+    if caveats:
+        data["caveats"] = caveats
+    return True, lines, data
+
+
+def _report_or_error(report, m, bound):
+    """(ok, text lines, JSON text) of a nielsen report, or the error raised."""
+    try:
+        ok, lines, data = report(m, bound)
+    except TrainTrackError as exc:
+        return type(exc), str(exc)
+    return ok, lines, json.dumps(data, indent=2)
+
+
+def _command_report(m, bound):
+    doc = types.SimpleNamespace(options={} if bound is None else {"nielsen_bound": bound})
+    return cli._cmd_nielsen(m, doc, types.SimpleNamespace(nielsen_bound=None))
+
+
+def assert_report_matches_member_by_member(m, bound=None):
+    got = _report_or_error(_command_report, m, bound)
+    assert got == _report_or_error(reference_nielsen_report, m, bound)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_report_matches_member_by_member_samples(name):
+    assert_report_matches_member_by_member(SAMPLES[name]())
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_MAPS))
+@pytest.mark.parametrize("bound", [5, 9, None])
+def test_report_matches_member_by_member_family_maps(name, bound):
+    assert_report_matches_member_by_member(FAMILY_MAPS[name](), bound)
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_report_matches_member_by_member_ladder(k):
+    assert_report_matches_member_by_member(_ladder(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_roses(), st.sampled_from([4, 6, None]))
+def test_report_matches_member_by_member_triangular_roses(m, bound):
+    assert_report_matches_member_by_member(m, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_roses(), st.sampled_from([4, 6, 9, None]))
+def test_report_matches_member_by_member_linear_roses(m, bound):
+    assert_report_matches_member_by_member(m, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_strata_maps(), st.sampled_from([6, None]))
+def test_report_matches_member_by_member_zero_strata_maps(m, bound):
+    assert_report_matches_member_by_member(m, bound)
+
+
+def test_listing_breaks_length_ties_by_order_key():
+    # no map of the corpus lists a generic entry or a family member tied in
+    # length with an item that sorts before it, so make one: two_axes' C
+    # and D families listed against the order key, C A A A C' tied with
+    # D B A' B D', and a made-up generic entry D A D' tied with C A C'
+    m = FAMILY_MAPS["two_axes"]()
+    real = build_catalog(m, 9)
+    made_up = NielsenEntry(Path(m.graph, ("D", "A", "D'")), 1, True, 3)
+    families = dict(reversed(real.families.items()))
+    assert list(families) == ["D", "C"]
+    cat = NielsenCatalog(m, 9, 3, real.generic + [made_up], (), families)
+    m._cache[("catalog", 9, 3)] = cat
+    want = [x.path.edges for x in _entries_member_by_member(cat)]
+    assert want.index(("C", "A", "C'")) < want.index(("D", "A", "D'"))
+    assert want.index(("C", "A", "A", "A", "C'")) < want.index(("D", "B", "A'", "B", "D'"))
+    assert [x.path.edges for x in cat.entries] == want
+    assert _report_or_error(_command_report, m, 9) == _report_or_error(
+        reference_nielsen_report, m, 9
+    )
+
+
+def _ladder_100_nielsen_json():
+    with open(os.path.join(os.path.dirname(__file__), "golden", "docs", "ladder_100.json")) as fh:
+        text = fh.read()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["nielsen", "--json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def test_nielsen_report_on_the_ladder_writes_no_member_out(members_written):
+    payload = _ladder_100_nielsen_json()
+    assert members_written["members"] == 0
+    assert len(payload["paths"]) == 411  # A A and the 410 members B A^k B'
+
+
+@pytest.fixture
+def records_expanded(monkeypatch):
+    """Counts the calls that expand family descriptors into records."""
+    log = {"calls": 0}
+    expand = nielsen._family_records
+
+    def counted(*args):
+        log["calls"] += 1
+        return expand(*args)
+
+    monkeypatch.setattr(nielsen, "_family_records", counted)
+    return log
+
+
+def test_periodic_search_expands_no_family_descriptor(records_expanded, monkeypatch):
+    # the f^2 and f^3 searches of the k = 100 ladder describe B's family
+    # pairs and drop them unexpanded; only build_catalog expands, once
+    cat = build_catalog(_ladder(100))
+    assert records_expanded["calls"] == 1
+    search, described = nielsen._search_fixed_paths, []
+
+    def recorded(*args):
+        out = search(*args)
+        described.append(out[2])
+        return out
+
+    monkeypatch.setattr(nielsen, "_search_fixed_paths", recorded)
+    assert cat.periodic == []
+    assert len(described) == 2 and all(set(d) == {"B"} for d in described)
+    assert records_expanded["calls"] == 1
 
 
 # -- linear edges and axes -------------------------------------------------------
