@@ -240,6 +240,25 @@ def test_periodic_list_matches_reference_flip_rose():
     ]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="f^2 = id fixes every direction, so each ray stops at length one and "
+    "only length-2 candidates are paired: A A B (period 2) is missing",
+)
+def test_periodic_list_of_an_involution_matches_brute_force():
+    # brute force: the tight paths of length 2..5 with f^2_#(p) = p != f_#(p)
+    g = _rose(["A", "B"])
+    m = _map(g, {"A": "A", "B": "B'"})
+    brute = {
+        norm(p)
+        for p in tight_paths_up_to(g, 5)
+        if len(p) >= 2 and m.apply(m.apply(p)) == p != m.apply(p)
+    }
+    listed = {norm(e.path) for e in build_catalog(m, 5, 2).periodic}
+    assert listed <= brute
+    assert listed == brute
+
+
 def test_periodic_list_matches_reference_flipped_twist():
     g = _rose(["A", "B"])
     cat = assert_catalog_matches_reference(_map(g, {"A": "A'", "B": "B A"}), 6)
