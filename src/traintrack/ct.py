@@ -19,9 +19,14 @@ A topological representative is accepted when it satisfies the clause list
     (CS)  images of edges in irreducible strata and of connecting paths in
           zero strata are completely split.
 
-Quantification over Nielsen paths is relative to the finite catalog, which
-is exhaustive only up to its length and period bounds; every report carries
-a caveat line recording this.  Direction and vertex periodicity are exact.
+Quantification over Nielsen paths is relative to the finite catalog of
+:mod:`nielsen`, which lists the pairs of stable prefixes it finds within
+its length and period bounds and makes no claim beyond them.  It is not
+exhaustive within them either: on ``qe_rose`` at length bound 6 it holds 9
+of the 97 Nielsen paths that brute force finds, and on ``A -> A, B -> B'``
+at length bound 5 the periodic list lacks ``A A B``.  Every report carries
+a caveat line recording the bounds.  Direction and vertex periodicity are
+exact.
 """
 
 from .maps import direction_map, filtration

@@ -61,7 +61,7 @@ own.
 """
 
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 
 from .paths import Circuit, Path, inverse
 from .maps import filtration, direction_map, illegal_turns, compose
@@ -119,6 +119,17 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None):
     every iterate swept the same way.  A ray that is still neither
     repeating nor longer than the bound after ``iter_cap`` iterates is cut
     there; its direction is returned so the catalog can say so.
+
+    A ray stops at the first iterate longer than bound + 2, so the f_# of
+    that iterate is the ray's last, and the sweeps read only its first
+    ``bound`` edges.  That step takes only this head (:func:`_image_head`)
+    and tests it for nesting on the pending iterate cut to ``bound`` edges:
+    where the head nests there but the whole image does not, they share
+    their first ``bound`` edges, so the second of the two sweeps the whole
+    image takes records nothing.  When no seam between consecutive edge
+    images cancels, f_# is their concatenation, and its head is read off
+    the images without writing the rest; when one cancels, as on the rays
+    through E2 E1^k E2' of the FPS maps, f_# is still taken whole.
 
     Whether a prefix is stable, its suffix and its split flag depend on the
     prefix alone, so a sequence's first edges that an earlier swept
@@ -202,7 +213,10 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None):
         seen = {}  # earlier iterates by length: compared, never hashed
         pending = ray
         for _ in range(iter_cap):
-            nxt = m.apply(ray)
+            if len(ray) > bound + 2:  # the last f_#: sweeps read ``bound`` edges
+                nxt, pending = _image_head(m, ray, bound), Path(g, pending.edges[:bound])
+            else:
+                nxt = m.apply(ray)
             stop = (
                 nxt.is_trivial()
                 or nxt.edges == ray.edges
@@ -222,6 +236,20 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None):
             capped.append((d, iter_cap))
         sweep(pending.edges, d)
     return found, capped
+
+
+def _image_head(m, ray, n):
+    """The first n >= 1 edges of f_#(ray), as a path.  If no seam of the
+    edge images cancels -- the last edge of each image is not inverse to
+    the first edge of the next -- their concatenation is tight, so it is
+    f_#(ray) and its head is read off the images; otherwise f_# is taken
+    whole and cut."""
+    images = list(map(m.image_of.__getitem__, ray.edges))
+    inverse_of = m.graph.inverse_of
+    if any(a[-1] == inverse_of[b[0]] for a, b in zip(images, images[1:])):
+        nxt = m.apply(ray)
+        return nxt if len(nxt) <= n else Path(m.graph, nxt.edges[:n])
+    return Path(m.graph, islice(chain.from_iterable(images), n))
 
 
 def _growth_suffix(m, p):

@@ -259,6 +259,24 @@ def test_periodic_list_of_an_involution_matches_brute_force():
     assert listed == brute
 
 
+def test_fixed_periodic_directions_do_not_rule_out_periodic_paths():
+    # every periodic direction is fixed, yet f^2 fixes paths that f does
+    # not: E3' E1^j E3 maps to E3' E1' E2 E1^j E2' E1 E3 and back, so the
+    # f^k search cannot be replaced by a test on directions alone
+    g = _rose(["E1", "E2", "E3"])
+    m = _map(g, {"E1": "E1", "E2": "E1 E2'", "E3": "E2' E1 E3"})
+    dm = nielsen.direction_map(m)
+    assert {d: dm.classify(d) for d in g.directions()} == {
+        "E1": "fixed", "E1'": "fixed", "E3'": "fixed",
+        "E2": "pre-periodic", "E2'": "pre-periodic", "E3": "pre-periodic",
+    }
+    periodic = build_catalog(m).periodic
+    assert len(periodic) == 18 and {e.period for e in periodic} == {2}
+    assert periodic[0].path.edges == ("E3'", "E1", "E3")
+    for e in periodic:
+        assert _exact_period(m, e.path, 2) == 2
+
+
 def test_periodic_list_matches_reference_flipped_twist():
     g = _rose(["A", "B"])
     cat = assert_catalog_matches_reference(_map(g, {"A": "A'", "B": "B A"}), 6)
@@ -1264,6 +1282,96 @@ def test_a_linear_ray_is_never_cut():
 # -- the pairing against exact suffixes ---------------------------------------------
 
 
+# -- the head of a ray's last iterate -------------------------------------------------
+
+
+def _seam_cancels(m, path):
+    images = [m.image_of[e] for e in path.edges]
+    return any(a[-1] == m.graph.inverse_of[b[0]] for a, b in zip(images, images[1:]))
+
+
+def assert_image_heads_match_apply(m, max_len=2):
+    """``_image_head`` against f_# cut to n edges, at f, f^2 and f^3, on the
+    tight paths of length <= max_len and the first iterates of every
+    direction's ray; returns the inputs with and without a cancelling seam
+    (the first take the fallback)."""
+    seen = {True: 0, False: 0}
+    for mk in _powers(m):
+        g = mk.graph
+        rays = tight_paths_up_to(g, max_len)
+        for d in g.directions():
+            ray = g.path([d])
+            for _ in range(4):
+                ray = mk.apply(ray)
+                if ray.is_trivial() or len(ray) > 200:
+                    break
+                rays.append(ray)
+        for ray in rays:
+            full = mk.apply(ray)
+            for n in {1, 2, 5, len(full) - 1, len(full), len(full) + 1} - {0, -1}:
+                head = nielsen._image_head(mk, ray, n)
+                assert head.edges == full.edges[:n]
+                if n >= len(full):
+                    assert head == full
+            seen[_seam_cancels(mk, ray)] += 1
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_image_head_matches_apply_samples(name):
+    seen = assert_image_heads_match_apply(SAMPLES[name](), 3)
+    assert seen[False]
+    if name in ("full_fps_map", "partial_fps_map", "swap_rose"):
+        assert seen[True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_roses())
+def test_image_head_matches_apply_arbitrary_roses(m):
+    assert_image_heads_match_apply(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangular_roses())
+def test_image_head_matches_apply_triangular_roses(m):
+    assert_image_heads_match_apply(m)
+
+
+@pytest.fixture
+def heads_taken(monkeypatch):
+    """Logs, per head of a last iterate taken, whether a seam of the
+    iterate cancels, so that the whole f_# runs."""
+    log = []
+    head = nielsen._image_head
+
+    def logged(m, ray, n):
+        log.append(_seam_cancels(m, ray))
+        return head(m, ray, n)
+
+    monkeypatch.setattr(nielsen, "_image_head", logged)
+    return log
+
+
+def test_which_last_iterates_keep_the_whole_f_sharp(heads_taken):
+    # (heads taken, of them with a cancelling seam) by check_ct: the rays of
+    # the FPS maps run through E2 E1^k E2' and cancel there
+    taken = {}
+    for name in sorted(SAMPLES):
+        del heads_taken[:]
+        check_ct(SAMPLES[name]())
+        taken[name] = (len(heads_taken), sum(heads_taken))
+    assert taken == {
+        "exceptional_rose": (3, 3),
+        "full_fps_map": (9, 9),
+        "partial_fps_map": (9, 9),
+        "qe_rose": (3, 3),
+        "rose_cascade": (3, 0),
+        "suffix_rose": (3, 0),
+        "swap_rose": (11, 0),
+        "zero_stratum_map": (3, 0),
+    }
+
+
 def reference_pairing(m, bound, linear=None):
     """What ``_search_fixed_paths`` returns, from the records of
     ``reference_stable_prefixes`` (every ray iterated) grouped by (end
@@ -1555,6 +1663,34 @@ def test_check_ct_on_the_ladder_writes_no_member_out(members_written):
     assert len(cat.inps()) == len(cat.entries) - 1 == cat.bound - 2
     assert members_written["members"] == cat.bound - 2
     assert report.clauses["N"].witnesses == ["%d indivisible Nielsen paths" % (cat.bound - 2)]
+
+
+@pytest.fixture
+def edges_applied(monkeypatch):
+    """Counts the edges that f_# (``GraphMap.apply``) writes."""
+    log = {"edges": 0}
+    apply = GraphMap.apply
+
+    def counted(self, path):
+        out = apply(self, path)
+        log["edges"] += len(out)
+        return out
+
+    monkeypatch.setattr(GraphMap, "apply", counted)
+    return log
+
+
+def test_check_ct_reads_only_the_head_of_a_rays_last_iterate(edges_applied):
+    # swap_rose's f^2 and f^3 rays end on iterates of ~10^5 edges when f_#
+    # is taken whole (716,628 edges in all); the sweep reads 60 of them
+    check_ct(swap_rose())
+    assert edges_applied["edges"] <= 20000
+
+
+def test_check_ct_on_the_ladder_writes_as_many_edges_as_before(edges_applied):
+    # no ray of the ladder reaches a last iterate: B's is linear, A's fixed
+    check_ct(_ladder(100))
+    assert edges_applied["edges"] == 614
 
 
 # -- the nielsen report from the records --------------------------------------------
