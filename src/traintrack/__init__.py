@@ -52,7 +52,6 @@ from .disintegrate import (
     verify_nielsen_preserved,
     check_fa_is_ct,
     is_generic,
-    nearest_admissible,
     find_tuple_representing,
 )
 from .coords import (
@@ -143,7 +142,6 @@ __all__ = [
     "verify_nielsen_preserved",
     "check_fa_is_ct",
     "is_generic",
-    "nearest_admissible",
     "find_tuple_representing",
     # coordinates and rank
     "CoordinateSystem",

@@ -32,11 +32,12 @@ from .errors import AdmissibilityError, InconsistentFiltration, TrainTrackError
 from .freegroup import map_is_pi1_surjective
 from .intlin import kernel_basis
 from .maps import GraphMap, filtration, restrict
-from .paths import UnionFind
+from .paths import Path, UnionFind
 from .nielsen import (
     TERM_CONN,
     TERM_EDGE,
     TERM_QE,
+    NielsenEntry,
     axes,
     build_catalog,
     default_length_bound,
@@ -338,15 +339,29 @@ class PreservationReport:
         return "\n".join(self.lines())
 
 
+def _nielsen_representatives(cat):
+    """The catalog's generic Nielsen paths and the shortest member of each
+    linear family E b^i Ebar.  f_a(E) = E.u with u in <b>, so f_a fixes a
+    member, i >= 1, iff (u.f_a(b).ubar)^i = b^i iff f_a(b) = b (roots are
+    unique, as in :func:`nielsen._checked_family`): one member decides."""
+    g = cat.map.graph
+    members = [
+        Path(g, (e,) + b * records[0][0] + (g.inverse_of[e],))
+        for e, (b, records, _) in cat.families.items()
+    ]
+    return [x.path for x in cat.generic] + members
+
+
 def verify_nielsen_preserved(m, a, dis=None, qe_powers=(-2, -1, 0, 1, 2)):
     """Check f_a fixes every catalog Nielsen path and maps each incident
-    quasi-exceptional family by f^{a_k} for the class X_k it occurs in."""
+    quasi-exceptional family by f^{a_k} for the class X_k it occurs in; a
+    linear family is checked on one member (:func:`_nielsen_representatives`)."""
     if dis is None:
         dis = disintegrate(m)
     fa = build_fa(m, a, dis)
     failures = []
     n_checked = 0
-    for sigma in dis.catalog.nielsen_paths():
+    for sigma in _nielsen_representatives(dis.catalog):
         n_checked += 1
         if fa.apply(sigma) != sigma:
             failures.append("f_a moves the Nielsen path %r" % (sigma.edges,))
@@ -395,49 +410,34 @@ class FaCTResult:
 
 def check_fa_is_ct(m, a, dis=None):
     """Run the full structure check on f_a and compare its principal
-    vertices and within-bound Nielsen paths against f's."""
+    vertices and within-bound Nielsen paths against f's: the generic paths,
+    and the family members by their records (E, b, i)."""
     if dis is None:
         dis = disintegrate(m)
     fa = build_fa(m, a, dis)
     bound = default_length_bound(m)
     report = check_ct(fa, bound=bound)
     same_principal = principal_vertices(fa) == principal_vertices(m)
-    cat_f = build_catalog(m, bound=bound)
-    cat_fa = build_catalog(fa, bound=bound)
-    paths_f = {p.edges for p in cat_f.nielsen_paths()}
-    paths_fa = {p.edges for p in cat_fa.nielsen_paths()}
-    return FaCTResult(report, same_principal, paths_f == paths_fa)
-
-
-def nearest_admissible(latt, a):
-    """Smallest shift a + k*(1,...,1), k >= 0, into the nonnegative orthant.
-
-    Every relation row annihilates the all-ones tuple, so shifting along it
-    never leaves the lattice; returns None when a is not in L at all.
-    """
-    a = tuple(int(x) for x in a)
-    if not latt.contains(a):
-        return None
-    k = max(0, -min(a)) if a else 0
-    return tuple(x + k for x in a)
-
-
-COMBINATION_BUDGET = 10000
+    listed = [
+        {x.path.edges if isinstance(x, NielsenEntry) else x[:3] for x in cat.listing}
+        for cat in (build_catalog(m, bound=bound), build_catalog(fa, bound=bound))
+    ]
+    return FaCTResult(report, same_principal, listed[0] == listed[1])
 
 
 def _edge_image_candidates(m, edge, target_path):
-    """Exponents k with f^k(edge) equal to the target path, by iteration.
+    """The exponents k with f^k(edge) = target_path as an exponent set
+    (start, period): the single exponent ``start`` when the period is 0,
+    else start, start + period, ...; None when there is no exponent.
 
-    Returned as an eventually periodic set ``(before, cycle)``: ``before``
-    holds the matches ahead of the orbit's cycle, and ``cycle`` is None or
-    (start, period) for the matches start, start + period, ...  Iteration
-    stops once the image outgrows the target, taken as the end of its
-    matches, or once it revisits a path; one of the two happens, since
-    there are finitely many paths no longer than the target.  The paths
-    seen are distinct, so at most one of them matches.
+    The walk stops once an iterate revisits a path or is longer than the
+    target; one of the two happens, since finitely many paths are no longer
+    than the target.  The paths it visits are distinct, so the target is
+    met at most once before the cycle, or once per period on it.  A None
+    after the walk outgrew the target rests on one condition: the orbits of
+    class edges never come back down in length.
     """
-    g = m.graph
-    path = g.path([edge])
+    path = m.graph.path([edge])
     seen = {}
     k = 0
     while path.edges not in seen and len(path) <= len(target_path):
@@ -446,73 +446,59 @@ def _edge_image_candidates(m, edge, target_path):
         k += 1
     hit, first = seen.get(target_path.edges), seen.get(path.edges)
     if hit is None:
-        return frozenset(), None
+        return None
     if first is None or hit < first:
-        return frozenset({hit}), None
-    return frozenset(), (hit, k - first)
+        return hit, 0
+    return hit, k - first
 
 
 def _meet(x, y):
-    """Intersection of two eventually periodic sets (before, cycle)."""
-    (xs, xc), (ys, yc) = x, y
-    before = {k for k in xs if _holds(k, ys, yc)} | {k for k in ys if _holds(k, xs, xc)}
-    if xc is None or yc is None:
-        return frozenset(before), None
-    (r, p), (t, q) = xc, yc
+    """The intersection of two exponent sets (start, period), or None when
+    it is empty.  A single exponent stays if the other set holds it; two
+    progressions meet in one progression, whose period is the lcm of theirs
+    and whose start solves the two congruences (CRT), if any k does."""
+    if x is None or y is None:
+        return None
+    if x[1] and not y[1]:
+        x, y = y, x
+    (r, p), (t, q) = x, y
+    if not p:
+        return x if r == t or (q and r > t and (r - t) % q == 0) else None
     period = p * q // math.gcd(p, q)
     k = max(r, t)
     k += (r - k) % p
-    for k in range(k, k + period, p):
-        if (k - t) % q == 0:
-            return frozenset(before), (k, period)
-    return frozenset(before), None
-
-
-def _holds(k, before, cycle):
-    return k in before or (cycle is not None and k >= cycle[0] and (k - cycle[0]) % cycle[1] == 0)
+    return next(((j, period) for j in range(k, k + period, p) if (j - t) % q == 0), None)
 
 
 def find_tuple_representing(m, target, dis=None):
-    """An admissible tuple a with f_a edge-image-equal to target, or None.
+    """The admissible tuple a with f_a edge-image-equal to target, or None.
 
-    Each edge offers its exponents as an eventually periodic set, and a
-    class takes the intersection over its edges.  Raises TrainTrackError
-    when that is infinite, since the class's exponent is then not
-    determined, and when more than COMBINATION_BUDGET combinations of
-    per-class exponents would have to be tried.
+    A class meets the exponent sets of its edges (:func:`_edge_image_candidates`)
+    into none, one exponent, or a progression; the single exponents, if
+    admissible, rebuild every class edge's target image.  Raises
+    TrainTrackError when a class keeps a progression: its exponent is then
+    not determined.
     """
     if dis is None:
         dis = disintegrate(m)
     g = m.graph
     if set(g.edge_names) != set(target.graph.edge_names):
         return None
-    for e in g.edge_names:
-        if dis.partition.class_of_edge(e) is None:
-            if target.image(e).edges != (e,):
-                return None
-    per_class = []
-    for i, sub in enumerate(dis.partition.subgraphs):
-        cands = None
+    part = dis.partition
+    if any(part.class_of_edge(e) is None and target.image(e).edges != (e,) for e in g.edge_names):
+        return None
+    a = []
+    for i, sub in enumerate(part.subgraphs):
+        ks = (0, 1)  # every exponent k >= 0
         for e in sorted(sub, key=g.edge_index):
-            ks = _edge_image_candidates(m, e, target.image(e))
-            cands = ks if cands is None else _meet(cands, ks)
-            if cands == (frozenset(), None):
+            ks = _meet(ks, _edge_image_candidates(m, e, target.image(e)))
+            if ks is None:
                 return None
-        if cands[1] is not None:
+        if ks[1]:
             raise TrainTrackError(
                 "find_tuple_representing: every exponent %d + %dj fits class X_%d {%s}"
-                % (cands[1] + (i + 1, " ".join(sorted(sub, key=g.edge_index))))
+                % (ks + (i + 1, " ".join(sorted(sub, key=g.edge_index))))
             )
-        per_class.append(sorted(cands[0]))
-    for n, combo in enumerate(itertools.product(*per_class)):
-        if n == COMBINATION_BUDGET:
-            raise TrainTrackError(
-                "find_tuple_representing: budget of %d exponent combinations "
-                "exhausted without a match" % COMBINATION_BUDGET
-            )
-        if not dis.lattice.contains(combo):
-            continue
-        fa = build_fa(m, combo, dis)
-        if all(fa.image(e).edges == target.image(e).edges for e in g.edge_names):
-            return tuple(combo)
-    return None
+        a.append(ks[0])
+    a = tuple(a)
+    return a if dis.lattice.contains(a) else None

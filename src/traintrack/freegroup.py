@@ -31,10 +31,17 @@ def word_inverse(word):
 
 
 def word_concat(*words):
+    """The reduced product of words that must be reduced: each cancels only
+    against the end of the product so far, the seam rule of
+    :meth:`MarkedGraph.seam_extend`."""
     out = []
     for w in words:
-        out.extend(w)
-    return reduce_word(out)
+        i = 0
+        while i < len(w) and out and out[-1] == inverse(w[i]):
+            out.pop()
+            i += 1
+        out.extend(w[i:])
+    return tuple(out)
 
 
 def conjugate(c, word):
@@ -283,25 +290,39 @@ def homology_class(path, tree=None):
 # -- outer-class comparison ------------------------------------------------------
 
 
-def _primitive_root(word):
-    root, _ = word_root(word)
-    return tuple(root)
+def differ_by_inner(m1, m2):
+    """A word c with (m1 on pi1) = c . (m2 on pi1) . c^-1, or None when there
+    is none; the maps act on graphs sharing edge names.
 
+    Take the first pair (u, v) of non-trivial images, u = p.ucore.p^-1 and
+    v = q.vcore.q^-1 with the cores cyclically reduced, z the root of ucore
+    and d the shortest prefix of ucore with vcore = d^-1.ucore.d (none: no
+    conjugator).  The words conjugating v to u are c_k = p.z^k.d.q^-1, k in
+    Z, and c_k conjugates an image V to U iff z^k.X.z^-k = U' for
+    X = [d.q^-1.V.q.d^-1] and U' = [p^-1.U.p].  Two facts bound k:
 
-def differ_by_inner(m1, m2, power_bound=8):
-    """A word c with (m1 on pi1) = c . (m2 on pi1) . c^-1, or None.
+    * If z^k.X.z^-k = U' with X not in <z>, then 2(|k| - 1)|z| < |U'| + |X|,
+      and no other k works (two would make a power of z commute with X).
+      Proof for k >= 2 (k <= -2: use z^-1).  Reducing z^k.X.z^-k cancels c
+      pairs and |U'| = 2k|z| + |X| - 2c, so the claim is c < |X| + |z|.  If
+      a letter of X survives, every pair holds one of X: c <= |X|.  Else
+      X = s^-1.t, s and t suffixes of z^k, and the rests of z^k and z^-k
+      cancel c - |X| more pairs: the common suffix of two prefixes of z^k,
+      of lengths k|z| - |s| and k|z| - |t|.  Were it >= |z| long, these
+      lengths would agree mod |z| (z is not a proper power), so s = r.z^i,
+      t = r.z^j for a suffix r of z, and X = z^(j - i) would lie in <z>.
+    * If every X lies in <z>, every c_k works or none does, and as
+      |k||z| - |p| - |d| - |q| <= |c_k| and |c_0| <= |p| + |d| + |q|, the
+      shortest working c_k has |k||z| <= 2(|p| + |d| + |q|).
 
-    The two maps must act on graphs sharing edge names.  Candidate
-    conjugators come from rotation matching on the first pair of
-    non-trivial images; the cyclic part is searched to ``power_bound``,
-    and every candidate is verified against all generators, so a non-None
-    answer is exact while None is certified only within the bound.
+    As |U'| <= |U| + 2|p| and |X| <= |V| + 2|q| + 2|d|, the window
+    |k| <= (sum of all |U| + |V| + 2(|p| + |q| + |d|)) / |z| + 1 holds both
+    cases: its shortest working candidate (least word on ties) is the
+    shortest of all, and None is exact.  The window is walked by |k|, and
+    the walk stops once |k||z| - |p| - |d| - |q| exceeds the best length.
     """
-    w1 = pi1_images(m1)
-    w2 = pi1_images(m2)
-    gens1 = pi1_basis(m1.graph)
-    gens2 = pi1_basis(m2.graph)
-    if gens1 != gens2 or len(w1) != len(w2):
+    w1, w2 = pi1_images(m1), pi1_images(m2)
+    if pi1_basis(m1.graph) != pi1_basis(m2.graph) or len(w1) != len(w2):
         return None
 
     def works(c):
@@ -312,21 +333,20 @@ def differ_by_inner(m1, m2, power_bound=8):
     pair = next(((u, v) for u, v in zip(w1, w2) if u and v), None)
     if pair is None:
         return None
-    u, v = pair
-    p, ucore = cyclic_decompose(u)
-    q, vcore = cyclic_decompose(v)
-    if len(ucore) != len(vcore) or not ucore:
+    p, ucore = cyclic_decompose(pair[0])
+    q, vcore = cyclic_decompose(pair[1])
+    z, _ = word_root(ucore)
+    r = next((r for r in range(len(z)) if ucore[r:] + ucore[:r] == vcore), None)
+    if r is None:
         return None
-    z = _primitive_root(ucore)
-    candidates = []
-    for r in range(len(ucore)):
-        if ucore[r:] + ucore[:r] == vcore:
-            d = ucore[:r]
-            for k in range(-power_bound, power_bound + 1):
-                zk = word_concat(*([z] * k if k >= 0 else [word_inverse(z)] * -k))
-                candidates.append(word_concat(p, zk, d, word_inverse(q)))
-    candidates.sort(key=lambda c: (len(c), c))
-    for c in candidates:
-        if works(c):
-            return c
-    return None
+    d = ucore[:r]
+    slack = len(p) + len(d) + len(q)
+    window = (sum(map(len, w1 + w2)) + 2 * slack) // len(z) + 1
+    best = None
+    for k in sorted(range(-window, window + 1), key=abs):
+        if best is not None and abs(k) * len(z) - slack > len(best):
+            break
+        c = word_concat(p, z * k if k >= 0 else word_inverse(z) * -k, d, word_inverse(q))
+        if (best is None or (len(c), c) < (len(best), best)) and works(c):
+            best = c
+    return best

@@ -38,10 +38,10 @@ another pair gives included.  The search itself keeps each family pair
 as a descriptor of its two runs of prefixes, and only
 :func:`build_catalog` expands those into records.  Complete splitting,
 the CT check and the ``nielsen`` report read the records (the report
-through :attr:`NielsenCatalog.listing`); the members are written out as
-paths only when a catalog's ``entries`` list is first read, which only
-the tests, the test-only ``inps``/``nielsen_paths`` and their callers in
-:mod:`disintegrate` do.
+through :attr:`NielsenCatalog.listing`), and so do the f_a checks of
+:mod:`disintegrate`, which test one member per family; the members are
+written out as paths only on the first read of ``entries``, by the tests,
+the test-only ``inps`` or perfbench's tracer.
 
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
@@ -303,9 +303,8 @@ class NielsenCatalog:
     * ``entries``: the same paths as ``NielsenEntry`` objects, each
       flagged indivisible or composite, exactly, with its filtration
       height: the family members written out in closed form on the first
-      read and marked with ``family``.  Only the tests, ``inps`` and
-      ``nielsen_paths`` (themselves read by tests and by the test-only
-      checks of :mod:`disintegrate`) read it.
+      read and marked with ``family``.  Only the tests, ``inps`` (itself
+      read by tests) and perfbench's tracer read it.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
     * ``budgets_hit``: one note per search ray cut at its iterate cap, those
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
@@ -404,10 +403,6 @@ class NielsenCatalog:
         if height is not None:
             out = [x for x in out if x.height == height]
         return out
-
-    def nielsen_paths(self):
-        """All period-one entries, indivisible or not."""
-        return [x.path for x in self.entries]
 
     def image_qe_split(self, piece):
         """qe_split of f_#(piece) under this catalog and its map f, computed

@@ -3,15 +3,15 @@
 import importlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from traintrack.ct import check_ct
 from traintrack.disintegrate import (
     build_fa,
     check_fa_is_ct,
     disintegrate,
     find_tuple_representing,
     is_generic,
-    nearest_admissible,
     verify_commute,
     verify_homotopy_equivalence,
     verify_nielsen_preserved,
@@ -30,6 +30,8 @@ from traintrack.samples import (
     rose_cascade,
     zero_stratum_map,
 )
+
+from test_nielsen import _corpus_map, linear_roses, triangular_roses
 
 # the package exports the function ``disintegrate`` under the module's name
 disintegrate_mod = importlib.import_module("traintrack.disintegrate")
@@ -235,15 +237,6 @@ def test_check_fa_is_ct_collision_reported():
     assert not res.report.clause("L").passed
 
 
-def test_nearest_admissible():
-    latt = disintegrate(qe_rose()).lattice
-    assert nearest_admissible(latt, (-1, -1)) == (0, 0)
-    assert nearest_admissible(latt, (2, 2)) == (2, 2)
-    assert nearest_admissible(latt, (1, 2)) is None
-    latt3 = disintegrate(exceptional_rose()).lattice
-    assert nearest_admissible(latt3, (4, 1, -1)) == (5, 2, 0)
-
-
 def test_find_tuple_representing_inner_twist():
     f1, f2 = inner_twist_pair()
 
@@ -316,27 +309,26 @@ def test_find_tuple_representing_names_an_undetermined_class():
         find_tuple_representing(m, build_fa(m, (2,), d), d)
 
 
-def _in_eventually_periodic(k, s):
-    before, cycle = s
-    return k in before or (cycle is not None and k >= cycle[0] and (k - cycle[0]) % cycle[1] == 0)
+def _in_exponent_set(k, s):
+    if s is None:
+        return False
+    start, period = s
+    return k == start or (period > 0 and k > start and (k - start) % period == 0)
 
 
-@st.composite
-def eventually_periodic_sets(draw):
-    start = draw(st.integers(0, 12))
-    before = frozenset(draw(st.sets(st.integers(0, start), max_size=3)))
-    if draw(st.booleans()):
-        return frozenset(k for k in before if k < start), (start, draw(st.integers(1, 6)))
-    return before, None
+exponent_sets = st.one_of(
+    st.none(),
+    st.tuples(st.integers(0, 12), st.integers(0, 6)),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(eventually_periodic_sets(), eventually_periodic_sets())
+@given(exponent_sets, exponent_sets)
 def test_meet_of_eventually_periodic_sets(x, y):
-    before, cycle = disintegrate_mod._meet(x, y)
+    meet = disintegrate_mod._meet(x, y)
     for k in range(120):
-        both = _in_eventually_periodic(k, x) and _in_eventually_periodic(k, y)
-        assert _in_eventually_periodic(k, (before, cycle)) == both, k
+        both = _in_exponent_set(k, x) and _in_exponent_set(k, y)
+        assert _in_exponent_set(k, meet) == both, k
 
 
 def test_edge_image_candidates_of_the_zero_stratum_edge():
@@ -344,17 +336,54 @@ def test_edge_image_candidates_of_the_zero_stratum_edge():
     m = zero_stratum_map()
     g = m.graph
     cands = disintegrate_mod._edge_image_candidates
-    assert cands(m, "Z", g.path(["A"])) == (frozenset(), (1, 1))
-    assert cands(m, "Z", g.path(["Z"])) == (frozenset({0}), None)
-    assert cands(m, "Z", g.path(["A", "A"])) == (frozenset(), None)
+    assert cands(m, "Z", g.path(["A"])) == (1, 1)
+    assert cands(m, "Z", g.path(["Z"])) == (0, 0)
+    assert cands(m, "Z", g.path(["A", "A"])) is None
 
 
-def test_find_tuple_representing_names_its_budget(monkeypatch):
-    monkeypatch.setattr(disintegrate_mod, "COMBINATION_BUDGET", 0)
-    m = qe_rose()
-    d = disintegrate(m)
-    with pytest.raises(TrainTrackError, match="budget of 0 exponent combinations"):
-        find_tuple_representing(m, compose(m, m), d)
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(linear_roses(), triangular_roses()), st.data())
+def test_find_tuple_representing_round_trip_random_roses(m, data):
+    # preconditions: m is a CT and disintegrates
+    assume(check_ct(m).passed)
+    try:
+        d = disintegrate(m)
+    except TrainTrackError:
+        assume(False)
+    latt = d.lattice
+    a = [0] * d.M
+    for v in latt.basis:
+        c = data.draw(st.integers(-3, 3))
+        a = [x + c * y for x, y in zip(a, v)]
+    low = min(a, default=0)
+    a = tuple(x - low for x in a)
+    assume(max(a, default=0) <= 12)
+    shift = data.draw(st.integers(0, 12 - max(a, default=0)))
+    a = tuple(x + shift for x in a)
+    assert latt.is_admissible(a)
+    assert find_tuple_representing(m, build_fa(m, a, d), d) == a
+
+
+ORBIT_MAPS = (
+    [name for name in sorted(samples.SAMPLES) if name != "suffix_rose"]
+    + ["type_e_%d" % n for n in range(3, 6)]
+    + ["type_c_%d" % n for n in (4, 5)]
+)
+
+
+@pytest.mark.parametrize("name", ORBIT_MAPS)
+def test_class_edge_orbits_never_shrink(name):
+    # the condition a None of _edge_image_candidates rests on: once an
+    # iterate of a class edge outgrows the target, no later one is the
+    # target (every sample that disintegrates; suffix_rose does not)
+    m = _corpus_map(name)
+    for sub in disintegrate(m).partition.subgraphs:
+        for e in sub:
+            path = m.graph.path([e])
+            for _ in range(8):
+                image = m.apply(path)
+                assert len(image) >= len(path), (e, path.edges)
+                path = image
 
 
 def test_edge_image_splittings_are_computed_once(monkeypatch):

@@ -24,7 +24,7 @@ from traintrack.freegroup import (
 )
 from traintrack.intlin import det
 from traintrack.maps import GraphMap, compose, identity_map
-from traintrack.paths import MarkedGraph
+from traintrack.paths import MarkedGraph, cyclic_decompose, inverse, word_root
 from traintrack.samples import (
     exceptional_rose,
     full_fps_map,
@@ -191,6 +191,102 @@ def test_differ_by_inner_twist_pair():
     for u, v in zip(pi1_images(f1), pi1_images(f2)):
         assert u == conjugate(c, v)
     assert differ_by_inner(f1, f1) == ()
+
+
+def _conjugated(m, c):
+    """The rose map whose images are c . (m's images) . c^-1."""
+    g = m.graph
+    words = [reduce_word(c + w + word_inverse(c)) for w in pi1_images(m)]
+    return GraphMap(g, {e: g.path(list(w)) for e, w in zip(pi1_basis(g), words)})
+
+
+@pytest.mark.parametrize("n", [9, 20, 60])
+def test_differ_by_inner_finds_long_powers(n):
+    # the search once stopped at z^8 and answered None, "not inner", from
+    # A^9 on
+    m2 = _map(_rose(["A", "B"]), {"A": "A", "B": "B A"})
+    c = ("A",) * n
+    assert differ_by_inner(_conjugated(m2, c), m2) == c
+
+
+_INVERSE = {x: inverse(x) for x in ("A", "B", "C")}
+_INVERSE.update({y: x for x, y in _INVERSE.items()})
+
+
+def _reduced(letters):
+    out = []
+    for x in letters:
+        if out and out[-1] == _INVERSE[x]:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def reference_differ_by_inner(m1, m2, window=60):
+    """The bounded search differ_by_inner replaced: rotation matching on the
+    first pair of non-trivial images, candidates p.z^k.d.q^-1 for every
+    matching rotation d and |k| <= window, the shortest working one first."""
+    w1, w2 = pi1_images(m1), pi1_images(m2)
+
+    def works(c):
+        return all(u == _reduced(c + v + word_inverse(c)) for u, v in zip(w1, w2))
+
+    if works(()):
+        return ()
+    u, v = next((u, v) for u, v in zip(w1, w2) if u and v)
+    p, ucore = cyclic_decompose(u)
+    q, vcore = cyclic_decompose(v)
+    z, _ = word_root(ucore)
+    candidates = []
+    for r in range(len(ucore)):
+        if ucore[r:] + ucore[:r] == vcore:
+            for k in range(-window, window + 1):
+                zk = z * k if k >= 0 else word_inverse(z) * -k
+                candidates.append(_reduced(p + zk + ucore[:r] + word_inverse(q)))
+    candidates.sort(key=lambda c: (len(c), c))
+    return next((c for c in candidates if works(c)), None)
+
+
+def _random_word(rng, letters, lo, hi):
+    return reduce_word(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+
+
+def _random_conjugate_pair(rng):
+    g = _rose(["A", "B", "C"])
+    letters = ["A", "B", "C", "A'", "B'", "C'"]
+    if rng.random() < 0.5:
+        words = [()]
+        while not all(words):
+            words = [_random_word(rng, letters, 1, 6) for _ in range(3)]
+    else:
+        w = ()
+        while not w:
+            w = cyclic_decompose(_random_word(rng, letters, 1, 3))[1]
+        words = [
+            w * e if e > 0 else word_inverse(w) * -e
+            for e in (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))
+        ]
+    m2 = GraphMap(g, {e: g.path(list(w)) for e, w in zip("ABC", words)})
+    if rng.random() < 0.5:
+        c = _random_word(rng, letters, 0, 8)
+    else:
+        j = rng.randint(-15, 15)
+        power = words[0] * j if j >= 0 else word_inverse(words[0]) * -j
+        c = reduce_word(power + _random_word(rng, letters, 0, 2))
+    return _conjugated(m2, c), m2
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_differ_by_inner_matches_the_wide_search(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        m1, m2 = _random_conjugate_pair(rng)
+        c = differ_by_inner(m1, m2)
+        assert c is not None
+        for u, v in zip(pi1_images(m1), pi1_images(m2)):
+            assert u == reduce_word(c + v + word_inverse(c))
+        assert c == reference_differ_by_inner(m1, m2)
 
 
 def test_differ_by_inner_negative():

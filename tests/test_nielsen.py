@@ -50,7 +50,14 @@ from traintrack.nielsen import (
     verify_splitting,
 )
 from traintrack.coords import coordinate_system
-from traintrack.disintegrate import _pieces, build_fa, disintegrate, verify_commute
+from traintrack.disintegrate import (
+    _pieces,
+    build_fa,
+    check_fa_is_ct,
+    disintegrate,
+    verify_commute,
+    verify_nielsen_preserved,
+)
 from traintrack.maxrank import (
     classify_max_rank,
     gen_type_c,
@@ -1663,6 +1670,21 @@ def test_check_ct_on_the_ladder_writes_no_member_out(members_written):
     assert len(cat.inps()) == len(cat.entries) - 1 == cat.bound - 2
     assert members_written["members"] == cat.bound - 2
     assert report.clauses["N"].witnesses == ["%d indivisible Nielsen paths" % (cat.bound - 2)]
+
+
+def test_nielsen_preservation_on_the_ladder_writes_no_member_out(members_written):
+    # one member per linear family decides the family: the generic path
+    # A A and the shortest member B A B' are the two paths checked
+    m = _ladder(100)
+    report = verify_nielsen_preserved(m, (2,))
+    assert report.passed and report.checked_nielsen == 2
+    assert members_written["members"] == 0
+
+
+def test_check_fa_is_ct_writes_no_member_out(members_written):
+    res = check_fa_is_ct(qe_rose(), (2, 2))
+    assert res.passed and res.same_nielsen
+    assert members_written["members"] == 0
 
 
 @pytest.fixture
