@@ -535,6 +535,25 @@ def test_bound_flags_obey_the_document_option_rule(tmp_path, command, flag, valu
     assert code == 1 and ("(at %s)" % flag) in err
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the splitting E4' | E1 of f(E1) passes its juncture check to "
+    "depth 4 and cancels only under f^5_#",
+)
+def test_check_ct_fails_cs_where_a_juncture_cancels_late(tmp_path):
+    doc = {
+        "name": "late_cancel",
+        "vertices": ["v"],
+        "edges": [{"name": e, "from": "v", "to": "v"} for e in ("E1", "E2", "E3", "E4")],
+        "images": {"E1": "E4' E1", "E2": "E3' E1'", "E3": "E3", "E4": "E2'"},
+    }
+    p = tmp_path / "late_cancel.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["check-ct", str(p)])
+    assert code == 2
+    assert "(CS) FAIL" in out and "f(E1) is not completely split" in out
+
+
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
 

@@ -1,5 +1,7 @@
 """Tests for the structural train track checks."""
 
+import pytest
+
 from traintrack import ct
 from traintrack.ct import (
     _clause_n,
@@ -94,6 +96,18 @@ def test_unsplittable_image_fails_cs_only():
     report = check_ct(m)
     assert failing_clauses(report) == ["CS"]
     assert any("not completely split" in f for f in report.clause("CS").failures)
+
+
+@pytest.mark.xfail(strict=True, reason="an image is counted before it is split")
+def test_cs_counts_only_the_images_that_split():
+    # suffix_rose with its top edge made NEG: f(E) = E D C B' crosses the
+    # illegal turn {C', B'}, so four of the five images split
+    m = suffix_rose()
+    g = m.graph
+    m = GraphMap(g, dict(m.edge_images, E=g.path(["E", "D", "C", "B'"])))
+    cs = check_ct(m).clause("CS")
+    assert [f.split(":")[0] for f in cs.failures] == ["f(E) is not completely split"]
+    assert cs.witnesses == ["4 images completely split"]
 
 
 def test_suffix_rose_fails_z_only():

@@ -14,7 +14,7 @@ import sys
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from traintrack import MarkedGraph, cli, nielsen
 from traintrack import ct as ct_module
@@ -2151,6 +2151,81 @@ def test_split_respects_iteration(word):
         for p in pieces:
             flat.extend(p.edges)
         assert tuple(flat) == probe.edges
+
+
+def late_cancel_automorphism():
+    """E1 -> E4' E1, E2 -> E3' E1', E3 -> E3, E4 -> E2' on the rose of rank
+    4.  The images generate F_4, so the map is an automorphism.  The only
+    splitting of f(E1) is E4' | E1, across the turn {E4, E1}, which Df
+    makes degenerate only at its fifth iterate."""
+    g = _rose(["E1", "E2", "E3", "E4"])
+    return _map(g, {"E1": "E4' E1", "E2": "E3' E1'", "E3": "E3", "E4": "E2'"},
+                name="late_cancel")
+
+
+def _splits_under_iteration(m, path, terms, k):
+    """f^j_#(path) is the concatenation of the f^j_# of its terms, j = 1..k;
+    stops early (returning True) once an iterate is longer than
+    ITERATE_CAP edges."""
+    whole, pieces = path, [t.path for t in terms]
+    for _ in range(k):
+        whole = m.apply(whole)
+        pieces = [m.apply(p) for p in pieces]
+        if tuple(e for p in pieces for e in p.edges) != whole.edges:
+            return False
+        if len(whole) > ITERATE_CAP:
+            return True
+    return True
+
+
+# The EG roses grow exponentially; past this many edges an iterate is not
+# followed further, so the property is checked to k = 2|D| + 1 or to the
+# first iterate longer than this, whichever comes first.
+ITERATE_CAP = 2000
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a juncture at an illegal turn passes when f^4 does not cancel it; "
+    "the turn {E4, E1} of f(E1) degenerates only under Df^5",
+)
+def test_a_splitting_that_cancels_at_the_fifth_iterate_fails_cs():
+    m = late_cancel_automorphism()
+    e1 = m.image("E1")
+    terms = [Term(TERM_EDGE, e1.subpath(0, 1)), Term(TERM_EDGE, e1.subpath(1, 2))]
+    assert _splits_under_iteration(m, e1, terms, 4)
+    assert not _splits_under_iteration(m, e1, terms, 5)
+    report = check_ct(m)
+    assert [k for k in report.CLAUSE_ORDER if not report.clause(k).passed] == ["CS"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CS passes both examples: their edge-image splittings cross a turn "
+    "that Df makes degenerate only at its fifth iterate",
+)
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(arbitrary_roses(), triangular_roses(), linear_roses()))
+@example(late_cancel_automorphism())
+@example(_map(_rose(["E1", "E2", "E3"]), {"E1": "E3", "E2": "E1'", "E3": "E2 E3"}))
+def test_a_cs_pass_splits_every_edge_image_under_iteration(m):
+    # wherever clause CS passes, each edge image outside the zero strata is
+    # split by its terms under f^k_# too, for k <= 2|D| + 1 (D the
+    # directions), up to ITERATE_CAP edges
+    try:
+        report = check_ct(m)
+    except TrainTrackError:
+        return  # no filtration, or some f^k collapses an edge: not a graph map
+    if not report.clause("CS").passed:
+        return
+    filt = filtration(m)
+    k = 2 * len(m.graph.directions()) + 1
+    for e in m.graph.edge_names:
+        if filt[filt.level(e)].kind == "zero":
+            continue
+        path = m.image(e)
+        terms = complete_split(m, path, build_catalog(m)).terms
+        assert _splits_under_iteration(m, path, terms, k), e
 
 
 # -- QE splittings ---------------------------------------------------------------
