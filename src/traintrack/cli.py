@@ -9,7 +9,7 @@ A map document is JSON::
       "images": {"E1": "E1", "E2": "E2 E1 E1", ...},
       "filtration": [["E1"], ["E2"], ...],
       "nielsen_paths": ["E2 E1 E2'"],
-      "options": {"nielsen_bound": 24, "split_depth": 4}
+      "options": {"nielsen_bound": 24}
     }
 
 ``name``, ``filtration``, ``nielsen_paths`` and ``options`` are optional.
@@ -59,11 +59,11 @@ def _require(cond, msg, position):
         raise InputError(msg, position=position)
 
 
-def _require_positive(key, val, position):
-    """The one rule for ``nielsen_bound`` and ``split_depth``, from a
-    document's options or from the command line."""
+def _require_bound(val, position):
+    """The one rule for ``nielsen_bound``, from a document's options or
+    from the command line."""
     _require(isinstance(val, int) and val > 0,
-             "option %r must be a positive integer" % key, position)
+             "option 'nielsen_bound' must be a positive integer", position)
 
 
 def _parse_word(g, text, position):
@@ -158,9 +158,9 @@ def parse_document(text, source="<input>"):
         _require(isinstance(raw["options"], dict), "options must be an object",
                  "options")
         for key, val in raw["options"].items():
-            _require(key in ("nielsen_bound", "split_depth"),
+            _require(key == "nielsen_bound",
                      "unknown option %r" % key, "options")
-            _require_positive(key, val, "options")
+            _require_bound(val, "options")
             options[key] = val
 
     name = raw.get("name") or source
@@ -196,27 +196,25 @@ def _parse_tuple(text, position):
                          position=position)
 
 
-def _opt(args, doc, key, default):
-    cli = getattr(args, key, None)
-    if cli is not None:
-        _require_positive(key, cli, "--" + key.replace("_", "-"))
-        return cli
-    return doc.options.get(key, default)
+def _bound(args, doc):
+    """The catalog bound: ``--nielsen-bound``, else the document's option,
+    else None (the default bound)."""
+    bound = getattr(args, "nielsen_bound", None)
+    if bound is None:
+        return doc.options.get("nielsen_bound")
+    _require_bound(bound, "--nielsen-bound")
+    return bound
 
 
 def _catalog(m, args, doc):
-    return build_catalog(m, _opt(args, doc, "nielsen_bound", None))
+    return build_catalog(m, _bound(args, doc))
 
 
 # -- command implementations -----------------------------------------------------
 
 
 def _cmd_check_ct(m, doc, args):
-    report = check_ct(
-        m,
-        bound=_opt(args, doc, "nielsen_bound", None),
-        split_depth=_opt(args, doc, "split_depth", 4),
-    )
+    report = check_ct(m, bound=_bound(args, doc))
     data = {
         "passed": report.passed,
         "clauses": {
@@ -555,8 +553,6 @@ def _build_parser():
                         help="emit a structured JSON report")
     common.add_argument("--nielsen-bound", type=int, dest="nielsen_bound",
                         metavar="N", help="Nielsen path search length bound")
-    common.add_argument("--split-depth", type=int, dest="split_depth",
-                        metavar="K", help="iterate depth for splitting checks")
     common.add_argument("--seed", type=int,
                         help="accepted and ignored; output is deterministic")
     common.add_argument("--jobs", type=int, default=1, metavar="J",

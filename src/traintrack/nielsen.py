@@ -901,10 +901,9 @@ class Term:
 
 
 class CompleteSplitting:
-    def __init__(self, path, terms, certificate):
+    def __init__(self, path, terms):
         self.path = path
         self.terms = terms
-        self.certificate = certificate
 
     def __iter__(self):
         return iter(self.terms)
@@ -918,26 +917,15 @@ class CompleteSplitting:
         )
 
 
-def _juncture_ok(m, left, right, k_max):
-    """No cancellation between iterated images at the juncture.
-
-    Returns "legal" when the juncture turn is legal (exact, sufficient for
-    all k), "depth" when only the explicit iterate check up to k_max
-    passes, None on failure.
-    """
-    inverse_of = m.graph.inverse_of
-    d1 = inverse_of[left.path.edges[-1]]
-    d2 = right.path.edges[0]
-    if d1 != d2 and frozenset((d1, d2)) not in illegal_turns(m):
-        return "legal"
-    a, b = left.path, right.path
-    for _ in range(k_max):
-        a, b = m.apply(a), m.apply(b)
-        if a.is_trivial() or b.is_trivial():
-            return None
-        if a.edges[-1] == inverse_of[b.edges[0]]:
-            return None
-    return "depth"
+def _legal_cuts(m, path):
+    """The offsets 0 < i < len(path) where a term may end: those where the
+    path's turn (inverse(path[i-1]), path[i]) is legal."""
+    illegal, inverse_of, edges = illegal_turns(m), m.graph.inverse_of, path.edges
+    return {
+        i
+        for i in range(1, len(edges))
+        if frozenset((inverse_of[edges[i - 1]], edges[i])) not in illegal
+    }
 
 
 def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
@@ -1002,98 +990,91 @@ def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
     return [t for _, t in cands] + [single]
 
 
-def complete_split(m, path, catalog=None, k_max=4, node_cap=100000):
-    """Parse a path into complete-splitting terms, verified as it goes.
+def complete_split(m, path, catalog=None):
+    """Parse a path into complete-splitting terms.
 
     Terms are single edges of irreducible strata, indivisible Nielsen paths
     (catalog), exceptional paths, and maximal connecting subpaths in zero
-    strata.  Candidates are tried longest first with backtracking; a
-    candidate may follow the previous term only when the juncture shows no
-    cancellation under iteration (exact turn legality, or the explicit
-    check to depth k_max).  Raises NotCompletelySplit with the furthest
-    failing offset when no parse survives.
+    strata.  Candidates are tried longest first with backtracking, and a
+    term may end at an offset 0 < i < len(path) only where the path's turn
+    (inverse(path[i-1]), path[i]) is legal.  Raises NotCompletelySplit with
+    the furthest offset that a candidate reached when no parse survives.
+
+    The rule is exact on a CT.  At a cut, let a be the reverse of the left
+    term's last edge and b the right term's first edge.  Then f^k_# of the
+    left term ends with the reverse of Df^k(a), and f^k_# of the right term
+    begins with Df^k(b).  For a single edge or a connecting path this holds
+    because its f^k_# is f^(k-1)_# of its image, which is completely split;
+    for a Nielsen or exceptional term because its end directions are
+    Df-fixed on a CT.  By induction on k over all f(E) at once, f^k_# of
+    adjacent terms meet at the turn (Df^k(a), Df^k(b)).  A turn is legal
+    when no iterate of Df makes it degenerate, so a legal cut never
+    cancels and an illegal one cancels under some f^k_#.  The rule is not
+    exact on arbitrary paths of maps that are not relative train tracks,
+    where f^k_# of a term need not begin and end with those directions.
+
+    The rule reads only the turn at the cut, never the terms on either
+    side, so whether the rest of the path parses from an offset does not
+    depend on the parse before it: an offset that failed once is never
+    expanded again, and the search expands each offset at most once.
     """
     if catalog is None:
         catalog = build_catalog(m)
     filt = filtration(m)
     if path.is_trivial():
-        return CompleteSplitting(path, [], "trivial")
+        return CompleteSplitting(path, [])
     exceptional = _families_by_end(m)[1]
     inps_by_first, families = catalog.inps_by_first, catalog.families
+    n, cuts = len(path), _legal_cuts(m, path)
 
     # Depth-first search with an explicit stack, so the depth is not
     # limited by the number of terms.  ``terms`` is the parse so far and
-    # ``frames`` holds one entry per open node: its offset, the candidates
-    # not yet tried there and the worst juncture certificate on its way.
-    terms = []
-    frames = []
-    best_fail = 0
-    nodes = 0
-    i, worst = 0, "legal"
-    while True:
-        nodes += 1
-        if nodes > node_cap:
-            raise NotCompletelySplit(
-                "splitting search budget exhausted", position=best_fail
-            )
-        if i == len(path):
-            break
-        best_fail = max(best_fail, i)
-        cands = _candidates(m, path, i, filt, exceptional, inps_by_first, families)
-        frames.append((i, iter(cands), worst))
-        while frames:
-            i, todo, worst = frames[-1]
-            for term in todo:
-                cert = _juncture_ok(m, terms[-1], term, k_max) if terms else "legal"
-                if cert is not None:
+    # ``todo`` holds, per open offset, the candidates not yet tried there.
+    terms, todo, failed = [], [], set()
+    i = furthest = 0
+    while i < n:
+        todo.append(iter(_candidates(m, path, i, filt, exceptional, inps_by_first, families)))
+        while todo:
+            for term in todo[-1]:
+                j = i + len(term.path)
+                furthest = max(furthest, j)
+                if j == n or (j in cuts and j not in failed):
                     break
             else:
-                frames.pop()
+                todo.pop()
+                failed.add(i)
                 if terms:
-                    terms.pop()
+                    i -= len(terms.pop().path)
                 continue
             terms.append(term)
-            i += len(term.path)
-            if cert == "depth":
-                worst = cert
+            i = j
             break
         else:
             raise NotCompletelySplit(
-                "path %r is not completely split" % path, position=best_fail
+                "path %r is not completely split" % path, position=furthest
             )
-    certificate = (
-        "legal-turns" if worst == "legal" else "verified-to-depth-%d" % k_max
-    )
-    return CompleteSplitting(path, terms, certificate)
+    return CompleteSplitting(path, terms)
 
 
-def verify_splitting(m, path, terms, k_max=4):
-    """Check a proposed splitting: terms concatenate to the path and no
-    juncture cancels under iteration.  Returns (ok, certificate)."""
-    flat = []
-    for t in terms:
-        flat.extend(t.path.edges)
-    if tuple(flat) != path.edges:
+def verify_splitting(m, path, terms):
+    """Check a proposed splitting: the terms concatenate to the path, every
+    juncture is a legal cut (see :func:`complete_split`), and the first two
+    iterates split along the same points.  Returns (ok, reason), the reason
+    None when ok."""
+    if tuple(e for t in terms for e in t.path.edges) != path.edges:
         return False, "terms do not concatenate to the path"
-    worst = "legal"
-    for left, right in zip(terms, terms[1:]):
-        cert = _juncture_ok(m, left, right, k_max)
-        if cert is None:
-            return False, "cancellation at a juncture"
-        if cert == "depth":
-            worst = "depth"
-    # belt and braces: the iterated image must split along the same points
-    probe = path
-    probes = list(terms)
-    for _ in range(min(2, k_max)):
+    cuts, at = _legal_cuts(m, path), 0
+    for t in terms[:-1]:
+        at += len(t.path)
+        if at not in cuts:
+            return False, "a juncture at an illegal turn cancels under iteration"
+    probe, pieces = path, [t.path for t in terms]
+    for _ in range(2):
         probe = m.apply(probe)
-        probes = [Term(t.kind, m.apply(t.path)) for t in probes]
-        flat = []
-        for t in probes:
-            flat.extend(t.path.edges)
-        if tuple(flat) != probe.edges:
+        pieces = [m.apply(p) for p in pieces]
+        if tuple(e for p in pieces for e in p.edges) != probe.edges:
             return False, "iterate does not respect the splitting"
-    return True, ("legal-turns" if worst == "legal" else "verified-to-depth-%d" % k_max)
+    return True, None
 
 
 class QESplitting(CompleteSplitting):
@@ -1158,4 +1139,4 @@ def qe_split(m, path, catalog=None, splitting=None):
         if not merged:
             out.append(t)
             i += 1
-    return QESplitting(path, out, splitting.certificate)
+    return QESplitting(path, out)

@@ -97,6 +97,12 @@ def _mutated(mutate):
             "positive integer",
             "options",
         ),
+        (
+            # the splitting check reads only turn legality, with no depth
+            lambda d: d.update(options={"split_depth": 4}),
+            "unknown option 'split_depth'",
+            "options",
+        ),
     ],
 )
 def test_parse_errors_carry_position_tags(mutate, message, position):
@@ -127,9 +133,9 @@ def test_parse_accepts_verified_declared_data():
     doc = json.loads(sample_text("qe_rose"))
     doc["filtration"] = [["E1"], ["E2"], ["E3"], ["E4"]]
     doc["nielsen_paths"] = ["E2 E1 E2'", "E3 E1 E3'"]
-    doc["options"] = {"nielsen_bound": 12, "split_depth": 3}
+    doc["options"] = {"nielsen_bound": 12}
     parsed = parse_document(json.dumps(doc), "ok.json")
-    assert parsed.options == {"nielsen_bound": 12, "split_depth": 3}
+    assert parsed.options == {"nielsen_bound": 12}
     assert parsed.name == "qe_rose"
 
 
@@ -518,13 +524,10 @@ def test_option_precedence_document_then_flag():
         ("nielsen", "--nielsen-bound", "-3"),
         ("nielsen", "--nielsen-bound", "0"),
         ("check-ct", "--nielsen-bound", "-1"),
-        ("check-ct", "--split-depth", "0"),
-        ("check-ct", "--split-depth", "-2"),
     ],
 )
 def test_bound_flags_obey_the_document_option_rule(tmp_path, command, flag, value):
-    # A negative bound used to slice the ray from its end and a zero split
-    # depth let every illegal-turn juncture through unchecked.
+    # A negative bound used to slice the ray from its end.
     key = flag[2:].replace("-", "_")
     code, out, err = run_cli([command, flag, value, sample_file(tmp_path, "qe_rose")])
     assert (code, out) == (1, "")
@@ -535,11 +538,6 @@ def test_bound_flags_obey_the_document_option_rule(tmp_path, command, flag, valu
     assert code == 1 and ("(at %s)" % flag) in err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the splitting E4' | E1 of f(E1) passes its juncture check to "
-    "depth 4 and cancels only under f^5_#",
-)
 def test_check_ct_fails_cs_where_a_juncture_cancels_late(tmp_path):
     doc = {
         "name": "late_cancel",

@@ -1,7 +1,5 @@
 """Tests for the structural train track checks."""
 
-import pytest
-
 from traintrack import ct
 from traintrack.ct import (
     _clause_n,
@@ -98,7 +96,6 @@ def test_unsplittable_image_fails_cs_only():
     assert any("not completely split" in f for f in report.clause("CS").failures)
 
 
-@pytest.mark.xfail(strict=True, reason="an image is counted before it is split")
 def test_cs_counts_only_the_images_that_split():
     # suffix_rose with its top edge made NEG: f(E) = E D C B' crosses the
     # illegal turn {C', B'}, so four of the five images split

@@ -1,5 +1,6 @@
 """Every public name of the package has a reader inside the package, or is
-one of the test oracles named here."""
+one of the test oracles named here; every private module-level function
+has a reader inside the package."""
 
 import ast
 import pathlib
@@ -61,3 +62,17 @@ def test_every_export_has_a_reader_or_is_a_named_oracle():
 
 def test_the_oracles_are_exported():
     assert TEST_ORACLES <= set(traintrack.__all__)
+
+
+def test_every_private_function_has_a_reader():
+    # a private helper whose last caller went is dead code, even when a test
+    # still calls it
+    read = _names_read()
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and top.name.startswith("_") and not top.name.startswith("__")
+                    and top.name not in read):
+                unread.add("%s.%s" % (path.stem, top.name))
+    assert unread == set()
