@@ -2199,6 +2199,12 @@ def late_cancel_automorphism():
                 name="late_cancel")
 
 
+# The EG roses grow exponentially; past this many edges an iterate is not
+# followed further, so the property is checked to k = 2|D| + 1 or to the
+# first iterate longer than this, whichever comes first.
+ITERATE_CAP = 2000
+
+
 def _splits_under_iteration(m, path, terms, k):
     """f^j_#(path) is the concatenation of the f^j_# of its terms, j = 1..k;
     stops early (returning True) once an iterate is longer than
@@ -2212,12 +2218,6 @@ def _splits_under_iteration(m, path, terms, k):
         if len(whole) > ITERATE_CAP:
             return True
     return True
-
-
-# The EG roses grow exponentially; past this many edges an iterate is not
-# followed further, so the property is checked to k = 2|D| + 1 or to the
-# first iterate longer than this, whichever comes first.
-ITERATE_CAP = 2000
 
 
 def test_a_splitting_that_cancels_at_the_fifth_iterate_fails_cs():
