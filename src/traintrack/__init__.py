@@ -70,7 +70,6 @@ from .maxrank import (
     find_invariant_forest,
     valid_orders,
     stage_ranks,
-    default_stage_grouping,
     detect_fps,
     rank_audit,
     classify_max_rank,
@@ -158,7 +157,6 @@ __all__ = [
     "find_invariant_forest",
     "valid_orders",
     "stage_ranks",
-    "default_stage_grouping",
     "detect_fps",
     "rank_audit",
     "classify_max_rank",

@@ -455,7 +455,6 @@ def _cmd_classify(m, doc, args):
         "stages": [[s[0], s[1]] for s in report.stages],
         "order": list(report.order) if report.order is not None else None,
         "obstruction": report.obstruction,
-        "inconclusive": report.inconclusive,
     }
     return report.ok, report.lines(), data
 
@@ -463,6 +462,7 @@ def _cmd_classify(m, doc, args):
 def _cmd_audit(m, doc, args):
     audit = rank_audit(m)
     data = {
+        "order": list(audit.order) if audit.order is not None else None,
         "ranks": list(audit.ranks),
         "grouping": list(audit.grouping),
         "passed": audit.passed,

@@ -594,7 +594,9 @@ def _split_images(m, filt, cat):
 
 def check_ct(m, catalog=None, bound=None):
     """Full structural report; raises InconsistentFiltration when the map
-    does not respect any maximal filtration at all."""
+    does not respect any maximal filtration at all, and MalformedPath when
+    the periodic Nielsen search finds a power f^k that maps an edge to a
+    trivial path (then f is no homotopy equivalence)."""
     cat = catalog if catalog is not None else build_catalog(m, bound)
     filt = filtration(m)
     principal = set(principal_vertices(m, cat))

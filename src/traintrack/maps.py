@@ -531,17 +531,3 @@ def illegal_turns(m):
             out.add(t)
     m._cache["illegal_turns"] = out
     return out
-
-
-def turns_crossed(graph, path):
-    """Turns taken at the interior vertices of a path: (inverse(e_i), e_{i+1})."""
-    out = []
-    for a, b in zip(path.edges, path.edges[1:]):
-        x, y = inverse(a), b
-        out.append(frozenset((x, y)) if x != y else frozenset((x,)))
-    return out
-
-
-def is_legal_path(m, path):
-    ill = illegal_turns(m)
-    return all(t not in ill for t in turns_crossed(m.graph, path))

@@ -20,13 +20,15 @@ the model case.)
 This module computes the rank sequence, audits the bound stage by stage,
 detects FPS subgraphs clause by clause, and classifies maps whose lattice
 attains the maximal rank 2n-3 (or 2n-4 inside the kernel of the homology
-action) as a base piece plus a tower of equality stages.  Everything the
-audit and the classifier read is a property of a chain of filtration
-prefixes, so the stage helpers take a filtration: the audit m's own, the
-classifier the filtration each valid stratum order lists, built once per
-order.  It also builds
-the two standard families realizing those maxima on a subdivided rose, and
-the vertex-split surgery used to renormalize twisting exponents.
+action) as a base piece plus a tower of equality stages.  Both answers are
+about the map, not about the order a document lists its edges in: one
+memoised search over the valid stratum orders (:func:`valid_orders`)
+groups the strata as it places them and checks each stage as it closes,
+and the audit and the classifier each take the first order whose stages
+all pass their check.  The stage helpers read the filtration that order
+lists so far.  The module also builds the two standard families realizing
+those maxima on a subdivided rose, and the vertex-split surgery used to
+renormalize twisting exponents.
 """
 
 from .disintegrate import disintegrate
@@ -63,50 +65,7 @@ def find_invariant_forest(m):
     return None
 
 
-# -- stratum orders ------------------------------------------------------------
-
-
-def _supports(m, filt):
-    sup = []
-    for s in filt:
-        need = set()
-        for e in s.edges:
-            for x in m.edge_images[e].edges:
-                need.add(filt.level(x))
-        sup.append(need)
-    return sup
-
-
-def valid_orders(m, cap=10000):
-    """Generate topologically valid stratum orders, construction order first.
-
-    An order is valid when every stratum comes after all strata its images
-    cross, so it lists a filtration of m; :func:`classify_max_rank` builds
-    that filtration once per order and hands it to the stage helpers.
-    Enumeration is depth-first in index order, so the original order
-    (always valid) is yielded first; at most ``cap`` orders come out.
-    """
-    filt = filtration(m)
-    n = len(filt)
-    sup = _supports(m, filt)
-    budget = [cap]
-
-    def rec(prefix, placed):
-        if budget[0] <= 0:
-            return
-        if len(prefix) == n:
-            budget[0] -= 1
-            yield tuple(prefix)
-            return
-        for i in range(n):
-            if i not in placed and all(j in placed or j == i for j in sup[i]):
-                placed.add(i)
-                prefix.append(i)
-                yield from rec(prefix, placed)
-                placed.discard(i)
-                prefix.pop()
-
-    yield from rec([], set())
+# -- the stratum-order search --------------------------------------------------
 
 
 def _degrees(g, edges):
@@ -137,10 +96,134 @@ def _retracts_to(g, sub_edges, base_edges):
     return base <= sub and all(classes.union(g.init(e), g.term(e)) for e in sub - base)
 
 
-# -- rank sequence and stage grouping ------------------------------------------
+def valid_orders(m, check):
+    """Generate the valid stratum orders of m (each stratum after the strata
+    its images cross) whose stage grouping is proper and passes ``check``,
+    depth-first in index order, so that construction order comes first.
+
+    The strata are grouped as they are placed.  The base block is the
+    bottom stratum and each next one that is not a forest and meets none of
+    the block's vertices.  After it a boundary falls at each prefix with an
+    irreducible (not zero) top and no valence-one vertex, and the last
+    prefix closes the last stage in any case.  Every other prefix with an
+    irreducible top must retract to the floor, the last boundary below it
+    (:func:`_retracts_to`); an order where one does not is not proper.
+
+    At each boundary ``check(filt, grouping)`` runs on the filtration the
+    order lists so far and the boundaries so far, the first one closing the
+    base block.  A string rejects the order there; any other value is that
+    boundary's record.  An accepted order comes out as (order, grouping,
+    records).
+
+    Memo lemma: whether a partial order extends to an accepted one depends
+    only on its state, the strata placed, the floor (None in the base block)
+    and the strata below any zero strata on top.  The grouping reads each
+    prefix as an edge set, and a check reads a stage through its floor, its
+    strata as a set and its top stratum, which the step into the state
+    fixes.  Two reads of the order inside a stage remain.  A stage rank
+    strips the zero strata on top (:func:`stage_ranks`), which only the
+    last stage can end on; the state's third part fixes what is stripped.
+    An FPS window lists its linear strata in order, which changes the
+    witness's listing but none of its clauses; and the window of three that
+    would reach below the floor never matches, since a linear edge on top
+    of a floor would leave a valence-one vertex there.  So a state that led
+    to no accepted order is recorded and never expanded again.
+    """
+    search = _OrderSearch(m, check)
+    yield from search.expand(frozenset(), None, frozenset())
 
 
-def stage_ranks(m, filt=None):
+class _OrderSearch:
+    """The path and the failed states of one :func:`valid_orders` search."""
+
+    def __init__(self, m, check):
+        self.filt = filt = filtration(m)
+        self.graph = m.graph
+        self.check = check
+        self.sup = [{filt.level(x) for e in s.edges for x in m.image_of[e]} for s in filt]
+        self.verts = [m.graph.incident_vertices(s.edges) for s in filt]
+        self.dead = set()
+        self.order, self.grouping, self.records = [], [], []
+
+    def edges(self, strata):
+        return [e for i in strata for e in self.filt[i].edges]
+
+    def close(self):
+        """Put a boundary at the current prefix; False if the check rejects it."""
+        self.grouping.append(len(self.order))
+        listed = Filtration(self.graph, [self.filt[i] for i in self.order])
+        record = self.check(listed, self.grouping)
+        if isinstance(record, str):
+            self.grouping.pop()
+            return False
+        self.records.append(record)
+        return True
+
+    def expand(self, placed, floor, below):
+        g, filt, grouping = self.graph, self.filt, self.grouping
+        depth = len(grouping)
+        accepted = False
+        if len(placed) == len(filt) and (floor == placed or self.close()):
+            # the last prefix closes the last stage, or the base block
+            accepted = True
+            yield tuple(self.order), list(grouping), list(self.records)
+            del grouping[depth:], self.records[depth:]
+        for i in range(len(filt)):
+            if i in placed or not self.sup[i] <= placed | {i}:
+                continue
+            s, grown = filt[i], placed | {i}
+            stage_floor = floor
+            if floor is None and placed and (
+                self.verts[i] & set().union(*(self.verts[j] for j in placed))
+                or g.is_forest(s.edges)
+            ):
+                # i is the first stratum past the base block, which closes
+                if not self.close():
+                    continue
+                stage_floor = placed
+            self.order.append(i)
+            ok = True
+            if stage_floor is not None and s.kind != "zero":
+                if 1 not in _degrees(g, self.edges(grown)).values():
+                    ok = self.close()
+                    stage_floor = grown
+                elif len(grown) < len(filt):
+                    ok = _retracts_to(g, self.edges(grown), self.edges(stage_floor))
+            key = (grown, stage_floor, below if s.kind == "zero" else grown)
+            if ok and key not in self.dead:
+                for found in self.expand(*key):
+                    accepted = True
+                    yield found
+            self.order.pop()
+            del grouping[depth:], self.records[depth:]
+        if not accepted:
+            self.dead.add((placed, floor, below))
+
+
+# -- rank sequence ---------------------------------------------------------------
+
+
+def _prefix_ranks(m):
+    """A function rank(filt, j): the lattice rank of the first j strata of
+    ``filt``, a filtration of m, below any zero strata on top.  Every prefix
+    is disintegrated once, whichever order lists it: its rank depends only
+    on its edge set."""
+    cat = build_catalog(m)
+    known = {}
+
+    def rank(filt, j):
+        while j > 0 and filt[j - 1].kind == "zero":
+            j -= 1
+        edges = filt.prefix_edges(j)
+        key = frozenset(edges)
+        if key not in known:
+            known[key] = disintegrate(m, cat, edges).lattice.rank if edges else 0
+        return known[key]
+
+    return rank
+
+
+def stage_ranks(m, filt=None, rank=None):
     """Lattice ranks [R_0, ..., R_N] of the restrictions to the prefixes of
     ``filt``, a filtration of m (default m's own, or one a valid stratum
     order lists); R_j belongs to the union of the first j strata.
@@ -152,68 +235,14 @@ def stage_ranks(m, filt=None):
     graph: its filtration is the map's met with the prefix
     (:func:`maps.restrict`), and it reads the map's one catalog and
     edge-image splittings (:meth:`NielsenCatalog.image_qe_split`).  No
-    graph or map is built.
+    graph or map is built.  ``rank`` is a memo from :func:`_prefix_ranks`,
+    to share the prefixes already disintegrated for m.
     """
     if filt is None:
         filt = filtration(m)
-    cat = build_catalog(m)
-    ranks = [0]
-    for j in range(1, len(filt) + 1):
-        jj = j
-        while jj > 0 and filt[jj - 1].kind == "zero":
-            jj -= 1
-        if jj == 0:
-            ranks.append(0)
-        elif jj < j:
-            ranks.append(ranks[jj])
-        else:
-            ranks.append(disintegrate(m, cat, filt.prefix_edges(j)).lattice.rank)
-    return ranks
-
-
-def default_stage_grouping(m, filt=None):
-    """Stage boundaries [l_0, l_1, ..., l_K = N] as prefix counts of
-    ``filt`` (default m's filtration).
-
-    l_0 is the block of bottom strata that are components of their own
-    prefix; later boundaries are the prefixes with no valence-one vertices
-    whose top stratum is irreducible.
-    """
-    if filt is None:
-        filt = filtration(m)
-    g = m.graph
-    n = len(filt)
-    k = 1
-    verts = set(g.incident_vertices(filt[0].edges))
-    for j in range(1, n):
-        edges = filt[j].edges
-        vs = g.incident_vertices(edges)
-        if vs & verts or g.is_forest(edges):
-            break
-        verts |= vs
-        k = j + 1
-    bounds = [k]
-    for j in range(k + 1, n + 1):
-        if filt[j - 1].kind == "zero":
-            continue
-        if 1 not in _degrees(g, filt.prefix_edges(j)).values():
-            bounds.append(j)
-    if bounds[-1] != n:
-        bounds.append(n)
-    return bounds
-
-
-def _grouping_is_proper(g, filt, grouping):
-    """Between boundaries every irreducible prefix must retract to the
-    stage floor; a prefix that closes a loop mid-stage invalidates it."""
-    for lo, hi in zip(grouping, grouping[1:]):
-        floor = filt.prefix_edges(lo)
-        for j in range(lo + 1, hi):
-            if filt[j - 1].kind == "zero":
-                continue
-            if not _retracts_to(g, filt.prefix_edges(j), floor):
-                return False
-    return True
+    if rank is None:
+        rank = _prefix_ranks(m)
+    return [rank(filt, j) for j in range(len(filt) + 1)]
 
 
 def _linear_pair(g, window, floor_verts):
@@ -380,6 +409,14 @@ def _match_window(m, filt, s_pos, count):
     )
 
 
+def _stage_witness(m, filt, lo, hi):
+    """The FPS witness of the window under the stratum at hi - 1, if it
+    starts at G_lo (or anywhere, for lo None); else None."""
+    p = hi - 1
+    w = filt[p].kind == "EG" and (_match_window(m, filt, p, 3) or _match_window(m, filt, p, 2))
+    return w if w and lo in (None, w.l) else None
+
+
 def detect_fps(m, filt=None):
     """All partial and full FPS subgraph windows of ``filt`` (default m's
     filtration), one witness per EG stratum.
@@ -393,14 +430,8 @@ def detect_fps(m, filt=None):
     """
     if filt is None:
         filt = filtration(m)
-    out = []
-    for p, s in enumerate(filt):
-        if s.kind != "EG":
-            continue
-        w = _match_window(m, filt, p, 3) or _match_window(m, filt, p, 2)
-        if w is not None:
-            out.append(w)
-    return out
+    windows = (_stage_witness(m, filt, None, p) for p in range(1, len(filt) + 1))
+    return [w for w in windows if w is not None]
 
 
 # -- the stage audit -------------------------------------------------------------
@@ -436,22 +467,31 @@ class StageRecord:
         )
 
 
-class RankAudit:
-    """Stage-by-stage audit of the Euler rank bound."""
+NO_PROPER_ORDER = "no valid stratum order has a proper stage grouping"
 
-    def __init__(self, m, grouping, ranks, stages):
+
+class RankAudit:
+    """Stage-by-stage audit of the Euler rank bound along one stratum order
+    (None when no valid order has a proper stage grouping)."""
+
+    def __init__(self, m, order, grouping, ranks, stages):
         self.map = m
+        self.order = order
         self.grouping = list(grouping)
         self.ranks = list(ranks)
         self.stages = list(stages)
 
     @property
     def passed(self):
-        return all(s.ok for s in self.stages)
+        return self.order is not None and all(s.ok for s in self.stages)
 
     def lines(self):
+        if self.order is None:
+            return [NO_PROPER_ORDER, "audit FAILED"]
         out = ["ranks %s" % self.ranks, "stages %s" % self.grouping]
         out.extend("  " + s.line() for s in self.stages)
+        if list(self.order) != sorted(self.order):
+            out.append("strata reordered: %s" % (self.order,))
         out.append("audit %s" % ("passed" if self.passed else "FAILED"))
         return out
 
@@ -466,34 +506,41 @@ def _stage_delta(m, dmap, floor_verts, window_edges):
 
 
 def rank_audit(m):
-    """Audit delta R <= 2 delta chi - delta over the stage grouping.
+    """Audit delta R <= 2 delta chi - delta over a proper stage grouping.
 
     Equality stages are tagged with the shape that explains them: (a) full
     FPS with delta 0, (b) partial FPS with delta 1, (c) a single linear
     edge with delta 1, (d) a pair of linear edges hanging from a common new
     vertex with delta 0.  An equality stage matching no shape, or a stage
-    breaking the bound, fails the audit: for a verified train track map
-    that indicates an invalid input.
+    breaking the bound, fails that stage.
+
+    The audit reads the first stratum order, in :func:`valid_orders`'s
+    search, whose stages all pass, so the verdict is the map's and not its
+    listing's; on an unshuffled document that is construction order.  When
+    no order passes, it reports the first order with a proper grouping and
+    its failing stages (for a verified train track map that indicates an
+    invalid input), and when no order has a proper grouping, it says so.
+    The search and the rank sequence share one disintegration per prefix.
     """
-    filt = filtration(m)
     g = m.graph
-    grouping = default_stage_grouping(m)
-    ranks = stage_ranks(m)
     dmap = direction_map(m)
-    witnesses = {(w.l, w.strata[-1]): w for w in detect_fps(m)}
-    stages = []
-    for lo, hi in zip(grouping, grouping[1:]):
+    rank = _prefix_ranks(m)
+
+    def stage(filt, grouping):
+        # the record of the stage the newest boundary closes
+        if len(grouping) < 2:
+            return None
+        lo, hi = grouping[-2:]
         window = filt.strata[lo:hi]
-        wedges = [e for s in window for e in s.edges]
         floor_edges = filt.prefix_edges(lo)
         floor_verts = g.incident_vertices(floor_edges)
-        delta = _stage_delta(m, dmap, floor_verts, wedges)
+        delta = _stage_delta(m, dmap, floor_verts, [e for s in window for e in s.edges])
         delta_chi = g.euler_characteristic(floor_edges) - g.euler_characteristic(
             filt.prefix_edges(hi)
         )
-        delta_r = ranks[hi] - ranks[lo]
+        delta_r = rank(filt, hi) - rank(filt, lo)
         shape = None
-        witness = witnesses.get((lo, hi))
+        witness = _stage_witness(m, filt, lo, hi)
         if witness is not None and witness.kind == "full" and delta == 0:
             shape = "a"
         elif witness is not None and witness.kind == "partial" and delta == 1:
@@ -506,8 +553,19 @@ def rank_audit(m):
         equality = delta_r == bound
         case = shape if equality else None
         ok = delta_r <= bound and (not equality or case is not None)
-        stages.append(StageRecord(lo, hi, delta_r, delta_chi, delta, case, witness, ok))
-    return RankAudit(m, grouping, ranks, stages)
+        return StageRecord(lo, hi, delta_r, delta_chi, delta, case, witness, ok)
+
+    def passing(filt, grouping):
+        record = stage(filt, grouping)
+        return record.line() if record is not None and not record.ok else record
+
+    found = next(valid_orders(m, passing), None) or next(valid_orders(m, stage), None)
+    if found is None:
+        return RankAudit(m, None, [], [], [])
+    order, grouping, records = found
+    filt = filtration(m)
+    ranks = stage_ranks(m, Filtration(g, [filt[i] for i in order]), rank)
+    return RankAudit(m, order, grouping, ranks, records[1:])
 
 
 # -- classification of maximal rank ----------------------------------------------
@@ -516,8 +574,7 @@ def rank_audit(m):
 class MaxRankReport:
     """Outcome of matching a map against the maximal-rank decompositions."""
 
-    def __init__(self, mode, n, target, rank, ia, matched, base, stages,
-                 grouping, order, obstruction, inconclusive):
+    def __init__(self, mode, n, target, rank, ia, matched, base, stages, order, obstruction):
         self.mode = mode
         self.n = n
         self.target = target
@@ -526,10 +583,8 @@ class MaxRankReport:
         self.matched = matched
         self.base = base
         self.stages = list(stages)
-        self.grouping = grouping
         self.order = order
         self.obstruction = obstruction
-        self.inconclusive = inconclusive
 
     @property
     def ok(self):
@@ -549,52 +604,33 @@ class MaxRankReport:
                 out.append("strata reordered: %s" % (self.order,))
         else:
             out.append("not maximal: %s" % self.obstruction)
-            if self.inconclusive:
-                out.append("(structure search hit the reordering cap; inconclusive)")
         return out
 
 
-def _base_match(g, filt, grouping, mode, witnesses):
-    """Match the bottom of the decomposition; returns (desc, stages_from) or None."""
-    l0 = grouping[0]
-    if mode == "ia":
-        if len(grouping) < 2 or grouping[0] != 1 or grouping[1] != 2:
-            return None
-        s0, s1 = filt[0], filt[1]
-        edges = filt.prefix_edges(2)
-        if (
-            s0.kind == "fixed"
-            and s1.kind == "fixed"
-            and len(g.components(edges)) == 1
-            and g.rank(edges) == 2
-        ):
-            return ("A", "rank-two fixed subgraph"), 1
+def _base_case(m, filt, grouping, mode):
+    """The base case that the bottom of ``filt`` matches, read off its base
+    block alone (``grouping`` of length one) or with the first stage
+    (length two); None when it matches none there."""
+    g, s0 = m.graph, filt[0]
+    if grouping[0] != 1:
         return None
-    if l0 == 1 and filt[0].kind == "EG" and g.rank(filt.prefix_edges(1)) == 2:
-        return ("A", 1), 0
-    if len(grouping) >= 2 and l0 == 1 and grouping[1] == 2:
-        s0, s1 = filt[0], filt[1]
-        if (
-            s0.kind == "fixed"
-            and len(s0.edges) == 1
-            and s1.kind == "NEG"
-            and s1.linear
-            and len(s1.axis.edges) == 1
-            and base_name(s1.axis.edges[0]) == s0.edges[0]
-        ):
-            return ("A", 2), 1
-    if len(grouping) >= 2 and l0 == 1:
-        s0 = filt[0]
-        w = witnesses.get((1, grouping[1]))
-        if (
-            s0.kind == "fixed"
-            and len(s0.edges) == 1
-            and g.is_loop(s0.edges[0])
-            and w is not None
-            and w.kind == "partial"
-            and g.rank(filt.prefix_edges(grouping[1])) == 3
-        ):
-            return ("A", 3), 1
+    if len(grouping) == 1:
+        return ("A", 1) if mode == "general" and s0.kind == "EG" and g.rank(s0.edges) == 2 else None
+    s1, hi = filt[1], grouping[1]
+    if mode == "ia":
+        edges = filt.prefix_edges(2)
+        if (hi == 2 and s0.kind == s1.kind == "fixed" and len(g.components(edges)) == 1
+                and g.rank(edges) == 2):
+            return ("A", "rank-two fixed subgraph")
+        return None
+    if s0.kind != "fixed" or len(s0.edges) != 1:
+        return None
+    if (hi == 2 and s1.kind == "NEG" and s1.linear and len(s1.axis.edges) == 1
+            and base_name(s1.axis.edges[0]) == s0.edges[0]):
+        return ("A", 2)
+    w = _stage_witness(m, filt, 1, hi)
+    if g.is_loop(s0.edges[0]) and w and w.kind == "partial" and g.rank(filt.prefix_edges(hi)) == 3:
+        return ("A", 3)
     return None
 
 
@@ -602,32 +638,32 @@ def _axes_homologically_trivial(paths):
     return all(all(c == 0 for c in homology_class(p)) for p in paths)
 
 
-def _match_structure(m, mode, filt):
+NO_BASE = "bottom of the filtration matches no base case"
+
+
+def _structure_stage(m, mode, n, filt, grouping):
+    """The piece of the decomposition that the newest boundary of
+    ``grouping`` closes in ``filt``, a filtration of m's n strata: the base
+    case (None while the base waits for its first stage), a stage, or the
+    obstruction that rejects it."""
     g = m.graph
-    grouping = default_stage_grouping(m, filt)
-    if not _grouping_is_proper(g, filt, grouping):
-        return "no proper stage grouping for this stratum order"
-    witnesses = {(w.l, w.strata[-1]): w for w in detect_fps(m, filt)}
-    base = _base_match(g, filt, grouping, mode, witnesses)
-    if base is None:
-        return "bottom of the filtration matches no base case"
-    desc, consumed = base
-    stages = []
-    for lo, hi in zip(grouping[consumed:], grouping[consumed + 1:]):
-        window = filt.strata[lo:hi]
-        if _linear_pair(g, window, g.incident_vertices(filt.prefix_edges(lo))):
-            if mode == "ia" and not _axes_homologically_trivial([s.axis for s in window]):
-                return "stage G_%d..G_%d: linear pair with homologically nontrivial axis" % (lo, hi)
-            stages.append(("B", 1, tuple(s.neg_edge for s in window)))
-            continue
-        w = witnesses.get((lo, hi))
-        if w is not None and w.kind == "full":
-            if mode == "ia" and not _axes_homologically_trivial(w.alphas):
-                return "stage G_%d..G_%d: FPS subgraph with homologically nontrivial axis" % (lo, hi)
-            stages.append(("B", 2, w))
-            continue
-        return "stage G_%d..G_%d matches neither a linear pair nor an FPS subgraph" % (lo, hi)
-    return desc, stages, grouping
+    if len(grouping) == 1:
+        base = _base_case(m, filt, grouping, mode)
+        return NO_BASE if base is None and (grouping[0] != 1 or n == 1) else base
+    if len(grouping) == 2 and _base_case(m, filt, grouping[:1], mode) is None:
+        return _base_case(m, filt, grouping, mode) or NO_BASE
+    lo, hi = grouping[-2:]
+    window = filt.strata[lo:hi]
+    if _linear_pair(g, window, g.incident_vertices(filt.prefix_edges(lo))):
+        if mode == "ia" and not _axes_homologically_trivial([s.axis for s in window]):
+            return "stage G_%d..G_%d: linear pair with homologically nontrivial axis" % (lo, hi)
+        return ("B", 1, tuple(s.neg_edge for s in window))
+    w = _stage_witness(m, filt, lo, hi)
+    if w is not None and w.kind == "full":
+        if mode == "ia" and not _axes_homologically_trivial(w.alphas):
+            return "stage G_%d..G_%d: FPS subgraph with homologically nontrivial axis" % (lo, hi)
+        return ("B", 2, w)
+    return "stage G_%d..G_%d matches neither a linear pair nor an FPS subgraph" % (lo, hi)
 
 
 def classify_max_rank(m, mode="general"):
@@ -635,10 +671,12 @@ def classify_max_rank(m, mode="general"):
 
     ``mode`` "general" targets lattice rank 2n-3; "ia" targets 2n-4 and
     requires the homology action to be trivial.  The map must carry no
-    nontrivial invariant forest (collapse those first).  When the default
-    stratum order does not exhibit the decomposition, valid reorderings are
-    searched (up to 10**4), each as the filtration it lists; running out is
-    reported as inconclusive rather than as a refusal.
+    nontrivial invariant forest (collapse those first).  The match is the
+    first stratum order, in :func:`valid_orders`'s search, whose base and
+    stages all match a shape; the search checks each stage as it closes,
+    so the answer is exact and not bounded by a number of orders.  A
+    refusal names the first rejection the search met, or says that no
+    valid order has a proper stage grouping.
     """
     mode = mode.lower()
     if mode not in ("general", "ia"):
@@ -656,34 +694,29 @@ def classify_max_rank(m, mode="general"):
     rank = dis.lattice.rank
     ia = is_IA(m)
 
-    def report(matched, base=None, stages=(), grouping=None, order=None,
-               obstruction=None, inconclusive=False):
-        return MaxRankReport(mode, n, target, rank, ia, matched, base, stages,
-                             grouping, order, obstruction, inconclusive)
+    def report(matched, base=None, stages=(), order=None, obstruction=None):
+        return MaxRankReport(mode, n, target, rank, ia, matched, base, stages, order, obstruction)
 
     if rank != target:
         return report(False, obstruction="rank(L) is %d, not %d" % (rank, target))
     if mode == "ia" and not ia:
         return report(False, obstruction="the map acts nontrivially on homology")
 
-    filt = filtration(m)
-    first_fail = None
-    tried = 0
-    cap = 10**4
-    for order in valid_orders(m, cap=cap):
-        tried += 1
-        res = _match_structure(m, mode, Filtration(g, [filt[i] for i in order]))
-        if isinstance(res, str):
-            if first_fail is None:
-                first_fail = res
-            continue
-        base, stages, grouping = res
-        return report(True, base=base, stages=stages, grouping=grouping, order=order)
-    return report(
-        False,
-        obstruction=first_fail or "no valid stratum order",
-        inconclusive=tried >= cap,
-    )
+    strata = len(filtration(m))
+    rejections = []
+
+    def check(filt, grouping):
+        piece = _structure_stage(m, mode, strata, filt, grouping)
+        if isinstance(piece, str):
+            rejections.append(piece)
+        return piece
+
+    found = next(valid_orders(m, check), None)
+    if found is None:
+        return report(False, obstruction=rejections[0] if rejections else NO_PROPER_ORDER)
+    order, _, records = found
+    base, *stages = [r for r in records if r is not None]
+    return report(True, base=base, stages=stages, order=order)
 
 
 # -- the two standard maximal families -------------------------------------------

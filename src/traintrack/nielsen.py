@@ -65,7 +65,7 @@ from itertools import chain, combinations, islice, product
 
 from .paths import Circuit, Path, inverse
 from .maps import filtration, direction_map, illegal_turns, compose
-from .errors import LViolation, NotCompletelySplit
+from .errors import LViolation, MalformedPath, NotCompletelySplit
 
 TERM_EDGE = "edge"
 TERM_INP = "inp"
@@ -692,7 +692,13 @@ def _search_periodic(cat):
     notes = list(cat._fixed_notes)
     mk = m
     for k in range(2, cat.period_bound + 1):
-        mk = compose(m, mk)
+        try:
+            mk = compose(m, mk)
+        except MalformedPath:
+            e = next(e for e in m.graph.edge_names if m.apply(mk.edge_images[e]).is_trivial())
+            raise MalformedPath(
+                "f^%d maps %r to a trivial path (periodic Nielsen search)" % (k, e)
+            ) from None
         sigmas_k, _, _, capped = _search_fixed_paths(mk, bound, known, linear)
         notes.extend(_cap_note(k, d, cap) for d, cap in capped)
         for sigma in sigmas_k:
@@ -877,14 +883,6 @@ def _families_by_end(m):
     return m._cache["families_by_end"]
 
 
-def is_exceptional_path(m, path):
-    """Does the path belong to an exceptional (same-sign) family?"""
-    for fam in qe_families(m):
-        if fam.is_exceptional() and fam.matches(path) is not None:
-            return fam
-    return None
-
-
 # -- complete splittings ---------------------------------------------------------
 
 
@@ -1054,27 +1052,6 @@ def complete_split(m, path, catalog=None):
                 "path %r is not completely split" % path, position=furthest
             )
     return CompleteSplitting(path, terms)
-
-
-def verify_splitting(m, path, terms):
-    """Check a proposed splitting: the terms concatenate to the path, every
-    juncture is a legal cut (see :func:`complete_split`), and the first two
-    iterates split along the same points.  Returns (ok, reason), the reason
-    None when ok."""
-    if tuple(e for t in terms for e in t.path.edges) != path.edges:
-        return False, "terms do not concatenate to the path"
-    cuts, at = _legal_cuts(m, path), 0
-    for t in terms[:-1]:
-        at += len(t.path)
-        if at not in cuts:
-            return False, "a juncture at an illegal turn cancels under iteration"
-    probe, pieces = path, [t.path for t in terms]
-    for _ in range(2):
-        probe = m.apply(probe)
-        pieces = [m.apply(p) for p in pieces]
-        if tuple(e for p in pieces for e in p.edges) != probe.edges:
-            return False, "iterate does not respect the splitting"
-    return True, None
 
 
 class QESplitting(CompleteSplitting):

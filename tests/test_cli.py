@@ -220,6 +220,22 @@ def test_check_ct_pass_and_fail(tmp_path):
     assert "period 2" in out
 
 
+def test_check_ct_names_the_power_that_collapses_an_edge():
+    # f(E3) = E2 E1' is not trivial, but f^2(E3) = E1 E1' is, and the
+    # periodic Nielsen search is what takes f^2
+    doc = {
+        "name": "collapse",
+        "vertices": ["v"],
+        "edges": [{"name": e, "from": "v", "to": "v"} for e in ("E1", "E2", "E3")],
+        "images": {"E1": "E1", "E2": "E1", "E3": "E2 E1'"},
+    }
+    for argv in (["check-ct"], ["check-ct", "--json"]):
+        code, out, _ = run_cli(argv, stdin=json.dumps(doc))
+        assert code == 2
+        assert out == ("verification error: f^2 maps 'E3' to a trivial path "
+                       "(periodic Nielsen search)\n")
+
+
 def test_classify_reports_obstruction_with_exit_2(tmp_path):
     code, out, _ = run_cli(["classify", sample_file(tmp_path, "qe_rose")])
     assert code == 2
@@ -245,11 +261,6 @@ def test_audit_passes_with_case_tags(tmp_path):
     assert "case (a)" in out and "audit passed" in out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the audit verdict depends on the order of the "
-    "document's edge list",
-)
 @pytest.mark.parametrize("n, order", [(3, "E3 E1 E2 E4"), (5, "E5 E2 E6 E3 E1 E4 E8 E7")])
 def test_audit_verdict_does_not_depend_on_edge_order(n, order):
     _, text, _ = run_cli(["gen", "type-e", "--n", str(n)])
@@ -289,41 +300,27 @@ def _ct_and_rank(doc):
     return code, clauses, rank_code, rank and rank["rank"]
 
 
+def _mode(name):
+    return "ia" if name.startswith("type_c") else "general"
+
+
+def _classified(doc, mode):
+    """classify's exit code and JSON report in one mode."""
+    code, out, _ = run_cli(["classify", "--json", "--mode", mode], stdin=json.dumps(doc))
+    return code, json.loads(out) if out.startswith("{") else None
+
+
 SHUFFLED_DOCUMENTS = (
     ["type_e_%d" % n for n in range(3, 8)]
     + ["type_c_%d" % n for n in range(4, 7)]
     + ["full_fps_map"]
 )
 
-# (document, seed) whose shuffled edge list turns the audit from passed to
-# FAILED (ROADMAP item 1): all three seeds of type E n = 5..7 and type C
-# n = 6, and some of the others
-AUDIT_FLIPS = {
-    ("type_e_3", 0), ("type_e_4", 0),
-    ("type_e_5", 0), ("type_e_5", 1), ("type_e_5", 2),
-    ("type_e_6", 0), ("type_e_6", 1), ("type_e_6", 2),
-    ("type_e_7", 0), ("type_e_7", 1), ("type_e_7", 2),
-    ("type_c_4", 0), ("type_c_5", 1), ("type_c_5", 2),
-    ("type_c_6", 0), ("type_c_6", 1), ("type_c_6", 2),
-    ("full_fps_map", 0), ("full_fps_map", 2),
-}
-ORDER_XFAIL = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the audit verdict depends on the order of the "
-    "document's edge list",
-)
 SHUFFLES = [(name, seed) for name in SHUFFLED_DOCUMENTS for seed in range(3)]
 
 
 @pytest.mark.parametrize(
-    "name, seed",
-    [
-        pytest.param(
-            name, seed, id="%s-seed%d" % (name, seed),
-            marks=ORDER_XFAIL if (name, seed) in AUDIT_FLIPS else (),
-        )
-        for name, seed in SHUFFLES
-    ],
+    "name, seed", [pytest.param(n, s, id="%s-seed%d" % (n, s)) for n, s in SHUFFLES]
 )
 def test_audit_survives_a_shuffled_edge_list(name, seed):
     doc = _document(name)
@@ -339,6 +336,21 @@ def test_check_ct_and_rank_survive_a_shuffled_edge_list(name, seed):
     assert _ct_and_rank(_shuffled_edges(doc, seed)) == _ct_and_rank(doc)
 
 
+@pytest.mark.parametrize("name, seed", [("type_e_6", 0), ("type_e_8", 0), ("type_c_7", 1)])
+def test_classify_survives_a_shuffled_edge_list(name, seed):
+    # the same base and stage kinds, whatever order the strata come in
+    doc = _document(name)
+    plain, shuffled = (_classified(d, _mode(name))[1] for d in (doc, _shuffled_edges(doc, seed)))
+    assert plain["ok"] and shuffled["ok"]
+    assert (shuffled["base"], shuffled["stages"]) == (plain["base"], plain["stages"])
+
+
+def _verdicts(doc, mode):
+    """check-ct's clauses, the lattice rank, audit's verdict and classify's."""
+    audit, classified = _report("audit", doc)[1], _classified(doc, mode)[1]
+    return _ct_and_rank(doc) + (audit and audit["passed"], classified and classified["ok"])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(sorted(samples.SAMPLES) + ["type_e_3", "type_e_4", "type_c_4"]),
@@ -346,14 +358,15 @@ def test_check_ct_and_rank_survive_a_shuffled_edge_list(name, seed):
 )
 def test_check_ct_and_rank_do_not_depend_on_the_listing(name, data):
     # permuting the edge and vertex lists changes the names' order, not the
-    # map: the CT verdict of every clause and the lattice rank stay
+    # map: the CT verdict of every clause, the lattice rank, the audit's
+    # verdict and the classifier's stay
     doc = _document(name)
     shuffled = dict(
         doc,
         edges=data.draw(st.permutations(doc["edges"])),
         vertices=data.draw(st.permutations(doc["vertices"])),
     )
-    assert _ct_and_rank(shuffled) == _ct_and_rank(doc)
+    assert _verdicts(shuffled, _mode(name)) == _verdicts(doc, _mode(name))
 
 
 # -- reports ----------------------------------------------------------------------

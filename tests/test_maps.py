@@ -16,9 +16,7 @@ from traintrack.maps import (
     direction_map,
     illegal_turns,
     is_illegal_turn,
-    is_legal_path,
     turns,
-    turns_crossed,
 )
 from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltration
 from traintrack.ct import check_ct, vertex_period
@@ -34,6 +32,20 @@ from test_nielsen import (
     triangular_roses,
     zero_strata_maps,
 )
+
+
+def turns_crossed(graph, path):
+    """Turns taken at the interior vertices of a path: (inverse(e_i), e_{i+1})."""
+    out = []
+    for a, b in zip(path.edges, path.edges[1:]):
+        x, y = inverse(a), b
+        out.append(frozenset((x, y)) if x != y else frozenset((x,)))
+    return out
+
+
+def is_legal_path(m, path):
+    ill = illegal_turns(m)
+    return all(t not in ill for t in turns_crossed(m.graph, path))
 
 
 # --- oracle: apply by naive substitution + naive reduction ------------------

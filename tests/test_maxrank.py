@@ -1,12 +1,15 @@
 """Tests for the rank audit, FPS detection, maximal-rank classification,
 the two standard twist families and the vertex-split surgery."""
 
+import functools
 import importlib
 import itertools
+import json
 import os
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from traintrack.cli import parse_document
 from traintrack.ct import check_ct
@@ -29,10 +32,11 @@ import traintrack.maps as maps_module
 from traintrack.maps import Filtration, GraphMap, compose, filtration
 import traintrack.maxrank as maxrank_module
 from traintrack.maxrank import (
+    _OrderSearch,
     _linear_pair,
     _retracts_to,
+    _structure_stage,
     classify_max_rank,
-    default_stage_grouping,
     detect_fps,
     find_invariant_forest,
     gen_type_c,
@@ -55,7 +59,17 @@ from traintrack.samples import (
     swap_rose,
     zero_stratum_map,
 )
-from test_nielsen import restricted_afresh, zero_strata_maps
+from test_cli import SHUFFLES, _document, _shuffled_edges
+from test_nielsen import linear_roses, restricted_afresh, triangular_roses, zero_strata_maps
+from order_reference import (
+    AuditReference,
+    default_stage_grouping,
+    first_accepted,
+    grouping_is_proper,
+    match_structure,
+    ordered_filtration,
+    reference_orders,
+)
 
 GOLDEN_DOCS = os.path.join(os.path.dirname(__file__), "golden", "docs")
 # the package exports a function of the same name
@@ -113,15 +127,16 @@ def test_classify_refuses_invariant_forest():
 # -- stratum orders --------------------------------------------------------------
 
 
+def _accept_all(filt, grouping):
+    return None
+
+
 def test_valid_orders_identity_first():
-    orders = list(valid_orders(qe_rose()))
-    assert orders[0] == (0, 1, 2, 3)
-    # E2 and E3 both depend only on E1, E4 on everything below
+    # with a check that takes every stage, the search lists the orders whose
+    # grouping is proper: E2 and E3 both depend only on E1, E4 on everything
+    # below
+    orders = [order for order, _, _ in valid_orders(qe_rose(), _accept_all)]
     assert orders == [(0, 1, 2, 3), (0, 2, 1, 3)]
-
-
-def test_valid_orders_cap():
-    assert len(list(valid_orders(qe_rose(), cap=1))) == 1
 
 
 def pruned_to(g, sub_edges, base_edges):
@@ -199,12 +214,6 @@ def test_stage_ranks_of_samples():
     assert stage_ranks(full_fps_map()) == [0, 0, 1, 2, 3, 4, 5]
 
 
-def ordered_filtration(m, order):
-    # the filtration a valid stratum order of m lists
-    filt = filtration(m)
-    return Filtration(m.graph, [filt[i] for i in order])
-
-
 def _stage_ranks_by_own_catalogs(m, order):
     # the per-prefix rule: every prefix restricted afresh, with a filtration
     # computed on it, and disintegrated with its own catalog
@@ -233,7 +242,7 @@ RANK_MAPS = dict(
 
 @pytest.mark.parametrize("name", sorted(RANK_MAPS))
 def test_stage_ranks_equal_the_per_prefix_rule(name):
-    for order in itertools.islice(valid_orders(RANK_MAPS[name]()), 4):
+    for order in reference_orders(RANK_MAPS[name](), 4):
         expected = _stage_ranks_by_own_catalogs(RANK_MAPS[name](), order)
         m = RANK_MAPS[name]()
         assert stage_ranks(m, ordered_filtration(m, order)) == expected, order
@@ -257,7 +266,7 @@ def test_stage_ranks_equal_the_per_prefix_rule_zero_strata(m):
     # connecting run that the prefix's own keeps whole; the ranks stay those
     # of the per-prefix rule, and where one rule raises, so does the other
     try:
-        orders = list(itertools.islice(valid_orders(m), 6))
+        orders = list(reference_orders(m, 6))
     except InconsistentFiltration:
         return
     for order in orders:
@@ -331,7 +340,8 @@ def test_rank_audit_splits_each_edge_image_once(monkeypatch):
 @pytest.mark.parametrize("doc", ["type_e_6", "type_c_5"])
 def test_rank_audit_builds_no_graph_and_restricts_once_per_prefix(doc, monkeypatch):
     # every prefix is disintegrated on the parsed map's own graph: no
-    # MarkedGraph or GraphMap is built, and restrict runs once per prefix
+    # MarkedGraph or GraphMap is built, and restrict runs once per prefix,
+    # the search's stage boundaries first
     with open(os.path.join(GOLDEN_DOCS, doc + ".json")) as fh:
         m = parse_document(fh.read()).graph_map
     built, restricted = [], []
@@ -356,7 +366,26 @@ def test_rank_audit_builds_no_graph_and_restricts_once_per_prefix(doc, monkeypat
         for j in range(1, len(filt) + 1)
         if filt[j - 1].kind != "zero"
     ]
-    assert restricted == prefixes
+    assert sorted(restricted, key=len) == prefixes
+
+
+@pytest.mark.parametrize("name", sorted(RANK_MAPS))
+def test_rank_audit_disintegrates_each_prefix_once(name, monkeypatch):
+    # the search's stage checks and the rank sequence share one rank per
+    # prefix edge set, so an audit disintegrates no more prefixes than the
+    # rank sequence of construction order has
+    calls = []
+    run = maxrank_module.disintegrate
+
+    def counted(mk, catalog=None, edges=None):
+        calls.append(frozenset(edges))
+        return run(mk, catalog, edges)
+
+    monkeypatch.setattr(maxrank_module, "disintegrate", counted)
+    m = RANK_MAPS[name]()
+    rank_audit(m)
+    assert len(set(calls)) == len(calls)
+    assert len(calls) <= sum(s.kind != "zero" for s in filtration(m))
 
 
 def test_stage_ranks_skip_zero_topped_prefixes():
@@ -365,18 +394,22 @@ def test_stage_ranks_skip_zero_topped_prefixes():
 
 
 def test_default_grouping_of_samples():
-    assert default_stage_grouping(rose_cascade()) == [1, 2, 3]
-    assert default_stage_grouping(qe_rose()) == [1, 2, 3, 4]
-    assert default_stage_grouping(partial_fps_map()) == [1, 4]
-    assert default_stage_grouping(full_fps_map()) == [1, 2, 6]
-    assert default_stage_grouping(zero_stratum_map()) == [1, 3]
+    # the search groups construction order as the reference does
+    for make, grouping in (
+        (rose_cascade, [1, 2, 3]),
+        (qe_rose, [1, 2, 3, 4]),
+        (partial_fps_map, [1, 4]),
+        (full_fps_map, [1, 2, 6]),
+        (zero_stratum_map, [1, 3]),
+    ):
+        assert rank_audit(make()).grouping == default_stage_grouping(make()) == grouping
 
 
 def test_grouping_boundaries_have_no_valence_one_vertices():
     for make in (qe_rose, partial_fps_map, full_fps_map):
         m = make()
         filt = filtration(m)
-        for b in default_stage_grouping(m)[:-1]:
+        for b in rank_audit(m).grouping[:-1]:
             edges = filt.prefix_edges(b)
             verts = m.graph.incident_vertices(edges)
             deg = {v: 0 for v in verts}
@@ -396,6 +429,104 @@ def test_linear_pair_hangs_from_a_new_common_vertex():
     assert not _linear_pair(g, filt.strata[1:3], floor_verts)  # E2 and E3 part
     assert not _linear_pair(g, filt.strata[3:4], floor_verts)
     assert not _linear_pair(g, filt.strata[0:2], set())  # E1 is fixed
+
+
+# -- the order search against the order enumeration -------------------------
+
+
+def _shuffled_map(name, seed):
+    # the map of a corpus document whose edge list is shuffled
+    doc = _document(name)
+    return parse_document(json.dumps(_shuffled_edges(doc, seed))).graph_map
+
+
+def _mode(name):
+    return "ia" if name.startswith("type_c") else "general"
+
+
+def _reference_accepts(m, mode):
+    # per order with a proper grouping: its audit passes, it is there, its
+    # structure matches
+    ref = AuditReference(m)
+    return {
+        "passes": lambda filt, grouping: all(ref.stages(filt, grouping)),
+        "proper": lambda filt, grouping: True,
+        "matches": lambda filt, grouping: not isinstance(
+            match_structure(m, mode, filt, grouping), str),
+    }
+
+
+def assert_search_agrees_with_the_enumeration(m, mode):
+    # the first order the search accepts is the enumeration's first, for the
+    # audit and for the structure match, and one is None exactly when the
+    # other is; where the enumeration stops at its cap before finding one,
+    # it takes the search's order
+    accepts = _reference_accepts(m, mode)
+    first, finished = first_accepted(m, accepts)
+    audit = rank_audit(m)
+    check = functools.partial(_structure_stage, m, mode, len(filtration(m)))
+    found = next(valid_orders(m, check), None)
+    got = {"passes": audit.order if audit.passed else None, "matches": found and found[0]}
+    if not audit.passed:
+        got["proper"] = audit.order
+    for name, order in got.items():
+        if finished or first[name] is not None:
+            assert order == first[name], name
+        elif order is not None:
+            filt = ordered_filtration(m, order)
+            grouping = default_stage_grouping(m, filt)
+            assert grouping_is_proper(m.graph, filt, grouping), name
+            assert accepts[name](filt, grouping), name
+    return audit, found
+
+
+@pytest.mark.parametrize("name", sorted(RANK_MAPS))
+def test_the_search_finds_the_enumerations_order_corpus_maps(name):
+    m = RANK_MAPS[name]()
+    audit, found = assert_search_agrees_with_the_enumeration(m, _mode(name))
+    if name != "zero_stratum_map":
+        assert audit.passed
+    # an unshuffled document keeps its construction order
+    assert audit.order == tuple(range(len(filtration(m))))
+
+
+@pytest.mark.parametrize(
+    "name, seed", [pytest.param(n, s, id="%s-seed%d" % (n, s)) for n, s in SHUFFLES]
+)
+def test_the_search_finds_the_enumerations_order_shuffled(name, seed):
+    m = _shuffled_map(name, seed)
+    audit, found = assert_search_agrees_with_the_enumeration(m, _mode(name))
+    assert audit.passed and found is not None
+    assert classify_max_rank(m, _mode(name)).order == found[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(linear_roses(), triangular_roses(), zero_strata_maps()))
+def test_the_search_finds_the_enumerations_order_random_maps(m):
+    # stated precondition: m has a maximal filtration and every prefix of
+    # every valid order disintegrates
+    try:
+        for order in reference_orders(m):
+            stage_ranks(m, ordered_filtration(m, order))
+    except TrainTrackError:
+        assume(False)
+    assert_search_agrees_with_the_enumeration(m, "general")
+
+
+@pytest.mark.parametrize("name, seed", [("type_e_8", 1), ("type_e_8", 2), ("type_c_7", 2)])
+def test_the_search_expands_no_state_twice(name, seed, monkeypatch):
+    expanded = []
+    expand = _OrderSearch.expand
+
+    def counted(self, *state):
+        expanded.append((self, state))
+        return expand(self, *state)
+
+    monkeypatch.setattr(_OrderSearch, "expand", counted)
+    m = _shuffled_map(name, seed)
+    assert rank_audit(m).passed
+    assert classify_max_rank(m, _mode(name)).ok
+    assert len(set(expanded)) == len(expanded)
 
 
 # -- the audit -------------------------------------------------------------------
@@ -469,6 +600,26 @@ def test_audit_flags_equality_without_shape():
     (stage,) = a.stages
     assert stage.equality and stage.case is None and not stage.ok
     assert any("VIOLATION" in ln for ln in a.lines())
+
+
+def test_audit_reports_a_map_with_no_proper_grouping():
+    # T1 and T3 come after the hanging edge Z2 in every valid order, so each
+    # prefix they top is no boundary, and Z1 T1 Z3' closes a loop off the
+    # floor {A, B}: no order has a proper grouping, and the audit says so
+    # rather than report a broken bound
+    g = MarkedGraph(
+        ["a", "z1", "z2", "z3"],
+        [("Z2", "a", "z2"), ("A", "a", "a"), ("T3", "z1", "z1"), ("Z1", "a", "z1"),
+         ("B", "a", "a"), ("T2", "z1", "z1"), ("T1", "z1", "z3"), ("Z3", "a", "z3")],
+        intermediate=True,
+    )
+    images = {"Z2": "A B", "A": "A", "T3": "Z1 T1 Z3' Z1 T3' Z1'", "Z1": "B", "B": "B A",
+              "T2": "Z3 T1' Z1' Z3 T1' Z1' B'", "T1": "Z3 T1' Z1' A' B'", "Z3": "B' A' B"}
+    m = GraphMap(g, {e: g.path(w.split()) for e, w in images.items()})
+    assert next(valid_orders(m, _accept_all), None) is None
+    a = rank_audit(m)
+    assert not a.passed and a.order is None and a.stages == []
+    assert a.lines() == ["no valid stratum order has a proper stage grouping", "audit FAILED"]
 
 
 def test_audit_lines_format():
@@ -587,7 +738,6 @@ def test_classify_reports_rank_obstruction():
     r = classify_max_rank(qe_rose())
     assert not r.ok
     assert r.obstruction == "rank(L) is 1, not 5"
-    assert not r.inconclusive
     assert "not maximal" in "\n".join(r.lines())
 
 
@@ -618,28 +768,46 @@ def test_classify_searches_stratum_reorderings():
 @pytest.mark.parametrize(
     "make", [_interleaved_pairs, lambda: gen_type_e(5).generic], ids=["interleaved", "type_e_5"]
 )
-def test_classify_builds_one_filtration_per_order_tried(make, monkeypatch):
-    # each order from valid_orders becomes one filtration, lowest first in
-    # that order, and the stage helpers read nothing else
+def test_classify_builds_one_filtration_per_boundary_checked(make, monkeypatch):
+    # each stage check gets one filtration, the strata of the order so far,
+    # and reads nothing else; the last one checked lists the order found
     m = make()
     filt = filtration(m)
-    yielded, built = [], []
-    orders, init = maxrank_module.valid_orders, Filtration.__init__
+    checked, built = [], []
+    stage, init = maxrank_module._structure_stage, Filtration.__init__
 
-    def counted_orders(*args, **kwargs):
-        for order in orders(*args, **kwargs):
-            yielded.append(order)
-            yield order
+    def counted_stage(mk, mode, n, listed, grouping):
+        checked.append(list(listed.strata))
+        return stage(mk, mode, n, listed, grouping)
 
     def counted_init(self, graph, strata):
         built.append(list(strata))
         init(self, graph, strata)
 
-    monkeypatch.setattr(maxrank_module, "valid_orders", counted_orders)
+    monkeypatch.setattr(maxrank_module, "_structure_stage", counted_stage)
     monkeypatch.setattr(Filtration, "__init__", counted_init)
     r = classify_max_rank(m)
-    assert r.ok and yielded[-1] == r.order
-    assert built == [[filt[i] for i in order] for order in yielded]
+    assert r.ok and checked[-1] == [filt[i] for i in r.order]
+    assert built == checked
+
+
+def test_classify_names_the_first_rejection_the_search_met():
+    # under the search every valid order of the interleaved pairs with a
+    # proper grouping matches in general mode; in ia mode the bottom, E1
+    # fixed and E2 linear, is no base case
+    m = _interleaved_pairs()
+    check = functools.partial(_structure_stage, m, "ia", len(filtration(m)))
+    assert next(valid_orders(m, check), None) is None
+    rejections = []
+
+    def recorded(filt, grouping):
+        piece = check(filt, grouping)
+        if isinstance(piece, str):
+            rejections.append(piece)
+        return piece
+
+    assert next(valid_orders(m, recorded), None) is None
+    assert rejections[0] == "bottom of the filtration matches no base case"
 
 
 # -- the twist families ----------------------------------------------------------

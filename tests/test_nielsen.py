@@ -37,17 +37,16 @@ from traintrack.nielsen import (
     NielsenCatalog,
     NielsenEntry,
     Term,
+    _legal_cuts,
     _search_fixed_paths,
     _stable_prefixes,
     axes,
     build_catalog,
     complete_split,
     default_length_bound,
-    is_exceptional_path,
     is_nielsen_path,
     qe_families,
     qe_split,
-    verify_splitting,
 )
 from traintrack.coords import coordinate_system
 from traintrack.disintegrate import (
@@ -64,7 +63,6 @@ from traintrack.maxrank import (
     gen_type_e,
     rank_audit,
     stage_ranks,
-    valid_orders,
 )
 from traintrack.samples import (
     SAMPLES,
@@ -78,6 +76,7 @@ from traintrack.samples import (
     swap_rose,
     zero_stratum_map,
 )
+from order_reference import reference_orders
 
 
 def _rose(names):
@@ -456,7 +455,7 @@ def reached_down_sets(m, n_orders):
     stratum orders, as frozensets of edges."""
     filt = filtration(m)
     out = {}
-    for order in itertools.islice(valid_orders(m), n_orders):
+    for order in reference_orders(m, n_orders):
         ordered = Filtration(m.graph, [filt[i] for i in order])
         for r in range(1, len(filt) + 1):
             out.setdefault(frozenset(ordered.prefix_edges(r)), None)
@@ -1990,6 +1989,14 @@ def test_qe_families_qe_rose():
     assert fam.matches(g.path(["E2", "E1"])) is None
 
 
+def is_exceptional_path(m, path):
+    """The exceptional (same-sign) family the path belongs to, or None."""
+    for fam in qe_families(m):
+        if fam.is_exceptional() and fam.matches(path) is not None:
+            return fam
+    return None
+
+
 def test_qe_family_opposite_signs_not_exceptional():
     g = _rose(["A", "B", "C"])
     m = _map(g, {"A": "A", "B": "B A", "C": "C A'"})
@@ -2008,6 +2015,27 @@ def test_is_exceptional_path():
 
 
 # -- complete splittings ---------------------------------------------------------
+
+
+def verify_splitting(m, path, terms):
+    """Check a proposed splitting: the terms concatenate to the path, every
+    juncture is a legal cut (see :func:`complete_split`), and the first two
+    iterates split along the same points.  Returns (ok, reason), the reason
+    None when ok."""
+    if tuple(e for t in terms for e in t.path.edges) != path.edges:
+        return False, "terms do not concatenate to the path"
+    cuts, at = _legal_cuts(m, path), 0
+    for t in terms[:-1]:
+        at += len(t.path)
+        if at not in cuts:
+            return False, "a juncture at an illegal turn cancels under iteration"
+    probe, pieces = path, [t.path for t in terms]
+    for _ in range(2):
+        probe = m.apply(probe)
+        pieces = [m.apply(p) for p in pieces]
+        if tuple(e for p in pieces for e in p.edges) != probe.edges:
+            return False, "iterate does not respect the splitting"
+    return True, None
 
 
 def test_complete_split_qe_rose_image():
