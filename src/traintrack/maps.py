@@ -9,7 +9,7 @@ computed here.
 
 from collections import namedtuple
 
-from .paths import Path, inverse, base_name, word_root
+from .paths import Path, base_name, word_root
 from .errors import EndpointMismatch, MalformedPath, InconsistentFiltration
 from . import intlin
 

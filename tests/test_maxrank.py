@@ -6,7 +6,6 @@ import importlib
 import itertools
 import json
 import os
-import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
