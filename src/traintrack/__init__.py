@@ -7,7 +7,7 @@ subgraphs with an admissible integer lattice of exponent tuples, and
 analyses which maps realize the maximal lattice rank.
 """
 
-from .paths import MarkedGraph, Path, Circuit, TRIVIAL_CIRCUIT, inverse, base_name
+from .paths import MarkedGraph, Path, inverse, base_name
 from .maps import (
     GraphMap,
     Stratum,
@@ -15,7 +15,6 @@ from .maps import (
     filtration,
     classify_strata,
     compose,
-    identity_map,
     restrict,
     transition_matrix,
     direction_map,
@@ -38,7 +37,6 @@ from .freegroup import (
     abelianization,
     is_IA,
     homology_class,
-    differ_by_inner,
 )
 from .disintegrate import (
     AlmostInvariantPartition,
@@ -48,11 +46,6 @@ from .disintegrate import (
     disintegrate,
     build_fa,
     verify_commute,
-    verify_homotopy_equivalence,
-    verify_nielsen_preserved,
-    check_fa_is_ct,
-    is_generic,
-    find_tuple_representing,
 )
 from .coords import (
     CoordinateSystem,
@@ -94,8 +87,6 @@ __all__ = [
     # graphs and paths
     "MarkedGraph",
     "Path",
-    "Circuit",
-    "TRIVIAL_CIRCUIT",
     "inverse",
     "base_name",
     # maps and filtrations
@@ -105,7 +96,6 @@ __all__ = [
     "filtration",
     "classify_strata",
     "compose",
-    "identity_map",
     "restrict",
     "transition_matrix",
     "direction_map",
@@ -128,7 +118,6 @@ __all__ = [
     "abelianization",
     "is_IA",
     "homology_class",
-    "differ_by_inner",
     # disintegration
     "AlmostInvariantPartition",
     "AdmissibilityRelation",
@@ -137,11 +126,6 @@ __all__ = [
     "disintegrate",
     "build_fa",
     "verify_commute",
-    "verify_homotopy_equivalence",
-    "verify_nielsen_preserved",
-    "check_fa_is_ct",
-    "is_generic",
-    "find_tuple_representing",
     # coordinates and rank
     "CoordinateSystem",
     "CoordinateVector",

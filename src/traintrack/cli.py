@@ -377,11 +377,11 @@ def _cmd_rank(m, doc, args):
 def _cmd_fa(m, doc, args):
     a = _parse_tuple(args.tuple, "--tuple")
     fa = build_fa(m, a, disintegrate(m, _catalog(m, args, doc)))
-    images = {e: " ".join(fa.edge_images[e].edges) for e in fa.graph.edge_names}
     if args.emit_document:
         name = "%s_fa_%s" % (m.name or "map", "_".join(str(x) for x in a))
-        text = document_text(document_from_map(fa, name=name))
-        return True, text.splitlines(), {"document": document_from_map(fa, name=name)}
+        fa_doc = document_from_map(fa, name=name)
+        return True, document_text(fa_doc).splitlines(), {"document": fa_doc}
+    images = {e: " ".join(fa.edge_images[e].edges) for e in fa.graph.edge_names}
     lines = ["f_a for a=(%s):" % ", ".join(str(x) for x in a)]
     lines.extend("  %s -> %s" % (e, images[e]) for e in fa.graph.edge_names)
     return True, lines, {"tuple": list(a), "images": images}

@@ -39,9 +39,6 @@ class Comparison:
         self.value = value
         self.stratum = stratum
 
-    def base_entry(self):
-        return self.value
-
     def describe(self):
         return "twist %s over %s: d=%d" % (
             self.edge,
@@ -71,9 +68,6 @@ class Expansion:
         self.eigenvalue = eigenvalue
         self.bracket = bracket
         self.log_value = math.log(eigenvalue)
-
-    def base_entry(self):
-        return 1
 
     def describe(self):
         return "expansion on {%s}: lambda=%.9f, charpoly %s" % (
@@ -115,17 +109,6 @@ class CoordinateSystem:
         self.lattice = lattice
         self.K = len(self.coordinates)
 
-    @property
-    def comparisons(self):
-        return tuple(c for c in self.coordinates if c.kind == "comparison")
-
-    @property
-    def expansions(self):
-        return tuple(c for c in self.coordinates if c.kind == "expansion")
-
-    def base_vector(self):
-        return tuple(c.base_entry() for c in self.coordinates)
-
     def lines(self):
         out = ["K=%d coordinates" % self.K]
         for c in self.coordinates:
@@ -140,8 +123,8 @@ class CoordinateVector:
     """The coordinates of f_a: one integer entry per coordinate.
 
     A comparison entry is the exact twist a_s * d_j; an expansion entry is
-    the exact multiplier a_s (its numeric value a_s * log lambda is exposed
-    by ``numeric_vector``).  Addition is entry-wise and exact.
+    the exact multiplier a_s (``lines`` also prints its numeric value
+    a_s * log lambda).  Addition is entry-wise and exact.
     """
 
     def __init__(self, system, entries):
@@ -150,12 +133,6 @@ class CoordinateVector:
 
     def integer_vector(self):
         return self.entries
-
-    def numeric_vector(self):
-        out = []
-        for coord, e in zip(self.system.coordinates, self.entries):
-            out.append(float(e) if coord.kind == "comparison" else e * coord.log_value)
-        return tuple(out)
 
     def lines(self):
         out = []

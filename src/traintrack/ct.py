@@ -65,9 +65,6 @@ class CTReport:
     def passed(self):
         return all(c.passed for c in self.clauses.values())
 
-    def clause(self, key):
-        return self.clauses[key]
-
     def lines(self):
         out = []
         for key in self.CLAUSE_ORDER:

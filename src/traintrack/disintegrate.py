@@ -22,26 +22,19 @@ prefix) is disintegrated on f's own graph: its filtration is f's met with
 S (:func:`maps.restrict`), its pieces are paths of f's graph, and it reads
 f's catalog and splittings (:meth:`NielsenCatalog.image_qe_split`).  The
 whole map is the case S = every edge.
+
+Of the claims about f_a, only the commuting one is checked here
+(:func:`verify_commute`, the ``verify-commute`` command).  That f_a is a
+homotopy equivalence and a CT, fixes f's Nielsen paths and gives back its
+tuple are the tests' oracles (``tests/oracles.py``), not the package's.
 """
 
-import itertools
-import math
-
-from .ct import check_ct, connecting_paths, principal_vertices
-from .errors import AdmissibilityError, InconsistentFiltration, TrainTrackError
-from .freegroup import map_is_pi1_surjective
+from .ct import connecting_paths
+from .errors import AdmissibilityError, InconsistentFiltration
 from .intlin import kernel_basis
 from .maps import GraphMap, filtration, restrict
-from .paths import Path, UnionFind
-from .nielsen import (
-    TERM_CONN,
-    TERM_EDGE,
-    TERM_QE,
-    NielsenEntry,
-    axes,
-    build_catalog,
-    default_length_bound,
-)
+from .paths import UnionFind
+from .nielsen import TERM_CONN, TERM_EDGE, TERM_QE, build_catalog
 
 
 class AlmostInvariantPartition:
@@ -194,18 +187,11 @@ class AdmissibleLattice:
         self.basis = sorted(_orient(v) for v in basis)
         self.rank = len(self.basis)
 
-    @property
-    def all_ones(self):
-        return (1,) * self.M
-
     def contains(self, a):
         """Membership in L: a integer tuple annihilated by every relation."""
         if len(a) != self.M or any(not isinstance(x, int) for x in a):
             return False
         return all(sum(c * x for c, x in zip(row, a)) == 0 for row in self.matrix)
-
-    def is_admissible(self, a):
-        return self.contains(a) and all(x >= 0 for x in a)
 
     def __repr__(self):
         return "<lattice rank %d in Z^%d>" % (self.rank, self.M)
@@ -280,26 +266,6 @@ def build_fa(m, a, dis=None):
     return GraphMap(g, images, name="f_a%r" % (a,))
 
 
-def verify_homotopy_equivalence(m):
-    """True iff the induced endomorphism of the fundamental group is onto."""
-    return map_is_pi1_surjective(m)
-
-
-def is_generic(m, a, dis=None, catalog=None):
-    """All coordinates positive and no two linear-edge twists collide."""
-    if dis is None:
-        dis = disintegrate(m, catalog)
-    if len(a) != dis.M or any(x <= 0 for x in a):
-        return False
-    for axis in axes(m):
-        for (e_i, d_i), (e_j, d_j) in itertools.combinations(axis.members, 2):
-            r = dis.partition.class_of_edge(e_i)
-            s = dis.partition.class_of_edge(e_j)
-            if a[r] * d_i == a[s] * d_j:
-                return False
-    return True
-
-
 def verify_commute(m, a, b, dis=None):
     """Edge-image equality of f_a f_b, f_b f_a and f_{a+b}."""
     if dis is None:
@@ -312,193 +278,3 @@ def verify_commute(m, a, b, dis=None):
         if fa.apply(fb.image(e)) != target or fb.apply(fa.image(e)) != target:
             return False
     return True
-
-
-class PreservationReport:
-    """Outcome of checking that f_a keeps f's Nielsen and QE structure."""
-
-    def __init__(self, checked_nielsen, checked_qe, failures):
-        self.checked_nielsen = checked_nielsen
-        self.checked_qe = checked_qe
-        self.failures = list(failures)
-
-    @property
-    def passed(self):
-        return not self.failures
-
-    def lines(self):
-        out = [
-            "Nielsen paths fixed by f_a: %d checked" % self.checked_nielsen,
-            "quasi-exceptional paths mapped by the class power: %d checked"
-            % self.checked_qe,
-        ]
-        out.extend("FAIL: %s" % msg for msg in self.failures)
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
-
-def _nielsen_representatives(cat):
-    """The catalog's generic Nielsen paths and the shortest member of each
-    linear family E b^i Ebar.  f_a(E) = E.u with u in <b>, so f_a fixes a
-    member, i >= 1, iff (u.f_a(b).ubar)^i = b^i iff f_a(b) = b (roots are
-    unique, as in :func:`nielsen._checked_family`): one member decides."""
-    g = cat.map.graph
-    members = [
-        Path(g, (e,) + b * records[0][0] + (g.inverse_of[e],))
-        for e, (b, records, _) in cat.families.items()
-    ]
-    return [x.path for x in cat.generic] + members
-
-
-def verify_nielsen_preserved(m, a, dis=None, qe_powers=(-2, -1, 0, 1, 2)):
-    """Check f_a fixes every catalog Nielsen path and maps each incident
-    quasi-exceptional family by f^{a_k} for the class X_k it occurs in; a
-    linear family is checked on one member (:func:`_nielsen_representatives`)."""
-    if dis is None:
-        dis = disintegrate(m)
-    fa = build_fa(m, a, dis)
-    failures = []
-    n_checked = 0
-    for sigma in _nielsen_representatives(dis.catalog):
-        n_checked += 1
-        if fa.apply(sigma) != sigma:
-            failures.append("f_a moves the Nielsen path %r" % (sigma.edges,))
-
-    q_checked = 0
-    for rel in sorted(dis.relations, key=lambda r: (r.family.key(), r.r)):
-        fam, k = rel.family, rel.r
-        for p in qe_powers:
-            sigma = fam.member_path(p)
-            q_checked += 1
-            if fa.apply(sigma) != m.iterate(sigma, a[k]):
-                failures.append(
-                    "family %s w^* %s', power %d: f_a disagrees with f^%d"
-                    % (fam.e_i, fam.e_j, p, a[k])
-                )
-    return PreservationReport(n_checked, q_checked, failures)
-
-
-class FaCTResult:
-    """check_ct on f_a plus comparison of its structure with f's."""
-
-    def __init__(self, report, same_principal, same_nielsen):
-        self.report = report
-        self.same_principal = same_principal
-        self.same_nielsen = same_nielsen
-
-    @property
-    def passed(self):
-        return self.report.passed and self.same_principal and self.same_nielsen
-
-    def lines(self):
-        out = list(self.report.lines())
-        out.append(
-            "principal vertices %s"
-            % ("unchanged" if self.same_principal else "DIFFER")
-        )
-        out.append(
-            "Nielsen paths within bound %s"
-            % ("unchanged" if self.same_nielsen else "DIFFER")
-        )
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
-
-def check_fa_is_ct(m, a, dis=None):
-    """Run the full structure check on f_a and compare its principal
-    vertices and within-bound Nielsen paths against f's: the generic paths,
-    and the family members by their records (E, b, i)."""
-    if dis is None:
-        dis = disintegrate(m)
-    fa = build_fa(m, a, dis)
-    bound = default_length_bound(m)
-    report = check_ct(fa, bound=bound)
-    same_principal = principal_vertices(fa) == principal_vertices(m)
-    listed = [
-        {x.path.edges if isinstance(x, NielsenEntry) else x[:3] for x in cat.listing}
-        for cat in (build_catalog(m, bound=bound), build_catalog(fa, bound=bound))
-    ]
-    return FaCTResult(report, same_principal, listed[0] == listed[1])
-
-
-def _edge_image_candidates(m, edge, target_path):
-    """The exponents k with f^k(edge) = target_path as an exponent set
-    (start, period): the single exponent ``start`` when the period is 0,
-    else start, start + period, ...; None when there is no exponent.
-
-    The walk stops once an iterate revisits a path or is longer than the
-    target; one of the two happens, since finitely many paths are no longer
-    than the target.  The paths it visits are distinct, so the target is
-    met at most once before the cycle, or once per period on it.  A None
-    after the walk outgrew the target rests on one condition: the orbits of
-    class edges never come back down in length.
-    """
-    path = m.graph.path([edge])
-    seen = {}
-    k = 0
-    while path.edges not in seen and len(path) <= len(target_path):
-        seen[path.edges] = k
-        path = m.apply(path)
-        k += 1
-    hit, first = seen.get(target_path.edges), seen.get(path.edges)
-    if hit is None:
-        return None
-    if first is None or hit < first:
-        return hit, 0
-    return hit, k - first
-
-
-def _meet(x, y):
-    """The intersection of two exponent sets (start, period), or None when
-    it is empty.  A single exponent stays if the other set holds it; two
-    progressions meet in one progression, whose period is the lcm of theirs
-    and whose start solves the two congruences (CRT), if any k does."""
-    if x is None or y is None:
-        return None
-    if x[1] and not y[1]:
-        x, y = y, x
-    (r, p), (t, q) = x, y
-    if not p:
-        return x if r == t or (q and r > t and (r - t) % q == 0) else None
-    period = p * q // math.gcd(p, q)
-    k = max(r, t)
-    k += (r - k) % p
-    return next(((j, period) for j in range(k, k + period, p) if (j - t) % q == 0), None)
-
-
-def find_tuple_representing(m, target, dis=None):
-    """The admissible tuple a with f_a edge-image-equal to target, or None.
-
-    A class meets the exponent sets of its edges (:func:`_edge_image_candidates`)
-    into none, one exponent, or a progression; the single exponents, if
-    admissible, rebuild every class edge's target image.  Raises
-    TrainTrackError when a class keeps a progression: its exponent is then
-    not determined.
-    """
-    if dis is None:
-        dis = disintegrate(m)
-    g = m.graph
-    if set(g.edge_names) != set(target.graph.edge_names):
-        return None
-    part = dis.partition
-    if any(part.class_of_edge(e) is None and target.image(e).edges != (e,) for e in g.edge_names):
-        return None
-    a = []
-    for i, sub in enumerate(part.subgraphs):
-        ks = (0, 1)  # every exponent k >= 0
-        for e in sorted(sub, key=g.edge_index):
-            ks = _meet(ks, _edge_image_candidates(m, e, target.image(e)))
-            if ks is None:
-                return None
-        if ks[1]:
-            raise TrainTrackError(
-                "find_tuple_representing: every exponent %d + %dj fits class X_%d {%s}"
-                % (ks + (i + 1, " ".join(sorted(sub, key=g.edge_index))))
-            )
-        a.append(ks[0])
-    a = tuple(a)
-    return a if dis.lattice.contains(a) else None

@@ -15,28 +15,6 @@ def matrix_rank(rows):
     return ncols - len(kernel_basis(rows, ncols))
 
 
-def det(rows):
-    """Exact determinant (Fraction arithmetic, returned as Fraction)."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        out *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return sign * out
-
-
 def kernel_basis(rows, ncols):
     """Basis of the integer kernel {x : rows . x = 0} as a list of int vectors.
 

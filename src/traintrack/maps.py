@@ -131,12 +131,6 @@ class GraphMap:
             return Path(g, (), v)
         return Path(g, map(inverse_of.__getitem__, reversed(edges)) if flipped else edges)
 
-    def is_fixed_vertex(self, v):
-        return self.vertex_map[v] == v
-
-    def fixed_vertices(self):
-        return [v for v in self.graph.vertices if self.is_fixed_vertex(v)]
-
     def edges_equal(self, other):
         """Same edge images (the meaning of equality-up-to-homotopy-rel-vertices)."""
         return (
@@ -156,10 +150,6 @@ def compose(m1, m2):
         raise EndpointMismatch("cannot compose maps on different graphs")
     imgs = {e: m1.apply(m2.edge_images[e]) for e in m1.graph.edge_names}
     return GraphMap(m1.graph, imgs)
-
-
-def identity_map(graph):
-    return GraphMap(graph, {e: graph.path([e]) for e in graph.edge_names})
 
 
 def transition_matrix(m, order=None):
@@ -442,8 +432,8 @@ def restrict(m, edge_subset):
 
 class DirectionMap:
     """The action Df on directions: an oriented edge goes to the first edge
-    of its image.  Directions are classified as fixed / periodic(period) /
-    pre-periodic by exact orbit computation."""
+    of its image.  A direction is fixed, periodic with its period, or
+    pre-periodic, by exact orbit computation (:meth:`orbit_period`)."""
 
     def __init__(self, m):
         self.m = m
@@ -473,14 +463,6 @@ class DirectionMap:
             if ok:
                 out.append((d, p))
         return out
-
-    def classify(self, d):
-        ok, p = self.orbit_period(d)
-        if ok and p == 1:
-            return "fixed"
-        if ok:
-            return "periodic(%d)" % p
-        return "pre-periodic"
 
 
 def direction_map(m):

@@ -38,10 +38,9 @@ another pair gives included.  The search itself keeps each family pair
 as a descriptor of its two runs of prefixes, and only
 :func:`build_catalog` expands those into records.  Complete splitting,
 the CT check and the ``nielsen`` report read the records (the report
-through :attr:`NielsenCatalog.listing`), and so do the f_a checks of
-:mod:`disintegrate`, which test one member per family; the members are
-written out as paths only on the first read of ``entries``, by the tests,
-the test-only ``inps`` or perfbench's tracer.
+through :attr:`NielsenCatalog.listing`); the members are written out as
+paths only on the first read of ``entries``, by the tests or perfbench's
+tracer.
 
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
@@ -63,7 +62,7 @@ own.
 from functools import cache, cached_property
 from itertools import chain, combinations, islice, product
 
-from .paths import Circuit, Path, inverse
+from .paths import Path, cyclic_decompose, inverse
 from .maps import filtration, direction_map, illegal_turns, compose
 from .errors import LViolation, MalformedPath, NotCompletelySplit
 
@@ -84,10 +83,6 @@ def default_length_bound(m):
     image plus slack, enough to cover the splittings of every f(E)."""
     maxlen = max(len(p) for p in m.edge_images.values())
     return 4 * maxlen + 8
-
-
-def _path_key(g, p):
-    return list(map(g.order_key.__getitem__, p.edges))
 
 
 def _lesser_orientation(order_key, fwd, bwd):
@@ -303,8 +298,8 @@ class NielsenCatalog:
     * ``entries``: the same paths as ``NielsenEntry`` objects, each
       flagged indivisible or composite, exactly, with its filtration
       height: the family members written out in closed form on the first
-      read and marked with ``family``.  Only the tests, ``inps`` (itself
-      read by tests) and perfbench's tracer read it.
+      read and marked with ``family``.  Only the tests and perfbench's
+      tracer read it.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
     * ``budgets_hit``: one note per search ray cut at its iterate cap, those
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
@@ -397,12 +392,6 @@ class NielsenCatalog:
     @property
     def budgets_hit(self):
         return self._periodic_part()[1]
-
-    def inps(self, height=None):
-        out = [x for x in self.entries if x.indivisible]
-        if height is not None:
-            out = [x for x in out if x.height == height]
-        return out
 
     def image_qe_split(self, piece):
         """qe_split of f_#(piece) under this catalog and its map f, computed
@@ -744,6 +733,16 @@ class Axis:
         return "<axis %r [%s]>" % (self.word, ms)
 
 
+def _circuit_key(g, word):
+    """One key per unoriented circuit of a closed edge word: the least
+    rotation, in either orientation, of its cyclically reduced core, as
+    order keys."""
+    core = cyclic_decompose(word)[1]
+    keys = [g.order_key[e] for e in core]
+    bar = [g.order_key[g.inverse_of[e]] for e in reversed(core)]
+    return min((tuple(w[i:] + w[:i]) for w in (keys, bar) for i in range(len(w))), default=())
+
+
 def axes(m):
     """Group linear edges by unoriented axis and enforce the linear clauses.
 
@@ -757,12 +756,9 @@ def axes(m):
                     key=lambda s: g.edge_index(s.neg_edge))
     groups = {}
     for s in linear:
-        c = Circuit.from_path(s.axis)
-        cr = c.reverse()
-        key = min(c.edges, cr.edges, key=lambda es: _path_key(g, Path(g, es)))
-        groups.setdefault(key, []).append(s)
+        groups.setdefault(_circuit_key(g, s.axis.edges), []).append(s)
     out = []
-    for key in sorted(groups, key=lambda es: _path_key(g, Path(g, es))):
+    for key in sorted(groups):
         strata = groups[key]
         word = strata[0].axis
         members = []
@@ -815,16 +811,6 @@ class QEFamily:
 
     def other(self, e):
         return self.e_j if e == self.e_i else self.e_i
-
-    def member_path(self, p, start=None):
-        """The member e_i w^p inverse(e_j), or from the other end if start=e_j."""
-        start = start or self.e_i
-        g = self.word.graph
-        first, last = (self.e_i, self.e_j) if start == self.e_i else (self.e_j, self.e_i)
-        if start == self.e_j:
-            p = -p
-        mid = self.word.power(p)
-        return Path(g, (first,) + mid.edges + (inverse(last),))
 
     def matches(self, path):
         """Signed power p when ``path`` is a member (measured from e_i), else None."""
@@ -1056,9 +1042,6 @@ def complete_split(m, path, catalog=None):
 
 class QESplitting(CompleteSplitting):
     """Complete splitting coarsened by merging maximal quasi-exceptional runs."""
-
-    def qe_terms(self):
-        return [t for t in self.terms if t.kind == TERM_QE]
 
     def __repr__(self):
         return "<qe-splitting %s>" % " | ".join(

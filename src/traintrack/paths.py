@@ -1,4 +1,4 @@
-"""Marked graphs, tightened edge paths and circuits.
+"""Marked graphs and tightened edge paths.
 
 Conventions used throughout the package:
 
@@ -16,11 +16,10 @@ Oriented-edge tables: a :class:`MarkedGraph` builds, once in its
 constructor, four dicts keyed by every oriented-edge token of the graph:
 ``inverse_of`` (the reversed token), ``init_of`` and ``term_of`` (its end
 vertices) and ``order_key`` (``(edge index, is_inverse)``, the package's
-total order on oriented edges).  The path kernel -- ``path``, ``tighten``,
-``Path.reverse``/``start``/``end`` and the circuit rotation -- and the
-hot loops of the other modules read these tables and never take a token
-apart.  A token that is not a key is not an edge of the graph, so the same
-lookups also validate.  The string helpers :func:`inverse` and
+total order on oriented edges).  The path kernel -- ``path``, ``tighten``
+and ``Path.reverse``/``start``/``end`` -- and the hot loops of the other
+modules read these tables and never take a token apart.  A token that is
+not a key is not an edge of the graph, so the same lookups also validate.  The string helpers :func:`inverse` and
 :func:`base_name` remain for parsing, for code that has no graph at hand
 and for cold bookkeeping.
 
@@ -96,7 +95,6 @@ class MarkedGraph:
             self.term_of[name], self.term_of[bar] = term, init
             self.order_key[name], self.order_key[bar] = (i, False), (i, True)
             self._directions += (name, bar)
-        self.intermediate = intermediate
         if not intermediate:
             for v in self.vertices:
                 if self.valence(v) == 1:
@@ -407,98 +405,6 @@ class Path:
         if not self.edges:
             return "<trivial path at %s>" % self.base
         return "<path %s>" % " ".join(self.edges)
-
-
-TRIVIAL_CIRCUIT = None  # set below once Circuit exists
-
-
-class Circuit:
-    """A cyclically reduced cyclic word of oriented edges.
-
-    Stored in the canonical rotation: the lexicographically least rotation
-    with respect to the construction order of edges (positive orientation
-    before negative).  Equality of Circuit objects is equality of oriented
-    circuits; use :meth:`same_unoriented` to ignore the direction.
-    """
-
-    __slots__ = ("graph", "edges")
-
-    def __init__(self, graph, edges):
-        self.graph = graph
-        self.edges = tuple(edges)
-
-    @classmethod
-    def from_path(cls, path):
-        """Normalize a closed path: cyclically reduce, then rotate canonically.
-
-        A trivial loop collapses to the designated trivial circuit (a
-        single shared value with no edges).
-        """
-        if not path.is_closed():
-            raise EndpointMismatch("circuits come from closed paths")
-        g = path.graph
-        edges = cyclic_decompose(path.edges)[1]
-        if not edges:
-            return TRIVIAL_CIRCUIT
-        keys = [g.order_key[e] for e in edges]
-        best = min(range(len(edges)), key=lambda i: keys[i:] + keys[:i])
-        return cls(g, edges[best:] + edges[:best])
-
-    def is_trivial(self):
-        return not self.edges
-
-    def reverse(self):
-        if not self.edges:
-            return self
-        return Circuit.from_path(Path(self.graph, self.edges).reverse())
-
-    def same_unoriented(self, other):
-        """Orientation-insensitive comparison."""
-        return self == other or self == other.reverse()
-
-    def is_primitive(self):
-        """True unless the cyclic word is a proper power.
-
-        Checked over divisor periods of the length, exactly.
-        """
-        n = len(self.edges)
-        if n == 0:
-            return False
-        for p in range(1, n):
-            if n % p == 0 and self.edges == self.edges[p:] + self.edges[:p]:
-                return False
-        return True
-
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return self.graph is other.graph and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((id(self.graph), self.edges))
-
-    def __repr__(self):
-        if not self.edges:
-            return "<trivial circuit>"
-        return "<circuit %s>" % " ".join(self.edges)
-
-
-class _TrivialCircuit(Circuit):
-    """The designated value returned when a loop tightens away completely."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        Circuit.__init__(self, None, ())
-
-    def __eq__(self, other):
-        return isinstance(other, _TrivialCircuit)
-
-    def __hash__(self):
-        return hash("trivial-circuit")
-
-
-TRIVIAL_CIRCUIT = _TrivialCircuit()
 
 
 def cyclic_decompose(word):

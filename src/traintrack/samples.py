@@ -7,8 +7,6 @@ exhibits, not where it came from:
   the smallest map whose disintegration has a single non-fixed class.
 * ``qe_rose``           four petals with an exceptional path in an image;
   the minimal example of a nontrivial admissibility relation.
-* ``inner_twist_pair``  two maps with the same outer class differing by an
-  inner automorphism; linear edge detection needs both orientations.
 * ``swap_rose``         a single EG stratum with two period-two directions
   (fails forward rotationlessness).
 * ``suffix_rose``       NEG suffixes with two linear petals on one axis plus
@@ -53,14 +51,6 @@ def qe_rose():
         {"E1": "E1", "E2": "E2 E1 E1", "E3": "E3 E1", "E4": "E4 E3 E3 E2'"},
         "qe_rose",
     )
-
-
-def inner_twist_pair():
-    g1 = _rose(["E1", "E2", "E3"])
-    f1 = _map(g1, {"E1": "E1", "E2": "E1 E2", "E3": "E1 E1 E3 E1"}, "inner_twist_a")
-    g2 = _rose(["E1", "E2", "E3"])
-    f2 = _map(g2, {"E1": "E1", "E2": "E2 E1", "E3": "E1 E3 E1 E1"}, "inner_twist_b")
-    return f1, f2
 
 
 def swap_rose():

@@ -37,7 +37,7 @@ def _map(g, images):
 
 
 def failing_clauses(report):
-    return [k for k in report.CLAUSE_ORDER if not report.clause(k).passed]
+    return [k for k in report.CLAUSE_ORDER if not report.clauses[k].passed]
 
 
 def test_structured_samples_pass():
@@ -59,7 +59,7 @@ def test_swap_rose_not_forward_rotationless():
     assert not ok
     assert any("period 2" in line for line in lines)
     report = check_ct(m)
-    assert not report.clause("R").passed
+    assert not report.clauses["R"].passed
 
 
 def test_flip_edge_violations():
@@ -69,14 +69,14 @@ def test_flip_edge_violations():
     assert periodic_subgraph(m) == ["A", "B"]
     report = check_ct(m)
     assert set(failing_clauses(report)) == {"R", "NEG", "N", "Per"}
-    assert any("no f(E) = E.u" in f for f in report.clause("NEG").failures)
-    assert any("pointwise" in f for f in report.clause("Per").failures)
+    assert any("no f(E) = E.u" in f for f in report.clauses["NEG"].failures)
+    assert any("pointwise" in f for f in report.clauses["Per"].failures)
 
 
 def test_common_axis_equal_exponents_fails_l():
     m = _map(_rose(["A", "B", "C"]), {"A": "A", "B": "B A", "C": "C A"})
     report = check_ct(m)
-    assert not report.clause("L").passed
+    assert not report.clauses["L"].passed
     assert set(failing_clauses(report)) == {"L", "N", "CS"}
 
 
@@ -93,7 +93,7 @@ def test_unsplittable_image_fails_cs_only():
     )
     report = check_ct(m)
     assert failing_clauses(report) == ["CS"]
-    assert any("not completely split" in f for f in report.clause("CS").failures)
+    assert any("not completely split" in f for f in report.clauses["CS"].failures)
 
 
 def test_cs_counts_only_the_images_that_split():
@@ -102,7 +102,7 @@ def test_cs_counts_only_the_images_that_split():
     m = suffix_rose()
     g = m.graph
     m = GraphMap(g, dict(m.edge_images, E=g.path(["E", "D", "C", "B'"])))
-    cs = check_ct(m).clause("CS")
+    cs = check_ct(m).clauses["CS"]
     assert [f.split(":")[0] for f in cs.failures] == ["f(E) is not completely split"]
     assert cs.witnesses == ["4 images completely split"]
 
@@ -134,7 +134,7 @@ def test_zero_stratum_fold_detected():
         },
     )
     report = check_ct(m)
-    z = report.clause("Z")
+    z = report.clauses["Z"]
     assert not z.passed
     assert any("immersion" in f for f in z.failures)
     assert any("non-contractible" in f for f in z.failures)
@@ -153,7 +153,7 @@ def test_zero_stratum_needs_eg_above():
     )
     m = _map(g, {"A": "A", "Z": "A", "S": "A'", "T": "A", "N": "N A"})
     report = check_ct(m)
-    assert any("not EG" in f for f in report.clause("Z").failures)
+    assert any("not EG" in f for f in report.clauses["Z"].failures)
 
 
 def test_principal_vertices_on_samples():
@@ -215,7 +215,7 @@ def test_report_rendering():
 
 def test_attaching_vertex_count_witness():
     report = check_ct(partial_fps_map())
-    assert report.clause("V").witnesses == ["3 attaching vertices"]
+    assert report.clauses["V"].witnesses == ["3 attaching vertices"]
 
 
 # -- clause N on linear families ---------------------------------------------------
@@ -244,7 +244,7 @@ def test_clause_n_skips_the_shape_check_for_family_members(monkeypatch):
         ct, "_linear_inp_shape", lambda s, sigma: calls.append(sigma) or shape(s, sigma)
     )
     report = check_ct(_ladder(6))
-    assert report.clause("N").passed
+    assert report.clauses["N"].passed
     assert calls == []
 
 

@@ -1,6 +1,7 @@
 """Every public name of the package has a reader inside the package, or is
 one of the test oracles named here; so has every public function and class
-defined at the top of a module, and every private module-level function."""
+defined at the top of a module, every private module-level function, every
+method and property, and every imported name."""
 
 import ast
 import pathlib
@@ -9,37 +10,38 @@ import traintrack
 
 SRC = pathlib.Path(traintrack.__file__).parent
 
-# Exported for the tests and the acceptance gates, which check the paper's
-# claims with them; nothing in the package calls them.
+# Exported, and nothing in the package calls them, each with the reason it
+# stays.  The checks of f_a and of outer classes that only the tests read
+# live in tests/oracles.py.
 TEST_ORACLES = {
-    "identity_map",
-    "differ_by_inner",
-    "verify_homotopy_equivalence",
-    "verify_nielsen_preserved",
-    "check_fa_is_ct",
-    "find_tuple_representing",
-    "is_generic",
+    # demos/maximal_rank_tour.py shows the vertex-splitting surgery with it
     "split_twist_vertex",
 }
 
 # Public module-level definitions that are not exported and that nothing in
 # the package calls, each with the reason it stays.
-MODULE_ORACLES = {
-    # exact rational determinant: the acceptance gates and the freegroup
-    # tests check that abelianization matrices are unimodular with it
-    "intlin.det",
-    # a sample pair in one outer class apart by an inner automorphism, read
-    # by the acceptance gates and the tests of differ_by_inner and the audit
-    "samples.inner_twist_pair",
+MODULE_ORACLES = set()
+
+# Methods and properties that nothing in the package reads, each with the
+# reason it stays.
+METHOD_ORACLES = {
+    # demos/disintegration_walkthrough.py shows with it that f_(2,2) = f o f
+    "maps.GraphMap.edges_equal",
 }
+
+
+def _modules():
+    """(module stem, parsed tree) of every module of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), str(path))
 
 
 def _definitions():
     """(module stem, top-level node) of every module but ``__init__.py``."""
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "__init__.py":
-            for top in ast.parse(path.read_text(), str(path)).body:
-                yield path.stem, top
+    for stem, tree in _modules():
+        if stem != "__init__":
+            for top in tree.body:
+                yield stem, top
 
 
 def _names_read():
@@ -48,10 +50,9 @@ def _names_read():
     (``from . import intlin``).  ``__init__.py``, which only re-exports, is
     left out."""
     read = set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for stem, tree in _modules():
+        if stem == "__init__":
             continue
-        tree = ast.parse(path.read_text(), str(path))
         modules = {
             alias.asname or alias.name
             for node in ast.walk(tree)
@@ -107,4 +108,49 @@ def test_every_private_function_has_a_reader():
         and top.name.startswith("_") and not top.name.startswith("__")
         and top.name not in read
     }
+    assert unread == set()
+
+
+def test_every_method_has_a_reader():
+    # a method or property counts as read when some ``.name`` attribute of
+    # the package, outside its own body, has its name; names alone are
+    # matched, so a namesake elsewhere can hide a dead member, never flag a
+    # live one
+    reads = [
+        (stem, node.lineno, node.attr)
+        for stem, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    ]
+    unread = set()
+    for stem, tree in _modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                if not any(
+                    attr == fn.name
+                    and not (where == stem and fn.lineno <= line <= fn.end_lineno)
+                    for where, line, attr in reads
+                ):
+                    unread.add("%s.%s.%s" % (stem, cls.name, fn.name))
+    assert unread == METHOD_ORACLES
+
+
+def test_every_import_is_read():
+    # ``__init__.py`` only re-exports, so it reads none of its imports
+    unread = set()
+    for stem, tree in _modules():
+        if stem == "__init__":
+            continue
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in names:
+                        unread.add("%s: %s" % (stem, name))
     assert unread == set()

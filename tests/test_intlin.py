@@ -15,12 +15,13 @@ from traintrack.intlin import (
     _derivative,
     _poly_divmod,
     charpoly,
-    det,
     kernel_basis,
     matrix_rank,
     pf_eigenvalue,
 )
 from traintrack.maps import filtration, transition_matrix
+
+from oracles import det
 
 
 def numpy_rank(rows, ncols):

@@ -8,7 +8,6 @@ from traintrack.maps import (
     Filtration,
     GraphMap,
     compose,
-    identity_map,
     transition_matrix,
     compute_filtration,
     filtration,
@@ -22,6 +21,7 @@ from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltr
 from traintrack.ct import check_ct, vertex_period
 from traintrack.maxrank import gen_type_c, gen_type_e, rank_audit
 from traintrack import samples
+from oracles import identity_map
 from test_nielsen import (
     _corpus_map,
     arbitrary_roses,
@@ -568,12 +568,9 @@ def test_restrict_inherits_the_filtration_random_maps(m, data):
 def test_direction_map_swap_rose():
     m = samples.swap_rose()
     dm = direction_map(m)
-    assert dm.classify("A'") == "fixed"
-    assert dm.classify("B'") == "fixed"
-    assert dm.classify("C'") == "fixed"
-    assert dm.classify("B") == "periodic(2)"
-    assert dm.classify("C") == "periodic(2)"
-    assert dm.classify("A") == "pre-periodic"
+    assert all(dm.is_fixed(d) for d in ("A'", "B'", "C'"))
+    assert dm.orbit_period("B") == dm.orbit_period("C") == (True, 2)
+    assert dm.orbit_period("A") == (False, 0)
     per = dict(dm.periodic_directions("v"))
     assert per == {"A'": 1, "B'": 1, "C'": 1, "B": 2, "C": 2}
 
@@ -658,4 +655,4 @@ def test_periodic_vertices():
     m = samples.zero_stratum_map()
     periods = {v: vertex_period(m, v) for v in m.graph.vertices}
     assert {v: k for v, k in periods.items() if k >= 1} == {"a": 1}
-    assert m.fixed_vertices() == ["a"]
+    assert [v for v in m.graph.vertices if m.vertex_map[v] == v] == ["a"]

@@ -21,7 +21,6 @@ from traintrack.errors import (
 )
 from traintrack.freegroup import (
     is_IA,
-    map_is_pi1_surjective,
     pi1_basis,
     pi1_images,
     spanning_tree,
@@ -50,7 +49,6 @@ from traintrack.samples import (
     SAMPLES,
     exceptional_rose,
     full_fps_map,
-    inner_twist_pair,
     partial_fps_map,
     qe_rose,
     rose_cascade,
@@ -58,6 +56,7 @@ from traintrack.samples import (
     swap_rose,
     zero_stratum_map,
 )
+from oracles import inner_twist_pair, map_is_pi1_surjective
 from test_cli import SHUFFLES, _document, _shuffled_edges
 from test_nielsen import linear_roses, restricted_afresh, triangular_roses, zero_strata_maps
 from order_reference import (

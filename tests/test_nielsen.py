@@ -37,6 +37,7 @@ from traintrack.nielsen import (
     NielsenCatalog,
     NielsenEntry,
     Term,
+    _circuit_key,
     _legal_cuts,
     _search_fixed_paths,
     _stable_prefixes,
@@ -52,10 +53,8 @@ from traintrack.coords import coordinate_system
 from traintrack.disintegrate import (
     _pieces,
     build_fa,
-    check_fa_is_ct,
     disintegrate,
     verify_commute,
-    verify_nielsen_preserved,
 )
 from traintrack.maxrank import (
     classify_max_rank,
@@ -68,7 +67,6 @@ from traintrack.samples import (
     SAMPLES,
     exceptional_rose,
     full_fps_map,
-    inner_twist_pair,
     partial_fps_map,
     qe_rose,
     rose_cascade,
@@ -76,6 +74,7 @@ from traintrack.samples import (
     swap_rose,
     zero_stratum_map,
 )
+from oracles import check_fa_is_ct, family_member, inner_twist_pair, inps, verify_nielsen_preserved
 from order_reference import reference_orders
 
 
@@ -125,7 +124,7 @@ def test_catalog_matches_brute_force_qe_rose():
     m = qe_rose()
     bound = 4
     cat = build_catalog(m, bound=bound)
-    cat_inps = {norm(e.path) for e in cat.inps()}
+    cat_inps = {norm(e.path) for e in inps(cat)}
     brute = {
         norm(p)
         for p in brute_nielsen(m, bound)
@@ -148,7 +147,7 @@ def test_catalog_matches_brute_force_qe_rose():
 def test_catalog_matches_brute_force_rose_cascade():
     m = rose_cascade()
     cat = build_catalog(m, bound=4)
-    cat_inps = {norm(e.path) for e in cat.inps()}
+    cat_inps = {norm(e.path) for e in inps(cat)}
     brute = {
         norm(p)
         for p in brute_nielsen(m, 4)
@@ -272,9 +271,9 @@ def test_fixed_periodic_directions_do_not_rule_out_periodic_paths():
     g = _rose(["E1", "E2", "E3"])
     m = _map(g, {"E1": "E1", "E2": "E1 E2'", "E3": "E2' E1 E3"})
     dm = nielsen.direction_map(m)
-    assert {d: dm.classify(d) for d in g.directions()} == {
-        "E1": "fixed", "E1'": "fixed", "E3'": "fixed",
-        "E2": "pre-periodic", "E2'": "pre-periodic", "E3": "pre-periodic",
+    assert {d: dm.orbit_period(d) for d in g.directions()} == {
+        "E1": (True, 1), "E1'": (True, 1), "E3'": (True, 1),
+        "E2": (False, 0), "E2'": (False, 0), "E3": (False, 0),
     }
     periodic = build_catalog(m).periodic
     assert len(periodic) == 18 and {e.period for e in periodic} == {2}
@@ -882,8 +881,8 @@ def test_closed_form_matches_generic_ladder(k):
     m = _ladder(k)
     cat = assert_closed_form_matches_generic(m)
     # every iNp B A^j B' is a member of B's family, one per j within bound
-    assert cat.inps() == _family_members(cat)
-    assert [len(x.path) - 2 for x in cat.inps()] == list(range(1, cat.bound - 1))
+    assert inps(cat) == _family_members(cat)
+    assert [len(x.path) - 2 for x in inps(cat)] == list(range(1, cat.bound - 1))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_MAPS))
@@ -992,7 +991,7 @@ def test_ladder_family_is_checked_once(guard_counts):
         filtration(m)
         guard_counts.update(checked=[], apply=0)
         cat = build_catalog(m)
-        assert len(cat.inps()) == cat.bound - 2
+        assert len(inps(cat)) == cat.bound - 2
         # B's family: one check, on its shortest member; A A, the other
         # pair, is kept unchecked (the pairing lemma)
         assert guard_counts["checked"] == [("B", "A", "B'")]
@@ -1497,7 +1496,7 @@ def test_a_failed_family_check_drops_the_family(monkeypatch):
         nielsen, "is_nielsen_path", lambda mk, p: p.edges[0] != "B" and mk.apply(p) == p
     )
     cat = build_catalog(m)
-    assert _family_members(cat) == [] and cat.inps() == []
+    assert _family_members(cat) == [] and inps(cat) == []
 
 
 def _member_by_member(cat):
@@ -1505,7 +1504,7 @@ def _member_by_member(cat):
     generic entry: both orientations of every ``inps()`` entry, grouped by
     first edge, longest first."""
     out = {}
-    for x in cat.inps():
+    for x in inps(cat):
         for sigma in (x.path, x.path.reverse()):
             out.setdefault(sigma.edges[0], []).append((sigma, x.height))
     for lst in out.values():
@@ -1666,7 +1665,7 @@ def test_check_ct_on_the_ladder_writes_no_member_out(members_written):
     # the first read of the entries writes every member out, once; clause N
     # counted them from the records
     cat = build_catalog(m)
-    assert len(cat.inps()) == len(cat.entries) - 1 == cat.bound - 2
+    assert len(inps(cat)) == len(cat.entries) - 1 == cat.bound - 2
     assert members_written["members"] == cat.bound - 2
     assert report.clauses["N"].witnesses == ["%d indivisible Nielsen paths" % (cat.bound - 2)]
 
@@ -1965,6 +1964,24 @@ def test_axes_violation_conjugate_words():
         axes(m)
 
 
+@given(st.lists(st.sampled_from(["A", "B", "C", "A'", "B'", "C'"]), max_size=10))
+def test_circuit_key_is_the_least_rotation_in_either_orientation(word):
+    g = _rose(["A", "B", "C"])
+    p = g.tighten(word, base="v")
+    # oracle: cyclically reduce naively, then the least of every rotation of
+    # the core and of its reverse
+    core = list(p.edges)
+    while len(core) >= 2 and core[-1] == inverse(core[0]):
+        core = core[1:-1]
+    rotations = [
+        tuple(g.order_key[e] for e in w[i:] + w[:i])
+        for w in (core, [inverse(e) for e in reversed(core)])
+        for i in range(len(w))
+    ]
+    assert _circuit_key(g, p.edges) == min(rotations, default=())
+    assert _circuit_key(g, p.reverse().edges) == _circuit_key(g, p.edges)
+
+
 def test_axes_opposite_orientation_groups_together():
     g = _rose(["A", "B", "C"])
     m = _map(g, {"A": "A", "B": "B A", "C": "C A' A'"})
@@ -1981,7 +1998,7 @@ def test_qe_families_qe_rose():
     assert fam.is_exceptional()
     m = qe_rose()
     g = m.graph
-    assert fam.member_path(1).edges == ("E2", "E1", "E3'")
+    assert family_member(fam, 1).edges == ("E2", "E1", "E3'")
     assert fam.matches(g.path(["E2", "E1", "E1", "E3'"])) == 2
     assert fam.matches(g.path(["E3", "E2'"])) == 0
     assert fam.matches(g.path(["E3", "E1", "E2'"])) == -1
@@ -2255,7 +2272,7 @@ def test_a_splitting_that_cancels_at_the_fifth_iterate_fails_cs():
     assert _splits_under_iteration(m, e1, terms, 4)
     assert not _splits_under_iteration(m, e1, terms, 5)
     report = check_ct(m)
-    assert [k for k in report.CLAUSE_ORDER if not report.clause(k).passed] == ["CS"]
+    assert [k for k in report.CLAUSE_ORDER if not report.clauses[k].passed] == ["CS"]
 
 
 @settings(max_examples=120, deadline=None)
@@ -2270,7 +2287,7 @@ def test_a_cs_pass_splits_every_edge_image_under_iteration(m):
         report = check_ct(m)
     except TrainTrackError:
         return  # no filtration, or some f^k collapses an edge: not a graph map
-    if not report.clause("CS").passed:
+    if not report.clauses["CS"].passed:
         return
     filt = filtration(m)
     k = 2 * len(m.graph.directions()) + 1
@@ -2289,7 +2306,7 @@ def test_qe_split_relabels_exceptional():
     m = qe_rose()
     qs = qe_split(m, m.image("E4"))
     assert [t.kind for t in qs.terms] == [TERM_EDGE, TERM_EDGE, TERM_QE]
-    assert qs.qe_terms()[0].power == 0
+    assert qs.terms[2].power == 0
 
 
 def test_qe_split_merges_opposite_sign_run():

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from traintrack.paths import (
     MarkedGraph,
-    Circuit,
-    TRIVIAL_CIRCUIT,
     UnionFind,
     inverse,
     word_root,
@@ -121,61 +119,6 @@ def test_valence_one_rejected_unless_intermediate():
         MarkedGraph(["a", "b"], [("E", "a", "b"), ("L", "a", "a")])
     g = MarkedGraph(["a", "b"], [("E", "a", "b"), ("L", "a", "a")], intermediate=True)
     assert g.valence("b") == 1
-
-
-# --- circuits ---------------------------------------------------------------
-
-
-def brute_canonical_rotation(g, edges):
-    rots = [tuple(edges[i:] + edges[:i]) for i in range(len(edges))]
-    return min(rots, key=lambda r: [(g.edge_index(e), e.endswith("'")) for e in r])
-
-
-@given(rose_words(max_size=10))
-def test_circuit_canonical_rotation_oracle(word):
-    g = rose()
-    p = g.tighten(word, base="v")
-    c = Circuit.from_path(p)
-    # oracle: cyclically reduce naively, then brute-force the least rotation
-    edges = list(p.edges)
-    while len(edges) >= 2 and edges[-1] == inverse(edges[0]):
-        edges = edges[1:-1]
-    if not edges:
-        assert c is TRIVIAL_CIRCUIT
-    else:
-        assert c.edges == brute_canonical_rotation(g, edges)
-
-
-def test_circuit_orientation():
-    g = rose()
-    c1 = Circuit.from_path(g.path(["A", "B"]))
-    c2 = Circuit.from_path(g.path(["B'", "A'"]))
-    assert c1 != c2
-    assert c1.same_unoriented(c2)
-    assert not c1.same_unoriented(Circuit.from_path(g.path(["A", "B'"])))
-
-
-def brute_is_primitive(edges):
-    n = len(edges)
-    for p in range(1, n):
-        if n % p == 0 and tuple(edges) == tuple(edges[p:] + edges[:p]):
-            return False
-    return n > 0
-
-
-@given(rose_words(max_size=12))
-def test_primitivity_matches_brute_force(word):
-    g = rose()
-    c = Circuit.from_path(g.tighten(word, base="v"))
-    if c is not TRIVIAL_CIRCUIT:
-        assert c.is_primitive() == brute_is_primitive(list(c.edges))
-
-
-def test_power_circuit_not_primitive():
-    g = rose()
-    c = Circuit.from_path(g.path(["A", "B", "A", "B"]))
-    assert not c.is_primitive()
-    assert Circuit.from_path(g.path(["A", "B"])).is_primitive()
 
 
 def test_word_root():
