@@ -23,6 +23,17 @@ Exit status: 0 when every analysis succeeded and every verification passed,
 2 when some verification failed, 1 on malformed input (position-tagged).
 All output is deterministic; ``--seed`` is accepted for interface stability
 and ignored.
+
+``nielsen --json`` writes each linear family E w^k Ebar once, under
+``families``: ``{"edge", "body", "height", "k", "composite_k"}``, with
+``k`` the maximal runs ``[first, last]`` of the exponents of its
+indivisible members within the bound and ``composite_k`` those of its
+composite members.  ``paths`` holds the other period-one Nielsen paths,
+then the periodic ones, each with its word, period, indivisible flag
+(null on a periodic path) and height; ``axes`` holds each axis word with
+its member edges and exponents.  Families come in the order their first
+members take among the paths by (length, order key); the text report
+gives a family's line where its first indivisible member would stand.
 """
 
 import argparse
@@ -37,7 +48,7 @@ from .disintegrate import build_fa, disintegrate, verify_commute
 from .errors import InputError, TrainTrackError
 from .maps import GraphMap, filtration
 from .maxrank import classify_max_rank, detect_fps, gen_type_c, gen_type_e, rank_audit
-from .nielsen import NielsenEntry, axes, build_catalog, is_nielsen_path
+from .nielsen import axes, build_catalog, is_nielsen_path
 from .paths import MarkedGraph, inverse
 
 
@@ -226,39 +237,48 @@ def _cmd_check_ct(m, doc, args):
     return report.passed, report.lines(), data
 
 
-def _cmd_nielsen(m, doc, args):
-    # family members are read as their records (E, b, i, composite flag)
-    # and never written out as paths
-    cat = _catalog(m, args, doc)
-    words = {
-        e: (e + " ", " ".join(b) + " ", inverse(e), height)
-        for e, (b, _, height) in cat.families.items()
-    }
-    families = {}
-    singles = []
-    composites = 0
-    paths = []
-    for x in cat.listing:
-        if isinstance(x, NielsenEntry):
-            word, indivisible, height = " ".join(x.path.edges), x.indivisible, x.height
-            if indivisible:
-                singles.append(x)
+def _runs(ks):
+    """The maximal runs [first, last] of consecutive integers in the
+    ascending list ``ks``."""
+    runs = []
+    for k in ks:
+        if runs and runs[-1][1] == k - 1:
+            runs[-1][1] = k
         else:
-            e, _, i, split = x
-            head, body, tail, height = words[e]
-            word, indivisible = head + body * i + tail, not split
-            if indivisible:
-                families.setdefault(e, []).append(i)
-        composites += not indivisible
-        paths.append({"word": word, "period": 1, "indivisible": indivisible, "height": height})
+            runs.append([k, k])
+    return runs
+
+
+def _cmd_nielsen(m, doc, args):
+    # a linear family is reported from its records (i, composite flag), one
+    # line and one object per family, and no member is written out as a word
+    cat = _catalog(m, args, doc)
+    g = m.graph
+
+    def listed_at(e, b, i):
+        # where the member E b^i Ebar sorts in NielsenCatalog.listing
+        edges = (e,) + b * i + (g.inverse_of[e],)
+        return len(edges), [g.order_key[x] for x in edges]
+
+    # (place of the first member, E, b, height, indivisible k, composite k)
+    families = sorted(
+        (listed_at(e, b, records[0][0]), e, b, height,
+         [i for i, split in records if not split], [i for i, split in records if split])
+        for e, (b, records, height) in cat.families.items()
+    )
+    singles = [x for x in cat.generic if x.indivisible]
+    composites = len(cat.generic) - len(singles) + sum(len(c) for *_, c in families)
 
     lines = ["catalog bound %d (period bound %d)" % (cat.bound, cat.period_bound)]
     lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
     lines.append("indivisible Nielsen paths:")
-    for e, powers in families.items():
+    # a family's line stands where its first indivisible member is listed
+    for _, e, b, ks in sorted(
+        (listed_at(e, b, ks[0]), e, b, ks) for _, e, b, _, ks, _ in families if ks
+    ):
         lines.append(
             "  %s (%s)^k %s  for k = %d..%d within bound"
-            % (e, " ".join(cat.families[e][0]), inverse(e), min(powers), max(powers))
+            % (e, " ".join(b), inverse(e), ks[0], ks[-1])
         )
     for entry in singles:
         lines.append(
@@ -287,14 +307,19 @@ def _cmd_nielsen(m, doc, args):
     data = {
         "bound": cat.bound,
         "fixed_edges": list(cat.fixed_edges),
-        "paths": paths + [
+        "families": [
+            {"edge": e, "body": " ".join(b), "height": height,
+             "k": _runs(ks), "composite_k": composite_k}
+            for _, e, b, height, ks, composite_k in families
+        ],
+        "paths": [
             {
                 "word": " ".join(x.path.edges),
                 "period": x.period,
                 "indivisible": x.indivisible,
                 "height": x.height,
             }
-            for x in cat.periodic
+            for x in cat.generic + cat.periodic
         ],
         "axes": [
             {"word": " ".join(ax.word.edges),

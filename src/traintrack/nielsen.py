@@ -38,9 +38,9 @@ another pair gives included.  The search itself keeps each family pair
 as a descriptor of its two runs of prefixes, and only
 :func:`build_catalog` expands those into records.  Complete splitting,
 the CT check and the ``nielsen`` report read the records (the report
-through :attr:`NielsenCatalog.listing`); the members are written out as
-paths only on the first read of ``entries``, by the tests or perfbench's
-tracer.
+writes one line and one JSON object per family, its k as runs); the
+members are written out as paths only on the first read of ``entries``,
+by the tests or perfbench's tracer.
 
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
@@ -287,14 +287,16 @@ class NielsenCatalog:
       members are E b^i Ebar, one per record (i, composite flag), i
       ascending, b the body in the orientation the catalog lists, height
       E's level.  No member is kept as a path.
-    * ``generic``: the other period-one entries, each its own path.
+    * ``generic``: the other period-one entries, each its own path, in
+      (length, order key) order.  The ``nielsen`` report reads these and
+      ``families``; it places each family where its first member is
+      listed.
     * ``listing``: the period-one Nielsen paths p.reverse(q) of length 2..
       ``bound`` paired from stable prefixes (not every Nielsen path within
       the bound; see the module docstring), in (length, order key) order:
       each generic entry as its :class:`NielsenEntry`, each family member
       as its record (E, b, i, composite flag), its edge tuple built only
-      to order it among items of its length.  The ``nielsen`` report
-      reads this.
+      to order it among items of its length.  Only ``entries`` reads it.
     * ``entries``: the same paths as ``NielsenEntry`` objects, each
       flagged indivisible or composite, exactly, with its filtration
       height: the family members written out in closed form on the first
@@ -628,8 +630,10 @@ def build_catalog(m, bound=None, period_bound=3):
     descriptors of pairs of prefix runs; this is the one place they are
     expanded into records (:func:`_family_records`), and the catalog keeps
     the family after one exact check (see :func:`_checked_family`).  The
-    catalog's ``listing`` keeps its members as records; its ``entries``
-    write them out and are the same as member by member.
+    catalog's ``families`` and ``generic`` are what the ``nielsen`` report
+    reads; its ``listing`` merges the members, as records, into the
+    generic entries' order, and its ``entries`` write them out and are the
+    same as member by member.
     """
     if bound is None:
         bound = default_length_bound(m)
