@@ -62,7 +62,7 @@ own.
 from functools import cache, cached_property
 from itertools import chain, combinations, islice, product
 
-from .paths import Path, cyclic_decompose, inverse
+from .paths import Path, base_name, cyclic_decompose, inverse
 from .maps import filtration, direction_map, illegal_turns, compose
 from .errors import LViolation, MalformedPath, NotCompletelySplit
 
@@ -95,7 +95,7 @@ def _lesser_orientation(order_key, fwd, bwd):
     return fwd
 
 
-def _stable_prefixes(m, bound, iter_cap=None, linear=None):
+def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
     """(ray, n, step, end, suffix key, split, direction) for the stable
     prefixes p = ray[:n], and ray[:n + step], ray[:n + 2 step], ... up to
     the bound when step > 0: f_#(p) = p.suffix, ``end`` p's terminal
@@ -205,18 +205,25 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None):
             sweep((d,) + w * (bound // lw + 1), d, 1 + (i0 + 2) * lw, lw)
             continue
         ray = g.path([d])
+        size = 1  # |ray|; on the DAG route ray holds only its head
+        dag = rays is not None and image_of[d] != (d,) and rays[0].covers((d,)) and rays[0]
         seen = {}  # earlier iterates by length: compared, never hashed
         pending = ray
-        for _ in range(iter_cap):
-            if len(ray) > bound + 2:  # the last f_#: sweeps read ``bound`` edges
-                nxt, pending = _image_head(m, ray, bound), Path(g, pending.edges[:bound])
+        for j in range(1, iter_cap + 1):
+            last = size > bound + 2  # the last f_#: sweeps read ``bound`` edges
+            if last:
+                pending = Path(g, pending.edges[:bound])
+            if dag:
+                size = dag.length((d,), rays[1] * j)
+                nxt = Path(g, dag.head((d,), rays[1] * j, bound if last else bound + 3))
             else:
-                nxt = m.apply(ray)
+                nxt = _image_head(m, ray, bound) if last else m.apply(ray)
+                size = len(nxt)
             stop = (
                 nxt.is_trivial()
                 or nxt.edges == ray.edges
                 or nxt.edges in seen.get(len(nxt), ())
-                or len(ray) > bound + 2
+                or last
             )
             if not nxt.is_trivial() and not nxt.starts_with(pending):
                 sweep(pending.edges, d)
@@ -382,6 +389,11 @@ class NielsenCatalog:
             lst.sort(key=lambda sh: -len(sh[0]))
         return out
 
+    @cached_property
+    def iterates(self):
+        """The :class:`TermIterates` of the map, built on first read."""
+        return TermIterates(self)
+
     def _periodic_part(self):
         if self._periodic is None:
             self._periodic = _search_periodic(self)
@@ -458,7 +470,7 @@ def _linear_axes(filt):
     return {s.neg_edge: s.axis.edges for s in filt if s.linear}
 
 
-def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
+def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
     """Nielsen paths of length 2..bound via the stable prefix pairing.
 
     Prefixes are grouped by (end vertex, suffix key) and, within a group,
@@ -503,7 +515,7 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None):
     order_key, inverse_of = g.order_key, g.inverse_of
     linear = linear or {}
     groups = {}
-    prefixes, capped = _stable_prefixes(m, bound, linear=linear)
+    prefixes, capped = _stable_prefixes(m, bound, linear=linear, rays=rays)
     for ray, n, step, end, s, split, d in prefixes:
         groups.setdefault((end, s), {}).setdefault(ray[n - 1], []).append((ray, n, step, split, d))
     suffix = cache(lambda p: _growth_suffix(m, p))
@@ -692,7 +704,7 @@ def _search_periodic(cat):
             raise MalformedPath(
                 "f^%d maps %r to a trivial path (periodic Nielsen search)" % (k, e)
             ) from None
-        sigmas_k, _, _, capped = _search_fixed_paths(mk, bound, known, linear)
+        sigmas_k, _, _, capped = _search_fixed_paths(mk, bound, known, linear, (cat.iterates, k))
         notes.extend(_cap_note(k, d, cap) for d, cap in capped)
         for sigma in sigmas_k:
             period = None
@@ -1104,3 +1116,334 @@ def qe_split(m, path, catalog=None, splitting=None):
             out.append(t)
             i += 1
     return QESplitting(path, out)
+
+
+# -- iterates from splitting terms -------------------------------------------------
+
+
+class TermIterates:
+    """f^k_#(P) for the pieces P of f, read off the QE-splittings of their
+    images as a memoised DAG: exact lengths as integers, and the first n
+    edges, or all, by descent with an explicit stack.  Nothing is tightened
+    and no f_# is taken.  A piece is an edge or a connecting path of a zero
+    stratum, given as an edge tuple in either orientation.
+
+    Node (P, k) is f^k_#(P).  A fixed edge is its own node, and a linear
+    edge E, f(E) = E.w^d with w cyclically reduced, is E w^(kd).  Any
+    other piece P is P at k = 0 and, for k >= 1, the concatenation of
+    f^(k-1)_#(t) over the terms t of the QE-splitting of f_#(P)
+    (:meth:`NielsenCatalog.image_qe_split`).  A Nielsen term is fixed.  A
+    QE term E_p w^q E_q' goes to E_p w^(q + (k-1)(d_p - d_q)) E_q', as f_#
+    fixes w.  An edge or connecting term is the node (t, k-1).
+
+    *Lemma.*  Suppose every image that the descent from P meets splits
+    (its terms end only at legal turns, :func:`complete_split`), and every
+    Nielsen and QE term of those splittings has Df-fixed end directions.
+    Then f^k_#(P) is that concatenation, with no cancellation.  *Proof.*
+    By induction on k, f^k_# of a term t begins with Df^k of t's first
+    edge and ends with the reverse of Df^k of the reverse of its last
+    edge: for a node because f^k_#(t) = f^(k-1)_#(f_#(t)) and f_#(t) splits
+    (induction on k), for a Nielsen or QE term because its closed form
+    keeps its end edges and these are Df-fixed.  So the images of adjacent
+    terms meet at the Df^k-image of a legal turn, which is not degenerate,
+    and nothing cancels.  []
+
+    Both hypotheses are checked per piece when the descent first meets
+    it; :meth:`covers` says whether they hold for everything below P.
+    Where they do not, callers keep their explicit f_# code.
+
+    :meth:`twisted` applies a map g that acts as f^(n(E)) on each edge E,
+    n constant on each almost invariant class (the maps f_a), to f^k_#(P)
+    leaf by leaf.  *Companion lemma.*  With n so, and g fixing every
+    Nielsen leaf and every axis below P, g_#(f^k_#(P)) is the
+    concatenation of the g-images of the leaves, with no cancellation.
+    *Proof.*  The terms of f(Q)'s splitting that are nodes lie in Q's
+    class (the partition's construction), so at every cut the two sides
+    end, after g, in Df^(l + n_j) of the legal turn there, j that class,
+    or in Df-fixed directions.  []  g fixes a leaf or axis when n is
+    constant on its edges outside fixed strata (g acts on it as a power of
+    f, which fixes it), or when it is a member E b^i Ebar of E's linear
+    family over an axis g fixes; :meth:`twisted` checks this per leaf.
+    """
+
+    def __init__(self, cat):
+        m = cat.map
+        g = m.graph
+        self.catalog = cat
+        self.graph = g
+        self._fixed_dir = direction_map(m).map
+        filt = filtration(m)
+        self._stratum = {e: filt[filt.level(e)] for e in g.directions()}
+        # (edge,) -> None for a fixed edge, (E, w, reverse(w), d) with
+        # f(E) = E.w^d for a linear one; any other piece splits
+        self._closed = {}
+        for e in g.edge_names:
+            s = self._stratum[e]
+            if s.kind == "fixed":
+                self._closed[(e,)] = None
+            elif s.linear and s.axis.edges[-1] != g.inverse_of[s.axis.edges[0]]:
+                w = s.axis.edges
+                self._closed[(e,)] = (s.neg_edge, w, _reverse(g.inverse_of, w), s.exponent)
+        self._leaves = {}  # (split piece, flipped) -> its leaves, or None when refused
+        self._closure = {}  # split piece -> the split pieces below it, or None
+        self._lengths = {}  # split piece -> [|f^k_#(P)| for k = 0, 1, ...]
+        self._short = {}  # (split piece, k, flipped) -> f^k_#(P), at most SHORT edges
+
+    # -- pieces and leaves -----------------------------------------------------
+
+    def _key(self, piece):
+        """(canonical piece, flipped): an edge in its positive orientation,
+        a connecting path in the lesser one."""
+        if len(piece) == 1:
+            key = (base_name(piece[0]),)
+            return key, key[0] != piece[0]
+        g = self.graph
+        key = _lesser_orientation(g.order_key, piece, _reverse(g.inverse_of, piece))
+        return key, key != piece
+
+    def _splits(self, key):
+        return key not in self._closed
+
+    def _split(self, key):
+        """The leaves of the QE-splitting of f_#(key) in path order, each
+        ("fixed", edges), ("qe", family, power, reversed, word, reverse(word))
+        or ("node", piece, flipped); None when the image does not split or a
+        hypothesis of the lemma fails.  The leaves of the reversed piece,
+        each reversed, are kept beside them."""
+        if (key, False) in self._leaves:
+            return self._leaves[key, False]
+        g, fixed_dir = self.graph, self._fixed_dir
+        inverse_of = g.inverse_of
+        leaves = []
+        try:
+            terms = self.catalog.image_qe_split(Path(g, key)).terms
+        except (NotCompletelySplit, LViolation):
+            terms = None
+        for t in terms or ():
+            edges = t.path.edges
+            first, last = edges[0], inverse_of[edges[-1]]
+            if t.kind not in (TERM_INP, TERM_QE):
+                node = self._key(edges)
+                leaves.append(("fixed", edges) if self._closed.get(node[0], 0) is None
+                              else ("node",) + node)
+            elif fixed_dir[first] != first or fixed_dir[last] != last:
+                leaves = None
+                break
+            elif t.kind == TERM_INP:
+                leaves.append(("fixed", edges))
+            else:
+                w = t.family.word.edges
+                if w[-1] == inverse_of[w[0]]:
+                    leaves = None
+                    break
+                back = first != t.family.e_i
+                leaves.append(("qe", t.family, t.power, back, w, _reverse(inverse_of, w)))
+        if terms is None or leaves is None:
+            self._leaves[key, False] = self._leaves[key, True] = None
+        else:
+            self._leaves[key, False] = leaves
+            self._leaves[key, True] = [
+                ("fixed", _reverse(inverse_of, x[1])) if x[0] == "fixed"
+                else x[:3] + (not x[3],) + x[4:] if x[0] == "qe"
+                else ("node", x[1], not x[2])
+                for x in reversed(leaves)
+            ]
+        return self._leaves[key, False]
+
+    def covers(self, piece):
+        """Whether the lemma's hypotheses hold for every image below the
+        piece, so that its nodes give f^k_#(piece)."""
+        key = self._key(piece)[0]
+        return not self._splits(key) or self._pieces_below(key) is not None
+
+    def _pieces_below(self, key):
+        """The split pieces reachable from a split piece, itself included,
+        or None when one of them is refused."""
+        if key not in self._closure:
+            seen, todo = {key: None}, [key]
+            while todo:
+                leaves = self._split(todo.pop())
+                if leaves is None:
+                    seen = None
+                    break
+                for leaf in leaves:
+                    if leaf[0] == "node" and leaf[1] not in seen and self._splits(leaf[1]):
+                        seen[leaf[1]] = None
+                        todo.append(leaf[1])
+            self._closure[key] = seen and list(seen)
+        return self._closure[key]
+
+    # -- closed forms ------------------------------------------------------------
+
+    def _form(self, leaf, level, shift=None):
+        """(pre, body, count, post), the leaf's edges at ``level`` being pre
+        + body * count + post, where a linear edge E has taken level +
+        shift(E) iterations (level alone without ``shift``).  A split piece
+        is read at level 0."""
+        inverse_of = self.graph.inverse_of
+        kind = leaf[0]
+        if kind == "fixed":
+            return leaf[1], (), 0, ()
+        if kind == "qe":
+            _, fam, p, back, w, bar = leaf
+            n_i = level + (shift(fam.e_i) if shift else 0)
+            n_j = level + (shift(fam.e_j) if shift else 0)
+            power = p + n_i * fam.d_i - n_j * fam.d_j
+            if back:
+                return (fam.e_j,), bar if power >= 0 else w, abs(power), (inverse_of[fam.e_i],)
+            return (fam.e_i,), w if power >= 0 else bar, abs(power), (inverse_of[fam.e_j],)
+        key, flipped = leaf[1], leaf[2]
+        closed = self._closed.get(key)
+        if closed is None:  # a fixed edge, or a split piece at level 0
+            return (_reverse(inverse_of, key) if flipped else key), (), 0, ()
+        e, w, bar, d = closed
+        count = (level + (shift(e) if shift else 0)) * d
+        if (e == key[0]) != flipped:
+            return (e,), w, count, ()
+        return (), bar, count, (inverse_of[e],)
+
+    def _leaf_length(self, leaf, level):
+        """The length of a leaf at ``level``, split nodes read off their
+        per-level lengths."""
+        kind = leaf[0]
+        if kind == "fixed":
+            return len(leaf[1])
+        if kind == "qe":
+            fam = leaf[1]
+            return 2 + len(leaf[4]) * abs(leaf[2] + level * (fam.d_i - fam.d_j))
+        key = leaf[1]
+        if key in self._closed:
+            closed = self._closed[key]
+            return 1 if closed is None else 1 + len(closed[1]) * level * closed[3]
+        return self._lengths[key][level] if level else len(key)
+
+    def _children(self, key, level, flipped):
+        """The leaves of node (key, level >= 1) in the order in which a stack
+        pops them in path order, each at level - 1."""
+        return [(x, level - 1) for x in reversed(self._leaves[key, flipped])]
+
+    # -- reading nodes -----------------------------------------------------------
+
+    def length(self, piece, k):
+        """|f^k_#(piece)|, exact, from per-level lengths kept per piece."""
+        key = self._key(piece)[0]
+        if not self._splits(key) or not k:
+            return self._leaf_length(("node", key, False), k)
+        below = self._pieces_below(key)
+        tables = self._lengths
+        for j in range(min(len(tables.setdefault(p, [len(p)])) for p in below), k + 1):
+            for p in below:
+                if len(tables[p]) == j:
+                    tables[p].append(sum(self._leaf_length(x, j - 1)
+                                         for x in self._leaves[p, False]))
+        return tables[key][k]
+
+    def head(self, piece, k, n=None):
+        """The first n edges of f^k_#(piece) (all of them when n is None).
+        The descent opens only the nodes it reads into, and takes a node of
+        at most SHORT edges whole, written once."""
+        key, flipped = self._key(piece)
+        self.length(piece, k)  # the per-level lengths the descent reads
+        out = []
+        stack = [(("node", key, flipped), k)]
+        while stack and (n is None or len(out) < n):
+            leaf, level = stack.pop()
+            if leaf[0] == "node" and level and self._splits(leaf[1]):
+                if self._lengths[leaf[1]][level] > SHORT:
+                    stack.extend(self._children(leaf[1], level, leaf[2]))
+                else:
+                    out.extend(self._written(leaf[1], level, leaf[2]))
+            else:
+                _extend_form(out, self._form(leaf, level), n)
+        if n is not None:
+            del out[n:]
+        return tuple(out)
+
+    def _written(self, key, k, flipped):
+        """f^k_#(key), k >= 1, of at most SHORT edges, reversed when
+        flipped, memoised with the nodes below it (as short as it, since
+        nothing cancels)."""
+        memo, todo = self._short, [(key, k, flipped)]
+        while todo:
+            node = todo[-1]
+            if node in memo:
+                todo.pop()
+                continue
+            p, level, back = node
+            leaves = self._leaves[p, back]
+            below = [
+                (x[1], level - 1, x[2]) for x in leaves
+                if x[0] == "node" and level > 1 and self._splits(x[1])
+                and (x[1], level - 1, x[2]) not in memo
+            ]
+            if below:
+                todo.extend(below)
+                continue
+            todo.pop()
+            out = []
+            for x in leaves:
+                if x[0] == "node" and level > 1 and self._splits(x[1]):
+                    out.extend(memo[x[1], level - 1, x[2]])
+                else:
+                    _extend_form(out, self._form(x, level - 1), None)
+            memo[node] = tuple(out)
+        return memo[key, k, flipped]
+
+    def twisted(self, piece, k, n):
+        """g_#(f^k_#(piece)) as an edge tuple, g acting as f^(n(E)) on each
+        edge E (see the companion lemma), or None when g may move one of
+        its Nielsen leaves or axes."""
+        key, flipped = self._key(piece)
+        out, bare = [], {}  # bare: g-images of the split pieces at level 0
+        stack = [(("node", key, flipped), k)]
+        while stack:
+            leaf, level = stack.pop()
+            if leaf[0] == "node" and self._splits(leaf[1]):
+                if level:
+                    stack.extend(self._children(leaf[1], level, leaf[2]))
+                    continue
+                if leaf not in bare:
+                    bare[leaf] = self.head(self._form(leaf, 0)[0], n(leaf[1][0]))
+                out.extend(bare[leaf])
+                continue
+            if not self._fixes(n, leaf):
+                return None
+            _extend_form(out, self._form(leaf, level, n), None)
+        return tuple(out)
+
+    def _fixes(self, n, leaf):
+        """Whether g fixes a Nielsen leaf, or the axis of a linear or QE
+        leaf: n is constant on its edges outside fixed strata, or it is a
+        linear family member E b^i Ebar over such an axis."""
+        if leaf[0] == "qe":
+            return self._uniform(n, leaf[4])
+        if leaf[0] == "node":  # a fixed or linear edge
+            closed = self._closed[leaf[1]]
+            return closed is None or self._uniform(n, closed[1])
+        edges = leaf[1]
+        if self._uniform(n, edges):
+            return True
+        closed = self._closed.get((base_name(edges[0]),))
+        if not closed or edges[-1] != self.graph.inverse_of[edges[0]]:
+            return False
+        w = closed[1]
+        i, rest = divmod(len(edges) - 2, len(w))
+        return not rest and edges[1:-1] in (w * i, closed[2] * i) and self._uniform(n, w)
+
+    def _uniform(self, n, edges):
+        return len({n(e) for e in edges if self._stratum[e].kind != "fixed"}) <= 1
+
+
+# Nodes of at most this many edges are written out once and read whole.
+SHORT = 1024
+
+
+def _extend_form(out, form, n):
+    """Append a closed form's edges to ``out``; with n, a long power is
+    written only as far as n edges in all reach."""
+    pre, body, count, post = form
+    if n is not None and body and count:
+        count = min(count, -(-max(0, n - len(out) - len(pre)) // len(body)))
+    out.extend(pre)
+    out.extend(body * count)
+    out.extend(post)

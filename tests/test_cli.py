@@ -394,7 +394,8 @@ def test_nielsen_reports_a_search_cap_only_when_hit(tmp_path, monkeypatch):
     stable_prefixes = traintrack.nielsen._stable_prefixes
     monkeypatch.setattr(
         traintrack.nielsen, "_stable_prefixes",
-        lambda m, bound, iter_cap=None, linear=None: stable_prefixes(m, bound, 1, linear),
+        lambda m, bound, iter_cap=None, linear=None, rays=None: stable_prefixes(
+            m, bound, 1, linear, rays),
     )
     code, out, _ = run_cli(["nielsen", "--json", path])
     # C -> C B is quadratic: its ray is still iterated, and one iterate cuts it
