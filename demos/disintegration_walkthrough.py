@@ -1,11 +1,13 @@
 """Walk one map from edge images to its commuting family.
 
-The subject is the built-in four-petal rose whose last edge crosses an
-exceptional path.  The walkthrough mirrors how the library is meant to be
-used: classify the strata, certify the structural conditions, read off the
-admissibility relation, and then actually multiply the maps the lattice
-promises.
+The subject is the four-petal rose of ``tests/golden/docs/qe_rose.json``,
+whose last edge crosses an exceptional path.  The walkthrough mirrors how
+the library is meant to be used: classify the strata, certify the
+structural conditions, read off the admissibility relation, and then
+actually multiply the maps the lattice promises.
 """
+
+import pathlib
 
 from traintrack import (
     build_fa,
@@ -15,9 +17,18 @@ from traintrack import (
     disintegrate,
     evaluate,
     rank_report,
-    samples,
     verify_commute,
 )
+from traintrack.cli import parse_document
+
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "docs"
+
+
+def load(name):
+    """The map of a golden document, parsed as the command line parses it."""
+    path = DOCS / (name + ".json")
+    return parse_document(path.read_text(), str(path)).graph_map
 
 
 def section(title):
@@ -27,7 +38,7 @@ def section(title):
 
 
 def main():
-    m = samples.qe_rose()
+    m = load("qe_rose")
     g = m.graph
 
     section("The map")

@@ -1,17 +1,18 @@
 """Drive the command line end to end on JSON map documents.
 
-Everything here goes through ``traintrack.cli.main`` exactly as the shell
-would: generate a family document, analyze it, tighten a hand-written
-document until it parses, and render a DOT export.  Each call's exit code
-is shown next to its output.
+Everything here goes through ``traintrack.cli`` exactly as the shell
+would: parse a document of the golden corpus, analyze it, reject a wrong
+declaration, generate a family document and render a DOT export.  Each
+call's exit code is shown next to its output.
 """
 
 import json
+import pathlib
 import tempfile
 
-from traintrack.cli import main
-from traintrack import samples
-from traintrack.cli import document_from_map, document_text
+from traintrack.cli import main, parse_document
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "docs"
 
 
 def call(argv, title):
@@ -24,9 +25,13 @@ def call(argv, title):
 
 def main_demo():
     with tempfile.TemporaryDirectory() as tmp:
-        qe = tmp + "/qe_rose.json"
-        with open(qe, "w") as fh:
-            fh.write(document_text(document_from_map(samples.qe_rose())))
+        qe = str(DOCS / "qe_rose.json")
+        text = (DOCS / "qe_rose.json").read_text()
+        m = parse_document(text, qe).graph_map
+        print("%s: %d edges, images %s" % (
+            m.name, len(m.graph.edge_names),
+            ", ".join("%s -> %s" % (e, " ".join(m.edge_images[e].edges))
+                      for e in m.graph.edge_names)))
 
         call(["strata", qe], "filtration with classifications")
         call(["rank", qe], "lattice rank summary")
@@ -36,17 +41,14 @@ def main_demo():
              "an inadmissible tuple is a verification failure")
 
         # documents can declare data; it is re-verified, never trusted
-        doc = json.loads(document_text(document_from_map(samples.qe_rose())))
+        doc = json.loads(text)
         doc["nielsen_paths"] = ["E2 E1"]  # not actually fixed by the map
         bad = tmp + "/bad.json"
         with open(bad, "w") as fh:
             json.dump(doc, fh)
         call(["rank", bad], "a wrong declaration is an input error")
 
-        swap = tmp + "/swap_rose.json"
-        with open(swap, "w") as fh:
-            fh.write(document_text(document_from_map(samples.swap_rose())))
-        call(["check-ct", swap], "period-two directions fail clause (R)")
+        call(["check-ct", str(DOCS / "swap_rose.json")], "period-two directions fail clause (R)")
 
         call(["export-dot", qe], "DOT export, strata color-coded")
 

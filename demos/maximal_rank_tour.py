@@ -2,10 +2,12 @@
 
 The lattice rank of a disintegration is capped by an Euler-characteristic
 bound accumulated stage by stage.  This script audits that bound on the
-built-in examples, locates the four-punctured-sphere (FPS) subgraphs that
+corpus examples, locates the four-punctured-sphere (FPS) subgraphs that
 make equality possible, and generates the two standard twist families that
 realize the maximal rank in every free-group rank.
 """
+
+import pathlib
 
 from traintrack import (
     classify_max_rank,
@@ -14,9 +16,18 @@ from traintrack import (
     gen_type_c,
     gen_type_e,
     rank_audit,
-    samples,
     split_twist_vertex,
 )
+from traintrack.cli import parse_document
+
+
+DOCS = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "docs"
+
+
+def load(name):
+    """The map of a golden document, parsed as the command line parses it."""
+    path = DOCS / (name + ".json")
+    return parse_document(path.read_text(), str(path)).graph_map
 
 
 def section(title):
@@ -28,14 +39,14 @@ def section(title):
 def main():
     section("Stage-by-stage audit")
     for name in ("qe_rose", "partial_fps_map", "full_fps_map"):
-        m = samples.SAMPLES[name]()
+        m = load(name)
         print("%s:" % name)
         for line in rank_audit(m).lines():
             print("  " + line)
 
     section("FPS subgraphs behind the equalities")
     for name in ("partial_fps_map", "full_fps_map"):
-        m = samples.SAMPLES[name]()
+        m = load(name)
         print("%s:" % name)
         for w in detect_fps(m):
             for line in w.lines():
@@ -43,7 +54,7 @@ def main():
 
     section("Classification of the maximal-rank examples")
     for name in ("partial_fps_map", "full_fps_map"):
-        m = samples.SAMPLES[name]()
+        m = load(name)
         print("%s:" % name)
         for line in classify_max_rank(m).lines():
             print("  " + line)
@@ -65,7 +76,7 @@ def main():
         print("  " + line)
 
     section("Vertex-splitting surgery")
-    m = samples.qe_rose()
+    m = load("qe_rose")
     print("before: edges", ", ".join(m.graph.edge_names))
     m2 = split_twist_vertex(m, "E2")
     print("after splitting at E2: edges", ", ".join(m2.graph.edge_names))

@@ -23,7 +23,7 @@ from traintrack.freegroup import pi1_basis, pi1_images, reduce_word, spanning_tr
 from traintrack.maps import GraphMap
 from traintrack.nielsen import NielsenEntry, axes, build_catalog, default_length_bound
 from traintrack.paths import Path, UnionFind, base_name, cyclic_decompose, inverse, word_root
-from traintrack.samples import _map, _rose
+from samples import _map, _rose
 
 
 # -- maps, matrices and samples ----------------------------------------------------

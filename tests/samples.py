@@ -1,4 +1,4 @@
-"""Built-in example maps used by tests, demos and the command line.
+"""Example maps of the tests, each written out in ``tests/golden/docs``.
 
 Each factory returns a fresh GraphMap.  Names describe the feature the map
 exhibits, not where it came from:
@@ -23,8 +23,8 @@ exhibits, not where it came from:
   (the checks are independent, see tests).
 """
 
-from .paths import MarkedGraph
-from .maps import GraphMap
+from traintrack.maps import GraphMap
+from traintrack.paths import MarkedGraph
 
 
 def _rose(names):

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from traintrack import samples
 from traintrack.coords import coordinate_system, evaluate
 from traintrack.ct import check_ct
 from traintrack.disintegrate import build_fa, disintegrate, verify_commute
@@ -19,6 +18,7 @@ from traintrack.freegroup import abelianization, is_IA
 from traintrack.maps import GraphMap, compose, direction_map
 from traintrack.maxrank import detect_fps, gen_type_c, gen_type_e, rank_audit
 
+import samples
 from oracles import (
     det,
     differ_by_inner,

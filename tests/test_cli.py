@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import traintrack
-from traintrack import samples
 from traintrack.cli import (
     _build_parser,
     document_from_map,
@@ -20,6 +19,8 @@ from traintrack.cli import (
     parse_document,
 )
 from traintrack.errors import InputError
+
+import samples
 
 
 def run_cli(argv, stdin=None):

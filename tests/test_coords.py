@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traintrack import intlin, samples
+from traintrack import intlin
 from traintrack.coords import (
     CoordinateVector,
     coordinate_system,
@@ -17,6 +17,7 @@ from traintrack.coords import (
 from traintrack.disintegrate import disintegrate, build_fa
 from traintrack.errors import AdmissibilityError
 from traintrack.maps import transition_matrix
+import samples
 from test_intlin import poly_eval
 
 LAMBDA = 2 + math.sqrt(5)

@@ -16,7 +16,7 @@ from traintrack.ct import (
 from traintrack.maps import GraphMap, filtration
 from traintrack.nielsen import NielsenCatalog, NielsenEntry
 from traintrack.paths import MarkedGraph, Path
-from traintrack.samples import (
+from samples import (
     exceptional_rose,
     full_fps_map,
     partial_fps_map,

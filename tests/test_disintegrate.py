@@ -11,8 +11,8 @@ from traintrack.errors import AdmissibilityError, TrainTrackError
 from traintrack.maps import GraphMap, compose
 from traintrack.nielsen import TERM_CONN, TERM_EDGE, qe_split
 from traintrack.paths import MarkedGraph
-from traintrack import samples
-from traintrack.samples import (
+import samples
+from samples import (
     exceptional_rose,
     full_fps_map,
     partial_fps_map,

@@ -1,7 +1,8 @@
 """Every public name of the package has a reader inside the package, or is
 one of the test oracles named here; so has every public function and class
 defined at the top of a module, every private module-level function, every
-method and property, and every imported name."""
+module-level assignment, every method and property, and every imported
+name."""
 
 import ast
 import pathlib
@@ -62,7 +63,7 @@ def _names_read():
         for top in tree.body:
             own = getattr(top, "name", None)
             for node in ast.walk(top):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     name = node.id
                 elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                       and node.value.id in modules):
@@ -109,6 +110,24 @@ def test_every_private_function_has_a_reader():
         and top.name not in read
     }
     assert unread == set()
+
+
+def test_every_module_level_assignment_has_a_reader():
+    # a table or constant that nothing reads is dead, and it keeps alive
+    # every name it reads (the built-in samples once did)
+    unread = set()
+    for stem, top in _definitions():
+        if isinstance(top, ast.Assign):
+            targets = top.targets
+        elif isinstance(top, ast.AnnAssign):
+            targets = [top.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                    unread.add("%s.%s" % (stem, node.id))
+    assert {name for name in unread if name.split(".")[1] not in _names_read()} == set()
 
 
 def test_every_method_has_a_reader():

@@ -17,7 +17,7 @@ from traintrack.freegroup import (
 )
 from traintrack.maps import GraphMap, compose
 from traintrack.paths import MarkedGraph, cyclic_decompose, inverse, word_root
-from traintrack.samples import (
+from samples import (
     exceptional_rose,
     full_fps_map,
     partial_fps_map,

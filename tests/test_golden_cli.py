@@ -31,9 +31,10 @@ import sys
 
 import pytest
 
-from traintrack import samples
 from traintrack.cli import document_from_map, document_text, main
 from traintrack.maxrank import gen_type_c, gen_type_e
+
+import samples
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 DOCS = os.path.join(GOLDEN, "docs")

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traintrack import samples
 from traintrack.intlin import (
     _derivative,
     _poly_divmod,
@@ -21,6 +20,7 @@ from traintrack.intlin import (
 )
 from traintrack.maps import filtration, transition_matrix
 
+import samples
 from oracles import det
 
 

@@ -20,7 +20,7 @@ from traintrack.maps import (
 from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltration
 from traintrack.ct import check_ct, vertex_period
 from traintrack.maxrank import gen_type_c, gen_type_e, rank_audit
-from traintrack import samples
+import samples
 from oracles import identity_map
 from test_nielsen import (
     _corpus_map,

@@ -45,7 +45,7 @@ from traintrack.maxrank import (
     valid_orders,
 )
 from traintrack.paths import MarkedGraph, base_name
-from traintrack.samples import (
+from samples import (
     SAMPLES,
     exceptional_rose,
     full_fps_map,

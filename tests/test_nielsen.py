@@ -63,7 +63,7 @@ from traintrack.maxrank import (
     rank_audit,
     stage_ranks,
 )
-from traintrack.samples import (
+from samples import (
     SAMPLES,
     exceptional_rose,
     full_fps_map,
