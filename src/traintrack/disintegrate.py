@@ -24,9 +24,21 @@ f's catalog and splittings (:meth:`NielsenCatalog.image_qe_split`).  The
 whole map is the case S = every edge.
 
 Of the claims about f_a, only the commuting one is checked here
-(:func:`verify_commute`, the ``verify-commute`` command).  That f_a is a
-homotopy equivalence and a CT, fixes f's Nielsen paths and gives back its
-tuple are the tests' oracles (``tests/oracles.py``), not the package's.
+(:func:`verify_commute`, the ``verify-commute`` command): for admissible a
+and b, f_a f_b(E) and f_b f_a(E) equal f_{a+b}(E) for every edge E.
+f_{a+b} is built by :func:`build_fa`, its images written from the
+catalog's term DAG (:class:`nielsen.TermIterates`), which reads f^k_#(E)
+off the QE-splittings of the edge images.  The two composites are written
+from the leaves of f_b(E) and f_a(E) in the DAG, each taken by the other
+map in closed form; nothing is tightened but f_{a+b}'s images, which the
+map checks.  The check falls back to building f_a and f_b and comparing
+through f_# where an edge image below some E does not split, a Nielsen or
+QE term of one has an end direction that Df moves, or f_a or f_b may move
+a Nielsen leaf or an axis (its edges outside fixed strata span two
+classes); on maps that are not CTs, and on no map of the corpus.  That
+f_a is a homotopy equivalence and a CT, fixes f's Nielsen paths and gives
+back its tuple are the tests' oracles (``tests/oracles.py``), not the
+package's.
 """
 
 from .ct import connecting_paths
@@ -283,19 +295,24 @@ def verify_commute(m, a, b, dis=None):
     """Edge-image equality of f_a f_b, f_b f_a and f_{a+b}.
 
     a and b are checked as :func:`build_fa` checks them, a first, and
-    f_{a+b} is built.  Where the term DAG covers every edge of a class
+    f_{a+b} is built.  Where the term DAG covers every edge
     (:meth:`nielsen.TermIterates.covers`), f_a f_b(E) is written from the
     leaves of f_b(E) = f^{b_i}_#(E), E in X_i, each taken by f_a in closed
     form (:meth:`nielsen.TermIterates.twisted`), and f_b f_a(E) the same
-    way.  By the companion lemma there, f_a never cancels at a legal cut,
-    so the concatenation of the leaf images is f_a#(f_b(E)), whatever a is;
-    no GraphMap is built for f_a or f_b and no f_# is taken.  A leaf image
-    is exact: f_a takes a Nielsen leaf to itself, a linear leaf E w^(jd) to
-    E w^((j + a_s)d) and a QE leaf E_p w^q E_q' to E_p w^(q + a_s d_p - a_t
-    d_q) E_q', X_s and X_t the classes of E_p and E_q, which the lattice
-    relations balance against f^{a_i}.  Where the DAG refuses an edge, or
-    f_a may move a Nielsen leaf or an axis, f_a and f_b are built and
-    their images compared through f_#.
+    way; no GraphMap is built for f_a or f_b and no f_# is taken.
+
+    *Companion lemma* (proof at :class:`nielsen.TermIterates`): f_a never
+    cancels at a legal cut, so, when f_a fixes every Nielsen leaf and
+    axis, the concatenation of the leaf images is f_a#(f_b(E)), whatever
+    the tuple a is.  Each leaf image is exact: f_a takes a Nielsen leaf to
+    itself, a split piece of X_j to f^{a_j}_# of it, a linear leaf E
+    w^(jd) to E w^((j + a_s)d) and a QE leaf E_p w^q E_q' to E_p w^(q +
+    a_s d_p - a_t d_q) E_q', X_s and X_t the classes of E_p and E_q.  The
+    lattice relations make the last E_p w^(q + a_i(d_p - d_q)) E_q', its
+    image under f^{a_i}, so the comparison holds for admissible tuples and
+    fails, as through f_#, where a relation is broken.  Where the DAG
+    refuses an edge, or f_a may move a Nielsen leaf or an axis, f_a and f_b
+    are built and their images compared through f_#.
     """
     if dis is None:
         dis = disintegrate(m)
@@ -318,21 +335,22 @@ def verify_commute(m, a, b, dis=None):
 def _commuted_images(m, dis, a, b):
     """{E: (f_a f_b(E), f_b f_a(E))} as edge tuples read off the term DAG,
     or None where it does not serve (see :func:`verify_commute`)."""
+    g = m.graph
     dag = dis.catalog.iterates
-    class_of = dis.partition.class_of_edge
+    class_of = {d: dis.partition.class_of_edge(d) for d in g.directions()}
+
+    def powers(t):
+        return lambda d: 0 if class_of[d] is None else t[class_of[d]]
+
     out = {}
-    for e in m.graph.edge_names:
-        i = class_of(e)
+    for e in g.edge_names:
+        i = class_of[e]
         if i is None:
             out[e] = ((e,), (e,))
             continue
         if not dag.covers((e,)):
             return None
-        pair = tuple(
-            dag.twisted((e,), y[i], lambda x: 0 if class_of(x) is None else z[class_of(x)])
-            for z, y in ((a, b), (b, a))
-        )
-        if None in pair:
+        out[e] = dag.twisted((e,), b[i], powers(a)), dag.twisted((e,), a[i], powers(b))
+        if None in out[e]:
             return None
-        out[e] = pair
     return out

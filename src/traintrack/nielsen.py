@@ -126,6 +126,14 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
     the images without writing the rest; when one cancels, as on the rays
     through E2 E1^k E2' of the FPS maps, f_# is still taken whole.
 
+    With ``rays`` = (the catalog of f, k), m being f^k, the j-th iterate
+    of a direction d's ray is f^(kj)_#(d), a node of the catalog's
+    :class:`TermIterates`.  Where the DAG covers d's edge, each iterate is
+    read off it as its exact length and its first bound + 3 edges (bound
+    edges for the last), which is all the loop below compares and sweeps,
+    and no f_# is taken; a fixed edge's ray, which stops at once, and the
+    rays the DAG refuses are iterated by f_# as above.
+
     Whether a prefix is stable, its suffix and its split flag depend on the
     prefix alone, so a sequence's first edges that an earlier swept
     sequence shares were recorded with it and are not recorded again.
@@ -206,7 +214,9 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
             continue
         ray = g.path([d])
         size = 1  # |ray|; on the DAG route ray holds only its head
-        dag = rays is not None and image_of[d] != (d,) and rays[0].covers((d,)) and rays[0]
+        dag = None
+        if rays is not None and image_of[d] != (d,) and rays[0].iterates.covers((d,)):
+            dag, k = rays[0].iterates, rays[1]
         seen = {}  # earlier iterates by length: compared, never hashed
         pending = ray
         for j in range(1, iter_cap + 1):
@@ -214,8 +224,8 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
             if last:
                 pending = Path(g, pending.edges[:bound])
             if dag:
-                size = dag.length((d,), rays[1] * j)
-                nxt = Path(g, dag.head((d,), rays[1] * j, bound if last else bound + 3))
+                size = dag.length((d,), k * j)
+                nxt = Path(g, dag.head((d,), k * j, bound if last else bound + 3))
             else:
                 nxt = _image_head(m, ray, bound) if last else m.apply(ray)
                 size = len(nxt)
@@ -492,7 +502,8 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
 
     ``linear`` maps linear edges E of m to their axis edge tuples w (see
     :func:`_linear_axes`; on f^k, f's linear edges are linear with exponent
-    k.d); their rays are developed in closed form (see
+    k.d); their rays are developed in closed form, and on f^k, with
+    ``rays``, other rays are read off f's term DAG (see
     :func:`_stable_prefixes`).  The prefixes of E's ray of length 1 + i|w|
     are E w^i when w is cyclically reduced, each with growth suffix w^d,
     and the pair of E w^i with the bare prefix E is the family member E
@@ -683,7 +694,9 @@ def _search_periodic(cat):
     w Nielsen), so the f^k searches drop their family descriptors
     unexpanded and ``known`` holds only the generic entries.  Every other
     candidate (a member another pair gives too) gets the f^k_# check and
-    period probe.
+    period probe.  The rays of f^k are read off the catalog's term DAG
+    where it covers them (:class:`TermIterates`), which is built on the
+    first such ray.
     """
     m, bound = cat.map, cat.bound
     filt = filtration(m)
@@ -704,7 +717,7 @@ def _search_periodic(cat):
             raise MalformedPath(
                 "f^%d maps %r to a trivial path (periodic Nielsen search)" % (k, e)
             ) from None
-        sigmas_k, _, _, capped = _search_fixed_paths(mk, bound, known, linear, (cat.iterates, k))
+        sigmas_k, _, _, capped = _search_fixed_paths(mk, bound, known, linear, (cat, k))
         notes.extend(_cap_note(k, d, cap) for d, cap in capped)
         for sigma in sigmas_k:
             period = None
@@ -1161,9 +1174,8 @@ class TermIterates:
     class (the partition's construction), so at every cut the two sides
     end, after g, in Df^(l + n_j) of the legal turn there, j that class,
     or in Df-fixed directions.  []  g fixes a leaf or axis when n is
-    constant on its edges outside fixed strata (g acts on it as a power of
-    f, which fixes it), or when it is a member E b^i Ebar of E's linear
-    family over an axis g fixes; :meth:`twisted` checks this per leaf.
+    constant on its edges outside fixed strata: g acts on it as a power of
+    f, which fixes it.  :meth:`twisted` checks this per leaf.
     """
 
     def __init__(self, cat):
@@ -1303,19 +1315,10 @@ class TermIterates:
         return (), bar, count, (inverse_of[e],)
 
     def _leaf_length(self, leaf, level):
-        """The length of a leaf at ``level``, split nodes read off their
-        per-level lengths."""
-        kind = leaf[0]
-        if kind == "fixed":
-            return len(leaf[1])
-        if kind == "qe":
-            fam = leaf[1]
-            return 2 + len(leaf[4]) * abs(leaf[2] + level * (fam.d_i - fam.d_j))
-        key = leaf[1]
-        if key in self._closed:
-            closed = self._closed[key]
-            return 1 if closed is None else 1 + len(closed[1]) * level * closed[3]
-        return self._lengths[key][level] if level else len(key)
+        if leaf[0] == "node" and level and self._splits(leaf[1]):
+            return self._lengths[leaf[1]][level]
+        pre, body, count, post = self._form(leaf, level)
+        return len(pre) + len(body) * count + len(post)
 
     def _children(self, key, level, flipped):
         """The leaves of node (key, level >= 1) in the order in which a stack
@@ -1413,24 +1416,14 @@ class TermIterates:
 
     def _fixes(self, n, leaf):
         """Whether g fixes a Nielsen leaf, or the axis of a linear or QE
-        leaf: n is constant on its edges outside fixed strata, or it is a
-        linear family member E b^i Ebar over such an axis."""
+        leaf: n is constant on its edges outside fixed strata, so that g
+        acts on it as a power of f."""
         if leaf[0] == "qe":
-            return self._uniform(n, leaf[4])
-        if leaf[0] == "node":  # a fixed or linear edge
-            closed = self._closed[leaf[1]]
-            return closed is None or self._uniform(n, closed[1])
-        edges = leaf[1]
-        if self._uniform(n, edges):
-            return True
-        closed = self._closed.get((base_name(edges[0]),))
-        if not closed or edges[-1] != self.graph.inverse_of[edges[0]]:
-            return False
-        w = closed[1]
-        i, rest = divmod(len(edges) - 2, len(w))
-        return not rest and edges[1:-1] in (w * i, closed[2] * i) and self._uniform(n, w)
-
-    def _uniform(self, n, edges):
+            edges = leaf[4]
+        elif leaf[0] == "node":  # a fixed or linear edge
+            edges = (self._closed[leaf[1]] or ((), ()))[1]
+        else:
+            edges = leaf[1]
         return len({n(e) for e in edges if self._stratum[e].kind != "fixed"}) <= 1
 
 
