@@ -35,10 +35,9 @@ map checks.  The check falls back to building f_a and f_b and comparing
 through f_# where an edge image below some E does not split, a Nielsen or
 QE term of one has an end direction that Df moves, or f_a or f_b may move
 a Nielsen leaf or an axis (its edges outside fixed strata span two
-classes); on maps that are not CTs, and on no map of the corpus.  That
-f_a is a homotopy equivalence and a CT, fixes f's Nielsen paths and gives
-back its tuple are the tests' oracles (``tests/oracles.py``), not the
-package's.
+classes); no map of the test corpus takes this fallback.  That f_a is a
+homotopy equivalence and a CT, fixes f's Nielsen paths and gives back
+its tuple are the tests' oracles (``tests/oracles.py``), not the package's.
 """
 
 from .ct import connecting_paths

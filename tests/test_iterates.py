@@ -262,9 +262,7 @@ def work(monkeypatch):
     ("exceptional_rose", (45, 45, 45), 12829),
 ])
 def test_verify_commute_builds_one_map_and_takes_no_f_sharp(work, name, a, tightened):
-    # before the term trees: three build_fa calls, 366, 548 and 548 f_#
-    # calls on paths of up to 1,036, 2,116 and 3,061 edges, and 6,354,
-    # 13,062 and 19,587 edges tightened
+    # f_a f_b and f_b f_a come from the term trees: only f_(a+b) is built
     m = samples.SAMPLES[name]()
     dis = disintegrate(m)
     images = explicit_fa(m, dis, (90,) * dis.M).edge_images.values()
@@ -283,9 +281,8 @@ def test_verify_commute_builds_one_map_and_takes_no_f_sharp(work, name, a, tight
     ("swap_rose", 3, 3),
 ])
 def test_the_periodic_search_feeds_f_sharp_no_ray_iterate(work, name, calls, edges_in):
-    # before the DAG: 19, 17 and 13 f_# calls on up to 1,345, 973 and 61
-    # edges (4,543, 2,171 and 232 edges in all); now only the rays of the
-    # fixed edge, and no candidate is left to probe
+    # the ray iterates come from the term DAG: f_# is taken only on the rays
+    # of the fixed edge, and no candidate is left to probe
     work["periodic_only"] = True
     m = samples.SAMPLES[name]()
     check_ct(m)
@@ -315,8 +312,8 @@ def _limit_address_space():
 
 
 def test_the_fa_document_of_the_partial_fps_map_runs_in_bounded_memory(tmp_path):
-    # before the DAG, check-ct raised MemoryError after about 2.6 s: its f^2
-    # and f^3 searches took f_# of whole ray iterates, 367 million edges
+    # the f^2 and f^3 searches of this CT would take f_# of ray iterates of
+    # hundreds of millions of edges; the term DAG reads only their heads
     doc = tmp_path / "partial_fps_map.json"
     doc.write_text(cli.document_text(cli.document_from_map(partial_fps_map())))
     code, out, _ = run_cli(["fa", "--tuple", "2,2,2", "--emit-document", str(doc)])

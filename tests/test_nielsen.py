@@ -1362,7 +1362,7 @@ def test_which_last_iterates_keep_the_whole_f_sharp(heads_taken):
     # (heads taken, of them with a cancelling seam) by check_ct: the rays of
     # the FPS maps run through E2 E1^k E2' and cancel there.  All are taken
     # by the search on f; the f^2 and f^3 searches read their rays' iterates
-    # off the term DAG (before it, 3, 9, 9, 3, 3, 3, 11 and 3 heads)
+    # off the term DAG
     taken = {}
     for name in sorted(SAMPLES):
         del heads_taken[:]
