@@ -1236,8 +1236,8 @@ class TermIterates:
             first, last = edges[0], inverse_of[edges[-1]]
             if t.kind not in (TERM_INP, TERM_QE):
                 node = self._key(edges)
-                leaves.append(("fixed", edges) if self._closed.get(node[0], 0) is None
-                              else ("node",) + node)
+                fixed = node[0] in self._closed and self._closed[node[0]] is None
+                leaves.append(("fixed", edges) if fixed else ("node",) + node)
             elif fixed_dir[first] != first or fixed_dir[last] != last:
                 leaves = None
                 break
@@ -1420,8 +1420,9 @@ class TermIterates:
         acts on it as a power of f."""
         if leaf[0] == "qe":
             edges = leaf[4]
-        elif leaf[0] == "node":  # a fixed or linear edge
-            edges = (self._closed[leaf[1]] or ((), ()))[1]
+        elif leaf[0] == "node":  # a fixed edge, or a linear one and its axis
+            closed = self._closed[leaf[1]]
+            edges = closed[1] if closed else ()
         else:
             edges = leaf[1]
         return len({n(e) for e in edges if self._stratum[e].kind != "fixed"}) <= 1

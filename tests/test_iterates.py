@@ -183,29 +183,28 @@ def test_a_tuple_off_the_lattice_fails_where_the_explicit_comparison_does():
     assert tree["B"] == tree["C"] == (True, True)
 
 
-def _rose_route(m):
-    """"tree", "fallback", or None when m does not disintegrate."""
+def assert_tree_route_matches(m):
+    """Where m disintegrates and the term trees serve, they give what f_#
+    gives."""
     try:
         dis = disintegrate(m)
     except TrainTrackError:
-        return None
-    a = (1,) * dis.M
-    route = "fallback" if dis_module._commuted_images(m, dis, a, a) is None else "tree"
-    if route == "tree":
-        assert tree_commute(m, dis, a, (2,) * dis.M) == explicit_commute(m, dis, a, (2,) * dis.M)
-    return route
+        return
+    a, b = (1,) * dis.M, (2,) * dis.M
+    tree = tree_commute(m, dis, a, b)
+    assert tree is None or tree == explicit_commute(m, dis, a, b)
 
 
 @settings(max_examples=80, deadline=None)
 @given(linear_roses())
 def test_tree_route_on_linear_roses(m):
-    _rose_route(m)
+    assert_tree_route_matches(m)
 
 
 @settings(max_examples=80, deadline=None)
 @given(triangular_roses())
 def test_tree_route_on_triangular_roses(m):
-    _rose_route(m)
+    assert_tree_route_matches(m)
 
 
 # -- work counters ---------------------------------------------------------------------
