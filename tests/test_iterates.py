@@ -26,7 +26,7 @@ from traintrack.nielsen import build_catalog, default_length_bound
 from traintrack.paths import MarkedGraph
 
 import samples
-from samples import exceptional_rose, partial_fps_map, qe_rose, rose_cascade
+from samples import exceptional_rose, partial_fps_map, rose_cascade
 from test_cli import run_cli, src_env
 from test_nielsen import _corpus_map, linear_roses, triangular_roses
 
