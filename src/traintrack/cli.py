@@ -256,7 +256,7 @@ def _cmd_nielsen(m, doc, args):
     g = m.graph
 
     def listed_at(e, b, i):
-        # where the member E b^i Ebar sorts in NielsenCatalog.listing
+        # where the member E b^i Ebar sorts in NielsenCatalog.entries
         edges = (e,) + b * i + (g.inverse_of[e],)
         return len(edges), [g.order_key[x] for x in edges]
 

@@ -30,7 +30,7 @@ exact.
 """
 
 from .maps import direction_map, filtration
-from .nielsen import axes, build_catalog, complete_split
+from .nielsen import axes, build_catalog
 from .errors import LViolation, NotCompletelySplit
 from .paths import UnionFind, base_name, inverse, word_root
 
@@ -560,7 +560,7 @@ def _split_images(m, filt, cat):
             continue
         for e in s.edges:
             try:
-                complete_split(m, m.image(e), cat)
+                cat.image_qe_split(m.graph.path([e]))
             except NotCompletelySplit as exc:
                 failures.append("f(%s) is not completely split: %s" % (e, exc))
                 continue
@@ -578,7 +578,7 @@ def _split_images(m, filt, cat):
                 )
                 continue
             try:
-                complete_split(m, img, cat)
+                cat.image_qe_split(sigma)
             except NotCompletelySplit as exc:
                 failures.append(
                     "image of connecting path %s is not completely split: %s"

@@ -19,12 +19,12 @@ class GraphMap:
 
     ``edge_images`` maps positive edge names to Paths (or oriented-edge
     sequences).  Vertex images are derived from the edge images and checked
-    for consistency; an explicit ``vertex_map`` is verified against them.
+    for consistency.
     ``image_of`` maps both orientations of every edge to the edge tuple of
     its image; f_# reads it instead of reversing images per call.
     """
 
-    def __init__(self, graph, edge_images, vertex_map=None, name=None):
+    def __init__(self, graph, edge_images, name=None):
         self.graph = graph
         self.name = name
         imgs = {}
@@ -55,12 +55,6 @@ class GraphMap:
         for v in graph.vertices:
             if v not in vmap:
                 raise MalformedPath("image of isolated vertex %r is undetermined" % v)
-        if vertex_map is not None:
-            for v, w in vertex_map.items():
-                if vmap.get(v) != w:
-                    raise EndpointMismatch(
-                        "declared vertex image %r -> %r contradicts edge images" % (v, w)
-                    )
         self.vertex_map = vmap
         self.image_of = {}
         for e, im in imgs.items():
@@ -239,99 +233,49 @@ class Filtration:
         return max(map(self._level.__getitem__, path.edges))
 
 
-def _sccs(adj, nodes):
-    """Tarjan strongly connected components, deterministic order."""
-    index = {}
-    low = {}
-    onstack = {}
-    stack = []
-    out = []
-    counter = [0]
-
-    def strongconnect(v):
-        work = [(v, iter(adj[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack[v] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                elif onstack.get(w):
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(frozenset(comp))
-
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
-    return out
+def dependencies(m):
+    """Reachability table, cached: each edge E to the frozenset of edges that
+    the images of E under f, f^2, ... cross, edge by edge before tightening
+    (the transitive closure of "f(E) crosses X")."""
+    if "dependencies" not in m._cache:
+        crosses = {e: {base_name(x) for x in im.edges} for e, im in m.edge_images.items()}
+        reach = {}
+        for e, direct in crosses.items():
+            seen, todo = set(direct), list(direct)
+            while todo:
+                for x in crosses[todo.pop()] - seen:
+                    seen.add(x)
+                    todo.append(x)
+            reach[e] = frozenset(seen)
+        m._cache["dependencies"] = reach
+    return m._cache["dependencies"]
 
 
 def compute_filtration(m):
     """Maximal filtration of a topological representative.
 
     Strata are the strongly connected components of the edge dependency
-    digraph (E depends on the edges its image crosses), condensed and
-    ordered topologically lowest first; among incomparable components the
-    one containing the least edge (construction order) comes first.
+    digraph, read off :func:`dependencies`: E's component is E with every
+    edge of its reach that reaches E back.  They are placed lowest first,
+    each by the first unplaced edge in construction order whose reach
+    outside its own component is placed: among the components whose
+    dependencies are placed, the one containing the least edge.
     :func:`classify_strata` turns the ordered components into finished
     strata, linear classification included.
     """
     g = m.graph
-    edges = list(g.edge_names)
-    adj = {e: set() for e in edges}
-    for e in edges:
-        for x in m.edge_images[e].edges:
-            adj[e].add(base_name(x))
-    comps = _sccs(adj, edges)
-    comp_of = {}
-    for c in comps:
-        for e in c:
-            comp_of[e] = c
-    # condensation: c1 -> c2 when some edge of c1 crosses an edge of c2.
-    # c2 must then sit at the same or lower level, so process components
-    # whose dependencies are all placed, lowest names first.
-    deps = {c: set() for c in comps}
-    for e in edges:
-        for x in adj[e]:
-            if comp_of[e] is not comp_of[x]:
-                deps[comp_of[e]].add(comp_of[x])
-    placed = []
-    placed_set = set()
-    remaining = set(comps)
-    while remaining:
-        ready = [c for c in remaining if deps[c] <= placed_set]
-        if not ready:
-            raise InconsistentFiltration("dependency cycle escaped the SCCs")
-        ready.sort(key=lambda c: min(g.edge_index(e) for e in c))
-        c = ready[0]
-        placed.append(c)
-        placed_set.add(c)
-        remaining.remove(c)
-    return Filtration(g, classify_strata(m, placed))
+    reach = dependencies(m)
+    comp = {}
+    for e in g.edge_names:
+        if e not in comp:
+            c = frozenset([e]).union(x for x in reach[e] if e in reach[x])
+            comp.update(dict.fromkeys(c, c))
+    placed, order = set(), []
+    while len(placed) < len(comp):
+        e = next(e for e in g.edge_names if e not in placed and reach[e] - comp[e] <= placed)
+        order.append(comp[e])
+        placed |= comp[e]
+    return Filtration(g, classify_strata(m, order))
 
 
 def classify_strata(m, components):

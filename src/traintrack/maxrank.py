@@ -34,7 +34,7 @@ renormalize twisting exponents.
 from .disintegrate import disintegrate
 from .errors import InputError, InvariantForestError
 from .freegroup import homology_class, is_IA
-from .maps import Filtration, GraphMap, direction_map, filtration
+from .maps import Filtration, GraphMap, dependencies, direction_map, filtration
 from .nielsen import build_catalog, is_nielsen_path
 from .paths import MarkedGraph, UnionFind, base_name, inverse
 
@@ -47,21 +47,16 @@ def find_invariant_forest(m):
 
     Every invariant subgraph contains the closure of each of its edges
     under "crosses the image of", so if any invariant forest exists then
-    some single-edge closure is one.  Returns the edge names of the first
-    such closure in construction order.
+    some single-edge closure is one.  A seed's closure is the seed with its
+    reach in :func:`~traintrack.maps.dependencies`.  Returns the edge names
+    of the first closure in construction order that is a forest.
     """
     g = m.graph
+    reach = dependencies(m)
     for seed in g.edge_names:
-        todo = {seed}
-        seen = set()
-        while todo:
-            e = todo.pop()
-            seen.add(e)
-            for x in m.edge_images[e].edges:
-                if base_name(x) not in seen:
-                    todo.add(base_name(x))
-        if seen and g.is_forest(seen):
-            return tuple(sorted(seen, key=g.edge_index))
+        closure = reach[seed] | {seed}
+        if g.is_forest(closure):
+            return tuple(sorted(closure, key=g.edge_index))
     return None
 
 

@@ -306,19 +306,16 @@ class NielsenCatalog:
       E's level.  No member is kept as a path.
     * ``generic``: the other period-one entries, each its own path, in
       (length, order key) order.  The ``nielsen`` report reads these and
-      ``families``; it places each family where its first member is
-      listed.
-    * ``listing``: the period-one Nielsen paths p.reverse(q) of length 2..
+      ``families``; it places each family where its first member would
+      sort among them.
+    * ``entries``: the period-one Nielsen paths p.reverse(q) of length 2..
       ``bound`` paired from stable prefixes (not every Nielsen path within
-      the bound; see the module docstring), in (length, order key) order:
-      each generic entry as its :class:`NielsenEntry`, each family member
-      as its record (E, b, i, composite flag), its edge tuple built only
-      to order it among items of its length.  Only ``entries`` reads it.
-    * ``entries``: the same paths as ``NielsenEntry`` objects, each
-      flagged indivisible or composite, exactly, with its filtration
-      height: the family members written out in closed form on the first
-      read and marked with ``family``.  Only the tests and perfbench's
-      tracer read it.
+      the bound; see the module docstring), in (length, order key) order,
+      as ``NielsenEntry`` objects, each flagged indivisible or composite,
+      exactly, with its filtration height: the generic entries and the
+      family members, written out in closed form on the first read and
+      marked with ``family``.  Only the tests and perfbench's tracer read
+      it.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
     * ``budgets_hit``: one note per search ray cut at its iterate cap, those
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
@@ -352,41 +349,16 @@ class NielsenCatalog:
         self._image_qe = {}
 
     @cached_property
-    def listing(self):
-        if not self.families:
-            return self.generic
-        inverse_of = self.map.graph.inverse_of
-        members = [
-            (e, b, i, split)
-            for e, (b, records, _) in self.families.items()
-            for i, split in records
-        ]
-
-        def edges_of(x):
-            if isinstance(x, NielsenEntry):
-                return x.path.edges
-            e, b, i, _ = x
-            return (e,) + b * i + (inverse_of[e],)
-
-        def length_of(x):
-            return len(x.path) if isinstance(x, NielsenEntry) else 2 + len(x[1]) * x[2]
-
-        return _in_order(self.map.graph.order_key, self.generic + members, edges_of, length_of)
-
-    @cached_property
     def entries(self):
         if not self.families:
             return self.generic
         g = self.map.graph
-        paths = {
-            e: dict(zip((i for i, _ in records), _family_members(g, e, b, records)))
-            for e, (b, records, _) in self.families.items()
-        }
-        return [
-            x if isinstance(x, NielsenEntry)
-            else NielsenEntry(paths[x[0]][x[2]], 1, not x[3], self.families[x[0]][2], x[0])
-            for x in self.listing
+        members = [
+            NielsenEntry(path, 1, not split, height, e)
+            for e, (b, records, height) in self.families.items()
+            for path, (_, split) in zip(_family_members(g, e, b, records), records)
         ]
+        return _in_order(g.order_key, self.generic + members, lambda x: x.path.edges)
 
     @cached_property
     def inps_by_first(self):
@@ -419,7 +391,8 @@ class NielsenCatalog:
 
     def image_qe_split(self, piece):
         """qe_split of f_#(piece) under this catalog and its map f, computed
-        once per edge tuple and shared by every later caller.
+        once per edge tuple and shared by every later caller; the image of
+        a single edge is its stored one.
 
         ``piece`` is a path of f's graph; it may be a piece of f|S, f
         restricted to an invariant edge set S and disintegrated on f's
@@ -439,7 +412,8 @@ class NielsenCatalog:
         key = piece.edges
         if key not in self._image_qe:
             m = self.map
-            self._image_qe[key] = qe_split(m, m.apply(piece), self)
+            image = m.image(key[0]) if len(key) == 1 else m.apply(piece)
+            self._image_qe[key] = qe_split(m, image, self)
         return self._image_qe[key]
 
     def __repr__(self):
@@ -457,14 +431,12 @@ class NielsenCatalog:
         )
 
 
-def _in_order(order_key, items, edges_of, length_of=None):
+def _in_order(order_key, items, edges_of):
     """``items`` sorted by the (length, order key list) of their edge
-    tuples; key lists, and the edge tuples when ``length_of`` gives the
-    lengths, are built only for items of equal length."""
-    length_of = length_of or (lambda x: len(edges_of(x)))
+    tuples; key lists are built only for items of equal length."""
     by_len = {}
     for x in items:
-        by_len.setdefault(length_of(x), []).append(x)
+        by_len.setdefault(len(edges_of(x)), []).append(x)
     out = []
     for n in sorted(by_len):
         tied = by_len[n]
@@ -654,9 +626,8 @@ def build_catalog(m, bound=None, period_bound=3):
     expanded into records (:func:`_family_records`), and the catalog keeps
     the family after one exact check (see :func:`_checked_family`).  The
     catalog's ``families`` and ``generic`` are what the ``nielsen`` report
-    reads; its ``listing`` merges the members, as records, into the
-    generic entries' order, and its ``entries`` write them out and are the
-    same as member by member.
+    reads; its ``entries`` write the members out and sort them into the
+    generic entries' order, the same as member by member.
     """
     if bound is None:
         bound = default_length_bound(m)

@@ -21,7 +21,7 @@ from traintrack.disintegrate import build_fa, disintegrate
 from traintrack.errors import TrainTrackError
 from traintrack.freegroup import pi1_basis, pi1_images, reduce_word, spanning_tree
 from traintrack.maps import GraphMap
-from traintrack.nielsen import NielsenEntry, axes, build_catalog, default_length_bound
+from traintrack.nielsen import axes, build_catalog, default_length_bound
 from traintrack.paths import Path, UnionFind, base_name, cyclic_decompose, inverse, word_root
 from samples import _map, _rose
 
@@ -448,7 +448,8 @@ def check_fa_is_ct(m, a, dis=None):
     report = check_ct(fa, bound=bound)
     same_principal = principal_vertices(fa) == principal_vertices(m)
     listed = [
-        {x.path.edges if isinstance(x, NielsenEntry) else x[:3] for x in cat.listing}
+        {x.path.edges for x in cat.generic}
+        | {(e, b, i) for e, (b, records, _) in cat.families.items() for i, _ in records}
         for cat in (build_catalog(m, bound=bound), build_catalog(fa, bound=bound))
     ]
     return FaCTResult(report, same_principal, listed[0] == listed[1])

@@ -1,5 +1,7 @@
 """Tests for the structural train track checks."""
 
+import pytest
+
 from traintrack import ct
 from traintrack.ct import (
     _clause_n,
@@ -276,3 +278,15 @@ def test_linear_inp_shape_reverses_only_when_the_forward_reading_fails(monkeypat
     # neither B' A B nor its reverse B' A' B starts with B: rejected both ways
     assert not _linear_inp_shape(s, g.path(["B'", "A", "B"]))
     assert [r for r in reversed_ if len(r) > 1] == [("B'", "A", "B")]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="check_ct does not check that f is a homotopy equivalence: this map "
+    "passes every clause, and audit reports a violation of the rank count on it",
+)
+def test_check_ct_fails_a_map_that_is_not_a_homotopy_equivalence():
+    # the abelianised matrix [[2, 0], [2, 1]] has determinant 2, so E1 -> E1 E2
+    # E2 E1, E2 -> E2 represents no element of Out(F_2)
+    m = _map(_rose(["E1", "E2"]), {"E1": "E1 E2 E2 E1", "E2": "E2"})
+    assert not check_ct(m).passed

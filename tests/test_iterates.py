@@ -275,9 +275,9 @@ def test_verify_commute_builds_one_map_and_takes_no_f_sharp(work, name, a, tight
 
 
 @pytest.mark.parametrize("name, calls, edges_in", [
-    ("partial_fps_map", 6, 6),
-    ("full_fps_map", 6, 6),
-    ("swap_rose", 3, 3),
+    ("partial_fps_map", 4, 4),
+    ("full_fps_map", 4, 4),
+    ("swap_rose", 0, 0),
 ])
 def test_the_periodic_search_feeds_f_sharp_no_ray_iterate(work, name, calls, edges_in):
     # the ray iterates come from the term DAG: f_# is taken only on the rays
@@ -287,7 +287,7 @@ def test_the_periodic_search_feeds_f_sharp_no_ray_iterate(work, name, calls, edg
     check_ct(m)
     assert len(work["apply_in"]) == calls
     assert sum(work["apply_in"]) == edges_in
-    assert max(work["apply_in"]) <= default_length_bound(m) + 2
+    assert max(work["apply_in"], default=0) <= default_length_bound(m) + 2
 
 
 def test_linear_rays_never_build_the_dag():

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from traintrack import MarkedGraph, cli, nielsen
-from traintrack import ct as ct_module
 from traintrack.ct import check_ct
 from traintrack.errors import (
     InconsistentFiltration,
@@ -1529,7 +1528,6 @@ def _split_requests(m, monkeypatch, audit=False):
 
     with monkeypatch.context() as mp:
         mp.setattr(nielsen, "complete_split", recording)
-        mp.setattr(ct_module, "complete_split", recording)
         check_ct(m)
         for run in (disintegrate, stage_ranks) if audit else (disintegrate,):
             try:
