@@ -10,8 +10,9 @@ and ``disintegrate`` on the ladder A -> A, B -> B A^k (``check-ct`` and
 to the largest, type E n=6 and type C n=5; ``check-ct``, ``nielsen``,
 ``coords``, ``fps`` and ``verify-commute`` on the sample maps; ``check-ct`` and ``nielsen`` on
 ``unreduced_axis``, E3 -> E3 E2 E1 E2' over the axis E2 E1 E2', which is
-not cyclically reduced.  Any change to a report, however
-small, fails here.
+not cyclically reduced; and ``check-ct --json`` and ``nielsen --json`` on
+the rest of the linear corpus: the ladder at k = 400 and 800, type E n=8
+and type C n=7.  Any change to a report, however small, fails here.
 
 The expected files are written by running this module as a script::
 
@@ -52,7 +53,7 @@ def _ladder(k):
 
 
 def _documents():
-    docs = {"ladder_%d" % k: _ladder(k) for k in (25, 50, 100)}
+    docs = {"ladder_%d" % k: _ladder(k) for k in (25, 50, 100, 400, 800)}
     # the iterates E3 E2 E1^j E2' of E3's ray do not nest: each adds its own
     # stable prefixes through its E2' tail
     docs["unreduced_axis"] = {
@@ -61,9 +62,9 @@ def _documents():
         "edges": [{"name": e, "from": "v", "to": "v"} for e in ("E1", "E2", "E3")],
         "images": {"E1": "E1", "E2": "E2", "E3": "E3 E2 E1 E2'"},
     }
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5, 6, 8):
         docs["type_e_%d" % n] = document_from_map(gen_type_e(n).generic, "type_e_%d" % n)
-    for n in (4, 5):
+    for n in (4, 5, 7):
         docs["type_c_%d" % n] = document_from_map(gen_type_c(n).generic, "type_c_%d" % n)
     for name, factory in samples.SAMPLES.items():
         docs[name] = document_from_map(factory())
@@ -118,9 +119,14 @@ def _cases():
         cases.append((name, "fps", ()))
     for name, (a, b) in COMMUTE_TUPLES.items():
         cases.append((name, "verify-commute", ("--a", a, "--b", b)))
+    cases = [(doc, cmd, args, ("text", "json")) for doc, cmd, args in cases]
+    # the linear corpus of the north star, in the JSON form only
+    for doc in ("ladder_400", "ladder_800", "type_e_8", "type_c_7"):
+        for cmd in ("check-ct", "nielsen"):
+            cases.append((doc, cmd, (), ("json",)))
     out = []
-    for doc, cmd, args in cases:
-        for fmt in ("text", "json"):
+    for doc, cmd, args, formats in cases:
+        for fmt in formats:
             case_id = "%s.%s.%s" % (doc, cmd, fmt)
             argv = [cmd] + (["--json"] if fmt == "json" else []) + list(args)
             out.append((case_id, doc, argv))
