@@ -415,17 +415,6 @@ def direction_map(m):
     return m._cache["direction_map"]
 
 
-def turns(graph, v=None):
-    """All unordered direction pairs at common vertices (degenerate included)."""
-    out = []
-    for w in graph.vertices if v is None else [v]:
-        ds = graph.directions(w)
-        for i in range(len(ds)):
-            for j in range(i, len(ds)):
-                out.append(frozenset((ds[i], ds[j])) if ds[i] != ds[j] else frozenset((ds[i],)))
-    return out
-
-
 def is_illegal_turn(m, d1, d2):
     """A turn is illegal when some Df iterate makes it degenerate.
 
@@ -443,17 +432,3 @@ def is_illegal_turn(m, d1, d2):
         a, b = dm.map[a], dm.map[b]
     return False
 
-
-def illegal_turns(m):
-    """All illegal turns, as a set of frozensets (size 1 = degenerate)."""
-    if "illegal_turns" in m._cache:
-        return m._cache["illegal_turns"]
-    out = set()
-    for t in turns(m.graph):
-        pair = tuple(t)
-        if len(pair) == 1:
-            out.add(t)
-        elif is_illegal_turn(m, pair[0], pair[1]):
-            out.add(t)
-    m._cache["illegal_turns"] = out
-    return out

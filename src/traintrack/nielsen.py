@@ -46,9 +46,13 @@ Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
 already fixed: a candidate that is a period-one Nielsen path of the catalog
 is dropped before any f^k_# work, and a family pair of a linear edge stays
-an unexpanded descriptor.  Only the CT check and the ``nielsen`` report
-read them, so that search runs the first time a catalog's ``periodic``
-list or its ``budgets_hit`` notes are read, not when the catalog is built.
+an unexpanded descriptor.  Where every direction that D(f^k) fixes is a
+fixed edge or a linear edge over the fixed edges, as on the ladder B -> B
+A^k and the type E and C families, f^k fixes only what f fixes, and the
+search on f^k is skipped by that lemma (:func:`_search_periodic`).  Only
+the CT check and the ``nielsen`` report read the periodic list, so that
+search runs the first time a catalog's ``periodic`` list or its
+``budgets_hit`` notes are read, not when the catalog is built.
 
 The restriction f|S of f to an invariant edge set S (a filtration prefix)
 has as Nielsen paths exactly those of f that lie in S, since f_# of a path
@@ -60,10 +64,10 @@ own.
 """
 
 from functools import cache, cached_property
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice, product, repeat
 
 from .paths import Path, base_name, cyclic_decompose, inverse
-from .maps import filtration, direction_map, illegal_turns, compose
+from .maps import filtration, direction_map, is_illegal_turn, compose
 from .errors import LViolation, MalformedPath, NotCompletelySplit
 
 TERM_EDGE = "edge"
@@ -552,12 +556,18 @@ def _pair_lengths(p_n, p_step, q_n, q_step, bound):
 def _family_records(descriptors, lw, bound):
     """The (i, composite flag) records of the members E w^i Ebar that a
     linear edge's family descriptors (see :func:`_search_fixed_paths`)
-    give, |w| = lw, in the order the pairing loop meets them."""
-    return [
-        ((i + j - 2) // lw, split)
-        for p_n, p_step, q_n, q_step, split in descriptors
-        for i, j in _pair_lengths(p_n, p_step, q_n, q_step, bound)
-    ]
+    give, |w| = lw, in the order the pairing loop meets them.
+
+    One side of a family pair is the bare E (length 1, step 0) and the
+    other a prefix E w^i0 or a run of them stepping by a multiple of |w|,
+    so the pairs within the bound are the members i0, i0 + step/|w|, ...
+    with 1 + i|w| < bound: one arithmetic run per descriptor."""
+    records = []
+    for p_n, p_step, q_n, q_step, split in descriptors:
+        n, step = (q_n, q_step) if p_n == 1 else (p_n, p_step)
+        runs = range((n - 1) // lw, (bound - 2) // lw + 1, step // lw or bound)
+        records.extend(zip(runs, repeat(split)))
+    return records
 
 
 def _checked_family(m, filt, e, w, records):
@@ -668,10 +678,31 @@ def _search_periodic(cat):
     period probe.  The rays of f^k are read off the catalog's term DAG
     where it covers them (:class:`TermIterates`), which is built on the
     first such ray.
+
+    The search on f^k is skipped when every direction that D(f^k) fixes is
+    *tame*: a fixed edge of f, or the oriented edge E of a linear stratum
+    whose axis lies in the fixed subgraph F of f.  *Lemma.*  Then the
+    search would find no path of period k.  *Proof.*  A ray from a tame
+    direction has only fixed edges and linear edges over F, so every
+    candidate sigma is such a path, sigma = g0 e1 g1 ... em gm with each gi
+    in F and each ei a linear edge over F.  f^k_# replaces each gi with
+    [a^k gi b^k], a and b the twists of its neighbouring linear edges (or
+    trivial), and cancels nowhere else: where e(i+1) = reverse(ei), gi is
+    nontrivial and [u^k gi u^-k] a conjugate of it.  By unique roots in
+    pi_1(F), [a^k g b^k] = g exactly when [a g b] = g.  So f^k_#(sigma) =
+    sigma exactly when f_#(sigma) = sigma, and the period probe would drop
+    sigma.  A tame ray never reaches the iterate cap either: a fixed edge's
+    stops at once and a linear edge's grows with every iterate.  []  The
+    test reads D(f^k) itself, which on maps that are not train tracks can
+    differ from (Df)^k, so f^k is still composed, and its composition still
+    checks that no edge goes to a trivial path.
     """
     m, bound = cat.map, cat.bound
+    g = m.graph
     filt = filtration(m)
     linear = _linear_axes(filt)
+    fixed = {d for d in g.directions() if m.image_of[d] == (d,)}
+    tame = fixed.union(e for e, w in linear.items() if fixed.issuperset(w))
     known = frozenset(
         edges
         for entry in cat.generic
@@ -684,10 +715,13 @@ def _search_periodic(cat):
         try:
             mk = compose(m, mk)
         except MalformedPath:
-            e = next(e for e in m.graph.edge_names if m.apply(mk.edge_images[e]).is_trivial())
+            e = next(e for e in g.edge_names if m.apply(mk.edge_images[e]).is_trivial())
             raise MalformedPath(
                 "f^%d maps %r to a trivial path (periodic Nielsen search)" % (k, e)
             ) from None
+        dk = direction_map(mk).map
+        if all(d in tame for d in g.directions() if dk[d] == d):
+            continue
         sigmas_k, _, _, capped = _search_fixed_paths(mk, bound, known, linear, (cat, k))
         notes.extend(_cap_note(k, d, cap) for d, cap in capped)
         for sigma in sigmas_k:
@@ -901,15 +935,13 @@ class CompleteSplitting:
         )
 
 
-def _legal_cuts(m, path):
-    """The offsets 0 < i < len(path) where a term may end: those where the
-    path's turn (inverse(path[i-1]), path[i]) is legal."""
-    illegal, inverse_of, edges = illegal_turns(m), m.graph.inverse_of, path.edges
-    return {
-        i
-        for i in range(1, len(edges))
-        if frozenset((inverse_of[edges[i - 1]], edges[i])) not in illegal
-    }
+def _is_legal_turn(m, a, b):
+    """Whether the turn (a, b) is legal (:func:`maps.is_illegal_turn`),
+    memoised per turn on the map."""
+    legal = m._cache.setdefault("legal_turns", {})
+    if (a, b) not in legal:
+        legal[a, b] = not is_illegal_turn(m, a, b)
+    return legal[a, b]
 
 
 def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
@@ -932,21 +964,24 @@ def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
             j += 1
         return [Term(TERM_CONN, path.subpath(i, j), height=lvl)]
     cands = []
-    # exceptional paths from a same-sign family, longest first
-    for fam in exceptional.get(e, ()):
-        other_inv = inverse(fam.other(e))
-        ends = set()
-        for wdir in (fam.word, fam.word.reverse()):
-            step = len(wdir)
+    edges, inverse_of = path.edges, m.graph.inverse_of
+    # exceptional paths from a same-sign family: E's families share E's
+    # axis, so each orientation of it is walked once and every family's
+    # closing edge read off the walk
+    fams = exceptional.get(e)
+    if fams:
+        closers = {inverse_of[fam.other(e)]: fam for fam in fams}
+        word = fams[0].word.edges
+        ends = {}
+        for body in (word, _reverse(inverse_of, word)):
             pos = i + 1
             while True:
-                if pos < len(path) and path.edges[pos] == other_inv:
-                    ends.add(pos + 1)
-                if path.edges[pos : pos + step] == wdir.edges:
-                    pos += step
-                else:
+                if pos < len(edges) and edges[pos] in closers:
+                    ends[pos + 1] = closers[edges[pos]]
+                if edges[pos : pos + len(body)] != body:
                     break
-        for end in ends:
+                pos += len(body)
+        for end, fam in ends.items():
             cands.append((end, Term(TERM_EXC, path.subpath(i, end), family=fam)))
     # indivisible Nielsen paths from the catalog, longest first
     for sigma, height in inps_by_first.get(e, []):
@@ -956,7 +991,6 @@ def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
     # members of E's linear family, read off the records
     if e in families:
         b, records, height = families[e]
-        edges, inverse_of = path.edges, m.graph.inverse_of
         tail, n = inverse_of[e], len(b)
         for body in (b, _reverse(inverse_of, b)):
             pos, reps = i + 1, 0
@@ -1001,6 +1035,11 @@ def complete_split(m, path, catalog=None):
     side, so whether the rest of the path parses from an offset does not
     depend on the parse before it: an offset that failed once is never
     expanded again, and the search expands each offset at most once.
+
+    Legality is decided only at the cuts the search tries, once per turn
+    per map.  An offset whose edge starts no exceptional family, no listed
+    iNp, no linear family and no connecting path has its single edge as
+    its only candidate, which is taken without the candidate scan.
     """
     if catalog is None:
         catalog = build_catalog(m)
@@ -1009,7 +1048,7 @@ def complete_split(m, path, catalog=None):
         return CompleteSplitting(path, [])
     exceptional = _families_by_end(m)[1]
     inps_by_first, families = catalog.inps_by_first, catalog.families
-    n, cuts = len(path), _legal_cuts(m, path)
+    edges, inverse_of, n = path.edges, m.graph.inverse_of, len(path)
 
     # Depth-first search with an explicit stack, so the depth is not
     # limited by the number of terms.  ``terms`` is the parse so far and
@@ -1017,12 +1056,21 @@ def complete_split(m, path, catalog=None):
     terms, todo, failed = [], [], set()
     i = furthest = 0
     while i < n:
-        todo.append(iter(_candidates(m, path, i, filt, exceptional, inps_by_first, families)))
+        e = edges[i]
+        if e in exceptional or e in inps_by_first or e in families or (
+            filt[filt.level(e)].kind == "zero"
+        ):
+            cands = _candidates(m, path, i, filt, exceptional, inps_by_first, families)
+        else:
+            cands = (Term(TERM_EDGE, path.subpath(i, i + 1), height=filt.level(e)),)
+        todo.append(iter(cands))
         while todo:
             for term in todo[-1]:
                 j = i + len(term.path)
                 furthest = max(furthest, j)
-                if j == n or (j in cuts and j not in failed):
+                if j == n or (
+                    j not in failed and _is_legal_turn(m, inverse_of[edges[j - 1]], edges[j])
+                ):
                     break
             else:
                 todo.pop()

@@ -7,8 +7,11 @@ paths (:func:`verify_nielsen_preserved`), it is a CT with f's principal
 vertices and Nielsen paths (:func:`check_fa_is_ct`), and its tuple can be
 read back from its edge images (:func:`find_tuple_representing`).  Two maps
 lie in one outer class when :func:`differ_by_inner` finds a conjugator.
-The rest are the small helpers these need, and the sample pair that is one
-outer class apart by an inner automorphism.
+The rest are the small helpers these need, the sample pair that is one
+outer class apart by an inner automorphism, and the all-at-once forms
+that the package replaced with lazy ones: the set of every illegal turn
+(:func:`illegal_turns`), the legal cuts of a path (:func:`legal_cuts`) and
+the family records expanded pair by pair (:func:`family_records_by_pairs`).
 """
 
 import itertools
@@ -20,13 +23,55 @@ from traintrack.ct import check_ct, principal_vertices
 from traintrack.disintegrate import build_fa, disintegrate
 from traintrack.errors import TrainTrackError
 from traintrack.freegroup import pi1_basis, pi1_images, reduce_word, spanning_tree
-from traintrack.maps import GraphMap
-from traintrack.nielsen import axes, build_catalog, default_length_bound
+from traintrack.maps import GraphMap, is_illegal_turn
+from traintrack.nielsen import _pair_lengths, axes, build_catalog, default_length_bound
 from traintrack.paths import Path, UnionFind, base_name, cyclic_decompose, inverse, word_root
 from samples import _map, _rose
 
 
 # -- maps, matrices and samples ----------------------------------------------------
+
+
+def turns(graph, v=None):
+    """All unordered direction pairs at common vertices (degenerate included)."""
+    out = []
+    for w in graph.vertices if v is None else [v]:
+        ds = graph.directions(w)
+        for i in range(len(ds)):
+            for j in range(i, len(ds)):
+                out.append(frozenset((ds[i], ds[j])) if ds[i] != ds[j] else frozenset((ds[i],)))
+    return out
+
+
+def illegal_turns(m):
+    """All illegal turns, as a set of frozensets (size 1 = degenerate)."""
+    out = set()
+    for t in turns(m.graph):
+        pair = tuple(t)
+        if len(pair) == 1 or is_illegal_turn(m, pair[0], pair[1]):
+            out.add(t)
+    return out
+
+
+def legal_cuts(m, path):
+    """The offsets 0 < i < len(path) where a term may end: those where the
+    path's turn (inverse(path[i-1]), path[i]) is legal."""
+    illegal, inverse_of, edges = illegal_turns(m), m.graph.inverse_of, path.edges
+    return {
+        i
+        for i in range(1, len(edges))
+        if frozenset((inverse_of[edges[i - 1]], edges[i])) not in illegal
+    }
+
+
+def family_records_by_pairs(descriptors, lw, bound):
+    """The (i, composite flag) records of a linear edge's family descriptors,
+    one per pair of prefixes, in the order the pairing loop meets them."""
+    return [
+        ((i + j - 2) // lw, split)
+        for p_n, p_step, q_n, q_step, split in descriptors
+        for i, j in _pair_lengths(p_n, p_step, q_n, q_step, bound)
+    ]
 
 
 def identity_map(graph):

@@ -13,15 +13,14 @@ from traintrack.maps import (
     filtration,
     restrict,
     direction_map,
-    illegal_turns,
     is_illegal_turn,
-    turns,
 )
 from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltration
 from traintrack.ct import check_ct, vertex_period
 from traintrack.maxrank import gen_type_c, gen_type_e, rank_audit
+from traintrack.nielsen import _is_legal_turn
 import samples
-from oracles import identity_map
+from oracles import identity_map, illegal_turns, turns
 from test_nielsen import (
     _corpus_map,
     arbitrary_roses,
@@ -662,6 +661,17 @@ TURN_MAPS = dict(
 @pytest.mark.parametrize("name", sorted(TURN_MAPS))
 def test_illegal_turn_bound_corpus_maps(name):
     assert_illegal_turns_match_square_rule(TURN_MAPS[name]())
+
+
+@pytest.mark.parametrize("name", sorted(TURN_MAPS))
+def test_lazy_legality_matches_the_illegal_turn_set(name):
+    # complete_split decides a turn when it first tries a cut there; both
+    # orientations of every turn agree with the all-turns set
+    m = TURN_MAPS[name]()
+    ill = illegal_turns(m)
+    for t in turns(m.graph):
+        a, b = tuple(t) * (3 - len(t))
+        assert _is_legal_turn(m, a, b) == _is_legal_turn(m, b, a) == (t not in ill), t
 
 
 def test_illegal_turn_merging_at_the_longest_pre_period():

@@ -37,7 +37,6 @@ from traintrack.nielsen import (
     NielsenEntry,
     Term,
     _circuit_key,
-    _legal_cuts,
     _search_fixed_paths,
     _stable_prefixes,
     axes,
@@ -73,7 +72,15 @@ from samples import (
     swap_rose,
     zero_stratum_map,
 )
-from oracles import check_fa_is_ct, family_member, inner_twist_pair, inps, verify_nielsen_preserved
+from oracles import (
+    check_fa_is_ct,
+    family_member,
+    family_records_by_pairs,
+    inner_twist_pair,
+    inps,
+    legal_cuts,
+    verify_nielsen_preserved,
+)
 from order_reference import reference_orders
 
 
@@ -779,10 +786,13 @@ def test_periodic_list_is_searched_once_on_first_read(searches):
     cat = build_catalog(_map(g, {"A": "A", "B": "B'"}), 5)
     assert searches == {"searches": 1, "composites": 0}
     assert len(cat.periodic) == 5
-    assert searches == {"searches": 3, "composites": 2}
+    # f^2 = id fixes B, which is neither fixed nor linear, so f^2 is
+    # searched; f^3 = f fixes only A's directions, so f^3 is composed and
+    # not searched (the lemma of _search_periodic)
+    assert searches == {"searches": 2, "composites": 2}
     assert cat.periodic is cat.periodic
     assert cat.budgets_hit == ()
-    assert searches == {"searches": 3, "composites": 2}
+    assert searches == {"searches": 2, "composites": 2}
 
 
 def test_budget_notes_read_first_run_the_periodic_search(searches):
@@ -914,14 +924,15 @@ def test_family_on_the_inverse_edge():
 
 
 @st.composite
-def linear_roses(draw):
+def linear_roses(draw, top=None):
     """Roses with one or two fixed edges under linear edges E -> E w^d or
     E -> reverse(w)^d E (normal form on E') over cyclically reduced words w
     in the fixed edges, some sharing w and d, and possibly a top edge with
-    an arbitrary image around itself."""
+    an arbitrary image around itself (always with ``top=True``, never with
+    ``top=False``)."""
     fixed = ["A", "B"][: draw(st.integers(1, 2))]
     linear = ["L%d" % i for i in range(draw(st.integers(1, 3)))]
-    top = ["T"] if draw(st.booleans()) else []
+    top = ["T"] if (draw(st.booleans()) if top is None else top) else []
     g = _rose(fixed + linear + top)
     letters = fixed + [inverse(x) for x in fixed]
     images = {a: a for a in fixed}
@@ -965,6 +976,201 @@ def test_prefix_splittings_are_the_full_maps_random_roses(m, data):
         assert_prefix_splittings_are_the_full_maps(m, down_sets, zero_runs=True)
 
 
+# -- the periodic list of linear maps, by lemma ---------------------------------------
+
+
+def _join(image, tail, inverse_of):
+    """The tight concatenation of two tight edge tuples."""
+    n = 0
+    while n < min(len(image), len(tail)) and image[-1 - n] == inverse_of[tail[n]]:
+        n += 1
+    return image[: len(image) - n] + tail[n:]
+
+
+def brute_fixed_sets(m, max_len, top_k=3):
+    """[the tight paths sigma of 1..max_len edges with f^k_#(sigma) = sigma
+    for k = 1..top_k], by a walk over every tight path that carries its
+    f^k_# images along, one edge at a time."""
+    g = m.graph
+    inverse_of, maps = g.inverse_of, [m]
+    while len(maps) < top_k:
+        maps.append(compose(m, maps[-1]))
+    fixed = [set() for _ in maps]
+    todo = [((d,), tuple(mk.image_of[d] for mk in maps)) for d in g.directions()]
+    while todo:
+        edges, images = todo.pop()
+        for k, image in enumerate(images):
+            if image == edges:
+                fixed[k].add(edges)
+        if len(edges) < max_len:
+            for d in g.directions(g.term(edges[-1])):
+                if d != inverse_of[edges[-1]]:
+                    todo.append((edges + (d,), tuple(
+                        _join(image, mk.image_of[d], inverse_of)
+                        for image, mk in zip(images, maps)
+                    )))
+    return fixed
+
+
+def assert_powers_fix_only_fixed_paths(m, max_len):
+    fixed_1, fixed_2, fixed_3 = brute_fixed_sets(m, max_len)
+    assert fixed_1 and fixed_2 == fixed_1 and fixed_3 == fixed_1
+
+
+def _tame_map(m):
+    """Whether every direction that D(f^2) or D(f^3) fixes is tame."""
+    filt = filtration(m)
+    fixed = {d for d in m.graph.directions() if m.image_of[d] == (d,)}
+    tame = fixed | {s.neg_edge for s in filt if s.linear and fixed.issuperset(s.axis.edges)}
+    mk = m
+    for _ in range(2):
+        mk = compose(m, mk)
+        if any(mk.image_of[d][0] == d and d not in tame for d in m.graph.directions()):
+            return False
+    return True
+
+
+@settings(max_examples=20, deadline=None)
+@given(linear_roses(top=False))
+def test_powers_of_linear_roses_fix_only_fixed_paths(m):
+    # the lemma of _search_periodic, by brute force: on a map whose every
+    # edge is fixed or linear over the fixed edges, f^2 and f^3 fix exactly
+    # the paths that f fixes; five-petal roses are walked to 5 edges
+    assert _tame_map(m)
+    assert_powers_fix_only_fixed_paths(m, 6 if len(m.graph.edge_names) < 5 else 5)
+
+
+@pytest.mark.parametrize("name", ["type_e_3", "type_e_4", "type_c_4"])
+def test_powers_of_the_twist_families_fix_only_fixed_paths(name):
+    m = _corpus_map(name)
+    assert _tame_map(m)
+    assert_powers_fix_only_fixed_paths(m, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(linear_roses(top=False), linear_roses(top=True)), st.sampled_from([4, 6, 9]))
+def test_periodic_list_matches_reference_linear_roses(m, bound):
+    # the skipped f^k searches against the from-scratch search on every f^k
+    assert_catalog_matches_reference(m, bound)
+
+
+@pytest.mark.parametrize("images, periodic, searched", [
+    ({"A": "A'", "B": "B A"}, 6, 3),
+    ({"A": "A", "B": "B'"}, 5, 2),
+])
+def test_maps_outside_the_lemma_still_search_f_squared(searches, images, periodic, searched):
+    # f^2 fixes the directions of A and B, and B is neither a fixed edge nor
+    # a linear one, so f^2 is searched and its period-2 paths are listed.
+    # f^3 = f fixes B in the first map, so it is searched too, and only A's
+    # directions in the second, so it is composed and not searched.
+    cat = build_catalog(_map(_rose(["A", "B"]), images), 5)
+    assert searches == {"searches": 1, "composites": 0}
+    assert len(cat.periodic) == periodic and {x.period for x in cat.periodic} == {2}
+    assert searches == {"searches": searched, "composites": 2}
+
+
+def test_the_swap_has_no_filtration_to_search():
+    # A -> B, B -> A permutes a stratum of two edges: the filtration refuses
+    # it before any search
+    with pytest.raises(InconsistentFiltration):
+        build_catalog(_map(_rose(["A", "B"]), {"A": "B", "B": "A"}), 5)
+
+
+LINEAR_CORPUS = (
+    ["ladder_%d" % k for k in (25, 50, 100, 200, 400, 800)]
+    + ["type_e_%d" % n for n in range(3, 9)]
+    + ["type_c_%d" % n for n in range(4, 8)]
+)
+
+
+def _linear_corpus_map(name):
+    if name.startswith("ladder_"):
+        return _ladder(int(name.rsplit("_", 1)[1]))
+    return _corpus_map(name)
+
+
+@pytest.mark.parametrize("name", LINEAR_CORPUS)
+def test_periodic_list_of_the_linear_corpus_takes_no_search(searches, name):
+    # work contract: f^2 and f^3 are composed, and neither is searched
+    cat = build_catalog(_linear_corpus_map(name))
+    searches.update(searches=0, composites=0)
+    assert cat.periodic == [] and cat.budgets_hit == ()
+    assert searches == {"searches": 0, "composites": 2}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_periodic_list_of_the_samples_searches_both_powers(searches, name):
+    cat = build_catalog(SAMPLES[name]())
+    searches.update(searches=0, composites=0)
+    cat.periodic
+    assert searches == {"searches": 2, "composites": 2}
+
+
+@st.composite
+def family_descriptors(draw):
+    """(descriptors, |w|, bound) as the pairing loop makes them: the bare E
+    on one side, a prefix E w^i or a run of them stepping by |w| on the
+    other, within the bound."""
+    lw = draw(st.integers(1, 4))
+    bound = draw(st.integers(lw + 2, 60))
+    descriptors = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = 1 + lw * draw(st.integers(1, (bound - 2) // lw))
+        run = (n, draw(st.sampled_from([0, lw])))
+        bare = (1, 0)
+        p, q = (bare, run) if draw(st.booleans()) else (run, bare)
+        descriptors.append(p + q + (draw(st.booleans()),))
+    return descriptors, lw, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_descriptors())
+def test_family_records_by_arithmetic_match_the_pairs_random(args):
+    assert nielsen._family_records(*args) == family_records_by_pairs(*args)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(SAMPLES) + LINEAR_CORPUS[:3] + sorted(FAMILY_MAPS)
+    + ["type_e_%d" % n for n in range(3, 9)] + ["type_c_%d" % n for n in range(4, 8)],
+)
+def test_family_records_by_arithmetic_match_the_pairs_corpus(name):
+    m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _linear_corpus_map(name)
+    linear, bound = nielsen._linear_axes(filtration(m)), default_length_bound(m)
+    for mk in _powers(m):
+        descriptors = _search_fixed_paths(mk, bound, linear=linear)[2]
+        for e, descs in descriptors.items():
+            args = descs, len(linear[e]), bound
+            assert nielsen._family_records(*args) == family_records_by_pairs(*args)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(SAMPLES) + LINEAR_CORPUS[:3] + sorted(FAMILY_MAPS)
+    + ["type_e_%d" % n for n in range(3, 7)] + ["type_c_%d" % n for n in range(4, 6)],
+)
+def test_candidates_are_asked_only_where_a_term_may_be_longer(name, monkeypatch):
+    # work contract: an offset whose edge starts no exceptional family, no
+    # listed iNp, no linear family and no connecting path gets its single
+    # edge without a call to _candidates
+    m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _linear_corpus_map(name)
+    asked, candidates = [], nielsen._candidates
+
+    def recording(mk, path, i, filt, exceptional, inps_by_first, families):
+        asked.append(path.edges[i])
+        e = path.edges[i]
+        assert (e in exceptional or e in inps_by_first or e in families
+                or filt[filt.level(e)].kind == "zero"), (path.edges, i)
+        return candidates(mk, path, i, filt, exceptional, inps_by_first, families)
+
+    monkeypatch.setattr(nielsen, "_candidates", recording)
+    check_ct(m)
+    try:
+        disintegrate(m)
+    except TrainTrackError:
+        pass
+    if name.startswith(("ladder", "type")):
+        assert asked  # each linear edge's image starts with it
+
+
 @pytest.fixture
 def guard_counts(monkeypatch):
     """Records the paths given to the exact Nielsen check and counts f_#."""
@@ -1000,22 +1206,22 @@ def test_ladder_family_is_checked_once(guard_counts):
 
 
 def test_periodic_search_checks_neither_members_nor_known_entries(monkeypatch):
-    # on f^2, f^3 the members of B's family are dropped on sight and A A is
-    # a known period-one entry: no candidate is left for the period probe
+    # rose_cascade's C -> C B is not tame, so f^2 and f^3 are searched;
+    # there the members of B's family are dropped on sight and A A is a
+    # known period-one entry: no candidate is left for the period probe
     search = nielsen._search_fixed_paths
-    for k in (3, 25):
-        cat = build_catalog(_ladder(k))
-        found = []
+    cat = build_catalog(rose_cascade())
+    assert [x.path.edges for x in cat.generic] == [("A", "A")] and set(cat.families) == {"B"}
+    found = []
 
-        def recorded(*args):
-            out = search(*args)
-            found.append(out[0])
-            return out
+    def recorded(*args):
+        out = search(*args)
+        found.append(out[0])
+        return out
 
-        monkeypatch.setattr(nielsen, "_search_fixed_paths", recorded)
-        assert cat.periodic == []
-        assert found == [[], []]
-        monkeypatch.undo()
+    monkeypatch.setattr(nielsen, "_search_fixed_paths", recorded)
+    assert cat.periodic == []
+    assert found == [[], []]
 
 
 def test_a_generic_pair_giving_a_member_is_listed_once(monkeypatch):
@@ -1709,9 +1915,11 @@ def test_check_ct_reads_only_the_head_of_a_rays_last_iterate(edges_applied):
 
 
 def test_check_ct_on_the_ladder_writes_as_many_edges_as_before(edges_applied):
-    # no ray of the ladder reaches a last iterate: B's is linear, A's fixed
+    # no ray of the ladder reaches a last iterate: B's is linear, A's fixed;
+    # every direction of f^2 and f^3 is tame, so the f^k searches do not
+    # run and the f_# edges are those of the composition of f^2 and f^3
     check_ct(_ladder(100))
-    assert edges_applied["edges"] == 614
+    assert edges_applied["edges"] == 610
 
 
 # -- the nielsen report from the records --------------------------------------------
@@ -1951,9 +2159,9 @@ def records_expanded(monkeypatch):
 
 
 def test_periodic_search_expands_no_family_descriptor(records_expanded, monkeypatch):
-    # the f^2 and f^3 searches of the k = 100 ladder describe B's family
-    # pairs and drop them unexpanded; only build_catalog expands, once
-    cat = build_catalog(_ladder(100))
+    # the f^2 and f^3 searches of rose_cascade (C is not tame) describe B's
+    # family pairs and drop them unexpanded; only build_catalog expands, once
+    cat = build_catalog(rose_cascade())
     assert records_expanded["calls"] == 1
     search, described = nielsen._search_fixed_paths, []
 
@@ -2089,7 +2297,7 @@ def verify_splitting(m, path, terms):
     None when ok."""
     if tuple(e for t in terms for e in t.path.edges) != path.edges:
         return False, "terms do not concatenate to the path"
-    cuts, at = _legal_cuts(m, path), 0
+    cuts, at = legal_cuts(m, path), 0
     for t in terms[:-1]:
         at += len(t.path)
         if at not in cuts:
@@ -2210,6 +2418,14 @@ def test_complete_split_of_a_long_path_needs_no_deep_recursion():
     assert [t.kind for t in cs.terms] == [TERM_EDGE] * 1501
 
 
+class _EveryEdge(dict):
+    """An iNp index that claims every edge as a first edge, so that
+    ``complete_split`` asks ``_candidates`` at every offset it expands."""
+
+    def __contains__(self, e):
+        return True
+
+
 def test_complete_split_expands_each_offset_at_most_once(monkeypatch):
     # a term's end is decided by the turn there alone, so an offset that
     # failed once would fail again and is not expanded twice
@@ -2223,9 +2439,13 @@ def test_complete_split_expands_each_offset_at_most_once(monkeypatch):
     monkeypatch.setattr(nielsen, "_candidates", recording)
 
     def expanded(m, path, catalog=None):
+        catalog = catalog or build_catalog(m)
+        every = types.SimpleNamespace(
+            inps_by_first=_EveryEdge(catalog.inps_by_first), families=catalog.families
+        )
         offsets.clear()
         try:
-            complete_split(m, path, catalog)
+            complete_split(m, path, every)
         except NotCompletelySplit:
             pass
         return list(offsets)
