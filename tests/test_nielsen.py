@@ -345,9 +345,8 @@ def test_periodic_list_matches_reference_random_roses(m, bound):
 
 
 def _corpus_map(name):
-    if name == "ladder_25":
-        g = _rose(["A", "B"])
-        return _map(g, {"A": "A", "B": " ".join(["B"] + ["A"] * 25)})
+    if name.startswith("ladder_"):
+        return _ladder(int(name.rsplit("_", 1)[1]))
     if name.startswith("type_"):
         gen = gen_type_e if name.startswith("type_e") else gen_type_c
         return gen(int(name.rsplit("_", 1)[1])).generic
@@ -987,13 +986,13 @@ def _join(image, tail, inverse_of):
     return image[: len(image) - n] + tail[n:]
 
 
-def brute_fixed_sets(m, max_len, top_k=3):
+def brute_fixed_sets(m, max_len):
     """[the tight paths sigma of 1..max_len edges with f^k_#(sigma) = sigma
-    for k = 1..top_k], by a walk over every tight path that carries its
+    for k = 1, 2, 3], by a walk over every tight path that carries its
     f^k_# images along, one edge at a time."""
     g = m.graph
     inverse_of, maps = g.inverse_of, [m]
-    while len(maps) < top_k:
+    while len(maps) < 3:
         maps.append(compose(m, maps[-1]))
     fixed = [set() for _ in maps]
     todo = [((d,), tuple(mk.image_of[d] for mk in maps)) for d in g.directions()]
@@ -1083,16 +1082,10 @@ LINEAR_CORPUS = (
 )
 
 
-def _linear_corpus_map(name):
-    if name.startswith("ladder_"):
-        return _ladder(int(name.rsplit("_", 1)[1]))
-    return _corpus_map(name)
-
-
 @pytest.mark.parametrize("name", LINEAR_CORPUS)
 def test_periodic_list_of_the_linear_corpus_takes_no_search(searches, name):
     # work contract: f^2 and f^3 are composed, and neither is searched
-    cat = build_catalog(_linear_corpus_map(name))
+    cat = build_catalog(_corpus_map(name))
     searches.update(searches=0, composites=0)
     assert cat.periodic == [] and cat.budgets_hit == ()
     assert searches == {"searches": 0, "composites": 2}
@@ -1134,7 +1127,7 @@ def test_family_records_by_arithmetic_match_the_pairs_random(args):
     + ["type_e_%d" % n for n in range(3, 9)] + ["type_c_%d" % n for n in range(4, 8)],
 )
 def test_family_records_by_arithmetic_match_the_pairs_corpus(name):
-    m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _linear_corpus_map(name)
+    m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _corpus_map(name)
     linear, bound = nielsen._linear_axes(filtration(m)), default_length_bound(m)
     for mk in _powers(m):
         descriptors = _search_fixed_paths(mk, bound, linear=linear)[2]
@@ -1151,12 +1144,12 @@ def test_candidates_are_asked_only_where_a_term_may_be_longer(name, monkeypatch)
     # work contract: an offset whose edge starts no exceptional family, no
     # listed iNp, no linear family and no connecting path gets its single
     # edge without a call to _candidates
-    m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _linear_corpus_map(name)
+    m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _corpus_map(name)
     asked, candidates = [], nielsen._candidates
 
     def recording(mk, path, i, filt, exceptional, inps_by_first, families):
-        asked.append(path.edges[i])
         e = path.edges[i]
+        asked.append(e)
         assert (e in exceptional or e in inps_by_first or e in families
                 or filt[filt.level(e)].kind == "zero"), (path.edges, i)
         return candidates(mk, path, i, filt, exceptional, inps_by_first, families)
