@@ -374,10 +374,24 @@ def restrict(m, edge_subset):
 # -- directions and turns -------------------------------------------------------
 
 
+def orbit_period(step, x):
+    """Least k >= 1 with step^k(x) = x; 0 when the orbit of x never comes
+    back to x, because it runs into a cycle that misses x or ``step``
+    returns None."""
+    seen = set()
+    y, k = step(x), 1
+    while y != x:
+        if y is None or y in seen:
+            return 0
+        seen.add(y)
+        y, k = step(y), k + 1
+    return k
+
+
 class DirectionMap:
     """The action Df on directions: an oriented edge goes to the first edge
     of its image.  A direction is fixed, periodic with its period, or
-    pre-periodic, by exact orbit computation (:meth:`orbit_period`)."""
+    pre-periodic, by exact orbit computation (:func:`orbit_period`)."""
 
     def __init__(self, m):
         self.m = m
@@ -385,15 +399,8 @@ class DirectionMap:
 
     def orbit_period(self, d):
         """(is_periodic, period) for a direction."""
-        seen = {d: 0}
-        x = d
-        while True:
-            x = self.map[x]
-            if x == d:
-                return True, len(seen)
-            if x in seen:
-                return False, 0
-            seen[x] = len(seen)
+        p = orbit_period(self.map.__getitem__, d)
+        return p > 0, p
 
     def is_fixed(self, d):
         return self.map[d] == d

@@ -752,15 +752,12 @@ class Axis:
 
     ``word`` is the based axis path in the orientation used by the least
     linear edge; each member edge carries its exponent measured in that
-    orientation.  ``multiplicity`` counts the members plus one (the axis
-    itself), the number of independent comparison coordinates the axis
-    supports.
+    orientation.
     """
 
     def __init__(self, word, members):
         self.word = word
         self.members = members  # list of (oriented edge, signed exponent)
-        self.multiplicity = len(members) + 1
 
     def __repr__(self):
         ms = ", ".join("%s^%d" % (e, d) for e, d in self.members)
@@ -1088,15 +1085,6 @@ def complete_split(m, path, catalog=None):
     return CompleteSplitting(path, terms)
 
 
-class QESplitting(CompleteSplitting):
-    """Complete splitting coarsened by merging maximal quasi-exceptional runs."""
-
-    def __repr__(self):
-        return "<qe-splitting %s>" % " | ".join(
-            "%s:%s" % (t.kind, " ".join(t.path.edges)) for t in self.terms
-        )
-
-
 def _is_nielsen_term(m, t):
     if t.kind == TERM_INP:
         return True
@@ -1106,15 +1094,13 @@ def _is_nielsen_term(m, t):
     return False
 
 
-def qe_split(m, path, catalog=None, splitting=None):
+def qe_split(m, path, catalog=None):
     """QE-splitting: complete splitting with runs [e_i][Nielsen...][e_j']
     matching a family merged into one quasi-exceptional term (and
     exceptional single terms relabelled).  QE terms never overlap; the scan
     is left to right."""
-    if splitting is None:
-        splitting = complete_split(m, path, catalog)
+    terms = complete_split(m, path, catalog).terms
     by_end = _families_by_end(m)[0]
-    terms = list(splitting.terms)
     out = []
     i = 0
     while i < len(terms):
@@ -1147,7 +1133,7 @@ def qe_split(m, path, catalog=None, splitting=None):
         if not merged:
             out.append(t)
             i += 1
-    return QESplitting(path, out)
+    return CompleteSplitting(path, out)
 
 
 # -- iterates from splitting terms -------------------------------------------------

@@ -262,6 +262,27 @@ def test_audit_passes_with_case_tags(tmp_path):
     assert "case (a)" in out and "audit passed" in out
 
 
+def test_disintegrate_refuses_partial_fps_at_nielsen_bound_2(tmp_path):
+    # the premise of the next test: at bound 2 the catalog misses the iNp
+    # that splits an edge image
+    code, out, _ = run_cli(
+        ["disintegrate", sample_file(tmp_path, "partial_fps_map"), "--nielsen-bound", "2"]
+    )
+    assert code == 2
+    assert out.startswith("verification error: ") and "is not completely split" in out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="rank_audit and classify_max_rank build the default-bound catalog, "
+    "so audit and classify ignore --nielsen-bound and options.nielsen_bound",
+)
+def test_audit_reads_the_nielsen_bound(tmp_path):
+    path = sample_file(tmp_path, "partial_fps_map")
+    argv = [path, "--nielsen-bound", "2"]
+    assert run_cli(["audit"] + argv)[0] == run_cli(["disintegrate"] + argv)[0]
+
+
 @pytest.mark.parametrize("n, order", [(3, "E3 E1 E2 E4"), (5, "E5 E2 E6 E3 E1 E4 E8 E7")])
 def test_audit_verdict_does_not_depend_on_edge_order(n, order):
     _, text, _ = run_cli(["gen", "type-e", "--n", str(n)])

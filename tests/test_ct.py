@@ -7,7 +7,6 @@ from traintrack.ct import (
     _clause_n,
     _linear_inp_shape,
     check_ct,
-    check_forward_rotationless,
     connecting_paths,
     edge_period,
     nielsen_classes,
@@ -16,6 +15,7 @@ from traintrack.ct import (
     vertex_period,
 )
 from traintrack.maps import GraphMap, filtration
+from traintrack.maxrank import gen_type_e
 from traintrack.nielsen import NielsenCatalog, NielsenEntry
 from traintrack.paths import MarkedGraph, Path
 from samples import (
@@ -56,19 +56,16 @@ def test_structured_samples_pass():
 
 
 def test_swap_rose_not_forward_rotationless():
-    m = swap_rose()
-    ok, lines = check_forward_rotationless(m)
-    assert not ok
-    assert any("period 2" in line for line in lines)
-    report = check_ct(m)
-    assert not report.clauses["R"].passed
+    r = check_ct(swap_rose()).clauses["R"]
+    assert not r.passed
+    assert any("period 2" in line for line in r.failures)
 
 
 def test_flip_edge_violations():
     m = _map(_rose(["A", "B"]), {"A": "A", "B": "B'"})
     assert edge_period(m, "B") == 2
     assert edge_period(m, "A") == 1
-    assert periodic_subgraph(m) == ["A", "B"]
+    assert periodic_subgraph(m) == ("A", "B")
     report = check_ct(m)
     assert set(failing_clauses(report)) == {"R", "NEG", "N", "Per"}
     assert any("no f(E) = E.u" in f for f in report.clauses["NEG"].failures)
@@ -278,6 +275,43 @@ def test_linear_inp_shape_reverses_only_when_the_forward_reading_fails(monkeypat
     # neither B' A B nor its reverse B' A' B starts with B: rejected both ways
     assert not _linear_inp_shape(s, g.path(["B'", "A", "B"]))
     assert [r for r in reversed_ if len(r) > 1] == [("B'", "A", "B")]
+
+
+# -- work contract -------------------------------------------------------------------
+
+
+def _calls(monkeypatch, owner, name):
+    """The argument tuples of every call of ``owner.name`` from now on."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["type_e_8", "partial_fps_map", "zero_stratum_map", "ladder_800"])
+def test_check_ct_derives_each_structure_once(name, monkeypatch):
+    # principal vertices once, one period walk per edge (the periodic
+    # subgraph is cached), and one components pass per filtration prefix
+    # G_0..G_N plus the periodic subgraph's in the principal vertices and
+    # clause Per
+    m = {
+        "type_e_8": lambda: gen_type_e(8).generic,
+        "partial_fps_map": partial_fps_map,
+        "zero_stratum_map": zero_stratum_map,
+        "ladder_800": lambda: _ladder(800),
+    }[name]()
+    principal = _calls(monkeypatch, ct, "principal_vertices")
+    walks = _calls(monkeypatch, ct, "edge_period")
+    components = _calls(monkeypatch, MarkedGraph, "components")
+    check_ct(m)
+    assert len(principal) == 1
+    assert sorted(e for _, e in walks) == sorted(m.graph.edge_names)
+    assert len(components) <= len(filtration(m)) + 3
 
 
 @pytest.mark.xfail(

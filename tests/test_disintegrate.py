@@ -390,9 +390,9 @@ def test_edge_image_splittings_are_computed_once(monkeypatch):
     qe_split_once = nielsen_mod.qe_split
     split = []
 
-    def counting(m, path, catalog=None, splitting=None):
+    def counting(m, path, catalog=None):
         split.append(path.edges)
-        return qe_split_once(m, path, catalog, splitting)
+        return qe_split_once(m, path, catalog)
 
     monkeypatch.setattr(nielsen_mod, "qe_split", counting)
     m = exceptional_rose()

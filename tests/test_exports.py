@@ -1,8 +1,8 @@
 """Every public name of the package has a reader inside the package, or is
 one of the test oracles named here; so has every public function and class
 defined at the top of a module, every private module-level function, every
-module-level assignment, every method and property, and every imported
-name."""
+module-level assignment, every method and property, every attribute a class
+stores on ``self``, and every imported name."""
 
 import ast
 import pathlib
@@ -28,6 +28,18 @@ MODULE_ORACLES = set()
 METHOD_ORACLES = {
     # demos/disintegration_walkthrough.py shows with it that f_(2,2) = f o f
     "maps.GraphMap.edges_equal",
+}
+
+# Attributes stored on ``self`` that nothing in the package reads, each with
+# the reason it stays.
+ATTRIBUTE_ORACLES = {
+    # the evidence behind each clause verdict (counts of principal vertices,
+    # attaching vertices, split images, ...), kept for the reports to print
+    "ct.Clause.witnesses",
+    # the exact Sturm bracket that certifies the rounded eigenvalue
+    "coords.Expansion.bracket",
+    # the full or partial FPS over a stage, which tags its case (a) or (b)
+    "maxrank.StageRecord.witness",
 }
 
 
@@ -157,6 +169,28 @@ def test_every_method_has_a_reader():
                 ):
                     unread.add("%s.%s.%s" % (stem, cls.name, fn.name))
     assert unread == METHOD_ORACLES
+
+
+def test_every_stored_attribute_has_a_reader():
+    # an attribute counts as read when some ``.name`` of the package loads
+    # it; names alone are matched, as for methods
+    loads = {
+        node.attr
+        for _, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = set()
+    for stem, tree in _modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr not in loads):
+                    unread.add("%s.%s.%s" % (stem, cls.name, node.attr))
+    assert unread == ATTRIBUTE_ORACLES
 
 
 def test_every_import_is_read():
