@@ -470,7 +470,7 @@ def _cmd_fps(m, doc, args):
 
 
 def _cmd_classify(m, doc, args):
-    report = classify_max_rank(m, mode=args.mode)
+    report = classify_max_rank(m, args.mode, _catalog(m, args, doc))
     data = {
         "mode": report.mode,
         "rank": report.rank,
@@ -485,7 +485,7 @@ def _cmd_classify(m, doc, args):
 
 
 def _cmd_audit(m, doc, args):
-    audit = rank_audit(m)
+    audit = rank_audit(m, _catalog(m, args, doc))
     data = {
         "order": list(audit.order) if audit.order is not None else None,
         "ranks": list(audit.ranks),

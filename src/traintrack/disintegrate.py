@@ -21,7 +21,13 @@ map.  A restriction f|S of f to an invariant edge set S (a filtration
 prefix) is disintegrated on f's own graph: its filtration is f's met with
 S (:func:`maps.restrict`), its pieces are paths of f's graph, and it reads
 f's catalog and splittings (:meth:`NielsenCatalog.image_qe_split`).  The
-whole map is the case S = every edge.
+whole map is the case S = every edge.  Of the image of an edge outside
+zero strata, partition and relations read only its digest
+(:meth:`NielsenCatalog.edge_digest`): the first edges of its edge and
+connecting terms and the QE families it meets, which do not depend on S.
+So each edge image is split and walked once per map, however many
+prefixes read it.  The connecting paths of a zero stratum depend on S, and
+their images are walked term by term.
 
 Of the claims about f_a, only the commuting one is checked here
 (:func:`verify_commute`, the ``verify-commute`` command): for admissible a
@@ -40,19 +46,22 @@ homotopy equivalence and a CT, fixes f's Nielsen paths and gives back
 its tuple are the tests' oracles (``tests/oracles.py``), not the package's.
 """
 
+from functools import cached_property
+
 from .ct import connecting_paths
 from .errors import AdmissibilityError, InconsistentFiltration
 from .intlin import kernel_basis
 from .maps import GraphMap, filtration, restrict
 from .paths import Path, UnionFind
-from .nielsen import TERM_CONN, TERM_EDGE, TERM_QE, build_catalog
+from .nielsen import TERM_CONN, TERM_EDGE, build_catalog
 
 
 class AlmostInvariantPartition:
     """The partition X_1 ... X_M of the non-fixed strata.
 
     ``classes`` holds, per X_i, the sorted tuple of stratum indices it
-    comprises; ``subgraphs`` the corresponding edge sets.
+    comprises; ``subgraphs`` the corresponding edge sets, built on first
+    read.
     """
 
     def __init__(self, m, filt, classes):
@@ -64,7 +73,11 @@ class AlmostInvariantPartition:
         for i, cls in enumerate(self.classes):
             for s in cls:
                 self._by_stratum[s] = i
-        self.subgraphs = tuple(
+
+    @cached_property
+    def subgraphs(self):
+        filt = self.filtration
+        return tuple(
             frozenset(e for s in cls for e in filt[s].edges)
             for cls in self.classes
         )
@@ -81,17 +94,11 @@ class AlmostInvariantPartition:
         return "<partition %s>" % ", ".join(parts)
 
 
-def _pieces(m, filt, i):
-    """The paths A_i of a stratum: its edges, or its connecting paths."""
-    g = m.graph
-    if filt[i].kind == "zero":
-        return connecting_paths(m, i, filt)
-    return [g.path([e]) for e in sorted(filt[i].edges, key=g.edge_index)]
-
-
 def almost_invariant_subgraphs(m, catalog=None, filt=None):
     """Union-find closure of "A_j is a term in the QE-splitting of f(A_i)",
-    over the strata of ``filt`` (default: m's filtration)."""
+    over the strata of ``filt`` (default: m's filtration): the pieces A_i
+    of a stratum are its edges, read through their digests, or its
+    connecting paths, whose images are walked."""
     if catalog is None:
         catalog = build_catalog(m)
     if filt is None:
@@ -115,7 +122,12 @@ def almost_invariant_subgraphs(m, catalog=None, filt=None):
             uf.union(i, j)
 
     for i in nodes:
-        for piece in _pieces(m, filt, i):
+        if filt[i].kind != "zero":
+            for e in sorted(filt[i].edges, key=m.graph.edge_index):
+                for x in catalog.edge_digest(e)[0]:
+                    uf.union(i, filt.level(x))
+            continue
+        for piece in connecting_paths(m, i, filt):
             for t in catalog.image_qe_split(piece).terms:
                 if t.kind not in (TERM_EDGE, TERM_CONN):
                     continue
@@ -154,7 +166,8 @@ class AdmissibilityRelation:
 
 
 def admissibility_relations(m, part=None, catalog=None):
-    """One relation per (quasi-exceptional family, containing class) incidence."""
+    """One relation per (quasi-exceptional family, containing class)
+    incidence, read off the edge digests."""
     if catalog is None:
         catalog = build_catalog(m)
     if part is None:
@@ -167,10 +180,7 @@ def admissibility_relations(m, part=None, catalog=None):
             continue
         for e in sorted(stratum.edges, key=m.graph.edge_index):
             r = part.class_of_edge(e)
-            for t in catalog.image_qe_split(m.graph.path([e])).terms:
-                if t.kind != TERM_QE:
-                    continue
-                fam = t.family
+            for fam in catalog.edge_digest(e)[1]:
                 key = (fam.key(), r)
                 if key in seen:
                     continue

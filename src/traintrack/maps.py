@@ -153,11 +153,12 @@ def transition_matrix(m, order=None):
     """
     order = list(order or m.graph.edge_names)
     index = {e: i for i, e in enumerate(order)}
+    base_of = m.graph.base_of
     n = len(order)
     t = [[0] * n for _ in range(n)]
     for j, e in enumerate(order):
-        for x in m.edge_images[e].edges:
-            nm = base_name(x)
+        for x in m.image_of[e]:
+            nm = base_of[x]
             if nm in index:
                 t[index[nm]][j] += 1
     return t
@@ -238,7 +239,8 @@ def dependencies(m):
     the images of E under f, f^2, ... cross, edge by edge before tightening
     (the transitive closure of "f(E) crosses X")."""
     if "dependencies" not in m._cache:
-        crosses = {e: {base_name(x) for x in im.edges} for e, im in m.edge_images.items()}
+        base_of = m.graph.base_of
+        crosses = {e: set(map(base_of.__getitem__, m.image_of[e])) for e in m.graph.edge_names}
         reach = {}
         for e, direct in crosses.items():
             seen, todo = set(direct), list(direct)
@@ -314,7 +316,12 @@ def classify_strata(m, components):
 
 
 def _neg_stratum(m, e):
-    """The NEG stratum {e} with its normal form and linear classification."""
+    """The NEG stratum {e} with its normal form and linear classification.
+
+    Linearity takes one f_#, of the word root w of u = w^d: f fixes u's
+    base point, and roots are unique in its fundamental group, so
+    f_#(w^d) = w^d exactly when f_#(w) = w (the lemma of
+    :func:`nielsen._checked_family`)."""
     g = m.graph
     for oriented in (e, g.inverse_of[e]):
         im = m.image(oriented)
@@ -324,11 +331,10 @@ def _neg_stratum(m, e):
                 break
     else:
         return Stratum((e,), "NEG", linear=False)
-    if m.apply(u) != u:
-        return Stratum((e,), "NEG", oriented, u, linear=False)
     root_edges, d = word_root(u.edges)
-    w = g.path(root_edges)
-    assert m.apply(w) == w, "root of a Nielsen suffix must be Nielsen"
+    w = u.subpath(0, len(root_edges))
+    if m.apply(w) != w:
+        return Stratum((e,), "NEG", oriented, u, linear=False)
     return Stratum((e,), "NEG", oriented, u, True, w, d)
 
 
@@ -353,12 +359,20 @@ def restrict(m, edge_subset):
     met with S, in m's order, zero strata that become adjacent merged, each
     other stratum m's own.  The filtration lives on m's graph: f|S is f
     read on the edges of S.
+
+    Invariance is one set inclusion per kept edge against the cached
+    closure of :func:`dependencies`: every image of S stays in S exactly
+    when every edge of S reaches only edges of S.  The images are read only
+    when it fails, to name the first edge whose image leaves S.
     """
     g = m.graph
     keep = {base_name(e) for e in edge_subset}
-    for e in g.edge_names:
-        if e in keep and any(base_name(x) not in keep for x in m.edge_images[e].edges):
-            raise InconsistentFiltration("edge set is not invariant: image of %r leaves it" % e)
+    reach = dependencies(m)
+    if not all(reach[e] <= keep for e in keep if e in reach):
+        base_of = g.base_of
+        e = next(e for e in g.edge_names
+                 if e in keep and any(base_of[x] not in keep for x in m.image_of[e]))
+        raise InconsistentFiltration("edge set is not invariant: image of %r leaves it" % e)
     strata = []
     for s in filtration(m):
         edges = tuple(e for e in s.edges if e in keep)

@@ -198,12 +198,13 @@ class _OrderSearch:
 # -- rank sequence ---------------------------------------------------------------
 
 
-def _prefix_ranks(m):
+def _prefix_ranks(m, catalog=None):
     """A function rank(filt, j): the lattice rank of the first j strata of
-    ``filt``, a filtration of m, below any zero strata on top.  Every prefix
-    is disintegrated once, whichever order lists it: its rank depends only
-    on its edge set."""
-    cat = build_catalog(m)
+    ``filt``, a filtration of m, below any zero strata on top, with
+    ``catalog`` (default: m's default-bound one).  Every prefix is
+    disintegrated once, whichever order lists it: its rank depends only on
+    its edge set."""
+    cat = catalog if catalog is not None else build_catalog(m)
     known = {}
 
     def rank(filt, j):
@@ -500,7 +501,7 @@ def _stage_delta(m, dmap, floor_verts, window_edges):
     return 0
 
 
-def rank_audit(m):
+def rank_audit(m, catalog=None):
     """Audit delta R <= 2 delta chi - delta over a proper stage grouping.
 
     Equality stages are tagged with the shape that explains them: (a) full
@@ -515,11 +516,12 @@ def rank_audit(m):
     no order passes, it reports the first order with a proper grouping and
     its failing stages (for a verified train track map that indicates an
     invalid input), and when no order has a proper grouping, it says so.
-    The search and the rank sequence share one disintegration per prefix.
+    The search and the rank sequence share one disintegration per prefix,
+    each with ``catalog`` (default: m's default-bound one).
     """
     g = m.graph
     dmap = direction_map(m)
-    rank = _prefix_ranks(m)
+    rank = _prefix_ranks(m, catalog)
 
     def stage(filt, grouping):
         # the record of the stage the newest boundary closes
@@ -661,7 +663,7 @@ def _structure_stage(m, mode, n, filt, grouping):
     return "stage G_%d..G_%d matches neither a linear pair nor an FPS subgraph" % (lo, hi)
 
 
-def classify_max_rank(m, mode="general"):
+def classify_max_rank(m, mode="general", catalog=None):
     """Match a maximal-rank map against the base-plus-stages decompositions.
 
     ``mode`` "general" targets lattice rank 2n-3; "ia" targets 2n-4 and
@@ -671,7 +673,8 @@ def classify_max_rank(m, mode="general"):
     stages all match a shape; the search checks each stage as it closes,
     so the answer is exact and not bounded by a number of orders.  A
     refusal names the first rejection the search met, or says that no
-    valid order has a proper stage grouping.
+    valid order has a proper stage grouping.  The lattice rank is that of
+    the disintegration with ``catalog`` (default: m's default-bound one).
     """
     mode = mode.lower()
     if mode not in ("general", "ia"):
@@ -685,7 +688,7 @@ def classify_max_rank(m, mode="general"):
     g = m.graph
     n = g.rank()
     target = 2 * n - 3 if mode == "general" else 2 * n - 4
-    dis = disintegrate(m)
+    dis = disintegrate(m, catalog)
     rank = dis.lattice.rank
     ia = is_IA(m)
 

@@ -140,7 +140,9 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
 
     Whether a prefix is stable, its suffix and its split flag depend on the
     prefix alone, so a sequence's first edges that an earlier swept
-    sequence shares were recorded with it and are not recorded again.
+    sequence shares were recorded with it and are not recorded again.  Only
+    the earlier sequences with the same first edge are compared: the others
+    share no prefix with it.
 
     ``linear`` maps linear edges E to their axes w, f(E) = E.v, v = [w^D]
     (on f^k, D is k times f's exponent).  As f_#(w) = w, the j-th iterate
@@ -175,7 +177,7 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
     linear = linear or {}
     dm = direction_map(m)
     found = []
-    swept = []
+    swept = {}  # first edge -> the sequences swept from it
     capped = []
 
     def sweep(edge_seq, d, stop=bound, period=0):
@@ -183,9 +185,10 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
         # is the verified common-prefix length, rewound when cancellation
         # pops below it, so the whole sweep is linear in the work f does.
         edge_seq = edge_seq[:bound]
-        done = max((_common_prefix_length(prev, edge_seq) for prev in swept), default=0)
+        earlier = swept.setdefault(edge_seq[:1], [])
+        done = max((_common_prefix_length(prev, edge_seq) for prev in earlier), default=0)
         stop = max(stop, done + period)  # runs start past the shared prefix
-        swept.append(edge_seq)
+        earlier.append(edge_seq)
         img = []
         agree = 0
         split = False
@@ -328,6 +331,8 @@ class NielsenCatalog:
       first edge, longest first (with their heights), for complete
       splitting, which matches family members from their records instead.
       Built on first read.
+    * :meth:`edge_digest`: what disintegration reads of an edge image's
+      QE-splitting, kept per edge.
 
     The period-one search runs when the catalog is built.  The f^k searches
     behind ``periodic`` and the f^k notes of ``budgets_hit`` run once, on
@@ -351,6 +356,7 @@ class NielsenCatalog:
         self._fixed_notes = tuple(notes)
         self._periodic = None
         self._image_qe = {}
+        self._digests = {}
 
     @cached_property
     def entries(self):
@@ -419,6 +425,32 @@ class NielsenCatalog:
             image = m.image(key[0]) if len(key) == 1 else m.apply(piece)
             self._image_qe[key] = qe_split(m, image, self)
         return self._image_qe[key]
+
+    def edge_digest(self, e):
+        """(firsts, families) of the QE-splitting of f(e), e an edge of f
+        outside zero strata, computed once per edge: the first edge of each
+        edge or connecting term outside fixed strata, and the family of each
+        QE term, each once, in term order.
+
+        Disintegrating f|S reads no more of f(e), for every invariant set S
+        that holds e: a term joins e's class to the stratum of its first
+        edge unless that stratum is fixed, and each QE family gives one
+        relation per class.  A stratum of f|S that is not zero is f's own
+        (:func:`maps.restrict`), and f's fixed strata are its edges X with
+        f(X) = X, so whether a first edge lies in a fixed stratum does not
+        depend on S; each first edge is leveled in S's own filtration by
+        the reader."""
+        if e not in self._digests:
+            m = self.map
+            terms = self.image_qe_split(Path(m.graph, (e,))).terms
+            firsts = dict.fromkeys(
+                t.path.edges[0] for t in terms
+                if t.kind in (TERM_EDGE, TERM_CONN)
+                and m.image_of[t.path.edges[0]] != t.path.edges[:1]
+            )
+            families = dict.fromkeys(t.family for t in terms if t.kind == TERM_QE)
+            self._digests[e] = tuple(firsts), tuple(families)
+        return self._digests[e]
 
     def __repr__(self):
         periodic = (
@@ -932,6 +964,19 @@ class CompleteSplitting:
         )
 
 
+def _single_term(m, filt, e):
+    """The single-edge term of the oriented edge e, outside zero strata,
+    its height from ``filt``, m's filtration: built on first use, once per
+    map, and shared by every splitting on it."""
+    single = m._cache.setdefault("single_terms", {})
+    if e not in single:
+        single[e] = Term(TERM_EDGE, Path(m.graph, (e,)), height=filt.level(e))
+    return single[e]
+
+
+_NO_MORE = iter(())  # an exhausted candidate iterator, shared
+
+
 def _is_legal_turn(m, a, b):
     """Whether the turn (a, b) is legal (:func:`maps.is_illegal_turn`),
     memoised per turn on the map."""
@@ -1000,9 +1045,8 @@ def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
                     term = Term(TERM_INP, path.subpath(i, pos + 1), height=height)
                     cands.append((pos + 1, term))
     # a single edge of an irreducible stratum
-    single = Term(TERM_EDGE, path.subpath(i, i + 1), height=lvl)
     cands.sort(key=lambda et: (-et[0], et[1].kind != TERM_EXC))
-    return [t for _, t in cands] + [single]
+    return [t for _, t in cands] + [_single_term(m, filt, e)]
 
 
 def complete_split(m, path, catalog=None):
@@ -1036,7 +1080,11 @@ def complete_split(m, path, catalog=None):
     Legality is decided only at the cuts the search tries, once per turn
     per map.  An offset whose edge starts no exceptional family, no listed
     iNp, no linear family and no connecting path has its single edge as
-    its only candidate, which is taken without the candidate scan.
+    its only candidate, which is taken without the candidate scan: the
+    search appends the map's one term for that edge (:func:`_single_term`)
+    and reads the turn's legality off the map's memo, so a plain offset
+    builds no term and no path.  Terms are shared between splittings and
+    never changed.
     """
     if catalog is None:
         catalog = build_catalog(m)
@@ -1045,6 +1093,8 @@ def complete_split(m, path, catalog=None):
         return CompleteSplitting(path, [])
     exceptional = _families_by_end(m)[1]
     inps_by_first, families = catalog.inps_by_first, catalog.families
+    single = m._cache.setdefault("single_terms", {})
+    legal = m._cache.setdefault("legal_turns", {})
     edges, inverse_of, n = path.edges, m.graph.inverse_of, len(path)
 
     # Depth-first search with an explicit stack, so the depth is not
@@ -1054,13 +1104,21 @@ def complete_split(m, path, catalog=None):
     i = furthest = 0
     while i < n:
         e = edges[i]
-        if e in exceptional or e in inps_by_first or e in families or (
-            filt[filt.level(e)].kind == "zero"
-        ):
-            cands = _candidates(m, path, i, filt, exceptional, inps_by_first, families)
+        term = single.get(e)
+        if term is None and filt[filt.level(e)].kind != "zero":
+            term = _single_term(m, filt, e)
+        if term is None or e in exceptional or e in inps_by_first or e in families:
+            todo.append(iter(_candidates(m, path, i, filt, exceptional, inps_by_first, families)))
         else:
-            cands = (Term(TERM_EDGE, path.subpath(i, i + 1), height=filt.level(e)),)
-        todo.append(iter(cands))
+            j = i + 1
+            furthest = max(furthest, j)
+            todo.append(_NO_MORE)  # the single edge is the offset's one candidate
+            if j == n or j not in failed and (
+                legal.get((inverse_of[e], edges[j])) or _is_legal_turn(m, inverse_of[e], edges[j])
+            ):
+                terms.append(term)
+                i = j
+                continue
         while todo:
             for term in todo[-1]:
                 j = i + len(term.path)
@@ -1098,9 +1156,13 @@ def qe_split(m, path, catalog=None):
     """QE-splitting: complete splitting with runs [e_i][Nielsen...][e_j']
     matching a family merged into one quasi-exceptional term (and
     exceptional single terms relabelled).  QE terms never overlap; the scan
-    is left to right."""
-    terms = complete_split(m, path, catalog).terms
+    is left to right.  A map with no QE family has no exceptional term
+    either, and its complete splitting is returned as it is."""
+    splitting = complete_split(m, path, catalog)
     by_end = _families_by_end(m)[0]
+    if not by_end:
+        return splitting
+    terms = splitting.terms
     out = []
     i = 0
     while i < len(terms):

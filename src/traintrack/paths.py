@@ -13,12 +13,14 @@ Conventions used throughout the package:
 * Values are immutable, so an operation may return an argument unchanged.
 
 Oriented-edge tables: a :class:`MarkedGraph` builds, once in its
-constructor, four dicts keyed by every oriented-edge token of the graph:
-``inverse_of`` (the reversed token), ``init_of`` and ``term_of`` (its end
-vertices) and ``order_key`` (``(edge index, is_inverse)``, the package's
-total order on oriented edges).  The path kernel -- ``path``, ``tighten``
-and ``Path.reverse``/``start``/``end`` -- and the hot loops of the other
-modules read these tables and never take a token apart.  A token that is
+constructor, five dicts keyed by every oriented-edge token of the graph:
+``inverse_of`` (the reversed token), ``base_of`` (its unoriented name),
+``init_of`` and ``term_of`` (its end vertices) and ``order_key`` (``(edge
+index, is_inverse)``, the package's total order on oriented edges).  The
+path kernel -- ``path``, ``tighten`` and ``Path.reverse``/``start``/``end``
+-- and the hot loops of the other modules (the transition matrix and the
+dependency closure among them) read these tables and never take a token
+apart.  A token that is
 not a key is not an edge of the graph, so the same lookups also validate.  The string helpers :func:`inverse` and
 :func:`base_name` remain for parsing, for code that has no graph at hand
 and for cold bookkeeping.
@@ -83,6 +85,7 @@ class MarkedGraph:
             self._ends[name] = (init, term)
         self.edge_names = tuple(self.edge_names)
         self.inverse_of = {}
+        self.base_of = {}
         self.init_of = {}
         self.term_of = {}
         self.order_key = {}
@@ -91,6 +94,7 @@ class MarkedGraph:
             init, term = self._ends[name]
             bar = name + "'"
             self.inverse_of[name], self.inverse_of[bar] = bar, name
+            self.base_of[name] = self.base_of[bar] = name
             self.init_of[name], self.init_of[bar] = init, term
             self.term_of[name], self.term_of[bar] = term, init
             self.order_key[name], self.order_key[bar] = (i, False), (i, True)

@@ -12,6 +12,13 @@ outer class apart by an inner automorphism, and the all-at-once forms
 that the package replaced with lazy ones: the set of every illegal turn
 (:func:`illegal_turns`), the legal cuts of a path (:func:`legal_cuts`) and
 the family records expanded pair by pair (:func:`family_records_by_pairs`).
+The splitter, the disintegration and the invariance test of ``restrict``
+are kept here in the forms that build a term and a subpath per offset,
+walk every term of every image per prefix and read every image edge
+(:func:`reference_complete_split`, :func:`reference_qe_split`,
+:func:`reference_partition`, :func:`reference_relations`,
+:func:`reference_invariance_fault`): the package's shared terms, edge
+digests and dependency closure must give what they give.
 """
 
 import itertools
@@ -19,12 +26,32 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from traintrack.ct import check_ct, principal_vertices
-from traintrack.disintegrate import build_fa, disintegrate
-from traintrack.errors import TrainTrackError
+from traintrack.ct import check_ct, connecting_paths, principal_vertices
+from traintrack.disintegrate import (
+    AdmissibilityRelation,
+    AlmostInvariantPartition,
+    build_fa,
+    disintegrate,
+)
+from traintrack.errors import InconsistentFiltration, NotCompletelySplit, TrainTrackError
 from traintrack.freegroup import pi1_basis, pi1_images, reduce_word, spanning_tree
-from traintrack.maps import GraphMap, is_illegal_turn
-from traintrack.nielsen import _pair_lengths, axes, build_catalog, default_length_bound
+from traintrack.maps import GraphMap, filtration, is_illegal_turn
+from traintrack.nielsen import (
+    TERM_CONN,
+    TERM_EDGE,
+    TERM_EXC,
+    TERM_QE,
+    CompleteSplitting,
+    Term,
+    _candidates,
+    _families_by_end,
+    _is_legal_turn,
+    _is_nielsen_term,
+    _pair_lengths,
+    axes,
+    build_catalog,
+    default_length_bound,
+)
 from traintrack.paths import Path, UnionFind, base_name, cyclic_decompose, inverse, word_root
 from samples import _map, _rose
 
@@ -72,6 +99,164 @@ def family_records_by_pairs(descriptors, lw, bound):
         for p_n, p_step, q_n, q_step, split in descriptors
         for i, j in _pair_lengths(p_n, p_step, q_n, q_step, bound)
     ]
+
+
+# -- the splitter and the disintegration, term by term --------------------------------
+
+
+def reference_complete_split(m, path, catalog=None):
+    """:func:`nielsen.complete_split` with a fresh single-edge term and
+    subpath built at every offset and legality asked per cut."""
+    if catalog is None:
+        catalog = build_catalog(m)
+    filt = filtration(m)
+    if path.is_trivial():
+        return CompleteSplitting(path, [])
+    exceptional = _families_by_end(m)[1]
+    inps_by_first, families = catalog.inps_by_first, catalog.families
+    edges, inverse_of, n = path.edges, m.graph.inverse_of, len(path)
+    terms, todo, failed = [], [], set()
+    i = furthest = 0
+    while i < n:
+        e = edges[i]
+        if e in exceptional or e in inps_by_first or e in families or (
+            filt[filt.level(e)].kind == "zero"
+        ):
+            cands = _candidates(m, path, i, filt, exceptional, inps_by_first, families)
+        else:
+            cands = (Term(TERM_EDGE, path.subpath(i, i + 1), height=filt.level(e)),)
+        todo.append(iter(cands))
+        while todo:
+            for term in todo[-1]:
+                j = i + len(term.path)
+                furthest = max(furthest, j)
+                if j == n or (
+                    j not in failed and _is_legal_turn(m, inverse_of[edges[j - 1]], edges[j])
+                ):
+                    break
+            else:
+                todo.pop()
+                failed.add(i)
+                if terms:
+                    i -= len(terms.pop().path)
+                continue
+            terms.append(term)
+            i = j
+            break
+        else:
+            raise NotCompletelySplit(
+                "path %r is not completely split" % path, position=furthest
+            )
+    return CompleteSplitting(path, terms)
+
+
+def reference_qe_split(m, path, catalog=None):
+    """:func:`nielsen.qe_split` over :func:`reference_complete_split`,
+    copying the terms even where the map has no QE family."""
+    terms = reference_complete_split(m, path, catalog).terms
+    by_end = _families_by_end(m)[0]
+    out = []
+    i = 0
+    while i < len(terms):
+        t = terms[i]
+        if t.kind == TERM_EXC:
+            p = t.family.matches(t.path)
+            out.append(Term(TERM_QE, t.path, family=t.family, power=p))
+            i += 1
+            continue
+        merged = False
+        if t.kind == TERM_EDGE and t.path.edges[0] in by_end:
+            e = t.path.edges[0]
+            j = i + 1
+            while j < len(terms) and _is_nielsen_term(m, terms[j]):
+                j += 1
+            if j < len(terms) and terms[j].kind == TERM_EDGE:
+                closer = terms[j].path.edges[0]
+                for fam in by_end[e]:
+                    if closer != inverse(fam.other(e)):
+                        continue
+                    lo = sum(len(x.path) for x in terms[:i])
+                    hi = lo + sum(len(x.path) for x in terms[i : j + 1])
+                    cand = path.subpath(lo, hi)
+                    p = fam.matches(cand)
+                    if p is not None:
+                        out.append(Term(TERM_QE, cand, family=fam, power=p))
+                        i = j + 1
+                        merged = True
+                        break
+        if not merged:
+            out.append(t)
+            i += 1
+    return CompleteSplitting(path, out)
+
+
+def pieces(m, filt, i):
+    """The paths A_i of a stratum: its edges, or its connecting paths."""
+    g = m.graph
+    if filt[i].kind == "zero":
+        return connecting_paths(m, i, filt)
+    return [g.path([e]) for e in sorted(filt[i].edges, key=g.edge_index)]
+
+
+def reference_partition(m, catalog, filt):
+    """:func:`disintegrate.almost_invariant_subgraphs` walking every term of
+    the QE-splitting of every piece's image."""
+    nodes = [i for i, s in enumerate(filt) if s.kind != "fixed"]
+    uf = UnionFind()
+    for i in nodes:
+        if filt[i].kind == "zero":
+            j = i + 1
+            while j < len(filt) and filt[j].kind == "zero":
+                j += 1
+            if j == len(filt):
+                raise InconsistentFiltration(
+                    "zero stratum {%s} is not below any irreducible stratum"
+                    % " ".join(filt[i].edges)
+                )
+            uf.union(i, j)
+    for i in nodes:
+        for piece in pieces(m, filt, i):
+            for t in catalog.image_qe_split(piece).terms:
+                if t.kind not in (TERM_EDGE, TERM_CONN):
+                    continue
+                j = filt.level(t.path.edges[0])
+                if filt[j].kind != "fixed":
+                    uf.union(i, j)
+    roots = {}
+    for i in nodes:
+        roots.setdefault(uf.find(i), []).append(i)
+    return AlmostInvariantPartition(m, filt, [roots[r] for r in sorted(roots)])
+
+
+def reference_relations(m, part, catalog):
+    """:func:`disintegrate.admissibility_relations` walking every term of
+    every edge image's QE-splitting."""
+    rels, seen = [], set()
+    for stratum in part.filtration:
+        if stratum.kind in ("fixed", "zero"):
+            continue
+        for e in sorted(stratum.edges, key=m.graph.edge_index):
+            r = part.class_of_edge(e)
+            for t in catalog.image_qe_split(m.graph.path([e])).terms:
+                if t.kind != TERM_QE or (t.family.key(), r) in seen:
+                    continue
+                fam = t.family
+                seen.add((fam.key(), r))
+                rels.append(AdmissibilityRelation(
+                    r, part.class_of_edge(fam.e_i), part.class_of_edge(fam.e_j),
+                    fam.d_i, fam.d_j, fam,
+                ))
+    return rels
+
+
+def reference_invariance_fault(m, edge_subset):
+    """The message :func:`maps.restrict` raises on a set that is not
+    invariant, read off every image edge; None for an invariant set."""
+    keep = {base_name(e) for e in edge_subset}
+    for e in m.graph.edge_names:
+        if e in keep and any(base_name(x) not in keep for x in m.edge_images[e].edges):
+            return "edge set is not invariant: image of %r leaves it" % e
+    return None
 
 
 def identity_map(graph):

@@ -272,15 +272,24 @@ def test_disintegrate_refuses_partial_fps_at_nielsen_bound_2(tmp_path):
     assert out.startswith("verification error: ") and "is not completely split" in out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="rank_audit and classify_max_rank build the default-bound catalog, "
-    "so audit and classify ignore --nielsen-bound and options.nielsen_bound",
-)
 def test_audit_reads_the_nielsen_bound(tmp_path):
     path = sample_file(tmp_path, "partial_fps_map")
     argv = [path, "--nielsen-bound", "2"]
-    assert run_cli(["audit"] + argv)[0] == run_cli(["disintegrate"] + argv)[0]
+    assert run_cli(["audit"] + argv)[0] == run_cli(["disintegrate"] + argv)[0] == 2
+
+
+def test_classify_reads_the_nielsen_bound(tmp_path):
+    path = sample_file(tmp_path, "partial_fps_map")
+    argv = [path, "--nielsen-bound", "2"]
+    assert run_cli(["classify"] + argv)[0] == run_cli(["disintegrate"] + argv)[0] == 2
+
+
+@pytest.mark.parametrize("command", ["audit", "classify"])
+def test_audit_and_classify_read_the_documents_nielsen_bound(command):
+    doc = json.loads(sample_text("partial_fps_map"))
+    code, out, _ = run_cli([command], stdin=json.dumps(dict(doc, options={"nielsen_bound": 2})))
+    assert code == 2 and "is not completely split" in out
+    assert run_cli([command], stdin=json.dumps(doc))[0] == 0
 
 
 @pytest.mark.parametrize("n, order", [(3, "E3 E1 E2 E4"), (5, "E5 E2 E6 E3 E1 E4 E8 E7")])

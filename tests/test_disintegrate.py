@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from traintrack.ct import check_ct
-from traintrack.disintegrate import build_fa, disintegrate, verify_commute
-from traintrack.errors import AdmissibilityError, TrainTrackError
-from traintrack.maps import GraphMap, compose
-from traintrack.nielsen import TERM_CONN, TERM_EDGE, qe_split
+from traintrack.disintegrate import build_fa, disintegrate, lattice, verify_commute
+from traintrack.errors import AdmissibilityError, InconsistentFiltration, TrainTrackError
+from traintrack.maps import GraphMap, compose, dependencies, filtration, restrict
+from traintrack.maxrank import gen_type_e, rank_audit
+from traintrack.nielsen import TERM_CONN, TERM_EDGE, NielsenCatalog, build_catalog, qe_split
 from traintrack.paths import MarkedGraph
 import samples
 from samples import (
@@ -30,10 +31,18 @@ from oracles import (
     identity_map,
     inner_twist_pair,
     is_generic,
+    reference_partition,
+    reference_relations,
     verify_homotopy_equivalence,
     verify_nielsen_preserved,
 )
-from test_nielsen import _corpus_map, linear_roses, triangular_roses
+from test_nielsen import (
+    _corpus_map,
+    arbitrary_roses,
+    linear_roses,
+    triangular_roses,
+    zero_strata_maps,
+)
 
 
 def _subgraphs(m):
@@ -434,3 +443,94 @@ def test_lattice_closed_under_addition(x, y):
     b1, b2 = latt.basis
     vec = tuple(x * u + y * v for u, v in zip(b1, b2))
     assert latt.contains(vec)
+
+
+# -- the edge digests against the term walk ----------------------------------------
+
+
+def all_down_sets(m):
+    """Every invariant union of strata of m's filtration, the empty one
+    excluded, as edge lists: each stratum is taken or left, in filtration
+    order, and taken only over the strata its edges reach."""
+    filt = filtration(m)
+    reach = dependencies(m)
+    below = [{filt.level(x) for e in s.edges for x in reach[e]} - {i} for i, s in enumerate(filt)]
+    out = [[]]
+    for i in range(len(filt)):
+        out += [d + [i] for d in out if below[i] <= set(d)]
+    return [[e for i in d for e in filt[i].edges] for d in out if d]
+
+
+def _disintegration_outcome(m, cat, edges, read):
+    """(classes, relations, lattice basis) of f|S by one reading, or the
+    error it raises."""
+    try:
+        part, rels = read(m, cat, restrict(m, edges))
+    except TrainTrackError as exc:
+        return type(exc), str(exc)
+    rows = [(r.r, r.s, r.t, r.d_i, r.d_j, r.family.key()) for r in rels]
+    return part.classes, rows, lattice(rels, part.M).basis
+
+
+def _from_digests(m, cat, filt):
+    dis = disintegrate(m, cat, [e for s in filt for e in s.edges])
+    return dis.partition, dis.relations
+
+
+def _by_term_walk(m, cat, filt):
+    part = reference_partition(m, cat, filt)
+    return part, reference_relations(m, part, cat)
+
+
+def assert_digests_match_the_term_walk(m):
+    try:
+        cat = build_catalog(m)
+    except TrainTrackError:
+        return
+    for edges in all_down_sets(m):
+        got = _disintegration_outcome(m, cat, edges, _from_digests)
+        assert got == _disintegration_outcome(m, cat, edges, _by_term_walk), edges
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(samples.SAMPLES)
+    + ["type_e_%d" % n for n in range(3, 8)]
+    + ["type_c_%d" % n for n in range(4, 7)],
+)
+def test_digests_match_the_term_walk_on_every_down_set(name):
+    assert_digests_match_the_term_walk(_corpus_map(name))
+
+
+def test_every_down_set_of_type_e_is_enumerated():
+    # E1 is fixed and each of the other 2n - 3 edges twists around it alone
+    assert len(all_down_sets(_corpus_map("type_e_5"))) == 2 ** 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(arbitrary_roses(), linear_roses(), triangular_roses(), zero_strata_maps()))
+def test_digests_match_the_term_walk_random_maps(m):
+    try:
+        filtration(m)
+    except InconsistentFiltration:
+        return
+    assert_digests_match_the_term_walk(m)
+
+
+def test_audit_reads_the_digests_and_splits_no_image_again(monkeypatch):
+    # once one disintegration has read every edge's digest, the audit's
+    # prefix disintegrations on type E n=8 ask for no splitting
+    m = gen_type_e(8).generic
+    cat = build_catalog(m)
+    disintegrate(m, cat)
+    asked = []
+    split = NielsenCatalog.image_qe_split
+
+    def counted(self, piece):
+        asked.append(piece.edges)
+        return split(self, piece)
+
+    monkeypatch.setattr(NielsenCatalog, "image_qe_split", counted)
+    audit = rank_audit(m, cat)
+    assert audit.passed and len(audit.ranks) == len(filtration(m)) + 1
+    assert asked == []

@@ -20,7 +20,7 @@ from traintrack.ct import check_ct, vertex_period
 from traintrack.maxrank import gen_type_c, gen_type_e, rank_audit
 from traintrack.nielsen import _is_legal_turn
 import samples
-from oracles import identity_map, illegal_turns, turns
+from oracles import identity_map, illegal_turns, reference_invariance_fault, turns
 from test_nielsen import (
     _corpus_map,
     arbitrary_roses,
@@ -598,7 +598,102 @@ def test_restrict_inherits_the_filtration_random_maps(m, data):
     assert_restrict_inherits_the_filtration(m, down_sets)
 
 
+def _restrict_fault(m, keep):
+    try:
+        restrict(m, keep)
+    except InconsistentFiltration as exc:
+        return str(exc)
+    return None
+
+
+def assert_restrict_faults_as_the_reference(m, edge_sets):
+    # the closure test names the same edge, with the same message, as a
+    # walk over every image edge; an invariant set raises nothing
+    for keep in edge_sets:
+        assert _restrict_fault(m, keep) == reference_invariance_fault(m, keep), sorted(keep)
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(samples.SAMPLES)
+    + ["type_e_%d" % n for n in range(3, 7)]
+    + ["type_c_%d" % n for n in range(4, 7)],
+)
+def test_restrict_faults_as_the_reference_on_every_edge_set(name):
+    m = _corpus_map(name)
+    names = m.graph.edge_names
+    subsets = [
+        c for r in range(1, len(names) + 1) for c in itertools.combinations(names, r)
+    ]
+    assert_restrict_faults_as_the_reference(m, subsets)
+    # orientations and names that are no edge of the graph are read as before
+    assert_restrict_faults_as_the_reference(
+        m, [[inverse(e) for e in names[:2]], list(names[1:]) + ["X"]]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(zero_strata_maps(), arbitrary_roses(), linear_roses(), triangular_roses()),
+    st.data(),
+)
+def test_restrict_faults_as_the_reference_random_maps(m, data):
+    try:
+        filtration(m)
+    except InconsistentFiltration:
+        return
+    letters = list(m.graph.edge_names) + [inverse(e) for e in m.graph.edge_names]
+    drawn = data.draw(st.lists(st.sets(st.sampled_from(letters), min_size=1), max_size=8))
+    assert_restrict_faults_as_the_reference(m, drawn)
+
+
+class _ReadCounter(dict):
+    """A dict that records every key read by subscription."""
+
+    def __init__(self, data, reads):
+        super().__init__(data)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+def test_restrict_reads_no_image_edge_of_an_invariant_set():
+    # invariance is read off the cached dependency closure; the images are
+    # walked only to name the edge of a set that is not invariant
+    m = gen_type_e(8).generic
+    filt = filtration(m)
+    reads = []
+    m.image_of = _ReadCounter(m.image_of, reads)
+    m.edge_images = _ReadCounter(m.edge_images, reads)
+    for j in range(1, len(filt) + 1):
+        assert list(restrict(m, filt.prefix_edges(j))) == list(filt)[:j]
+    assert reads == []
+    with pytest.raises(InconsistentFiltration, match="image of 'E3' leaves it"):
+        restrict(m, ["E3"])
+    assert reads
+
+
 # --- directions and turns ------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(zero_strata_maps(), arbitrary_roses(), linear_roses(), triangular_roses()))
+@example(samples.suffix_rose())
+@example(gen_type_e(5).generic)
+@example(gen_type_c(5).generic)
+def test_a_neg_stratum_is_linear_exactly_when_its_suffix_is_nielsen(m):
+    # linearity is decided on the root w of u = w^d alone
+    try:
+        filt = filtration(m)
+    except InconsistentFiltration:
+        return
+    for s in filt:
+        if s.kind == "NEG" and s.neg_suffix is not None:
+            assert s.linear == (m.apply(s.neg_suffix) == s.neg_suffix), s
+            if s.linear:
+                assert s.axis.power(s.exponent) == s.neg_suffix
 
 
 def test_direction_map_swap_rose():

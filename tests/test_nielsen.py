@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from traintrack import MarkedGraph, cli, nielsen
-from traintrack.ct import check_ct
+from traintrack.ct import check_ct, connecting_paths
 from traintrack.errors import (
     InconsistentFiltration,
     LViolation,
@@ -48,12 +48,7 @@ from traintrack.nielsen import (
     qe_split,
 )
 from traintrack.coords import coordinate_system
-from traintrack.disintegrate import (
-    _pieces,
-    build_fa,
-    disintegrate,
-    verify_commute,
-)
+from traintrack.disintegrate import build_fa, disintegrate, verify_commute
 from traintrack.maxrank import (
     classify_max_rank,
     gen_type_c,
@@ -79,6 +74,9 @@ from oracles import (
     inner_twist_pair,
     inps,
     legal_cuts,
+    pieces,
+    reference_complete_split,
+    reference_qe_split,
     verify_nielsen_preserved,
 )
 from order_reference import reference_orders
@@ -542,7 +540,7 @@ def assert_prefix_splittings_are_the_full_maps(m, down_sets, zero_runs=False):
         for keep in down_sets:
             filt = restrict(m, keep)
             for i in range(len(filt)):
-                for piece in _pieces(m, filt, i):
+                for piece in pieces(m, filt, i):
                     assert _split_or_error(cat.image_qe_split, piece) is LViolation
         return
     level = filtration(m).level
@@ -556,10 +554,10 @@ def assert_prefix_splittings_are_the_full_maps(m, down_sets, zero_runs=False):
                 continue
             # the pieces disintegration reads on f's graph are f|S's own,
             # up to orientation
-            assert {_unoriented(p) for p in _pieces(m, on_f, i)} == {
-                _unoriented(p) for p in _pieces(own, filt, i)
+            assert {_unoriented(p) for p in pieces(m, on_f, i)} == {
+                _unoriented(p) for p in pieces(own, filt, i)
             }, (sorted(keep), i)
-            for piece in _pieces(own, filt, i):
+            for piece in pieces(own, filt, i):
                 try:
                     split = qe_split(own, own.apply(piece), own_cat)
                     want = _split_record(split)
@@ -1910,9 +1908,11 @@ def test_check_ct_reads_only_the_head_of_a_rays_last_iterate(edges_applied):
 def test_check_ct_on_the_ladder_writes_as_many_edges_as_before(edges_applied):
     # no ray of the ladder reaches a last iterate: B's is linear, A's fixed;
     # every direction of f^2 and f^3 is tame, so the f^k searches do not
-    # run and the f_# edges are those of the composition of f^2 and f^3
+    # run and the f_# edges are those of the composition of f^2 and f^3,
+    # plus the one edge of f_#(A) that decides B linear (f_#(w) for the
+    # root w = A of u = A^100, not f_#(u) as well)
     check_ct(_ladder(100))
-    assert edges_applied["edges"] == 610
+    assert edges_applied["edges"] == 510
 
 
 # -- the nielsen report from the records --------------------------------------------
@@ -2461,6 +2461,96 @@ def test_complete_split_expands_each_offset_at_most_once(monkeypatch):
         for path in tight_paths_up_to(m.graph, 5):
             seen = expanded(m, path)
             assert len(seen) == len(set(seen)), (m.name, path)
+
+
+# -- the splitter against the term-per-offset reference --------------------------------
+
+
+def _split_outcome(split, m, path, cat):
+    """(kind, edges, height, family, power) per term, the furthest offset of
+    a path that does not split, or the error of a map that refuses."""
+    try:
+        return [(t.kind, t.path.edges, t.height, t.family, t.power)
+                for t in split(m, path, cat).terms]
+    except NotCompletelySplit as exc:
+        return exc.position
+    except TrainTrackError as exc:
+        return type(exc), str(exc)
+
+
+def assert_splits_as_the_reference(m, paths):
+    try:
+        cat = build_catalog(m)
+    except TrainTrackError:
+        return
+    for path in paths:
+        for split, reference in ((complete_split, reference_complete_split),
+                                 (qe_split, reference_qe_split)):
+            got = _split_outcome(split, m, path, cat)
+            assert got == _split_outcome(reference, m, path, cat), (split.__name__, path)
+
+
+def _images_and_connecting_paths(m):
+    """Every edge image, both orientations, and every connecting path of a
+    zero stratum with its image."""
+    g = m.graph
+    out = [m.image(d) for d in g.directions()]
+    filt = filtration(m)
+    for i, s in enumerate(filt):
+        if s.kind == "zero":
+            for piece in connecting_paths(m, i, filt):
+                out += [piece, m.apply(piece)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(SAMPLES)
+    + ["ladder_25", "ladder_100", "ladder_800"]
+    + ["type_e_%d" % n for n in range(3, 9)]
+    + ["type_c_%d" % n for n in range(4, 8)],
+)
+def test_splits_as_the_reference_corpus_images(name):
+    m = _corpus_map(name)
+    assert_splits_as_the_reference(m, _images_and_connecting_paths(m))
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_splits_as_the_reference_sample_paths(name):
+    m = _corpus_map(name)
+    assert_splits_as_the_reference(m, tight_paths_up_to(m.graph, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(arbitrary_roses(), linear_roses(), triangular_roses(), zero_strata_maps()))
+def test_splits_as_the_reference_random_roses(m):
+    try:
+        filtration(m)
+    except InconsistentFiltration:
+        return
+    assert_splits_as_the_reference(
+        m, _images_and_connecting_paths(m) + tight_paths_up_to(m.graph, 3)
+    )
+
+
+@pytest.mark.parametrize("k", [25, 100, 800])
+def test_splitting_the_ladders_images_builds_the_same_terms_at_every_k(k, monkeypatch):
+    # a plain offset appends the map's one term for its edge, so splitting
+    # every edge image of the ladder builds one term per oriented edge,
+    # whatever k is (a term per offset builds 2k + 4)
+    m = _ladder(k)
+    cat = build_catalog(m)
+    built = []
+    init = nielsen.Term.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nielsen.Term, "__init__", counted)
+    for d in m.graph.directions():
+        cat.image_qe_split(m.graph.path([d]))
+    assert built == [TERM_EDGE] * 4
 
 
 def test_trivial_split():
