@@ -10,9 +10,11 @@ and ``disintegrate`` on the ladder A -> A, B -> B A^k (``check-ct`` and
 to the largest, type E n=6 and type C n=5; ``check-ct``, ``nielsen``,
 ``coords``, ``fps`` and ``verify-commute`` on the sample maps; ``check-ct`` and ``nielsen`` on
 ``unreduced_axis``, E3 -> E3 E2 E1 E2' over the axis E2 E1 E2', which is
-not cyclically reduced; and ``check-ct --json`` and ``nielsen --json`` on
+not cyclically reduced; ``check-ct --json`` and ``nielsen --json`` on
 the rest of the linear corpus: the ladder at k = 400 and 800, type E n=8
-and type C n=7.  Any change to a report, however small, fails here.
+and type C n=7; and, on that corpus, ``disintegrate`` in both forms, and
+``audit`` and ``classify`` on type E n=8 and type C n=7.  Any change to a
+report, however small, fails here.
 
 The expected files are written by running this module as a script::
 
@@ -119,6 +121,13 @@ def _cases():
         cases.append((name, "fps", ()))
     for name, (a, b) in COMMUTE_TUPLES.items():
         cases.append((name, "verify-commute", ("--a", a, "--b", b)))
+    # the disintegration of the linear corpus beyond the benchmark's sizes
+    for doc, mode in (("type_e_8", "general"), ("type_c_7", "ia")):
+        cases.append((doc, "disintegrate", ()))
+        cases.append((doc, "audit", ()))
+        cases.append((doc, "classify", ("--mode", mode)))
+    for k in (400, 800):
+        cases.append(("ladder_%d" % k, "disintegrate", ()))
     cases = [(doc, cmd, args, ("text", "json")) for doc, cmd, args in cases]
     # the linear corpus of the north star, in the JSON form only
     for doc in ("ladder_400", "ladder_800", "type_e_8", "type_c_7"):
