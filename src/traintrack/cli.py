@@ -20,7 +20,10 @@ recomputed and compared, never trusted; a mismatch is an input error.
 Commands read documents from file arguments (or stdin when none are given)
 and write a report per document; ``gen`` writes a fresh document instead.
 Exit status: 0 when every analysis succeeded and every verification passed,
-2 when some verification failed, 1 on malformed input (position-tagged).
+2 when some verification failed, 1 on malformed input (position-tagged),
+and 141 (128 + SIGPIPE, the status a shell shows for a tool that signal
+ends) when standard output is closed before the report is written out, as
+by ``| head``: the rest of the report is dropped and nothing is printed.
 All output is deterministic; ``--seed`` is accepted for interface stability
 and ignored.
 
@@ -37,9 +40,9 @@ gives a family's line where its first indivisible member would stand.
 """
 
 import argparse
-import concurrent.futures
 import functools
 import json
+import os
 import sys
 
 from . import coords as coords_mod
@@ -711,30 +714,54 @@ def main(argv=None):
         return 1
     if args.command == "gen":
         try:
-            sys.stdout.write(_run_gen(args))
+            text = _run_gen(args)
         except InputError as exc:
             where = " (at %s)" % exc.position if exc.position else ""
             print("error: %s%s" % (exc, where), file=sys.stderr)
             return 1
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            return _closed_stdout()
         return 0
 
     files = args.files or ["-"]
     if args.jobs > 1 and len(files) > 1 and "-" not in files:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_worker, [(p, args) for p in files]))
     else:
         results = [_analyze_file(p, args) for p in files]
 
     worst = 0
-    for path, (code, out) in zip(files, results):
-        if len(files) > 1:
-            print("-- %s" % path)
-        print(out, file=sys.stderr if code == 1 else sys.stdout)
-        if code == 1:
-            worst = 1
-        elif code == 2 and worst == 0:
-            worst = 2
+    try:
+        for path, (code, out) in zip(files, results):
+            if len(files) > 1:
+                print("-- %s" % path)
+            print(out, file=sys.stderr if code == 1 else sys.stdout)
+            if code == 1:
+                worst = 1
+            elif code == 2 and worst == 0:
+                worst = 2
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return _closed_stdout()
     return worst
+
+
+CLOSED_STDOUT = 141
+
+
+def _closed_stdout():
+    """The exit status for a reader that closed standard output early.  The
+    unwritten rest is dropped, and standard output is pointed at the null
+    device so that the flush at interpreter exit cannot fail again."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+    return CLOSED_STDOUT
 
 
 if __name__ == "__main__":

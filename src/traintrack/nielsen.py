@@ -54,6 +54,14 @@ the CT check and the ``nielsen`` report read the periodic list, so that
 search runs the first time a catalog's ``periodic`` list or its
 ``budgets_hit`` notes are read, not when the catalog is built.
 
+The period-one search is deferred the same way: it runs the first time
+the catalog's entries, families or notes are read.  The CT check, the
+``nielsen`` report and the splitter's general search read them; the
+disintegration reads only the splittings of edge images, and an image
+E.x_1...x_m with every x_i a fixed edge splits in closed form without
+them (:func:`complete_split`).  So on the ladder and on the type E and
+C families, ``disintegrate``, ``audit`` and ``classify`` run no search.
+
 The restriction f|S of f to an invariant edge set S (a filtration prefix)
 has as Nielsen paths exactly those of f that lie in S, since f_# of a path
 there is computed there, and its edge images split as under f
@@ -334,16 +342,19 @@ class NielsenCatalog:
     * :meth:`edge_digest`: what disintegration reads of an edge image's
       QE-splitting, kept per edge.
 
-    The period-one search runs when the catalog is built.  The f^k searches
-    behind ``periodic`` and the f^k notes of ``budgets_hit`` run once, on
-    the first read of either, and their result is kept.
+    The period-one search runs once, on the first read of ``generic``,
+    ``families``, ``inps_by_first``, ``entries`` or ``budgets_hit``, not
+    when the catalog is built; a catalog given its entries (and notes and
+    families) holds them instead.  The f^k searches behind ``periodic``
+    and the f^k notes of ``budgets_hit`` run once, on the first read of
+    either, after the period-one search.  Every result is kept.
 
     Completeness is certified only within ``bound`` (and ``period_bound``
     for the periodic list); consumers must treat absence as
     "not found within bound".
     """
 
-    def __init__(self, m, bound, period_bound, entries, notes, families=None):
+    def __init__(self, m, bound, period_bound, entries=None, notes=(), families=None):
         g = m.graph
         self.map = m
         self.bound = bound
@@ -351,12 +362,25 @@ class NielsenCatalog:
         self.fixed_edges = [
             e for e in g.edge_names if m.edge_images[e].edges == (e,)
         ]
-        self.generic = entries
-        self.families = families or {}
-        self._fixed_notes = tuple(notes)
+        if entries is not None:
+            self._found = entries, families or {}, tuple(notes)
         self._periodic = None
         self._image_qe = {}
         self._digests = {}
+
+    @cached_property
+    def _found(self):
+        """(generic, families, notes) of the period-one search
+        (:func:`_search_period_one`), run on first read."""
+        return _search_period_one(self.map, self.bound)
+
+    @property
+    def generic(self):
+        return self._found[0]
+
+    @property
+    def families(self):
+        return self._found[1]
 
     @cached_property
     def entries(self):
@@ -458,10 +482,15 @@ class NielsenCatalog:
             if self._periodic is None
             else "%d periodic" % len(self.periodic)
         )
-        n_entries = len(self.generic) + sum(len(f[1]) for f in self.families.values())
-        return "<NielsenCatalog %d fixed edges, %d entries, %s, bound %d>" % (
+        entries = (
+            "period-one search pending"
+            if "_found" not in vars(self)
+            else "%d entries"
+            % (len(self.generic) + sum(len(f[1]) for f in self.families.values()))
+        )
+        return "<NielsenCatalog %d fixed edges, %s, %s, bound %d>" % (
             len(self.fixed_edges),
-            n_entries,
+            entries,
             periodic,
             self.bound,
         )
@@ -655,13 +684,33 @@ def _fold_listed_members(families, generic, linear, g, filt):
 
 
 def build_catalog(m, bound=None, period_bound=3):
-    """Search for Nielsen and periodic Nielsen paths up to a length bound.
+    """The catalog of Nielsen and periodic Nielsen paths up to a length
+    bound, cached on the map per (bound, period_bound).
 
     The default bound is four times the longest edge image plus slack.
-    Only the period-one search runs here; the periodic list (the same
-    search on f^k, k = 2..period_bound) runs on the first read of the
-    catalog's ``periodic`` or ``budgets_hit``.  Results are cached on the
-    map per (bound, period_bound).
+    The map's filtration is computed here; both searches are deferred.
+    The period-one search (:func:`_search_period_one`) runs on the first
+    read of the catalog's ``generic``, ``families``, ``inps_by_first`` or
+    ``entries`` (or of the notes behind ``budgets_hit``), and the periodic
+    list (the same search on f^k, k = 2..period_bound) on the first read
+    of ``periodic`` or ``budgets_hit``.  A caller that reads only edge
+    images splitting in closed form (:func:`complete_split`) runs neither.
+    """
+    if bound is None:
+        bound = default_length_bound(m)
+    key = ("catalog", bound, period_bound)
+    if key in m._cache:
+        return m._cache[key]
+    filtration(m)
+    cat = NielsenCatalog(m, bound, period_bound)
+    m._cache[key] = cat
+    return cat
+
+
+def _search_period_one(m, bound):
+    """(generic, families, notes): the period-one entries that are not
+    family members, the linear families and the notes on rays cut at
+    their iterate cap.
 
     The search recognises each linear edge's family E w^k Ebar once, as
     descriptors of pairs of prefix runs; this is the one place they are
@@ -671,15 +720,9 @@ def build_catalog(m, bound=None, period_bound=3):
     reads; its ``entries`` write the members out and sort them into the
     generic entries' order, the same as member by member.
     """
-    if bound is None:
-        bound = default_length_bound(m)
-    key = ("catalog", bound, period_bound)
-    if key in m._cache:
-        return m._cache[key]
     filt = filtration(m)
     linear = _linear_axes(filt)
     sigmas, composite, descriptors, capped = _search_fixed_paths(m, bound, linear=linear)
-    budgets_hit = [_cap_note(1, d, cap) for d, cap in capped]
     generic = [
         NielsenEntry(sigma, 1, not composite[sigma.edges], filt.height(sigma))
         for sigma in sigmas
@@ -691,9 +734,7 @@ def build_catalog(m, bound=None, period_bound=3):
         if fam is not None:
             families[e] = fam
     generic = _fold_listed_members(families, generic, linear, m.graph, filt)
-    cat = NielsenCatalog(m, bound, period_bound, generic, budgets_hit, families)
-    m._cache[key] = cat
-    return cat
+    return generic, families, tuple(_cap_note(1, d, cap) for d, cap in capped)
 
 
 def _search_periodic(cat):
@@ -741,7 +782,7 @@ def _search_periodic(cat):
         for edges in (entry.path.edges, entry.path.reverse().edges)
     )
     periodic = []
-    notes = list(cat._fixed_notes)
+    notes = list(cat._found[2])
     mk = m
     for k in range(2, cat.period_bound + 1):
         try:
@@ -813,7 +854,11 @@ def axes(m):
     its ``neg_edge`` E, ``axis`` w and ``exponent`` d with f(E) = E.w^d.
     Raises LViolation when two linear edges on one unoriented axis have
     based words that differ by more than orientation, or equal exponents.
+    Depends on the map alone: a success is cached on it, while a map that
+    breaks the clauses raises on every call.
     """
+    if "axes" in m._cache:
+        return m._cache["axes"]
     g = m.graph
     linear = sorted((s for s in filtration(m) if s.linear),
                     key=lambda s: g.edge_index(s.neg_edge))
@@ -842,6 +887,7 @@ def axes(m):
                 "axis %r carries two linear edges with equal exponents" % word
             )
         out.append(Axis(word, members))
+    m._cache["axes"] = out = tuple(out)
     return out
 
 
@@ -1049,6 +1095,25 @@ def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
     return [t for _, t in cands] + [_single_term(m, filt, e)]
 
 
+def _closed_split(m, filt, edges):
+    """The complete splitting [E][x_1]...[x_m] of the tight path E x_1 ...
+    x_m, m >= 1, as the map's single terms, when E lies outside zero
+    strata and is not fixed, every x_i is a fixed edge, f(x_i) = x_i, and
+    the turn (Ebar, x_1) is legal; None otherwise.  See
+    :func:`complete_split` for why no other splitting exists."""
+    image_of, inverse_of = m.image_of, m.graph.inverse_of
+    e = edges[0]
+    if (
+        len(edges) < 2
+        or image_of[e] == (e,)
+        or filt[filt.level(e)].kind == "zero"
+        or any(image_of[x] != (x,) for x in edges[1:])
+        or not _is_legal_turn(m, inverse_of[e], edges[1])
+    ):
+        return None
+    return [_single_term(m, filt, x) for x in edges]
+
+
 def complete_split(m, path, catalog=None):
     """Parse a path into complete-splitting terms.
 
@@ -1085,12 +1150,34 @@ def complete_split(m, path, catalog=None):
     and reads the turn's legality off the map's memo, so a plain offset
     builds no term and no path.  Terms are shared between splittings and
     never changed.
+
+    *Closed form.*  Let the path be E x_1 ... x_m, m >= 1, with E outside
+    zero strata and not fixed, each x_i a fixed edge, f(x_i) = x_i, and
+    the turn (Ebar, x_1) legal.  Then its splitting is [E][x_1]...[x_m],
+    which :func:`_closed_split` returns without reading the catalog's
+    entries or the QE families.  *Proof.*  It is what the search finds,
+    since no candidate but a single edge starts at any offset.  A listed
+    iNp E.y with y fixed is impossible: f_#(E y) = [f(E) y] = E y forces
+    f(E) = E.  A tight path of two or more fixed edges is Nielsen with a
+    Nielsen prefix, so the catalog lists it only as composite.
+    Exceptional terms E w^p E_j' and family members E b^k Ebar end in the
+    inverse of a linear edge, and no x_i is one.  Each cut is then legal:
+    the first by hypothesis, and every turn (x_ibar, x_(i+1)) inside the
+    run because its two directions are Df-fixed and distinct (the path
+    is tight), and two distinct fixed directions never merge.  []  Every other path, one whose first turn is illegal
+    included, takes the search.  The linear clauses are checked first
+    either way (:func:`axes`, cached on the map), so a map breaking them
+    splits no path.
     """
     if catalog is None:
         catalog = build_catalog(m)
     filt = filtration(m)
     if path.is_trivial():
         return CompleteSplitting(path, [])
+    axes(m)  # the linear clauses, once per map: a map breaking them splits nothing
+    terms = _closed_split(m, filt, path.edges)
+    if terms is not None:
+        return CompleteSplitting(path, terms)
     exceptional = _families_by_end(m)[1]
     inps_by_first, families = catalog.inps_by_first, catalog.families
     single = m._cache.setdefault("single_terms", {})
@@ -1156,13 +1243,20 @@ def qe_split(m, path, catalog=None):
     """QE-splitting: complete splitting with runs [e_i][Nielsen...][e_j']
     matching a family merged into one quasi-exceptional term (and
     exceptional single terms relabelled).  QE terms never overlap; the scan
-    is left to right.  A map with no QE family has no exceptional term
-    either, and its complete splitting is returned as it is."""
+    is left to right.  A QE term needs an opening and a closing single
+    term on two linear edges, so a splitting with no exceptional term and
+    fewer than two single terms on non-fixed edges is returned as it is,
+    before the families are looked up, and so is one on a map with no QE
+    family, which has no exceptional term either."""
     splitting = complete_split(m, path, catalog)
+    terms = splitting.terms
+    moving = sum(t.kind == TERM_EDGE and m.image_of[t.path.edges[0]] != t.path.edges
+                 for t in terms)
+    if moving < 2 and all(t.kind != TERM_EXC for t in terms):
+        return splitting
     by_end = _families_by_end(m)[0]
     if not by_end:
         return splitting
-    terms = splitting.terms
     out = []
     i = 0
     while i < len(terms):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import traintrack
 from traintrack.cli import (
+    CLOSED_STDOUT,
     _build_parser,
     document_from_map,
     document_text,
@@ -635,6 +636,22 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["command"] == "check-ct" and payload["passed"] is True
     assert proc.stdout == run_cli(["check-ct", "--json", path])[1]
+
+
+def test_a_reader_closing_the_pipe_ends_the_run_quietly(tmp_path):
+    # the report, about 0.9 MB, outgrows the pipe's buffer, so the command
+    # is still writing when the reader closes after 100 bytes
+    path = sample_file(tmp_path, "qe_rose")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "traintrack", "fa", "--tuple", "500,500", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(), cwd=str(tmp_path),
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert len(head) == 100
+    assert err == b""
+    assert proc.returncode == CLOSED_STDOUT == 141
 
 
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")

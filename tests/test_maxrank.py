@@ -305,7 +305,13 @@ def test_rank_audit_searches_one_catalog(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(nielsen, "_search_fixed_paths", counted)
+    # type E's images split in closed form: no prefix reads the catalog
     m = gen_type_e(5).generic
+    audit = rank_audit(m)
+    assert len(audit.ranks) == len(filtration(m)) + 1
+    assert calls == []
+    # rose_cascade's C -> C B needs the search: one, for every prefix
+    m = rose_cascade()
     audit = rank_audit(m)
     assert len(audit.ranks) == len(filtration(m)) + 1
     assert calls == [m]

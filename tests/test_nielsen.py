@@ -649,9 +649,14 @@ def test_prefix_splittings_are_the_full_maps_zero_strata(m, data):
 
 
 def test_repr_does_not_run_the_periodic_search(searches):
+    # nor the period-one search, which is deferred as well
     cat = build_catalog(swap_rose())
     text = repr(cat)
-    assert "periodic not searched" in text
+    assert "period-one search pending" in text and "periodic not searched" in text
+    assert searches == {"searches": 0, "composites": 0}
+    n = len(cat.generic)
+    text = repr(cat)
+    assert "%d entries" % n in text and "periodic not searched" in text
     assert cat._periodic is None
     assert searches == {"searches": 1, "composites": 0}
     n = len(cat.periodic)
@@ -773,15 +778,17 @@ LAZY_OPS = {
 @pytest.mark.parametrize("op", sorted(LAZY_OPS))
 @pytest.mark.parametrize("name", sorted(LAZY_MAPS))
 def test_answers_without_periodic_list_search_period_one_only(searches, name, op):
+    # type E's images split in closed form, so nothing there reads the
+    # catalog's entries and not even the period-one search runs
     LAZY_OPS[op](LAZY_MAPS[name]())
-    assert searches["searches"] >= 1
+    assert searches["searches"] == (0 if name == "type_e_4" else 1)
     assert searches["composites"] == 0
 
 
 def test_periodic_list_is_searched_once_on_first_read(searches):
     g = _rose(["A", "B"])
     cat = build_catalog(_map(g, {"A": "A", "B": "B'"}), 5)
-    assert searches == {"searches": 1, "composites": 0}
+    assert searches == {"searches": 0, "composites": 0}
     assert len(cat.periodic) == 5
     # f^2 = id fixes B, which is neither fixed nor linear, so f^2 is
     # searched; f^3 = f fixes only A's directions, so f^3 is composed and
@@ -1061,7 +1068,7 @@ def test_maps_outside_the_lemma_still_search_f_squared(searches, images, periodi
     # f^3 = f fixes B in the first map, so it is searched too, and only A's
     # directions in the second, so it is composed and not searched.
     cat = build_catalog(_map(_rose(["A", "B"]), images), 5)
-    assert searches == {"searches": 1, "composites": 0}
+    assert searches == {"searches": 0, "composites": 0}
     assert len(cat.periodic) == periodic and {x.period for x in cat.periodic} == {2}
     assert searches == {"searches": searched, "composites": 2}
 
@@ -1084,6 +1091,7 @@ LINEAR_CORPUS = (
 def test_periodic_list_of_the_linear_corpus_takes_no_search(searches, name):
     # work contract: f^2 and f^3 are composed, and neither is searched
     cat = build_catalog(_corpus_map(name))
+    cat.generic  # the period-one search, which the periodic list reads first
     searches.update(searches=0, composites=0)
     assert cat.periodic == [] and cat.budgets_hit == ()
     assert searches == {"searches": 0, "composites": 2}
@@ -1092,6 +1100,7 @@ def test_periodic_list_of_the_linear_corpus_takes_no_search(searches, name):
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_periodic_list_of_the_samples_searches_both_powers(searches, name):
     cat = build_catalog(SAMPLES[name]())
+    cat.generic  # the period-one search, which the periodic list reads first
     searches.update(searches=0, composites=0)
     cat.periodic
     assert searches == {"searches": 2, "composites": 2}
@@ -1159,7 +1168,8 @@ def test_candidates_are_asked_only_where_a_term_may_be_longer(name, monkeypatch)
     except TrainTrackError:
         pass
     if name.startswith(("ladder", "type")):
-        assert asked  # each linear edge's image starts with it
+        # each image E.u, u fixed, splits in closed form without candidates
+        assert asked == []
 
 
 @pytest.fixture
@@ -1240,6 +1250,7 @@ def test_a_generic_pair_giving_a_member_is_listed_once(monkeypatch):
     monkeypatch.setattr(nielsen, "_growth_suffix", suffix_of_b)
     monkeypatch.setattr(nielsen, "_fold_listed_members", spy)
     cat = build_catalog(_ladder(1), 6)
+    cat.generic  # the deferred search, while the spies are in place
     assert ("B", "A", "A", "B'") in generic  # the pair survived to the fold
     paths = [x.path.edges for x in cat.entries]
     assert paths.count(("B", "A", "A", "B'")) == 1
@@ -2153,8 +2164,11 @@ def records_expanded(monkeypatch):
 
 def test_periodic_search_expands_no_family_descriptor(records_expanded, monkeypatch):
     # the f^2 and f^3 searches of rose_cascade (C is not tame) describe B's
-    # family pairs and drop them unexpanded; only build_catalog expands, once
+    # family pairs and drop them unexpanded; only the period-one search
+    # expands, once
     cat = build_catalog(rose_cascade())
+    assert records_expanded["calls"] == 0
+    cat.families
     assert records_expanded["calls"] == 1
     search, described = nielsen._search_fixed_paths, []
 
@@ -2453,9 +2467,12 @@ def test_complete_split_expands_each_offset_at_most_once(monkeypatch):
         complete_split(m, path, listed)
     assert ei.value.position == 3
 
+    # B A^1500 splits in closed form and expands no offset; with a second
+    # moving edge every offset of the long path is expanded, once
     g = MarkedGraph(["v"], [("A", "v", "v"), ("B", "v", "v")])
     m = GraphMap(g, {"A": ["A"], "B": ["B"] + ["A"] * 1500})
-    assert expanded(m, m.edge_images["B"]) == list(range(1501))
+    assert expanded(m, m.edge_images["B"]) == []
+    assert expanded(m, g.path(["B"] + ["A"] * 1500 + ["B"])) == list(range(1502))
     for make in (qe_rose, exceptional_rose, partial_fps_map, rose_cascade):
         m = make()
         for path in tight_paths_up_to(m.graph, 5):
@@ -2531,6 +2548,148 @@ def test_splits_as_the_reference_random_roses(m):
     assert_splits_as_the_reference(
         m, _images_and_connecting_paths(m) + tight_paths_up_to(m.graph, 3)
     )
+
+
+# -- the closed form of E.u, u fixed --------------------------------------------------
+
+
+def assert_closed_form_is_the_reference(m, paths):
+    """Every path that takes the closed form splits there as the reference
+    search splits it; returns how many took it."""
+    try:
+        filt = filtration(m)
+        axes(m)
+    except TrainTrackError:
+        return 0
+    cat = build_catalog(m)
+    taken = 0
+    for path in paths:
+        terms = None if path.is_trivial() else nielsen._closed_split(m, filt, path.edges)
+        if terms is not None:
+            taken += 1
+            got = [(t.kind, t.path.edges, t.height, t.family, t.power) for t in terms]
+            assert got == _split_outcome(reference_complete_split, m, path, cat), path.edges
+    return taken
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(SAMPLES)
+    + ["ladder_25", "ladder_100", "ladder_800"]
+    + ["type_e_%d" % n for n in range(3, 9)]
+    + ["type_c_%d" % n for n in range(4, 8)],
+)
+def test_closed_form_is_the_reference_corpus_images(name):
+    m = _corpus_map(name)
+    taken = assert_closed_form_is_the_reference(m, _images_and_connecting_paths(m))
+    if name.startswith(("ladder", "type")):
+        # every moving edge E has the image E.u with u fixed
+        assert taken == sum(m.image_of[e] != (e,) for e in m.graph.edge_names)
+
+
+def _moving_edge_then_fixed(m, n):
+    """The tight paths E x_1 ... x_k, k < n, E not fixed and each x_i fixed."""
+    g = m.graph
+    fixed = [d for d in g.directions() if m.image_of[d] == (d,)]
+    out = []
+    frontier = [(d,) for d in g.directions() if m.image_of[d] != (d,)]
+    while frontier:
+        out += [g.path(edges) for edges in frontier if len(edges) > 1]
+        frontier = [
+            edges + (x,) for edges in frontier if len(edges) < n for x in fixed
+            if g.init(x) == g.term(edges[-1]) and x != g.inverse_of[edges[-1]]
+        ]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(linear_roses(), triangular_roses(), zero_strata_maps()))
+def test_closed_form_is_the_reference_random_maps(m):
+    try:
+        filtration(m)
+    except InconsistentFiltration:
+        return
+    assert_closed_form_is_the_reference(
+        m, _images_and_connecting_paths(m) + _moving_edge_then_fixed(m, 4)
+    )
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts fixed-path searches, period-one searches and QE families."""
+    log = {"searches": 0, "period_one": 0, "qe_families": 0}
+    search, period_one = nielsen._search_fixed_paths, nielsen._search_period_one
+    family_init = nielsen.QEFamily.__init__
+
+    def counted_search(*args, **kwargs):
+        log["searches"] += 1
+        return search(*args, **kwargs)
+
+    def counted_period_one(*args):
+        log["period_one"] += 1
+        return period_one(*args)
+
+    def counted_family(self, *args):
+        log["qe_families"] += 1
+        family_init(self, *args)
+
+    monkeypatch.setattr(nielsen, "_search_fixed_paths", counted_search)
+    monkeypatch.setattr(nielsen, "_search_period_one", counted_period_one)
+    monkeypatch.setattr(nielsen.QEFamily, "__init__", counted_family)
+    return log
+
+
+def _run_command(m, argv):
+    doc = cli.document_from_map(m, "doc")
+    with contextlib.redirect_stdout(io.StringIO()), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        return cli.main(argv)
+
+
+CLOSED_FORM_COMMANDS = (
+    [("type_e_%d" % n, cmd) for n in range(3, 9) for cmd in ("disintegrate", "audit", "classify")]
+    + [("type_c_%d" % n, cmd) for n in range(4, 8) for cmd in ("disintegrate", "audit", "classify")]
+    + [("ladder_%d" % k, "disintegrate") for k in (25, 100, 800)]
+)
+
+
+@pytest.mark.parametrize("name, command", CLOSED_FORM_COMMANDS)
+def test_closed_form_commands_search_nothing(work, name, command):
+    # work contract: every image these commands split is E.u with u fixed
+    m = _corpus_map(name)
+    mode = ["--mode", "ia" if name.startswith("type_c") else "general"]
+    assert _run_command(m, [command] + (mode if command == "classify" else [])) == 0
+    assert work == {"searches": 0, "period_one": 0, "qe_families": 0}
+
+
+@pytest.mark.parametrize("command", ["check-ct", "nielsen"])
+@pytest.mark.parametrize(
+    "name", sorted(SAMPLES) + ["ladder_25", "ladder_800", "type_e_8", "type_c_7"]
+)
+def test_catalog_commands_search_period_one_once(work, name, command):
+    # work contract: the CT check and the report read the catalog at once,
+    # and its period-one search runs once; on the linear corpus f^2 and f^3
+    # take no search of their own
+    m = _corpus_map(name)
+    _run_command(m, [command])
+    assert work["period_one"] == 1
+    if name not in SAMPLES:
+        assert work["searches"] == 1
+
+
+def test_every_splitting_of_a_map_breaking_clause_l_raises():
+    # the closed form included (B -> B A A): the failed clause is not cached,
+    # so every call raises again
+    m = FAMILY_MAPS["same_exponent_pair"]()
+    cat = build_catalog(m)
+    for _ in range(2):
+        for d in m.graph.directions():
+            for split in (complete_split, qe_split):
+                with pytest.raises(LViolation):
+                    split(m, m.image(d), cat)
+    assert "axes" not in m._cache
+    m = qe_rose()
+    assert axes(m) is axes(m)
 
 
 @pytest.mark.parametrize("k", [25, 100, 800])
