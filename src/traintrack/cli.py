@@ -27,6 +27,12 @@ by ``| head``: the rest of the report is dropped and nothing is printed.
 All output is deterministic; ``--seed`` is accepted for interface stability
 and ignored.
 
+The command line is parsed once: when its first word names a subcommand,
+the rest goes to that subcommand's parser alone, which sets every option
+and reports its own errors and help.  Anything else (no subcommand first,
+or words that subcommand does not take) falls back to the full parser, so
+every usage, help and error text is argparse's own, as before.
+
 ``nielsen --json`` writes each linear family E w^k Ebar once, under
 ``families``: ``{"edge", "body", "height", "k", "composite_k"}``, with
 ``k`` the maximal runs ``[first, last]`` of the exponents of its
@@ -80,13 +86,20 @@ def _require_bound(val, position):
              "option 'nielsen_bound' must be a positive integer", position)
 
 
-def _parse_word(g, text, position):
+def _parse_word(g, text, place, key):
+    """The path of an edge word; an error is placed at ``place % key``."""
     tokens = text.split()
-    _require(tokens, "empty edge word", position)
     try:
-        return g.path(tokens)
+        if tokens:
+            return g.path(tokens)
+        msg = "empty edge word"
     except TrainTrackError as exc:
-        raise InputError(str(exc), position=position)
+        msg = str(exc)
+    raise InputError(msg, position=place % key)
+
+
+_FIELDS = frozenset(("name", "vertices", "edges", "images", "filtration",
+                     "nielsen_paths", "options"))
 
 
 def parse_document(text, source="<input>"):
@@ -99,12 +112,13 @@ def parse_document(text, source="<input>"):
             position="%s line %d column %d" % (source, exc.lineno, exc.colno),
         )
     _require(isinstance(raw, dict), "document must be a JSON object", source)
-    known = {"name", "vertices", "edges", "images", "filtration",
-             "nielsen_paths", "options"}
+    # messages and positions are formatted only for a check that fails
     for key in raw:
-        _require(key in known, "unknown field %r" % key, source)
+        if key not in _FIELDS:
+            raise InputError("unknown field %r" % key, position=source)
     for key in ("vertices", "edges", "images"):
-        _require(key in raw, "missing field %r" % key, source)
+        if key not in raw:
+            raise InputError("missing field %r" % key, position=source)
 
     vertices = raw["vertices"]
     _require(
@@ -114,10 +128,11 @@ def parse_document(text, source="<input>"):
     _require(isinstance(raw["edges"], list), "edges must be a list", "edges")
     triples = []
     for i, e in enumerate(raw["edges"]):
-        pos = "edges[%d]" % i
-        _require(isinstance(e, dict), "edge entries are objects", pos)
+        if not isinstance(e, dict):
+            raise InputError("edge entries are objects", position="edges[%d]" % i)
         for key in ("name", "from", "to"):
-            _require(isinstance(e.get(key), str), "edge needs string %r" % key, pos)
+            if not isinstance(e.get(key), str):
+                raise InputError("edge needs string %r" % key, position="edges[%d]" % i)
         triples.append((e["name"], e["from"], e["to"]))
     try:
         g = MarkedGraph(vertices, triples)
@@ -128,11 +143,13 @@ def parse_document(text, source="<input>"):
     _require(isinstance(images, dict), "images must be an object", "images")
     paths = {}
     for name, word in images.items():
-        pos = "images.%s" % name
-        _require(g.has_edge(name) and not name.endswith("'"),
-                 "image given for unknown edge %r" % name, pos)
-        _require(isinstance(word, str), "image must be an edge word string", pos)
-        paths[name] = _parse_word(g, word, pos)
+        if not (g.has_edge(name) and not name.endswith("'")):
+            raise InputError("image given for unknown edge %r" % name,
+                             position="images.%s" % name)
+        if not isinstance(word, str):
+            raise InputError("image must be an edge word string",
+                             position="images.%s" % name)
+        paths[name] = _parse_word(g, word, "images.%s", name)
     try:
         m = GraphMap(g, paths, name=raw.get("name"))
     except TrainTrackError as exc:
@@ -158,13 +175,14 @@ def parse_document(text, source="<input>"):
         _require(isinstance(raw["nielsen_paths"], list),
                  "nielsen_paths must be a list of edge words", "nielsen_paths")
         for i, word in enumerate(raw["nielsen_paths"]):
-            pos = "nielsen_paths[%d]" % i
-            _require(isinstance(word, str), "entries are edge words", pos)
-            p = _parse_word(g, word, pos)
+            if not isinstance(word, str):
+                raise InputError("entries are edge words",
+                                 position="nielsen_paths[%d]" % i)
+            p = _parse_word(g, word, "nielsen_paths[%d]", i)
             if not is_nielsen_path(m, p):
                 raise InputError(
                     "declared path %s is not a Nielsen path of the map" % word,
-                    position=pos,
+                    position="nielsen_paths[%d]" % i,
                 )
 
     options = {}
@@ -172,8 +190,8 @@ def parse_document(text, source="<input>"):
         _require(isinstance(raw["options"], dict), "options must be an object",
                  "options")
         for key, val in raw["options"].items():
-            _require(key == "nielsen_bound",
-                     "unknown option %r" % key, "options")
+            if key != "nielsen_bound":
+                raise InputError("unknown option %r" % key, position="options")
             _require_bound(val, "options")
             options[key] = val
 
@@ -571,9 +589,15 @@ _DISPATCH = {
 # -- argument parsing -------------------------------------------------------------
 
 
-@functools.cache
 def _build_parser():
     """The argument parser, built on first use and shared by later calls."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """The argument parser and its subcommand parsers by name, built on
+    first use and shared by later calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("files", nargs="*", metavar="FILE",
                         help="map document files (default: stdin)")
@@ -644,7 +668,20 @@ def _build_parser():
 
     sub.add_parser("export-dot", parents=[common],
                    help="DOT export with strata colored by classification")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv):
+    """The namespace of ``argv``, parsed once by the subcommand's own parser
+    when ``argv[0]`` names one and it leaves nothing over; otherwise by the
+    full parser, as the fallback that words every other outcome."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def _run_gen(args):
@@ -707,10 +744,9 @@ def _worker(item):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.command is None:
-        parser.print_help()
+        _build_parser().print_help()
         return 1
     if args.command == "gen":
         try:

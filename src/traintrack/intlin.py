@@ -23,8 +23,11 @@ def kernel_basis(rows, ncols):
     columns of the accumulated transform are a basis of the kernel.  Because
     the transform is unimodular the basis is saturated (every integer point
     of the rational kernel is an integer combination of it) and each vector
-    has content 1.
+    has content 1.  With no rows the kernel is everything, and the basis is
+    the unit vectors in order, as the reduction would leave them.
     """
+    if not rows:
+        return [tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
     m = [list(map(int, row)) for row in rows]
     u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 

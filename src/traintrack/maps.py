@@ -287,23 +287,36 @@ def classify_strata(m, components):
     filtration order.  A component is zero when no image of its edges
     crosses it, fixed or NEG when its transition block is a permutation
     (fixed when every edge is its own image) and EG otherwise; contiguous
-    zero components merge into one zero stratum.  A NEG stratum is a single
-    edge; its normal form f(E) = E.u is looked for in both orientations,
-    and it is linear when u is a Nielsen path: then u = w^d for the word
-    root w, which is Nielsen too (roots are unique in free groups).
+    zero components merge into one zero stratum.  A single edge {e} is read
+    off its own image: its block is the 1x1 count c of the times f(e)
+    crosses e, so it is zero for c = 0, fixed or NEG for c = 1 and EG for
+    c >= 2, and no matrix is built.  A NEG stratum is a single edge; its
+    normal form f(E) = E.u is looked for in both orientations, and it is
+    linear when u is a Nielsen path: then u = w^d for the word root w,
+    which is Nielsen too (roots are unique in free groups).
     """
     g = m.graph
+    image_of, inverse_of = m.image_of, g.inverse_of
     strata = []
     for comp in components:
-        edges = tuple(sorted(comp, key=g.edge_index))
-        block = transition_matrix(m, edges)
-        if all(all(v == 0 for v in row) for row in block):
+        if len(comp) == 1:
+            edges = tuple(comp)
+            e = edges[0]
+            image = image_of[e]
+            crossings = image.count(e) + image.count(inverse_of[e])
+            zero, permutation = crossings == 0, crossings == 1
+        else:
+            edges = tuple(sorted(comp, key=g.edge_index))
+            block = transition_matrix(m, edges)
+            zero = not any(map(any, block))
+            permutation = intlin.is_permutation_matrix(block)
+        if zero:
             if strata and strata[-1].kind == "zero":
                 edges = tuple(sorted(strata.pop().edges + edges, key=g.edge_index))
             strata.append(Stratum(edges, "zero"))
-        elif not intlin.is_permutation_matrix(block):
+        elif not permutation:
             strata.append(Stratum(edges, "EG"))
-        elif all(m.edge_images[e].edges == (e,) for e in edges):
+        elif all(image_of[e] == (e,) for e in edges):
             strata.append(Stratum(edges, "fixed"))
         elif len(edges) > 1:
             raise InconsistentFiltration(
@@ -318,21 +331,22 @@ def classify_strata(m, components):
 def _neg_stratum(m, e):
     """The NEG stratum {e} with its normal form and linear classification.
 
-    Linearity takes one f_#, of the word root w of u = w^d: f fixes u's
-    base point, and roots are unique in its fundamental group, so
-    f_#(w^d) = w^d exactly when f_#(w) = w (the lemma of
-    :func:`nielsen._checked_family`)."""
+    The normal form is read off the image tuples; only the paths u and w
+    the stratum keeps are built.  Linearity takes one f_#, of the word
+    root w of u = w^d: f fixes u's base point, and roots are unique in its
+    fundamental group, so f_#(w^d) = w^d exactly when f_#(w) = w (the
+    lemma of :func:`nielsen._checked_family`)."""
     g = m.graph
+    init_of, term_of = g.init_of, g.term_of
     for oriented in (e, g.inverse_of[e]):
-        im = m.image(oriented)
-        if len(im) >= 2 and im.edges[0] == oriented:
-            u = im.subpath(1, len(im))
-            if u.is_closed():
-                break
+        im = m.image_of[oriented]
+        if len(im) >= 2 and im[0] == oriented and init_of[im[1]] == term_of[im[-1]]:
+            break
     else:
         return Stratum((e,), "NEG", linear=False)
+    u = Path(g, im[1:])
     root_edges, d = word_root(u.edges)
-    w = u.subpath(0, len(root_edges))
+    w = u if d == 1 else Path(g, root_edges)
     if m.apply(w) != w:
         return Stratum((e,), "NEG", oriented, u, linear=False)
     return Stratum((e,), "NEG", oriented, u, True, w, d)
@@ -409,7 +423,7 @@ class DirectionMap:
 
     def __init__(self, m):
         self.m = m
-        self.map = {d: m.image(d).edges[0] for d in m.graph.directions()}
+        self.map = {d: m.image_of[d][0] for d in m.graph.directions()}
 
     def orbit_period(self, d):
         """(is_periodic, period) for a direction."""

@@ -463,17 +463,25 @@ class NielsenCatalog:
         (:func:`maps.restrict`), and f's fixed strata are its edges X with
         f(X) = X, so whether a first edge lies in a fixed stratum does not
         depend on S; each first edge is leveled in S's own filtration by
-        the reader."""
+        the reader.
+
+        A closed-form splitting [E][x_1]...[x_m] of f(e)
+        (``CompleteSplitting.closed``) has the digest ((E,), ()): its one
+        moving term is its first and it has no QE term, so its terms are
+        not walked."""
         if e not in self._digests:
             m = self.map
-            terms = self.image_qe_split(Path(m.graph, (e,))).terms
-            firsts = dict.fromkeys(
-                t.path.edges[0] for t in terms
-                if t.kind in (TERM_EDGE, TERM_CONN)
-                and m.image_of[t.path.edges[0]] != t.path.edges[:1]
-            )
-            families = dict.fromkeys(t.family for t in terms if t.kind == TERM_QE)
-            self._digests[e] = tuple(firsts), tuple(families)
+            split = self.image_qe_split(Path(m.graph, (e,)))
+            if split.closed:
+                self._digests[e] = (split.path.edges[0],), ()
+            else:
+                firsts = dict.fromkeys(
+                    t.path.edges[0] for t in split.terms
+                    if t.kind in (TERM_EDGE, TERM_CONN)
+                    and m.image_of[t.path.edges[0]] != t.path.edges[:1]
+                )
+                families = dict.fromkeys(t.family for t in split.terms if t.kind == TERM_QE)
+                self._digests[e] = tuple(firsts), tuple(families)
         return self._digests[e]
 
     def __repr__(self):
@@ -571,6 +579,8 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
     composite = {}
     families = {}
     for buckets in groups.values():
+        if len(buckets) < 2:
+            continue  # a tight pair takes its prefixes from two buckets
         lasts = sorted(buckets, key=order_key.__getitem__)
         for a, b in combinations(lasts, 2):
             for (p_ray, p_n, p_step, p_split, d), (q_ray, q_n, q_step, q_split, e) in product(
@@ -862,9 +872,12 @@ def axes(m):
     g = m.graph
     linear = sorted((s for s in filtration(m) if s.linear),
                     key=lambda s: g.edge_index(s.neg_edge))
-    groups = {}
+    groups, keys = {}, {}
     for s in linear:
-        groups.setdefault(_circuit_key(g, s.axis.edges), []).append(s)
+        word = s.axis.edges
+        if word not in keys:
+            keys[word] = _circuit_key(g, word)
+        groups.setdefault(keys[word], []).append(s)
     out = []
     for key in sorted(groups):
         strata = groups[key]
@@ -994,9 +1007,18 @@ class Term:
 
 
 class CompleteSplitting:
-    def __init__(self, path, terms):
+    """The terms of a path's complete splitting, in path order.
+
+    ``closed`` is True when :func:`complete_split` found it in closed form,
+    [E][x_1]...[x_m] with E not fixed and every x_i a fixed edge: then it
+    has no exceptional term and one term on a moving edge, its first, and
+    readers may take that from the path without walking the terms.
+    """
+
+    def __init__(self, path, terms, closed=False):
         self.path = path
         self.terms = terms
+        self.closed = closed
 
     def __iter__(self):
         return iter(self.terms)
@@ -1177,7 +1199,7 @@ def complete_split(m, path, catalog=None):
     axes(m)  # the linear clauses, once per map: a map breaking them splits nothing
     terms = _closed_split(m, filt, path.edges)
     if terms is not None:
-        return CompleteSplitting(path, terms)
+        return CompleteSplitting(path, terms, closed=True)
     exceptional = _families_by_end(m)[1]
     inps_by_first, families = catalog.inps_by_first, catalog.families
     single = m._cache.setdefault("single_terms", {})
@@ -1247,8 +1269,12 @@ def qe_split(m, path, catalog=None):
     term on two linear edges, so a splitting with no exceptional term and
     fewer than two single terms on non-fixed edges is returned as it is,
     before the families are looked up, and so is one on a map with no QE
-    family, which has no exceptional term either."""
+    family, which has no exceptional term either.  A closed-form splitting
+    (``CompleteSplitting.closed``) is such a one by its lemma and is
+    returned without counting its terms."""
     splitting = complete_split(m, path, catalog)
+    if splitting.closed:
+        return splitting
     terms = splitting.terms
     moving = sum(t.kind == TERM_EDGE and m.image_of[t.path.edges[0]] != t.path.edges
                  for t in terms)

@@ -100,10 +100,13 @@ class MarkedGraph:
             self.order_key[name], self.order_key[bar] = (i, False), (i, True)
             self._directions += (name, bar)
         if not intermediate:
-            for v in self.vertices:
-                if self.valence(v) == 1:
+            valence = dict.fromkeys(self.vertices, 0)
+            for init in self.init_of.values():
+                valence[init] += 1
+            for v, n in valence.items():
+                if n == 1:
                     raise MalformedPath("vertex %r has valence one" % v)
-                if self.valence(v) == 0 and len(self.vertices) > 1:
+                if n == 0 and len(self.vertices) > 1:
                     raise MalformedPath("vertex %r is isolated" % v)
 
     # -- edge bookkeeping ------------------------------------------------
@@ -135,9 +138,6 @@ class MarkedGraph:
         if v is None:
             return list(self._directions)
         return [e for e in self._directions if self.init_of[e] == v]
-
-    def valence(self, v):
-        return len(self.directions(v))
 
     # -- paths -----------------------------------------------------------
 

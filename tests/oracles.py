@@ -18,7 +18,10 @@ walk every term of every image per prefix and read every image edge
 (:func:`reference_complete_split`, :func:`reference_qe_split`,
 :func:`reference_partition`, :func:`reference_relations`,
 :func:`reference_invariance_fault`): the package's shared terms, edge
-digests and dependency closure must give what they give.
+digests and dependency closure must give what they give.  So is the
+stratum classifier that builds a transition block for every component and
+a subpath per orientation of a NEG edge (:func:`reference_classify_strata`),
+which the single-edge rule of ``classify_strata`` must match.
 """
 
 import itertools
@@ -35,7 +38,8 @@ from traintrack.disintegrate import (
 )
 from traintrack.errors import InconsistentFiltration, NotCompletelySplit, TrainTrackError
 from traintrack.freegroup import pi1_basis, pi1_images, reduce_word, spanning_tree
-from traintrack.maps import GraphMap, filtration, is_illegal_turn
+from traintrack.intlin import is_permutation_matrix
+from traintrack.maps import GraphMap, Stratum, filtration, is_illegal_turn, transition_matrix
 from traintrack.nielsen import (
     TERM_CONN,
     TERM_EDGE,
@@ -188,6 +192,49 @@ def reference_qe_split(m, path, catalog=None):
             out.append(t)
             i += 1
     return CompleteSplitting(path, out)
+
+
+def reference_classify_strata(m, components):
+    """:func:`maps.classify_strata` reading every component, a single edge
+    included, off its transition block, and each NEG edge's normal form off
+    subpaths of its image."""
+    g = m.graph
+    strata = []
+    for comp in components:
+        edges = tuple(sorted(comp, key=g.edge_index))
+        block = transition_matrix(m, edges)
+        if all(all(v == 0 for v in row) for row in block):
+            if strata and strata[-1].kind == "zero":
+                edges = tuple(sorted(strata.pop().edges + edges, key=g.edge_index))
+            strata.append(Stratum(edges, "zero"))
+        elif not is_permutation_matrix(block):
+            strata.append(Stratum(edges, "EG"))
+        elif all(m.edge_images[e].edges == (e,) for e in edges):
+            strata.append(Stratum(edges, "fixed"))
+        elif len(edges) > 1:
+            raise InconsistentFiltration(
+                "NEG stratum {%s} has more than one edge after maximal filtration"
+                % " ".join(edges)
+            )
+        else:
+            strata.append(_reference_neg_stratum(m, edges[0]))
+    return strata
+
+
+def _reference_neg_stratum(m, e):
+    for oriented in (e, inverse(e)):
+        im = m.image(oriented)
+        if len(im) >= 2 and im.edges[0] == oriented:
+            u = im.subpath(1, len(im))
+            if u.is_closed():
+                break
+    else:
+        return Stratum((e,), "NEG", linear=False)
+    root_edges, d = word_root(u.edges)
+    w = u.subpath(0, len(root_edges))
+    if m.apply(w) != w:
+        return Stratum((e,), "NEG", oriented, u, linear=False)
+    return Stratum((e,), "NEG", oriented, u, True, w, d)
 
 
 def pieces(m, filt, i):

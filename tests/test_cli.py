@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import traintrack
 from traintrack.cli import (
     CLOSED_STDOUT,
+    _DISPATCH,
     _build_parser,
+    _parse_args,
     document_from_map,
     document_text,
     export_dot,
@@ -600,6 +602,65 @@ def test_check_ct_fails_cs_where_a_juncture_cancels_late(tmp_path):
 
 def test_parser_is_built_once():
     assert _build_parser() is _build_parser()
+
+
+def _parsed(parse, argv):
+    """(namespace or exit status, stdout, stderr) of one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+# argv after the subcommand, for every subcommand that reads documents
+DOCUMENT_ARGV = [
+    [], ["a.json"], ["a.json", "b.json", "--json"], ["--json", "a.json"],
+    ["--js"], ["--nielsen-bound=5"], ["--nielsen-bound", "5", "a.json"],
+    ["--nielsen-bound", "five"], ["--nielsen-bound"], ["--seed", "3", "--jobs", "2"],
+    ["--bogus"], ["a.json", "--bogus", "b.json"], ["-x"], ["-h"], ["--help"],
+    ["--he"], ["--", "a.json"], ["--", "--json"], ["a.json", "--"], ["-"],
+    ["--mode", "ia"], ["--tuple", "1,2"], ["extra", "--json=1"],
+]
+# argv after the subcommand, for the subcommands with options of their own
+OWN_ARGV = {
+    "fa": [["--tuple", "1,2"], ["--tuple=1,2", "--emit-document", "--json"],
+           ["--tu", "1,2"], ["--emit"]],
+    "verify-commute": [["--a", "1,2", "--b", "0,1"], ["--a", "1,2"], ["--b=1"]],
+    "coords": [["--tuple", "1,2", "a.json"], ["--tuple"]],
+    "classify": [["--mode", "ia", "--json"], ["--mode", "bad"], ["--mode=general"],
+                 ["--mo", "ia"]],
+    "gen": [["type-e", "--n", "4"], ["type-c", "--n", "5", "--word", "E1 E2"],
+            ["type-e"], ["type-x", "--n", "3"], ["type-e", "--n", "x"],
+            ["type-c", "--n", "4", "--generator", "2", "--json", "--seed", "1"],
+            ["type-e", "--n", "4", "a.json"], ["--n", "4"]],
+}
+PARSE_CASES = (
+    [[command] + rest for command in sorted(_DISPATCH) for rest in DOCUMENT_ARGV]
+    + [[command] + rest for command, cases in OWN_ARGV.items() for rest in cases]
+    + [[], ["-h"], ["--help"], ["--json"], ["bogus"], ["bogus", "--json"],
+       ["--json", "check-ct"], ["--", "check-ct"], ["check"], ["gen", "-h"]]
+)
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_argv_parsed_once_as_the_full_parser_parses_it(argv):
+    # the subcommand's own parser gives the full parser's namespace, exit
+    # status, stdout and stderr, on valid input and on every error
+    assert _parsed(_parse_args, argv) == _parsed(_build_parser().parse_args, argv)
+
+
+def test_valid_argv_never_reaches_the_full_parser(monkeypatch):
+    def full(argv):
+        raise AssertionError("full parser used on %r" % (argv,))
+
+    monkeypatch.setattr(_build_parser(), "parse_args", full)
+    args = _parse_args(["classify", "--json", "--mode", "ia", "a.json"])
+    assert (args.command, args.json, args.mode, args.files) == ("classify", True, "ia", ["a.json"])
+    with pytest.raises(AssertionError, match="full parser"):
+        _parse_args(["classify", "--bogus"])
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -10,7 +10,15 @@ from traintrack.disintegrate import build_fa, disintegrate, lattice, verify_comm
 from traintrack.errors import AdmissibilityError, InconsistentFiltration, TrainTrackError
 from traintrack.maps import GraphMap, compose, dependencies, filtration, restrict
 from traintrack.maxrank import gen_type_e, rank_audit
-from traintrack.nielsen import TERM_CONN, TERM_EDGE, NielsenCatalog, build_catalog, qe_split
+from traintrack import nielsen
+from traintrack.nielsen import (
+    TERM_CONN,
+    TERM_EDGE,
+    TERM_QE,
+    NielsenCatalog,
+    build_catalog,
+    qe_split,
+)
 from traintrack.paths import MarkedGraph
 import samples
 from samples import (
@@ -32,6 +40,7 @@ from oracles import (
     inner_twist_pair,
     is_generic,
     reference_partition,
+    reference_qe_split,
     reference_relations,
     verify_homotopy_equivalence,
     verify_nielsen_preserved,
@@ -515,6 +524,74 @@ def test_digests_match_the_term_walk_random_maps(m):
     except InconsistentFiltration:
         return
     assert_digests_match_the_term_walk(m)
+
+
+def _walked_digest(m, cat, e):
+    """(firsts, families) of f(e) by walking the terms of the reference
+    QE-splitting."""
+    terms = reference_qe_split(m, m.image(e), cat).terms
+    firsts = dict.fromkeys(
+        t.path.edges[0] for t in terms
+        if t.kind in (TERM_EDGE, TERM_CONN) and m.image_of[t.path.edges[0]] != t.path.edges[:1]
+    )
+    return tuple(firsts), tuple(dict.fromkeys(t.family for t in terms if t.kind == TERM_QE))
+
+
+CLOSED_CORPUS = (["ladder_25", "ladder_100", "ladder_800"]
+                 + ["type_e_%d" % n for n in range(3, 9)]
+                 + ["type_c_%d" % n for n in range(4, 8)])
+
+
+@pytest.mark.parametrize("name", CLOSED_CORPUS)
+def test_closed_form_digests_match_the_term_walk(name):
+    # every moving image there reads E.u with u fixed: its splitting is
+    # marked closed and its digest ((E,), ()) is the walked one
+    m = _corpus_map(name)
+    cat = build_catalog(m)
+    moving = [e for e in m.graph.edge_names if m.image_of[e] != (e,)]
+    assert moving
+    for e in moving:
+        assert cat.image_qe_split(m.graph.path([e])).closed
+        assert cat.edge_digest(e) == _walked_digest(m, cat, e) == ((m.image_of[e][0],), ())
+
+
+class _WatchedTerms(list):
+    """A term list that records every walk over it."""
+
+    walks = []
+
+    def __iter__(self):
+        self.walks.append(len(self))
+        return super().__iter__()
+
+    def __getitem__(self, i):
+        self.walks.append(len(self))
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("name", ["type_e_6", "type_c_5", "ladder_100"])
+def test_closed_form_digests_walk_no_term_but_split_each_image_once(name, monkeypatch):
+    m = _corpus_map(name)
+    calls = {"complete_split": 0, "qe_split": 0}
+    complete, qe = nielsen.complete_split, nielsen.qe_split
+
+    def counted_complete(m, path, catalog=None):
+        calls["complete_split"] += 1
+        split = complete(m, path, catalog)
+        split.terms = _WatchedTerms(split.terms)
+        return split
+
+    def counted_qe(m, path, catalog=None):
+        calls["qe_split"] += 1
+        return qe(m, path, catalog)
+
+    monkeypatch.setattr(nielsen, "complete_split", counted_complete)
+    monkeypatch.setattr(nielsen, "qe_split", counted_qe)
+    monkeypatch.setattr(_WatchedTerms, "walks", [])
+    disintegrate(m, build_catalog(m))
+    moving = sum(m.image_of[e] != (e,) for e in m.graph.edge_names)
+    assert calls == {"complete_split": moving, "qe_split": moving}
+    assert _WatchedTerms.walks == []
 
 
 def test_audit_reads_the_digests_and_splits_no_image_again(monkeypatch):

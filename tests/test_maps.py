@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from traintrack.paths import MarkedGraph, Path, inverse, base_name
+from traintrack import maps
 from traintrack.maps import (
     Filtration,
     GraphMap,
@@ -15,12 +17,23 @@ from traintrack.maps import (
     direction_map,
     is_illegal_turn,
 )
-from traintrack.errors import MalformedPath, EndpointMismatch, InconsistentFiltration
+from traintrack.errors import (
+    EndpointMismatch,
+    InconsistentFiltration,
+    MalformedPath,
+    TrainTrackError,
+)
 from traintrack.ct import check_ct, vertex_period
 from traintrack.maxrank import gen_type_c, gen_type_e, rank_audit
 from traintrack.nielsen import _is_legal_turn
 import samples
-from oracles import identity_map, illegal_turns, reference_invariance_fault, turns
+from oracles import (
+    identity_map,
+    illegal_turns,
+    reference_classify_strata,
+    reference_invariance_fault,
+    turns,
+)
 from test_nielsen import (
     _corpus_map,
     arbitrary_roses,
@@ -673,6 +686,79 @@ def test_restrict_reads_no_image_edge_of_an_invariant_set():
     with pytest.raises(InconsistentFiltration, match="image of 'E3' leaves it"):
         restrict(m, ["E3"])
     assert reads
+
+
+# --- single-edge strata against the block reference ------------------------------
+
+
+def _strata_outcome(classify, m, components):
+    try:
+        return classify(m, components)
+    except TrainTrackError as exc:
+        return type(exc), str(exc)
+
+
+def assert_strata_as_the_block_reference(m):
+    """classify_strata on m's ordered components equals the reference that
+    builds a transition block for each; returns the strata."""
+    seen = []
+    real = maps.classify_strata
+
+    def spy(m, components):
+        seen.append(list(components))
+        return real(m, components)
+
+    with mock.patch.object(maps, "classify_strata", spy):
+        try:
+            compute_filtration(m)
+        except InconsistentFiltration:
+            pass
+    (components,) = seen
+    got = _strata_outcome(real, m, components)
+    assert got == _strata_outcome(reference_classify_strata, m, components)
+    return got
+
+
+def _eg_single_edge_map():
+    # E -> E A E crosses E twice: a 1x1 block (2), an EG stratum of one edge
+    g = MarkedGraph(["v"], [("A", "v", "v"), ("E", "v", "v")])
+    return GraphMap(g, {"A": g.path(["A"]), "E": g.path(["E", "A", "E"])})
+
+
+def _adjacent_zero_map():
+    # Z1 -> A and Z2 -> B cross nothing of their own: two zero components,
+    # placed next to each other and merged into one zero stratum
+    g = MarkedGraph(["v", "w"], [("A", "v", "v"), ("B", "v", "v"),
+                                 ("Z1", "v", "w"), ("Z2", "v", "w")])
+    return GraphMap(g, {"A": g.path(["A", "B"]), "B": g.path(["A"]),
+                        "Z1": g.path(["A"]), "Z2": g.path(["B"])})
+
+
+def test_eg_single_edge_is_eg_as_in_the_block_reference():
+    strata = assert_strata_as_the_block_reference(_eg_single_edge_map())
+    assert [(s.edges, s.kind) for s in strata] == [(("A",), "fixed"), (("E",), "EG")]
+
+
+def test_adjacent_zero_strata_merge_as_in_the_block_reference():
+    strata = assert_strata_as_the_block_reference(_adjacent_zero_map())
+    assert [(s.edges, s.kind) for s in strata] == [(("A", "B"), "EG"), (("Z1", "Z2"), "zero")]
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(samples.SAMPLES)
+    + ["ladder_25", "ladder_100"]
+    + ["type_e_%d" % n for n in range(3, 9)]
+    + ["type_c_%d" % n for n in range(4, 8)],
+)
+def test_strata_as_the_block_reference_corpus_maps(name):
+    assert_strata_as_the_block_reference(_corpus_map(name))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(arbitrary_roses(), linear_roses(), triangular_roses(), zero_strata_maps()))
+def test_strata_as_the_block_reference_random_maps(m):
+    assert_strata_as_the_block_reference(m)
 
 
 # --- directions and turns ------------------------------------------------------
