@@ -79,6 +79,7 @@ from .errors import (
     LViolation,
     InconsistentFiltration,
     AdmissibilityError,
+    FaRefused,
     InputError,
     InvariantForestError,
 )
@@ -160,6 +161,7 @@ __all__ = [
     "LViolation",
     "InconsistentFiltration",
     "AdmissibilityError",
+    "FaRefused",
     "InputError",
     "InvariantForestError",
 ]

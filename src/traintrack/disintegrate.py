@@ -37,19 +37,20 @@ catalog's term DAG (:class:`nielsen.TermIterates`), which reads f^k_#(E)
 off the QE-splittings of the edge images.  The two composites are written
 from the leaves of f_b(E) and f_a(E) in the DAG, each taken by the other
 map in closed form; nothing is tightened but f_{a+b}'s images, which the
-map checks.  The check falls back to building f_a and f_b and comparing
-through f_# where an edge image below some E does not split, a Nielsen or
-QE term of one has an end direction that Df moves, or f_a or f_b may move
-a Nielsen leaf or an axis (its edges outside fixed strata span two
-classes); no map of the test corpus takes this fallback.  That f_a is a
-homotopy equivalence and a CT, fixes f's Nielsen paths and gives back
-its tuple are the tests' oracles (``tests/oracles.py``), not the package's.
+map checks.  The paper defines f_a only for a CT, and the DAG is the one
+way f_a is written.  Where the DAG's lemma fails below some E (an image
+does not split or cancels at an end, Df moves an end direction of a
+Nielsen or QE term, or a QE axis is not cyclically reduced), or f_a or f_b
+may move a Nielsen leaf or an axis, both raise :class:`FaRefused`, naming
+E and the hypothesis that failed.  That f_a is a homotopy equivalence and
+a CT, fixes f's Nielsen paths and gives back its tuple are the tests'
+oracles (``tests/oracles.py``), not the package's.
 """
 
 from functools import cached_property
 
 from .ct import connecting_paths
-from .errors import AdmissibilityError, InconsistentFiltration
+from .errors import AdmissibilityError, FaRefused, InconsistentFiltration
 from .intlin import kernel_basis
 from .maps import GraphMap, filtration, restrict
 from .paths import Path, UnionFind
@@ -278,10 +279,10 @@ def _check_tuple(dis, a):
 def build_fa(m, a, dis=None):
     """The map acting as f^{a_i} on X_i and fixing every f-fixed edge.
 
-    An image f^{a_i}_#(E) is written from the catalog's term DAG
-    (:class:`nielsen.TermIterates`) where its lemma's hypotheses hold for
-    E, and by :meth:`GraphMap.iterate` elsewhere; ``GraphMap`` checks
-    either way that the image is tight."""
+    An image f^{a_i}_#(E) is read off the catalog's term DAG
+    (:class:`nielsen.TermIterates`); ``GraphMap`` checks it is tight.
+    Raises :class:`FaRefused`, whatever a_i is, where the DAG's lemma fails
+    below an edge E of X_i (:meth:`nielsen.TermIterates.refusal`)."""
     if dis is None:
         dis = disintegrate(m)
     a = tuple(a)
@@ -291,12 +292,11 @@ def build_fa(m, a, dis=None):
     images = {}
     for e in g.edge_names:
         i = dis.partition.class_of_edge(e)
-        if i is None:
-            images[e] = g.path([e])
-        elif dag.covers((e,)):
-            images[e] = Path(g, dag.head((e,), a[i]))
-        else:
-            images[e] = m.iterate(g.path([e]), a[i])
+        why = i is not None and dag.refusal((e,))
+        if why:
+            raise FaRefused("f_a is defined only for a CT, and the term lemma fails at %s: %s"
+                            % (e, why))
+        images[e] = g.path([e]) if i is None else Path(g, dag.head((e,), a[i]))
     return GraphMap(g, images, name="f_a%r" % (a,))
 
 
@@ -304,11 +304,11 @@ def verify_commute(m, a, b, dis=None):
     """Edge-image equality of f_a f_b, f_b f_a and f_{a+b}.
 
     a and b are checked as :func:`build_fa` checks them, a first, and
-    f_{a+b} is built.  Where the term DAG covers every edge
-    (:meth:`nielsen.TermIterates.covers`), f_a f_b(E) is written from the
-    leaves of f_b(E) = f^{b_i}_#(E), E in X_i, each taken by f_a in closed
-    form (:meth:`nielsen.TermIterates.twisted`), and f_b f_a(E) the same
-    way; no GraphMap is built for f_a or f_b and no f_# is taken.
+    f_{a+b} is built, which refuses any edge the term DAG does not serve.
+    Then f_a f_b(E) is written from the leaves of f_b(E) = f^{b_i}_#(E), E
+    in X_i, each taken by f_a in closed form
+    (:meth:`nielsen.TermIterates.twisted`), and f_b f_a(E) the same way; no
+    GraphMap is built for f_a or f_b and no f_# is taken.
 
     *Companion lemma* (proof at :class:`nielsen.TermIterates`): f_a never
     cancels at a legal cut, so, when f_a fixes every Nielsen leaf and
@@ -319,9 +319,8 @@ def verify_commute(m, a, b, dis=None):
     a_s d_p - a_t d_q) E_q', X_s and X_t the classes of E_p and E_q.  The
     lattice relations make the last E_p w^(q + a_i(d_p - d_q)) E_q', its
     image under f^{a_i}, so the comparison holds for admissible tuples and
-    fails, as through f_#, where a relation is broken.  Where the DAG
-    refuses an edge, or f_a may move a Nielsen leaf or an axis, f_a and f_b
-    are built and their images compared through f_#.
+    fails, as through f_#, where a relation is broken.  Where f_a or f_b
+    may move a Nielsen leaf or an axis, twisted raises :class:`FaRefused`.
     """
     if dis is None:
         dis = disintegrate(m)
@@ -330,20 +329,12 @@ def verify_commute(m, a, b, dis=None):
     _check_tuple(dis, b)
     fab = build_fa(m, tuple(x + y for x, y in zip(a, b)), dis)
     after = _commuted_images(m, dis, a, b)
-    if after is not None:
-        return all(ab == ba == fab.image_of[e] for e, (ab, ba) in after.items())
-    fa = build_fa(m, a, dis)
-    fb = build_fa(m, b, dis)
-    for e in m.graph.edge_names:
-        target = fab.image(e)
-        if fa.apply(fb.image(e)) != target or fb.apply(fa.image(e)) != target:
-            return False
-    return True
+    return all(ab == ba == fab.image_of[e] for e, (ab, ba) in after.items())
 
 
 def _commuted_images(m, dis, a, b):
     """{E: (f_a f_b(E), f_b f_a(E))} as edge tuples read off the term DAG,
-    or None where it does not serve (see :func:`verify_commute`)."""
+    which must serve every edge (see :func:`verify_commute`)."""
     g = m.graph
     dag = dis.catalog.iterates
     class_of = {d: dis.partition.class_of_edge(d) for d in g.directions()}
@@ -351,15 +342,5 @@ def _commuted_images(m, dis, a, b):
     def powers(t):
         return lambda d: 0 if class_of[d] is None else t[class_of[d]]
 
-    out = {}
-    for e in g.edge_names:
-        i = class_of[e]
-        if i is None:
-            out[e] = ((e,), (e,))
-            continue
-        if not dag.covers((e,)):
-            return None
-        out[e] = dag.twisted((e,), b[i], powers(a)), dag.twisted((e,), a[i], powers(b))
-        if None in out[e]:
-            return None
-    return out
+    pa, pb = powers(a), powers(b)  # a fixed edge takes power 0 and is its own image
+    return {e: (dag.twisted((e,), pb(e), pa), dag.twisted((e,), pa(e), pb)) for e in g.edge_names}

@@ -36,6 +36,10 @@ class AdmissibilityError(TrainTrackError):
     """Exponent tuple is outside the admissible lattice (or negative)."""
 
 
+class FaRefused(TrainTrackError):
+    """f_a is not written: a hypothesis of the term DAG's lemma fails (f_a needs a CT)."""
+
+
 class InvariantForestError(TrainTrackError):
     """The map carries a nontrivial invariant forest and must be reduced first."""
 

@@ -82,49 +82,6 @@ class GraphMap:
         g.seam_extend(out, map(self.image_of.__getitem__, path.edges))
         return Path(g, out) if out else g.trivial_path(self.vertex_map[path.start])
 
-    def iterate(self, path, k):
-        """k-fold application of f_#; k=0 is the identity.
-
-        The orbit grows in place.  Invariant: the list ``edges`` is the
-        current iterate Q, and when the last step is known to have extended
-        the iterate P before it, ``edges[n:]`` is the tail t that step
-        appended, Q = P.t.  Then f_#(Q) = [f_#(P).f_#(t)] = [Q.f_#(t)], so
-        the next step appends f_#(t) by the seam rule.  That step cancels
-        nothing exactly when Q is a prefix of f_#(Q), since f_#(t) is tight
-        and so never puts a cancelled edge back; then f_#(t) is the new
-        tail.  After a cancellation, or before the first relation is seen,
-        a step is a plain f_# compared once against Q.  An orbit that grows
-        at the start runs reversed, as f_#(reverse p) = reverse f_#(p).
-
-        Cost: while the orbit extends, f_# is fed only the tails, which
-        partition f^(k-1)_#(p) past p, and O(|f^k_#(p)|) edges are written
-        in all (about three per output edge), not O(k |f^k_#(p)|).
-        """
-        if k < 0:
-            raise ValueError("iterate needs k >= 0")
-        g, vmap = self.graph, self.vertex_map
-        inverse_of = g.inverse_of
-        edges, n, flipped, v = list(path.edges), None, False, path.start
-        for _ in range(k):
-            q = len(edges)
-            if n is None:
-                nxt = list(self.apply(Path(g, edges, v)).edges)
-                if q and nxt[:q] == edges:
-                    n = q
-                elif q and nxt[-q:] == edges:
-                    nxt = [inverse_of[e] for e in reversed(nxt)]
-                    n, flipped = q, not flipped
-                edges = nxt
-            elif n == q:
-                break  # f_#(Q) = Q: the orbit is fixed from here on
-            else:
-                tail = self.apply(Path(g, edges[n:])).edges
-                n = q if not tail or g.seam_extend(edges, (tail,)) == q else None
-            v = vmap[v]
-        if not edges:
-            return Path(g, (), v)
-        return Path(g, map(inverse_of.__getitem__, reversed(edges)) if flipped else edges)
-
     def edges_equal(self, other):
         """Same edge images (the meaning of equality-up-to-homotopy-rel-vertices)."""
         return (

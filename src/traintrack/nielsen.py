@@ -76,7 +76,7 @@ from itertools import chain, combinations, islice, product, repeat
 
 from .paths import Path, base_name, cyclic_decompose, inverse
 from .maps import filtration, direction_map, is_illegal_turn, compose
-from .errors import LViolation, MalformedPath, NotCompletelySplit
+from .errors import FaRefused, LViolation, MalformedPath, NotCompletelySplit
 
 TERM_EDGE = "edge"
 TERM_INP = "inp"
@@ -230,7 +230,7 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
         ray = g.path([d])
         size = 1  # |ray|; on the DAG route ray holds only its head
         dag = None
-        if rays is not None and image_of[d] != (d,) and rays[0].iterates.covers((d,)):
+        if rays is not None and image_of[d] != (d,) and rays[0].iterates.refusal((d,)) is None:
             dag, k = rays[0].iterates, rays[1]
         seen = {}  # earlier iterates by length: compared, never hashed
         pending = ray
@@ -1186,10 +1186,11 @@ def complete_split(m, path, catalog=None):
     inverse of a linear edge, and no x_i is one.  Each cut is then legal:
     the first by hypothesis, and every turn (x_ibar, x_(i+1)) inside the
     run because its two directions are Df-fixed and distinct (the path
-    is tight), and two distinct fixed directions never merge.  []  Every other path, one whose first turn is illegal
-    included, takes the search.  The linear clauses are checked first
-    either way (:func:`axes`, cached on the map), so a map breaking them
-    splits no path.
+    is tight), and two distinct fixed directions never merge.  []  Every
+    other path, one whose first turn is illegal included, takes the
+    search.  The linear clauses are checked first either way
+    (:func:`axes`, cached on the map), so a map breaking them splits no
+    path.
     """
     if catalog is None:
         catalog = build_catalog(m)
@@ -1336,21 +1337,24 @@ class TermIterates:
     QE term E_p w^q E_q' goes to E_p w^(q + (k-1)(d_p - d_q)) E_q', as f_#
     fixes w.  An edge or connecting term is the node (t, k-1).
 
-    *Lemma.*  Suppose every image that the descent from P meets splits
-    (its terms end only at legal turns, :func:`complete_split`), and every
-    Nielsen and QE term of those splittings has Df-fixed end directions.
-    Then f^k_#(P) is that concatenation, with no cancellation.  *Proof.*
-    By induction on k, f^k_# of a term t begins with Df^k of t's first
-    edge and ends with the reverse of Df^k of the reverse of its last
-    edge: for a node because f^k_#(t) = f^(k-1)_#(f_#(t)) and f_#(t) splits
-    (induction on k), for a Nielsen or QE term because its closed form
-    keeps its end edges and these are Df-fixed.  So the images of adjacent
-    terms meet at the Df^k-image of a legal turn, which is not degenerate,
-    and nothing cancels.  []
+    *Lemma.*  Suppose every image f_#(Q) that the descent from P meets
+    splits (its terms end only at legal turns, :func:`complete_split`) and
+    keeps the end edges of f(Q) (an edge's does, a connecting path's where
+    ``check_ct``'s CS clause holds), and every Nielsen and QE term of those
+    splittings has Df-fixed end directions.  Then f^k_#(P) is that
+    concatenation, with no cancellation.  *Proof.*  By induction on k, f^k_#
+    of a term t begins with Df^k of t's first edge and ends with the reverse
+    of Df^k of the reverse of its last edge: for a node because f^k_#(t) =
+    f^(k-1)_#(f_#(t)) and f_#(t) splits with f(t)'s end edges (induction on
+    k), for a Nielsen or QE term because its closed form keeps its end edges
+    and these are Df-fixed.  So the images of adjacent terms meet at the
+    Df^k-image of a legal turn, which is not degenerate, and nothing
+    cancels.  []
 
-    Both hypotheses are checked per piece when the descent first meets
-    it; :meth:`covers` says whether they hold for everything below P.
-    Where they do not, callers keep their explicit f_# code.
+    The hypotheses are checked per piece when the descent first meets
+    it; :meth:`refusal` names the first that fails below P, if any.  There
+    ``build_fa`` and ``verify_commute`` refuse, and only the f^k searches'
+    rays take f_# instead.
 
     :meth:`twisted` applies a map g that acts as f^(n(E)) on each edge E,
     n constant on each almost invariant class (the maps f_a), to f^k_#(P)
@@ -1384,6 +1388,7 @@ class TermIterates:
                 w = s.axis.edges
                 self._closed[(e,)] = (s.neg_edge, w, _reverse(g.inverse_of, w), s.exponent)
         self._leaves = {}  # (split piece, flipped) -> its leaves, or None when refused
+        self._refused = {}  # split piece -> the hypothesis failing at or below it
         self._closure = {}  # split piece -> the split pieces below it, or None
         self._lengths = {}  # split piece -> [|f^k_#(P)| for k = 0, 1, ...]
         self._short = {}  # (split piece, k, flipped) -> f^k_#(P), at most SHORT edges
@@ -1407,18 +1412,22 @@ class TermIterates:
         """The leaves of the QE-splitting of f_#(key) in path order, each
         ("fixed", edges), ("qe", family, power, reversed, word, reverse(word))
         or ("node", piece, flipped); None when the image does not split or a
-        hypothesis of the lemma fails.  The leaves of the reversed piece,
-        each reversed, are kept beside them."""
+        hypothesis of the lemma fails, which ``_refused`` then states.  The
+        leaves of the reversed piece, each reversed, are kept beside them."""
         if (key, False) in self._leaves:
             return self._leaves[key, False]
         g, fixed_dir = self.graph, self._fixed_dir
         inverse_of = g.inverse_of
-        leaves = []
+        leaves, why = [], None
         try:
-            terms = self.catalog.image_qe_split(Path(g, key)).terms
-        except (NotCompletelySplit, LViolation):
-            terms = None
-        for t in terms or ():
+            split = self.catalog.image_qe_split(Path(g, key))
+        except (NotCompletelySplit, LViolation) as exc:
+            why = str(exc)
+        else:
+            image, f = split.path.edges, self.catalog.map.image_of
+            if image[:1] + image[-1:] != (f[key[0]][0], f[key[-1]][-1]):
+                why = "f_# cancels at an end, to %r" % split.path
+        for t in () if why else split.terms:
             edges = t.path.edges
             first, last = edges[0], inverse_of[edges[-1]]
             if t.kind not in (TERM_INP, TERM_QE):
@@ -1426,18 +1435,19 @@ class TermIterates:
                 fixed = node[0] in self._closed and self._closed[node[0]] is None
                 leaves.append(("fixed", edges) if fixed else ("node",) + node)
             elif fixed_dir[first] != first or fixed_dir[last] != last:
-                leaves = None
+                why = "Df moves an end direction of its %s term %s" % (t.kind, " ".join(edges))
                 break
             elif t.kind == TERM_INP:
                 leaves.append(("fixed", edges))
             else:
                 w = t.family.word.edges
                 if w[-1] == inverse_of[w[0]]:
-                    leaves = None
+                    why = "its qe term %s has an axis not cyclically reduced" % " ".join(edges)
                     break
                 back = first != t.family.e_i
                 leaves.append(("qe", t.family, t.power, back, w, _reverse(inverse_of, w)))
-        if terms is None or leaves is None:
+        if why:
+            self._refused[key] = "f(%s): %s" % (" ".join(key), why)
             self._leaves[key, False] = self._leaves[key, True] = None
         else:
             self._leaves[key, False] = leaves
@@ -1449,11 +1459,14 @@ class TermIterates:
             ]
         return self._leaves[key, False]
 
-    def covers(self, piece):
-        """Whether the lemma's hypotheses hold for every image below the
-        piece, so that its nodes give f^k_#(piece)."""
+    def refusal(self, piece):
+        """None when the lemma's hypotheses hold for every image below the
+        piece, so that its nodes give f^k_#(piece); otherwise the one that
+        fails first, and where."""
         key = self._key(piece)[0]
-        return not self._splits(key) or self._pieces_below(key) is not None
+        if self._splits(key) and self._pieces_below(key) is None:
+            return self._refused[key]
+        return None
 
     def _pieces_below(self, key):
         """The split pieces reachable from a split piece, itself included,
@@ -1461,8 +1474,10 @@ class TermIterates:
         if key not in self._closure:
             seen, todo = {key: None}, [key]
             while todo:
-                leaves = self._split(todo.pop())
+                below = todo.pop()
+                leaves = self._split(below)
                 if leaves is None:
+                    self._refused[key] = self._refused[below]
                     seen = None
                     break
                 for leaf in leaves:
@@ -1581,8 +1596,8 @@ class TermIterates:
 
     def twisted(self, piece, k, n):
         """g_#(f^k_#(piece)) as an edge tuple, g acting as f^(n(E)) on each
-        edge E (see the companion lemma), or None when g may move one of
-        its Nielsen leaves or axes."""
+        edge E (see the companion lemma).  Raises FaRefused when g may move
+        one of its Nielsen leaves or axes."""
         key, flipped = self._key(piece)
         out, bare = [], {}  # bare: g-images of the split pieces at level 0
         stack = [(("node", key, flipped), k)]
@@ -1597,7 +1612,8 @@ class TermIterates:
                 out.extend(bare[leaf])
                 continue
             if not self._fixes(n, leaf):
-                return None
+                raise FaRefused("f_a is defined only for a CT, and f_a may move a Nielsen leaf"
+                                " or an axis of f^%d_#(%s)" % (k, " ".join(piece)))
             _extend_form(out, self._form(leaf, level, n), None)
         return tuple(out)
 

@@ -7,8 +7,10 @@ paths (:func:`verify_nielsen_preserved`), it is a CT with f's principal
 vertices and Nielsen paths (:func:`check_fa_is_ct`), and its tuple can be
 read back from its edge images (:func:`find_tuple_representing`).  Two maps
 lie in one outer class when :func:`differ_by_inner` finds a conjugator.
-The rest are the small helpers these need, the sample pair that is one
-outer class apart by an inner automorphism, and the all-at-once forms
+f^k_# by iterating f_# (:func:`iterate`) is the reference that the
+package's term DAG (``nielsen.TermIterates``), which writes f_a, must
+match.  The rest are the small helpers these need, the sample pair that is
+one outer class apart by an inner automorphism, and the all-at-once forms
 that the package replaced with lazy ones: the set of every illegal turn
 (:func:`illegal_turns`), the legal cuts of a path (:func:`legal_cuts`) and
 the family records expanded pair by pair (:func:`family_records_by_pairs`).
@@ -72,6 +74,50 @@ def turns(graph, v=None):
             for j in range(i, len(ds)):
                 out.append(frozenset((ds[i], ds[j])) if ds[i] != ds[j] else frozenset((ds[i],)))
     return out
+
+
+def iterate(m, path, k):
+    """k-fold application of f_#; k=0 is the identity.
+
+    The orbit grows in place.  Invariant: the list ``edges`` is the
+    current iterate Q, and when the last step is known to have extended
+    the iterate P before it, ``edges[n:]`` is the tail t that step
+    appended, Q = P.t.  Then f_#(Q) = [f_#(P).f_#(t)] = [Q.f_#(t)], so
+    the next step appends f_#(t) by the seam rule.  That step cancels
+    nothing exactly when Q is a prefix of f_#(Q), since f_#(t) is tight
+    and so never puts a cancelled edge back; then f_#(t) is the new
+    tail.  After a cancellation, or before the first relation is seen,
+    a step is a plain f_# compared once against Q.  An orbit that grows
+    at the start runs reversed, as f_#(reverse p) = reverse f_#(p).
+
+    Cost: while the orbit extends, f_# is fed only the tails, which
+    partition f^(k-1)_#(p) past p, and O(|f^k_#(p)|) edges are written
+    in all (about three per output edge), not O(k |f^k_#(p)|).
+    """
+    if k < 0:
+        raise ValueError("iterate needs k >= 0")
+    g, vmap = m.graph, m.vertex_map
+    inverse_of = g.inverse_of
+    edges, n, flipped, v = list(path.edges), None, False, path.start
+    for _ in range(k):
+        q = len(edges)
+        if n is None:
+            nxt = list(m.apply(Path(g, edges, v)).edges)
+            if q and nxt[:q] == edges:
+                n = q
+            elif q and nxt[-q:] == edges:
+                nxt = [inverse_of[e] for e in reversed(nxt)]
+                n, flipped = q, not flipped
+            edges = nxt
+        elif n == q:
+            break  # f_#(Q) = Q: the orbit is fixed from here on
+        else:
+            tail = m.apply(Path(g, edges[n:])).edges
+            n = q if not tail or g.seam_extend(edges, (tail,)) == q else None
+        v = vmap[v]
+    if not edges:
+        return Path(g, (), v)
+    return Path(g, map(inverse_of.__getitem__, reversed(edges)) if flipped else edges)
 
 
 def illegal_turns(m):
@@ -678,7 +724,7 @@ def verify_nielsen_preserved(m, a, dis=None, qe_powers=(-2, -1, 0, 1, 2)):
         for p in qe_powers:
             sigma = family_member(fam, p)
             q_checked += 1
-            if fa.apply(sigma) != m.iterate(sigma, a[k]):
+            if fa.apply(sigma) != iterate(m, sigma, a[k]):
                 failures.append(
                     "family %s w^* %s', power %d: f_a disagrees with f^%d"
                     % (fam.e_i, fam.e_j, p, a[k])

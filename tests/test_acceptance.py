@@ -24,6 +24,7 @@ from oracles import (
     differ_by_inner,
     find_tuple_representing,
     inner_twist_pair,
+    iterate,
     verify_homotopy_equivalence,
     verify_nielsen_preserved,
 )
@@ -92,8 +93,8 @@ def test_criterion_01_single_class_and_naive_split_obstruction():
         for nn in range(3):
             naive = GraphMap(g, {
                 "A": g.path(["A"]),
-                "B": m.iterate(g.path(["B"]), mm),
-                "C": m.iterate(g.path(["C"]), nn),
+                "B": iterate(m, g.path(["B"]), mm),
+                "C": iterate(m, g.path(["C"]), nn),
             })
             agree = (compose(naive, m).edge_images["C"]
                      == compose(m, naive).edge_images["C"])

@@ -165,6 +165,68 @@ def test_verify_commute_rejects_inadmissible_tuple(tmp_path):
     assert code == 2
 
 
+# Maps that load but are not CTs, each found by hypothesis (the first two
+# from zero_strata_maps and arbitrary_roses, the third from
+# zero_strata_maps), on which the term DAG refuses an edge.  The paper
+# defines f_a only for a CT, so fa and verify-commute refuse them, naming
+# the edge and the hypothesis of the DAG's lemma that fails; before, the
+# first printed f_a and a FAIL that read like a counterexample to
+# f_a f_b = f_(a+b), and the third printed f_(1) but failed verify-commute
+# on an f_(4) image that was not tight.
+REFUSED_FA = {
+    "fa_refused_zero": (
+        {"name": "fa_refused_zero", "vertices": ["a", "z1", "z2"],
+         "edges": [{"name": "A", "from": "a", "to": "a"}, {"name": "B", "from": "a", "to": "a"},
+                   {"name": "Z1", "from": "a", "to": "z1"}, {"name": "Z2", "from": "a", "to": "z2"},
+                   {"name": "T2", "from": "z1", "to": "z1"},
+                   {"name": "T3", "from": "z1", "to": "z2"},
+                   {"name": "T1", "from": "z1", "to": "z1"}],
+         "images": {"A": "A", "B": "B A", "Z1": "B A'", "Z2": "A", "T2": "A", "T3": "A",
+                    "T1": "Z1 T1 Z1' A"}},
+        ("1,3", "2,5"), "Z1", "f(Z1): path <path B A'> is not completely split",
+    ),
+    "fa_refused_rose": (
+        {"name": "fa_refused_rose", "vertices": ["v"],
+         "edges": [{"name": "E%d" % i, "from": "v", "to": "v"} for i in range(1, 5)],
+         "images": {"E1": "E1'", "E2": "E1 E3'", "E3": "E1'", "E4": "E4"}},
+        ("1,3", "2,5"), "E2", "f(E2): path <path E1 E3'> is not completely split",
+    ),
+    "fa_refused_cancel": (
+        {"name": "fa_refused_cancel", "vertices": ["a", "z1", "z2"],
+         "edges": [{"name": "T1", "from": "z1", "to": "z1"},
+                   {"name": "T2", "from": "z2", "to": "z1"},
+                   {"name": "A", "from": "a", "to": "a"}, {"name": "Z2", "from": "a", "to": "z2"},
+                   {"name": "Z1", "from": "a", "to": "z1"}, {"name": "B", "from": "a", "to": "a"}],
+         "images": {"T1": "B", "T2": "Z1 T1 Z1' A' Z2 T2 T1 Z1'", "A": "A", "Z2": "B'",
+                    "Z1": "B'", "B": "B"}},
+        ("1", "3"), "T2", "f(Z1 T1 Z1'): f_# cancels at an end, to <path B>",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["fa", "fa --emit-document", "verify-commute"])
+@pytest.mark.parametrize("name", sorted(REFUSED_FA))
+def test_fa_and_verify_commute_refuse_a_map_the_term_dag_refuses(tmp_path, name, command):
+    doc, (a, b), edge, why = REFUSED_FA[name]
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(doc))
+    tuples = ["--tuple", a] if command.startswith("fa") else ["--a", a, "--b", b]
+    code, out, err = run_cli(command.split() + tuples + [str(path)])
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert out.strip() == (
+        "verification error: f_a is defined only for a CT, and the term lemma fails at %s: %s"
+        % (edge, why)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_FA))
+def test_the_maps_the_term_dag_refuses_are_not_cts(tmp_path, name):
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(REFUSED_FA[name][0]))
+    assert run_cli(["check-ct", str(path)])[0] == 2
+
+
 def test_gen_type_e_pipes_into_rank():
     code, doc_text, _ = run_cli(["gen", "type-e", "--n", "3"])
     assert code == 0

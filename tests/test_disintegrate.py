@@ -39,6 +39,7 @@ from oracles import (
     identity_map,
     inner_twist_pair,
     is_generic,
+    iterate,
     reference_partition,
     reference_qe_split,
     reference_relations,
@@ -187,8 +188,8 @@ def test_naive_split_commutes_only_on_diagonal():
     def naive(mB, nC):
         imgs = {
             "A": g.path(["A"]),
-            "B": m.iterate(g.path(["B"]), mB),
-            "C": m.iterate(g.path(["C"]), nC),
+            "B": iterate(m, g.path(["B"]), mB),
+            "C": iterate(m, g.path(["C"]), nC),
         }
         return GraphMap(g, imgs)
 
@@ -233,7 +234,7 @@ def test_local_control_on_qe_paths():
     fa = build_fa(m, a, d)
     for p in range(-2, 3):
         sigma = family_member(fam, p)
-        assert fa.apply(sigma) == m.iterate(sigma, a[1])
+        assert fa.apply(sigma) == iterate(m, sigma, a[1])
 
 
 def test_check_fa_is_ct_generic():

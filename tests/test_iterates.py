@@ -1,9 +1,11 @@
 """The term DAG of f^k_# (``nielsen.TermIterates``) and its three readers:
 ``build_fa``, ``verify_commute`` and the periodic Nielsen search.
 
-Every DAG answer is compared with the explicit f_# code it replaces, and
-the work the readers do is pinned by counters on ``GraphMap.apply``,
-``MarkedGraph.tighten`` and ``build_fa``.
+Every DAG answer is compared with the explicit f_# code it replaces (the
+oracle ``iterate`` and f_# of the built maps), every refusal is checked to
+come from a map that is not a CT, and the work the readers do is pinned
+by counters on ``GraphMap.apply``, ``MarkedGraph.tighten`` and
+``build_fa``.
 """
 
 import importlib
@@ -14,21 +16,28 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from traintrack import cli
 from traintrack.ct import check_ct
 from traintrack.disintegrate import build_fa, disintegrate, verify_commute
-from traintrack.errors import TrainTrackError
+from traintrack.errors import FaRefused, TrainTrackError
 from traintrack.maps import GraphMap
 from traintrack.maxrank import classify_max_rank, gen_type_e, rank_audit
 from traintrack.nielsen import build_catalog, default_length_bound
 from traintrack.paths import MarkedGraph
 
 import samples
+from oracles import iterate
 from samples import exceptional_rose, partial_fps_map, rose_cascade
 from test_cli import run_cli, src_env
-from test_nielsen import _corpus_map, linear_roses, triangular_roses
+from test_nielsen import (
+    _corpus_map,
+    arbitrary_roses,
+    linear_roses,
+    triangular_roses,
+    zero_strata_maps,
+)
 
 nielsen = importlib.import_module("traintrack.nielsen")
 dis_module = importlib.import_module("traintrack.disintegrate")
@@ -44,12 +53,12 @@ BENCH_TUPLES = {
 
 
 def explicit_fa(m, dis, a):
-    """f_a from ``GraphMap.iterate``, for any nonnegative tuple."""
+    """f_a from the oracle ``iterate``, for any nonnegative tuple."""
     g = m.graph
     images = {}
     for e in g.edge_names:
         i = dis.partition.class_of_edge(e)
-        images[e] = g.path([e]) if i is None else m.iterate(g.path([e]), a[i])
+        images[e] = g.path([e]) if i is None else iterate(m, g.path([e]), a[i])
     return GraphMap(g, images)
 
 
@@ -64,24 +73,25 @@ def explicit_commute(m, dis, a, b):
 
 
 def tree_commute(m, dis, a, b):
-    """The same from the term trees, or None where they do not serve."""
+    """The same from the term trees, for any nonnegative a and b; raises
+    FaRefused where the DAG refuses an edge, as build_fa(a + b) does in
+    verify_commute, or f_a or f_b may move a Nielsen leaf or an axis."""
+    build_fa(m, (0,) * dis.M, dis)  # refuses what the DAG does not serve, whatever the tuple
     trees = dis_module._commuted_images(m, dis, a, b)
-    if trees is None:
-        return None
     fab = explicit_fa(m, dis, tuple(x + y for x, y in zip(a, b)))
     return {e: (ab == fab.image_of[e], ba == fab.image_of[e]) for e, (ab, ba) in trees.items()}
 
 
 def assert_dag_matches_iterate(m, ks=range(9), cap=200000):
     """Length, head and whole path of every covered direction's node equal
-    ``GraphMap.iterate``, for k in ks until an iterate passes ``cap`` edges.
-    Returns (covered, directions)."""
+    the oracle ``iterate``, for k in ks until an iterate passes ``cap``
+    edges.  Returns (covered, directions)."""
     g = m.graph
     dag = build_catalog(m).iterates
-    covered = [d for d in g.directions() if dag.covers((d,))]
+    covered = [d for d in g.directions() if dag.refusal((d,)) is None]
     for d in covered:
         for k in ks:
-            want = m.iterate(g.path([d]), k).edges
+            want = iterate(m, g.path([d]), k).edges
             assert dag.length((d,), k) == len(want), (d, k)
             assert dag.head((d,), k, 7) == want[:7], (d, k)
             assert dag.head((d,), k) == want, (d, k)
@@ -90,7 +100,7 @@ def assert_dag_matches_iterate(m, ks=range(9), cap=200000):
     return len(covered), len(g.directions())
 
 
-# -- the DAG against GraphMap.iterate -------------------------------------------------
+# -- the DAG against the oracle iterate -----------------------------------------------
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -132,7 +142,7 @@ def test_deep_iterates_of_the_cascade_are_read_without_the_path():
     dag = build_catalog(m).iterates
     k = 10 ** 5
     assert dag.length(("C",), k) == 1 + k + k * (k - 1) // 2
-    want = m.iterate(m.graph.path(["C"]), 20).edges[:100]
+    want = iterate(m, m.graph.path(["C"]), 20).edges[:100]
     assert dag.head(("C",), k, 100) == want
     assert dag.head(("C'",), k, 3) == ("A'",) * 3
 
@@ -183,16 +193,27 @@ def test_a_tuple_off_the_lattice_fails_where_the_explicit_comparison_does():
     assert tree["B"] == tree["C"] == (True, True)
 
 
+def passes_check_ct(m):
+    try:
+        return check_ct(m).passed
+    except TrainTrackError:
+        return False
+
+
 def assert_tree_route_matches(m):
-    """Where m disintegrates and the term trees serve, they give what f_#
-    gives."""
+    """Where m disintegrates, the term trees give what f_# gives, or refuse
+    a map that is not a CT."""
     try:
         dis = disintegrate(m)
     except TrainTrackError:
         return
     a, b = (1,) * dis.M, (2,) * dis.M
-    tree = tree_commute(m, dis, a, b)
-    assert tree is None or tree == explicit_commute(m, dis, a, b)
+    try:
+        tree = tree_commute(m, dis, a, b)
+    except FaRefused:
+        assert not passes_check_ct(m)
+        return
+    assert tree == explicit_commute(m, dis, a, b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -205,6 +226,40 @@ def test_tree_route_on_linear_roses(m):
 @given(triangular_roses())
 def test_tree_route_on_triangular_roses(m):
     assert_tree_route_matches(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_roses())
+def test_tree_route_on_arbitrary_roses(m):
+    assert_tree_route_matches(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_strata_maps())
+def test_tree_route_on_zero_strata_maps(m):
+    assert_tree_route_matches(m)
+
+
+# -- a refusal comes from a map that is not a CT ----------------------------------------
+
+
+@pytest.mark.parametrize("maps", [linear_roses, triangular_roses, arbitrary_roses,
+                                  zero_strata_maps])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_build_fa_and_verify_commute_refuse_only_maps_that_are_not_cts(maps, data):
+    # a = b = (2, ..., 2) is admissible, as every constant tuple is
+    m = data.draw(maps())
+    try:
+        dis = disintegrate(m)
+    except TrainTrackError:
+        return
+    a = (2,) * dis.M
+    try:
+        build_fa(m, a, dis)
+        verify_commute(m, a, a, dis)
+    except FaRefused:
+        assert not passes_check_ct(m)
 
 
 # -- work counters ---------------------------------------------------------------------
