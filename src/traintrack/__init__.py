@@ -27,7 +27,6 @@ from .nielsen import (
     build_catalog,
     is_nielsen_path,
     axes,
-    qe_families,
     complete_split,
 )
 from .ct import CTReport, check_ct
@@ -108,7 +107,6 @@ __all__ = [
     "build_catalog",
     "is_nielsen_path",
     "axes",
-    "qe_families",
     "complete_split",
     # structural verification
     "CTReport",

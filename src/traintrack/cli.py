@@ -288,7 +288,6 @@ def _cmd_nielsen(m, doc, args):
         for e, (b, records, height) in cat.families.items()
     )
     singles = [x for x in cat.generic if x.indivisible]
-    composites = len(cat.generic) - len(singles) + sum(len(c) for *_, c in families)
 
     lines = ["catalog bound %d (period bound %d)" % (cat.bound, cat.period_bound)]
     lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
@@ -307,8 +306,6 @@ def _cmd_nielsen(m, doc, args):
         )
     if not families and not singles:
         lines.append("  none within bound")
-    if composites:
-        lines.append("composite Nielsen paths within bound: %d" % composites)
     for entry in cat.periodic:
         lines.append(
             "periodic: %s  [period %d]" % (" ".join(entry.path.edges), entry.period)

@@ -32,7 +32,7 @@ exact.
 from .maps import direction_map, filtration, orbit_period
 from .nielsen import axes, build_catalog
 from .errors import LViolation, NotCompletelySplit
-from .paths import UnionFind, base_name, inverse, word_root
+from .paths import UnionFind, base_name, inverse
 
 
 class Clause:
@@ -322,19 +322,13 @@ def _clause_l(m):
 
 
 def _linear_inp_shape(s, sigma):
-    """Does sigma read E w^k Ebar over the linear stratum s (either way)?
-    The reverse is built only when the forward reading fails."""
-    e = s.neg_edge
-    for backwards in (False, True):
-        cand = sigma.reverse() if backwards else sigma
-        if len(cand) < 3:
-            continue
-        if cand.edges[0] != e or cand.edges[-1] != inverse(e):
-            continue
-        root, _ = word_root(cand.edges[1:-1])
-        if tuple(root) in (s.axis.edges, s.axis.reverse().edges):
-            return True
-    return False
+    """Does sigma read E w^k Ebar, k >= 1, over the linear stratum s, w its
+    axis or the reverse?  Read backwards, E u Ebar is E reverse(u) Ebar, so
+    one reading decides."""
+    e, w, mid = s.neg_edge, s.axis.edges, sigma.edges[1:-1]
+    k = len(mid) // len(w)
+    return (k > 0 and sigma.edges[0] == e and sigma.edges[-1] == inverse(e)
+            and mid in (w * k, s.axis.reverse().edges * k))
 
 
 def _clause_n(m, filt, cat):

@@ -42,8 +42,9 @@ way f_a is written.  Where the DAG's lemma fails below some E (an image
 does not split or cancels at an end, Df moves an end direction of a
 Nielsen or QE term, or a QE axis is not cyclically reduced), or f_a or f_b
 may move a Nielsen leaf or an axis, both raise :class:`FaRefused`, naming
-E and the hypothesis that failed.  That f_a is a homotopy equivalence and
-a CT, fixes f's Nielsen paths and gives back its tuple are the tests'
+E and the hypothesis that failed, or the vertex where two classes X_i, X_j
+meet and f^(a_i), f^(a_j) disagree.  That f_a is a homotopy equivalence
+and a CT, fixes f's Nielsen paths and gives back its tuple are the tests'
 oracles (``tests/oracles.py``), not the package's.
 """
 
@@ -52,7 +53,7 @@ from functools import cached_property
 from .ct import connecting_paths
 from .errors import AdmissibilityError, FaRefused, InconsistentFiltration
 from .intlin import kernel_basis
-from .maps import GraphMap, filtration, restrict
+from .maps import GraphMap, filtration, orbit_period, restrict
 from .paths import Path, UnionFind
 from .nielsen import TERM_CONN, TERM_EDGE, build_catalog
 
@@ -282,7 +283,8 @@ def build_fa(m, a, dis=None):
     An image f^{a_i}_#(E) is read off the catalog's term DAG
     (:class:`nielsen.TermIterates`); ``GraphMap`` checks it is tight.
     Raises :class:`FaRefused`, whatever a_i is, where the DAG's lemma fails
-    below an edge E of X_i (:meth:`nielsen.TermIterates.refusal`)."""
+    below an edge E of X_i (:meth:`nielsen.TermIterates.refusal`), then
+    where two classes pull a vertex apart (:func:`_check_vertices`)."""
     if dis is None:
         dis = disintegrate(m)
     a = tuple(a)
@@ -297,15 +299,43 @@ def build_fa(m, a, dis=None):
             raise FaRefused("f_a is defined only for a CT, and the term lemma fails at %s: %s"
                             % (e, why))
         images[e] = g.path([e]) if i is None else Path(g, dag.head((e,), a[i]))
+    _check_vertices(m, dis, a)
     return GraphMap(g, images, name="f_a%r" % (a,))
+
+
+def _check_vertices(m, dis, a):
+    """Raise :class:`FaRefused` where the edges of two classes X_i and X_j
+    meet at a vertex v with f^(a_i)(v) != f^(a_j)(v): no map acts as
+    f^(a_i) on each X_i there.  A fixed edge, which takes power 0, never
+    pulls a vertex apart, as f fixes its ends, and on a CT a vertex where
+    two classes meet is principal, so fixed, and no tuple fails."""
+    g, step, n = m.graph, m.vertex_map.__getitem__, len(m.vertex_map)
+
+    def image(v, k):  # f^k(v); from its n-th point on, v's orbit is a cycle
+        for _ in range(min(k, n)):
+            v = step(v)
+        for _ in range(k > n and (k - n) % orbit_period(step, v)):
+            v = step(v)
+        return v
+
+    seen = {}
+    for e in g.edge_names:
+        i = dis.partition.class_of_edge(e)
+        for v in () if i is None else (g.init(e), g.term(e)):
+            w = image(v, a[i])
+            j, u = seen.setdefault(v, (i, w))
+            if u != w:
+                raise FaRefused(
+                    "f_a is defined only for a CT, and X_%d and X_%d meet at vertex %s, which "
+                    "f^%d sends to %s and f^%d to %s" % (j + 1, i + 1, v, a[j], u, a[i], w))
 
 
 def verify_commute(m, a, b, dis=None):
     """Edge-image equality of f_a f_b, f_b f_a and f_{a+b}.
 
     a and b are checked as :func:`build_fa` checks them, a first, and
-    f_{a+b} is built, which refuses any edge the term DAG does not serve.
-    Then f_a f_b(E) is written from the leaves of f_b(E) = f^{b_i}_#(E), E
+    f_{a+b} is built, which refuses any edge the term DAG does not serve,
+    and f_a and f_b are refused where they are not maps.  Then f_a f_b(E) is written from the leaves of f_b(E) = f^{b_i}_#(E), E
     in X_i, each taken by f_a in closed form
     (:meth:`nielsen.TermIterates.twisted`), and f_b f_a(E) the same way; no
     GraphMap is built for f_a or f_b and no f_# is taken.
@@ -328,6 +358,8 @@ def verify_commute(m, a, b, dis=None):
     _check_tuple(dis, a)
     _check_tuple(dis, b)
     fab = build_fa(m, tuple(x + y for x, y in zip(a, b)), dis)
+    _check_vertices(m, dis, a)
+    _check_vertices(m, dis, b)
     after = _commuted_images(m, dis, a, b)
     return all(ab == ba == fab.image_of[e] for e, (ab, ba) in after.items())
 

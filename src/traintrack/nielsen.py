@@ -62,6 +62,14 @@ E.x_1...x_m with every x_i a fixed edge splits in closed form without
 them (:func:`complete_split`).  So on the ladder and on the type E and
 C families, ``disintegrate``, ``audit`` and ``classify`` run no search.
 
+Linear strata are described once per map, by its linear index
+(:func:`_linear_index`): per axis its word, the reverse and each member
+edge's signed exponent, and per linear edge its axis, its own w and d.
+Clause L is a check over it (:func:`axes`), and the searches, the
+splitter and the term DAG read it.  A quasi-exceptional family E_i w^p
+E_j' is fixed by its axis and its two linear edges, and is built only
+when a splitting meets that pair (:func:`_qe_family`).
+
 The restriction f|S of f to an invariant edge set S (a filtration prefix)
 has as Nielsen paths exactly those of f that lie in S, since f_# of a path
 there is computed there, and its edge images split as under f
@@ -71,6 +79,7 @@ graph, through its filtration (:func:`maps.restrict`), not as a map of its
 own.
 """
 
+from collections import namedtuple
 from functools import cache, cached_property
 from itertools import chain, combinations, islice, product, repeat
 
@@ -152,10 +161,11 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
     the earlier sequences with the same first edge are compared: the others
     share no prefix with it.
 
-    ``linear`` maps linear edges E to their axes w, f(E) = E.v, v = [w^D]
-    (on f^k, D is k times f's exponent).  As f_#(w) = w, the j-th iterate
-    of E's ray is E.[w^(jD)]: no f is applied and no cap cuts it.  When w
-    is cyclically reduced the iterates nest into E w w w ..., and
+    ``linear`` is f's linear index, ``_linear_index(f).edges``: each linear
+    edge E with its axis w, f(E) = E.v, v = [w^D] (on f^k, D is k times f's
+    exponent).  As f_#(w) = w, the j-th iterate of E's ray is E.[w^(jD)]:
+    no f is applied and no cap cuts it.  When w is cyclically reduced the
+    iterates nest into E w w w ..., and
 
     *Lemma.*  Let p = E w^i x, x a nonempty prefix of w, L >= |w| and L >=
     |f_#(x)| for all such x.  For i >= i0 = max(0, ceil(L/|w|) - D), p's
@@ -219,8 +229,8 @@ def _stable_prefixes(m, bound, iter_cap=None, linear=None, rays=None):
     for d in g.directions():
         if dm.map[d] != d:
             continue
-        w = linear.get(d)
-        if w is not None and w[0] != inverse_of[w[-1]]:
+        w = d in linear and linear[d].w
+        if w and w[0] != inverse_of[w[-1]]:
             v = image_of[d][1:]
             lw = len(w)
             bulk = max(lw, sum(len(image_of[e]) for e in w[:-1]))  # L of the lemma
@@ -519,12 +529,6 @@ def _in_order(order_key, items, edges_of):
     return out
 
 
-def _linear_axes(filt):
-    """{E: w} over the linear strata, E the oriented edge with f(E) = E.w^d
-    (d >= 1) and w the axis edge tuple."""
-    return {s.neg_edge: s.axis.edges for s in filt if s.linear}
-
-
 def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
     """Nielsen paths of length 2..bound via the stable prefix pairing.
 
@@ -545,10 +549,10 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
     and is written out, prefix by prefix, only against an item of another
     bucket in its group.
 
-    ``linear`` maps linear edges E of m to their axis edge tuples w (see
-    :func:`_linear_axes`; on f^k, f's linear edges are linear with exponent
-    k.d); their rays are developed in closed form, and on f^k, with
-    ``rays``, other rays are read off f's term DAG (see
+    ``linear`` is m's linear index, ``_linear_index(m).edges`` (on f^k, f's:
+    its linear edges are linear with exponent k.d); their rays are
+    developed in closed form, and on f^k, with ``rays``, other rays are
+    read off f's term DAG (see
     :func:`_stable_prefixes`).  The prefixes of E's ray of length 1 + i|w|
     are E w^i when w is cyclically reduced, each with growth suffix w^d,
     and the pair of E w^i with the bare prefix E is the family member E
@@ -589,7 +593,7 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
                 split = p_split or q_split
                 if p_n + q_n > bound:
                     continue
-                lw = len(linear[d]) if d == e and d in linear else 0
+                lw = len(linear[d].w) if d == e and d in linear else 0
                 if lw and (p_n - 1) % lw == (q_n - 1) % lw == 0:
                     # prefixes E w^i, E w^j of E's ray in different buckets
                     # (runs step by |w|): one is E itself, the other E w^k
@@ -641,10 +645,11 @@ def _family_records(descriptors, lw, bound):
     return records
 
 
-def _checked_family(m, filt, e, w, records):
-    """E's linear family (b, records, height) from the recorded (i,
-    composite flag) pairs, or None when its members are not Nielsen; b is w
-    or reverse(w), the orientation the search keeps.
+def _checked_family(m, filt, lin, records):
+    """The linear family (b, records, height) of E = ``lin.edge`` from the
+    recorded (i, composite flag) pairs, or None when its members are not
+    Nielsen; b is E's axis w or reverse(w), the orientation the search
+    keeps.
 
     Each member's reverse is E reverse(b)^i Ebar; the two first differ where
     b and reverse(b) do, so one comparison orients every member.  One
@@ -656,12 +661,12 @@ def _checked_family(m, filt, e, w, records):
     """
     g = m.graph
     inverse_of = g.inverse_of
-    body = _lesser_orientation(g.order_key, w, _reverse(inverse_of, w))
+    body = _lesser_orientation(g.order_key, lin.w, lin.bar)
     records = sorted(records)
-    shortest = (e,) + body * records[0][0] + (inverse_of[e],)
+    shortest = (lin.edge,) + body * records[0][0] + (inverse_of[lin.edge],)
     if not is_nielsen_path(m, Path(g, shortest)):
         return None
-    return body, records, filt.level(e)
+    return body, records, filt.level(lin.edge)
 
 
 def _family_members(g, e, b, records):
@@ -681,7 +686,7 @@ def _fold_listed_members(families, generic, linear, g, filt):
     for x in generic:
         edges, e = x.path.edges, x.path.edges[0]
         if e in linear and edges[-1] == g.inverse_of[e]:
-            b = _lesser_orientation(g.order_key, linear[e], _reverse(g.inverse_of, linear[e]))
+            b = _lesser_orientation(g.order_key, linear[e].w, linear[e].bar)
             i, rest = divmod(len(edges) - 2, len(b))
             if not rest and edges[1:-1] == b * i:
                 _, records, height = families.get(e, (b, [], filt.level(e)))
@@ -731,7 +736,7 @@ def _search_period_one(m, bound):
     generic entries' order, the same as member by member.
     """
     filt = filtration(m)
-    linear = _linear_axes(filt)
+    linear = _linear_index(m).edges
     sigmas, composite, descriptors, capped = _search_fixed_paths(m, bound, linear=linear)
     generic = [
         NielsenEntry(sigma, 1, not composite[sigma.edges], filt.height(sigma))
@@ -739,8 +744,8 @@ def _search_period_one(m, bound):
     ]
     families = {}
     for e, descs in descriptors.items():
-        recs = _family_records(descs, len(linear[e]), bound)
-        fam = _checked_family(m, filt, e, linear[e], recs)
+        recs = _family_records(descs, len(linear[e].w), bound)
+        fam = _checked_family(m, filt, linear[e], recs)
         if fam is not None:
             families[e] = fam
     generic = _fold_listed_members(families, generic, linear, m.graph, filt)
@@ -783,9 +788,9 @@ def _search_periodic(cat):
     m, bound = cat.map, cat.bound
     g = m.graph
     filt = filtration(m)
-    linear = _linear_axes(filt)
+    linear = _linear_index(m).edges
     fixed = {d for d in g.directions() if m.image_of[d] == (d,)}
-    tame = fixed.union(e for e, w in linear.items() if fixed.issuperset(w))
+    tame = fixed.union(e for e, lin in linear.items() if fixed.issuperset(lin.w))
     known = frozenset(
         edges
         for entry in cat.generic
@@ -834,16 +839,25 @@ class Axis:
     """An unoriented axis circuit with the linear edges twisting over it.
 
     ``word`` is the based axis path in the orientation used by the least
-    linear edge; each member edge carries its exponent measured in that
-    orientation.
+    linear edge, ``bar`` its reverse as an edge tuple; each member edge, the
+    ``neg_edge`` of one of the linear ``strata``, carries its exponent
+    measured in that orientation (None where its word differs by more than
+    orientation, which breaks clause L), in ``members`` in the strata's
+    order and in the ``exponent`` dict.
     """
 
-    def __init__(self, word, members):
+    def __init__(self, word, strata):
         self.word = word
-        self.members = members  # list of (oriented edge, signed exponent)
+        self.bar = bar = _reverse(word.graph.inverse_of, word.edges)
+        self.members = [  # list of (oriented edge, signed exponent)
+            (s.neg_edge, s.exponent if s.axis.edges == word.edges else -s.exponent
+             if s.axis.edges == bar else None)
+            for s in strata
+        ]
+        self.exponent = dict(self.members)
 
     def __repr__(self):
-        ms = ", ".join("%s^%d" % (e, d) for e, d in self.members)
+        ms = ", ".join("%s^%s" % (e, d) for e, d in self.members)
         return "<axis %r [%s]>" % (self.word, ms)
 
 
@@ -857,51 +871,66 @@ def _circuit_key(g, word):
     return min((tuple(w[i:] + w[:i]) for w in (keys, bar) for i in range(len(w))), default=())
 
 
-def axes(m):
-    """Group linear edges by unoriented axis and enforce the linear clauses.
+LinearEdge = namedtuple("LinearEdge", "edge axis w bar d")
+LinearIndex = namedtuple("LinearIndex", "axes edges fault")
 
-    The linear edges are the linear strata of m's filtration, each read as
-    its ``neg_edge`` E, ``axis`` w and ``exponent`` d with f(E) = E.w^d.
-    Raises LViolation when two linear edges on one unoriented axis have
-    based words that differ by more than orientation, or equal exponents.
-    Depends on the map alone: a success is cached on it, while a map that
-    breaks the clauses raises on every call.
-    """
-    if "axes" in m._cache:
-        return m._cache["axes"]
+
+def _linear_index(m):
+    """The one index of m's linear strata (each read as its ``neg_edge`` E,
+    ``axis`` w and ``exponent`` d, f(E) = E.w^d), cached on the map:
+    ``axes``, the :class:`Axis` of each unoriented axis circuit in
+    circuit-key order; ``edges``, {E: :class:`LinearEdge` (E, its axis, w,
+    reverse(w), d)} in edge order; and ``fault``, the first way the linear
+    edges break clause L (two on one axis whose words differ by more than
+    orientation, or with equal exponents), or None.  Building it never
+    raises; :func:`axes` does."""
+    if "linear" in m._cache:
+        return m._cache["linear"]
     g = m.graph
-    linear = sorted((s for s in filtration(m) if s.linear),
-                    key=lambda s: g.edge_index(s.neg_edge))
     groups, keys = {}, {}
-    for s in linear:
+    for s in sorted((s for s in filtration(m) if s.linear), key=lambda s: g.order_key[s.neg_edge]):
         word = s.axis.edges
         if word not in keys:
             keys[word] = _circuit_key(g, word)
         groups.setdefault(keys[word], []).append(s)
-    out = []
+    out, edges, fault = [], {}, None
     for key in sorted(groups):
         strata = groups[key]
-        word = strata[0].axis
-        members = []
+        ax = Axis(strata[0].axis, strata)
+        out.append(ax)
         for s in strata:
-            if s.axis == word:
-                members.append((s.neg_edge, s.exponent))
-            elif s.axis == word.reverse():
-                members.append((s.neg_edge, -s.exponent))
-            else:
-                raise LViolation(
-                    "linear edges %s and %s share the axis circuit but their "
-                    "twisting words differ by more than orientation"
-                    % (strata[0].neg_edge, s.neg_edge)
-                )
-        exps = [d for _, d in members]
-        if len(set(exps)) != len(exps):
-            raise LViolation(
-                "axis %r carries two linear edges with equal exponents" % word
-            )
-        out.append(Axis(word, members))
-    m._cache["axes"] = out = tuple(out)
+            w = s.axis.edges
+            bar = ax.bar if w == ax.word.edges else _reverse(g.inverse_of, w)
+            edges[s.neg_edge] = LinearEdge(s.neg_edge, ax, w, bar, s.exponent)
+        exps = [d for _, d in ax.members]
+        if fault is None and None in exps:
+            fault = ("linear edges %s and %s share the axis circuit but their twisting words "
+                     "differ by more than orientation" % (strata[0].neg_edge,
+                                                          strata[exps.index(None)].neg_edge))
+        elif fault is None and len(set(exps)) != len(exps):
+            fault = "axis %r carries two linear edges with equal exponents" % ax.word
+    m._cache["linear"] = out = LinearIndex(tuple(out), edges, fault)
     return out
+
+
+def axes(m):
+    """The :class:`Axis` of each unoriented axis of m's linear edges, read
+    off :func:`_linear_index`: the same tuple on every call, or LViolation
+    on every call for a map whose linear edges break clause L."""
+    index = _linear_index(m)
+    if index.fault:
+        raise LViolation(index.fault)
+    return index.axes
+
+
+def _axis_power(ax, mid):
+    """The signed power p with ``mid`` = w^p, w the axis word, or None."""
+    k, rest = divmod(len(mid), len(ax.bar))
+    if rest:
+        return None
+    if mid == ax.word.edges * k:
+        return k
+    return -k if mid == ax.bar * k else None
 
 
 class QEFamily:
@@ -910,7 +939,8 @@ class QEFamily:
     e_i, e_j are distinct linear edges over the common based axis word w
     (e_i the one with the smaller construction index).  The family is
     exceptional when the exponents have the same sign; only then are its
-    members complete-splitting terms.
+    members complete-splitting terms.  A map builds the family of a pair
+    only when a splitting meets it (:func:`_qe_family`).
     """
 
     def __init__(self, axis, e_i, d_i, e_j, d_j):
@@ -918,77 +948,38 @@ class QEFamily:
         self.e_i, self.d_i = e_i, d_i
         self.e_j, self.d_j = e_j, d_j
 
-    @property
-    def word(self):
-        return self.axis.word
-
     def key(self):
-        return (self.e_i, self.e_j, self.word.edges)
+        return (self.e_i, self.e_j, self.axis.word.edges)
 
     def is_exceptional(self):
         return self.d_i * self.d_j > 0
-
-    def ends(self):
-        return {self.e_i, self.e_j}
-
-    def other(self, e):
-        return self.e_j if e == self.e_i else self.e_i
 
     def matches(self, path):
         """Signed power p when ``path`` is a member (measured from e_i), else None."""
         if len(path) < 2:
             return None
         first, last = path.edges[0], inverse(path.edges[-1])
-        if {first, last} != self.ends() or first == last:
+        if {first, last} != {self.e_i, self.e_j} or first == last:
             return None
-        mid = path.subpath(1, len(path) - 1)
-        w = self.word
-        if len(mid) % len(w) != 0:
-            return None
-        k = len(mid) // len(w)
-        for p in (k, -k):
-            if mid.edges == w.power(p).edges:
-                return p if first == self.e_i else -p
-        return None
+        p = _axis_power(self.axis, path.edges[1:-1])
+        return p if p is None or first == self.e_i else -p
 
     def __repr__(self):
         kind = "exceptional" if self.is_exceptional() else "quasi-exceptional"
-        return "<%s family %s w^* %s' over %r>" % (kind, self.e_i, self.e_j, self.word)
+        return "<%s family %s w^* %s' over %r>" % (kind, self.e_i, self.e_j, self.axis.word)
 
 
-def qe_families(m):
-    """All quasi-exceptional families, deterministically ordered.
-
-    Depends on the map alone: computed once and cached on it.
-    """
-    if "qe_families" in m._cache:
-        return m._cache["qe_families"]
-    g = m.graph
-    out = []
-    for ax in axes(m):
-        for i in range(len(ax.members)):
-            for j in range(i + 1, len(ax.members)):
-                (ei, di), (ej, dj) = ax.members[i], ax.members[j]
-                if g.edge_index(ei) > g.edge_index(ej):
-                    (ei, di), (ej, dj) = (ej, dj), (ei, di)
-                out.append(QEFamily(ax, ei, di, ej, dj))
-    out = tuple(out)
-    m._cache["qe_families"] = out
-    return out
-
-
-def _families_by_end(m):
-    """({E: the QE families with end E}, {E: the exceptional ones}), each
-    list in :func:`qe_families` order, cached on the map beside them."""
-    if "families_by_end" not in m._cache:
-        every, exceptional = {}, {}
-        for fam in qe_families(m):
-            for e in (fam.e_i, fam.e_j):
-                every.setdefault(e, []).append(fam)
-                if fam.is_exceptional():
-                    exceptional.setdefault(e, []).append(fam)
-        m._cache["families_by_end"] = every, exceptional
-    return m._cache["families_by_end"]
+def _qe_family(m, e, f):
+    """The QE family of the linear edges e and f on one axis, built when a
+    splitting first meets the pair and kept on the map per pair, e_i the
+    edge with the smaller construction index."""
+    if m.graph.edge_index(e) > m.graph.edge_index(f):
+        e, f = f, e
+    built = m._cache.setdefault("qe_family", {})
+    if (e, f) not in built:
+        ax = _linear_index(m).edges[e].axis
+        built[e, f] = QEFamily(ax, e, ax.exponent[e], f, ax.exponent[f])
+    return built[e, f]
 
 
 # -- complete splittings ---------------------------------------------------------
@@ -1054,17 +1045,17 @@ def _is_legal_turn(m, a, b):
     return legal[a, b]
 
 
-def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
+def _candidates(m, path, i, filt, inps_by_first, families):
     """Candidate terms starting at offset i, in search priority order:
     longest first, an exceptional path before an iNp of the same length,
     a single edge last.
 
-    Exceptional families come from :func:`_families_by_end`, generic
-    iNps from ``inps_by_first``.  Where the edge at i is a family's E, its
-    members are matched from the records, none built as a path: the repeats
-    of b, and of reverse(b) (a member read backwards), are counted once,
-    and each indivisible record k whose Ebar follows the k-th repeat gives
-    a candidate.
+    Exceptional paths E w^p Fbar come from E's axis in the map's linear
+    index (:func:`_linear_index`), generic iNps from ``inps_by_first``.
+    Where the edge at i is a family's E, its members are matched from the
+    records, none built as a path: the repeats of b, and of reverse(b) (a
+    member read backwards), are counted once, and each indivisible record k
+    whose Ebar follows the k-th repeat gives a candidate.
     """
     e = path.edges[i]
     lvl = filt.level(e)
@@ -1075,24 +1066,23 @@ def _candidates(m, path, i, filt, exceptional, inps_by_first, families):
         return [Term(TERM_CONN, path.subpath(i, j), height=lvl)]
     cands = []
     edges, inverse_of = path.edges, m.graph.inverse_of
-    # exceptional paths from a same-sign family: E's families share E's
-    # axis, so each orientation of it is walked once and every family's
-    # closing edge read off the walk
-    fams = exceptional.get(e)
-    if fams:
-        closers = {inverse_of[fam.other(e)]: fam for fam in fams}
-        word = fams[0].word.edges
+    # exceptional paths: each orientation of E's axis is walked once, and
+    # a closing edge Fbar, F another member with E's sign, ends a term
+    lin = _linear_index(m).edges.get(e)
+    if lin:
+        exponent = lin.axis.exponent
         ends = {}
-        for body in (word, _reverse(inverse_of, word)):
+        for body in (lin.axis.word.edges, lin.axis.bar):
             pos = i + 1
             while True:
-                if pos < len(edges) and edges[pos] in closers:
-                    ends[pos + 1] = closers[edges[pos]]
+                f = pos < len(edges) and inverse_of[edges[pos]]
+                if f and f != e and exponent.get(f, 0) * exponent[e] > 0:
+                    ends[pos + 1] = f
                 if edges[pos : pos + len(body)] != body:
                     break
                 pos += len(body)
-        for end, fam in ends.items():
-            cands.append((end, Term(TERM_EXC, path.subpath(i, end), family=fam)))
+        for end, f in ends.items():
+            cands.append((end, Term(TERM_EXC, path.subpath(i, end), family=_qe_family(m, e, f))))
     # indivisible Nielsen paths from the catalog, longest first
     for sigma, height in inps_by_first.get(e, []):
         n = len(sigma)
@@ -1165,8 +1155,9 @@ def complete_split(m, path, catalog=None):
     expanded again, and the search expands each offset at most once.
 
     Legality is decided only at the cuts the search tries, once per turn
-    per map.  An offset whose edge starts no exceptional family, no listed
-    iNp, no linear family and no connecting path has its single edge as
+    per map.  An offset whose edge is no linear edge (which may start an
+    exceptional path) and starts no listed iNp, no linear family and no
+    connecting path has its single edge as
     its only candidate, which is taken without the candidate scan: the
     search appends the map's one term for that edge (:func:`_single_term`)
     and reads the turn's legality off the map's memo, so a plain offset
@@ -1177,7 +1168,7 @@ def complete_split(m, path, catalog=None):
     zero strata and not fixed, each x_i a fixed edge, f(x_i) = x_i, and
     the turn (Ebar, x_1) legal.  Then its splitting is [E][x_1]...[x_m],
     which :func:`_closed_split` returns without reading the catalog's
-    entries or the QE families.  *Proof.*  It is what the search finds,
+    entries or the linear index.  *Proof.*  It is what the search finds,
     since no candidate but a single edge starts at any offset.  A listed
     iNp E.y with y fixed is impossible: f_#(E y) = [f(E) y] = E y forces
     f(E) = E.  A tight path of two or more fixed edges is Nielsen with a
@@ -1188,20 +1179,19 @@ def complete_split(m, path, catalog=None):
     run because its two directions are Df-fixed and distinct (the path
     is tight), and two distinct fixed directions never merge.  []  Every
     other path, one whose first turn is illegal included, takes the
-    search.  The linear clauses are checked first either way
-    (:func:`axes`, cached on the map), so a map breaking them splits no
-    path.
+    search.  Clause L is checked first either way, off the map's linear
+    index (:func:`axes`), so a map breaking it splits no path.
     """
     if catalog is None:
         catalog = build_catalog(m)
     filt = filtration(m)
     if path.is_trivial():
         return CompleteSplitting(path, [])
-    axes(m)  # the linear clauses, once per map: a map breaking them splits nothing
+    axes(m)  # clause L, off the cached index: a map breaking it splits nothing
     terms = _closed_split(m, filt, path.edges)
     if terms is not None:
         return CompleteSplitting(path, terms, closed=True)
-    exceptional = _families_by_end(m)[1]
+    linear = _linear_index(m).edges
     inps_by_first, families = catalog.inps_by_first, catalog.families
     single = m._cache.setdefault("single_terms", {})
     legal = m._cache.setdefault("legal_turns", {})
@@ -1217,8 +1207,8 @@ def complete_split(m, path, catalog=None):
         term = single.get(e)
         if term is None and filt[filt.level(e)].kind != "zero":
             term = _single_term(m, filt, e)
-        if term is None or e in exceptional or e in inps_by_first or e in families:
-            todo.append(iter(_candidates(m, path, i, filt, exceptional, inps_by_first, families)))
+        if term is None or e in linear or e in inps_by_first or e in families:
+            todo.append(iter(_candidates(m, path, i, filt, inps_by_first, families)))
         else:
             j = i + 1
             furthest = max(furthest, j)
@@ -1266,56 +1256,41 @@ def qe_split(m, path, catalog=None):
     """QE-splitting: complete splitting with runs [e_i][Nielsen...][e_j']
     matching a family merged into one quasi-exceptional term (and
     exceptional single terms relabelled).  QE terms never overlap; the scan
-    is left to right.  A QE term needs an opening and a closing single
-    term on two linear edges, so a splitting with no exceptional term and
-    fewer than two single terms on non-fixed edges is returned as it is,
-    before the families are looked up, and so is one on a map with no QE
-    family, which has no exceptional term either.  A closed-form splitting
-    (``CompleteSplitting.closed``) is such a one by its lemma and is
-    returned without counting its terms."""
+    is left to right, carrying the offset of the term it is at.  A QE term
+    needs an opening and a closing single term on two linear edges of one
+    axis (:func:`_linear_index`), and the family of a merged run is built
+    only once the run matches it (:func:`_qe_family`).  A closed-form
+    splitting (``CompleteSplitting.closed``) has no exceptional term and
+    one single term on a non-fixed edge, by its lemma, and is returned as
+    it is."""
     splitting = complete_split(m, path, catalog)
     if splitting.closed:
         return splitting
-    terms = splitting.terms
-    moving = sum(t.kind == TERM_EDGE and m.image_of[t.path.edges[0]] != t.path.edges
-                 for t in terms)
-    if moving < 2 and all(t.kind != TERM_EXC for t in terms):
-        return splitting
-    by_end = _families_by_end(m)[0]
-    if not by_end:
-        return splitting
+    terms, linear = splitting.terms, _linear_index(m).edges
     out = []
-    i = 0
+    i = lo = 0  # terms[i] starts at offset lo of the path
     while i < len(terms):
         t = terms[i]
+        hi = lo + len(t.path)
         if t.kind == TERM_EXC:
-            p = t.family.matches(t.path)
-            out.append(Term(TERM_QE, t.path, family=t.family, power=p))
-            i += 1
-            continue
-        merged = False
-        if t.kind == TERM_EDGE and t.path.edges[0] in by_end:
+            t = Term(TERM_QE, t.path, family=t.family, power=t.family.matches(t.path))
+        elif t.kind == TERM_EDGE and t.path.edges[0] in linear:
             e = t.path.edges[0]
-            j = i + 1
+            j, end = i + 1, hi
             while j < len(terms) and _is_nielsen_term(m, terms[j]):
+                end += len(terms[j].path)
                 j += 1
-            if j < len(terms) and terms[j].kind == TERM_EDGE:
-                closer = terms[j].path.edges[0]
-                for fam in by_end[e]:
-                    if closer != inverse(fam.other(e)):
-                        continue
-                    lo = sum(len(x.path) for x in terms[:i])
-                    hi = lo + sum(len(x.path) for x in terms[i : j + 1])
-                    cand = path.subpath(lo, hi)
-                    p = fam.matches(cand)
-                    if p is not None:
-                        out.append(Term(TERM_QE, cand, family=fam, power=p))
-                        i = j + 1
-                        merged = True
-                        break
-        if not merged:
-            out.append(t)
-            i += 1
+            ax = linear[e].axis
+            f = j < len(terms) and terms[j].kind == TERM_EDGE and inverse(terms[j].path.edges[0])
+            p = _axis_power(ax, path.edges[lo + 1 : end]) if f in ax.exponent and f != e else None
+            if p is not None:
+                fam = _qe_family(m, e, f)
+                t = Term(TERM_QE, path.subpath(lo, end + 1), family=fam,
+                         power=p if e == fam.e_i else -p)
+                i, hi = j, end + 1
+        out.append(t)
+        i += 1
+        lo = hi
     return CompleteSplitting(path, out)
 
 
@@ -1330,7 +1305,8 @@ class TermIterates:
     stratum, given as an edge tuple in either orientation.
 
     Node (P, k) is f^k_#(P).  A fixed edge is its own node, and a linear
-    edge E, f(E) = E.w^d with w cyclically reduced, is E w^(kd).  Any
+    edge E, f(E) = E.w^d with w cyclically reduced, is E w^(kd), w and d
+    read off the map's linear index (:func:`_linear_index`).  Any
     other piece P is P at k = 0 and, for k >= 1, the concatenation of
     f^(k-1)_#(t) over the terms t of the QE-splitting of f_#(P)
     (:meth:`NielsenCatalog.image_qe_split`).  A Nielsen term is fixed.  A
@@ -1377,16 +1353,7 @@ class TermIterates:
         self._fixed_dir = direction_map(m).map
         filt = filtration(m)
         self._stratum = {e: filt[filt.level(e)] for e in g.directions()}
-        # (edge,) -> None for a fixed edge, (E, w, reverse(w), d) with
-        # f(E) = E.w^d for a linear one; any other piece splits
-        self._closed = {}
-        for e in g.edge_names:
-            s = self._stratum[e]
-            if s.kind == "fixed":
-                self._closed[(e,)] = None
-            elif s.linear and s.axis.edges[-1] != g.inverse_of[s.axis.edges[0]]:
-                w = s.axis.edges
-                self._closed[(e,)] = (s.neg_edge, w, _reverse(g.inverse_of, w), s.exponent)
+        self._linear = _linear_index(m).edges
         self._leaves = {}  # (split piece, flipped) -> its leaves, or None when refused
         self._refused = {}  # split piece -> the hypothesis failing at or below it
         self._closure = {}  # split piece -> the split pieces below it, or None
@@ -1405,15 +1372,27 @@ class TermIterates:
         key = _lesser_orientation(g.order_key, piece, _reverse(g.inverse_of, piece))
         return key, key != piece
 
-    def _splits(self, key):
-        return key not in self._closed
+    def _leaf(self, piece):
+        """The leaf of a piece: ("fixed", piece) for a fixed edge, ("linear",
+        its :class:`LinearEdge`, reversed) for the edge E of a linear
+        stratum, f(E) = E.w^d with w cyclically reduced, read off the linear
+        index, and ("node", canonical piece, flipped) for any other piece,
+        which is read off its image's splitting."""
+        if len(piece) == 1:
+            e, inverse_of = piece[0], self.graph.inverse_of
+            if self._stratum[e].kind == "fixed":
+                return ("fixed", piece)
+            lin = self._linear.get(e) or self._linear.get(inverse_of[e])
+            if lin and lin.w[-1] != inverse_of[lin.w[0]]:
+                return ("linear", lin, e != lin.edge)
+        return ("node",) + self._key(piece)
 
     def _split(self, key):
         """The leaves of the QE-splitting of f_#(key) in path order, each
-        ("fixed", edges), ("qe", family, power, reversed, word, reverse(word))
-        or ("node", piece, flipped); None when the image does not split or a
-        hypothesis of the lemma fails, which ``_refused`` then states.  The
-        leaves of the reversed piece, each reversed, are kept beside them."""
+        ("fixed", edges), ("qe", family, power, reversed) or a leaf of
+        :meth:`_leaf`; None when the image does not split or a hypothesis
+        of the lemma fails, which ``_refused`` then states.  The leaves of
+        the reversed piece, each reversed, are kept beside them."""
         if (key, False) in self._leaves:
             return self._leaves[key, False]
         g, fixed_dir = self.graph, self._fixed_dir
@@ -1431,21 +1410,18 @@ class TermIterates:
             edges = t.path.edges
             first, last = edges[0], inverse_of[edges[-1]]
             if t.kind not in (TERM_INP, TERM_QE):
-                node = self._key(edges)
-                fixed = node[0] in self._closed and self._closed[node[0]] is None
-                leaves.append(("fixed", edges) if fixed else ("node",) + node)
+                leaves.append(self._leaf(edges))
             elif fixed_dir[first] != first or fixed_dir[last] != last:
                 why = "Df moves an end direction of its %s term %s" % (t.kind, " ".join(edges))
                 break
             elif t.kind == TERM_INP:
                 leaves.append(("fixed", edges))
             else:
-                w = t.family.word.edges
+                w = t.family.axis.word.edges
                 if w[-1] == inverse_of[w[0]]:
                     why = "its qe term %s has an axis not cyclically reduced" % " ".join(edges)
                     break
-                back = first != t.family.e_i
-                leaves.append(("qe", t.family, t.power, back, w, _reverse(inverse_of, w)))
+                leaves.append(("qe", t.family, t.power, first != t.family.e_i))
         if why:
             self._refused[key] = "f(%s): %s" % (" ".join(key), why)
             self._leaves[key, False] = self._leaves[key, True] = None
@@ -1453,8 +1429,8 @@ class TermIterates:
             self._leaves[key, False] = leaves
             self._leaves[key, True] = [
                 ("fixed", _reverse(inverse_of, x[1])) if x[0] == "fixed"
-                else x[:3] + (not x[3],) + x[4:] if x[0] == "qe"
-                else ("node", x[1], not x[2])
+                else x[:3] + (not x[3],) if x[0] == "qe"
+                else x[:2] + (not x[2],)
                 for x in reversed(leaves)
             ]
         return self._leaves[key, False]
@@ -1463,9 +1439,9 @@ class TermIterates:
         """None when the lemma's hypotheses hold for every image below the
         piece, so that its nodes give f^k_#(piece); otherwise the one that
         fails first, and where."""
-        key = self._key(piece)[0]
-        if self._splits(key) and self._pieces_below(key) is None:
-            return self._refused[key]
+        leaf = self._leaf(piece)
+        if leaf[0] == "node" and self._pieces_below(leaf[1]) is None:
+            return self._refused[leaf[1]]
         return None
 
     def _pieces_below(self, key):
@@ -1481,7 +1457,7 @@ class TermIterates:
                     seen = None
                     break
                 for leaf in leaves:
-                    if leaf[0] == "node" and leaf[1] not in seen and self._splits(leaf[1]):
+                    if leaf[0] == "node" and leaf[1] not in seen:
                         seen[leaf[1]] = None
                         todo.append(leaf[1])
             self._closure[key] = seen and list(seen)
@@ -1499,25 +1475,23 @@ class TermIterates:
         if kind == "fixed":
             return leaf[1], (), 0, ()
         if kind == "qe":
-            _, fam, p, back, w, bar = leaf
+            _, fam, p, back = leaf
+            w, bar = fam.axis.word.edges, fam.axis.bar
             n_i = level + (shift(fam.e_i) if shift else 0)
             n_j = level + (shift(fam.e_j) if shift else 0)
             power = p + n_i * fam.d_i - n_j * fam.d_j
             if back:
                 return (fam.e_j,), bar if power >= 0 else w, abs(power), (inverse_of[fam.e_i],)
             return (fam.e_i,), w if power >= 0 else bar, abs(power), (inverse_of[fam.e_j],)
-        key, flipped = leaf[1], leaf[2]
-        closed = self._closed.get(key)
-        if closed is None:  # a fixed edge, or a split piece at level 0
-            return (_reverse(inverse_of, key) if flipped else key), (), 0, ()
-        e, w, bar, d = closed
-        count = (level + (shift(e) if shift else 0)) * d
-        if (e == key[0]) != flipped:
-            return (e,), w, count, ()
-        return (), bar, count, (inverse_of[e],)
+        if kind == "node":  # a split piece, at level 0
+            return (_reverse(inverse_of, leaf[1]) if leaf[2] else leaf[1]), (), 0, ()
+        _, lin, back = leaf
+        e = lin.edge
+        count = (level + (shift(e) if shift else 0)) * lin.d
+        return ((), lin.bar, count, (inverse_of[e],)) if back else ((e,), lin.w, count, ())
 
     def _leaf_length(self, leaf, level):
-        if leaf[0] == "node" and level and self._splits(leaf[1]):
+        if leaf[0] == "node" and level:
             return self._lengths[leaf[1]][level]
         pre, body, count, post = self._form(leaf, level)
         return len(pre) + len(body) * count + len(post)
@@ -1531,9 +1505,10 @@ class TermIterates:
 
     def length(self, piece, k):
         """|f^k_#(piece)|, exact, from per-level lengths kept per piece."""
-        key = self._key(piece)[0]
-        if not self._splits(key) or not k:
-            return self._leaf_length(("node", key, False), k)
+        leaf = self._leaf(piece)
+        if leaf[0] != "node" or not k:
+            return self._leaf_length(leaf, k)
+        key = leaf[1]
         below = self._pieces_below(key)
         tables = self._lengths
         for j in range(min(len(tables.setdefault(p, [len(p)])) for p in below), k + 1):
@@ -1547,13 +1522,12 @@ class TermIterates:
         """The first n edges of f^k_#(piece) (all of them when n is None).
         The descent opens only the nodes it reads into, and takes a node of
         at most SHORT edges whole, written once."""
-        key, flipped = self._key(piece)
         self.length(piece, k)  # the per-level lengths the descent reads
         out = []
-        stack = [(("node", key, flipped), k)]
+        stack = [(self._leaf(piece), k)]
         while stack and (n is None or len(out) < n):
             leaf, level = stack.pop()
-            if leaf[0] == "node" and level and self._splits(leaf[1]):
+            if leaf[0] == "node" and level:
                 if self._lengths[leaf[1]][level] > SHORT:
                     stack.extend(self._children(leaf[1], level, leaf[2]))
                 else:
@@ -1578,8 +1552,7 @@ class TermIterates:
             leaves = self._leaves[p, back]
             below = [
                 (x[1], level - 1, x[2]) for x in leaves
-                if x[0] == "node" and level > 1 and self._splits(x[1])
-                and (x[1], level - 1, x[2]) not in memo
+                if x[0] == "node" and level > 1 and (x[1], level - 1, x[2]) not in memo
             ]
             if below:
                 todo.extend(below)
@@ -1587,7 +1560,7 @@ class TermIterates:
             todo.pop()
             out = []
             for x in leaves:
-                if x[0] == "node" and level > 1 and self._splits(x[1]):
+                if x[0] == "node" and level > 1:
                     out.extend(memo[x[1], level - 1, x[2]])
                 else:
                     _extend_form(out, self._form(x, level - 1), None)
@@ -1598,12 +1571,11 @@ class TermIterates:
         """g_#(f^k_#(piece)) as an edge tuple, g acting as f^(n(E)) on each
         edge E (see the companion lemma).  Raises FaRefused when g may move
         one of its Nielsen leaves or axes."""
-        key, flipped = self._key(piece)
         out, bare = [], {}  # bare: g-images of the split pieces at level 0
-        stack = [(("node", key, flipped), k)]
+        stack = [(self._leaf(piece), k)]
         while stack:
             leaf, level = stack.pop()
-            if leaf[0] == "node" and self._splits(leaf[1]):
+            if leaf[0] == "node":
                 if level:
                     stack.extend(self._children(leaf[1], level, leaf[2]))
                     continue
@@ -1622,10 +1594,9 @@ class TermIterates:
         leaf: n is constant on its edges outside fixed strata, so that g
         acts on it as a power of f."""
         if leaf[0] == "qe":
-            edges = leaf[4]
-        elif leaf[0] == "node":  # a fixed edge, or a linear one and its axis
-            closed = self._closed[leaf[1]]
-            edges = closed[1] if closed else ()
+            edges = leaf[1].axis.word.edges
+        elif leaf[0] == "linear":
+            edges = leaf[1].w
         else:
             edges = leaf[1]
         return len({n(e) for e in edges if self._stratum[e].kind != "fixed"}) <= 1

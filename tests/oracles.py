@@ -16,11 +16,13 @@ that the package replaced with lazy ones: the set of every illegal turn
 the family records expanded pair by pair (:func:`family_records_by_pairs`).
 The splitter, the disintegration and the invariance test of ``restrict``
 are kept here in the forms that build a term and a subpath per offset,
-walk every term of every image per prefix and read every image edge
-(:func:`reference_complete_split`, :func:`reference_qe_split`,
-:func:`reference_partition`, :func:`reference_relations`,
-:func:`reference_invariance_fault`): the package's shared terms, edge
-digests and dependency closure must give what they give.  So is the
+try every end for a candidate, walk every QE family of the map at once
+(:func:`qe_families`), walk every term of every image per prefix and read
+every image edge (:func:`reference_complete_split`,
+:func:`reference_qe_split`, :func:`reference_partition`,
+:func:`reference_relations`, :func:`reference_invariance_fault`): the
+package's shared terms, per-pair families, edge digests and dependency
+closure must give what they give.  So is the
 stratum classifier that builds a transition block for every component and
 a subpath per orientation of a NEG edge (:func:`reference_classify_strata`),
 which the single-edge rule of ``classify_strata`` must match.
@@ -46,11 +48,11 @@ from traintrack.nielsen import (
     TERM_CONN,
     TERM_EDGE,
     TERM_EXC,
+    TERM_INP,
     TERM_QE,
     CompleteSplitting,
+    QEFamily,
     Term,
-    _candidates,
-    _families_by_end,
     _is_legal_turn,
     _is_nielsen_term,
     _pair_lengths,
@@ -154,15 +156,75 @@ def family_records_by_pairs(descriptors, lw, bound):
 # -- the splitter and the disintegration, term by term --------------------------------
 
 
+def qe_families(m):
+    """Every quasi-exceptional family of m, walked pair by pair over each
+    axis in :func:`nielsen.axes` order: the all-at-once form of the
+    package's families, which it builds per pair where a splitting meets
+    one."""
+    g = m.graph
+    out = []
+    for ax in axes(m):
+        for (ei, di), (ej, dj) in itertools.combinations(ax.members, 2):
+            if g.edge_index(ei) > g.edge_index(ej):
+                (ei, di), (ej, dj) = (ej, dj), (ei, di)
+            out.append(QEFamily(ax, ei, di, ej, dj))
+    return tuple(out)
+
+
+def families_by_end(m):
+    """({E: the QE families with end E}, {E: the exceptional ones}), each
+    list in :func:`qe_families` order."""
+    every, exceptional = {}, {}
+    for fam in qe_families(m):
+        for e in (fam.e_i, fam.e_j):
+            every.setdefault(e, []).append(fam)
+            if fam.is_exceptional():
+                exceptional.setdefault(e, []).append(fam)
+    return every, exceptional
+
+
+def reference_candidates(m, path, i, filt, exceptional, catalog):
+    """The candidate terms at offset i in :func:`nielsen._candidates`'
+    order, found by trying every end: the exceptional families with end
+    path[i] (``exceptional``, from :func:`families_by_end`) by their
+    ``matches``, the generic iNps by lookup and the members of path[i]'s
+    linear family by their records."""
+    edges, e = path.edges, path.edges[i]
+    lvl = filt.level(e)
+    if filt[lvl].kind == "zero":
+        j = i
+        while j < len(path) and filt.level(edges[j]) == lvl:
+            j += 1
+        return [Term(TERM_CONN, path.subpath(i, j), height=lvl)]
+    generic = {sigma.edges: h for sigma, h in catalog.inps_by_first.get(e, [])}
+    b, records, height = catalog.families.get(e, ((), [], None))
+    bodies = (b, tuple(inverse(x) for x in reversed(b)))
+    indivisible = {k for k, split in records if not split}
+    cands = []
+    for j in range(len(path), i + 1, -1):
+        sub = path.subpath(i, j)
+        cands += [Term(TERM_EXC, sub, family=fam)
+                  for fam in exceptional.get(e, ()) if fam.matches(sub) is not None]
+        if sub.edges in generic:
+            cands.append(Term(TERM_INP, sub, height=generic[sub.edges]))
+        k, rest = divmod(j - i - 2, len(b) or 1)
+        if (b and not rest and k in indivisible and edges[j - 1] == inverse(e)
+                and edges[i + 1 : j - 1] in (bodies[0] * k, bodies[1] * k)):
+            cands.append(Term(TERM_INP, sub, height=height))
+    return cands + [Term(TERM_EDGE, path.subpath(i, i + 1), height=lvl)]
+
+
 def reference_complete_split(m, path, catalog=None):
     """:func:`nielsen.complete_split` with a fresh single-edge term and
-    subpath built at every offset and legality asked per cut."""
+    subpath built at every offset, legality asked per cut, and the
+    candidates of :func:`reference_candidates` over every QE family of the
+    map, walked at once."""
     if catalog is None:
         catalog = build_catalog(m)
     filt = filtration(m)
     if path.is_trivial():
         return CompleteSplitting(path, [])
-    exceptional = _families_by_end(m)[1]
+    exceptional = families_by_end(m)[1]
     inps_by_first, families = catalog.inps_by_first, catalog.families
     edges, inverse_of, n = path.edges, m.graph.inverse_of, len(path)
     terms, todo, failed = [], [], set()
@@ -172,7 +234,7 @@ def reference_complete_split(m, path, catalog=None):
         if e in exceptional or e in inps_by_first or e in families or (
             filt[filt.level(e)].kind == "zero"
         ):
-            cands = _candidates(m, path, i, filt, exceptional, inps_by_first, families)
+            cands = reference_candidates(m, path, i, filt, exceptional, catalog)
         else:
             cands = (Term(TERM_EDGE, path.subpath(i, i + 1), height=filt.level(e)),)
         todo.append(iter(cands))
@@ -202,9 +264,10 @@ def reference_complete_split(m, path, catalog=None):
 
 def reference_qe_split(m, path, catalog=None):
     """:func:`nielsen.qe_split` over :func:`reference_complete_split`,
-    copying the terms even where the map has no QE family."""
+    trying every QE family with an end at each single term and summing
+    the lengths of the earlier terms for each offset."""
     terms = reference_complete_split(m, path, catalog).terms
-    by_end = _families_by_end(m)[0]
+    by_end = families_by_end(m)[0]
     out = []
     i = 0
     while i < len(terms):
@@ -223,7 +286,7 @@ def reference_qe_split(m, path, catalog=None):
             if j < len(terms) and terms[j].kind == TERM_EDGE:
                 closer = terms[j].path.edges[0]
                 for fam in by_end[e]:
-                    if closer != inverse(fam.other(e)):
+                    if closer != inverse(fam.e_j if e == fam.e_i else fam.e_i):
                         continue
                     lo = sum(len(x.path) for x in terms[:i])
                     hi = lo + sum(len(x.path) for x in terms[i : j + 1])
@@ -323,14 +386,15 @@ def reference_partition(m, catalog, filt):
 
 def reference_relations(m, part, catalog):
     """:func:`disintegrate.admissibility_relations` walking every term of
-    every edge image's QE-splitting."""
+    every edge image's reference QE-splitting, over the families of
+    :func:`qe_families`."""
     rels, seen = [], set()
     for stratum in part.filtration:
         if stratum.kind in ("fixed", "zero"):
             continue
         for e in sorted(stratum.edges, key=m.graph.edge_index):
             r = part.class_of_edge(e)
-            for t in catalog.image_qe_split(m.graph.path([e])).terms:
+            for t in reference_qe_split(m, m.image(e), catalog).terms:
                 if t.kind != TERM_QE or (t.family.key(), r) in seen:
                     continue
                 fam = t.family
@@ -388,7 +452,8 @@ def inner_twist_pair():
 
 def family_member(fam, p):
     """The member e_i w^p inverse(e_j) of a quasi-exceptional family."""
-    return Path(fam.word.graph, (fam.e_i,) + fam.word.power(p).edges + (inverse(fam.e_j),))
+    w = fam.axis.word
+    return Path(w.graph, (fam.e_i,) + w.power(p).edges + (inverse(fam.e_j),))
 
 
 def inps(cat):

@@ -227,6 +227,44 @@ def test_the_maps_the_term_dag_refuses_are_not_cts(tmp_path, name):
     assert run_cli(["check-ct", str(path)])[0] == 2
 
 
+# A zero_strata_maps draw that is not a CT: its classes X_1 = {Z1} and X_2
+# meet at z1, which f sends to a, so at a tuple (0, 1) no map acts as f^0
+# on Z1 and as f on T3.  fa used to stop on GraphMap's vertex check ("edge
+# images disagree about the image of vertex 'z1'"); it now refuses by name.
+FA_NOT_A_MAP = {
+    "name": "fa_not_a_map", "vertices": ["a", "z1", "z2", "z3"],
+    "edges": [{"name": "Z2", "from": "a", "to": "z2"}, {"name": "Z1", "from": "a", "to": "z1"},
+              {"name": "T2", "from": "z3", "to": "z2"}, {"name": "B", "from": "a", "to": "a"},
+              {"name": "A", "from": "a", "to": "a"}, {"name": "T3", "from": "z2", "to": "z1"},
+              {"name": "Z3", "from": "a", "to": "z3"}, {"name": "T1", "from": "z2", "to": "z3"}],
+    "images": {"Z2": "B B A", "Z1": "B'",
+               "T2": "Z3 T1' Z2' Z3 T1' T2' Z3' Z2 T1 Z3' Z2 T2' Z3'",
+               "B": "B", "A": "A", "T3": "A", "Z3": "A", "T1": "B' Z3 T1' Z2'"},
+}
+
+
+@pytest.mark.parametrize("argv, pulled", [
+    (["fa", "--tuple", "0,1"], "f^0 sends to z1 and f^1 to a"),
+    (["fa", "--emit-document", "--tuple", "0,1"], "f^0 sends to z1 and f^1 to a"),
+    (["fa", "--tuple", "1,0"], "f^1 sends to a and f^0 to z1"),
+    (["verify-commute", "--a", "0,1", "--b", "1,0"], "f^0 sends to z1 and f^1 to a"),
+    (["verify-commute", "--a", "1,1", "--b", "1,0"], "f^1 sends to a and f^0 to z1"),
+])
+def test_fa_refuses_where_two_classes_pull_a_vertex_apart(tmp_path, argv, pulled):
+    path = tmp_path / "fa_not_a_map.json"
+    path.write_text(json.dumps(FA_NOT_A_MAP))
+    code, out, err = run_cli(argv + [str(path)])
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert out.strip() == (
+        "verification error: f_a is defined only for a CT, and X_1 and X_2 meet at vertex z1,"
+        " which " + pulled
+    )
+    # a constant tuple pulls nothing apart, and the map is not a CT
+    assert run_cli(["fa", "--tuple", "1,1", str(path)])[0] == 0
+    assert run_cli(["check-ct", str(path)])[0] == 2
+
+
 def test_gen_type_e_pipes_into_rank():
     code, doc_text, _ = run_cli(["gen", "type-e", "--n", "3"])
     assert code == 0

@@ -16,12 +16,14 @@ from traintrack.nielsen import (
     TERM_EDGE,
     TERM_QE,
     NielsenCatalog,
+    axes,
     build_catalog,
     qe_split,
 )
-from traintrack.paths import MarkedGraph
+from traintrack.paths import MarkedGraph, inverse
 import samples
 from samples import (
+    _rose,
     exceptional_rose,
     full_fps_map,
     partial_fps_map,
@@ -48,6 +50,7 @@ from oracles import (
 )
 from test_nielsen import (
     _corpus_map,
+    _split_outcome,
     arbitrary_roses,
     linear_roses,
     triangular_roses,
@@ -535,7 +538,61 @@ def _walked_digest(m, cat, e):
         t.path.edges[0] for t in terms
         if t.kind in (TERM_EDGE, TERM_CONN) and m.image_of[t.path.edges[0]] != t.path.edges[:1]
     )
-    return tuple(firsts), tuple(dict.fromkeys(t.family for t in terms if t.kind == TERM_QE))
+    return tuple(firsts), tuple(dict.fromkeys(t.family.key() for t in terms if t.kind == TERM_QE))
+
+
+def _digest_keys(digest):
+    firsts, families = digest
+    return firsts, tuple(fam.key() for fam in families)
+
+
+@st.composite
+def qe_roses(draw):
+    """Roses with fixed edges A, B, two or three linear edges L_i -> L_i
+    w^(d_i) over one cyclically reduced word w with distinct d_i of either
+    sign, and a top edge T -> T L_i w^p L_j' over two of them, so that f(T)
+    meets a QE family (an exceptional one when d_i, d_j share a sign)."""
+    g = _rose(["A", "B", "L0", "L1", "L2", "T"])
+    w = g.tighten(draw(st.lists(st.sampled_from(["A", "B", "A'", "B'"]), min_size=1,
+                                max_size=3))).edges
+    while len(w) > 1 and w[0] == inverse(w[-1]):
+        w = w[1:-1]  # cyclically reduce
+    w = w or ("A",)
+    bar = tuple(inverse(x) for x in reversed(w))
+    exps = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=3, max_size=3,
+                         unique=True))
+    images = {"A": ("A",), "B": ("B",)}
+    for i, d in enumerate(exps):
+        images["L%d" % i] = ("L%d" % i,) + (w if d > 0 else bar) * abs(d)
+    i, j = draw(st.permutations(range(3)))[:2]
+    p = draw(st.integers(-2, 2))
+    images["T"] = ("T", "L%d" % i) + (w if p > 0 else bar) * abs(p) + ("L%d'" % j,)
+    return GraphMap(g, {e: g.path(word) for e, word in images.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(linear_roses(), triangular_roses(), qe_roses()))
+def test_families_built_per_pair_give_what_the_walk_over_every_family_gives(m):
+    # the splitter builds a QE family only where a splitting meets its pair,
+    # off the map's linear index; the oracle walks every pair of every axis
+    # at once: the QE-splittings, the edge digests and the relations agree
+    # (qe_roses put a QE family into every f(T); the other two seldom meet one)
+    try:
+        cat = build_catalog(m)
+        axes(m)
+    except TrainTrackError:
+        return
+    filt = filtration(m)
+    for e in m.graph.edge_names:
+        if filt[filt.level(e)].kind == "zero":
+            continue
+        got = _split_outcome(qe_split, m, m.image(e), cat)
+        assert got == _split_outcome(reference_qe_split, m, m.image(e), cat), e
+        if isinstance(got, list):
+            assert _digest_keys(cat.edge_digest(e)) == _walked_digest(m, cat, e), e
+    edges = list(m.graph.edge_names)
+    assert _disintegration_outcome(m, cat, edges, _from_digests) == _disintegration_outcome(
+        m, cat, edges, _by_term_walk)
 
 
 CLOSED_CORPUS = (["ladder_25", "ladder_100", "ladder_800"]
@@ -553,7 +610,8 @@ def test_closed_form_digests_match_the_term_walk(name):
     assert moving
     for e in moving:
         assert cat.image_qe_split(m.graph.path([e])).closed
-        assert cat.edge_digest(e) == _walked_digest(m, cat, e) == ((m.image_of[e][0],), ())
+        assert _digest_keys(cat.edge_digest(e)) == _walked_digest(m, cat, e) == (
+            (m.image_of[e][0],), ())
 
 
 class _WatchedTerms(list):

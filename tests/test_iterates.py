@@ -30,7 +30,7 @@ from traintrack.paths import MarkedGraph
 import samples
 from oracles import iterate
 from samples import exceptional_rose, partial_fps_map, rose_cascade
-from test_cli import run_cli, src_env
+from test_cli import FA_NOT_A_MAP, run_cli, src_env
 from test_nielsen import (
     _corpus_map,
     arbitrary_roses,
@@ -243,23 +243,35 @@ def test_tree_route_on_zero_strata_maps(m):
 # -- a refusal comes from a map that is not a CT ----------------------------------------
 
 
+def _fa_not_a_map():
+    # pinned in test_cli: a tuple that is not constant pulls z1 apart
+    return st.just(cli.parse_document(json.dumps(FA_NOT_A_MAP)).graph_map)
+
+
 @pytest.mark.parametrize("maps", [linear_roses, triangular_roses, arbitrary_roses,
-                                  zero_strata_maps])
+                                  zero_strata_maps, _fa_not_a_map])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_build_fa_and_verify_commute_refuse_only_maps_that_are_not_cts(maps, data):
-    # a = b = (2, ..., 2) is admissible, as every constant tuple is
+    # a = b = (2, ..., 2) is admissible, as every constant tuple is, and so
+    # is c = (k, ..., k) plus small multiples of the lattice basis, k the
+    # least that keeps c nonnegative; a tuple that is not constant can pull
+    # apart a vertex where two classes meet, which a CT never has
     m = data.draw(maps())
     try:
         dis = disintegrate(m)
     except TrainTrackError:
         return
     a = (2,) * dis.M
-    try:
-        build_fa(m, a, dis)
-        verify_commute(m, a, a, dis)
-    except FaRefused:
-        assert not passes_check_ct(m)
+    steps = data.draw(st.lists(st.integers(-2, 2), min_size=dis.rank, max_size=dis.rank))
+    c = [sum(s * v[i] for s, v in zip(steps, dis.lattice.basis)) for i in range(dis.M)]
+    c = tuple(x - min(c + [0]) for x in c)
+    for x, y in ((a, a), (c, a), (a, c)):
+        try:
+            build_fa(m, x, dis)
+            verify_commute(m, x, y, dis)
+        except FaRefused:
+            assert not passes_check_ct(m)
 
 
 # -- work counters ---------------------------------------------------------------------

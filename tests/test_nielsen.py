@@ -44,7 +44,6 @@ from traintrack.nielsen import (
     complete_split,
     default_length_bound,
     is_nielsen_path,
-    qe_families,
     qe_split,
 )
 from traintrack.coords import coordinate_system
@@ -75,6 +74,8 @@ from oracles import (
     inps,
     legal_cuts,
     pieces,
+    qe_families,
+    reference_candidates,
     reference_complete_split,
     reference_qe_split,
     verify_nielsen_preserved,
@@ -297,7 +298,7 @@ def test_stable_prefix_rays_report_their_iterate_cap():
     # so one iterate cuts it short; A is fixed and stops on its own, and
     # B's ray is linear, known in closed form without iterating.
     m = rose_cascade()
-    linear = nielsen._linear_axes(filtration(m))
+    linear = nielsen._linear_index(m).edges
     assert _stable_prefixes(m, 4, iter_cap=1, linear=linear)[1] == [("C", 1)]
     assert _stable_prefixes(m, 4, linear=linear)[1] == []
     assert build_catalog(m, 4).budgets_hit == ()
@@ -1135,11 +1136,11 @@ def test_family_records_by_arithmetic_match_the_pairs_random(args):
 )
 def test_family_records_by_arithmetic_match_the_pairs_corpus(name):
     m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _corpus_map(name)
-    linear, bound = nielsen._linear_axes(filtration(m)), default_length_bound(m)
+    linear, bound = nielsen._linear_index(m).edges, default_length_bound(m)
     for mk in _powers(m):
         descriptors = _search_fixed_paths(mk, bound, linear=linear)[2]
         for e, descs in descriptors.items():
-            args = descs, len(linear[e]), bound
+            args = descs, len(linear[e].w), bound
             assert nielsen._family_records(*args) == family_records_by_pairs(*args)
 
 
@@ -1148,18 +1149,18 @@ def test_family_records_by_arithmetic_match_the_pairs_corpus(name):
     + ["type_e_%d" % n for n in range(3, 7)] + ["type_c_%d" % n for n in range(4, 6)],
 )
 def test_candidates_are_asked_only_where_a_term_may_be_longer(name, monkeypatch):
-    # work contract: an offset whose edge starts no exceptional family, no
-    # listed iNp, no linear family and no connecting path gets its single
-    # edge without a call to _candidates
+    # work contract: an offset whose edge is no linear edge (which may start
+    # an exceptional path) and starts no listed iNp, no linear family and no
+    # connecting path gets its single edge without a call to _candidates
     m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _corpus_map(name)
     asked, candidates = [], nielsen._candidates
 
-    def recording(mk, path, i, filt, exceptional, inps_by_first, families):
+    def recording(mk, path, i, filt, inps_by_first, families):
         e = path.edges[i]
         asked.append(e)
-        assert (e in exceptional or e in inps_by_first or e in families
+        assert (e in nielsen._linear_index(mk).edges or e in inps_by_first or e in families
                 or filt[filt.level(e)].kind == "zero"), (path.edges, i)
-        return candidates(mk, path, i, filt, exceptional, inps_by_first, families)
+        return candidates(mk, path, i, filt, inps_by_first, families)
 
     monkeypatch.setattr(nielsen, "_candidates", recording)
     check_ct(m)
@@ -1262,7 +1263,7 @@ def test_a_generic_pair_giving_a_member_is_listed_once(monkeypatch):
 @pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_stable_prefixes_are_listed_once(name):
     m = SAMPLES[name]()
-    linear, bound = nielsen._linear_axes(filtration(m)), default_length_bound(m)
+    linear, bound = nielsen._linear_index(m).edges, default_length_bound(m)
     for mk in (m, compose(m, m)):
         records = _stable_prefixes(mk, bound, linear=linear)[0]
         prefixes = [r[0] for r in written_out(records, bound)]
@@ -1355,7 +1356,7 @@ def written_out(records, bound):
 
 def _linear_or_none(m):
     try:
-        return nielsen._linear_axes(filtration(m))
+        return nielsen._linear_index(m).edges
     except TrainTrackError:
         return None
 
@@ -1446,8 +1447,9 @@ def test_closed_form_ray_after_a_shared_prefix():
     m = _map(
         _rose(["A", "C", "D", "L"]), {"A": "A", "L": "L A", "C": "C D", "D": "D' C' L A A L'"}
     )
+    assert list(nielsen._linear_index(m).edges) == ["L"]
     for bound in (6, 9):
-        assert_closed_form_rays_match_iteration(m, bound, {"L": ("A",)})
+        assert_closed_form_rays_match_iteration(m, bound)
 
 
 @pytest.mark.parametrize("k", range(1, 101))
@@ -1483,7 +1485,7 @@ def test_closed_form_rays_match_iteration_linear_roses(m, bound):
 def test_a_linear_ray_is_never_cut():
     # B's ray under B -> B A is known in closed form: no iterate to cap
     m = _ladder(1)
-    linear = nielsen._linear_axes(filtration(m))
+    linear = nielsen._linear_index(m).edges
     records, capped = _stable_prefixes(m, 6, iter_cap=1, linear=linear)
     assert capped == []
     assert [r[0] for r in written_out(records, 6) if r[-1] == "B"] == [
@@ -1601,8 +1603,8 @@ def reference_pairing(m, bound, linear=None):
         image = m.apply(g.path(p)).edges
         assert image[: len(p)] == p
         power = None
-        if d in linear and (len(p) - 1) % len(linear[d]) == 0:
-            power = (d, (len(p) - 1) // len(linear[d]))
+        if d in linear and (len(p) - 1) % len(linear[d].w) == 0:
+            power = (d, (len(p) - 1) // len(linear[d].w))
         bucket = groups.setdefault((end, image[len(p):]), {}).setdefault(p[-1], [])
         bucket.append((p, split, power))
     found, composite, families = {}, {}, {}
@@ -1638,7 +1640,7 @@ def assert_pairing_matches_exact_suffixes(m, bound, linear=None):
     for mk in _powers(m):
         sigmas, composite, descriptors, capped = _search_fixed_paths(mk, bound, linear=linear)
         families = {
-            e: nielsen._family_records(descs, len(linear[e]), bound)
+            e: nielsen._family_records(descs, len(linear[e].w), bound)
             for e, descs in descriptors.items()
         }
         assert ([s.edges for s in sigmas], composite, families, capped) == reference_pairing(
@@ -1650,7 +1652,7 @@ def assert_pairing_matches_exact_suffixes(m, bound, linear=None):
 def test_pairing_matches_exact_suffixes_samples(name):
     m = SAMPLES[name]()
     assert_pairing_matches_exact_suffixes(
-        m, default_length_bound(m), nielsen._linear_axes(filtration(m))
+        m, default_length_bound(m), nielsen._linear_index(m).edges
     )
 
 
@@ -1658,7 +1660,7 @@ def test_pairing_matches_exact_suffixes_samples(name):
 def test_pairing_matches_exact_suffixes_ladder(k):
     m = _ladder(k)
     assert_pairing_matches_exact_suffixes(
-        m, default_length_bound(m), nielsen._linear_axes(filtration(m))
+        m, default_length_bound(m), nielsen._linear_index(m).edges
     )
 
 
@@ -1666,7 +1668,7 @@ def test_pairing_matches_exact_suffixes_ladder(k):
 def test_pairing_matches_exact_suffixes_family_maps(name):
     m = FAMILY_MAPS[name]()
     for bound in (5, 9, default_length_bound(m)):
-        assert_pairing_matches_exact_suffixes(m, bound, nielsen._linear_axes(filtration(m)))
+        assert_pairing_matches_exact_suffixes(m, bound, nielsen._linear_index(m).edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1766,7 +1768,7 @@ def assert_candidates_match_member_by_member(m, monkeypatch, audit=False):
     assert requests
     for mk, path, cat in requests:
         try:
-            exceptional = nielsen._families_by_end(mk)[1]
+            axes(mk)
         except LViolation:
             continue  # complete_split refuses the map before any candidate
         filt = filtration(mk)
@@ -1775,7 +1777,7 @@ def assert_candidates_match_member_by_member(m, monkeypatch, audit=False):
         for i in range(len(path)):
             got, want = (
                 [(t.kind, t.path.edges, t.height) for t in nielsen._candidates(
-                    mk, path, i, filt, exceptional, c.inps_by_first, c.families
+                    mk, path, i, filt, c.inps_by_first, c.families
                 )]
                 for c in (cat, flat)
             )
@@ -1818,30 +1820,39 @@ def _walked_exceptional(m):
     """{E: the exceptional families with end E}, by walking every family."""
     fams = qe_families(m)
     return {
-        e: [f for f in fams if f.is_exceptional() and e in f.ends()]
+        e: [f for f in fams if f.is_exceptional() and e in (f.e_i, f.e_j)]
         for e in m.graph.inverse_of
     }
 
 
+def _candidate_keys(cands):
+    return [(t.kind, t.path.edges, t.height, t.family and t.family.key()) for t in cands]
+
+
 @pytest.mark.parametrize("name", ["type_c_%d" % n for n in range(4, 8)] + sorted(FAMILY_MAPS))
 def test_exceptional_index_offers_the_walked_candidates(name, monkeypatch):
+    # the linear index pairs each linear edge with the same-sign members of
+    # its axis, as the walk over every family does, and the candidates read
+    # off it are those that trying every end against every family finds
     m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _corpus_map(name)
     for mk, path, cat in _split_requests(m, monkeypatch, audit=True):
         try:
-            index = nielsen._families_by_end(mk)[1]
+            axes(mk)
         except LViolation:
             continue
         walked = _walked_exceptional(mk)
-        assert index == {e: fams for e, fams in walked.items() if fams}
+        partners = {
+            e: {f for f, d in lin.axis.members if f != e and d * lin.axis.exponent[e] > 0}
+            for e, lin in nielsen._linear_index(mk).edges.items()
+        }
+        assert {e: fs for e, fs in partners.items() if fs} == {
+            e: {f.e_j if f.e_i == e else f.e_i for f in fams} for e, fams in walked.items() if fams
+        }
         filt = filtration(mk)
         for i in range(len(path)):
-            got, want = (
-                [(t.kind, t.path.edges, t.family and t.family.key()) for t in nielsen._candidates(
-                    mk, path, i, filt, exceptional, cat.inps_by_first, cat.families
-                )]
-                for exceptional in (index, walked)
-            )
-            assert got == want, (path.edges, i)
+            got = nielsen._candidates(mk, path, i, filt, cat.inps_by_first, cat.families)
+            want = reference_candidates(mk, path, i, filt, walked, cat)
+            assert _candidate_keys(got) == _candidate_keys(want), (path.edges, i)
 
 
 @pytest.fixture
@@ -1950,11 +1961,10 @@ def reference_nielsen_report(m, bound):
     entries = _entries_member_by_member(cat)
     families = {}
     singles = []
-    composites = 0
     for entry in entries:
         if not entry.indivisible:
-            composites += 1
-        elif entry.family is None:
+            continue
+        if entry.family is None:
             singles.append(entry)
         else:
             families.setdefault(entry.family, []).append(len(entry.path) - 2)
@@ -1972,8 +1982,6 @@ def reference_nielsen_report(m, bound):
         lines.append("  %s  [height %d]" % (" ".join(entry.path.edges), entry.height))
     if not families and not singles:
         lines.append("  none within bound")
-    if composites:
-        lines.append("composite Nielsen paths within bound: %d" % composites)
     for entry in cat.periodic:
         lines.append("periodic: %s  [period %d]" % (" ".join(entry.path.edges), entry.period))
     lines.append("axes:")
@@ -2487,7 +2495,7 @@ def _split_outcome(split, m, path, cat):
     """(kind, edges, height, family, power) per term, the furthest offset of
     a path that does not split, or the error of a map that refuses."""
     try:
-        return [(t.kind, t.path.edges, t.height, t.family, t.power)
+        return [(t.kind, t.path.edges, t.height, t.family and t.family.key(), t.power)
                 for t in split(m, path, cat).terms]
     except NotCompletelySplit as exc:
         return exc.position
@@ -2567,7 +2575,7 @@ def assert_closed_form_is_the_reference(m, paths):
         terms = None if path.is_trivial() else nielsen._closed_split(m, filt, path.edges)
         if terms is not None:
             taken += 1
-            got = [(t.kind, t.path.edges, t.height, t.family, t.power) for t in terms]
+            got = [(t.kind, t.path.edges, t.height, None, t.power) for t in terms]
             assert got == _split_outcome(reference_complete_split, m, path, cat), path.edges
     return taken
 
@@ -2678,18 +2686,47 @@ def test_catalog_commands_search_period_one_once(work, name, command):
 
 
 def test_every_splitting_of_a_map_breaking_clause_l_raises():
-    # the closed form included (B -> B A A): the failed clause is not cached,
-    # so every call raises again
+    # the closed form included (B -> B A A): every call raises again, as
+    # does every call of axes, while a map keeping clause L gets the same
+    # axes object on every call
     m = FAMILY_MAPS["same_exponent_pair"]()
     cat = build_catalog(m)
     for _ in range(2):
+        with pytest.raises(LViolation):
+            axes(m)
         for d in m.graph.directions():
             for split in (complete_split, qe_split):
                 with pytest.raises(LViolation):
                     split(m, m.image(d), cat)
-    assert "axes" not in m._cache
     m = qe_rose()
     assert axes(m) is axes(m)
+
+
+@pytest.mark.parametrize("command", ["check-ct", "disintegrate", "audit"])
+@pytest.mark.parametrize("name", ["type_e_8", "type_e_20", "type_c_7"] + sorted(SAMPLES))
+def test_families_built_are_the_families_met(name, command, monkeypatch):
+    # work contract: a QE family is built only where a splitting meets its
+    # pair, so the families built are exactly those that qe_split terms
+    # name (before the per-pair index: 78, 666 and 45 built on type E n=8,
+    # n=20 and type C n=7 by check-ct, 6 on full_fps_map, none met)
+    built, named = [], set()
+    family_init, split = nielsen.QEFamily.__init__, nielsen.qe_split
+
+    def counted_family(self, *args):
+        built.append(self)
+        family_init(self, *args)
+
+    def naming_split(*args):
+        splitting = split(*args)
+        named.update(id(t.family) for t in splitting.terms if t.kind == TERM_QE)
+        return splitting
+
+    monkeypatch.setattr(nielsen.QEFamily, "__init__", counted_family)
+    monkeypatch.setattr(nielsen, "qe_split", naming_split)
+    _run_command(_corpus_map(name), [command])
+    assert sorted(map(id, built)) == sorted(named)
+    if name in ("qe_rose", "exceptional_rose"):
+        assert len(built) == 1
 
 
 @pytest.mark.parametrize("k", [25, 100, 800])
@@ -2828,7 +2865,7 @@ def test_qe_split_merges_opposite_sign_run():
     assert len(qs.terms) == 1
     t = qs.terms[0]
     assert t.kind == TERM_QE and t.power == 1
-    assert t.family.ends() == {"B", "C"}
+    assert (t.family.e_i, t.family.e_j) == ("B", "C")
 
 
 def test_qe_split_merges_longer_powers():
