@@ -10,7 +10,9 @@ and ``disintegrate`` on the ladder A -> A, B -> B A^k (``check-ct`` and
 to the largest, type E n=6 and type C n=5; ``check-ct``, ``nielsen``,
 ``coords``, ``fps`` and ``verify-commute`` on the sample maps; ``check-ct`` and ``nielsen`` on
 ``unreduced_axis``, E3 -> E3 E2 E1 E2' over the axis E2 E1 E2', which is
-not cyclically reduced; ``check-ct --json`` and ``nielsen --json`` on
+not cyclically reduced; ``check-ct`` and ``nielsen`` on
+``composite_family``, X -> Y', Y -> Y X Y, E -> E X Y, whose linear
+family E (X Y)^k E' is composite, as E X is Nielsen; ``check-ct --json`` and ``nielsen --json`` on
 the rest of the linear corpus: the ladder at k = 400 and 800, type E n=8
 and type C n=7; and, on that corpus, ``disintegrate`` in both forms, and
 ``audit`` and ``classify`` on type E n=8 and type C n=7.  Any change to a
@@ -64,6 +66,13 @@ def _documents():
         "edges": [{"name": e, "from": "v", "to": "v"} for e in ("E1", "E2", "E3")],
         "images": {"E1": "E1", "E2": "E2", "E3": "E3 E2 E1 E2'"},
     }
+    # w = X Y is Nielsen and so is E X: every member E (X Y)^k E' is composite
+    docs["composite_family"] = {
+        "name": "composite_family",
+        "vertices": ["v"],
+        "edges": [{"name": e, "from": "v", "to": "v"} for e in ("X", "Y", "E")],
+        "images": {"X": "Y'", "Y": "Y X Y", "E": "E X Y"},
+    }
     for n in (3, 4, 5, 6, 8):
         docs["type_e_%d" % n] = document_from_map(gen_type_e(n).generic, "type_e_%d" % n)
     for n in (4, 5, 7):
@@ -114,6 +123,8 @@ def _cases():
         cases.append((doc, "nielsen", ()))
     cases.append(("unreduced_axis", "check-ct", ()))
     cases.append(("unreduced_axis", "nielsen", ()))
+    cases.append(("composite_family", "check-ct", ()))
+    cases.append(("composite_family", "nielsen", ()))
     for name in samples.SAMPLES:
         cases.append((name, "check-ct", ()))
         cases.append((name, "nielsen", ()))
