@@ -35,14 +35,17 @@ every usage, help and error text is argparse's own, as before.
 
 ``nielsen --json`` writes each linear family E w^k Ebar once, under
 ``families``: ``{"edge", "body", "height", "k", "composite_k"}``, with
-``k`` the maximal runs ``[first, last]`` of the exponents of its
-indivisible members within the bound and ``composite_k`` those of its
-composite members.  ``paths`` holds the other period-one Nielsen paths,
-then the periodic ones, each with its word, period, indivisible flag
-(null on a periodic path) and height; ``axes`` holds each axis word with
-its member edges and exponents.  Families come in the order their first
-members take among the paths by (length, order key); the text report
-gives a family's line where its first indivisible member would stand.
+``k`` the runs ``[first, last]`` of the exponents of its indivisible
+members and ``composite_k`` those of its composite members.  Every member
+of a family shares one flag and a family holds for every k >= 1, so one of
+the two is ``[[1, null]]``, null standing for no last k, and the other is
+empty.  ``paths`` holds the other period-one Nielsen paths, then the
+periodic ones, each with its word, period, indivisible flag (null on a
+periodic path) and height; ``axes`` holds each axis word with its member
+edges and exponents.  Families come in the order their members k = 1 take
+among the paths by (length, order key); the text report gives an
+indivisible family's line, "for every k >= 1", where that member would
+stand.
 """
 
 import argparse
@@ -258,48 +261,31 @@ def _cmd_check_ct(m, doc, args):
     return report.passed, report.lines(), data
 
 
-def _runs(ks):
-    """The maximal runs [first, last] of consecutive integers in the
-    ascending list ``ks``."""
-    runs = []
-    for k in ks:
-        if runs and runs[-1][1] == k - 1:
-            runs[-1][1] = k
-        else:
-            runs.append([k, k])
-    return runs
-
-
 def _cmd_nielsen(m, doc, args):
-    # a linear family is reported from its records (i, composite flag), one
-    # line and one object per family, and no member is written out as a word
+    # a linear family is one line and one object, for every k >= 1, and no
+    # member is written out as a word
     cat = _catalog(m, args, doc)
     g = m.graph
 
-    def listed_at(e, b, i):
-        # where the member E b^i Ebar sorts in NielsenCatalog.entries
-        edges = (e,) + b * i + (g.inverse_of[e],)
+    def listed_at(e, b):
+        # where the member E b Ebar, k = 1, sorts in NielsenCatalog.entries
+        edges = (e,) + b + (g.inverse_of[e],)
         return len(edges), [g.order_key[x] for x in edges]
 
-    # (place of the first member, E, b, height, indivisible k, composite k)
+    # (place of the member k = 1, E, b, height, composite flag)
     families = sorted(
-        (listed_at(e, b, records[0][0]), e, b, height,
-         [i for i, split in records if not split], [i for i, split in records if split])
-        for e, (b, records, height) in cat.families.items()
+        (listed_at(e, b), e, b, height, composite)
+        for e, (b, height, composite) in cat.families.items()
     )
     singles = [x for x in cat.generic if x.indivisible]
 
     lines = ["catalog bound %d (period bound %d)" % (cat.bound, cat.period_bound)]
     lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
     lines.append("indivisible Nielsen paths:")
-    # a family's line stands where its first indivisible member is listed
-    for _, e, b, ks in sorted(
-        (listed_at(e, b, ks[0]), e, b, ks) for _, e, b, _, ks, _ in families if ks
-    ):
-        lines.append(
-            "  %s (%s)^k %s  for k = %d..%d within bound"
-            % (e, " ".join(b), inverse(e), ks[0], ks[-1])
-        )
+    # a family's line stands where its member k = 1 is listed
+    for _, e, b, _, composite in families:
+        if not composite:
+            lines.append("  %s (%s)^k %s  for every k >= 1" % (e, " ".join(b), inverse(e)))
     for entry in singles:
         lines.append(
             "  %s  [height %d]" % (" ".join(entry.path.edges), entry.height)
@@ -327,8 +313,8 @@ def _cmd_nielsen(m, doc, args):
         "fixed_edges": list(cat.fixed_edges),
         "families": [
             {"edge": e, "body": " ".join(b), "height": height,
-             "k": _runs(ks), "composite_k": composite_k}
-            for _, e, b, height, ks, composite_k in families
+             "k": [] if composite else [[1, None]], "composite_k": [[1, None]] if composite else []}
+            for _, e, b, height, composite in families
         ],
         "paths": [
             {

@@ -339,11 +339,9 @@ def _clause_n(m, filt, cat):
             % (" ".join(entry.path.edges), entry.period)
         )
     # a family member reads E w^k Ebar at E's linear NEG level by
-    # construction, so families are only counted, from their records
+    # construction: only the generic iNps are checked
     inps = [x for x in cat.generic if x.indivisible]
-    n_inps = len(inps) + sum(
-        not split for _, records, _ in cat.families.values() for _, split in records
-    )
+    n_families = sum(not composite for _, _, composite in cat.families.values())
     by_height = {}
     for entry in inps:
         by_height.setdefault(entry.height, []).append(entry)
@@ -369,7 +367,8 @@ def _clause_n(m, filt, cat):
                     "not read E w^k Ebar" % (" ".join(entry.path.edges), r)
                 )
     return Clause(
-        "N", failures, ["%d indivisible Nielsen paths" % n_inps]
+        "N", failures,
+        ["%d indivisible Nielsen paths" % len(inps), "%d indivisible linear families" % n_families],
     )
 
 

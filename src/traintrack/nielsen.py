@@ -31,22 +31,21 @@ Linear families: for a linear edge E, f(E) = E.w^d with w a closed Nielsen
 path, every E w^k Ebar is Nielsen.  E's ray is read off f(E) without
 applying f; one period of it is swept and the rest kept as runs (lemma in
 :func:`_stable_prefixes`).  The search recognises the pairs that give these
-paths as one family per E, checks one member exactly (that decides the
-whole family) and keeps it compact: E, the body b (w or reverse(w)) and one
-(k, composite flag) record per member within the bound, a member that
-another pair gives included.  The search itself keeps each family pair
-as a descriptor of its two runs of prefixes, and only
-:func:`build_catalog` expands those into records.  Complete splitting,
-the CT check and the ``nielsen`` report read the records (the report
-writes one line and one JSON object per family, its k as runs); the
-members are written out as paths only on the first read of ``entries``,
-by the tests or perfbench's tracer.
+paths as one family per E, checks one member exactly and keeps the family
+as (b, height, composite flag), b the body w or reverse(w): one member
+decides every k >= 1, and so does one composite flag
+(:func:`_checked_family`), so no member is recorded.  Complete splitting
+matches E b^k Ebar for every k, the CT check counts families and the
+``nielsen`` report writes one line and one JSON object per family, "for
+every k >= 1"; the members within the bound are written out as paths
+only on the first read of ``entries``, by the tests or perfbench's
+tracer.
 
 Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
 are found by the same search run on f^k, among the paths that are not
 already fixed: a candidate that is a period-one Nielsen path of the catalog
-is dropped before any f^k_# work, and a family pair of a linear edge stays
-an unexpanded descriptor.  Where every direction that D(f^k) fixes is a
+is dropped before any f^k_# work, and a family pair of a linear edge is
+dropped as a descriptor.  Where every direction that D(f^k) fixes is a
 fixed edge or a linear edge over the fixed edges, as on the ladder B -> B
 A^k and the type E and C families, f^k fixes only what f fixes, and the
 search on f^k is skipped by that lemma (:func:`_search_periodic`).  Only
@@ -81,7 +80,7 @@ own.
 
 from collections import namedtuple
 from functools import cache, cached_property
-from itertools import chain, combinations, islice, product, repeat
+from itertools import chain, combinations, islice, product
 
 from .paths import Path, base_name, cyclic_decompose, inverse
 from .maps import filtration, direction_map, is_illegal_turn, compose
@@ -325,30 +324,31 @@ class NielsenCatalog:
 
     * ``fixed_edges``: edges with f(E) = E (length-one Nielsen paths; kept
       apart from iNps, which have length at least two).
-    * ``families``: the linear families, ``{E: (b, records, height)}``: the
-      members are E b^i Ebar, one per record (i, composite flag), i
-      ascending, b the body in the orientation the catalog lists, height
-      E's level.  No member is kept as a path.
+    * ``families``: the linear families, ``{E: (b, height, composite)}``:
+      the members are E b^k Ebar for every k >= 1, b the body in the
+      orientation the catalog lists, height E's level and composite the
+      one flag every member shares (:func:`_checked_family`).  No member
+      is kept as a path.
     * ``generic``: the other period-one entries, each its own path, in
       (length, order key) order.  The ``nielsen`` report reads these and
-      ``families``; it places each family where its first member would
+      ``families``; it places each family where its member k = 1 would
       sort among them.
     * ``entries``: the period-one Nielsen paths p.reverse(q) of length 2..
       ``bound`` paired from stable prefixes (not every Nielsen path within
       the bound; see the module docstring), in (length, order key) order,
       as ``NielsenEntry`` objects, each flagged indivisible or composite,
       exactly, with its filtration height: the generic entries and the
-      family members, written out in closed form on the first read and
-      marked with ``family``.  Only the tests and perfbench's tracer read
-      it.
+      family members within the bound, written out in closed form on the
+      first read and marked with ``family``.  Only the tests and
+      perfbench's tracer read it.
     * ``periodic``: paths with minimal f_#-period in 2..period_bound.
     * ``budgets_hit``: one note per search ray cut at its iterate cap, those
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
       search.
     * ``inps_by_first``: the generic iNps in both orientations, grouped by
       first edge, longest first (with their heights), for complete
-      splitting, which matches family members from their records instead.
-      Built on first read.
+      splitting, which matches family members by counting repeats of the
+      body instead.  Built on first read.
     * :meth:`edge_digest`: what disintegration reads of an edge image's
       QE-splitting, kept per edge.
 
@@ -398,9 +398,9 @@ class NielsenCatalog:
             return self.generic
         g = self.map.graph
         members = [
-            NielsenEntry(path, 1, not split, height, e)
-            for e, (b, records, height) in self.families.items()
-            for path, (_, split) in zip(_family_members(g, e, b, records), records)
+            NielsenEntry(path, 1, not composite, height, e)
+            for e, (b, height, composite) in self.families.items()
+            for path in _family_members(g, e, b, (self.bound - 2) // len(b))
         ]
         return _in_order(g.order_key, self.generic + members, lambda x: x.path.edges)
 
@@ -503,8 +503,7 @@ class NielsenCatalog:
         entries = (
             "period-one search pending"
             if "_found" not in vars(self)
-            else "%d entries"
-            % (len(self.generic) + sum(len(f[1]) for f in self.families.values()))
+            else "%d entries and %d families" % (len(self.generic), len(self.families))
         )
         return "<NielsenCatalog %d fixed edges, %s, %s, bound %d>" % (
             len(self.fixed_edges),
@@ -559,11 +558,17 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
     w^i Ebar.  Such pairs, read off the bare E and a run of E w^i at once,
     are only described, as (p_n, p_step, q_n, q_step, composite flag)
     under E, the two runs of prefixes as the loop reads them: nothing is
-    built, checked or enumerated for them.  :func:`build_catalog` expands
-    the descriptors into member records (:func:`_family_records`); the f^k
-    searches of :func:`_search_periodic` drop them.  Every other pair,
-    exceptional pairs E1 w^j E2bar included, goes through the loop as
-    above.
+    built, checked or enumerated for them.  :func:`_search_period_one`
+    reduces the descriptors to the family's one flag; the f^k searches of
+    :func:`_search_periodic` drop them.  Every other pair, exceptional
+    pairs E1 w^j E2bar and the pairs over an axis that is not cyclically
+    reduced included, goes through the loop as above.  None of them is a
+    member E b^k Ebar over a cyclically reduced axis w: such a pair takes
+    p and q from E's ray E w w ...  Were neither the bare E, the pair
+    would begin E w[0] and end inverse(w[0]) Ebar, but a member with b = w
+    ends w[-1] Ebar and one with b = reverse(w) begins E inverse(w[-1]),
+    and w[0] is not inverse(w[-1]).  So one is the bare E and the other E
+    w^k: a family pair.
 
     Returns (sigmas, composite, families, capped): the other pairs as
     paths in (length, order key) order, their composite flags by edge
@@ -574,6 +579,7 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
     g = m.graph
     order_key, inverse_of = g.order_key, g.inverse_of
     linear = linear or {}
+    cyclic = {e for e, lin in linear.items() if lin.w[0] != inverse_of[lin.w[-1]]}
     groups = {}
     prefixes, capped = _stable_prefixes(m, bound, linear=linear, rays=rays)
     for ray, n, step, end, s, split, d in prefixes:
@@ -593,7 +599,7 @@ def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
                 split = p_split or q_split
                 if p_n + q_n > bound:
                     continue
-                lw = len(linear[d].w) if d == e and d in linear else 0
+                lw = len(linear[d].w) if d == e and d in cyclic else 0
                 if lw and (p_n - 1) % lw == (q_n - 1) % lw == 0:
                     # prefixes E w^i, E w^j of E's ray in different buckets
                     # (runs step by |w|): one is E itself, the other E w^k
@@ -628,74 +634,51 @@ def _pair_lengths(p_n, p_step, q_n, q_step, bound):
             yield i, j
 
 
-def _family_records(descriptors, lw, bound):
-    """The (i, composite flag) records of the members E w^i Ebar that a
-    linear edge's family descriptors (see :func:`_search_fixed_paths`)
-    give, |w| = lw, in the order the pairing loop meets them.
+def _checked_family(m, filt, lin, composite):
+    """The linear family (b, height, composite) of E = ``lin.edge``, f(E) =
+    E.w^d with w cyclically reduced, or None when its members are not
+    Nielsen; b is w or reverse(w), the orientation the search keeps, and
+    ``composite`` the flag the search recorded for its pairs.
 
-    One side of a family pair is the bare E (length 1, step 0) and the
-    other a prefix E w^i0 or a run of them stepping by a multiple of |w|,
-    so the pairs within the bound are the members i0, i0 + step/|w|, ...
-    with 1 + i|w| < bound: one arithmetic run per descriptor."""
-    records = []
-    for p_n, p_step, q_n, q_step, split in descriptors:
-        n, step = (q_n, q_step) if p_n == 1 else (p_n, p_step)
-        runs = range((n - 1) // lw, (bound - 2) // lw + 1, step // lw or bound)
-        records.extend(zip(runs, repeat(split)))
-    return records
+    Each member's reverse is E reverse(b)^k Ebar; the two first differ where
+    b and reverse(b) do, so one comparison orients every member, and a path
+    is composite exactly when its reverse is (sigma = alpha.beta with alpha
+    Nielsen makes beta Nielsen), so the orientation does not move the flag.
 
+    *Lemma.*  (a) E w^k Ebar is Nielsen for every k >= 1 exactly when it is
+    for k = 1.  (b) Then a proper prefix of E w^k Ebar is Nielsen exactly
+    when it reads E w^j x, 0 <= j < k, with x a nonempty proper prefix of w
+    and [w^d f_#(x)] = x, a condition free of j and k: every member has the
+    same composite flag.  *Proof.*  w and f_#(x) lie below E, so f_# of E y,
+    y a path below E, is E [w^d f_#(y)] and nothing cancels against E.  (a)
+    f_#(E w^k Ebar) = E w^k Ebar iff (u.f(w).ubar)^k = w^k in the
+    fundamental group, u = w^d, iff u.f(w).ubar = w (roots are unique in a
+    free group), whatever k is.  (b) By (a), f_#(w) = w.  The proper
+    prefixes are E, E w^j x with x a nonempty proper prefix of w, and E
+    w^j, 1 <= j <= k.  f_#(E w^j x) = E [w^(d+j) f_#(x)], which is E w^j x
+    iff [w^d f_#(x)] = x; with x empty this asks w^d to be trivial, and d
+    >= 1.  For k >= 1 the prefixes with j = 0 already meet every x.  []
 
-def _checked_family(m, filt, lin, records):
-    """The linear family (b, records, height) of E = ``lin.edge`` from the
-    recorded (i, composite flag) pairs, or None when its members are not
-    Nielsen; b is E's axis w or reverse(w), the orientation the search
-    keeps.
-
-    Each member's reverse is E reverse(b)^i Ebar; the two first differ where
-    b and reverse(b) do, so one comparison orients every member.  One
-    member decides them all: with f(E) = E.u, f_#(E w^i Ebar) = E w^i Ebar
-    iff (u.f(w).ubar)^i = w^i in the fundamental group, iff u.f(w).ubar = w
-    (roots are unique in a free group), whatever i is.  So the shortest
-    member gets the exact ``is_nielsen_path`` check and stands for the
-    family.  Every member has E's level as its height: w lies below E.
+    So the shortest member, k = 1, gets the exact ``is_nielsen_path`` check
+    and stands for the family.  E w^i is stable with suffix w^d for every i
+    >= 0, and E's ray E w w ... pairs each such prefix within the bound
+    with the bare E, so the search's pairs are the members k = 1..(bound -
+    2) // |w|, all under this one flag.  Every member has E's level as its
+    height: w lies below E.
     """
     g = m.graph
-    inverse_of = g.inverse_of
     body = _lesser_orientation(g.order_key, lin.w, lin.bar)
-    records = sorted(records)
-    shortest = (lin.edge,) + body * records[0][0] + (inverse_of[lin.edge],)
+    shortest = (lin.edge,) + body + (g.inverse_of[lin.edge],)
     if not is_nielsen_path(m, Path(g, shortest)):
         return None
-    return body, records, filt.level(lin.edge)
+    return body, filt.level(lin.edge), composite
 
 
-def _family_members(g, e, b, records):
-    """The path of each member E b^i Ebar of a family, one per record."""
+def _family_members(g, e, b, count):
+    """The paths of the members E b^k Ebar of a family, k = 1..count."""
     tail = (g.inverse_of[e],)
-    ray = (e,) + b * records[-1][0]
-    return [Path(g, ray[: 1 + len(b) * i] + tail) for i, _ in records]
-
-
-def _fold_listed_members(families, generic, linear, g, filt):
-    """The generic entries that are not members E b^i Ebar of a linear
-    family.  A member among them (on some map another pair might give one
-    too, and when w is not cyclically reduced the family's own pairs give
-    none) is listed once, as its family's record, with the family made
-    for it if needed: b is the orientation of w that the entry reads."""
-    kept = []
-    for x in generic:
-        edges, e = x.path.edges, x.path.edges[0]
-        if e in linear and edges[-1] == g.inverse_of[e]:
-            b = _lesser_orientation(g.order_key, linear[e].w, linear[e].bar)
-            i, rest = divmod(len(edges) - 2, len(b))
-            if not rest and edges[1:-1] == b * i:
-                _, records, height = families.get(e, (b, [], filt.level(e)))
-                if all(r[0] != i for r in records):
-                    records = sorted(records + [(i, not x.indivisible)])
-                families[e] = (b, records, height)
-                continue
-        kept.append(x)
-    return kept
+    ray = (e,) + b * count
+    return [Path(g, ray[: 1 + len(b) * k] + tail) for k in range(1, count + 1)]
 
 
 def build_catalog(m, bound=None, period_bound=3):
@@ -728,12 +711,13 @@ def _search_period_one(m, bound):
     their iterate cap.
 
     The search recognises each linear edge's family E w^k Ebar once, as
-    descriptors of pairs of prefix runs; this is the one place they are
-    expanded into records (:func:`_family_records`), and the catalog keeps
-    the family after one exact check (see :func:`_checked_family`).  The
+    descriptors of pairs of prefix runs, and no generic pair is a member
+    (:func:`_search_fixed_paths`).  All of a family's pairs carry one
+    composite flag, so the descriptors are reduced to it, and the catalog
+    keeps the family after one exact check (:func:`_checked_family`).  The
     catalog's ``families`` and ``generic`` are what the ``nielsen`` report
-    reads; its ``entries`` write the members out and sort them into the
-    generic entries' order, the same as member by member.
+    reads; its ``entries`` write the members within the bound out and sort
+    them into the generic entries' order, the same as member by member.
     """
     filt = filtration(m)
     linear = _linear_index(m).edges
@@ -744,11 +728,9 @@ def _search_period_one(m, bound):
     ]
     families = {}
     for e, descs in descriptors.items():
-        recs = _family_records(descs, len(linear[e].w), bound)
-        fam = _checked_family(m, filt, linear[e], recs)
+        fam = _checked_family(m, filt, linear[e], descs[0][-1])
         if fam is not None:
             families[e] = fam
-    generic = _fold_listed_members(families, generic, linear, m.graph, filt)
     return generic, families, tuple(_cap_note(1, d, cap) for d, cap in capped)
 
 
@@ -760,10 +742,10 @@ def _search_periodic(cat):
     paths not already fixed: the period-one paths of the catalog, in both
     orientations, are skipped there, since f^k fixes them with period one.
     The members of linear families are fixed by f too (f(E) = E.w^d with
-    w Nielsen), so the f^k searches drop their family descriptors
-    unexpanded and ``known`` holds only the generic entries.  Every other
-    candidate (a member another pair gives too) gets the f^k_# check and
-    period probe.  The rays of f^k are read off the catalog's term DAG
+    w Nielsen), so the f^k searches drop their family descriptors and
+    ``known`` holds only the generic entries.  Every other candidate (a
+    member over an axis that is not cyclically reduced included) gets the
+    f^k_# check and period probe.  The rays of f^k are read off the catalog's term DAG
     where it covers them (:class:`TermIterates`), which is built on the
     first such ray.
 
@@ -1003,13 +985,15 @@ class CompleteSplitting:
     ``closed`` is True when :func:`complete_split` found it in closed form,
     [E][x_1]...[x_m] with E not fixed and every x_i a fixed edge: then it
     has no exceptional term and one term on a moving edge, its first, and
-    readers may take that from the path without walking the terms.
+    readers may take that from the path without walking the terms
+    (:class:`_ClosedSplitting`).
     """
 
-    def __init__(self, path, terms, closed=False):
+    closed = False
+
+    def __init__(self, path, terms):
         self.path = path
         self.terms = terms
-        self.closed = closed
 
     def __iter__(self):
         return iter(self.terms)
@@ -1021,6 +1005,22 @@ class CompleteSplitting:
         return "<splitting %s>" % " | ".join(
             " ".join(t.path.edges) for t in self.terms
         )
+
+
+class _ClosedSplitting(CompleteSplitting):
+    """A closed-form splitting [E][x_1]...[x_m]: one single term per edge
+    of its path, the map's own (:func:`_single_term`), listed on the first
+    read of ``terms`` and kept unchanged from then on."""
+
+    closed = True
+
+    def __init__(self, m, filt, path):
+        self.path = path
+        self._map, self._filt = m, filt
+
+    @cached_property
+    def terms(self):
+        return [_single_term(self._map, self._filt, x) for x in self.path.edges]
 
 
 def _single_term(m, filt, e):
@@ -1052,10 +1052,11 @@ def _candidates(m, path, i, filt, inps_by_first, families):
 
     Exceptional paths E w^p Fbar come from E's axis in the map's linear
     index (:func:`_linear_index`), generic iNps from ``inps_by_first``.
-    Where the edge at i is a family's E, its members are matched from the
-    records, none built as a path: the repeats of b, and of reverse(b) (a
-    member read backwards), are counted once, and each indivisible record k
-    whose Ebar follows the k-th repeat gives a candidate.
+    Where the edge at i is the E of an indivisible family, its members
+    E b^k Ebar, k >= 1, are matched without building one: the repeats of b,
+    and of reverse(b) (a member read backwards), are counted, and where
+    Ebar follows k >= 1 of them, that member is a candidate.  Ebar is no
+    edge of b, so no other k can match.
     """
     e = path.edges[i]
     lvl = filt.level(e)
@@ -1088,32 +1089,29 @@ def _candidates(m, path, i, filt, inps_by_first, families):
         n = len(sigma)
         if path.edges[i : i + n] == sigma.edges:
             cands.append((i + n, Term(TERM_INP, path.subpath(i, i + n), height=height)))
-    # members of E's linear family, read off the records
-    if e in families:
-        b, records, height = families[e]
+    # members of E's linear family, for every k >= 1
+    if e in families and not families[e][2]:
+        b, height, _ = families[e]
         tail, n = inverse_of[e], len(b)
         for body in (b, _reverse(inverse_of, b)):
-            pos, reps = i + 1, 0
-            for k, split in records:
-                while reps < k and edges[pos : pos + n] == body:
-                    pos, reps = pos + n, reps + 1
-                if reps < k:
-                    break
-                if not split and pos < len(edges) and edges[pos] == tail:
-                    term = Term(TERM_INP, path.subpath(i, pos + 1), height=height)
-                    cands.append((pos + 1, term))
+            pos = i + 1
+            while edges[pos : pos + n] == body:
+                pos += n
+            if pos > i + 1 and pos < len(edges) and edges[pos] == tail:
+                cands.append((pos + 1, Term(TERM_INP, path.subpath(i, pos + 1), height=height)))
     # a single edge of an irreducible stratum
     cands.sort(key=lambda et: (-et[0], et[1].kind != TERM_EXC))
     return [t for _, t in cands] + [_single_term(m, filt, e)]
 
 
-def _closed_split(m, filt, edges):
+def _closed_split(m, filt, path):
     """The complete splitting [E][x_1]...[x_m] of the tight path E x_1 ...
-    x_m, m >= 1, as the map's single terms, when E lies outside zero
-    strata and is not fixed, every x_i is a fixed edge, f(x_i) = x_i, and
-    the turn (Ebar, x_1) is legal; None otherwise.  See
-    :func:`complete_split` for why no other splitting exists."""
+    x_m, m >= 1, its terms the map's single terms, listed when first read,
+    when E lies outside zero strata and is not fixed, every x_i is a fixed
+    edge, f(x_i) = x_i, and the turn (Ebar, x_1) is legal; None otherwise.
+    See :func:`complete_split` for why no other splitting exists."""
     image_of, inverse_of = m.image_of, m.graph.inverse_of
+    edges = path.edges
     e = edges[0]
     if (
         len(edges) < 2
@@ -1123,14 +1121,16 @@ def _closed_split(m, filt, edges):
         or not _is_legal_turn(m, inverse_of[e], edges[1])
     ):
         return None
-    return [_single_term(m, filt, x) for x in edges]
+    return _ClosedSplitting(m, filt, path)
 
 
 def complete_split(m, path, catalog=None):
     """Parse a path into complete-splitting terms.
 
     Terms are single edges of irreducible strata, indivisible Nielsen paths
-    (catalog), exceptional paths, and maximal connecting subpaths in zero
+    (the catalog's generic iNps, and the members E b^k Ebar of its
+    indivisible linear families for every k >= 1, longer than the bound
+    included), exceptional paths, and maximal connecting subpaths in zero
     strata.  Candidates are tried longest first with backtracking, and a
     term may end at an offset 0 < i < len(path) only where the path's turn
     (inverse(path[i-1]), path[i]) is legal.  Raises NotCompletelySplit with
@@ -1168,7 +1168,7 @@ def complete_split(m, path, catalog=None):
     zero strata and not fixed, each x_i a fixed edge, f(x_i) = x_i, and
     the turn (Ebar, x_1) legal.  Then its splitting is [E][x_1]...[x_m],
     which :func:`_closed_split` returns without reading the catalog's
-    entries or the linear index.  *Proof.*  It is what the search finds,
+    entries or the linear index, its terms listed only when read.  *Proof.*  It is what the search finds,
     since no candidate but a single edge starts at any offset.  A listed
     iNp E.y with y fixed is impossible: f_#(E y) = [f(E) y] = E y forces
     f(E) = E.  A tight path of two or more fixed edges is Nielsen with a
@@ -1188,9 +1188,9 @@ def complete_split(m, path, catalog=None):
     if path.is_trivial():
         return CompleteSplitting(path, [])
     axes(m)  # clause L, off the cached index: a map breaking it splits nothing
-    terms = _closed_split(m, filt, path.edges)
-    if terms is not None:
-        return CompleteSplitting(path, terms, closed=True)
+    closed = _closed_split(m, filt, path)
+    if closed is not None:
+        return closed
     linear = _linear_index(m).edges
     inps_by_first, families = catalog.inps_by_first, catalog.families
     single = m._cache.setdefault("single_terms", {})

@@ -59,6 +59,7 @@ from traintrack.nielsen import (
     axes,
     build_catalog,
     default_length_bound,
+    is_nielsen_path,
 )
 from traintrack.paths import Path, UnionFind, base_name, cyclic_decompose, inverse, word_root
 from samples import _map, _rose
@@ -183,12 +184,21 @@ def families_by_end(m):
     return every, exceptional
 
 
+def is_indivisible_by_brute_force(m, path):
+    """Whether ``path`` is Nielsen and none of its proper prefixes is."""
+    edges = path.edges
+    return is_nielsen_path(m, path) and not any(
+        is_nielsen_path(m, Path(m.graph, edges[:n])) for n in range(1, len(edges))
+    )
+
+
 def reference_candidates(m, path, i, filt, exceptional, catalog):
     """The candidate terms at offset i in :func:`nielsen._candidates`'
     order, found by trying every end: the exceptional families with end
     path[i] (``exceptional``, from :func:`families_by_end`) by their
-    ``matches``, the generic iNps by lookup and the members of path[i]'s
-    linear family by their records."""
+    ``matches``, the generic iNps by lookup and, where path[i] is the E of
+    a listed linear family, each E b^k Ebar, k >= 1, that is Nielsen and
+    indivisible by brute force, whatever k is."""
     edges, e = path.edges, path.edges[i]
     lvl = filt.level(e)
     if filt[lvl].kind == "zero":
@@ -197,9 +207,8 @@ def reference_candidates(m, path, i, filt, exceptional, catalog):
             j += 1
         return [Term(TERM_CONN, path.subpath(i, j), height=lvl)]
     generic = {sigma.edges: h for sigma, h in catalog.inps_by_first.get(e, [])}
-    b, records, height = catalog.families.get(e, ((), [], None))
+    b, height, _ = catalog.families.get(e, ((), None, None))
     bodies = (b, tuple(inverse(x) for x in reversed(b)))
-    indivisible = {k for k, split in records if not split}
     cands = []
     for j in range(len(path), i + 1, -1):
         sub = path.subpath(i, j)
@@ -208,8 +217,9 @@ def reference_candidates(m, path, i, filt, exceptional, catalog):
         if sub.edges in generic:
             cands.append(Term(TERM_INP, sub, height=generic[sub.edges]))
         k, rest = divmod(j - i - 2, len(b) or 1)
-        if (b and not rest and k in indivisible and edges[j - 1] == inverse(e)
-                and edges[i + 1 : j - 1] in (bodies[0] * k, bodies[1] * k)):
+        if (b and not rest and k and edges[j - 1] == inverse(e)
+                and edges[i + 1 : j - 1] in (bodies[0] * k, bodies[1] * k)
+                and is_indivisible_by_brute_force(m, sub)):
             cands.append(Term(TERM_INP, sub, height=height))
     return cands + [Term(TERM_EDGE, path.subpath(i, i + 1), height=lvl)]
 
@@ -762,10 +772,7 @@ def _nielsen_representatives(cat):
     member, i >= 1, iff (u.f_a(b).ubar)^i = b^i iff f_a(b) = b (roots are
     unique, as in :func:`nielsen._checked_family`): one member decides."""
     g = cat.map.graph
-    members = [
-        Path(g, (e,) + b * records[0][0] + (g.inverse_of[e],))
-        for e, (b, records, _) in cat.families.items()
-    ]
+    members = [Path(g, (e,) + b + (g.inverse_of[e],)) for e, (b, _, _) in cat.families.items()]
     return [x.path for x in cat.generic] + members
 
 
@@ -828,7 +835,7 @@ class FaCTResult:
 def check_fa_is_ct(m, a, dis=None):
     """Run the full structure check on f_a and compare its principal
     vertices and within-bound Nielsen paths against f's: the generic paths,
-    and the family members by their records (E, b, i)."""
+    and the families as (E, b, composite flag)."""
     if dis is None:
         dis = disintegrate(m)
     fa = build_fa(m, a, dis)
@@ -837,7 +844,7 @@ def check_fa_is_ct(m, a, dis=None):
     same_principal = principal_vertices(fa) == principal_vertices(m)
     listed = [
         {x.path.edges for x in cat.generic}
-        | {(e, b, i) for e, (b, records, _) in cat.families.items() for i, _ in records}
+        | {(e, b, composite) for e, (b, _, composite) in cat.families.items()}
         for cat in (build_catalog(m, bound=bound), build_catalog(fa, bound=bound))
     ]
     return FaCTResult(report, same_principal, listed[0] == listed[1])

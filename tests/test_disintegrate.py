@@ -53,6 +53,7 @@ from test_nielsen import (
     _split_outcome,
     arbitrary_roses,
     linear_roses,
+    qe_roses,
     triangular_roses,
     zero_strata_maps,
 )
@@ -521,7 +522,8 @@ def test_every_down_set_of_type_e_is_enumerated():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(arbitrary_roses(), linear_roses(), triangular_roses(), zero_strata_maps()))
+@given(st.one_of(arbitrary_roses(), linear_roses(), triangular_roses(), zero_strata_maps(),
+                 qe_roses()))
 def test_digests_match_the_term_walk_random_maps(m):
     try:
         filtration(m)
@@ -544,30 +546,6 @@ def _walked_digest(m, cat, e):
 def _digest_keys(digest):
     firsts, families = digest
     return firsts, tuple(fam.key() for fam in families)
-
-
-@st.composite
-def qe_roses(draw):
-    """Roses with fixed edges A, B, two or three linear edges L_i -> L_i
-    w^(d_i) over one cyclically reduced word w with distinct d_i of either
-    sign, and a top edge T -> T L_i w^p L_j' over two of them, so that f(T)
-    meets a QE family (an exceptional one when d_i, d_j share a sign)."""
-    g = _rose(["A", "B", "L0", "L1", "L2", "T"])
-    w = g.tighten(draw(st.lists(st.sampled_from(["A", "B", "A'", "B'"]), min_size=1,
-                                max_size=3))).edges
-    while len(w) > 1 and w[0] == inverse(w[-1]):
-        w = w[1:-1]  # cyclically reduce
-    w = w or ("A",)
-    bar = tuple(inverse(x) for x in reversed(w))
-    exps = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=3, max_size=3,
-                         unique=True))
-    images = {"A": ("A",), "B": ("B",)}
-    for i, d in enumerate(exps):
-        images["L%d" % i] = ("L%d" % i,) + (w if d > 0 else bar) * abs(d)
-    i, j = draw(st.permutations(range(3)))[:2]
-    p = draw(st.integers(-2, 2))
-    images["T"] = ("T", "L%d" % i) + (w if p > 0 else bar) * abs(p) + ("L%d'" % j,)
-    return GraphMap(g, {e: g.path(word) for e, word in images.items()})
 
 
 @settings(max_examples=80, deadline=None)

@@ -72,6 +72,7 @@ from oracles import (
     family_records_by_pairs,
     inner_twist_pair,
     inps,
+    is_indivisible_by_brute_force,
     legal_cuts,
     pieces,
     qe_families,
@@ -878,6 +879,10 @@ FAMILY_MAPS = {
     "two_axes": lambda: _map(
         _rose(["A", "B", "C", "D"]), {"A": "A", "B": "B", "C": "C A", "D": "D B' A B'"}
     ),
+    # w = X Y and E X are Nielsen, so every member E (X Y)^k E' is composite
+    "composite_family": lambda: _map(
+        _rose(["X", "Y", "E"]), {"X": "Y'", "Y": "Y X Y", "E": "E X Y"}
+    ),
 }
 
 
@@ -959,6 +964,30 @@ def linear_roses(draw, top=None):
         v = draw(st.lists(st.sampled_from(below), max_size=2))
         images[e] = " ".join(g.tighten(u + [e] + v).edges)
     return _map(g, images)
+
+
+@st.composite
+def qe_roses(draw):
+    """Roses with fixed edges A, B, two or three linear edges L_i -> L_i
+    w^(d_i) over one cyclically reduced word w with distinct d_i of either
+    sign, and a top edge T -> T L_i w^p L_j' over two of them, so that f(T)
+    meets a QE family (an exceptional one when d_i, d_j share a sign)."""
+    g = _rose(["A", "B", "L0", "L1", "L2", "T"])
+    w = g.tighten(draw(st.lists(st.sampled_from(["A", "B", "A'", "B'"]), min_size=1,
+                                max_size=3))).edges
+    while len(w) > 1 and w[0] == inverse(w[-1]):
+        w = w[1:-1]  # cyclically reduce
+    w = w or ("A",)
+    bar = tuple(inverse(x) for x in reversed(w))
+    exps = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=3, max_size=3,
+                         unique=True))
+    images = {"A": ("A",), "B": ("B",)}
+    for i, d in enumerate(exps):
+        images["L%d" % i] = ("L%d" % i,) + (w if d > 0 else bar) * abs(d)
+    i, j = draw(st.permutations(range(3)))[:2]
+    p = draw(st.integers(-2, 2))
+    images["T"] = ("T", "L%d" % i) + (w if p > 0 else bar) * abs(p) + ("L%d'" % j,)
+    return GraphMap(g, {e: g.path(word) for e, word in images.items()})
 
 
 @settings(max_examples=80, deadline=None)
@@ -1107,27 +1136,28 @@ def test_periodic_list_of_the_samples_searches_both_powers(searches, name):
     assert searches == {"searches": 2, "composites": 2}
 
 
-@st.composite
-def family_descriptors(draw):
-    """(descriptors, |w|, bound) as the pairing loop makes them: the bare E
-    on one side, a prefix E w^i or a run of them stepping by |w| on the
-    other, within the bound."""
-    lw = draw(st.integers(1, 4))
-    bound = draw(st.integers(lw + 2, 60))
-    descriptors = []
-    for _ in range(draw(st.integers(0, 4))):
-        n = 1 + lw * draw(st.integers(1, (bound - 2) // lw))
-        run = (n, draw(st.sampled_from([0, lw])))
-        bare = (1, 0)
-        p, q = (bare, run) if draw(st.booleans()) else (run, bare)
-        descriptors.append(p + q + (draw(st.booleans()),))
-    return descriptors, lw, bound
+def assert_family_pairs_give_every_k_within_the_bound(m, bound=None):
+    # the pairs of a family's descriptors, at f, f^2 and f^3, are the
+    # members k = 1..(bound - 2) // |w|, each once, under one composite
+    # flag (the lemma of nielsen._checked_family): the flag is all that
+    # nielsen._search_period_one keeps of them
+    linear, bound = nielsen._linear_index(m).edges, bound or default_length_bound(m)
+    for mk in _powers(m):
+        descriptors = _search_fixed_paths(mk, bound, linear=linear)[2]
+        for e, descs in descriptors.items():
+            lw = len(linear[e].w)
+            records = family_records_by_pairs(descs, lw, bound)
+            assert sorted(records) == [(k, descs[0][-1]) for k in range(1, (bound - 2) // lw + 1)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(family_descriptors())
-def test_family_records_by_arithmetic_match_the_pairs_random(args):
-    assert nielsen._family_records(*args) == family_records_by_pairs(*args)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(linear_roses(), qe_roses()), st.integers(3, 40))
+def test_family_records_by_arithmetic_match_the_pairs_random(m, bound):
+    try:
+        filtration(m)
+    except TrainTrackError:
+        return
+    assert_family_pairs_give_every_k_within_the_bound(m, bound)
 
 
 @pytest.mark.parametrize(
@@ -1136,12 +1166,7 @@ def test_family_records_by_arithmetic_match_the_pairs_random(args):
 )
 def test_family_records_by_arithmetic_match_the_pairs_corpus(name):
     m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _corpus_map(name)
-    linear, bound = nielsen._linear_index(m).edges, default_length_bound(m)
-    for mk in _powers(m):
-        descriptors = _search_fixed_paths(mk, bound, linear=linear)[2]
-        for e, descs in descriptors.items():
-            args = descs, len(linear[e].w), bound
-            assert nielsen._family_records(*args) == family_records_by_pairs(*args)
+    assert_family_pairs_give_every_k_within_the_bound(m)
 
 
 @pytest.mark.parametrize(
@@ -1226,38 +1251,28 @@ def test_periodic_search_checks_neither_members_nor_known_entries(monkeypatch):
     assert found == [[], []]
 
 
-def test_a_generic_pair_giving_a_member_is_listed_once(monkeypatch):
-    # Pathological maps could pair two other prefixes into a member E w^i
-    # Ebar; the catalog keeps one copy.  Simulated on B -> B A by a stable
-    # prefix B A' read off another direction, with B's suffix key and
-    # suffix A, which pairs with B A into the member B A A B'.
-    stable_prefixes, growth_suffix = nielsen._stable_prefixes, nielsen._growth_suffix
-    fold_listed_members = nielsen._fold_listed_members
-    generic = []
-
-    def with_extra_prefix(m, bound, iter_cap=None, linear=None, rays=None):
-        found, capped = stable_prefixes(m, bound, iter_cap, linear, rays)
-        (_, _, _, end, key, _, _), = [r for r in found if r[0][: r[1]] == ("B",)]
-        return found + [(("B", "A'"), 2, 0, end, key, False, "A'")], capped
-
-    def suffix_of_b(m, p):
-        return growth_suffix(m, ("B",) if p == ("B", "A'") else p)
-
-    def spy(families, entries, *args):
-        generic.extend(x.path.edges for x in entries)
-        return fold_listed_members(families, entries, *args)
-
-    monkeypatch.setattr(nielsen, "_stable_prefixes", with_extra_prefix)
-    monkeypatch.setattr(nielsen, "_growth_suffix", suffix_of_b)
-    monkeypatch.setattr(nielsen, "_fold_listed_members", spy)
-    cat = build_catalog(_ladder(1), 6)
-    cat.generic  # the deferred search, while the spies are in place
-    assert ("B", "A", "A", "B'") in generic  # the pair survived to the fold
-    paths = [x.path.edges for x in cat.entries]
-    assert paths.count(("B", "A", "A", "B'")) == 1
-    assert len(paths) == len(set(paths))
-    # listed as a member of B's family, as the nielsen command groups it
-    assert [x.family for x in cat.entries if x.path.edges == ("B", "A", "A", "B'")] == ["B"]
+def test_a_generic_pair_giving_a_member_is_listed_once():
+    # no pair outside a family's descriptors reads a member E b^k Ebar over
+    # a cyclically reduced axis (the lemma of _search_fixed_paths), so each
+    # member is listed once, by its family, with no fold of generic entries
+    maps = [f() for _, f in sorted(FAMILY_MAPS.items())] + [
+        _corpus_map(name) for name in sorted(SAMPLES) + LINEAR_CORPUS[:3]
+        + ["type_e_5", "type_c_5"]]
+    for m in maps:
+        try:
+            cat = build_catalog(m)
+            cat.entries
+        except TrainTrackError:
+            continue
+        for x in cat.generic:
+            e, edges = x.path.edges[0], x.path.edges
+            if e in cat.families and edges[-1] == inverse(e):
+                b = cat.families[e][0]
+                bodies = (b, tuple(inverse(y) for y in reversed(b)))
+                k, rest = divmod(len(edges) - 2, len(b))
+                assert rest or edges[1:-1] not in (bodies[0] * k, bodies[1] * k), edges
+        paths = [x.path.edges for x in cat.entries]
+        assert len(paths) == len(set(paths))
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -1378,9 +1393,10 @@ def test_closed_form_rays_match_iteration_unreduced_axis():
     assert_closed_form_rays_match_iteration(m)
     cat = build_catalog(m)
     assert len(cat.entries) == 26
-    # the one member E3 w E3' that reads w = E2 E1 E2' is listed in its family
-    assert cat.families == {"E3": (("E2", "E1", "E2'"), [(1, False)], 2)}
-    assert [x.path.edges for x in cat.entries if x.family] == [("E3", "E2", "E1", "E2'", "E3'")]
+    # w = E2 E1 E2' is not cyclically reduced, so E3 has no family: its one
+    # tight member E3 w E3' is a generic entry
+    assert cat.families == {}
+    assert ("E3", "E2", "E1", "E2'", "E3'") in [x.path.edges for x in cat.generic]
 
 
 def test_closed_form_rays_match_iteration_long_unreduced_axis():
@@ -1603,8 +1619,9 @@ def reference_pairing(m, bound, linear=None):
         image = m.apply(g.path(p)).edges
         assert image[: len(p)] == p
         power = None
-        if d in linear and (len(p) - 1) % len(linear[d].w) == 0:
-            power = (d, (len(p) - 1) // len(linear[d].w))
+        w = d in linear and linear[d].w
+        if w and w[0] != inverse(w[-1]) and (len(p) - 1) % len(w) == 0:
+            power = (d, (len(p) - 1) // len(w))
         bucket = groups.setdefault((end, image[len(p):]), {}).setdefault(p[-1], [])
         bucket.append((p, split, power))
     found, composite, families = {}, {}, {}
@@ -1635,17 +1652,20 @@ def _path_key(g, edges):
 
 
 def assert_pairing_matches_exact_suffixes(m, bound, linear=None):
-    # the search describes family pairs; build_catalog's helper expands the
-    # descriptors into the records the reference pairs one by one
+    # the search describes family pairs; they stand for the members k =
+    # 1..(bound - 2) // |w| under one flag, the records the reference pairs
+    # one by one
     for mk in _powers(m):
         sigmas, composite, descriptors, capped = _search_fixed_paths(mk, bound, linear=linear)
         families = {
-            e: nielsen._family_records(descs, len(linear[e].w), bound)
+            e: [(k, descs[0][-1]) for k in range(1, (bound - 2) // len(linear[e].w) + 1)]
             for e, descs in descriptors.items()
         }
-        assert ([s.edges for s in sigmas], composite, families, capped) == reference_pairing(
-            mk, bound, linear
-        )
+        want_sigmas, want_composite, want_families, want_capped = reference_pairing(
+            mk, bound, linear)
+        assert ([s.edges for s in sigmas], composite, capped) == (
+            want_sigmas, want_composite, want_capped)
+        assert families == {e: sorted(records) for e, records in want_families.items()}
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -1711,12 +1731,22 @@ def test_a_failed_family_check_drops_the_family(monkeypatch):
     assert _family_members(cat) == [] and inps(cat) == []
 
 
-def _member_by_member(cat):
-    """The iNp index of a catalog built as if every family member were a
-    generic entry: both orientations of every ``inps()`` entry, grouped by
-    first edge, longest first."""
+def _member_by_member(cat, n, flags):
+    """The iNp index of a catalog built as if every family member of at
+    most n edges were a generic entry, kept where brute force finds it
+    indivisible (``flags`` keeps each verdict): both orientations of every
+    generic iNp and such member, grouped by first edge, longest first."""
+    g = cat.map.graph
+    listed = [x for x in cat.generic if x.indivisible]
+    for e, (b, height, _) in cat.families.items():
+        for k in range(1, (n - 2) // len(b) + 1):
+            member = Path(g, (e,) + b * k + (inverse(e),))
+            if member.edges not in flags:
+                flags[member.edges] = is_indivisible_by_brute_force(cat.map, member)
+            if flags[member.edges]:
+                listed.append(NielsenEntry(member, 1, True, height, e))
     out = {}
-    for x in inps(cat):
+    for x in listed:
         for sigma in (x.path, x.path.reverse()):
             out.setdefault(sigma.edges[0], []).append((sigma, x.height))
     for lst in out.values():
@@ -1761,19 +1791,22 @@ def _split_or_position(split, *args):
         return exc.position
 
 
-def assert_candidates_match_member_by_member(m, monkeypatch, audit=False):
-    # families matched from their records offer the candidates, in the
-    # order, that every member listed in both orientations would offer
+def assert_candidates_match_member_by_member(m, monkeypatch, audit=False, paths=()):
+    # families matched for every k offer the candidates, in the order, that
+    # every member as long as the path, listed in both orientations, would
+    # offer; ``paths`` are split besides the images the commands split
     requests = _split_requests(m, monkeypatch, audit)
     assert requests
+    requests += [(m, path, build_catalog(m)) for path in paths]
+    flags = {}
     for mk, path, cat in requests:
         try:
             axes(mk)
         except LViolation:
             continue  # complete_split refuses the map before any candidate
         filt = filtration(mk)
-        flat = NielsenCatalog(mk, cat.bound, cat.period_bound, cat.entries, ())
-        flat.__dict__["inps_by_first"] = _member_by_member(cat)
+        flat = NielsenCatalog(mk, cat.bound, cat.period_bound, cat.generic, ())
+        flat.__dict__["inps_by_first"] = _member_by_member(cat, len(path), flags)
         for i in range(len(path)):
             got, want = (
                 [(t.kind, t.path.edges, t.height) for t in nielsen._candidates(
@@ -1809,11 +1842,30 @@ def test_candidates_match_member_by_member_family_maps(name, monkeypatch):
     assert_candidates_match_member_by_member(FAMILY_MAPS[name](), monkeypatch, audit=True)
 
 
+def _members_past_the_bound(m):
+    """Each listed family's members E b^k Ebar, in both orientations, at k
+    = 1, one past the last k within the bound and twice that."""
+    cat = build_catalog(m)
+    out = []
+    for e, (b, _, _) in cat.families.items():
+        last = (cat.bound - 2) // len(b)
+        for k in (1, last + 1, 2 * last + 2):
+            member = m.graph.path((e,) + b * k + (inverse(e),))
+            out += [member, member.reverse()]
+    return out
+
+
 @settings(max_examples=60, deadline=None)
-@given(linear_roses())
+@given(st.one_of(linear_roses(), qe_roses()))
 def test_candidates_match_member_by_member_linear_roses(m):
+    # qe_roses put a QE family into f(T); members past the bound check that
+    # a family's members are matched for every k
     with pytest.MonkeyPatch.context() as monkeypatch:
-        assert_candidates_match_member_by_member(m, monkeypatch)
+        try:
+            paths = _members_past_the_bound(m)
+        except TrainTrackError:
+            paths = []
+        assert_candidates_match_member_by_member(m, monkeypatch, paths=paths)
 
 
 def _walked_exceptional(m):
@@ -1861,9 +1913,9 @@ def members_written(monkeypatch):
     log = {"members": 0}
     write = nielsen._family_members
 
-    def counted(g, e, b, records):
-        log["members"] += len(records)
-        return write(g, e, b, records)
+    def counted(g, e, b, count):
+        log["members"] += count
+        return write(g, e, b, count)
 
     monkeypatch.setattr(nielsen, "_family_members", counted)
     return log
@@ -1882,12 +1934,13 @@ def test_check_ct_on_the_ladder_writes_no_member_out(members_written):
     report = check_ct(m)
     assert report.passed
     assert members_written["members"] == 0
-    # the first read of the entries writes every member out, once; clause N
-    # counted them from the records
+    # the first read of the entries writes every member within the bound
+    # out, once; clause N counted B's family, not its members
     cat = build_catalog(m)
     assert len(inps(cat)) == len(cat.entries) - 1 == cat.bound - 2
     assert members_written["members"] == cat.bound - 2
-    assert report.clauses["N"].witnesses == ["%d indivisible Nielsen paths" % (cat.bound - 2)]
+    assert report.clauses["N"].witnesses == [
+        "0 indivisible Nielsen paths", "1 indivisible linear families"]
 
 
 def test_nielsen_preservation_on_the_ladder_writes_no_member_out(members_written):
@@ -1937,17 +1990,18 @@ def test_check_ct_on_the_ladder_writes_as_many_edges_as_before(edges_applied):
     assert edges_applied["edges"] == 510
 
 
-# -- the nielsen report from the records --------------------------------------------
+# -- the nielsen report from the families -------------------------------------------
 
 
 def _entries_member_by_member(cat):
-    """The catalog's period-one entries with every family member written out
-    as a path first, then all sorted by (length, order key list)."""
+    """The catalog's period-one entries with every family member within the
+    bound written out as a path first, then all sorted by (length, order
+    key list)."""
     g = cat.map.graph
     members = [
-        NielsenEntry(Path(g, (e,) + b * i + (inverse(e),)), 1, not split, height, e)
-        for e, (b, records, height) in cat.families.items()
-        for i, split in records
+        NielsenEntry(Path(g, (e,) + b * k + (inverse(e),)), 1, not composite, height, e)
+        for e, (b, height, composite) in cat.families.items()
+        for k in range(1, (cat.bound - 2) // len(b) + 1)
     ]
     return sorted(
         cat.generic + members, key=lambda x: (len(x.path), _path_key(g, x.path.edges))
@@ -1973,11 +2027,10 @@ def reference_nielsen_report(m, bound):
     lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
     lines.append("indivisible Nielsen paths:")
     for e, sizes in families.items():
+        # the members run from k = 1 to the bound, and on for every k
         body = cat.families[e][0]
-        lines.append(
-            "  %s (%s)^k %s  for k = %d..%d within bound"
-            % (e, " ".join(body), inverse(e), min(sizes) // len(body), max(sizes) // len(body))
-        )
+        assert sorted(sizes) == [len(body) * k for k in range(1, len(sizes) + 1)]
+        lines.append("  %s (%s)^k %s  for every k >= 1" % (e, " ".join(body), inverse(e)))
     for entry in singles:
         lines.append("  %s  [height %d]" % (" ".join(entry.path.edges), entry.height))
     if not families and not singles:
@@ -2035,22 +2088,26 @@ def _command_report(m, bound):
 
 def expand_families(data):
     """The member-wise ``paths`` of a ``nielsen`` JSON report: the members
-    of every family, read off its runs of k and its composite k, then the
+    within the bound of every family, read off its runs of k and of
+    composite k (a run with no last k goes on to the bound), then the
     listed ``paths``; each path as (word, period, indivisible, height)."""
     out = []
     for fam in data["families"]:
         e, body, height = fam["edge"], fam["body"], fam["height"]
-        ks = [(k, True) for first, last in fam["k"] for k in range(first, last + 1)]
-        for k, indivisible in ks + [(k, False) for k in fam["composite_k"]]:
-            out.append((" ".join([e] + [body] * k + [inverse(e)]), 1, indivisible, height))
+        last_k = (data["bound"] - 2) // len(body.split())
+        for key, indivisible in (("k", True), ("composite_k", False)):
+            for first, last in fam[key]:
+                for k in range(first, (last_k if last is None else last) + 1):
+                    out.append((" ".join([e] + [body] * k + [inverse(e)]), 1, indivisible, height))
     return out + [(x["word"], x["period"], x["indivisible"], x["height"]) for x in data["paths"]]
 
 
 def assert_report_matches_member_by_member(m, bound=None):
     """The command's text report is the member-by-member reference's, line
     for line.  Its JSON, every family expanded back into members, lists the
-    reference's paths as a multiset; each family's k are maximal runs, and
-    the families come in the order their first members are listed."""
+    reference's paths as a multiset; each family holds for every k >= 1
+    under one flag, and the families come in the order their first members
+    are listed."""
     got = _report_or_error(_command_report, m, bound)
     want = _report_or_error(reference_nielsen_report, m, bound)
     if not isinstance(got[0], bool):
@@ -2065,9 +2122,7 @@ def assert_report_matches_member_by_member(m, bound=None):
     # every other key as the reference writes it
     assert {**data, "paths": ref["paths"]} == ref
     for fam in families:
-        assert all(first <= last for first, last in fam["k"])
-        assert all(a[1] + 1 < b[0] for a, b in zip(fam["k"], fam["k"][1:]))
-        assert fam["composite_k"] == sorted(set(fam["composite_k"]))
+        assert sorted([fam["k"], fam["composite_k"]]) == [[], [[1, None]]]
     listed = [x.family for x in _entries_member_by_member(build_catalog(m, bound))]
     assert [fam["edge"] for fam in families] == list(
         dict.fromkeys(e for e in listed if e is not None)
@@ -2143,41 +2198,111 @@ def _ladder_nielsen_json(k):
 
 
 def test_nielsen_report_on_the_ladder_writes_no_member_out(members_written):
-    # the family B A^j B' is one object whatever k is: the bound is 4k + 12,
-    # so j runs over 1..4k+10
+    # the family B A^j B' is one object, for every j >= 1, whatever k is
     for k in (100, 800, 3200):
         text = _ladder_nielsen_json(k)
         payload = json.loads(text)
         assert payload["families"] == [
-            {"edge": "B", "body": "A", "height": 1, "k": [[1, 4 * k + 10]], "composite_k": []}
+            {"edge": "B", "body": "A", "height": 1, "k": [[1, None]], "composite_k": []}
         ]
         assert [x["word"] for x in payload["paths"]] == ["A A"]
         assert len(text.encode()) < 1024
     assert members_written["members"] == 0
 
 
+# -- linear families for every k ---------------------------------------------------
+
+
+def assert_families_hold_for_every_k(m):
+    """Every listed family E b^k Ebar, checked member by member from k = 1 to
+    twice the last k within the bound, plus 2: each member is Nielsen, is
+    composite by brute force exactly when the family is, and a path holding
+    it (the member read either way) splits as the reference splits it.
+    The linear edges with a family are those over a cyclically reduced axis
+    whose member k = 1 is within the bound and Nielsen.  Returns the number
+    of members checked."""
+    try:
+        cat = build_catalog(m)
+        axes(m)
+        families = cat.families
+    except TrainTrackError:
+        return 0
+    g, filt = m.graph, filtration(m)
+    linear = nielsen._linear_index(m).edges
+    assert set(families) == {
+        e for e, lin in linear.items()
+        if lin.w[0] != inverse(lin.w[-1]) and len(lin.w) + 2 <= cat.bound
+        and is_nielsen_path(m, g.path((e,) + lin.w + (inverse(e),)))
+    }
+    checked = 0
+    for e, (b, height, composite) in families.items():
+        assert b in (linear[e].w, linear[e].bar) and height == filt.level(e)
+        for k in range(1, 2 * ((cat.bound - 2) // len(b)) + 3):
+            member = g.path((e,) + b * k + (inverse(e),))
+            assert is_nielsen_path(m, member), member
+            assert is_indivisible_by_brute_force(m, member) != composite, member
+            for path in (member, member.reverse()):
+                assert _split_outcome(complete_split, m, path, cat) == _split_outcome(
+                    reference_complete_split, m, path, cat), path
+            checked += 1
+    return checked
+
+
+EVERY_K_CORPUS = (sorted(SAMPLES) + ["type_e_%d" % n for n in (3, 4, 5)]
+                  + ["type_c_%d" % n for n in (4, 5)])
+
+
+@pytest.mark.parametrize("name", EVERY_K_CORPUS + ["ladder_%d" % k for k in (1, 2, 3)]
+                         + sorted(FAMILY_MAPS))
+def test_families_hold_for_every_k_corpus(name):
+    m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _corpus_map(name)
+    checked = assert_families_hold_for_every_k(m)
+    if name.startswith(("type", "ladder")) or name in ("qe_rose", "composite_family"):
+        assert checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(linear_roses(), qe_roses()))
+def test_families_hold_for_every_k_random_roses(m):
+    assert_families_hold_for_every_k(m)
+
+
+@pytest.mark.parametrize("command", ["check-ct", "nielsen"])
+def test_the_ladders_family_does_not_grow_with_k(command, members_written):
+    # one (body, height, composite flag) per family whatever k is, and
+    # neither command writes a member out
+    families = []
+    for k in (25, 800, 3200):
+        m = _ladder(k)
+        _run_command(m, [command])
+        families.append(build_catalog(m).families)
+    assert families == [{"B": (("A",), 1, False)}] * 3
+    assert members_written["members"] == 0
+
+
 @pytest.fixture
-def records_expanded(monkeypatch):
-    """Counts the calls that expand family descriptors into records."""
+def families_checked(monkeypatch):
+    """Counts the calls that reduce a family's descriptors to one checked
+    family."""
     log = {"calls": 0}
-    expand = nielsen._family_records
+    check = nielsen._checked_family
 
     def counted(*args):
         log["calls"] += 1
-        return expand(*args)
+        return check(*args)
 
-    monkeypatch.setattr(nielsen, "_family_records", counted)
+    monkeypatch.setattr(nielsen, "_checked_family", counted)
     return log
 
 
-def test_periodic_search_expands_no_family_descriptor(records_expanded, monkeypatch):
+def test_periodic_search_expands_no_family_descriptor(families_checked, monkeypatch):
     # the f^2 and f^3 searches of rose_cascade (C is not tame) describe B's
-    # family pairs and drop them unexpanded; only the period-one search
-    # expands, once
+    # family pairs and drop them; only the period-one search reduces them to
+    # B's family, once
     cat = build_catalog(rose_cascade())
-    assert records_expanded["calls"] == 0
+    assert families_checked["calls"] == 0
     cat.families
-    assert records_expanded["calls"] == 1
+    assert families_checked["calls"] == 1
     search, described = nielsen._search_fixed_paths, []
 
     def recorded(*args):
@@ -2188,7 +2313,7 @@ def test_periodic_search_expands_no_family_descriptor(records_expanded, monkeypa
     monkeypatch.setattr(nielsen, "_search_fixed_paths", recorded)
     assert cat.periodic == []
     assert len(described) == 2 and all(set(d) == {"B"} for d in described)
-    assert records_expanded["calls"] == 1
+    assert families_checked["calls"] == 1
 
 
 # -- linear edges and axes -------------------------------------------------------
@@ -2547,7 +2672,8 @@ def test_splits_as_the_reference_sample_paths(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(arbitrary_roses(), linear_roses(), triangular_roses(), zero_strata_maps()))
+@given(st.one_of(arbitrary_roses(), linear_roses(), triangular_roses(), zero_strata_maps(),
+                 qe_roses()))
 def test_splits_as_the_reference_random_roses(m):
     try:
         filtration(m)
@@ -2572,11 +2698,15 @@ def assert_closed_form_is_the_reference(m, paths):
     cat = build_catalog(m)
     taken = 0
     for path in paths:
-        terms = None if path.is_trivial() else nielsen._closed_split(m, filt, path.edges)
-        if terms is not None:
+        split = None if path.is_trivial() else nielsen._closed_split(m, filt, path)
+        if split is not None:
             taken += 1
-            got = [(t.kind, t.path.edges, t.height, None, t.power) for t in terms]
+            assert split.closed and split.path is path
+            # the terms are listed on the first read, and kept
+            assert "terms" not in vars(split)
+            got = [(t.kind, t.path.edges, t.height, None, t.power) for t in split.terms]
             assert got == _split_outcome(reference_complete_split, m, path, cat), path.edges
+            assert split.terms is split.terms
     return taken
 
 
@@ -2732,8 +2862,8 @@ def test_families_built_are_the_families_met(name, command, monkeypatch):
 @pytest.mark.parametrize("k", [25, 100, 800])
 def test_splitting_the_ladders_images_builds_the_same_terms_at_every_k(k, monkeypatch):
     # a plain offset appends the map's one term for its edge, so splitting
-    # every edge image of the ladder builds one term per oriented edge,
-    # whatever k is (a term per offset builds 2k + 4)
+    # every edge image of the ladder builds at most one term per oriented
+    # edge, whatever k is (a term per offset builds 2k + 4)
     m = _ladder(k)
     cat = build_catalog(m)
     built = []
@@ -2746,6 +2876,11 @@ def test_splitting_the_ladders_images_builds_the_same_terms_at_every_k(k, monkey
     monkeypatch.setattr(nielsen.Term, "__init__", counted)
     for d in m.graph.directions():
         cat.image_qe_split(m.graph.path([d]))
+    # B's image B A^k splits in closed form and lists its terms only when
+    # read: then it adds B's term, and A's is the one already built
+    assert built == [TERM_EDGE] * 3
+    assert [t.path.edges for t in cat.image_qe_split(m.graph.path(["B"])).terms] == [
+        ("B",)] + [("A",)] * k
     assert built == [TERM_EDGE] * 4
 
 
