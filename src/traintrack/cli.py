@@ -313,7 +313,8 @@ def _cmd_nielsen(m, doc, args):
         "fixed_edges": list(cat.fixed_edges),
         "families": [
             {"edge": e, "body": " ".join(b), "height": height,
-             "k": [] if composite else [[1, None]], "composite_k": [[1, None]] if composite else []}
+             "k": [] if composite else [[1, None]],
+             "composite_k": [[1, None]] if composite else []}
             for _, e, b, height, composite in families
         ],
         "paths": [

@@ -366,10 +366,10 @@ def _clause_n(m, filt, cat):
                     "indivisible Nielsen path %s of linear height %d does "
                     "not read E w^k Ebar" % (" ".join(entry.path.edges), r)
                 )
-    return Clause(
-        "N", failures,
-        ["%d indivisible Nielsen paths" % len(inps), "%d indivisible linear families" % n_families],
-    )
+    return Clause("N", failures, [
+        "%d indivisible Nielsen paths" % len(inps),
+        "%d indivisible linear families" % n_families,
+    ])
 
 
 def _clause_per(m, filt, principal):

@@ -653,7 +653,7 @@ def _checked_family(m, filt, lin, composite):
     y a path below E, is E [w^d f_#(y)] and nothing cancels against E.  (a)
     f_#(E w^k Ebar) = E w^k Ebar iff (u.f(w).ubar)^k = w^k in the
     fundamental group, u = w^d, iff u.f(w).ubar = w (roots are unique in a
-    free group), whatever k is.  (b) By (a), f_#(w) = w.  The proper
+    free group), whatever k is, and then f_#(w) = w.  (b) The proper
     prefixes are E, E w^j x with x a nonempty proper prefix of w, and E
     w^j, 1 <= j <= k.  f_#(E w^j x) = E [w^(d+j) f_#(x)], which is E w^j x
     iff [w^d f_#(x)] = x; with x empty this asks w^d to be trivial, and d
@@ -1168,8 +1168,9 @@ def complete_split(m, path, catalog=None):
     zero strata and not fixed, each x_i a fixed edge, f(x_i) = x_i, and
     the turn (Ebar, x_1) legal.  Then its splitting is [E][x_1]...[x_m],
     which :func:`_closed_split` returns without reading the catalog's
-    entries or the linear index, its terms listed only when read.  *Proof.*  It is what the search finds,
-    since no candidate but a single edge starts at any offset.  A listed
+    entries or the linear index, its terms listed only when read.
+    *Proof.*  It is what the search finds, since no candidate but a single
+    edge starts at any offset.  A listed
     iNp E.y with y fixed is impossible: f_#(E y) = [f(E) y] = E y forces
     f(E) = E.  A tight path of two or more fixed edges is Nielsen with a
     Nielsen prefix, so the catalog lists it only as composite.

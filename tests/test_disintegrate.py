@@ -20,10 +20,9 @@ from traintrack.nielsen import (
     build_catalog,
     qe_split,
 )
-from traintrack.paths import MarkedGraph, inverse
+from traintrack.paths import MarkedGraph
 import samples
 from samples import (
-    _rose,
     exceptional_rose,
     full_fps_map,
     partial_fps_map,

@@ -2261,7 +2261,7 @@ def test_families_hold_for_every_k_corpus(name):
         assert checked
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.one_of(linear_roses(), qe_roses()))
 def test_families_hold_for_every_k_random_roses(m):
     assert_families_hold_for_every_k(m)
