@@ -12,7 +12,10 @@ to the largest, type E n=6 and type C n=5; ``check-ct``, ``nielsen``,
 ``unreduced_axis``, E3 -> E3 E2 E1 E2' over the axis E2 E1 E2', which is
 not cyclically reduced; ``check-ct`` and ``nielsen`` on
 ``composite_family``, X -> Y', Y -> Y X Y, E -> E X Y, whose linear
-family E (X Y)^k E' is composite, as E X is Nielsen; ``check-ct --json`` and ``nielsen --json`` on
+family E (X Y)^k E' is composite, as E X is Nielsen; ``nielsen`` on
+``family_and_short_inp``, A -> A, B -> B A^5, C -> C B', D -> D B', whose
+generic iNp C D' is shorter than the member B A B' of B's family;
+``check-ct --json`` and ``nielsen --json`` on
 the rest of the linear corpus: the ladder at k = 400 and 800, type E n=8
 and type C n=7; and, on that corpus, ``disintegrate`` in both forms, and
 ``audit`` and ``classify`` on type E n=8 and type C n=7.  Any change to a
@@ -73,6 +76,13 @@ def _documents():
         "edges": [{"name": e, "from": "v", "to": "v"} for e in ("X", "Y", "E")],
         "images": {"X": "Y'", "Y": "Y X Y", "E": "E X Y"},
     }
+    # the iNp C D' (length 2) sorts before B's family member B A B' (length 3)
+    docs["family_and_short_inp"] = {
+        "name": "family_and_short_inp",
+        "vertices": ["v"],
+        "edges": [{"name": e, "from": "v", "to": "v"} for e in ("A", "B", "C", "D")],
+        "images": {"A": "A", "B": "B A A A A A", "C": "C B'", "D": "D B'"},
+    }
     for n in (3, 4, 5, 6, 8):
         docs["type_e_%d" % n] = document_from_map(gen_type_e(n).generic, "type_e_%d" % n)
     for n in (4, 5, 7):
@@ -125,6 +135,7 @@ def _cases():
     cases.append(("unreduced_axis", "nielsen", ()))
     cases.append(("composite_family", "check-ct", ()))
     cases.append(("composite_family", "nielsen", ()))
+    cases.append(("family_and_short_inp", "nielsen", ()))
     for name in samples.SAMPLES:
         cases.append((name, "check-ct", ()))
         cases.append((name, "nielsen", ()))
