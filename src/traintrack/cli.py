@@ -43,9 +43,10 @@ empty.  ``paths`` holds the other period-one Nielsen paths, then the
 periodic ones, each with its word, period, indivisible flag (null on a
 periodic path) and height; ``axes`` holds each axis word with its member
 edges and exponents.  Families come in the order their members k = 1 take
-among the paths by (length, order key); the text report gives an
-indivisible family's line, "for every k >= 1", where that member would
-stand.
+among the paths by (length, order key).  The text report lists the
+indivisible Nielsen paths in that one order: an indivisible family's line,
+"for every k >= 1", stands among the generic iNps' lines where its member
+k = 1 sorts.
 """
 
 import argparse
@@ -267,30 +268,31 @@ def _cmd_nielsen(m, doc, args):
     cat = _catalog(m, args, doc)
     g = m.graph
 
-    def listed_at(e, b):
-        # where the member E b Ebar, k = 1, sorts in NielsenCatalog.entries
-        edges = (e,) + b + (g.inverse_of[e],)
+    def listed_at(edges):
+        # where a path sorts in NielsenCatalog.entries
         return len(edges), [g.order_key[x] for x in edges]
 
     # (place of the member k = 1, E, b, height, composite flag)
     families = sorted(
-        (listed_at(e, b), e, b, height, composite)
+        (listed_at((e,) + b + (g.inverse_of[e],)), e, b, height, composite)
         for e, (b, height, composite) in cat.families.items()
     )
-    singles = [x for x in cat.generic if x.indivisible]
+    # a family's line stands where its member k = 1 sorts among the iNps
+    inps = [
+        (at, "  %s (%s)^k %s  for every k >= 1" % (e, " ".join(b), inverse(e)))
+        for at, e, b, _, composite in families
+        if not composite
+    ] + [
+        (listed_at(x.path.edges), "  %s  [height %d]" % (" ".join(x.path.edges), x.height))
+        for x in cat.generic
+        if x.indivisible
+    ]
 
     lines = ["catalog bound %d (period bound %d)" % (cat.bound, cat.period_bound)]
     lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
     lines.append("indivisible Nielsen paths:")
-    # a family's line stands where its member k = 1 is listed
-    for _, e, b, _, composite in families:
-        if not composite:
-            lines.append("  %s (%s)^k %s  for every k >= 1" % (e, " ".join(b), inverse(e)))
-    for entry in singles:
-        lines.append(
-            "  %s  [height %d]" % (" ".join(entry.path.edges), entry.height)
-        )
-    if not families and not singles:
+    lines.extend(line for _, line in sorted(inps))
+    if not inps:
         lines.append("  none within bound")
     for entry in cat.periodic:
         lines.append(

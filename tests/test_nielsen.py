@@ -2013,27 +2013,27 @@ def reference_nielsen_report(m, bound):
     member: from the written-out entries, then ``cat.periodic``."""
     cat = build_catalog(m, bound)
     entries = _entries_member_by_member(cat)
-    families = {}
-    singles = []
+    lines = ["catalog bound %d (period bound %d)" % (cat.bound, cat.period_bound)]
+    lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
+    lines.append("indivisible Nielsen paths:")
+    sizes = {}
     for entry in entries:
         if not entry.indivisible:
             continue
         if entry.family is None:
-            singles.append(entry)
-        else:
-            families.setdefault(entry.family, []).append(len(entry.path) - 2)
-
-    lines = ["catalog bound %d (period bound %d)" % (cat.bound, cat.period_bound)]
-    lines.append("fixed edges: %s" % (" ".join(cat.fixed_edges) or "none"))
-    lines.append("indivisible Nielsen paths:")
-    for e, sizes in families.items():
-        # the members run from k = 1 to the bound, and on for every k
+            lines.append("  %s  [height %d]" % (" ".join(entry.path.edges), entry.height))
+            continue
+        # a family's line stands where its first member is listed; the
+        # members run from k = 1 to the bound, and on for every k
+        body = cat.families[entry.family][0]
+        if entry.family not in sizes:
+            lines.append("  %s (%s)^k %s  for every k >= 1"
+                         % (entry.family, " ".join(body), inverse(entry.family)))
+        sizes.setdefault(entry.family, []).append(len(entry.path) - 2)
+    for e, got in sizes.items():
         body = cat.families[e][0]
-        assert sorted(sizes) == [len(body) * k for k in range(1, len(sizes) + 1)]
-        lines.append("  %s (%s)^k %s  for every k >= 1" % (e, " ".join(body), inverse(e)))
-    for entry in singles:
-        lines.append("  %s  [height %d]" % (" ".join(entry.path.edges), entry.height))
-    if not families and not singles:
+        assert sorted(got) == [len(body) * k for k in range(1, len(got) + 1)]
+    if len(lines) == 3:
         lines.append("  none within bound")
     for entry in cat.periodic:
         lines.append("periodic: %s  [period %d]" % (" ".join(entry.path.edges), entry.period))
@@ -2143,6 +2143,17 @@ def test_report_matches_member_by_member_family_maps(name, bound):
 @pytest.mark.parametrize("k", range(1, 31))
 def test_report_matches_member_by_member_ladder(k):
     assert_report_matches_member_by_member(_ladder(k))
+
+
+def test_report_places_a_family_line_where_its_first_member_sorts():
+    # C D' (length 2) sorts before B's member k = 1, B A B' (length 3)
+    m = _map(_rose(["A", "B", "C", "D"]),
+             {"A": "A", "B": "B A A A A A", "C": "C B'", "D": "D B'"})
+    assert_report_matches_member_by_member(m)
+    lines = _command_report(m, None)[1]
+    assert lines[2:5] == [
+        "indivisible Nielsen paths:", "  C D'  [height 3]", "  B (A)^k B'  for every k >= 1",
+    ]
 
 
 @settings(max_examples=60, deadline=None)
