@@ -41,7 +41,7 @@ every k >= 1"; the members within the bound are written out as paths
 only on the first read of ``entries``, by the tests or perfbench's
 tracer.
 
-Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal k in 2..period_bound)
+Periodic Nielsen paths (f^k_#(sigma) = sigma, minimal period k in 2..3)
 are found by the same search run on f^k, among the paths that are not
 already fixed: a candidate that is a period-one Nielsen path of the catalog
 is dropped before any f^k_# work, and a family pair of a linear edge is
@@ -341,7 +341,7 @@ class NielsenCatalog:
       family members within the bound, written out in closed form on the
       first read and marked with ``family``.  Only the tests and
       perfbench's tracer read it.
-    * ``periodic``: paths with minimal f_#-period in 2..period_bound.
+    * ``periodic``: paths with minimal f_#-period 2..3 (``period_bound``).
     * ``budgets_hit``: one note per search ray cut at its iterate cap, those
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
       search.
@@ -359,22 +359,22 @@ class NielsenCatalog:
     and the f^k notes of ``budgets_hit`` run once, on the first read of
     either, after the period-one search.  Every result is kept.
 
-    Completeness is certified only within ``bound`` (and ``period_bound``
-    for the periodic list); consumers must treat absence as
-    "not found within bound".
+    Completeness is certified only within ``bound`` (and period 3 for the
+    periodic list); consumers must treat absence as "not found within
+    bound".
     """
 
-    def __init__(self, m, bound, period_bound, entries=None, notes=(), families=None):
+    period_bound = 3
+
+    def __init__(self, m, bound, entries=None, notes=(), families=None):
         g = m.graph
         self.map = m
         self.bound = bound
-        self.period_bound = period_bound
         self.fixed_edges = [
             e for e in g.edge_names if m.edge_images[e].edges == (e,)
         ]
         if entries is not None:
             self._found = entries, families or {}, tuple(notes)
-        self._periodic = None
         self._image_qe = {}
         self._digests = {}
 
@@ -420,18 +420,19 @@ class NielsenCatalog:
         """The :class:`TermIterates` of the map, built on first read."""
         return TermIterates(self)
 
-    def _periodic_part(self):
-        if self._periodic is None:
-            self._periodic = _search_periodic(self)
-        return self._periodic
+    @cached_property
+    def _periodic(self):
+        """(periodic, notes) of the f^k searches (:func:`_search_periodic`),
+        run on first read."""
+        return _search_periodic(self)
 
     @property
     def periodic(self):
-        return self._periodic_part()[0]
+        return self._periodic[0]
 
     @property
     def budgets_hit(self):
-        return self._periodic_part()[1]
+        return self._periodic[1]
 
     def image_qe_split(self, piece):
         """qe_split of f_#(piece) under this catalog and its map f, computed
@@ -497,7 +498,7 @@ class NielsenCatalog:
     def __repr__(self):
         periodic = (
             "periodic not searched"
-            if self._periodic is None
+            if "_periodic" not in vars(self)
             else "%d periodic" % len(self.periodic)
         )
         entries = (
@@ -514,18 +515,8 @@ class NielsenCatalog:
 
 
 def _in_order(order_key, items, edges_of):
-    """``items`` sorted by the (length, order key list) of their edge
-    tuples; key lists are built only for items of equal length."""
-    by_len = {}
-    for x in items:
-        by_len.setdefault(len(edges_of(x)), []).append(x)
-    out = []
-    for n in sorted(by_len):
-        tied = by_len[n]
-        if len(tied) > 1:
-            tied.sort(key=lambda x: list(map(order_key.__getitem__, edges_of(x))))
-        out.extend(tied)
-    return out
+    """``items`` sorted by the (length, order key list) of their edge tuples."""
+    return sorted(items, key=lambda x: (len(edges_of(x)), [order_key[e] for e in edges_of(x)]))
 
 
 def _search_fixed_paths(m, bound, known=frozenset(), linear=None, rays=None):
@@ -681,26 +672,26 @@ def _family_members(g, e, b, count):
     return [Path(g, ray[: 1 + len(b) * k] + tail) for k in range(1, count + 1)]
 
 
-def build_catalog(m, bound=None, period_bound=3):
+def build_catalog(m, bound=None):
     """The catalog of Nielsen and periodic Nielsen paths up to a length
-    bound, cached on the map per (bound, period_bound).
+    bound, and of periods 2..3, cached on the map per bound.
 
     The default bound is four times the longest edge image plus slack.
     The map's filtration is computed here; both searches are deferred.
     The period-one search (:func:`_search_period_one`) runs on the first
     read of the catalog's ``generic``, ``families``, ``inps_by_first`` or
     ``entries`` (or of the notes behind ``budgets_hit``), and the periodic
-    list (the same search on f^k, k = 2..period_bound) on the first read
+    list (the same search on f^k, k = 2, 3) on the first read
     of ``periodic`` or ``budgets_hit``.  A caller that reads only edge
     images splitting in closed form (:func:`complete_split`) runs neither.
     """
     if bound is None:
         bound = default_length_bound(m)
-    key = ("catalog", bound, period_bound)
+    key = ("catalog", bound)
     if key in m._cache:
         return m._cache[key]
     filtration(m)
-    cat = NielsenCatalog(m, bound, period_bound)
+    cat = NielsenCatalog(m, bound)
     m._cache[key] = cat
     return cat
 
@@ -738,7 +729,7 @@ def _search_periodic(cat):
     """The periodic entries of a catalog and all its budget notes: those
     of the period-one search, then those of the f^k searches.
 
-    The search for fixed paths runs on f^k, k = 2..period_bound, among
+    The search for fixed paths runs on f^k, k = 2..3, among
     paths not already fixed: the period-one paths of the catalog, in both
     orientations, are skipped there, since f^k fixes them with period one.
     The members of linear families are fixed by f too (f(E) = E.w^d with
@@ -1033,9 +1024,6 @@ def _single_term(m, filt, e):
     return single[e]
 
 
-_NO_MORE = iter(())  # an exhausted candidate iterator, shared
-
-
 def _is_legal_turn(m, a, b):
     """Whether the turn (a, b) is legal (:func:`maps.is_illegal_turn`),
     memoised per turn on the map."""
@@ -1155,14 +1143,9 @@ def complete_split(m, path, catalog=None):
     expanded again, and the search expands each offset at most once.
 
     Legality is decided only at the cuts the search tries, once per turn
-    per map.  An offset whose edge is no linear edge (which may start an
-    exceptional path) and starts no listed iNp, no linear family and no
-    connecting path has its single edge as
-    its only candidate, which is taken without the candidate scan: the
-    search appends the map's one term for that edge (:func:`_single_term`)
-    and reads the turn's legality off the map's memo, so a plain offset
-    builds no term and no path.  Terms are shared between splittings and
-    never changed.
+    per map.  Every offset's last candidate is the map's one term for its
+    edge (:func:`_single_term`), shared between splittings and never
+    changed, so an offset where no longer term starts builds no term.
 
     *Closed form.*  Let the path be E x_1 ... x_m, m >= 1, with E outside
     zero strata and not fixed, each x_i a fixed edge, f(x_i) = x_i, and
@@ -1192,10 +1175,7 @@ def complete_split(m, path, catalog=None):
     closed = _closed_split(m, filt, path)
     if closed is not None:
         return closed
-    linear = _linear_index(m).edges
     inps_by_first, families = catalog.inps_by_first, catalog.families
-    single = m._cache.setdefault("single_terms", {})
-    legal = m._cache.setdefault("legal_turns", {})
     edges, inverse_of, n = path.edges, m.graph.inverse_of, len(path)
 
     # Depth-first search with an explicit stack, so the depth is not
@@ -1204,22 +1184,7 @@ def complete_split(m, path, catalog=None):
     terms, todo, failed = [], [], set()
     i = furthest = 0
     while i < n:
-        e = edges[i]
-        term = single.get(e)
-        if term is None and filt[filt.level(e)].kind != "zero":
-            term = _single_term(m, filt, e)
-        if term is None or e in linear or e in inps_by_first or e in families:
-            todo.append(iter(_candidates(m, path, i, filt, inps_by_first, families)))
-        else:
-            j = i + 1
-            furthest = max(furthest, j)
-            todo.append(_NO_MORE)  # the single edge is the offset's one candidate
-            if j == n or j not in failed and (
-                legal.get((inverse_of[e], edges[j])) or _is_legal_turn(m, inverse_of[e], edges[j])
-            ):
-                terms.append(term)
-                i = j
-                continue
+        todo.append(iter(_candidates(m, path, i, filt, inps_by_first, families)))
         while todo:
             for term in todo[-1]:
                 j = i + len(term.path)

@@ -233,7 +233,7 @@ def _clause_n_on(m, paths):
         NielsenEntry(g.path(p.split()), 1, True, filt.height(g.path(p.split())))
         for p in paths
     ]
-    return _clause_n(m, filt, NielsenCatalog(m, 12, 3, entries, ()))
+    return _clause_n(m, filt, NielsenCatalog(m, 12, entries, ()))
 
 
 def test_clause_n_skips_the_shape_check_for_family_members(monkeypatch):

@@ -189,7 +189,7 @@ def test_periodic_entries_orientation_flip():
     # genuine period-two Nielsen path, while AA is fixed outright.
     g = _rose(["A", "B"])
     m = _map(g, {"A": "A", "B": "B'"})
-    cat = build_catalog(m, bound=4, period_bound=2)
+    cat = build_catalog(m, bound=4)
     assert any(e.path.edges == ("B", "B") and e.period == 2 for e in cat.periodic)
     for e in cat.periodic:
         probe = e.path
@@ -201,7 +201,7 @@ def test_periodic_entries_orientation_flip():
 
 
 def test_no_periodic_entries_qe_rose():
-    cat = build_catalog(qe_rose(), bound=6, period_bound=3)
+    cat = build_catalog(qe_rose(), bound=6)
     assert cat.periodic == []
 
 
@@ -233,9 +233,9 @@ def reference_catalog(m, bound, period_bound):
     return entries, periodic
 
 
-def assert_catalog_matches_reference(m, bound, period_bound=3):
-    cat = build_catalog(m, bound, period_bound)
-    entries, periodic = reference_catalog(m, bound, period_bound)
+def assert_catalog_matches_reference(m, bound):
+    cat = build_catalog(m, bound)
+    entries, periodic = reference_catalog(m, bound, 3)
     assert [(e.path.edges, e.period, e.height) for e in cat.entries] == entries
     assert [(e.path.edges, e.period, e.height) for e in cat.periodic] == periodic
     for e in cat.periodic:
@@ -265,7 +265,7 @@ def test_periodic_list_of_an_involution_matches_brute_force():
         for p in tight_paths_up_to(g, 5)
         if len(p) >= 2 and m.apply(m.apply(p)) == p != m.apply(p)
     }
-    listed = {norm(e.path) for e in build_catalog(m, 5, 2).periodic}
+    listed = {norm(e.path) for e in build_catalog(m, 5).periodic}
     assert listed <= brute
     assert listed == brute
 
@@ -313,10 +313,11 @@ def _capped_at_one(stable_prefixes):
 def test_iterate_cap_hit_becomes_a_caveat(monkeypatch):
     monkeypatch.setattr(nielsen, "_stable_prefixes", _capped_at_one(nielsen._stable_prefixes))
     m = rose_cascade()
-    cat = build_catalog(m, 4, 2)
+    cat = build_catalog(m, 4)
     assert cat.budgets_hit == (
         "stable-prefix ray of f from direction C cut at its iterate cap 1",
         "stable-prefix ray of f^2 from direction C cut at its iterate cap 1",
+        "stable-prefix ray of f^3 from direction C cut at its iterate cap 1",
     )
     report = check_ct(m, bound=4)
     assert "note: search budget hit: " + cat.budgets_hit[0] in report.lines()
@@ -659,7 +660,7 @@ def test_repr_does_not_run_the_periodic_search(searches):
     n = len(cat.generic)
     text = repr(cat)
     assert "%d entries" % n in text and "periodic not searched" in text
-    assert cat._periodic is None
+    assert "_periodic" not in vars(cat)
     assert searches == {"searches": 1, "composites": 0}
     n = len(cat.periodic)
     assert "%d periodic" % n in repr(cat)
@@ -1176,16 +1177,19 @@ def test_family_records_by_arithmetic_match_the_pairs_corpus(name):
 def test_candidates_are_asked_only_where_a_term_may_be_longer(name, monkeypatch):
     # work contract: an offset whose edge is no linear edge (which may start
     # an exceptional path) and starts no listed iNp, no linear family and no
-    # connecting path gets its single edge without a call to _candidates
+    # connecting path has the map's one term for its edge as its only
+    # candidate, so it builds no new Term
     m = FAMILY_MAPS[name]() if name in FAMILY_MAPS else _corpus_map(name)
     asked, candidates = [], nielsen._candidates
 
     def recording(mk, path, i, filt, inps_by_first, families):
         e = path.edges[i]
-        asked.append(e)
-        assert (e in nielsen._linear_index(mk).edges or e in inps_by_first or e in families
-                or filt[filt.level(e)].kind == "zero"), (path.edges, i)
-        return candidates(mk, path, i, filt, inps_by_first, families)
+        asked.append(path.edges)
+        got = candidates(mk, path, i, filt, inps_by_first, families)
+        if not (e in nielsen._linear_index(mk).edges or e in inps_by_first or e in families
+                or filt[filt.level(e)].kind == "zero"):
+            assert got == [mk._cache["single_terms"][e]], (path.edges, i)
+        return got
 
     monkeypatch.setattr(nielsen, "_candidates", recording)
     check_ct(m)
@@ -1194,8 +1198,9 @@ def test_candidates_are_asked_only_where_a_term_may_be_longer(name, monkeypatch)
     except TrainTrackError:
         pass
     if name.startswith(("ladder", "type")):
-        # each image E.u, u fixed, splits in closed form without candidates
-        assert asked == []
+        # each image E.u, u fixed, splits in closed form without candidates;
+        # only the images of single edges, f(A) = A, take the search
+        assert all(len(edges) == 1 for edges in asked)
 
 
 @pytest.fixture
@@ -1805,7 +1810,7 @@ def assert_candidates_match_member_by_member(m, monkeypatch, audit=False, paths=
         except LViolation:
             continue  # complete_split refuses the map before any candidate
         filt = filtration(mk)
-        flat = NielsenCatalog(mk, cat.bound, cat.period_bound, cat.generic, ())
+        flat = NielsenCatalog(mk, cat.bound, cat.generic, ())
         flat.__dict__["inps_by_first"] = _member_by_member(cat, len(path), flags)
         for i in range(len(path)):
             got, want = (
@@ -2184,8 +2189,8 @@ def test_listing_breaks_length_ties_by_order_key():
     made_up = NielsenEntry(Path(m.graph, ("D", "A", "D'")), 1, True, 3)
     families = dict(reversed(real.families.items()))
     assert list(families) == ["D", "C"]
-    cat = NielsenCatalog(m, 9, 3, real.generic + [made_up], (), families)
-    m._cache[("catalog", 9, 3)] = cat
+    cat = NielsenCatalog(m, 9, real.generic + [made_up], (), families)
+    m._cache[("catalog", 9)] = cat
     want = [x.path.edges for x in _entries_member_by_member(cat)]
     assert want.index(("C", "A", "C'")) < want.index(("D", "A", "D'"))
     assert want.index(("C", "A", "A", "A", "C'")) < want.index(("D", "B", "A'", "B", "D'"))
