@@ -125,7 +125,7 @@ def transition_matrix(m, order=None):
 
 
 class Stratum(namedtuple(
-    "Stratum", "edges kind neg_edge neg_suffix linear axis exponent", defaults=(None,) * 5
+    "Stratum", "edges kind neg_edge linear axis exponent", defaults=(None,) * 4
 )):
     """One filtration stratum: an edge set plus its combinatorial kind.
 
@@ -134,8 +134,8 @@ class Stratum(namedtuple(
     from then on.
 
     For non-fixed NEG single edges, ``neg_edge`` is the oriented edge E with
-    f(E) = E.u when such an orientation exists and ``neg_suffix`` is the
-    closed path u; some NEG edges have no such normal form and keep None.
+    f(E) = E.u, u a closed path, when such an orientation exists; some NEG
+    edges have no such normal form and keep None.
     ``linear`` is True for a NEG stratum whose u is a Nielsen path w^d, w
     the word root of u (``axis`` = w, ``exponent`` = d), False for every
     other NEG stratum and None for strata of the other kinds.
@@ -288,9 +288,9 @@ def classify_strata(m, components):
 def _neg_stratum(m, e):
     """The NEG stratum {e} with its normal form and linear classification.
 
-    The normal form is read off the image tuples; only the paths u and w
-    the stratum keeps are built.  Linearity takes one f_#, of the word
-    root w of u = w^d: f fixes u's base point, and roots are unique in its
+    The normal form is read off the image tuples; only the path w the
+    stratum keeps is built.  Linearity takes one f_#, of the word root w
+    of u = w^d: f fixes u's base point, and roots are unique in its
     fundamental group, so f_#(w^d) = w^d exactly when f_#(w) = w (the
     lemma of :func:`nielsen._checked_family`)."""
     g = m.graph
@@ -301,12 +301,11 @@ def _neg_stratum(m, e):
             break
     else:
         return Stratum((e,), "NEG", linear=False)
-    u = Path(g, im[1:])
-    root_edges, d = word_root(u.edges)
-    w = u if d == 1 else Path(g, root_edges)
+    root_edges, d = word_root(im[1:])
+    w = Path(g, root_edges)
     if m.apply(w) != w:
-        return Stratum((e,), "NEG", oriented, u, linear=False)
-    return Stratum((e,), "NEG", oriented, u, True, w, d)
+        return Stratum((e,), "NEG", oriented, linear=False)
+    return Stratum((e,), "NEG", oriented, True, w, d)
 
 
 def filtration(m):

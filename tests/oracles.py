@@ -352,8 +352,8 @@ def _reference_neg_stratum(m, e):
     root_edges, d = word_root(u.edges)
     w = u.subpath(0, len(root_edges))
     if m.apply(w) != w:
-        return Stratum((e,), "NEG", oriented, u, linear=False)
-    return Stratum((e,), "NEG", oriented, u, True, w, d)
+        return Stratum((e,), "NEG", oriented, linear=False)
+    return Stratum((e,), "NEG", oriented, True, w, d)
 
 
 def pieces(m, filt, i):

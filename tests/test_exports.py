@@ -2,7 +2,7 @@
 one of the test oracles named here; so has every public function and class
 defined at the top of a module, every private module-level function, every
 module-level assignment, every method and property, every attribute a class
-stores on ``self``, and every imported name."""
+stores on ``self``, every field of a namedtuple, and every imported name."""
 
 import ast
 import pathlib
@@ -191,6 +191,26 @@ def test_every_stored_attribute_has_a_reader():
                         and node.attr not in loads):
                     unread.add("%s.%s.%s" % (stem, cls.name, node.attr))
     assert unread == ATTRIBUTE_ORACLES
+
+
+def test_every_namedtuple_field_has_a_reader():
+    # a field counts as read when some ``.name`` of the package loads it;
+    # names alone are matched, as for methods
+    fields = {}
+    for stem, tree in _modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple"
+                    and isinstance(node.args[1], ast.Constant)):
+                for field in node.args[1].value.replace(",", " ").split():
+                    fields["%s.%s.%s" % (stem, node.args[0].value, field)] = field
+    assert {"maps.Stratum.kind", "nielsen.LinearEdge.d", "nielsen.LinearIndex.fault"} <= set(fields)
+    loads = {
+        node.attr
+        for _, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert {name for name, field in fields.items() if field not in loads} == set()
 
 
 def test_every_import_is_read():
