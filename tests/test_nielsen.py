@@ -991,6 +991,37 @@ def qe_roses(draw):
     return GraphMap(g, {e: g.path(word) for e, word in images.items()})
 
 
+@st.composite
+def composite_roses(draw):
+    """Roses modelled on ``composite_family``, X -> Y', Y -> Y X Y, E -> E X
+    Y, at an exponent d in 1..3: X -> (Y' X')^(d-1) Y' and Y -> Y (X Y)^d
+    fix w = X Y, and E -> E w^d, or reverse(w)^d E (normal form on E'),
+    makes E X (or E' X) Nielsen, so the linear family is composite.  The
+    three edges get fresh names in a drawn construction order, each in a
+    drawn orientation, and a fixed edge may sit beside them."""
+    d = draw(st.integers(1, 3))
+    w, bar = ("X", "Y"), ("Y'", "X'")
+    images = {
+        "X": bar * (d - 1) + ("Y'",),
+        "Y": ("Y",) + w * d,
+        "E": ("E",) + w * d if draw(st.booleans()) else bar * d + ("E",),
+    }
+    names = draw(st.permutations(["A", "B", "C", "F"]))
+    fixed = names[3:] if draw(st.booleans()) else []
+    rename = {}
+    for letter, name in zip("XYE", names):
+        flip = draw(st.booleans())
+        rename[letter], rename[letter + "'"] = (inverse(name), name) if flip else (name, inverse(name))
+    out = {e: e for e in fixed}
+    for letter, image in images.items():
+        word = [rename[x] for x in image]
+        edge = rename[letter]
+        if edge.endswith("'"):
+            edge, word = inverse(edge), [inverse(x) for x in reversed(word)]
+        out[edge] = " ".join(word)
+    return _map(_rose(names[:3] + fixed), out)
+
+
 @settings(max_examples=80, deadline=None)
 @given(linear_roses(), st.sampled_from([4, 6, 9, None]))
 def test_closed_form_matches_generic_linear_roses(m, bound):
@@ -2277,8 +2308,8 @@ def test_families_hold_for_every_k_corpus(name):
         assert checked
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(linear_roses(), qe_roses()))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(linear_roses(), qe_roses(), composite_roses()))
 def test_families_hold_for_every_k_random_roses(m):
     assert_families_hold_for_every_k(m)
 
