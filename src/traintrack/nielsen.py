@@ -681,7 +681,7 @@ def build_catalog(m, bound=None):
     The period-one search (:func:`_search_period_one`) runs on the first
     read of the catalog's ``generic``, ``families``, ``inps_by_first`` or
     ``entries`` (or of the notes behind ``budgets_hit``), and the periodic
-    list (the same search on f^k, k = 2, 3) on the first read
+    list (the same search on f^2 and f^3) on the first read
     of ``periodic`` or ``budgets_hit``.  A caller that reads only edge
     images splitting in closed form (:func:`complete_split`) runs neither.
     """
