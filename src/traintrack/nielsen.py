@@ -1143,9 +1143,10 @@ def complete_split(m, path, catalog=None):
     expanded again, and the search expands each offset at most once.
 
     Legality is decided only at the cuts the search tries, once per turn
-    per map.  Every offset's last candidate is the map's one term for its
-    edge (:func:`_single_term`), shared between splittings and never
-    changed, so an offset where no longer term starts builds no term.
+    per map.  Outside zero strata, every offset's last candidate is the
+    map's one term for its edge (:func:`_single_term`), shared between
+    splittings and never changed, so an offset where no longer term starts
+    builds no term.
 
     *Closed form.*  Let the path be E x_1 ... x_m, m >= 1, with E outside
     zero strata and not fixed, each x_i a fixed edge, f(x_i) = x_i, and
