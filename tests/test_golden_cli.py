@@ -18,8 +18,12 @@ generic iNp C D' is shorter than the member B A B' of B's family;
 ``check-ct --json`` and ``nielsen --json`` on
 the rest of the linear corpus: the ladder at k = 400 and 800, type E n=8
 and type C n=7; and, on that corpus, ``disintegrate`` in both forms, and
-``audit`` and ``classify`` on type E n=8 and type C n=7.  Any change to a
-report, however small, fails here.
+``audit`` and ``classify`` on type E n=8 and type C n=7; ``strata``,
+``rank``, ``fa`` (its images and, with ``--emit-document``, its map
+document) and ``export-dot`` on ``qe_rose`` and ``partial_fps_map``.  Two
+``gen`` documents, type E n=4 and the second generator of type C n=5, are
+pinned as well, with no input document.  Any change to a report, however
+small, fails here.
 
 The expected files are written by running this module as a script::
 
@@ -104,6 +108,9 @@ COORDS_TUPLES = {
     "full_fps_map": "1,2,3,4,5",
     "zero_stratum_map": "3",
 }
+# f_a at a small tuple: partial_fps_map has no relation, and f_a's EG images
+# grow fast with a
+FA_TUPLES = {"qe_rose": "4,4", "partial_fps_map": "1,2,1"}
 COMMUTE_TUPLES = {
     "rose_cascade": ("6", "9"),
     "qe_rose": ("5,5", "7,7"),
@@ -150,6 +157,13 @@ def _cases():
         cases.append((doc, "classify", ("--mode", mode)))
     for k in (400, 800):
         cases.append(("ladder_%d" % k, "disintegrate", ()))
+    # the commands no benchmark runs
+    for name, a in FA_TUPLES.items():
+        cases.append((name, "strata", ()))
+        cases.append((name, "rank", ()))
+        cases.append((name, "fa", ("--tuple", a)))
+        cases.append((name, "fa", ("--tuple", a, "--emit-document")))
+        cases.append((name, "export-dot", ()))
     cases = [(doc, cmd, args, ("text", "json")) for doc, cmd, args in cases]
     # the linear corpus of the north star, in the JSON form only
     for doc in ("ladder_400", "ladder_800", "type_e_8", "type_c_7"):
@@ -158,9 +172,14 @@ def _cases():
     out = []
     for doc, cmd, args, formats in cases:
         for fmt in formats:
-            case_id = "%s.%s.%s" % (doc, cmd, fmt)
+            label = cmd + ("-document" if "--emit-document" in args else "")
+            case_id = "%s.%s.%s" % (doc, label, fmt)
             argv = [cmd] + (["--json"] if fmt == "json" else []) + list(args)
             out.append((case_id, doc, argv))
+    # gen writes a document from its arguments alone, with no input document
+    out.append(("gen.type-e-4", None, ["gen", "type-e", "--n", "4"]))
+    out.append(("gen.type-c-5-generator-2", None,
+                ["gen", "type-c", "--n", "5", "--generator", "2"]))
     return out
 
 
@@ -168,8 +187,12 @@ CASES = _cases()
 
 
 def run(doc, argv):
-    with open(os.path.join(DOCS, doc + ".json"), encoding="utf-8") as fh:
-        text = fh.read()
+    """(exit code, stdout) of ``main(argv)`` fed the document ``doc``, or an
+    empty stdin when ``doc`` is None."""
+    text = ""
+    if doc is not None:
+        with open(os.path.join(DOCS, doc + ".json"), encoding="utf-8") as fh:
+            text = fh.read()
     out = io.StringIO()
     old_stdin = sys.stdin
     sys.stdin = io.StringIO(text)
