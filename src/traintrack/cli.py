@@ -218,7 +218,38 @@ def document_from_map(m, name=None):
 
 
 def document_text(doc):
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, indent="\n"):
+    """The text of ``json.dumps(obj, indent=2)``, byte for byte, where
+    ``indent`` is the newline and indentation that ``obj`` stands after.
+    Dicts with str keys, lists, tuples, str, int, bool and None are written
+    here, by exact class; every other value (a float, a subclass, a dict
+    with other keys) by json itself, whose text holds no raw newline."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = indent + "  "
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        items = [_quote(v) if type(v) is str else _dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if t is dict and all(type(k) is str for k in obj):
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _dumps(v, inner))
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(obj, indent=2).replace("\n", indent)
 
 
 # -- small helpers ---------------------------------------------------------------
@@ -704,7 +735,7 @@ def _analyze_text(text, source, args):
     if args.json:
         payload = {"command": args.command, "name": doc.name, "ok": ok}
         payload.update(data)
-        out = json.dumps(payload, indent=2)
+        out = _dumps(payload)
     else:
         out = "\n".join(lines)
     return (0 if ok else 2), out

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from traintrack.cli import (
     CLOSED_STDOUT,
     _DISPATCH,
     _build_parser,
+    _dumps,
     _parse_args,
     document_from_map,
     document_text,
@@ -24,6 +26,7 @@ from traintrack.cli import (
 from traintrack.errors import InputError
 
 import samples
+from test_golden_cli import CASES as GOLDEN_CASES, run as run_golden
 
 
 def run_cli(argv, stdin=None):
@@ -624,6 +627,90 @@ def test_export_dot_colors_strata(tmp_path):
 
     dot = export_dot(samples.full_fps_map())
     assert "color=red" in dot  # EG stratum
+
+
+# quotes, backslashes, controls, the line and paragraph separators, non-ASCII,
+# astral characters and lone surrogates, besides whatever st.characters draws
+_AWKWARD = st.sampled_from('"\\/\x00\x1f\n\t\x7f\u00e9\u2028\u2029\uffff\U0001f600\ud800')
+_TEXT = st.text(st.one_of(_AWKWARD, st.characters()), max_size=8)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _TEXT,
+    st.integers(), st.integers(min_value=2 ** 64), st.integers(max_value=-(2 ** 64)),
+    st.floats(),  # json's own text: nan, inf and reprs
+)
+_VALUES = st.recursive(_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, kids, max_size=4),
+    # keys json converts: int, float, bool and None, among str keys
+    st.dictionaries(st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(), st.none()),
+                    kids, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+def test_dumps_writes_the_stdlibs_indent_two_text(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    [True, False, 1, 0, None], {"k": (1, "x", [2.5])}, float("nan"), [float("-inf")],
+    _Str("s"), [_Str("s"), _Int(3)], {_Str("k"): 1}, {"k": _Int(-4)},
+    {1: "int key", "1": "str key"}, {True: None, None: False},
+    {"point": collections.namedtuple("P", "x y")(1, "2")}, collections.OrderedDict(b=1, a=[2]),
+])
+def test_dumps_matches_the_stdlib_on_subclasses_and_fallbacks(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+    assert _dumps(value, "\n    ") == json.dumps(value, indent=2).replace("\n", "\n    ")
+
+
+@pytest.mark.parametrize("value", [{"a": object()}, [{1, 2}], {(1, 2): "tuple key"}])
+def test_dumps_raises_what_the_stdlib_raises(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+def _one_golden_case_per_command():
+    """{command label: (document, argv with --json)} of the first golden
+    case of each command, fa --emit-document counted apart."""
+    first = {}
+    for _, doc, argv in GOLDEN_CASES:
+        label = argv[0] + (" --emit-document" if "--emit-document" in argv else "")
+        if argv[0] == "gen":
+            argv = argv + ["--json"]
+        if "--json" in argv:
+            first.setdefault(label, (doc, argv))
+    return first
+
+
+_JSON_CASES = _one_golden_case_per_command()
+
+
+@pytest.mark.parametrize("label", sorted(_JSON_CASES))
+def test_json_reports_never_reach_the_stdlibs_indenting_encoder(monkeypatch, label):
+    indented = []
+    dumps = json.dumps
+
+    def spy(obj, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(kwargs)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    code, out = run_golden(*_JSON_CASES[label])
+    assert out.startswith("{") and code in (0, 2)
+    assert indented == []
 
 
 # -- input handling ------------------------------------------------------------------
