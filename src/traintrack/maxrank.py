@@ -667,8 +667,9 @@ def classify_max_rank(m, mode="general", catalog=None):
     """Match a maximal-rank map against the base-plus-stages decompositions.
 
     ``mode`` "general" targets lattice rank 2n-3; "ia" targets 2n-4 and
-    requires the homology action to be trivial.  The map must carry no
-    nontrivial invariant forest (collapse those first).  The match is the
+    requires the homology action to be trivial, which it checks before the
+    rank.  The free group's rank n must be at least 2, and the map must
+    carry no nontrivial invariant forest (collapse those first).  The match is the
     first stratum order, in :func:`valid_orders`'s search, whose base and
     stages all match a shape; the search checks each stage as it closes,
     so the answer is exact and not bounded by a number of orders.  A
@@ -679,14 +680,16 @@ def classify_max_rank(m, mode="general", catalog=None):
     mode = mode.lower()
     if mode not in ("general", "ia"):
         raise InputError("mode must be 'general' or 'ia', not %r" % mode)
+    g = m.graph
+    n = g.rank()
+    if n < 2:
+        raise InputError("the maximal-rank classification needs n >= 2, got n=%d" % n)
     forest = find_invariant_forest(m)
     if forest is not None:
         raise InvariantForestError(
             "nontrivial invariant forest {%s}; collapse it before classifying"
             % " ".join(forest)
         )
-    g = m.graph
-    n = g.rank()
     target = 2 * n - 3 if mode == "general" else 2 * n - 4
     dis = disintegrate(m, catalog)
     rank = dis.lattice.rank
@@ -695,10 +698,11 @@ def classify_max_rank(m, mode="general", catalog=None):
     def report(matched, base=None, stages=(), order=None, obstruction=None):
         return MaxRankReport(mode, n, target, rank, ia, matched, base, stages, order, obstruction)
 
-    if rank != target:
-        return report(False, obstruction="rank(L) is %d, not %d" % (rank, target))
+    # outside IA the ia target 2n-4 does not apply, so that comes first
     if mode == "ia" and not ia:
         return report(False, obstruction="the map acts nontrivially on homology")
+    if rank != target:
+        return report(False, obstruction="rank(L) is %d, not %d" % (rank, target))
 
     strata = len(filtration(m))
     rejections = []

@@ -356,6 +356,29 @@ def test_classify_ia_mode_on_generated_family():
     assert "homology action trivial" in out
 
 
+@pytest.mark.parametrize("doc_text, rank", [
+    (run_cli(["gen", "type-e", "--n", "3"])[1], 3),
+    (json.dumps({"vertices": ["v"], "edges": [{"name": e, "from": "v", "to": "v"} for e in "AB"],
+                 "images": {"A": "A", "B": "B A"}}), 1),
+])
+def test_classify_ia_mode_names_the_homology_action_outside_ia(doc_text, rank):
+    code, out, err = run_cli(["classify", "--mode", "ia"], stdin=doc_text)
+    assert code == 2
+    assert "Traceback" not in out + err
+    assert out.splitlines()[1] == "not maximal: the map acts nontrivially on homology"
+    assert "rank(L)=%d" % rank in out and "rank(L) is" not in out
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["classify", "--mode", "ia"],
+                                  ["classify", "--json"]])
+def test_classify_refuses_a_one_loop_rose(argv):
+    doc = {"vertices": ["v"], "edges": [{"name": "A", "from": "v", "to": "v"}],
+           "images": {"A": "A"}}
+    code, out, err = run_cli(argv, stdin=json.dumps(doc))
+    assert (code, out) == (1, "")
+    assert err == "error: the maximal-rank classification needs n >= 2, got n=1\n"
+
+
 def test_audit_flags_euler_equality_without_case(tmp_path):
     code, out, _ = run_cli(["audit", sample_file(tmp_path, "zero_stratum_map")])
     assert code == 2

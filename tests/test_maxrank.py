@@ -757,6 +757,34 @@ def test_classify_ia_reports_homology_obstruction():
     assert r.obstruction == "the map acts nontrivially on homology"
 
 
+def _rose_map(images):
+    g = MarkedGraph(["v"], [(e, "v", "v") for e in images])
+    return GraphMap(g, {e: g.path(w.split()) for e, w in images.items()})
+
+
+@pytest.mark.parametrize("m, rank", [
+    pytest.param(gen_type_e(3).generic, 3, id="type_e_3"),
+    pytest.param(_rose_map({"A": "A", "B": "B A"}), 1, id="B_to_BA"),
+])
+def test_classify_ia_names_the_homology_action_before_the_rank(m, rank):
+    # rank(L) differs from the ia target 2n-4, but outside IA that target
+    # does not apply: a rank obstruction would read as a counterexample
+    r = classify_max_rank(m, mode="ia")
+    assert not is_IA(m) and r.rank == rank != r.target
+    assert r.obstruction == "the map acts nontrivially on homology"
+    assert classify_max_rank(m).obstruction != r.obstruction
+
+
+@pytest.mark.parametrize("mode", ["general", "ia"])
+def test_classify_refuses_rank_one_before_any_rank(monkeypatch, mode):
+    def no_rank(*args):
+        raise AssertionError("a rank was computed")
+
+    monkeypatch.setattr(maxrank_module, "disintegrate", no_rank)
+    with pytest.raises(InputError, match=r"needs n >= 2, got n=1$"):
+        classify_max_rank(_rose_map({"A": "A"}), mode)
+
+
 def test_classify_searches_stratum_reorderings():
     m = _interleaved_pairs()
     # under construction order the two pairs interleave and no proper
