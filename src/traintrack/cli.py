@@ -19,6 +19,8 @@ recomputed and compared, never trusted; a mismatch is an input error.
 
 Commands read documents from file arguments (or stdin when none are given)
 and write a report per document; ``gen`` writes a fresh document instead.
+``--json`` reports and written documents come from ``_dumps``, whose text
+is byte-identical to that of ``json.dumps`` at an indent of 2.
 Exit status: 0 when every analysis succeeded and every verification passed,
 2 when some verification failed, 1 on malformed input (position-tagged),
 and 141 (128 + SIGPIPE, the status a shell shows for a tool that signal
@@ -225,11 +227,11 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _dumps(obj, indent="\n"):
-    """The text of ``json.dumps(obj, indent=2)``, byte for byte, where
-    ``indent`` is the newline and indentation that ``obj`` stands after.
-    Dicts with str keys, lists, tuples, str, int, bool and None are written
-    here, by exact class; every other value (a float, a subclass, a dict
-    with other keys) by json itself, whose text holds no raw newline."""
+    """The text json.dumps writes for ``obj`` at an indent of 2, byte for
+    byte, after the newline and indentation ``indent``.  Dicts with str keys,
+    lists, tuples, str, int, bool and None are written here, by exact class;
+    any other value (a float, a subclass, a dict with other keys) by json
+    itself, whose text holds no raw newline."""
     t = type(obj)
     if t is str:
         return _quote(obj)
@@ -249,7 +251,7 @@ def _dumps(obj, indent="\n"):
         items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _dumps(v, inner))
                  for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    return json.dumps(obj, indent=2).replace("\n", indent)
+    return json.dumps(obj, indent="  ").replace("\n", indent)
 
 
 # -- small helpers ---------------------------------------------------------------
