@@ -109,11 +109,6 @@ def periodic_subgraph(m):
     return m._cache["periodic_subgraph"]
 
 
-def _subset_valence(g, v, edges):
-    names = {base_name(e) for e in edges}
-    return sum(1 for d in g.directions(v) if base_name(d) in names)
-
-
 def nielsen_classes(m, catalog=None):
     """Partition of the periodic vertices into within-bound Nielsen classes.
 
@@ -155,9 +150,8 @@ def principal_vertices(m, catalog=None):
     pdirs = {v: dm.periodic_directions(v) for v in class_of}
     on_circles = set()
     for vs, es in g.components(periodic_subgraph(m)):
-        if len(es) == len(vs) and all(
-            _subset_valence(g, v, es) == 2 and len(pdirs[v]) == 2 for v in vs
-        ):
+        valence = g.valences(es)
+        if len(es) == len(vs) and all(valence[v] == 2 and len(pdirs[v]) == 2 for v in vs):
             on_circles |= vs
     out = []
     for v in g.vertices:
@@ -174,32 +168,6 @@ def principal_vertices(m, catalog=None):
 # -- connecting paths ----------------------------------------------------------
 
 
-def _tree_path(g, edges, u, v):
-    """Tight path from u to v inside an edge subset, or None."""
-    allowed = {base_name(e) for e in edges}
-    prev = {u: None}
-    queue = [u]
-    while queue:
-        x = queue.pop(0)
-        if x == v:
-            break
-        for d in g.directions(x):
-            if base_name(d) not in allowed:
-                continue
-            y = g.term(d)
-            if y not in prev:
-                prev[y] = (x, d)
-                queue.append(y)
-    if v not in prev:
-        return None
-    steps = []
-    x = v
-    while prev[x] is not None:
-        x, d = prev[x]
-        steps.append(d)
-    return g.path(reversed(steps), base=u)
-
-
 def connecting_paths(m, stratum_index, filt=None):
     """Paths in a zero stratum between vertices that meet EG strata.
 
@@ -209,18 +177,13 @@ def connecting_paths(m, stratum_index, filt=None):
     filt = filt if filt is not None else filtration(m)
     s = filt[stratum_index]
     g = m.graph
-    eg_edges = set()
-    for t in filt:
-        if t.kind == "EG":
-            eg_edges.update(t.edges)
+    eg_edges = [e for t in filt if t.kind == "EG" for e in t.edges]
     anchors = g.incident_vertices(eg_edges) & g.incident_vertices(s.edges)
     anchors = sorted(anchors, key=g.vertex_index.__getitem__)
     out = []
-    for i in range(len(anchors)):
-        for j in range(i + 1, len(anchors)):
-            p = _tree_path(g, s.edges, anchors[i], anchors[j])
-            if p is not None and len(p):
-                out.append(p)
+    for i, u in enumerate(anchors):
+        tree = g.tree_paths(u, s.edges)
+        out.extend(tree[v] for v in anchors[i + 1:] if v in tree)
     return out
 
 
@@ -397,10 +360,8 @@ def _clause_per(m, filt, principal):
                 )
         if len(es) == len(vs) - 1:
             for r in sorted({filt.level(e) for e in es}):
-                below = filt.prefix_edges(r)
-                if not any(
-                    _subset_valence(g, v, below) >= 2 for v in vs
-                ):
+                valence = g.valences(filt.prefix_edges(r))
+                if not any(valence[v] >= 2 for v in vs):
                     failures.append(
                         "contractible periodic component {%s} meets stratum "
                         "%d but no vertex has valence >= 2 below it"

@@ -8,7 +8,7 @@ IA-ness) is invariant under the tree choice.
 """
 
 from .errors import MalformedPath
-from .paths import Path, base_name, inverse
+from .paths import base_name, inverse
 
 
 def reduce_word(letters):
@@ -33,20 +33,10 @@ def spanning_tree(g, base=None):
     disconnected graphs.
     """
     base = g.vertices[0] if base is None else base
-    paths = {base: g.trivial_path(base)}
-    tree_edges = set()
-    queue = [base]
-    while queue:
-        v = queue.pop(0)
-        for d in g.directions(v):
-            w = g.term(d)
-            if w not in paths:
-                paths[w] = Path(g, paths[v].edges + (d,))
-                tree_edges.add(base_name(d))
-                queue.append(w)
+    paths = g.tree_paths(base)
     if len(paths) != len(g.vertices):
         raise MalformedPath("graph is not connected")
-    return paths, tree_edges
+    return paths, {g.base_of[p.edges[-1]] for p in paths.values() if p.edges}
 
 
 def pi1_basis(g, tree=None):

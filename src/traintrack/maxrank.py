@@ -36,7 +36,7 @@ from .errors import InputError, InvariantForestError
 from .freegroup import homology_class, is_IA
 from .maps import Filtration, GraphMap, dependencies, direction_map, filtration
 from .nielsen import build_catalog, is_nielsen_path
-from .paths import MarkedGraph, UnionFind, base_name, inverse
+from .paths import MarkedGraph, base_name, inverse
 
 
 # -- invariant forests ---------------------------------------------------------
@@ -63,34 +63,6 @@ def find_invariant_forest(m):
 # -- the stratum-order search --------------------------------------------------
 
 
-def _degrees(g, edges):
-    """Vertex valences in the subgraph spanned by an edge set."""
-    deg = {}
-    for e in edges:
-        for v in (g.init_of[e], g.term_of[e]):
-            deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
-def _retracts_to(g, sub_edges, base_edges):
-    """Does the subgraph deformation retract to the base by pruning hanging
-    edges (valence-one vertices outside the base)?
-
-    Exactly when the base lies in the subgraph and the edges outside the
-    base form trees, each meeting the base's vertices at most once: such a
-    tree always has a leaf off the base to prune, while no edge of a cycle,
-    or of a path between two base vertices, ever hangs.  With the base's
-    vertices identified to one point, those edges must form a forest.
-    """
-    sub = {base_name(e) for e in sub_edges}
-    base = {base_name(e) for e in base_edges}
-    classes = UnionFind()
-    base_verts = list(g.incident_vertices(base))
-    for v in base_verts[1:]:
-        classes.union(base_verts[0], v)
-    return base <= sub and all(classes.union(g.init(e), g.term(e)) for e in sub - base)
-
-
 def valid_orders(m, check):
     """Generate the valid stratum orders of m (each stratum after the strata
     its images cross) whose stage grouping is proper and passes ``check``,
@@ -102,7 +74,8 @@ def valid_orders(m, check):
     irreducible (not zero) top and no valence-one vertex, and the last
     prefix closes the last stage in any case.  Every other prefix with an
     irreducible top must retract to the floor, the last boundary below it
-    (:func:`_retracts_to`); an order where one does not is not proper.
+    (:meth:`MarkedGraph.is_forest` with the floor as base); an order where
+    one does not is not proper.
 
     At each boundary ``check(filt, grouping)`` runs on the filtration the
     order lists so far and the boundaries so far, the first one closing the
@@ -179,11 +152,11 @@ class _OrderSearch:
             self.order.append(i)
             ok = True
             if stage_floor is not None and s.kind != "zero":
-                if 1 not in _degrees(g, self.edges(grown)).values():
+                if 1 not in g.valences(self.edges(grown)).values():
                     ok = self.close()
                     stage_floor = grown
                 elif len(grown) < len(filt):
-                    ok = _retracts_to(g, self.edges(grown), self.edges(stage_floor))
+                    ok = g.is_forest(self.edges(grown), self.edges(stage_floor))
             key = (grown, stage_floor, below if s.kind == "zero" else grown)
             if ok and key not in self.dead:
                 for found in self.expand(*key):
@@ -292,10 +265,10 @@ class FPSWitness:
 
 def _window_shape(g, eg_edges, attach, forbidden_center_verts):
     comps = g.components(eg_edges)
-    if len(comps) != 1 or not g.is_forest(eg_edges):
+    if len(comps) != 1 or len(comps[0][1]) != len(comps[0][0]) - 1:
         return None
     vs, _ = comps[0]
-    deg = _degrees(g, eg_edges)
+    deg = g.valences(eg_edges)
     leaves = {v for v in vs if deg[v] == 1}
     branch = {v for v in vs if deg[v] >= 3}
     if not branch:
@@ -371,7 +344,7 @@ def _match_window(m, filt, s_pos, count):
     if len(set(hang)) != count:
         return None
     below = filt.prefix_edges(s_pos)
-    if not _retracts_to(g, below, gl):
+    if not g.is_forest(below, gl):
         return None
     eg = filt[s_pos]
     below_verts = g.incident_vertices(below)

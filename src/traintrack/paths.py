@@ -100,10 +100,7 @@ class MarkedGraph:
             self.order_key[name], self.order_key[bar] = (i, False), (i, True)
             self._directions += (name, bar)
         if not intermediate:
-            valence = dict.fromkeys(self.vertices, 0)
-            for init in self.init_of.values():
-                valence[init] += 1
-            for v, n in valence.items():
+            for v, n in self.valences().items():
                 if n == 1:
                     raise MalformedPath("vertex %r has valence one" % v)
                 if n == 0 and len(self.vertices) > 1:
@@ -249,12 +246,7 @@ class MarkedGraph:
     # -- subgraphs and invariants -----------------------------------------
 
     def incident_vertices(self, edge_subset):
-        out = set()
-        for name in edge_subset:
-            i, t = self._ends[base_name(name)]
-            out.add(i)
-            out.add(t)
-        return out
+        return {v for e in edge_subset for v in self._ends[self.base_of[e]]}
 
     def euler_characteristic(self, edge_subset=None):
         """|V| - |E| of the subgraph spanned by ``edge_subset``.
@@ -289,12 +281,64 @@ class MarkedGraph:
         comps.sort(key=lambda c: min(self.order_key[e] for e in c[1]))
         return comps
 
-    def is_forest(self, edge_subset):
-        """True when the spanned subgraph contains no cycle."""
-        for vs, es in self.components(edge_subset):
-            if len(es) != len(vs) - 1:
-                return False
-        return True
+    def valences(self, edge_subset=None):
+        """Each vertex's valence in the subgraph an edge set spans (default:
+        the whole graph), a loop counting twice and a vertex off it 0.
+
+        >>> g = MarkedGraph(["u", "v"], [("A", "u", "v"), ("B", "u", "v"), ("L", "v", "v")])
+        >>> g.valences(["A", "L"])
+        {'u': 1, 'v': 3}
+        """
+        names = self.edge_names if edge_subset is None else {self.base_of[e] for e in edge_subset}
+        valence = dict.fromkeys(self.vertices, 0)
+        for name in names:
+            init, term = self._ends[name]
+            valence[init] += 1
+            valence[term] += 1
+        return valence
+
+    def is_forest(self, edge_subset, base=()):
+        """Do the edges of ``edge_subset`` outside ``base`` span a forest
+        once the vertices of ``base`` are identified to one point?
+
+        For a base inside the subgraph, exactly when the subgraph retracts
+        to the base by pruning hanging edges (at a valence-one vertex off
+        the base): a tree meeting the base's vertices at most once always
+        has a leaf off the base to prune, while no edge of a cycle, or of
+        a path between two base vertices, ever hangs.
+
+        >>> g = MarkedGraph(["u", "v"], [("A", "u", "v"), ("B", "u", "v"), ("L", "v", "v")])
+        >>> g.is_forest(["A", "B"]), g.is_forest(["A", "L"], base=["L"])
+        (False, True)
+        """
+        ends = self._ends
+        base = {self.base_of[e] for e in base}
+        base_verts = [v for name in base for v in ends[name]]
+        classes = UnionFind(self.vertex_index.__getitem__)
+        for v in base_verts[1:]:
+            classes.union(base_verts[0], v)
+        names = {self.base_of[e] for e in edge_subset} - base
+        return all(classes.union(*ends[name]) for name in names)
+
+    def tree_paths(self, base, edge_subset=None):
+        """The breadth-first tree from ``base`` in the subgraph an edge set
+        spans (default: the whole graph), each vertex trying its directions
+        in order: the tree path to every vertex of base's component.
+
+        >>> g = MarkedGraph(["u", "v"], [("A", "u", "v"), ("B", "u", "v"), ("L", "v", "v")])
+        >>> g.tree_paths("v", ["B", "L"])
+        {'v': <trivial path at v>, 'u': <path B'>}
+        """
+        allowed = None if edge_subset is None else {self.base_of[e] for e in edge_subset}
+        paths = {base: self.trivial_path(base)}
+        reached = [base]
+        for v in reached:
+            for d in self.directions(v):
+                w = self.term_of[d]
+                if w not in paths and (allowed is None or self.base_of[d] in allowed):
+                    paths[w] = Path(self, paths[v].edges + (d,))
+                    reached.append(w)
+        return paths
 
     def rank(self, edge_subset=None):
         """Rank of the fundamental group of the spanned subgraph.

@@ -16,7 +16,6 @@ from traintrack.maps import Filtration, direction_map, filtration
 from traintrack.maxrank import (
     _axes_homologically_trivial,
     _linear_pair,
-    _retracts_to,
     _stage_delta,
     detect_fps,
 )
@@ -91,7 +90,7 @@ def grouping_is_proper(g, filt, grouping):
     for lo, hi in zip(grouping, grouping[1:]):
         floor = filt.prefix_edges(lo)
         for j in range(lo + 1, hi):
-            if filt[j - 1].kind != "zero" and not _retracts_to(g, filt.prefix_edges(j), floor):
+            if filt[j - 1].kind != "zero" and not g.is_forest(filt.prefix_edges(j), floor):
                 return False
     return True
 

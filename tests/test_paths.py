@@ -154,6 +154,38 @@ def test_components_deterministic_order():
     assert g.components(["M"])[0][0] == frozenset({"b"})
 
 
+@st.composite
+def graphs_with_an_edge_set_and_a_vertex(draw):
+    # loops, multi-edges and isolated vertices allowed; either orientation
+    # of an edge names it in the set
+    nv = draw(st.integers(min_value=1, max_value=5))
+    ends = draw(st.lists(
+        st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=8
+    ))
+    g = MarkedGraph(["v%d" % i for i in range(nv)],
+                    [("E%d" % k, "v%d" % a, "v%d" % b) for k, (a, b) in enumerate(ends)],
+                    intermediate=True)
+    sub = draw(st.lists(st.sampled_from(g.directions()), max_size=8)) if ends else []
+    return g, sub, draw(st.sampled_from(g.vertices))
+
+
+@given(graphs_with_an_edge_set_and_a_vertex())
+def test_valences_forests_and_tree_paths_read_the_edge_set(case):
+    g, sub, u = case
+    names = {g.base_of[d] for d in sub}
+    assert g.valences(sub) == {
+        v: sum(g.base_of[d] in names for d in g.directions(v)) for v in g.vertices
+    }
+    assert g.valences() == g.valences(g.edge_names)
+    assert g.is_forest(sub) == (g.rank(sub) == 0)
+    tree = g.tree_paths(u, sub)
+    for v, p in tree.items():
+        assert g.path(p.edges, base=u) == p and (p.start, p.end) == (u, v)
+        assert {g.base_of[d] for d in p.edges} <= names
+    component = next((vs for vs, _ in g.components(sub) if u in vs), {u})
+    assert set(tree) == component
+
+
 def test_union_find_root_is_least_member_whatever_the_union_order():
     for unions in itertools.permutations([(0, 1), (3, 2), (1, 2), (5, 4)]):
         uf = UnionFind()
