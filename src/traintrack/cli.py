@@ -117,6 +117,8 @@ def parse_document(text, source="<input>"):
             "not valid JSON: %s" % exc.msg,
             position="%s line %d column %d" % (source, exc.lineno, exc.colno),
         )
+    except RecursionError:
+        raise InputError("JSON nested too deeply to parse", position=source) from None
     _require(isinstance(raw, dict), "document must be a JSON object", source)
     # messages and positions are formatted only for a check that fails
     for key in raw:
@@ -125,6 +127,7 @@ def parse_document(text, source="<input>"):
     for key in ("vertices", "edges", "images"):
         if key not in raw:
             raise InputError("missing field %r" % key, position=source)
+    _require(isinstance(raw.get("name", ""), str), "name must be a string", "name")
 
     vertices = raw["vertices"]
     _require(
@@ -263,6 +266,13 @@ def _parse_tuple(text, position):
     except ValueError:
         raise InputError("tuple entries must be integers, got %r" % text,
                          position=position)
+
+
+def _check_length(a, dis, position):
+    """A tuple names one exponent per almost invariant subgraph."""
+    if len(a) != dis.M:
+        raise InputError("expected %d entries, one per almost invariant subgraph, got %d"
+                         % (dis.M, len(a)), position=position)
 
 
 def _bound(args, doc):
@@ -441,7 +451,9 @@ def _cmd_rank(m, doc, args):
 
 def _cmd_fa(m, doc, args):
     a = _parse_tuple(args.tuple, "--tuple")
-    fa = build_fa(m, a, disintegrate(m, _catalog(m, args, doc)))
+    dis = disintegrate(m, _catalog(m, args, doc))
+    _check_length(a, dis, "--tuple")
+    fa = build_fa(m, a, dis)
     if args.emit_document:
         name = "%s_fa_%s" % (m.name or "map", "_".join(str(x) for x in a))
         fa_doc = document_from_map(fa, name=name)
@@ -456,6 +468,8 @@ def _cmd_verify_commute(m, doc, args):
     a = _parse_tuple(args.a, "--a")
     b = _parse_tuple(args.b, "--b")
     dis = disintegrate(m, _catalog(m, args, doc))
+    _check_length(a, dis, "--a")
+    _check_length(b, dis, "--b")
     ok = verify_commute(m, a, b, dis)
     lines = [
         "f_a f_b = f_b f_a = f_(a+b) for a=(%s), b=(%s): %s"
@@ -475,6 +489,7 @@ def _cmd_coords(m, doc, args):
     }
     if args.tuple is not None:
         a = _parse_tuple(args.tuple, "--tuple")
+        _check_length(a, dis, "--tuple")
         vec = coords_mod.evaluate(cs, dis.partition, a)
         lines.append("coordinates of f_a, a=(%s):" % ", ".join(str(x) for x in a))
         lines.extend(vec.lines())
@@ -754,6 +769,9 @@ def _analyze_file(path, args):
             source = path
     except OSError as exc:
         return 1, "error: cannot read %s: %s" % (path, exc)
+    except UnicodeDecodeError as exc:
+        return 1, "error: document is not UTF-8 text: %s (at %s byte %d)" % (
+            exc.reason, "<stdin>" if path == "-" else path, exc.start)
     return _analyze_text(text, source, args)
 
 

@@ -269,7 +269,7 @@ def _check_tuple(dis, a):
     """Raise AdmissibilityError unless a is a nonnegative lattice point."""
     if len(a) != dis.M or any(not isinstance(x, int) for x in a):
         raise AdmissibilityError(
-            "expected an integer %d-tuple, got %r" % (dis.M, (a,))
+            "expected an integer %d-tuple, got %r" % (dis.M, a)
         )
     if any(x < 0 for x in a):
         raise AdmissibilityError("tuple has a negative coordinate: %r" % (a,))

@@ -119,6 +119,41 @@ def test_parse_errors_carry_position_tags(mutate, message, position):
     assert exc.value.position == position
 
 
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, jobs):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    files = [str(bad), sample_file(tmp_path, "qe_rose")]
+    code, out, err = run_cli(["check-ct"] + files + jobs)
+    assert code == 1
+    assert err == "error: document is not UTF-8 text: invalid start byte (at %s byte 0)\n" % bad
+    assert out.startswith("-- %s\n-- %s\n" % tuple(files)) and "Traceback" not in out + err
+
+
+def test_a_document_nested_past_the_decoder_limit_is_an_input_error(tmp_path):
+    with pytest.raises(InputError) as exc:
+        parse_document("[" * 200000, "deep.json")
+    assert str(exc.value) == "JSON nested too deeply to parse"
+    assert exc.value.position == "deep.json"
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run_cli(["check-ct", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: JSON nested too deeply to parse (at %s)\n" % path
+
+
+@pytest.mark.parametrize("command", [["export-dot"], ["fa", "--tuple", "1,1", "--emit-document"]])
+def test_a_name_that_is_not_a_string_is_an_input_error(tmp_path, command):
+    text = _mutated(lambda d: d.update(name={"a": 1}))
+    with pytest.raises(InputError) as exc:
+        parse_document(text, "doc.json")
+    assert (str(exc.value), exc.value.position) == ("name must be a string", "name")
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run_cli(command + [str(path)])
+    assert (code, out, err) == (1, "", "error: name must be a string (at name)\n")
+
+
 def test_parse_rejects_non_incident_edge_word():
     text = json.dumps(
         {
@@ -613,6 +648,36 @@ def test_tuple_syntax_errors_are_input_errors(tmp_path):
     code, _, err = run_cli(["fa", path, "--tuple", "one,two"])
     assert code == 1
     assert "--tuple" in err
+
+
+# exceptional_rose has M = 3 almost invariant subgraphs; before, fa and
+# verify-commute refused a wrong-length tuple as a verification error
+# (exit 2, the tuple printed as ((1,),)) and coords as an inadmissible one
+@pytest.mark.parametrize("argv, got, position", [
+    (["fa", "--tuple", "1"], 1, "--tuple"),
+    (["fa", "--tuple", "1,2", "--emit-document"], 2, "--tuple"),
+    (["verify-commute", "--a", "1", "--b", "1,1,1"], 1, "--a"),
+    (["verify-commute", "--a", "1,1,1", "--b", "1,1,1,1"], 4, "--b"),
+    (["coords", "--tuple", "1,2"], 2, "--tuple"),
+])
+def test_a_tuple_of_the_wrong_length_is_an_input_error(tmp_path, argv, got, position):
+    code, out, err = run_cli(argv + [sample_file(tmp_path, "exceptional_rose")])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: expected 3 entries, one per almost invariant subgraph, got %d (at %s)\n"
+        % (got, position)
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fa", "--tuple=-1,0,0"], "tuple has a negative coordinate: (-1, 0, 0)"),
+    (["verify-commute", "--a=-1,0,0", "--b", "1,1,1"],
+     "tuple has a negative coordinate: (-1, 0, 0)"),
+    (["coords", "--tuple=-1,2,3"], "tuple (-1, 2, 3) is outside the admissible lattice"),
+])
+def test_a_tuple_of_the_right_length_off_the_lattice_fails_verification(tmp_path, argv, message):
+    code, out, err = run_cli(argv + [sample_file(tmp_path, "exceptional_rose")])
+    assert (code, out, err) == (2, "verification error: %s\n" % message, "")
 
 
 # -- structured output ---------------------------------------------------------------

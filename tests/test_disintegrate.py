@@ -136,8 +136,9 @@ def test_build_fa_rejects_bad_tuples():
         build_fa(m, (1, 2), d)
     with pytest.raises(AdmissibilityError):
         build_fa(m, (-1, -1), d)
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError) as exc:
         build_fa(m, (1,), d)
+    assert str(exc.value) == "expected an integer 2-tuple, got (1,)"
 
 
 def test_long_orbits_of_rose_cascade():
