@@ -346,7 +346,7 @@ class NielsenCatalog:
       of f first, then of f^2, f^3, ...; empty when no cap shaped the
       search.
     * ``inps_by_first``: the generic iNps in both orientations, grouped by
-      first edge, longest first (with their heights), for complete
+      first edge, longest first, for complete
       splitting, which matches family members by counting repeats of the
       body instead.  Built on first read.
     * :meth:`edge_digest`: what disintegration reads of an edge image's
@@ -410,9 +410,9 @@ class NielsenCatalog:
         for entry in self.generic:
             if entry.indivisible:
                 for sigma in (entry.path, entry.path.reverse()):
-                    out.setdefault(sigma.edges[0], []).append((sigma, entry.height))
+                    out.setdefault(sigma.edges[0], []).append(sigma)
         for lst in out.values():
-            lst.sort(key=lambda sh: -len(sh[0]))
+            lst.sort(key=lambda sigma: -len(sigma))
         return out
 
     @cached_property
@@ -452,7 +452,6 @@ class NielsenCatalog:
         f|S-stratum, so the classes agree, but an illegal border turn makes
         f refuse what f|S splits.  And f(A) for a connecting path A may
         outgrow f|S's bound, where f's catalog, searched further, decides.
-        Term heights are f's levels.
         """
         key = piece.edges
         if key not in self._image_qe:
@@ -959,12 +958,11 @@ def _qe_family(m, e, f):
 
 
 class Term:
-    def __init__(self, kind, path, family=None, power=None, height=None):
+    def __init__(self, kind, path, family=None, power=None):
         self.kind = kind
         self.path = path
         self.family = family
         self.power = power
-        self.height = height
 
     def __repr__(self):
         return "<%s %r>" % (self.kind, self.path)
@@ -1005,22 +1003,21 @@ class _ClosedSplitting(CompleteSplitting):
 
     closed = True
 
-    def __init__(self, m, filt, path):
+    def __init__(self, m, path):
         self.path = path
-        self._map, self._filt = m, filt
+        self._map = m
 
     @cached_property
     def terms(self):
-        return [_single_term(self._map, self._filt, x) for x in self.path.edges]
+        return [_single_term(self._map, x) for x in self.path.edges]
 
 
-def _single_term(m, filt, e):
-    """The single-edge term of the oriented edge e, outside zero strata,
-    its height from ``filt``, m's filtration: built on first use, once per
-    map, and shared by every splitting on it."""
+def _single_term(m, e):
+    """The single-edge term of the oriented edge e, outside zero strata:
+    built on first use, once per map, and shared by every splitting on it."""
     single = m._cache.setdefault("single_terms", {})
     if e not in single:
-        single[e] = Term(TERM_EDGE, Path(m.graph, (e,)), height=filt.level(e))
+        single[e] = Term(TERM_EDGE, Path(m.graph, (e,)))
     return single[e]
 
 
@@ -1052,7 +1049,7 @@ def _candidates(m, path, i, filt, inps_by_first, families):
         j = i
         while j < len(path) and filt.level(path.edges[j]) == lvl:
             j += 1
-        return [Term(TERM_CONN, path.subpath(i, j), height=lvl)]
+        return [Term(TERM_CONN, path.subpath(i, j))]
     cands = []
     edges, inverse_of = path.edges, m.graph.inverse_of
     # exceptional paths: each orientation of E's axis is walked once, and
@@ -1073,23 +1070,23 @@ def _candidates(m, path, i, filt, inps_by_first, families):
         for end, f in ends.items():
             cands.append((end, Term(TERM_EXC, path.subpath(i, end), family=_qe_family(m, e, f))))
     # indivisible Nielsen paths from the catalog, longest first
-    for sigma, height in inps_by_first.get(e, []):
+    for sigma in inps_by_first.get(e, []):
         n = len(sigma)
         if path.edges[i : i + n] == sigma.edges:
-            cands.append((i + n, Term(TERM_INP, path.subpath(i, i + n), height=height)))
+            cands.append((i + n, Term(TERM_INP, path.subpath(i, i + n))))
     # members of E's linear family, for every k >= 1
     if e in families and not families[e][2]:
-        b, height, _ = families[e]
+        b = families[e][0]
         tail, n = inverse_of[e], len(b)
         for body in (b, _reverse(inverse_of, b)):
             pos = i + 1
             while edges[pos : pos + n] == body:
                 pos += n
             if pos > i + 1 and pos < len(edges) and edges[pos] == tail:
-                cands.append((pos + 1, Term(TERM_INP, path.subpath(i, pos + 1), height=height)))
+                cands.append((pos + 1, Term(TERM_INP, path.subpath(i, pos + 1))))
     # a single edge of an irreducible stratum
     cands.sort(key=lambda et: (-et[0], et[1].kind != TERM_EXC))
-    return [t for _, t in cands] + [_single_term(m, filt, e)]
+    return [t for _, t in cands] + [_single_term(m, e)]
 
 
 def _closed_split(m, filt, path):
@@ -1109,7 +1106,7 @@ def _closed_split(m, filt, path):
         or not _is_legal_turn(m, inverse_of[e], edges[1])
     ):
         return None
-    return _ClosedSplitting(m, filt, path)
+    return _ClosedSplitting(m, path)
 
 
 def complete_split(m, path, catalog=None):

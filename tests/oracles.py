@@ -205,9 +205,9 @@ def reference_candidates(m, path, i, filt, exceptional, catalog):
         j = i
         while j < len(path) and filt.level(edges[j]) == lvl:
             j += 1
-        return [Term(TERM_CONN, path.subpath(i, j), height=lvl)]
-    generic = {sigma.edges: h for sigma, h in catalog.inps_by_first.get(e, [])}
-    b, height, _ = catalog.families.get(e, ((), None, None))
+        return [Term(TERM_CONN, path.subpath(i, j))]
+    generic = {sigma.edges for sigma in catalog.inps_by_first.get(e, [])}
+    b = catalog.families.get(e, ((),))[0]
     bodies = (b, tuple(inverse(x) for x in reversed(b)))
     cands = []
     for j in range(len(path), i + 1, -1):
@@ -215,13 +215,13 @@ def reference_candidates(m, path, i, filt, exceptional, catalog):
         cands += [Term(TERM_EXC, sub, family=fam)
                   for fam in exceptional.get(e, ()) if fam.matches(sub) is not None]
         if sub.edges in generic:
-            cands.append(Term(TERM_INP, sub, height=generic[sub.edges]))
+            cands.append(Term(TERM_INP, sub))
         k, rest = divmod(j - i - 2, len(b) or 1)
         if (b and not rest and k and edges[j - 1] == inverse(e)
                 and edges[i + 1 : j - 1] in (bodies[0] * k, bodies[1] * k)
                 and is_indivisible_by_brute_force(m, sub)):
-            cands.append(Term(TERM_INP, sub, height=height))
-    return cands + [Term(TERM_EDGE, path.subpath(i, i + 1), height=lvl)]
+            cands.append(Term(TERM_INP, sub))
+    return cands + [Term(TERM_EDGE, path.subpath(i, i + 1))]
 
 
 def reference_complete_split(m, path, catalog=None):
@@ -246,7 +246,7 @@ def reference_complete_split(m, path, catalog=None):
         ):
             cands = reference_candidates(m, path, i, filt, exceptional, catalog)
         else:
-            cands = (Term(TERM_EDGE, path.subpath(i, i + 1), height=filt.level(e)),)
+            cands = (Term(TERM_EDGE, path.subpath(i, i + 1)),)
         todo.append(iter(cands))
         while todo:
             for term in todo[-1]:

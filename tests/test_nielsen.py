@@ -1788,9 +1788,9 @@ def _member_by_member(cat, n, flags):
     out = {}
     for x in listed:
         for sigma in (x.path, x.path.reverse()):
-            out.setdefault(sigma.edges[0], []).append((sigma, x.height))
+            out.setdefault(sigma.edges[0], []).append(sigma)
     for lst in out.values():
-        lst.sort(key=lambda sh: -len(sh[0]))
+        lst.sort(key=lambda sigma: -len(sigma))
     return out
 
 
@@ -1819,7 +1819,7 @@ def _split_requests(m, monkeypatch, audit=False):
 
 def _terms(splitting):
     return [
-        (t.kind, t.path.edges, t.height, t.power, t.family and t.family.key())
+        (t.kind, t.path.edges, t.power, t.family and t.family.key())
         for t in splitting.terms
     ]
 
@@ -1849,7 +1849,7 @@ def assert_candidates_match_member_by_member(m, monkeypatch, audit=False, paths=
         flat.__dict__["inps_by_first"] = _member_by_member(cat, len(path), flags)
         for i in range(len(path)):
             got, want = (
-                [(t.kind, t.path.edges, t.height) for t in nielsen._candidates(
+                [(t.kind, t.path.edges) for t in nielsen._candidates(
                     mk, path, i, filt, c.inps_by_first, c.families
                 )]
                 for c in (cat, flat)
@@ -1918,7 +1918,7 @@ def _walked_exceptional(m):
 
 
 def _candidate_keys(cands):
-    return [(t.kind, t.path.edges, t.height, t.family and t.family.key()) for t in cands]
+    return [(t.kind, t.path.edges, t.family and t.family.key()) for t in cands]
 
 
 @pytest.mark.parametrize("name", ["type_c_%d" % n for n in range(4, 8)] + sorted(FAMILY_MAPS))
@@ -2633,7 +2633,7 @@ def test_complete_split_expands_each_offset_at_most_once(monkeypatch):
     # fails at the illegal turn {C', A'}: offset 2 is expanded once
     g = MarkedGraph(["v"], [(e, "v", "v") for e in ("A", "B", "C")])
     m = GraphMap(g, {"A": ["A"], "B": ["B"], "C": ["C", "A"]})
-    listed = types.SimpleNamespace(inps_by_first={"A": [(g.path(["A", "B"]), 1)]}, families={})
+    listed = types.SimpleNamespace(inps_by_first={"A": [g.path(["A", "B"])]}, families={})
     path = g.path(["A", "B", "C", "A'"])
     assert expanded(m, path, listed) == [0, 2, 1]
     with pytest.raises(NotCompletelySplit) as ei:
@@ -2657,10 +2657,10 @@ def test_complete_split_expands_each_offset_at_most_once(monkeypatch):
 
 
 def _split_outcome(split, m, path, cat):
-    """(kind, edges, height, family, power) per term, the furthest offset of
-    a path that does not split, or the error of a map that refuses."""
+    """(kind, edges, family, power) per term, the furthest offset of a path
+    that does not split, or the error of a map that refuses."""
     try:
-        return [(t.kind, t.path.edges, t.height, t.family and t.family.key(), t.power)
+        return [(t.kind, t.path.edges, t.family and t.family.key(), t.power)
                 for t in split(m, path, cat).terms]
     except NotCompletelySplit as exc:
         return exc.position
@@ -2744,7 +2744,7 @@ def assert_closed_form_is_the_reference(m, paths):
             assert split.closed and split.path is path
             # the terms are listed on the first read, and kept
             assert "terms" not in vars(split)
-            got = [(t.kind, t.path.edges, t.height, None, t.power) for t in split.terms]
+            got = [(t.kind, t.path.edges, None, t.power) for t in split.terms]
             assert got == _split_outcome(reference_complete_split, m, path, cat), path.edges
             assert split.terms is split.terms
     return taken
