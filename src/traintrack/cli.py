@@ -23,9 +23,11 @@ and write a report per document; ``gen`` writes a fresh document instead.
 is byte-identical to that of ``json.dumps`` at an indent of 2.
 Exit status: 0 when every analysis succeeded and every verification passed,
 2 when some verification failed, 1 on malformed input (position-tagged),
-and 141 (128 + SIGPIPE, the status a shell shows for a tool that signal
-ends) when standard output is closed before the report is written out, as
-by ``| head``: the rest of the report is dropped and nothing is printed.
+2 on a usage error, with argparse's message (no command at all prints the
+help and exits 1), and 141 (128 + SIGPIPE, the status a shell shows for a
+tool that signal ends) when standard output is closed before the report is
+written out, as by ``| head``: the rest of the report is dropped and nothing
+is printed.
 All output is deterministic; ``--seed`` is accepted for interface stability
 and ignored.
 
@@ -675,7 +677,9 @@ def _parsers():
 
     p = sub.add_parser("coords", parents=[common],
                        help="coordinate system; optionally evaluate a tuple")
-    p.add_argument("--tuple", metavar="a1,a2,...")
+    p.add_argument("--tuple", metavar="a1,a2,...",
+                   help="evaluate f_a at this tuple; write one with a negative "
+                   "first entry as --tuple=-1,2")
 
     sub.add_parser("fps", parents=[common],
                    help="detect partial and full FPS subgraphs")

@@ -20,10 +20,17 @@ index, is_inverse)``, the package's total order on oriented edges).  The
 path kernel -- ``path``, ``tighten`` and ``Path.reverse``/``start``/``end``
 -- and the hot loops of the other modules (the transition matrix and the
 dependency closure among them) read these tables and never take a token
-apart.  A token that is
-not a key is not an edge of the graph, so the same lookups also validate.  The string helpers :func:`inverse` and
+apart.  A token that is not a key is not an edge of the graph, so the same
+lookups also validate.  The string helpers :func:`inverse` and
 :func:`base_name` remain for parsing, for code that has no graph at hand
 and for cold bookkeeping.
+
+Subgraph facts: :class:`MarkedGraph` is their one home.  For the subgraph
+an edge set spans (either orientation names an edge), ``incident_vertices``,
+``euler_characteristic``, ``components``, ``rank``, ``valences``,
+``is_forest`` (also relative to a base, the retraction test of the rank
+audit's stages) and ``tree_paths`` answer from the tables above; no other
+module keeps a copy.
 
 Validating and trusting code: ``path`` and ``tighten`` check every edge;
 they are the boundary for documents and public constructors.  A
