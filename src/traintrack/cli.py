@@ -763,19 +763,18 @@ def _analyze_text(text, source, args):
 
 
 def _analyze_file(path, args):
+    source = "<stdin>" if path == "-" else path
     try:
         if path == "-":
             text = sys.stdin.read()
-            source = "<stdin>"
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-            source = path
     except OSError as exc:
         return 1, "error: cannot read %s: %s" % (path, exc)
     except UnicodeDecodeError as exc:
         return 1, "error: document is not UTF-8 text: %s (at %s byte %d)" % (
-            exc.reason, "<stdin>" if path == "-" else path, exc.start)
+            exc.reason, source, exc.start)
     return _analyze_text(text, source, args)
 
 
