@@ -650,9 +650,7 @@ def test_tuple_syntax_errors_are_input_errors(tmp_path):
     assert "--tuple" in err
 
 
-# exceptional_rose has M = 3 almost invariant subgraphs; before, fa and
-# verify-commute refused a wrong-length tuple as a verification error
-# (exit 2, the tuple printed as ((1,),)) and coords as an inadmissible one
+# exceptional_rose has M = 3 almost invariant subgraphs
 @pytest.mark.parametrize("argv, got, position", [
     (["fa", "--tuple", "1"], 1, "--tuple"),
     (["fa", "--tuple", "1,2", "--emit-document"], 2, "--tuple"),
